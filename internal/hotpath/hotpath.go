@@ -4,7 +4,7 @@
 // is pinned (shape + seed) so ns/op, allocs/op and events/sec are
 // comparable across revisions.
 //
-// Three scenarios are tracked:
+// Seven scenarios are tracked, one BENCH_*.json each:
 //
 //   - "hotpath" (BENCH_hotpath.json): the TF access stream on an 8-blade
 //     rack, one thread per blade — the per-op cost probe.
@@ -25,6 +25,12 @@
 //     runs must produce identical simulation outputs (the determinism
 //     contract), and the recorded ParallelSpeedup pins the scaling of
 //     the windowed executor.
+//   - "serve" (BENCH_serve.json): the open-loop serving probe — three
+//     tenants with distinct arrival processes (steady Poisson, an MMPP
+//     burst aggressor held to a QoS token bucket, diurnal) sharing a
+//     4-blade rack. Pins the host-side cost of arrivals, admission and
+//     the streaming histograms; request conservation is the identity
+//     check.
 //   - "servepar" (BENCH_servepar.json): the sharded-serving probe — a
 //     16-rack pod serving a mixed Poisson/MMPP/diurnal tenant population
 //     placed across racks by the pod-wide control-plane policy (two

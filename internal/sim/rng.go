@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (SplitMix64 seeded xorshift128+). Every simulated component that needs
@@ -91,48 +94,65 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Zipf draws from a bounded Zipf-like distribution over [0, n) with skew
-// theta in (0, 1) using the standard YCSB-style rejection-free inverse
-// method approximation. theta = 0 degenerates to uniform.
-type Zipf struct {
-	rng   *RNG
+// ZipfDist is a bounded Zipf-like distribution over [0, n) with skew
+// theta in [0, 1), sampled with the standard YCSB-style rejection-free
+// inverse-method approximation; theta = 0 degenerates to uniform. It is
+// immutable once built and safe to share between goroutines: build it
+// once per (n, theta), then take one Sampler per random stream.
+type ZipfDist struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	rank1 float64 // 0.5^theta: the mass of rank 1 relative to rank 0
 }
 
-// NewZipf constructs a Zipf sampler over [0, n) with parameter theta
-// (commonly 0.99 for YCSB).
-func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
+// zetaExact is the range size up to which zeta sums term by term.
+const zetaExact = 10000
+
+// NewZipfDist builds the distribution over [0, n) with parameter theta
+// (commonly 0.99 for YCSB). Building costs min(n, zetaExact) math.Pow
+// calls, about half a millisecond from n = 1e4 up; drawing from it is
+// O(1). The arguments are code constants, not user input, so a value the
+// method is not defined for panics: n == 0, or theta outside [0, 1)
+// (theta = 1 would make alpha infinite and eta 0, sending every draw past
+// the first two ranks to n-1).
+func NewZipfDist(n uint64, theta float64) *ZipfDist {
 	if n == 0 {
 		panic("sim: Zipf over empty range")
 	}
-	z := &Zipf{rng: rng, n: n, theta: theta}
-	z.zetan = zeta(n, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
-	return z
+	if !(theta >= 0 && theta < 1) {
+		panic(fmt.Sprintf("sim: Zipf theta %v outside [0, 1) (n = %d)", theta, n))
+	}
+	d := &ZipfDist{n: n}
+	d.zetan = zeta(n, theta)
+	d.alpha = 1.0 / (1.0 - theta)
+	d.rank1 = powF(0.5, theta)
+	// For n <= 2 ranks 0 and 1 carry all the mass and the formula for eta
+	// is 0/0 at n = 2. eta stays 0 there: should rounding in u*zetan ever
+	// carry a draw past both rank tests, Next clamps it to n-1, which is
+	// the rank it belongs to.
+	if n > 2 {
+		d.eta = (1 - powF(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/d.zetan)
+	}
+	return d
 }
 
+// zeta returns the generalized harmonic number sum_{i=1..n} i^-theta:
+// term by term up to zetaExact, then the integral of x^-theta for the
+// tail, so that its cost is bounded by zetaExact math.Pow calls whatever
+// the range size. theta < 1 (NewZipfDist checks).
 func zeta(n uint64, theta float64) float64 {
-	// Exact for small n; integral approximation for the tail keeps
-	// construction O(1e4) regardless of range size.
-	const maxExact = 10000
-	if n <= maxExact {
+	if n <= zetaExact {
 		sum := 0.0
 		for i := uint64(1); i <= n; i++ {
 			sum += 1.0 / powF(float64(i), theta)
 		}
 		return sum
 	}
-	sum := zeta(maxExact, theta)
-	a := float64(maxExact)
+	sum := zeta(zetaExact, theta)
+	a := float64(zetaExact)
 	b := float64(n)
-	if theta == 1 {
-		return sum + math.Log(b) - math.Log(a)
-	}
 	return sum + (powF(b, 1-theta)-powF(a, 1-theta))/(1-theta)
 }
 
@@ -143,19 +163,39 @@ func powF(x, y float64) float64 {
 	return math.Pow(x, y)
 }
 
+// Zipf draws from a ZipfDist with one RNG stream.
+type Zipf struct {
+	d   *ZipfDist
+	rng *RNG
+}
+
+// Sampler returns a sampler that draws from d using rng. It is O(1) and
+// does not touch d, so any number of samplers can share one distribution.
+func (d *ZipfDist) Sampler(rng *RNG) *Zipf {
+	return &Zipf{d: d, rng: rng}
+}
+
+// NewZipf is NewZipfDist(n, theta).Sampler(rng), for a caller that draws
+// one stream from the distribution. A caller that draws many streams
+// builds the distribution once and takes a Sampler per stream.
+func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
+	return NewZipfDist(n, theta).Sampler(rng)
+}
+
 // Next draws the next Zipf value in [0, n).
 func (z *Zipf) Next() uint64 {
+	d := z.d
 	u := z.rng.Float64()
-	uz := u * z.zetan
+	uz := u * d.zetan
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+powF(0.5, z.theta) {
+	if uz < 1.0+d.rank1 {
 		return 1
 	}
-	v := uint64(float64(z.n) * powF(z.eta*u-z.eta+1, z.alpha))
-	if v >= z.n {
-		v = z.n - 1
+	v := uint64(float64(d.n) * powF(d.eta*u-d.eta+1, d.alpha))
+	if v >= d.n {
+		v = d.n - 1
 	}
 	return v
 }

@@ -20,6 +20,8 @@
 package workloads
 
 import (
+	"sync"
+
 	"mind/internal/core"
 	"mind/internal/mem"
 	"mind/internal/sim"
@@ -44,6 +46,36 @@ type Workload struct {
 }
 
 func pages(n uint64) uint64 { return n * mem.PageSize }
+
+// zipfs holds one Workload's Zipf distributions. Building one costs 1e4
+// math.Pow calls (sim.NewZipfDist), so the first Gen that needs a range
+// builds it and every later thread's generator only takes a sampler over
+// it. One Workload value is shared by parallel runner workers, hence the
+// lock; it lives in the Workload's Gen closure, not in the package, so
+// that every fresh Workload pays for its own constants and constructing
+// a Workload for its Footprint alone pays nothing. GC and memcached ask
+// for one range; NativeKVS's is the per-blade partition, so it asks for
+// one per blade count it is run at.
+type zipfs struct {
+	theta float64
+	mu    sync.Mutex
+	byN   map[uint64]*sim.ZipfDist
+}
+
+// over returns the distribution over [0, n), building it on first use.
+func (z *zipfs) over(n uint64) *sim.ZipfDist {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if d := z.byN[n]; d != nil {
+		return d
+	}
+	if z.byN == nil {
+		z.byN = make(map[uint64]*sim.ZipfDist, 1)
+	}
+	d := sim.NewZipfDist(n, z.theta)
+	z.byN[n] = d
+	return d
+}
 
 // counter caps a stream at n accesses.
 func capped(n int, f func() (mem.VA, bool)) core.AccessGen {
@@ -112,6 +144,7 @@ func GC(scale int) Workload {
 	}
 	vertexPages := uint64(2048 * scale)    // shared vertex/rank arrays
 	totalEdgePages := uint64(2048 * scale) // edge shards, partitioned across threads
+	popularity := &zipfs{theta: 0.95}      // skewed vertex popularity
 	return Workload{
 		Name:      "GC",
 		Footprint: pages(vertexPages + totalEdgePages),
@@ -126,7 +159,7 @@ func GC(scale int) Workload {
 			}
 			vertices := base
 			edges := base + mem.VA(pages(vertexPages)) + mem.VA(pages(edgePages))*mem.VA(thread)
-			zipf := sim.NewZipf(rng, pages(vertexPages), 0.95) // skewed vertex popularity
+			zipf := popularity.over(pages(vertexPages)).Sampler(rng)
 			seq := uint64(0)
 			return capped(p.OpsPerThread, func() (mem.VA, bool) {
 				r := rng.Float64()
@@ -154,7 +187,8 @@ func memcached(name string, itemWriteRatio float64, scale int) Workload {
 	}
 	bucketPages := uint64(256 * scale)
 	itemPages := uint64(4096 * scale)
-	lruPages := uint64(8) // small, extremely hot shared metadata
+	lruPages := uint64(8)       // small, extremely hot shared metadata
+	keys := &zipfs{theta: 0.99} // YCSB zipfian keys
 	return Workload{
 		Name:      name,
 		Footprint: pages(bucketPages + itemPages + lruPages),
@@ -166,7 +200,7 @@ func memcached(name string, itemWriteRatio float64, scale int) Workload {
 			buckets := base
 			items := base + mem.VA(pages(bucketPages))
 			lru := base + mem.VA(pages(bucketPages+itemPages))
-			zipf := sim.NewZipf(rng, pages(itemPages), 0.99) // YCSB zipfian keys
+			zipf := keys.over(pages(itemPages)).Sampler(rng)
 			// Each op is a short sequence: bucket read, item access, LRU
 			// metadata write.
 			var phase int
@@ -239,6 +273,7 @@ func NativeKVS(readRatio float64, scale int) Workload {
 	}
 	itemPages := uint64(4096 * scale)
 	bucketPages := uint64(256 * scale)
+	keys := &zipfs{theta: 0.99}
 	return Workload{
 		Name:      "NativeKVS",
 		Footprint: pages(bucketPages + itemPages),
@@ -255,7 +290,7 @@ func NativeKVS(readRatio float64, scale int) Workload {
 			}
 			buckets := base
 			items := base + mem.VA(pages(bucketPages))
-			zipf := sim.NewZipf(rng, pages(partPages), 0.99)
+			zipf := keys.over(pages(partPages)).Sampler(rng)
 			var phase int
 			var item mem.VA
 			return capped(p.OpsPerThread, func() (mem.VA, bool) {
