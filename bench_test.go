@@ -1,10 +1,13 @@
 package mind_test
 
-// The benchmark harness: one benchmark per figure of the paper's
-// evaluation (§7, Figures 5-9) plus ablation benches for the design
-// choices called out in DESIGN.md. Each figure bench regenerates its
-// panel at the Tiny experiment scale and reports headline values through
-// b.ReportMetric, so `go test -bench=.` walks the entire evaluation.
+// Figure and ablation benches: one per figure of the paper's evaluation
+// (§7, Figures 5-9) plus ablations for the design choices called out in
+// DESIGN.md. Each figure bench regenerates its panel at the Tiny
+// experiment scale and reports headline values through b.ReportMetric,
+// so `go test -bench=.` walks the entire evaluation. They are for looking
+// at a panel and for profiling while working (-cpuprofile, -memprofile);
+// a performance or no-regression claim is made with the repository's one
+// benchmark, `go run ./benchmark` (benchmark/README.md).
 //
 // Figure benches route through internal/runner (the experiments package
 // fans every panel's data points across its worker pool), so wall time
@@ -21,156 +24,12 @@ import (
 	"mind/internal/core"
 	"mind/internal/ctrlplane"
 	"mind/internal/experiments"
-	"mind/internal/hotpath"
 	"mind/internal/mem"
 	"mind/internal/sim"
 	"mind/internal/stats"
 	"mind/internal/switchasic"
 	"mind/internal/workloads"
 )
-
-// BenchmarkHotPathMacro is the tracked hot-path macro benchmark behind
-// BENCH_hotpath.json (see cmd/bench and internal/hotpath): the fixed
-// Fig-6-class TF workload on an 8-blade rack. CI runs it with
-// -benchtime=1x as a smoke test; the reported metrics mirror the JSON
-// report's fields. The simulation outputs are deterministic, so the
-// events metric doubles as an identity check across revisions.
-func BenchmarkHotPathMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-	}
-}
-
-// BenchmarkRackMacro is the rack-scale macro benchmark behind
-// BENCH_rack.json: the GC (PageRank) mix on a 64-blade rack, 4 threads
-// per blade. Sharer sets span the rack and the event queue runs deep, so
-// this tracks the scale headroom of the per-event structures (calendar
-// queue, sharer bitmaps, index-addressed tables) rather than per-op
-// cost.
-func BenchmarkRackMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.Rack())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-	}
-}
-
-// BenchmarkPodMacro is the pod-scale macro benchmark behind
-// BENCH_pod.json: a 4-rack pod (16 compute blades per rack) running the
-// GC+Memcached mix, with two memory-poor racks borrowing blades across
-// the interconnect, so the cross-rack routing and interconnect queueing
-// sit on the fault path.
-func BenchmarkPodMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.PodScenario())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(float64(res.CrossRackMsgs), "cross-rack-msgs")
-	}
-}
-
-// BenchmarkPodParMacro is the parallel-executor macro benchmark behind
-// BENCH_podpar.json: a 32-rack pod run twice in one invocation — first
-// serially, then on the windowed worker pool — with hotpath.Run failing
-// outright if any simulation output diverges. The parallel-speedup
-// metric is the events/sec ratio between the two runs.
-func BenchmarkPodParMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.PodParScenario())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(float64(res.CrossRackMsgs), "cross-rack-msgs")
-		b.ReportMetric(res.ParallelSpeedup, "parallel-speedup-x")
-	}
-}
-
-// BenchmarkServeMacro is the serving macro benchmark behind
-// BENCH_serve.json: three tenants (steady Poisson, MMPP burst behind a
-// QoS token bucket, diurnal) inject open-loop arrivals into a 4-blade
-// rack, so the arrival chains, admission control, and streaming
-// histograms sit on the measured path alongside the fault protocol.
-func BenchmarkServeMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.ServeScenario())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(float64(res.ServeThrottled), "throttled")
-		b.ReportMetric(res.ServeP99Us, "steady-p99-us")
-	}
-}
-
-// BenchmarkServeParMacro is the sharded-serving macro benchmark behind
-// BENCH_servepar.json: a mixed tenant population placed across a
-// 16-rack pod (memory-poor racks borrowing, two tenants spanning racks)
-// injects open-loop arrivals from every rack's serving shard, run
-// serially then on the windowed worker pool in one invocation —
-// hotpath.Run fails outright if any simulation output diverges.
-func BenchmarkServeParMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.ServeParScenario())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(float64(res.CrossRackMsgs), "cross-rack-msgs")
-		b.ReportMetric(float64(res.ServeThrottled), "throttled")
-		b.ReportMetric(res.ParallelSpeedup, "parallel-speedup-x")
-	}
-}
-
-// BenchmarkServeKillMacro is the failure-injection macro benchmark
-// behind BENCH_servekill.json: a 2-rack pod serves three open-loop
-// tenants under deadlines, retries and brownout shedding while a kill
-// storm lands (hot-add, borrowed-blade kill, switch failover, live
-// drain), so the recovery machinery — migration batches, fault
-// retransmits against a dead blade, retry backoff timers — sits on the
-// measured path.
-func BenchmarkServeKillMacro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := hotpath.Run(hotpath.ServeKillScenario())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.NsPerOp, "sim-ns/op")
-		b.ReportMetric(res.AllocsPerOp, "sim-allocs/op")
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(float64(res.ServeShed), "shed")
-		b.ReportMetric(float64(res.ServeTimedOut), "timedout")
-		b.ReportMetric(float64(res.ServeRetried), "retried")
-		b.ReportMetric(float64(res.Kills), "kills")
-	}
-}
 
 // BenchmarkFig5IntraBlade regenerates Figure 5 (left): intra-blade
 // thread scaling of MIND vs FastSwap vs GAM.

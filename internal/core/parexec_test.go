@@ -166,9 +166,10 @@ func (g *seededGap) Next(now sim.Time) sim.Duration {
 // equivServeRun drives one randomized multi-rack serving run — open-loop
 // arrivals on every rack, a spanning tenant whose rack-0 share lives on
 // borrowed memory, a QoS bucket in the mix — and returns the invariants:
-// finish time, per-engine dispatch-trace hashes, and the merged counter
-// snapshot.
-func equivServeRun(t *testing.T, racks, workers int, window sim.Duration, dense bool) (sim.Time, []uint64, map[string]uint64) {
+// finish time, per-engine dispatch-trace hashes, the merged counter
+// snapshot, and the executor's window accounting (executed, skipped,
+// flushes elided).
+func equivServeRun(t *testing.T, racks, workers int, window sim.Duration, dense bool) (sim.Time, []uint64, map[string]uint64, [3]uint64) {
 	t.Helper()
 	cfgs := make([]Config, racks)
 	cfgs[0] = podRackConfig(2, 1, 1024)
@@ -228,7 +229,9 @@ func equivServeRun(t *testing.T, racks, workers int, window sim.Duration, dense 
 	for i := 0; i < racks; i++ {
 		hashes[i] = pod.Rack(i).Engine().DispatchHash()
 	}
-	return end, hashes, pod.Collector().Snapshot()
+	var win [3]uint64
+	win[0], win[1], win[2] = pod.WindowStats()
+	return end, hashes, pod.Collector().Snapshot(), win
 }
 
 // TestParallelEquivalenceServing extends the determinism contract to the
@@ -237,7 +240,11 @@ func equivServeRun(t *testing.T, racks, workers int, window sim.Duration, dense 
 // tenant), the dense serial baseline, dense parallel execution, and
 // sparse-horizon execution at every worker count must produce the same
 // finish time, the same per-engine dispatch sequence, and byte-identical
-// merged statistics at every racks×window point.
+// merged statistics at every racks×window point. The window schedule is
+// held to the same contract under this load: every sparse variant visits,
+// skips and elides the same barriers whatever its worker count, the
+// sparse horizon really engages (windows skipped, flushes elided), and
+// the dense variants skip nothing.
 func TestParallelEquivalenceServing(t *testing.T) {
 	type variant struct {
 		workers int
@@ -253,10 +260,27 @@ func TestParallelEquivalenceServing(t *testing.T) {
 	for _, racks := range []int{2, 3} {
 		for _, window := range []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond} {
 			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, window), func(t *testing.T) {
-				endS, hashS, snapS := equivServeRun(t, racks, 1, window, true)
+				endS, hashS, snapS, winS := equivServeRun(t, racks, 1, window, true)
+				if winS[1] != 0 {
+					t.Errorf("dense serial skipped %d windows, want 0", winS[1])
+				}
+				var sparseWin *[3]uint64
 				for _, v := range variants {
-					end, hash, snap := equivServeRun(t, racks, v.workers, window, v.dense)
+					end, hash, snap, win := equivServeRun(t, racks, v.workers, window, v.dense)
 					tag := fmt.Sprintf("workers=%d dense=%v", v.workers, v.dense)
+					switch {
+					case v.dense:
+						if win[1] != 0 {
+							t.Errorf("%s: skipped %d windows, want 0", tag, win[1])
+						}
+					case sparseWin == nil:
+						sparseWin = &win
+						if win[1] == 0 || win[2] == 0 {
+							t.Errorf("%s: sparse horizon did not engage under load: windows executed/skipped/flushes elided %v", tag, win)
+						}
+					case win != *sparseWin:
+						t.Errorf("%s: windows executed/skipped/flushes elided %v, first sparse variant %v", tag, win, *sparseWin)
+					}
 					if end != endS {
 						t.Errorf("%s: end %v, dense serial %v", tag, end, endS)
 					}

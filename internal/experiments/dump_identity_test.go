@@ -1,33 +1,55 @@
 package experiments
 
-// Refactor identity tool: dumps a per-panel sha256 of every Fig 5-10
-// panel at Tiny scale, so behavior-preserving refactors can be verified
-// bit-exact (dump before, dump after, diff). Skipped unless DUMP_PANELS
-// names an output file:
+// Cross-revision identity anchor: a sha256 of every panel's series at
+// Tiny scale, compared against testdata/panels_tiny.golden. A change that
+// is meant to keep simulated outputs bit-identical leaves this test green;
+// one that is meant to move them regenerates the file and commits the
+// diff, which names the panels that moved:
 //
-//	DUMP_PANELS=/tmp/panels_pre.txt go test -run TestDumpAllPanels ./internal/experiments
-//	... refactor ...
-//	DUMP_PANELS=/tmp/panels_post.txt go test -run TestDumpAllPanels ./internal/experiments
-//	diff /tmp/panels_pre.txt /tmp/panels_post.txt
+//	DUMP_PANELS=testdata/panels_tiny.golden go test -run TestDumpAllPanels ./internal/experiments
 
 import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
+const panelsGolden = "testdata/panels_tiny.golden"
+
 func TestDumpAllPanels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every panel at Tiny scale")
+	}
 	out := os.Getenv("DUMP_PANELS")
+	var want map[string]string
 	if out == "" {
-		t.Skip("set DUMP_PANELS=<file> to dump panel hashes")
+		data, err := os.ReadFile(panelsGolden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first line records the toolchain that wrote the file. The
+		// hashes pin float-derived bits, and another GOARCH may round
+		// differently (arm64 fuses multiply-adds).
+		header, body, _ := strings.Cut(string(data), "\n")
+		if f := strings.Fields(header); len(f) != 3 || f[0] != "#" {
+			t.Fatalf("%s: first line %q, want \"# <go version> <GOARCH>\"", panelsGolden, header)
+		} else if f[2] != runtime.GOARCH {
+			t.Skipf("%s was written on %s, this is %s", panelsGolden, f[2], runtime.GOARCH)
+		}
+		want = make(map[string]string)
+		for _, l := range strings.Split(strings.TrimSpace(body), "\n") {
+			name, hash, _ := strings.Cut(l, " ")
+			want[name] = hash
+		}
 	}
 	s := Tiny
 	// POD_WORKERS selects the pod executor's worker count for the pod
-	// panel; any value must yield the same dump (the goldens enforce it,
-	// and dumping at 1 and 8 is a quick manual cross-check).
+	// panels; any value must yield the same hashes.
 	if w := os.Getenv("POD_WORKERS"); w != "" {
 		n, err := strconv.Atoi(w)
 		if err != nil {
@@ -130,12 +152,25 @@ func TestDumpAllPanels(t *testing.T) {
 	}
 
 	sort.Strings(lines)
-	data := ""
+	if out != "" {
+		data := fmt.Sprintf("# %s %s\n%s\n", runtime.Version(), runtime.GOARCH, strings.Join(lines, "\n"))
+		if err := os.WriteFile(out, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d panel hashes to %s", len(lines), out)
+		return
+	}
 	for _, l := range lines {
-		data += l + "\n"
+		name, hash, _ := strings.Cut(l, " ")
+		if want[name] != hash {
+			t.Errorf("panel %s: sha256 %s, golden %q", name, hash, want[name])
+		}
+		delete(want, name)
 	}
-	if err := os.WriteFile(out, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
+	for name := range want {
+		t.Errorf("panel %s is in the golden but was not generated", name)
 	}
-	t.Logf("wrote %d panel hashes to %s", len(lines), out)
+	if t.Failed() {
+		t.Logf("if the move is intended, regenerate: DUMP_PANELS=%s go test -run TestDumpAllPanels ./internal/experiments", panelsGolden)
+	}
 }

@@ -1,13 +1,11 @@
 // Package stats collects the metrics the MIND evaluation reports: event
 // counters, latency-component breakdowns (Figure 7 right), time series of
-// switch resource occupancy (Figure 8 left), histograms, and Jain's
+// switch resource occupancy (Figure 8 left), streaming histograms, and Jain's
 // fairness index (Figure 8 right).
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"mind/internal/sim"
 )
@@ -94,7 +92,6 @@ type Collector struct {
 	lcount []uint64
 
 	series  map[string]*Series
-	hists   map[string]*Histogram
 	streams map[string]*StreamHist
 
 	// hAccesses is the pre-resolved CtrAccesses handle PerAccess uses.
@@ -107,7 +104,6 @@ func NewCollector() *Collector {
 		cidx:    make(map[string]Handle),
 		lidx:    make(map[string]Handle),
 		series:  make(map[string]*Series),
-		hists:   make(map[string]*Histogram),
 		streams: make(map[string]*StreamHist),
 	}
 	c.hAccesses = c.Handle(CtrAccesses)
@@ -205,24 +201,13 @@ func (c *Collector) Series(name string) *Series {
 	return s
 }
 
-// Histogram returns (creating on first use) a named histogram.
-func (c *Collector) Histogram(name string) *Histogram {
-	h, ok := c.hists[name]
-	if !ok {
-		h = NewHistogram()
-		c.hists[name] = h
-	}
-	return h
-}
-
 // MergeFrom folds another collector's metrics into this one: counters
-// and latency components add; series, histograms and streaming
-// histograms merge sample-for-sample (or bucket-for-bucket), never by
-// reference — two shards observing under the same name accumulate into
-// one merged metric instead of the last shard silently overwriting the
-// rest, and the destination never aliases the source's slices. Used to
-// present one merged view over the per-rack collector shards of a
-// parallel pod.
+// and latency components add; series and streaming histograms merge
+// sample-for-sample (or bucket-for-bucket), never by reference — two
+// shards observing under the same name accumulate into one merged metric
+// instead of the last shard silently overwriting the rest, and the
+// destination never aliases the source's slices. Used to present one
+// merged view over the per-rack collector shards of a parallel pod.
 func (c *Collector) MergeFrom(o *Collector) {
 	for name, h := range o.cidx {
 		c.cvals[c.Handle(name)] += o.cvals[h]
@@ -236,11 +221,6 @@ func (c *Collector) MergeFrom(o *Collector) {
 		d := c.Series(name)
 		d.Times = append(d.Times, s.Times...)
 		d.Values = append(d.Values, s.Values...)
-	}
-	for name, hg := range o.hists {
-		d := c.Histogram(name)
-		d.samples = append(d.samples, hg.samples...)
-		d.sum += hg.sum
 	}
 	for name, sh := range o.streams {
 		c.StreamHist(name).MergeFrom(sh)
@@ -345,65 +325,6 @@ func (s *Series) Normalized() (x, y []float64) {
 		y[i] = s.Values[i]
 	}
 	return x, y
-}
-
-// Histogram is a simple exact-value histogram over int64 samples with
-// percentile queries; sample counts in this simulator are small enough
-// that exact storage is fine. For unbounded sample streams (open-loop
-// serving latencies) use StreamHist instead.
-type Histogram struct {
-	samples []int64
-	// scratch is the lazily rebuilt sorted view Percentile reads.
-	// samples itself is append-only and never reordered, so a read
-	// from one collector can never corrupt a histogram another
-	// collector merged from the same source.
-	scratch []int64
-	sum     int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	h.samples = append(h.samples, v)
-	h.sum += v
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Mean returns the sample mean, 0 if empty.
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(len(h.samples))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by
-// nearest-rank; 0 if empty. The read sorts a private scratch copy, not
-// the sample slice itself, so querying one collector never reorders
-// samples a merge may have shared with another.
-func (h *Histogram) Percentile(p float64) int64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if len(h.scratch) != len(h.samples) {
-		h.scratch = append(h.scratch[:0], h.samples...)
-		sort.Slice(h.scratch, func(i, j int) bool { return h.scratch[i] < h.scratch[j] })
-	}
-	if p <= 0 {
-		return h.scratch[0]
-	}
-	if p >= 100 {
-		return h.scratch[len(h.scratch)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.scratch))))
-	if rank < 1 {
-		rank = 1
-	}
-	return h.scratch[rank-1]
 }
 
 // JainFairness computes Jain's fairness index (Σx)² / (n·Σx²) over the

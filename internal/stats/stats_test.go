@@ -96,43 +96,6 @@ func TestSeriesEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Mean() != 50.5 {
-		t.Errorf("mean = %v", h.Mean())
-	}
-	if p := h.Percentile(50); p != 50 {
-		t.Errorf("p50 = %d", p)
-	}
-	if p := h.Percentile(99); p != 99 {
-		t.Errorf("p99 = %d", p)
-	}
-	if p := h.Percentile(100); p != 100 {
-		t.Errorf("p100 = %d", p)
-	}
-	if p := h.Percentile(0); p != 1 {
-		t.Errorf("p0 = %d", p)
-	}
-	// Observing after a percentile query must re-sort.
-	h.Observe(0)
-	if p := h.Percentile(0); p != 0 {
-		t.Errorf("p0 after new min = %d", p)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(50) != 0 {
-		t.Error("empty histogram should return zeros")
-	}
-}
-
 func TestJainFairness(t *testing.T) {
 	if got := JainFairness([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
 		t.Errorf("balanced = %v, want 1", got)
@@ -171,31 +134,6 @@ func TestJainFairnessBoundsProperty(t *testing.T) {
 		return got >= 1/n-1e-9 && got <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram percentiles are monotone in p.
-func TestHistogramMonotoneProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		h := NewHistogram()
-		for _, v := range raw {
-			h.Observe(int64(v))
-		}
-		prev := h.Percentile(0)
-		for p := 5.0; p <= 100; p += 5 {
-			cur := h.Percentile(p)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -279,14 +217,11 @@ func TestIncHZeroAlloc(t *testing.T) {
 }
 
 // TestMergeFromCollidingNames is the regression test for the shard-merge
-// bug: histograms and series observed under the same name on two shards
-// must merge their samples/points, not have the second shard's object
-// silently replace the first's.
+// bug: series and streaming histograms observed under the same name on
+// two shards must merge their points/buckets, not have the second
+// shard's object silently replace the first's.
 func TestMergeFromCollidingNames(t *testing.T) {
 	a, b := NewCollector(), NewCollector()
-	a.Histogram("lat").Observe(10)
-	a.Histogram("lat").Observe(20)
-	b.Histogram("lat").Observe(30)
 	a.Series("occ").Append(1, 1.5)
 	b.Series("occ").Append(2, 2.5)
 	a.StreamHist("slat").Observe(100)
@@ -296,58 +231,46 @@ func TestMergeFromCollidingNames(t *testing.T) {
 	m.MergeFrom(a)
 	m.MergeFrom(b)
 
-	if got := m.Histogram("lat").Count(); got != 3 {
-		t.Errorf("merged histogram count = %d, want 3 (collision must merge, not overwrite)", got)
-	}
-	if got := m.Histogram("lat").Mean(); got != 20 {
-		t.Errorf("merged histogram mean = %v, want 20", got)
-	}
 	if got := m.Series("occ").Len(); got != 2 {
-		t.Errorf("merged series len = %d, want 2", got)
+		t.Errorf("merged series len = %d, want 2 (collision must merge, not overwrite)", got)
 	}
 	if got := m.StreamHist("slat").Count(); got != 2 {
 		t.Errorf("merged stream hist count = %d, want 2", got)
 	}
 	// Sources must be untouched.
-	if a.Histogram("lat").Count() != 2 || b.Histogram("lat").Count() != 1 {
-		t.Error("merge mutated a source histogram")
+	if a.StreamHist("slat").Count() != 1 || b.StreamHist("slat").Count() != 1 {
+		t.Error("merge mutated a source stream hist")
 	}
 	if a.Series("occ").Len() != 1 || b.Series("occ").Len() != 1 {
 		t.Error("merge mutated a source series")
 	}
 }
 
-// TestMergeFromDoesNotAliasSources: percentile reads from the merged
-// collector must not disturb the shards (and vice versa) — the old
-// adopt-by-reference merge let a post-merge read from one collector
-// reorder a slice another collector still referenced.
+// TestMergeFromDoesNotAliasSources: the merged collector copies, it does
+// not adopt — observing on a shard after the merge must not show through
+// the merged view, and writing through the merged view must not reach
+// the shard.
 func TestMergeFromDoesNotAliasSources(t *testing.T) {
 	shard := NewCollector()
-	for _, v := range []int64{5, 1, 9, 3, 7} {
-		shard.Histogram("lat").Observe(v)
+	for i, v := range []float64{5, 1, 9} {
+		shard.Series("occ").Append(sim.Time(i), v)
+		shard.StreamHist("slat").Observe(int64(v))
 	}
 	m := NewCollector()
 	m.MergeFrom(shard)
 
-	if got := m.Histogram("lat").Percentile(50); got != 5 {
-		t.Errorf("merged p50 = %d, want 5", got)
+	shard.Series("occ").Append(3, 7)
+	shard.StreamHist("slat").Observe(7)
+	if got := m.Series("occ").Len(); got != 3 {
+		t.Errorf("merged series len changed to %d after shard append (aliasing)", got)
 	}
-	// Keep observing on the shard after the merged collector's sorted
-	// read; the shard's own percentiles must stay correct, and the
-	// merged collector must not see the new sample.
-	shard.Histogram("lat").Observe(0)
-	if got := shard.Histogram("lat").Percentile(0); got != 0 {
-		t.Errorf("shard p0 after post-merge observe = %d, want 0", got)
+	if got := m.StreamHist("slat").Count(); got != 3 {
+		t.Errorf("merged stream hist count changed to %d after shard observe (aliasing)", got)
 	}
-	if got := m.Histogram("lat").Count(); got != 5 {
-		t.Errorf("merged count changed to %d after shard observe (aliasing)", got)
-	}
-	// And reading percentiles from both, in both orders, stays stable.
-	if got := m.Histogram("lat").Percentile(100); got != 9 {
-		t.Errorf("merged p100 = %d, want 9", got)
-	}
-	if got := shard.Histogram("lat").Percentile(100); got != 9 {
-		t.Errorf("shard p100 = %d, want 9", got)
+	m.Series("occ").Values[0] = -1
+	m.Series("occ").Append(4, 2)
+	if got := shard.Series("occ").Values; got[0] != 5 || got[3] != 7 {
+		t.Errorf("shard series = %v after writes to the merged view (aliasing)", got)
 	}
 }
 
@@ -364,21 +287,5 @@ func TestSeriesMaxNegative(t *testing.T) {
 	}
 	if got := s.Min(); got != -12 {
 		t.Errorf("all-negative min = %v, want -12", got)
-	}
-}
-
-// TestHistogramPercentileNonMutating pins that reads never reorder the
-// underlying sample slice.
-func TestHistogramPercentileNonMutating(t *testing.T) {
-	h := NewHistogram()
-	in := []int64{5, 1, 9, 3}
-	for _, v := range in {
-		h.Observe(v)
-	}
-	_ = h.Percentile(99)
-	for i, v := range h.samples {
-		if v != in[i] {
-			t.Fatalf("samples reordered by Percentile: %v", h.samples)
-		}
 	}
 }

@@ -5,7 +5,7 @@ import "math/bits"
 // StreamHist is a streaming log-bucketed (HDR-style) histogram over
 // non-negative int64 samples — the latency path for open-loop serving,
 // where per-tenant sample counts grow with offered load and wall time,
-// so the exact-sample Histogram's unbounded buffer is not an option.
+// so keeping every sample is not an option.
 //
 // Values below streamSubCount land in exact unit buckets; above that,
 // each power of two is split into streamSubCount linear sub-buckets, so

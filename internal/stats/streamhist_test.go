@@ -9,7 +9,7 @@ import (
 )
 
 // exactPercentile is the reference: nearest-rank over the sorted samples,
-// matching Histogram.Percentile's convention.
+// the convention StreamHist.Percentile approximates.
 func exactPercentile(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0
