@@ -106,10 +106,10 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "runner workers: 0 = one per CPU, -1 = serial, n = n workers")
 
 		// Open-loop serving mode (see the package comment).
-		serveMode    = flag.Bool("serve", false, "open-loop serving mode: three tenants inject arrivals; prints per-tenant p50/p99/p999")
-		serveHorizon = flag.Duration("serve-horizon", 0, "serving horizon of virtual time (0 = sized so ~3*ops arrivals land)")
-		serveRate    = flag.Float64("serve-rate", 100_000, "steady tenant arrival rate, req/s (bursty and diurnal tenants scale from it)")
-		serveQoS     = flag.Float64("serve-qos", 150_000, "contracted req/s for the bursty tenant's token bucket (0 = no throttling)")
+		serveMode     = flag.Bool("serve", false, "open-loop serving mode: three tenants inject arrivals; prints per-tenant p50/p99/p999")
+		serveHorizon  = flag.Duration("serve-horizon", 0, "serving horizon of virtual time (0 = sized so ~3*ops arrivals land)")
+		serveRate     = flag.Float64("serve-rate", 100_000, "steady tenant arrival rate, req/s (bursty and diurnal tenants scale from it)")
+		serveQoS      = flag.Float64("serve-qos", 150_000, "contracted req/s for the bursty tenant's token bucket (0 = no throttling)")
 		serveRacks    = flag.Int("racks", 1, "serving mode: racks in the pod (tenants are placed across racks; >1 runs sharded serving)")
 		serveWorkers  = flag.Int("workers", 0, "serving mode: pod executor worker count for multi-rack runs (0 or 1 = serial)")
 		serveDeadline = flag.Duration("serve-deadline", 0, "serving mode: end-to-end request deadline (0 = none)")

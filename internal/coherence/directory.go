@@ -261,8 +261,8 @@ func NewDirectory(cfg Config, d Deps) *Directory {
 		protect:   d.Protect,
 		memFetch:  memFetch,
 		bladeNode: d.BladeNode,
-		rt:          newBlockTable(cfg.TopLevelSize),
-		inFlight:    make(map[reqKey]*pending),
+		rt:        newBlockTable(cfg.TopLevelSize),
+		inFlight:  make(map[reqKey]*pending),
 
 		hRemote:     d.Collector.Handle(stats.CtrRemoteAccesses),
 		hRejected:   d.Collector.Handle(stats.CtrRejected),
@@ -333,6 +333,10 @@ func (d *Directory) allocRegion() *Region {
 	return r
 }
 
+// errDirectoryFull is createRegion's failure, built once: a capped
+// directory under pressure returns it on a large share of its accesses.
+var errDirectoryFull = fmt.Errorf("coherence: directory slots exhausted and nothing mergeable: %w", switchasic.ErrSlotsFull)
+
 func (d *Directory) createRegion(base mem.VA, size uint64) (*Region, error) {
 	slot, err := d.asic.Directory.Alloc()
 	if err != nil {
@@ -340,7 +344,7 @@ func (d *Directory) createRegion(base mem.VA, size uint64) (*Region, error) {
 		// retry once (the control plane's merge path, compressed into the
 		// moment of need).
 		if !d.emergencyMerge() {
-			return nil, fmt.Errorf("coherence: directory slots exhausted and nothing mergeable: %w", err)
+			return nil, errDirectoryFull
 		}
 		slot, err = d.asic.Directory.Alloc()
 		if err != nil {

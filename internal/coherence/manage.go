@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mind/internal/bitset"
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
 	"mind/internal/mem"
@@ -206,11 +205,12 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	if buddy.busy || buddy.queuedWaiters() > 0 || buddy.resetting {
 		return ErrRegionBusy
 	}
-	st, owner, sharers, err := mergeStates(r, buddy)
+	st, owner, err := mergeStates(r, buddy)
 	if err != nil {
 		return err
 	}
-	r.state, r.owner, r.sharers = st, owner, sharers
+	r.state, r.owner = st, owner
+	r.sharers.UnionWith(&buddy.sharers)
 	r.falseInvals += buddy.falseInvals
 	r.invalsEpoch += buddy.invalsEpoch
 	r.Size *= 2
@@ -222,32 +222,37 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	return nil
 }
 
-// mergeStates combines two buddies' coherence metadata conservatively.
-func mergeStates(a, b *Region) (State, int, bitset.Set, error) {
-	var union bitset.Set
-	union.CopyFrom(&a.sharers)
-	union.UnionWith(&b.sharers)
+// mergeStates combines two buddies' coherence state conservatively; the
+// merged region's sharers are the union of theirs. Two Modified owners,
+// or an owner beside a foreign sharer, cannot merge.
+func mergeStates(a, b *Region) (State, int, error) {
 	switch {
 	case a.state == Invalid && b.state == Invalid:
-		return Invalid, 0, union, nil
+		return Invalid, 0, nil
 	case a.state != Modified && b.state != Modified:
-		return Shared, 0, union, nil
+		return Shared, 0, nil
 	case a.state == Modified && b.state == Modified:
 		if a.owner != b.owner {
-			return 0, 0, bitset.Set{}, ErrCannotMerge
+			return 0, 0, ErrCannotMerge
 		}
-		return Modified, a.owner, union, nil
+		return Modified, a.owner, nil
 	case a.state == Modified:
 		if b.sharers.OnlyMember(a.owner) {
-			return Modified, a.owner, union, nil
+			return Modified, a.owner, nil
 		}
-		return 0, 0, bitset.Set{}, ErrCannotMerge
+		return 0, 0, ErrCannotMerge
 	default: // b Modified
 		if a.sharers.OnlyMember(b.owner) {
-			return Modified, b.owner, union, nil
+			return Modified, b.owner, nil
 		}
-		return 0, 0, bitset.Set{}, ErrCannotMerge
+		return 0, 0, ErrCannotMerge
 	}
+}
+
+// mergeable reports whether two buddies' coherence states can merge.
+func mergeable(a, b *Region) bool {
+	_, _, err := mergeStates(a, b)
+	return err == nil
 }
 
 // emergencyMerge coarsens the coldest mergeable buddy pair to free one
@@ -271,7 +276,7 @@ func (d *Directory) emergencyMerge() bool {
 		if buddy == nil || buddy.Size != r.Size || buddy.busy || buddy.queuedWaiters() > 0 {
 			return
 		}
-		if _, _, _, err := mergeStates(r, buddy); err != nil {
+		if !mergeable(r, buddy) {
 			return
 		}
 		heat := r.falseInvals + buddy.falseInvals

@@ -298,10 +298,10 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 		SequentialInvalidation: cfg.SequentialInvalidation,
 		ExclusiveOnColdRead:    cfg.ExclusiveReads,
 	}, coherence.Deps{
-		Engine:      c.eng,
-		Fabric:      c.fab,
-		ASIC:        c.ctl.ASIC(),
-		Collector:   c.col,
+		Engine:    c.eng,
+		Fabric:    c.fab,
+		ASIC:      c.ctl.ASIC(),
+		Collector: c.col,
 		Translate: c.ctl.Allocator().Translate,
 		Protect:   c.ctl.Protection().Check,
 		MemFetch:  c.memFetch,

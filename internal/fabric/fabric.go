@@ -115,8 +115,9 @@ type Fabric struct {
 	Dropped   uint64
 
 	// mcFree recycles the per-copy delivery records of
-	// MulticastFromSwitchArg.
-	mcFree sim.Pool[mcDelivery]
+	// MulticastFromSwitchArg; hopFree the two-hop records of UnicastArg.
+	mcFree  sim.Pool[mcDelivery]
+	hopFree sim.Pool[unicastHop]
 }
 
 // mcDelivery carries one multicast copy's pre-bound completion through
@@ -326,13 +327,43 @@ func (f *Fabric) MulticastFromSwitch(tos []NodeID, bytes int, fn func(to NodeID)
 // path (the plain func() adapters use sim.CallFunc).
 func callNodeFunc(x any, to NodeID) { x.(func(NodeID))(to) }
 
-// Unicast models a full node → switch → node path with no data-plane
+// unicastHop carries a unicast across its first leg: what the switch
+// needs to forward it once ingress processing completes.
+type unicastHop struct {
+	f     *Fabric
+	to    NodeID
+	bytes int
+	fn    func(any)
+	arg   any
+}
+
+func fireUnicastHop(x any) {
+	h := x.(*unicastHop)
+	f, to, bytes, fn, arg := h.f, h.to, h.bytes, h.fn, h.arg
+	h.fn, h.arg = nil, nil
+	f.hopFree.Put(h)
+	f.SendFromSwitchArg(to, bytes, fn, arg)
+}
+
+// UnicastArg models a full node → switch → node path with no data-plane
 // processing beyond forwarding (e.g. blade-to-blade transfers in the GAM
-// baseline). fn fires at delivery.
+// baseline). The pre-bound fn(arg) fires at delivery. The drop hook is
+// consulted once, on the second hop; a dead sender loses the message on
+// the first leg, and the hop record of such a message is left to the
+// garbage collector rather than returned to the pool (as coherence does
+// for lost requests).
+func (f *Fabric) UnicastArg(from, to NodeID, bytes int, fn func(any), arg any) {
+	h := f.hopFree.Get()
+	if h == nil {
+		h = &unicastHop{f: f}
+	}
+	h.to, h.bytes, h.fn, h.arg = to, bytes, fn, arg
+	f.SendToSwitchArg(from, bytes, fireUnicastHop, h)
+}
+
+// Unicast is the closure form of UnicastArg.
 func (f *Fabric) Unicast(from, to NodeID, bytes int, fn func()) {
-	f.SendToSwitch(from, bytes, func() {
-		f.SendFromSwitch(to, bytes, fn)
-	})
+	f.UnicastArg(from, to, bytes, sim.CallFunc, fn)
 }
 
 // MemDMA returns the memory-blade DMA service cost for one-sided RDMA.

@@ -226,3 +226,103 @@ func TestDeadNodeDropsDeliveries(t *testing.T) {
 		t.Fatalf("revived node did not receive (delivered=%d)", delivered)
 	}
 }
+
+// TestUnicastArgMatchesUnicast holds the pre-bound form to the closure
+// form it replaced underneath: same delivery time, same Delivered and
+// Dropped accounting, the drop hook consulted once (on the second hop),
+// and a dead sender losing the message on the first leg, before anything
+// is scheduled.
+func TestUnicastArgMatchesUnicast(t *testing.T) {
+	type outcome struct {
+		at                 sim.Time // delivery time, -1 if never delivered
+		delivered, dropped uint64
+		dropCalls          int
+		events             uint64
+	}
+	for _, tc := range []struct {
+		name      string
+		bytes     int
+		drop      func(from, to NodeID) bool
+		dead      NodeID // -1: nobody
+		delivered bool
+		dropCalls int
+		events    uint64 // engine events a message costs: one per leg reached
+	}{
+		{name: "ctrl", bytes: CtrlMsgBytes, dead: -1, delivered: true, events: 2},
+		{name: "page", bytes: PageBytes, dead: -1, delivered: true, events: 2},
+		{name: "hook passes", bytes: CtrlMsgBytes, dead: -1, delivered: true, dropCalls: 1, events: 2,
+			drop: func(from, to NodeID) bool { return false }},
+		{name: "hook drops", bytes: CtrlMsgBytes, dead: -1, dropCalls: 1, events: 1,
+			drop: func(from, to NodeID) bool { return from == SwitchNode && to == 1 }},
+		{name: "dead sender", bytes: CtrlMsgBytes, dead: 0, events: 0,
+			drop: func(from, to NodeID) bool { return false }},
+		{name: "dead receiver", bytes: CtrlMsgBytes, dead: 1, events: 1},
+	} {
+		run := func(send func(f *Fabric, fn func())) outcome {
+			eng, f := newTestFabric(t)
+			o := outcome{at: -1}
+			if tc.drop != nil {
+				f.DropFn = func(from, to NodeID) bool {
+					o.dropCalls++
+					return tc.drop(from, to)
+				}
+			}
+			if tc.dead >= 0 {
+				f.SetNodeDead(tc.dead, true)
+			}
+			send(f, func() { o.at = eng.Now() })
+			eng.Run()
+			o.delivered, o.dropped, o.events = f.Delivered, f.Dropped, eng.Executed
+			return o
+		}
+		closure := run(func(f *Fabric, fn func()) { f.Unicast(0, 1, tc.bytes, fn) })
+		arg := run(func(f *Fabric, fn func()) {
+			f.UnicastArg(0, 1, tc.bytes, func(x any) { x.(func())() }, fn)
+		})
+		if closure != arg {
+			t.Errorf("%s: Unicast %+v, UnicastArg %+v", tc.name, closure, arg)
+		}
+		want := outcome{at: -1, dropped: 1, dropCalls: tc.dropCalls, events: tc.events}
+		if tc.delivered {
+			want.delivered, want.dropped = 1, 0
+			want.at = arg.at
+			if arg.at <= 0 {
+				t.Errorf("%s: never delivered", tc.name)
+			}
+		}
+		if arg != want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, arg, want)
+		}
+	}
+}
+
+// TestUnicastArgWarmAllocs: once the hop pool and the engine's event
+// pool are warm, a unicast round trip allocates nothing.
+func TestUnicastArgWarmAllocs(t *testing.T) {
+	eng, f := newTestFabric(t)
+	type trip struct {
+		f    *Fabric
+		back bool
+	}
+	var arrive func(any)
+	arrive = func(x any) {
+		tr := x.(*trip)
+		if !tr.back {
+			tr.back = true
+			tr.f.UnicastArg(1, 0, PageBytes, arrive, tr)
+		}
+	}
+	tr := &trip{f: f}
+	roundTrip := func() {
+		tr.back = false
+		f.UnicastArg(0, 1, CtrlMsgBytes, arrive, tr)
+		eng.Run()
+	}
+	roundTrip()
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Errorf("warm UnicastArg round trip allocates %.1f objects, want 0", n)
+	}
+	if f.Delivered != 2*102 || f.Dropped != 0 {
+		t.Errorf("Delivered = %d, Dropped = %d, want %d and 0", f.Delivered, f.Dropped, 2*102)
+	}
+}

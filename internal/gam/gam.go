@@ -16,8 +16,8 @@ package gam
 
 import (
 	"fmt"
-	"sort"
 
+	"mind/internal/bitset"
 	"mind/internal/computeblade"
 	"mind/internal/core"
 	"mind/internal/fabric"
@@ -62,13 +62,19 @@ func DefaultConfig(computeBlades, memoryBlades, cachePages int) Config {
 	}
 }
 
-// pageState is a directory entry at a page's home blade.
-type pageState struct {
-	state   uint8 // 0=I 1=S 2=M
-	owner   int
-	sharers map[int]bool
+// entry is a directory entry at a page's home blade.
+type entry struct {
+	state   uint8 // stInvalid, stShared, stModified
+	owner   int   // valid when state == stModified
+	sharers bitset.Set
+
+	// busy serializes transitions on the page; requests that reach the
+	// home meanwhile park in waiters, a head-indexed queue (the
+	// coherence.Region idiom) so a drained queue's backing array is
+	// reused.
 	busy    bool
-	waiters []func()
+	waiters []*req
+	wHead   int
 }
 
 const (
@@ -76,6 +82,27 @@ const (
 	stShared
 	stModified
 )
+
+// own records blade as the page's exclusive holder.
+func (e *entry) own(blade int) {
+	e.state, e.owner = stModified, blade
+	e.sharers.Clear()
+	e.sharers.Add(blade)
+}
+
+// popWaiter removes and returns the oldest parked request (nil if none).
+func (e *entry) popWaiter() *req {
+	if e.wHead == len(e.waiters) {
+		return nil
+	}
+	r := e.waiters[e.wHead]
+	e.waiters[e.wHead] = nil
+	e.wHead++
+	if e.wHead == len(e.waiters) {
+		e.waiters, e.wHead = e.waiters[:0], 0
+	}
+	return r
+}
 
 // Cluster is a GAM deployment over the shared fabric model.
 type Cluster struct {
@@ -99,11 +126,21 @@ type Cluster struct {
 	cpus   []*sim.Resource // per-blade cores
 	homes  []*sim.Resource // per-blade directory handler
 
-	dir    map[mem.VA]*pageState
-	nextVA mem.VA
+	// dir indexes the directory entries, which are carved from entrySlab
+	// and never freed.
+	dir       map[mem.VA]*entry
+	entrySlab []entry
+	nextVA    mem.VA
 
-	threads int
-	active  int
+	// Per-cluster pools and scratch of the protocol path (a process runs
+	// many clusters at once on runner workers, so none of it is
+	// package-level): request and invalidation contexts, and the target
+	// list of the transition being started.
+	reqFree sim.Pool[req]
+	invFree sim.Pool[inval]
+	targets []int
+
+	active int
 }
 
 // New creates a GAM cluster.
@@ -118,7 +155,7 @@ func New(cfg Config) *Cluster {
 		cfg:    cfg,
 		eng:    sim.NewEngine(),
 		col:    stats.NewCollector(),
-		dir:    make(map[mem.VA]*pageState),
+		dir:    make(map[mem.VA]*entry),
 		nextVA: 1 << 32,
 	}
 	c.hAccesses = c.col.Handle(stats.CtrAccesses)
@@ -168,10 +205,14 @@ func (c *Cluster) memBladeOf(page mem.VA) fabric.NodeID {
 	return 1000 + fabric.NodeID(int(mem.PageIndex(page))%c.cfg.MemoryBlades)
 }
 
-func (c *Cluster) entry(page mem.VA) *pageState {
+func (c *Cluster) entry(page mem.VA) *entry {
 	e, ok := c.dir[page]
 	if !ok {
-		e = &pageState{sharers: make(map[int]bool)}
+		if len(c.entrySlab) == 0 {
+			c.entrySlab = make([]entry, 256)
+		}
+		e = &c.entrySlab[0]
+		c.entrySlab = c.entrySlab[1:]
 		c.dir[page] = e
 	}
 	return e
@@ -186,11 +227,16 @@ type thread struct {
 
 	pendingWrites map[mem.VA]int
 	pendingTotal  int
-	stVA          mem.VA
-	stWrite       bool
-	stValid       bool
-	blockedOn     mem.VA
-	waitingDrain  bool
+	// A stalled access waits in (stVA, stWrite) until the blocking
+	// writes drain; drained then sets replay, and the next step executes
+	// the stalled access before drawing from gen again. One slot is
+	// enough: a stalled thread has no step scheduled, and drained clears
+	// waitingDrain before scheduling the one that consumes the slot.
+	stVA         mem.VA
+	stWrite      bool
+	replay       bool
+	blockedOn    mem.VA // page whose drain unblocks us (0 = any slot)
+	waitingDrain bool
 
 	ops uint64
 }
@@ -201,9 +247,8 @@ func (c *Cluster) Spawn(blade int, gen core.AccessGen) error {
 		return fmt.Errorf("gam: no blade %d", blade)
 	}
 	t := &thread{c: c, blade: blade, gen: gen, pendingWrites: make(map[mem.VA]int)}
-	c.threads++
 	c.active++
-	c.eng.Schedule(0, t.step)
+	c.eng.ScheduleArg(0, threadStep, t)
 	return nil
 }
 
@@ -222,23 +267,29 @@ func (c *Cluster) Run() sim.Time {
 
 const inlineBatch = 2048
 
+func threadStep(x any) { x.(*thread).step() }
+
 func (t *thread) step() {
 	c := t.c
 	var local sim.Duration
 	for i := 0; i < inlineBatch && local < 5*sim.Microsecond; i++ {
-		va, write, ok := t.gen()
-		if !ok {
-			t.done = true
-			c.active--
-			return
+		va, write := t.stVA, t.stWrite
+		if t.replay {
+			t.replay = false
+		} else {
+			var ok bool
+			if va, write, ok = t.gen(); !ok {
+				t.done = true
+				c.active--
+				return
+			}
 		}
 		page := mem.PageBase(va)
 
 		// PSO read-after-write hazard. (The access is not counted yet:
 		// stalled accesses count when they actually execute on replay.)
 		if !write && t.pendingWrites[page] > 0 {
-			t.stVA, t.stWrite, t.stValid = va, write, true
-			t.blockedOn, t.waitingDrain = page, true
+			t.stall(va, write, page)
 			return
 		}
 
@@ -264,30 +315,32 @@ func (t *thread) step() {
 			continue
 		}
 
-		// Remote path.
+		// Remote path: writes go asynchronous unless the store buffer is
+		// full; reads block the thread until fetchDone resumes it.
 		if write {
 			if t.pendingTotal >= c.cfg.StoreBufferDepth {
-				t.stVA, t.stWrite, t.stValid = va, true, true
-				t.blockedOn, t.waitingDrain = 0, true
+				t.stall(va, true, 0)
 				return
 			}
 			t.ops++
 			c.col.IncH(c.hAccesses, 1)
 			t.pendingWrites[page]++
 			t.pendingTotal++
-			c.eng.Schedule(local, func() { c.remoteAccess(t.blade, page, true, func() { t.drained(page) }) })
+			c.eng.ScheduleArg(local, reqStart, c.newReq(t, page, true))
 			continue
 		}
 		c.col.IncH(c.hAccesses, 1)
-		c.eng.Schedule(local, func() {
-			c.remoteAccess(t.blade, page, false, func() {
-				t.ops++
-				c.eng.Schedule(0, t.step)
-			})
-		})
+		c.eng.ScheduleArg(local, reqStart, c.newReq(t, page, false))
 		return
 	}
-	c.eng.Schedule(local, t.step)
+	c.eng.ScheduleArg(local, threadStep, t)
+}
+
+// stall parks an access until on's pending writes drain (on == 0: until
+// any store-buffer slot frees).
+func (t *thread) stall(va mem.VA, write bool, on mem.VA) {
+	t.stVA, t.stWrite = va, write
+	t.blockedOn, t.waitingDrain = on, true
 }
 
 func (t *thread) drained(page mem.VA) {
@@ -308,172 +361,216 @@ func (t *thread) drained(page mem.VA) {
 	}
 	t.waitingDrain = false
 	t.blockedOn = 0
-	if t.stValid {
-		t.stValid = false
-		va, write := t.stVA, t.stWrite
-		// Replay through the normal path by prepending to the stream.
-		prev := t.gen
-		replayed := false
-		t.gen = func() (mem.VA, bool, bool) {
-			if !replayed {
-				replayed = true
-				return va, write, true
-			}
-			return prev()
-		}
-	}
-	t.c.eng.Schedule(0, t.step)
+	// Replay the stalled access through the normal path.
+	t.replay = true
+	t.c.eng.ScheduleArg(0, threadStep, t)
 }
 
-// remoteAccess runs the compute-centric DSM protocol (§2.2): requester →
-// home blade directory → (invalidate/downgrade current holders) → fetch
-// from memory blade → respond. Hops are sequential remote requests.
-func (c *Cluster) remoteAccess(blade int, page mem.VA, write bool, done func()) {
+// req is one remote access in flight. It carries the compute-centric DSM
+// protocol (§2.2) — requester → home blade directory → (invalidate or
+// downgrade current holders) → fetch from the memory blade → install —
+// through the package-level continuations below, so an access allocates
+// neither closures nor events once the pools are warm. Hops are
+// sequential remote requests:
+//
+//	reqStart → reqHomeArrived → reqAtHome → [invAtTarget → invAcked]* →
+//	fetchAtMem → fetchDMA → fetchDone
+type req struct {
+	t     *thread
+	page  mem.VA
+	write bool
+
+	e         *entry // the page's directory entry, once the request holds it
+	writable  bool   // install the fetched page writable
+	acks      int    // invalidation ACKs still outstanding
+	downgrade bool   // holders keep a read-only copy (M→S) instead of dropping the page
+}
+
+// inval is one invalidation on its way to a holder.
+type inval struct {
+	r   *req
+	tgt int
+}
+
+func (c *Cluster) newReq(t *thread, page mem.VA, write bool) *req {
+	r := c.reqFree.Get()
+	if r == nil {
+		r = new(req)
+	}
+	*r = req{t: t, page: page, write: write}
+	return r
+}
+
+// delivered is the delivery event of the fire-and-forget page transfers
+// (dirty flushes and writebacks): nobody waits for them, but they occupy
+// the fabric and the event queue like any other message.
+func delivered(any) {}
+
+// reqStart runs once the requester's software path has elapsed.
+func reqStart(x any) {
+	r := x.(*req)
+	c := r.t.c
 	c.col.IncH(c.hRemote, 1)
-	homeBlade := c.home(page)
-	toHome := func(fn func()) {
-		if homeBlade == blade {
-			// Metadata is local: just the handler service time.
-			_, end := c.homes[homeBlade].Reserve(c.eng.Now(), c.cfg.HomeService)
-			c.eng.At(end, fn)
-			return
-		}
-		c.fab.Unicast(fabric.NodeID(blade), fabric.NodeID(homeBlade), fabric.CtrlMsgBytes, func() {
-			_, end := c.homes[homeBlade].Reserve(c.eng.Now(), c.cfg.HomeService)
-			c.eng.At(end, fn)
-		})
+	home := c.home(r.page)
+	if home == r.t.blade {
+		// Metadata is local: just the handler service time.
+		reqHomeArrived(r)
+		return
 	}
-	toHome(func() { c.atHome(blade, page, write, done) })
+	c.fab.UnicastArg(fabric.NodeID(r.t.blade), fabric.NodeID(home), fabric.CtrlMsgBytes, reqHomeArrived, r)
 }
 
-func (c *Cluster) atHome(blade int, page mem.VA, write bool, done func()) {
-	e := c.entry(page)
+func reqHomeArrived(x any) {
+	r := x.(*req)
+	c := r.t.c
+	_, end := c.homes[c.home(r.page)].Reserve(c.eng.Now(), c.cfg.HomeService)
+	c.eng.AtArg(end, reqAtHome, r)
+}
+
+// reqAtHome takes the page's directory entry (or queues behind its
+// current holder), makes the MSI transition and sends the invalidations
+// it requires, in ascending blade order — MIND's path gets a
+// reproducible order from the switch's multicast-group member order, GAM
+// from the bitmap walk.
+func reqAtHome(x any) {
+	r := x.(*req)
+	c := r.t.c
+	blade := r.t.blade
+	e := c.entry(r.page)
 	if e.busy {
-		e.waiters = append(e.waiters, func() { c.atHome(blade, page, write, done) })
+		e.waiters = append(e.waiters, r)
 		return
 	}
 	e.busy = true
-	finish := func() {
-		e.busy = false
-		if len(e.waiters) > 0 {
-			next := e.waiters[0]
-			e.waiters = e.waiters[1:]
-			c.eng.Schedule(0, next)
-		}
-		done()
-	}
-	fetch := func(after func()) {
-		memN := c.memBladeOf(page)
-		c.fab.Unicast(fabric.NodeID(c.home(page)), memN, fabric.CtrlMsgBytes, func() {
-			c.eng.Schedule(c.fab.MemDMA(), func() {
-				c.fab.Unicast(memN, fabric.NodeID(blade), fabric.PageBytes, after)
-			})
-		})
-	}
-	install := func(writable bool) {
-		cache := c.caches[blade]
-		for cache.NeedsEviction() {
-			v := cache.EvictLRU()
-			c.col.IncH(c.hEvictions, 1)
-			if v.Dirty {
-				c.col.IncH(c.hWritebacks, 1)
-				c.fab.Unicast(fabric.NodeID(blade), c.memBladeOf(v.VA), fabric.PageBytes, func() {})
-			}
-		}
-		p := cache.Insert(page, writable)
-		if writable {
-			p.Dirty = true
-		}
-	}
+	r.e = e
 
-	invalidateHolders := func(targets []int, downgrade bool, after func()) {
-		if len(targets) == 0 {
-			after()
-			return
+	targets := c.targets[:0]
+	switch {
+	case e.state == stModified && e.owner == blade:
+		// The owner lost its copy to eviction and fetches it again.
+		r.writable = true
+	case e.state == stModified:
+		// Another blade owns the page: it flushes, and keeps a read-only
+		// copy if this is a read (M→S).
+		targets = append(targets, e.owner)
+		if r.write {
+			e.own(blade)
+		} else {
+			e.state = stShared
+			e.sharers.Add(blade)
 		}
-		remaining := len(targets)
-		for _, tgt := range targets {
-			tgt := tgt
-			c.fab.Unicast(fabric.NodeID(c.home(page)), fabric.NodeID(tgt), fabric.CtrlMsgBytes, func() {
-				c.col.IncH(c.hInvals, 1)
-				cache := c.caches[tgt]
-				if p, ok := cache.Peek(page); ok {
-					if p.Dirty {
-						c.col.IncH(c.hFlushed, 1)
-						c.fab.Unicast(fabric.NodeID(tgt), c.memBladeOf(page), fabric.PageBytes, func() {})
-						p.Dirty = false
-					}
-					if downgrade {
-						p.Writable = false
-					} else {
-						cache.Remove(page)
-					}
-				}
-				// ACK back to home.
-				c.fab.Unicast(fabric.NodeID(tgt), fabric.NodeID(c.home(page)), fabric.CtrlMsgBytes, func() {
-					remaining--
-					if remaining == 0 {
-						after()
-					}
-				})
-			})
-		}
+		r.writable, r.downgrade = r.write, !r.write
+	case r.write:
+		// I/S→M: every other sharer drops its copy.
+		e.sharers.Remove(blade)
+		targets = e.sharers.AppendTo(targets)
+		e.own(blade)
+		r.writable = true
+	default:
+		e.state = stShared
+		e.sharers.Add(blade)
 	}
+	c.targets = targets
 
-	if !write {
-		switch e.state {
-		case stModified:
-			if e.owner == blade {
-				fetch(func() { install(true); finish() })
-				return
-			}
-			owner := e.owner
-			e.state = stShared
-			e.sharers = map[int]bool{owner: true, blade: true}
-			invalidateHolders([]int{owner}, true, func() {
-				fetch(func() { install(false); finish() })
-			})
-		default:
-			e.state = stShared
-			e.sharers[blade] = true
-			fetch(func() { install(false); finish() })
-		}
+	if len(targets) == 0 {
+		c.fetch(r)
 		return
 	}
-	// Write.
-	switch e.state {
-	case stModified:
-		if e.owner == blade {
-			fetch(func() { install(true); finish() })
-			return
+	r.acks = len(targets)
+	home := fabric.NodeID(c.home(r.page))
+	for _, tgt := range targets {
+		iv := c.invFree.Get()
+		if iv == nil {
+			iv = new(inval)
 		}
-		owner := e.owner
-		e.owner = blade
-		e.sharers = map[int]bool{blade: true}
-		invalidateHolders([]int{owner}, false, func() {
-			fetch(func() { install(true); finish() })
-		})
-	case stShared:
-		var targets []int
-		for s := range e.sharers {
-			if s != blade {
-				targets = append(targets, s)
-			}
-		}
-		// The sharer set is a Go map; unicast in blade order so the event
-		// schedule (and therefore timing) is reproducible. MIND's path gets
-		// this for free from the switch's multicast-group member order.
-		sort.Ints(targets)
-		e.state = stModified
-		e.owner = blade
-		e.sharers = map[int]bool{blade: true}
-		invalidateHolders(targets, false, func() {
-			fetch(func() { install(true); finish() })
-		})
-	default:
-		e.state = stModified
-		e.owner = blade
-		e.sharers = map[int]bool{blade: true}
-		fetch(func() { install(true); finish() })
+		iv.r, iv.tgt = r, tgt
+		c.fab.UnicastArg(home, fabric.NodeID(tgt), fabric.CtrlMsgBytes, invAtTarget, iv)
 	}
+}
+
+// invAtTarget runs at a holder: flush if dirty, downgrade or drop the
+// copy, ACK to the home.
+func invAtTarget(x any) {
+	iv := x.(*inval)
+	r, tgt := iv.r, iv.tgt
+	c := r.t.c
+	c.invFree.Put(iv)
+
+	c.col.IncH(c.hInvals, 1)
+	cache := c.caches[tgt]
+	if p, ok := cache.Peek(r.page); ok {
+		if p.Dirty {
+			c.col.IncH(c.hFlushed, 1)
+			c.fab.UnicastArg(fabric.NodeID(tgt), c.memBladeOf(r.page), fabric.PageBytes, delivered, nil)
+			p.Dirty = false
+		}
+		if r.downgrade {
+			p.Writable = false
+		} else {
+			cache.Remove(r.page)
+		}
+	}
+	c.fab.UnicastArg(fabric.NodeID(tgt), fabric.NodeID(c.home(r.page)), fabric.CtrlMsgBytes, invAcked, r)
+}
+
+func invAcked(x any) {
+	r := x.(*req)
+	if r.acks--; r.acks == 0 {
+		r.t.c.fetch(r)
+	}
+}
+
+// fetch reads the page from its memory blade (one-sided RDMA issued by
+// the home) and delivers it to the requester.
+func (c *Cluster) fetch(r *req) {
+	c.fab.UnicastArg(fabric.NodeID(c.home(r.page)), c.memBladeOf(r.page), fabric.CtrlMsgBytes, fetchAtMem, r)
+}
+
+func fetchAtMem(x any) {
+	r := x.(*req)
+	c := r.t.c
+	c.eng.ScheduleArg(c.fab.MemDMA(), fetchDMA, r)
+}
+
+func fetchDMA(x any) {
+	r := x.(*req)
+	c := r.t.c
+	c.fab.UnicastArg(c.memBladeOf(r.page), fabric.NodeID(r.t.blade), fabric.PageBytes, fetchDone, r)
+}
+
+// fetchDone runs at the requester when the page arrives: install it
+// (evicting as needed), release the directory entry to the next waiter,
+// and complete the access.
+func fetchDone(x any) {
+	r := x.(*req)
+	t, page, write := r.t, r.page, r.write
+	c := t.c
+
+	cache := c.caches[t.blade]
+	for cache.NeedsEviction() {
+		v := cache.EvictLRU()
+		c.col.IncH(c.hEvictions, 1)
+		if v.Dirty {
+			c.col.IncH(c.hWritebacks, 1)
+			c.fab.UnicastArg(fabric.NodeID(t.blade), c.memBladeOf(v.VA), fabric.PageBytes, delivered, nil)
+		}
+	}
+	p := cache.Insert(page, r.writable)
+	if r.writable {
+		p.Dirty = true
+	}
+
+	e := r.e
+	e.busy = false
+	if next := e.popWaiter(); next != nil {
+		c.eng.ScheduleArg(0, reqAtHome, next)
+	}
+	c.reqFree.Put(r)
+
+	if write {
+		t.drained(page)
+		return
+	}
+	t.ops++
+	c.eng.ScheduleArg(0, threadStep, t)
 }

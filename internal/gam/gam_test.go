@@ -1,6 +1,7 @@
 package gam
 
 import (
+	"runtime"
 	"testing"
 
 	"mind/internal/mem"
@@ -117,5 +118,87 @@ func TestGAMCoherenceStates(t *testing.T) {
 	}
 	if col.Counter(stats.CtrFlushedPages) == 0 {
 		t.Error("no dirty flushes")
+	}
+}
+
+// TestGAMReplayOrder stalls one PSO thread on purpose, both ways, several
+// hundred times: with a one-entry store buffer and a cache too small to
+// keep a page until its next use, every round of
+//
+//	W(a)  W(b)  R(b)
+//
+// issues W(a) asynchronously, stalls W(b) on the full store buffer, and —
+// once W(b) is replayed and itself in flight — stalls R(b) on the pending
+// write to its page; R(b)'s replay then hits the page W(b) installed. A
+// lost, duplicated or reordered replay breaks one of the counter
+// identities below; and since the stalled access waits in one slot of the
+// thread, the run allocates the same whether it stalls 600 times or 1200.
+func TestGAMReplayOrder(t *testing.T) {
+	const (
+		pages      = 64
+		cachePages = 16
+	)
+	run := func(rounds int) (mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+
+		cfg := DefaultConfig(2, 1, cachePages)
+		cfg.StoreBufferDepth = 1
+		c := New(cfg)
+		base, _ := c.Alloc(pages * mem.PageSize)
+		ops := 3 * rounds
+		drawn := 0
+		err := c.Spawn(0, func() (mem.VA, bool, bool) {
+			// Every access handed out so far has executed, exactly once,
+			// before the next one is drawn: a stalled access is not counted
+			// until its replay, and nothing is drawn while one waits.
+			if got := c.Collector().Counter(stats.CtrAccesses); got != uint64(drawn) {
+				t.Fatalf("access %d drawn with %d executed", drawn, got)
+			}
+			if drawn == ops {
+				return 0, false, false
+			}
+			round, pos := drawn/3, drawn%3
+			drawn++
+			a := base + mem.VA((2*round)%pages*mem.PageSize)
+			b := base + mem.VA((2*round+1)%pages*mem.PageSize)
+			switch pos {
+			case 0:
+				return a, true, true
+			case 1:
+				return b, true, true
+			default:
+				return b, false, true
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run()
+		runtime.ReadMemStats(&after)
+
+		col := c.Collector()
+		for _, want := range []struct {
+			ctr string
+			n   int
+		}{
+			{stats.CtrAccesses, ops},
+			{stats.CtrRemoteAccesses, 2 * rounds}, // the writes: every one misses
+			{stats.CtrLocalHits, rounds},          // the reads: every one waited for its page
+			{stats.CtrEvictions, 2*rounds - cachePages},
+			{stats.CtrWritebacks, 2*rounds - cachePages},
+		} {
+			if got := col.Counter(want.ctr); got != uint64(want.n) {
+				t.Errorf("%d rounds: %s = %d, want %d", rounds, want.ctr, got, want.n)
+			}
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const rounds = 300
+	m1, m2 := run(rounds), run(2*rounds)
+	t.Logf("mallocs: %d at %d stalls, %d at %d", m1, 2*rounds, m2, 4*rounds)
+	if m2 > m1+32 {
+		t.Errorf("mallocs grew with the stall count: %d at %d stalls, %d at %d", m1, 2*rounds, m2, 4*rounds)
 	}
 }
