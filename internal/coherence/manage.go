@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mind/internal/ctrlplane"
@@ -21,10 +22,10 @@ import (
 
 var _ ctrlplane.RegionDirectory = (*Directory)(nil)
 
-// EpochStats returns one entry per live region (ascending base) with the
-// current epoch's false invalidation count.
-func (d *Directory) EpochStats() []ctrlplane.RegionStat {
-	out := make([]ctrlplane.RegionStat, 0, d.rt.count)
+// EpochStats appends one entry per live region (ascending base) with the
+// current epoch's false invalidation count to buf.
+func (d *Directory) EpochStats(buf []ctrlplane.RegionStat) []ctrlplane.RegionStat {
+	out := slices.Grow(buf, d.rt.count)
 	d.rt.forEach(func(r *Region) {
 		out = append(out, ctrlplane.RegionStat{
 			Base:          r.Base,

@@ -263,13 +263,41 @@ func TestEpochStatsAndReset(t *testing.T) {
 	d, _ := newTestDirectory(t, 100, 16<<10, 2<<20)
 	r, _ := d.lookupOrCreate(0x4000)
 	r.falseInvals = 7
-	st := d.EpochStats()
+	st := d.EpochStats(nil)
 	if len(st) != 1 || st[0].FalseInvals != 7 {
 		t.Fatalf("stats = %+v", st)
 	}
 	d.ResetEpochCounters()
-	if d.EpochStats()[0].FalseInvals != 0 {
+	if d.EpochStats(nil)[0].FalseInvals != 0 {
 		t.Error("reset failed")
+	}
+}
+
+// TestEpochTickWarmAllocs: an epoch in which nothing splits or merges —
+// the common one, run per rack every epoch of a pod — allocates nothing
+// once the splitter's snapshot buffers have grown to the region count.
+func TestEpochTickWarmAllocs(t *testing.T) {
+	d, _ := newTestDirectory(t, 0, 16<<10, 2<<20)
+	for i := 0; i < 200; i++ {
+		if _, err := d.lookupOrCreate(mem.VA(i) * 16 << 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Traffic without false invalidations: nothing to split, and every
+	// buddy pair too hot to merge.
+	heat := func() {
+		d.rt.forEach(func(r *Region) { r.invalsEpoch = 1 << 20 })
+	}
+	s := ctrlplane.NewSplitter(ctrlplane.DefaultSplitterConfig(), d)
+	heat()
+	s.RunEpoch()
+	if avg := testing.AllocsPerRun(20, func() {
+		heat()
+		if splits, merges := s.RunEpoch(); splits+merges != 0 {
+			t.Fatalf("epoch did %d splits and %d merges, want a quiet one", splits, merges)
+		}
+	}); avg != 0 {
+		t.Errorf("a quiet epoch over 200 regions allocates %v times, want 0", avg)
 	}
 }
 

@@ -190,7 +190,7 @@ func TestProtocolRegionGranularityInvalidation(t *testing.T) {
 		t.Errorf("false invals = %d, want 2", h.col.Counter(stats.CtrFalseInvals))
 	}
 	// The region's epoch counters carry the signal for bounded splitting.
-	st := h.dir.EpochStats()
+	st := h.dir.EpochStats(nil)
 	var found bool
 	for _, r := range st {
 		if r.Base == region.Base {
@@ -401,7 +401,7 @@ func TestProtocolEpochStatsSorted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.request(t, 0, mem.VA(0xB00000+i*64<<10), mem.PermRead)
 	}
-	st := h.dir.EpochStats()
+	st := h.dir.EpochStats(nil)
 	if !sort.SliceIsSorted(st, func(i, j int) bool { return st[i].Base < st[j].Base }) {
 		t.Error("EpochStats not sorted")
 	}

@@ -1,8 +1,6 @@
 package computeblade
 
 import (
-	"fmt"
-
 	"mind/internal/coherence"
 	"mind/internal/mem"
 	"mind/internal/sim"
@@ -156,8 +154,8 @@ type Blade struct {
 
 	invHandler *sim.Resource
 	// faults dedups concurrent faults per (page, want): an open-addressed
-	// table keyed by the packed fault key (see faulttable.go).
-	faults faultTable
+	// table keyed by the packed fault key (see wordtable.go).
+	faults wordTable[fault]
 
 	// Free lists for the per-access hot path.
 	faultFree sim.Pool[fault]
@@ -201,7 +199,7 @@ func New(cfg Config, deps Deps) *Blade {
 		col:        deps.Collector,
 		cache:      NewCache(cfg.CachePages),
 		deps:       deps,
-		invHandler: sim.NewResource(fmt.Sprintf("inv-handler-%d", cfg.ID), 1),
+		invHandler: sim.NewResource(1),
 
 		hAccesses:    deps.Collector.Handle(stats.CtrAccesses),
 		hLocalHits:   deps.Collector.Handle(stats.CtrLocalHits),

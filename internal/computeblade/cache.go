@@ -34,9 +34,9 @@ type PageState struct {
 type Cache struct {
 	capacity int // pages
 	// pages indexes the cached records by page base: an open-addressed
-	// table sized once for the capacity bound, so the per-access lookup
-	// never pays runtime map hashing (see pagetable.go).
-	pages pageTable
+	// table that grows with occupancy, so the per-access lookup never
+	// pays runtime map hashing (see wordtable.go).
+	pages wordTable[PageState]
 	// head is the LRU ring sentinel: head.next is most recent, head.prev
 	// least recent.
 	head PageState
@@ -44,26 +44,27 @@ type Cache struct {
 	free    sim.Pool[PageState]
 	scratch []*PageState // PagesIn result buffer, reused per call
 
-	// arena backs the first `capacity` page records with one up-front
-	// slab, so filling a cold cache performs no per-page allocation
-	// (the free list then recycles records forever).
-	arena     []PageState
-	arenaNext int
+	// arena is the uncarved rest of the current chunk of page records.
+	// Records are carved arenaChunk at a time as the cache fills, so a
+	// cold fill costs one allocation per chunk rather than per page, and
+	// a cache that never fills never pays for its capacity (the free
+	// list then recycles records forever).
+	arena []PageState
 
 	hits   uint64
 	misses uint64
 }
 
-// NewCache creates a cache holding at most capacity pages.
+// arenaChunk is how many page records the cache carves per allocation.
+const arenaChunk = 256
+
+// NewCache creates a cache holding at most capacity pages. Construction
+// is O(1): the record arena and the page index grow as pages arrive.
 func NewCache(capacity int) *Cache {
 	if capacity < 1 {
 		panic("computeblade: cache needs at least one page")
 	}
-	c := &Cache{
-		capacity: capacity,
-		pages:    newPageTable(capacity),
-		arena:    make([]PageState, capacity),
-	}
+	c := &Cache{capacity: capacity}
 	c.head.prev = &c.head
 	c.head.next = &c.head
 	return c
@@ -140,11 +141,14 @@ func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
 		// buffers instead of allocating. Stale bytes never leak — the
 		// buffer is unreachable until the fill assigns Data.
 		p.Dirty = false
-	} else if c.arenaNext < len(c.arena) {
-		p = &c.arena[c.arenaNext]
-		c.arenaNext++
 	} else {
-		p = &PageState{}
+		// The free list is empty, so every record carved so far is in
+		// the table: the next chunk never exceeds what capacity allows.
+		if len(c.arena) == 0 {
+			c.arena = make([]PageState, min(arenaChunk, c.capacity-c.pages.n))
+		}
+		p = &c.arena[0]
+		c.arena = c.arena[1:]
 	}
 	p.VA, p.Writable = base, writable
 	c.pushFront(p)

@@ -128,7 +128,7 @@ func TestDisableSplitting(t *testing.T) {
 		t.Errorf("splits = %d with splitting disabled", got)
 	}
 	// Every region is exactly the configured size.
-	for _, st := range c.Directory().EpochStats() {
+	for _, st := range c.Directory().EpochStats(nil) {
 		if st.Size != 64<<10 {
 			t.Errorf("region size = %d, want fixed 64K", st.Size)
 		}

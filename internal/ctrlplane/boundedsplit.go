@@ -1,7 +1,8 @@
 package ctrlplane
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mind/internal/mem"
 )
@@ -23,9 +24,10 @@ type RegionStat struct {
 // RegionDirectory is the view of the cache directory the Bounded
 // Splitting algorithm manipulates. The coherence package implements it.
 type RegionDirectory interface {
-	// EpochStats returns one entry per live directory region with this
-	// epoch's false invalidation count.
-	EpochStats() []RegionStat
+	// EpochStats appends one entry per live directory region (regions
+	// are disjoint), in ascending base order, with this epoch's false
+	// invalidation count, and returns the extended slice.
+	EpochStats(buf []RegionStat) []RegionStat
 	// SplitRegion splits the region based at base into two halves,
 	// allocating one extra directory slot. It fails if the region is at
 	// the 4 KB minimum or no slot is free.
@@ -83,6 +85,18 @@ type Splitter struct {
 	epochs uint64
 	splits uint64
 	merges uint64
+
+	// stats and pairs are RunEpoch's scratch, kept across epochs so a
+	// tick that changes nothing allocates nothing.
+	stats []RegionStat
+	pairs []buddyPair
+}
+
+// buddyPair is a merge candidate: two same-size buddies, named by the
+// lower base, and their combined traffic this epoch.
+type buddyPair struct {
+	lo   mem.VA
+	heat uint64
 }
 
 // NewSplitter creates a splitter over dir.
@@ -109,20 +123,23 @@ func (s *Splitter) Splits() uint64 { return s.splits }
 func (s *Splitter) Merges() uint64 { return s.merges }
 
 // Threshold computes t = Σf / (c·N) over the current epoch's stats
-// (Eq. 1), with N the number of top-level-size blocks spanned by live
-// regions. A floor of 1 keeps zero-traffic epochs from splitting
-// everything.
+// (Eq. 1, statsList in ascending base order as EpochStats returns it),
+// with N the number of top-level-size blocks spanned by live regions. A
+// floor of 1 keeps zero-traffic epochs from splitting everything.
 func (s *Splitter) Threshold(statsList []RegionStat) float64 {
 	if len(statsList) == 0 {
 		return 1
 	}
-	var sum float64
-	blocks := map[mem.VA]bool{}
-	for _, r := range statsList {
+	var sum, n float64
+	var last mem.VA
+	for i, r := range statsList {
 		sum += float64(r.FalseInvals)
-		blocks[mem.AlignDown(r.Base, s.cfg.TopLevelSize)] = true
+		// Ascending bases make each block's regions consecutive.
+		if block := mem.AlignDown(r.Base, s.cfg.TopLevelSize); i == 0 || block != last {
+			n++
+			last = block
+		}
 	}
-	n := float64(len(blocks))
 	t := sum / (s.c * n)
 	if t < 1 {
 		t = 1
@@ -134,8 +151,8 @@ func (s *Splitter) Threshold(statsList []RegionStat) float64 {
 // splits and merges performed.
 func (s *Splitter) RunEpoch() (splits, merges int) {
 	s.epochs++
-	statsList := s.dir.EpochStats()
-	t := s.Threshold(statsList)
+	s.stats = s.dir.EpochStats(s.stats[:0])
+	t := s.Threshold(s.stats)
 
 	cap := s.dir.SlotCapacity()
 	util := func() float64 {
@@ -148,13 +165,13 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 	// Split phase: any region with count > t splits once this epoch
 	// (repeated splitting across epochs converges in <= log2 M epochs,
 	// §5.1). Hottest first so capacity pressure cuts off the cold tail.
-	sort.Slice(statsList, func(i, j int) bool {
-		if statsList[i].FalseInvals != statsList[j].FalseInvals {
-			return statsList[i].FalseInvals > statsList[j].FalseInvals
+	slices.SortFunc(s.stats, func(a, b RegionStat) int {
+		if a.FalseInvals != b.FalseInvals {
+			return cmp.Compare(b.FalseInvals, a.FalseInvals)
 		}
-		return statsList[i].Base < statsList[j].Base
+		return cmp.Compare(a.Base, b.Base)
 	})
-	for _, r := range statsList {
+	for _, r := range s.stats {
 		if float64(r.FalseInvals) <= t || r.Size <= mem.PageSize {
 			continue
 		}
@@ -199,47 +216,32 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 // mergeCold merges buddy pairs whose combined false-invalidation count is
 // below t/2, coldest first.
 func (s *Splitter) mergeCold(t float64) int {
-	statsList := s.dir.EpochStats()
-	bySize := map[mem.VA]RegionStat{}
-	for _, r := range statsList {
-		bySize[r.Base] = r
-	}
-	type pair struct {
-		lo   mem.VA
-		heat uint64
-	}
-	var pairs []pair
-	seen := map[mem.VA]bool{}
-	for _, r := range statsList {
-		if r.Size >= s.cfg.TopLevelSize {
+	// A fresh snapshot: the split phase changed the region set and
+	// reordered the last one.
+	s.stats = s.dir.EpochStats(s.stats[:0])
+	s.pairs = s.pairs[:0]
+	for i := 0; i+1 < len(s.stats); i++ {
+		// Live regions are disjoint and the snapshot ascends, so the
+		// buddy of a lower half, if live at the same size, is the next
+		// entry; each pair is met once, at its lower half.
+		r, b := s.stats[i], s.stats[i+1]
+		if r.Size >= s.cfg.TopLevelSize || r.Base&mem.VA(r.Size) != 0 ||
+			b.Base != r.Base+mem.VA(r.Size) || b.Size != r.Size {
 			continue
 		}
-		buddyBase := r.Base ^ mem.VA(r.Size)
-		b, ok := bySize[buddyBase]
-		if !ok || b.Size != r.Size {
-			continue
-		}
-		lo := r.Base
-		if buddyBase < lo {
-			lo = buddyBase
-		}
-		if seen[lo] {
-			continue
-		}
-		seen[lo] = true
 		heat := r.FalseInvals + b.FalseInvals + r.Invalidations + b.Invalidations
 		if float64(heat) < t/2 {
-			pairs = append(pairs, pair{lo: lo, heat: heat})
+			s.pairs = append(s.pairs, buddyPair{lo: r.Base, heat: heat})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].heat != pairs[j].heat {
-			return pairs[i].heat < pairs[j].heat
+	slices.SortFunc(s.pairs, func(a, b buddyPair) int {
+		if a.heat != b.heat {
+			return cmp.Compare(a.heat, b.heat)
 		}
-		return pairs[i].lo < pairs[j].lo
+		return cmp.Compare(a.lo, b.lo)
 	})
 	merged := 0
-	for _, p := range pairs {
+	for _, p := range s.pairs {
 		if err := s.dir.MergeRegion(p.lo); err == nil {
 			merged++
 			s.merges++

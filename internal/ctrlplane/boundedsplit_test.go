@@ -60,11 +60,11 @@ func (d *fakeDir) recount() {
 	d.counted = true
 }
 
-func (d *fakeDir) EpochStats() []RegionStat {
+func (d *fakeDir) EpochStats(out []RegionStat) []RegionStat {
 	if !d.counted {
 		d.recount()
 	}
-	out := make([]RegionStat, 0, len(d.regions))
+	first := len(out)
 	for base, size := range d.regions {
 		// Invalidation traffic follows the hot pages regardless of
 		// region size (false invalidations vanish at 4 KB; traffic
@@ -77,7 +77,8 @@ func (d *fakeDir) EpochStats() []RegionStat {
 		}
 		out = append(out, RegionStat{Base: base, Size: size, FalseInvals: d.counts[base], Invalidations: invals})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
+	tail := out[first:]
+	sort.Slice(tail, func(i, j int) bool { return tail[i].Base < tail[j].Base })
 	return out
 }
 
@@ -190,7 +191,7 @@ func TestTheorem51Bound(t *testing.T) {
 		// Split every region above threshold until stable (§5.1).
 		for epoch := 0; epoch < 64; epoch++ {
 			split := false
-			for _, r := range d.EpochStats() {
+			for _, r := range d.EpochStats(nil) {
 				if float64(r.FalseInvals) > threshold && r.Size > mem.PageSize {
 					if d.SplitRegion(r.Base) == nil {
 						split = true

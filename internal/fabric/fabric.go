@@ -146,8 +146,8 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	return &Fabric{
 		eng:     eng,
 		cfg:     cfg,
-		ingress: sim.NewResource("switch-ingress", cfg.PipelineSlots),
-		egress:  sim.NewResource("switch-egress", cfg.PipelineSlots),
+		ingress: sim.NewResource(cfg.PipelineSlots),
+		egress:  sim.NewResource(cfg.PipelineSlots),
 	}
 }
 
@@ -204,8 +204,8 @@ func (f *Fabric) AddNode(id NodeID) {
 	if f.nicTx[i] != nil {
 		panic(fmt.Sprintf("fabric: duplicate node %d", id))
 	}
-	f.nicTx[i] = sim.NewResource(fmt.Sprintf("nic-tx-%d", id), 1)
-	f.nicRx[i] = sim.NewResource(fmt.Sprintf("nic-rx-%d", id), 1)
+	f.nicTx[i] = sim.NewResource(1)
+	f.nicRx[i] = sim.NewResource(1)
 }
 
 // HasNode reports whether id is registered.

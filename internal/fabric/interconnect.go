@@ -149,8 +149,8 @@ func newInterconnect(engs []*sim.Engine, cfg InterConfig) *Interconnect {
 	for i := range ic.ports {
 		ic.ports[i] = icPort{
 			eng:  engs[i],
-			up:   sim.NewResource(fmt.Sprintf("pod-uplink-%d", i), cfg.LinkSlots),
-			down: sim.NewResource(fmt.Sprintf("pod-downlink-%d", i), cfg.LinkSlots),
+			up:   sim.NewResource(cfg.LinkSlots),
+			down: sim.NewResource(cfg.LinkSlots),
 		}
 	}
 	return ic

@@ -169,11 +169,11 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.ComputeBlades; i++ {
 		c.fab.AddNode(fabric.NodeID(i))
 		c.caches = append(c.caches, computeblade.NewCache(cfg.CachePages))
-		c.locks = append(c.locks, sim.NewResource(fmt.Sprintf("gam-lock-%d", i), 1))
-		c.cpus = append(c.cpus, sim.NewResource(fmt.Sprintf("gam-cpu-%d", i), cfg.Cores))
+		c.locks = append(c.locks, sim.NewResource(1))
+		c.cpus = append(c.cpus, sim.NewResource(cfg.Cores))
 		// The home directory handler runs multi-threaded (GAM dedicates
 		// several service threads per node).
-		c.homes = append(c.homes, sim.NewResource(fmt.Sprintf("gam-home-%d", i), 4))
+		c.homes = append(c.homes, sim.NewResource(4))
 	}
 	for m := 0; m < cfg.MemoryBlades; m++ {
 		c.fab.AddNode(1000 + fabric.NodeID(m))

@@ -14,7 +14,7 @@ import (
 // calDriver runs a randomized schedule program on one engine, recording
 // dispatch order. Delays are drawn from bands that deliberately straddle
 // the engine's internal boundaries: 0 (fast lane), sub-bucket (drain
-// window), multi-bucket (ring), and beyond the ~2.1 ms horizon
+// window), multi-bucket (ring), and beyond the ~65 µs horizon
 // (overflow heap, later migrated into the ring).
 type calDriver struct {
 	e      *Engine
@@ -90,45 +90,174 @@ func (d *calDriver) fired(id uint64) {
 	}
 }
 
-// TestCalendarHeapEquivalenceRandomized drives an identical randomized
-// schedule — all delay bands, nested scheduling, cancellations, and
-// cross-horizon re-arms — through the calendar-queue engine and the
-// plain reference heap, asserting identical dispatch order, Executed
-// counts, and final clocks.
-func TestCalendarHeapEquivalenceRandomized(t *testing.T) {
-	const seeds = 25
-	for seed := uint64(0); seed < seeds; seed++ {
-		run := func(e *Engine) *calDriver {
-			d := &calDriver{e: e, budget: 3000, nextID: seed * 1_000_000}
-			for i := 0; i < 40; i++ {
-				d.nextID++
-				d.schedule(d.nextID)
-			}
-			e.Run()
-			return d
-		}
-		wheel := run(NewEngine())
-		plain := run(newPlainEngine())
+// timerDriver is the blade's fault path as the event queue sees it, and
+// the overflow heap's everyday load: every slot keeps one fault in
+// flight, each issue re-arms the slot's one timer object at +2 ms and
+// schedules the completion that cancels it a few microseconds later.
+// Some completions arrive from beyond the ring horizon, some faults are
+// lost so their timer migrates into the ring and fires, and some timers
+// are re-armed at backoff length, so the same Event object moves heap ->
+// ring -> heap. Every decision is a hash of (seed, slot, generation), so
+// two engines run the same program without sharing state.
+type timerDriver struct {
+	e      *Engine
+	seed   uint64
+	order  []uint64
+	timers []*Event
+	gen    []uint64 // faults issued per slot; a completion of an older one is stale
+	budget int
+}
 
-		if len(wheel.order) != len(plain.order) {
-			t.Fatalf("seed %d: wheel dispatched %d events, plain %d",
-				seed, len(wheel.order), len(plain.order))
+func (d *timerDriver) issue(x any) {
+	slot := x.(uint64)
+	d.order = append(d.order, slot<<2)
+	if d.budget == 0 {
+		return
+	}
+	d.budget--
+	d.gen[slot]++
+	h := eqMix(d.seed ^ slot<<32 ^ d.gen[slot])
+	timeout := 2 * Millisecond
+	if h%16 == 0 {
+		timeout = Duration(h >> 8 % uint64(horizon)) // a retry backoff: inside the ring
+	}
+	d.timers[slot] = d.e.Rearm(d.timers[slot], timeout, d.timedOut, slot)
+	tag := slot | d.gen[slot]<<32
+	switch {
+	case h%64 == 1:
+		// Lost in the fabric: the timer fires.
+	case h%8 == 2:
+		d.e.ScheduleArg(Duration(horizon)+Duration(h>>16%uint64(4*horizon)), d.completed, tag)
+	default:
+		d.e.ScheduleArg(Duration(1000+h>>16%30000), d.completed, tag)
+	}
+}
+
+func (d *timerDriver) completed(x any) {
+	tag := x.(uint64)
+	slot, gen := tag&(1<<32-1), tag>>32
+	d.order = append(d.order, slot<<2|1)
+	if gen != d.gen[slot] {
+		return // the fault timed out first and was reissued
+	}
+	d.e.Cancel(d.timers[slot])
+	d.e.ScheduleArg(Duration(eqMix(tag)%2000), d.issue, slot)
+}
+
+func (d *timerDriver) timedOut(x any) {
+	slot := x.(uint64)
+	d.order = append(d.order, slot<<2|2)
+	d.gen[slot]++ // orphan the completion still in flight, if any
+	d.e.ScheduleArg(5*Microsecond, d.issue, slot)
+}
+
+// TestCalendarHeapEquivalenceRandomized drives identical randomized
+// schedules through the calendar-queue engine and the plain reference
+// heap, asserting identical dispatch order, Executed counts, and final
+// clocks. The bands arm mixes all delay bands, nested scheduling,
+// cancellations and cross-horizon re-arms; the fault-timers arm keeps
+// thousands of +2 ms timers outstanding in the overflow heap, nearly all
+// canceled within microseconds.
+func TestCalendarHeapEquivalenceRandomized(t *testing.T) {
+	bands := func(e *Engine, seed uint64) []uint64 {
+		d := &calDriver{e: e, budget: 3000, nextID: seed * 1_000_000}
+		for i := 0; i < 40; i++ {
+			d.nextID++
+			d.schedule(d.nextID)
 		}
-		for i := range wheel.order {
-			if wheel.order[i] != plain.order[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: wheel=%d plain=%d",
-					seed, i, wheel.order[i], plain.order[i])
+		e.Run()
+		return d.order
+	}
+	faultTimers := func(e *Engine, seed uint64) []uint64 {
+		const slots = 3000
+		d := &timerDriver{e: e, seed: eqMix(seed + 1), budget: 40000,
+			timers: make([]*Event, slots), gen: make([]uint64, slots)}
+		for i := uint64(0); i < slots; i++ {
+			e.ScheduleArg(Duration(i*37), d.issue, i)
+		}
+		e.Run()
+		return d.order
+	}
+	for _, arm := range []struct {
+		name  string
+		seeds uint64
+		run   func(*Engine, uint64) []uint64
+	}{
+		{"bands", 25, bands},
+		{"fault-timers", 4, faultTimers},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			for seed := uint64(0); seed < arm.seeds; seed++ {
+				wheel, plain := NewEngine(), newPlainEngine()
+				got, want := arm.run(wheel, seed), arm.run(plain, seed)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: wheel dispatched %d events, plain %d", seed, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: dispatch order diverges at %d: wheel=%d plain=%d",
+							seed, i, got[i], want[i])
+					}
+				}
+				if wheel.Executed != plain.Executed {
+					t.Errorf("seed %d: Executed %d vs %d", seed, wheel.Executed, plain.Executed)
+				}
+				if wheel.Now() != plain.Now() {
+					t.Errorf("seed %d: final clock %d vs %d", seed, wheel.Now(), plain.Now())
+				}
+				if wheel.Pending() != 0 {
+					t.Errorf("seed %d: wheel Pending = %d after drain", seed, wheel.Pending())
+				}
+			}
+		})
+	}
+}
+
+// TestEventHeapAgainstSort pins the typed heap on its own: under random
+// pushes and removals from any slot it pops in ascending (time, seq)
+// order, and every resident event's idx names its slot — the invariant
+// Cancel relies on.
+func TestEventHeapAgainstSort(t *testing.T) {
+	rng := NewRNG(7, "event-heap")
+	var h eventHeap
+	var live []*Event
+	check := func() {
+		t.Helper()
+		for i, ev := range h {
+			if ev.idx != i {
+				t.Fatalf("slot %d holds an event with idx %d", i, ev.idx)
+			}
+			if i > 0 && evLess(ev, h[(i-1)/2]) {
+				t.Fatalf("slot %d sorts before its parent", i)
 			}
 		}
-		if wheel.e.Executed != plain.e.Executed {
-			t.Errorf("seed %d: Executed %d vs %d", seed, wheel.e.Executed, plain.e.Executed)
+	}
+	for seq := uint64(1); seq <= 4000; seq++ {
+		if rng.Intn(3) > 0 || len(live) == 0 {
+			// Few distinct times, so seq breaks most ties.
+			ev := &Event{at: Time(rng.Intn(50)), seq: seq}
+			h.push(ev)
+			live = append(live, ev)
+		} else {
+			i := rng.Intn(len(live))
+			ev := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if got := h.remove(ev.idx); got != ev || ev.idx != -1 {
+				t.Fatalf("remove returned %p (idx %d), want %p (idx -1)", got, ev.idx, ev)
+			}
 		}
-		if wheel.e.Now() != plain.e.Now() {
-			t.Errorf("seed %d: final clock %d vs %d", seed, wheel.e.Now(), plain.e.Now())
+		check()
+	}
+	sortEvents(live)
+	for i, want := range live {
+		if got := h.remove(0); got != want {
+			t.Fatalf("pop %d = (%d, %d), want (%d, %d)", i, got.at, got.seq, want.at, want.seq)
 		}
-		if wheel.e.Pending() != 0 {
-			t.Errorf("seed %d: wheel Pending = %d after drain", seed, wheel.e.Pending())
-		}
+		check()
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d events left in the heap", len(h))
 	}
 }
 

@@ -14,15 +14,15 @@
 // recycled through a free list after firing, and events scheduled for the
 // current instant bypass the queue through a FIFO fast lane. Events in
 // the near future land in a bucketed calendar ring (constant-time insert,
-// buckets sorted only when their window is reached); only far-future
-// events (past the ~2 ms ring horizon — fault timeouts sit just inside
-// it) fall back to a binary heap, and they migrate into the ring as the
-// horizon advances. Dispatch order is identical to a pure (time,
-// sequence) heap in every mode.
+// buckets sorted only when their window is reached) small enough to stay
+// in the host's cache; far timers (past the ~65 µs ring horizon — fault
+// timeouts, serve deadlines, epoch ticks — most of them canceled long
+// before they are due) wait in a typed binary heap and migrate into the
+// ring as the horizon advances. Dispatch order is identical to a pure
+// (time, sequence) heap in every mode.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -60,19 +60,20 @@ func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 func (d Duration) String() string { return fmt.Sprintf("%.3fus", d.Micros()) }
 
 // Calendar-ring geometry. Buckets are 256 ns wide (a handful of fabric
-// hops), and the ring covers a ~2.1 ms horizon — wide enough that every
-// steady-state delay in the calibrated rack model (pipeline service,
-// NIC, wire, DMA, control RTT, retry backoff, and the 2 ms fault
-// timeout) schedules in O(1); only cold-path far-future events (epoch
-// ticks of slow configs, Fig-10 elasticity scripts) touch the overflow
-// heap.
+// hops), and the ring covers a ~65 µs horizon: every delay a fault is
+// made of (pipeline service, NIC, wire, DMA, control RTT, the first retry
+// backoffs) schedules in O(1), while the ring's bucket headers (6 KiB)
+// stay resident in the host's cache however many rack engines a pod
+// runs. Timers — the 2 ms fault timeout, serve deadlines, epoch and
+// promotion ticks — go to the overflow heap; nearly all of them are
+// canceled there without ever touching a bucket.
 const (
 	bucketShift = 8                              // log2 bucket width (256 ns)
-	ringShift   = 13                             // log2 bucket count (8192 buckets)
+	ringShift   = 8                              // log2 bucket count (256 buckets)
 	numBuckets  = 1 << ringShift                 // buckets in the ring
 	ringMask    = numBuckets - 1                 // bucket index mask
 	bucketWidth = Time(1) << bucketShift         // ns per bucket
-	horizon     = bucketWidth * Time(numBuckets) // ring coverage (~2.1 ms)
+	horizon     = bucketWidth * Time(numBuckets) // ring coverage (~65 µs)
 )
 
 // Event lifecycle states. A pending event is queued; firing and
@@ -144,28 +145,72 @@ func evLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// eventHeap is a binary min-heap of events by (time, seq), each event's
+// idx tracking its slot so Cancel can remove it from the middle. The
+// sifts are written out against evLess for the reason sortEvents is:
+// container/heap pays an interface call per comparison and per swap, and
+// this heap is the everyday path of every timer and of the drain window.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return evLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+// push adds ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+// remove deletes and returns the event in slot i; slot 0 is the minimum.
+func (h *eventHeap) remove(i int) *Event {
+	s := *h
+	ev := s[i]
+	last := len(s) - 1
+	moved := s[last]
+	s[last] = nil
+	*h = s[:last]
+	if i < last {
+		if i > 0 && evLess(moved, s[(i-1)/2]) {
+			h.up(i, moved)
+		} else {
+			h.down(i, moved)
+		}
+	}
+	ev.idx = -1
+	return ev
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+
+// up settles ev into the hole at slot i by moving larger parents down.
+func (h eventHeap) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !evLess(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].idx = i
+		i = p
+	}
+	h[i] = ev
+	ev.idx = i
+}
+
+// down settles ev into the hole at slot i by moving smaller children up.
+func (h eventHeap) down(i int, ev *Event) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && evLess(h[c+1], h[c]) {
+			c++
+		}
+		if !evLess(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = i
+		i = c
+	}
+	h[i] = ev
+	ev.idx = i
 }
 
 // Engine is the discrete-event simulation core. Create one with NewEngine;
@@ -174,11 +219,11 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// queue is the far-future overflow heap: events past the ring
-	// horizon at insert time. Its minimum is always >= every ring/window
-	// event (overflow events migrate into the ring before their bucket's
-	// window can open), so it only needs consulting when the ring runs
-	// dry. In plain mode it is the only queue.
+	// queue is the overflow heap, the far-timer path: events past the
+	// ring horizon at insert time. Its minimum is always >= every
+	// ring/window event (overflow events migrate into the ring before
+	// their bucket's window can open), so it only needs consulting when
+	// the ring runs dry. In plain mode it is the only queue.
 	queue eventHeap
 
 	// The calendar ring: ring[b] holds events with
@@ -210,9 +255,9 @@ type Engine struct {
 	// so steady-state bucket churn allocates nothing even though the
 	// set of active buckets slides forward in time. slabMem is the
 	// carve block behind a dry pool: fresh slabs are sliced off one
-	// shared allocation instead of allocated one by one, so warming a
-	// wide ring (a pod runs one engine per rack, each with its own
-	// ring) costs O(buckets/64) allocations rather than O(buckets).
+	// shared allocation instead of allocated one by one, so warming
+	// the ring (a pod runs one engine per rack, each with its own ring)
+	// costs O(buckets/64) allocations rather than O(buckets).
 	slabs   [][]*Event
 	slabMem []*Event
 
@@ -404,7 +449,7 @@ func (e *Engine) enqueue(at Time, fn func(any), arg any, pooled bool) *Event {
 func (e *Engine) place(ev *Event) {
 	if e.plain {
 		ev.where = whereOverflow
-		heap.Push(&e.queue, ev)
+		e.queue.push(ev)
 		return
 	}
 	at := ev.at
@@ -417,12 +462,12 @@ func (e *Engine) place(ev *Event) {
 		// A short delay landing inside the window currently being
 		// drained: merge it with sortedCur through the window heap.
 		ev.where = whereCurHeap
-		heap.Push(&e.curHeap, ev)
+		e.curHeap.push(ev)
 	case at < e.wheelStart+horizon:
 		e.pushRing(ev)
 	default:
 		ev.where = whereOverflow
-		heap.Push(&e.queue, ev)
+		e.queue.push(ev)
 	}
 }
 
@@ -434,8 +479,8 @@ func (e *Engine) pushRing(ev *Event) {
 	if bucket == nil {
 		if bucket = e.popSlab(); bucket == nil {
 			// Slab pool dry (more buckets concurrently populated than
-			// windows drained so far — e.g. thousands of in-flight fault
-			// timeouts spread across the horizon): carve a 32-cap slab
+			// windows drained so far — e.g. a rack-wide burst of fabric
+			// hops spread across the horizon): carve a 32-cap slab
 			// from the block allocation, so the bucket skips the
 			// 1→2→4→… growth ladder and warming the whole ring costs a
 			// handful of allocations instead of one per bucket.
@@ -463,10 +508,10 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	switch ev.where {
 	case whereOverflow:
-		heap.Remove(&e.queue, ev.idx)
+		e.queue.remove(ev.idx)
 		ev.where = whereNone
 	case whereCurHeap:
-		heap.Remove(&e.curHeap, ev.idx)
+		e.curHeap.remove(ev.idx)
 		ev.where = whereNone
 	case whereRing:
 		// Buckets are unordered until drained, so swap-remove is legal.
@@ -598,7 +643,7 @@ func (e *Engine) advance() bool {
 		// covers. Their (time, seq) order relative to ring residents is
 		// restored by the per-bucket sort at drain.
 		for len(e.queue) > 0 && e.queue[0].at < e.wheelStart+horizon {
-			e.pushRing(heap.Pop(&e.queue).(*Event))
+			e.pushRing(e.queue.remove(0))
 		}
 		// Find the next non-empty bucket at or after wheelStart. All
 		// ring events live in [wheelStart, wheelStart+horizon), so
@@ -709,7 +754,7 @@ func (e *Engine) wheelHead() *Event {
 // popWheel removes the event wheelHead returned.
 func (e *Engine) popWheel(ev *Event) {
 	if len(e.curHeap) > 0 && e.curHeap[0] == ev {
-		heap.Pop(&e.curHeap)
+		e.curHeap.remove(0)
 		return
 	}
 	e.sortedCur[e.curIdx] = nil
@@ -719,12 +764,22 @@ func (e *Engine) popWheel(ev *Event) {
 
 // Step dispatches the single earliest event, advancing the clock to its
 // timestamp. It returns false if the queue is empty.
-func (e *Engine) Step() bool {
+func (e *Engine) Step() bool { return e.stepUntil(MaxTime) }
+
+// stepUntil dispatches the single earliest event if its timestamp is at
+// most limit, and reports whether it did. It is the one dispatch loop
+// under Step, Run, RunUntil and RunWindow: the head is located once per
+// event, and the bound is tested on the event about to fire.
+func (e *Engine) stepUntil(limit Time) bool {
+	// Nothing pending predates the clock.
+	if e.now > limit {
+		return false
+	}
 	if e.plain {
-		if len(e.queue) == 0 {
+		if len(e.queue) == 0 || e.queue[0].at > limit {
 			return false
 		}
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.remove(0)
 		ev.where = whereNone
 		e.now = ev.at
 		e.fire(ev)
@@ -755,18 +810,29 @@ func (e *Engine) Step() bool {
 			e.fire(ev)
 			return true
 		}
-		if head != nil {
-			e.popWheel(head)
-			e.now = head.at
-			e.fire(head)
-			return true
+		if head == nil || head.at > limit {
+			return false
 		}
-		return false
+		e.popWheel(head)
+		e.now = head.at
+		e.fire(head)
+		return true
 	}
 }
 
-// peekTime returns the earliest pending event's timestamp.
-func (e *Engine) peekTime() (Time, bool) {
+// PeekTime returns the earliest pending event's timestamp without
+// dispatching anything. It is the lookahead primitive of the
+// sparse-horizon pod executor: at a barrier, the minimum PeekTime
+// across all rack engines bounds the first window in which any rack can
+// dispatch, so every window before it may be skipped.
+//
+// Peeking may rotate the calendar ring's drain window (and migrate
+// overflow events that have come inside the horizon) to locate the
+// head, but it never fires, reorders or drops an event: the dispatch
+// sequence — and therefore the dispatch-trace hash — is identical
+// whether or not PeekTime was called. Call it only from contexts that
+// already own the engine (barrier context under the pod executor).
+func (e *Engine) PeekTime() (Time, bool) {
 	if e.plain {
 		if len(e.queue) == 0 {
 			return 0, false
@@ -782,20 +848,6 @@ func (e *Engine) peekTime() (Time, bool) {
 	return 0, false
 }
 
-// PeekTime returns the earliest pending event's timestamp without
-// dispatching anything. It is the lookahead primitive of the
-// sparse-horizon pod executor: at a barrier, the minimum PeekTime
-// across all rack engines bounds the first window in which any rack can
-// dispatch, so every window before it may be skipped.
-//
-// Peeking may rotate the calendar ring's drain window (and migrate
-// overflow events that have come inside the horizon) to locate the
-// head, but it never fires, reorders or drops an event: the dispatch
-// sequence — and therefore the dispatch-trace hash — is identical
-// whether or not PeekTime was called. Call it only from contexts that
-// already own the engine (barrier context under the pod executor).
-func (e *Engine) PeekTime() (Time, bool) { return e.peekTime() }
-
 // Run dispatches events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
@@ -808,12 +860,7 @@ func (e *Engine) Run() {
 // beyond deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok || t > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.stepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -831,12 +878,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // injections with at == end are legal non-past schedules.
 func (e *Engine) RunWindow(end Time) {
 	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok || t >= end {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.stepUntil(end-1) {
 	}
 	if e.now < end {
 		e.now = end

@@ -163,7 +163,7 @@ func TestEngineNegativeDelay(t *testing.T) {
 }
 
 func TestResourceSerialQueueing(t *testing.T) {
-	r := NewResource("nic", 1)
+	r := NewResource(1)
 	s1, e1 := r.Reserve(0, 10)
 	if s1 != 0 || e1 != 10 {
 		t.Fatalf("first job: start=%d end=%d", s1, e1)
@@ -184,7 +184,7 @@ func TestResourceSerialQueueing(t *testing.T) {
 }
 
 func TestResourceParallelSlots(t *testing.T) {
-	r := NewResource("pipe", 2)
+	r := NewResource(2)
 	_, e1 := r.Reserve(0, 10)
 	_, e2 := r.Reserve(0, 10)
 	if e1 != 10 || e2 != 10 {
@@ -193,17 +193,6 @@ func TestResourceParallelSlots(t *testing.T) {
 	s3, _ := r.Reserve(0, 10)
 	if s3 != 10 {
 		t.Fatalf("third job should queue: start=%d", s3)
-	}
-}
-
-func TestResourceQueueDelay(t *testing.T) {
-	r := NewResource("x", 1)
-	r.Reserve(0, 100)
-	if d := r.QueueDelay(20); d != 80 {
-		t.Errorf("QueueDelay(20) = %d, want 80", d)
-	}
-	if d := r.QueueDelay(200); d != 0 {
-		t.Errorf("QueueDelay(200) = %d, want 0", d)
 	}
 }
 
@@ -216,7 +205,7 @@ func TestResourceQueueDelay(t *testing.T) {
 // service durations.
 func TestResourceHeapEquivalence(t *testing.T) {
 	for _, slots := range []int{1, 2, 3, 7, 32} {
-		r := NewResource("heap", slots)
+		r := NewResource(slots)
 		ref := make([]Time, slots) // reference: plain slice, linear scan
 		rng := NewRNG(42, "resource-heap")
 		var at Time
@@ -246,20 +235,6 @@ func TestResourceHeapEquivalence(t *testing.T) {
 					slots, i, at, d, gotS, gotE, wantS, wantE)
 			}
 		}
-	}
-}
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x", 1)
-	r.Reserve(0, 100)
-	r.Reset()
-	s, _ := r.Reserve(0, 10)
-	if s != 0 {
-		t.Errorf("after reset start=%d, want 0", s)
-	}
-	served, _, _, _ := r.Stats()
-	if served != 1 {
-		t.Errorf("served=%d after reset+1, want 1", served)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestPeekTimeInWindowHeap(t *testing.T) {
 }
 
 // TestPeekTimeOverflow checks the far-future path: an event beyond the
-// ring's ~2.1 ms horizon lives in the overflow heap; peeking must
+// ring's ~65 µs horizon lives in the overflow heap; peeking must
 // migrate it across the horizon (the ring jumps forward) and report it
 // — and the subsequent dispatch must still happen at its exact time.
 func TestPeekTimeOverflow(t *testing.T) {

@@ -10,7 +10,6 @@ package sim
 // then schedule their own completion events. This keeps resources cheap
 // (O(log k) per reservation for k slots) and composable.
 type Resource struct {
-	name  string
 	slots []Time // next-free time per service slot, min-heap by value
 
 	// Accounting.
@@ -22,16 +21,13 @@ type Resource struct {
 
 // NewResource returns a resource with the given number of parallel service
 // slots (for example 1 for a serial handler, or the port count for a
-// switch pipeline). name is used in diagnostics only.
-func NewResource(name string, slots int) *Resource {
+// switch pipeline).
+func NewResource(slots int) *Resource {
 	if slots < 1 {
 		panic("sim: Resource needs at least one slot")
 	}
-	return &Resource{name: name, slots: make([]Time, slots)}
+	return &Resource{slots: make([]Time, slots)}
 }
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Reserve books d of service starting no earlier than at, returning the
 // actual start and end times. The caller is responsible for scheduling any
@@ -77,26 +73,8 @@ func (r *Resource) Reserve(at Time, d Duration) (start, end Time) {
 	return start, end
 }
 
-// QueueDelay returns the delay a reservation arriving at time at would
-// experience without booking anything.
-func (r *Resource) QueueDelay(at Time) Duration {
-	if best := r.slots[0]; best > at {
-		return best.Sub(at)
-	}
-	return 0
-}
-
 // Stats returns cumulative accounting: jobs served, total busy time, total
 // queueing delay imposed, and the maximum single queueing delay.
 func (r *Resource) Stats() (served uint64, busy, waited, maxWait Duration) {
 	return r.served, r.busy, r.waits, r.maxWait
-}
-
-// Reset clears slot occupancy and accounting (used between benchmark
-// iterations).
-func (r *Resource) Reset() {
-	for i := range r.slots {
-		r.slots[i] = 0
-	}
-	r.busy, r.waits, r.served, r.maxWait = 0, 0, 0, 0
 }
