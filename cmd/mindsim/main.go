@@ -194,9 +194,18 @@ func main() {
 		switchFault = &f
 	}
 
+	shape := rackShape{
+		blades:      *blades,
+		memBlades:   *memBlades,
+		cachePages:  cachePages,
+		consistency: cons,
+		dirSlots:    *dirSlots,
+		epoch:       sim.Duration(epoch.Nanoseconds()),
+	}
+
 	if *serveMode {
 		faults := serveFaults{kill: killFault, drain: drainFault, failover: switchFault}
-		if err := runServeMode(w, *serveRacks, *serveWorkers, *blades, *memBlades, cachePages, *ops, *seed,
+		if err := runServeMode(w, shape, *serveRacks, *serveWorkers, *ops, *seed,
 			*serveRate, *serveQoS, sim.Duration(serveHorizon.Nanoseconds()),
 			sim.Duration(serveDeadline.Nanoseconds()), *serveRetries, *serveBrownout, faults); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -210,18 +219,7 @@ func main() {
 	}
 
 	runOnce := func(runSeed uint64) (runReport, error) {
-		cfg := core.DefaultConfig(*blades, *memBlades)
-		cfg.MemoryBladeCapacity = 1 << 32
-		cfg.CachePagesPerBlade = cachePages
-		cfg.Consistency = cons
-		if *dirSlots > 0 {
-			cfg.ASIC.SlotCapacity = *dirSlots
-		}
-		if *epoch > 0 {
-			cfg.SplitterEpoch = sim.Duration(epoch.Nanoseconds())
-		}
-		cfg.Seed = runSeed
-
+		cfg := shape.config(runSeed)
 		c, err := core.NewCluster(cfg)
 		if err != nil {
 			return runReport{}, err
@@ -387,6 +385,46 @@ func main() {
 	}
 }
 
+// rackShape is what the flags say about one rack. Both modes build
+// every rack they run from it, so a flag cannot reach one mode and not
+// the other.
+type rackShape struct {
+	blades, memBlades int
+	cachePages        int
+	consistency       core.Consistency
+	dirSlots          int          // 0: the paper default
+	epoch             sim.Duration // 0: the default epoch
+}
+
+// config returns the rack configuration for one run seed.
+func (r rackShape) config(seed uint64) core.Config {
+	cfg := core.DefaultConfig(r.blades, r.memBlades)
+	cfg.MemoryBladeCapacity = 1 << 32
+	cfg.CachePagesPerBlade = r.cachePages
+	cfg.Consistency = r.consistency
+	if r.dirSlots > 0 {
+		cfg.ASIC.SlotCapacity = r.dirSlots
+	}
+	if r.epoch > 0 {
+		cfg.SplitterEpoch = r.epoch
+	}
+	cfg.Seed = seed
+	return cfg
+}
+
+// newServePod builds the serving mode's pod: racks identical racks of
+// the given shape.
+func newServePod(shape rackShape, racks, workers int, seed uint64) (*core.Pod, error) {
+	if racks < 1 {
+		return nil, fmt.Errorf("-racks must be >= 1 (got %d)", racks)
+	}
+	pcfg := core.PodConfig{Workers: workers}
+	for ri := 0; ri < racks; ri++ {
+		pcfg.Racks = append(pcfg.Racks, shape.config(seed))
+	}
+	return core.NewPod(pcfg)
+}
+
 // timedFault is one serving-mode fault parsed from "dur:rack[:blade]":
 // it lands at the given virtual time on the given rack.
 type timedFault struct {
@@ -454,22 +492,12 @@ func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 // from the per-rack streaming histograms. Timed faults land
 // barrier-ordered on the pod executor; their recovery reports print
 // after the run.
-func runServeMode(w workloads.Workload, racks, workers, blades, memBlades, cachePages, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults serveFaults) error {
-	if racks < 1 {
-		return fmt.Errorf("-racks must be >= 1 (got %d)", racks)
-	}
-	pcfg := core.PodConfig{Workers: workers}
-	for ri := 0; ri < racks; ri++ {
-		cfg := core.DefaultConfig(blades, memBlades)
-		cfg.MemoryBladeCapacity = 1 << 32
-		cfg.CachePagesPerBlade = cachePages
-		cfg.Seed = seed
-		pcfg.Racks = append(pcfg.Racks, cfg)
-	}
-	pod, err := core.NewPod(pcfg)
+func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults serveFaults) error {
+	pod, err := newServePod(shape, racks, workers, seed)
 	if err != nil {
 		return err
 	}
+	blades := shape.blades
 
 	// Traffic shape: steady Poisson at -serve-rate; an MMPP tenant
 	// alternating between rate/2 and 20x rate; a diurnal tenant whose

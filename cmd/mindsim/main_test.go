@@ -1,0 +1,63 @@
+package main
+
+import (
+	"testing"
+
+	"mind/internal/core"
+	"mind/internal/sim"
+)
+
+// TestRackFlagsReachBothModes: -consistency, -dirslots and -epoch shape
+// the racks of the closed-loop mode and of -serve alike. Serving mode
+// used to build its racks from capacity, cache and seed only, so
+// `mindsim -serve -consistency pso` ran TSO without a word.
+func TestRackFlagsReachBothModes(t *testing.T) {
+	shape := rackShape{
+		blades:      2,
+		memBlades:   2,
+		cachePages:  64,
+		consistency: core.PSO,
+		dirSlots:    77,
+		epoch:       3 * sim.Millisecond,
+	}
+	check := func(mode string, cfg core.Config) {
+		t.Helper()
+		if cfg.Consistency != core.PSO {
+			t.Errorf("%s: -consistency pso built a %v rack", mode, cfg.Consistency)
+		}
+		if cfg.ASIC.SlotCapacity != 77 {
+			t.Errorf("%s: -dirslots 77 built a rack of %d slots", mode, cfg.ASIC.SlotCapacity)
+		}
+		if cfg.SplitterEpoch != 3*sim.Millisecond {
+			t.Errorf("%s: -epoch 3ms built a rack with epoch %v", mode, cfg.SplitterEpoch)
+		}
+		if cfg.CachePagesPerBlade != 64 || cfg.Seed != 5 {
+			t.Errorf("%s: cache %d pages, seed %d; want 64, 5", mode, cfg.CachePagesPerBlade, cfg.Seed)
+		}
+	}
+
+	c, err := core.NewCluster(shape.config(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("closed-loop", c.Config())
+
+	pod, err := newServePod(shape, 2, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pod.Racks(); i++ {
+		check("serve", pod.Rack(i).Config())
+	}
+
+	// Left at their defaults the flags change nothing.
+	shape.consistency, shape.dirSlots, shape.epoch = core.TSO, 0, 0
+	def := core.DefaultConfig(2, 2)
+	if got := shape.config(5); got.ASIC.SlotCapacity != def.ASIC.SlotCapacity || got.SplitterEpoch != def.SplitterEpoch {
+		t.Errorf("default flags moved the directory capacity or the epoch: %d slots, epoch %v", got.ASIC.SlotCapacity, got.SplitterEpoch)
+	}
+
+	if _, err := newServePod(shape, 0, 0, 5); err == nil {
+		t.Error("-racks 0 built a pod")
+	}
+}

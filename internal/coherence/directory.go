@@ -761,12 +761,5 @@ func (d *Directory) finish(r *Region) {
 	d.startTransition(r, next)
 }
 
-// SharerDropped records a silent clean eviction: the blade no longer
-// caches any page of the region, so future invalidations to it are
-// spurious but harmless. MIND decouples eviction from coherence (§4.3.1),
-// so this does NOT update the directory — the method exists for tests to
-// assert that stale sharer lists stay safe. It is intentionally a no-op.
-func (d *Directory) SharerDropped(blade int, va mem.VA) {}
-
 // Regions returns the number of live directory entries.
 func (d *Directory) RegionCount() int { return d.rt.count }

@@ -175,7 +175,8 @@ type Blade struct {
 	hLatInvQueue stats.Handle
 	hLatInvTLB   stats.Handle
 
-	// WritebackQueueLen tracks in-flight dirty evictions (diagnostics).
+	// pendingWritebacks counts in-flight dirty evictions; wbDone, the
+	// completion every writeback event carries, settles it.
 	pendingWritebacks int
 }
 
@@ -471,9 +472,6 @@ func (b *Blade) evictOne() {
 		b.deps.Writeback(victim.VA, victim.Data, b.wbDone)
 	}
 }
-
-// PendingWritebacks returns in-flight dirty evictions (diagnostics).
-func (b *Blade) PendingWritebacks() int { return b.pendingWritebacks }
 
 // invJob carries one invalidation through the blade's serial handler.
 // Jobs are pooled; finish is bound once per job object.

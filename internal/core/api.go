@@ -258,13 +258,9 @@ func (t *Thread) Touch(va mem.VA, write bool) error {
 	return t.access(va, write)
 }
 
-// AdvanceTime idles the cluster for d of virtual time (lets epochs run).
-// In a multi-rack pod the whole pod advances together — a lone engine
-// cannot outrun its peers past the lookahead bound.
+// AdvanceTime idles the rack for d of virtual time (lets epochs run).
+// The whole pod advances together — a lone engine cannot outrun its
+// peers past the lookahead bound.
 func (c *Rack) AdvanceTime(d sim.Duration) {
-	if c.pod.multiRack {
-		c.pod.AdvanceTime(d)
-		return
-	}
-	c.eng.RunUntil(c.eng.Now().Add(d))
+	c.pod.AdvanceTime(d)
 }

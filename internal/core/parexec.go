@@ -1,6 +1,19 @@
 package core
 
-// Parallel pod execution: conservative lookahead over per-rack engines.
+// Pod execution: the one loop that advances virtual time.
+//
+// Every way of running a pod — AdvanceTime, RunThreads, Serving.Run, the
+// blocking API's await, and the quiesce that ends a run — is a stop
+// condition handed to podExec.drive; no other code in this package
+// advances an engine. What drive does per iteration, its quantum,
+// depends on the one thing a rack can be made to wait for: another rack.
+//
+// A 1-rack pod has no peer, so its quantum is one event (Engine.Step):
+// stop is evaluated after every dispatch and the drive ends on the very
+// event that satisfied it. That is what keeps a 1-rack pod bit-identical
+// to the classic single-engine simulation — a wider quantum would let an
+// epoch tick slip in after the last thread finished. A multi-rack pod's
+// quantum is one window of conservative lookahead:
 //
 // The inter-rack interconnect has a fixed propagation delay P: nothing a
 // rack does can affect another rack in less than P of virtual time. The
@@ -20,6 +33,13 @@ package core
 // event scheduled from barrier context lands at >= vnow, and any send
 // booked during the next window departs at >= vnow, arriving at
 // >= vnow + P >= the next boundary.
+//
+// Targets (AdvanceTime) differ accordingly, and only here: a 1-rack pod
+// reaches its target with RunUntil, inclusively — an event at the target
+// instant is dispatched, as the single-engine simulation always did —
+// while a multi-rack pod's final window is capped at the target and,
+// like every window, excludes its own end: events at the target instant
+// wait for the next drive.
 //
 // The barrier is also the pod's exclusive section. Operations that
 // inherently span racks — blade borrow/return (two allocators), idle
@@ -50,16 +70,18 @@ type borrowReq struct {
 	done func(ok bool)
 }
 
-// podExec drives a multi-rack pod in lockstep windows.
+// podExec advances a pod's engines: one event at a time for a 1-rack
+// pod, in lockstep windows for a multi-rack one.
 type podExec struct {
 	p *Pod
-	// window is the lockstep window width, clamped to the interconnect
-	// propagation delay (the conservative lookahead bound).
+	// window is the executor's lookahead: the lockstep window width,
+	// clamped to the interconnect propagation delay (the conservative
+	// bound), or unbounded for a 1-rack pod, which waits for nobody.
 	window sim.Duration
 	// workers is the configured worker-pool width for parallel drives.
 	workers int
-	// vnow is the pod-wide window cursor: every rack engine sits
-	// exactly here between drives.
+	// vnow is the window cursor of a multi-rack pod: every rack engine
+	// sits exactly here between drives.
 	vnow sim.Time
 	// dense disables the sparse-horizon jump: every 1-window barrier is
 	// visited even when provably a no-op. The equivalence suites sweep
@@ -87,23 +109,16 @@ type podExec struct {
 	flushesElided   uint64
 }
 
-func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
-	prop := p.ic.Config().Propagation
-	if window <= 0 || window > prop {
-		window = prop
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &podExec{p: p, window: window, workers: workers, dense: dense}
-}
+// wedged: stop() does not hold and nothing is left that could make it.
+const wedged = "core: pod drive ran out of events (protocol wedge)"
 
-// drive advances the pod window by window until stop() reports done,
-// evaluated at barriers. A nonzero target caps the final window (used
-// by AdvanceTime to land exactly on its deadline); a zero target means
-// "until stop", and running dry beforehand is a protocol wedge. When
-// parallel is set (and the pod has both workers and racks to use),
-// windows execute on the persistent worker pool.
+// drive advances the pod, quantum by quantum (see the file comment),
+// until stop() reports done. A nonzero target bounds the drive
+// (AdvanceTime, whose stop is "the target is reached"); a zero target
+// means "until stop", and running dry beforehand is a wedge. The 1-rack
+// loop carries no budget and no bookkeeping: it is every figure's inner
+// loop. When parallel is set (and the pod has workers to use), windows
+// execute on the persistent worker pool.
 //
 // In sparse mode (the default) each iteration jumps the cursor directly
 // to the window containing the pod's safe horizon (nextBarrier),
@@ -114,8 +129,20 @@ func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 // only change through dispatched events or barrier work, and the
 // skipped region has neither.
 func (x *podExec) drive(parallel bool, target sim.Time, stop func() bool) {
+	if !x.p.multiRack {
+		eng := x.p.racks[0].eng
+		if target != 0 {
+			eng.RunUntil(target)
+		}
+		for !stop() {
+			if !eng.Step() {
+				panic(wedged)
+			}
+		}
+		return
+	}
 	var wp *wpool
-	if parallel && x.workers > 1 && len(x.p.racks) > 1 {
+	if parallel && x.workers > 1 {
 		if x.wp == nil {
 			x.wp = newWpool(x.p.racks, x.workers)
 		}
@@ -124,7 +151,7 @@ func (x *podExec) drive(parallel bool, target sim.Time, stop func() bool) {
 	startExec := x.p.ExecutedEvents()
 	for !stop() {
 		if target == 0 && x.idle() {
-			panic("core: pod drive ran out of events (protocol wedge)")
+			panic(wedged)
 		}
 		end := x.nextBarrier(target)
 		if wp != nil {

@@ -24,16 +24,18 @@ package core
 // (freeze → reset → throttled page copy → TCAM rewrite), and returns
 // fully-emptied borrowed blades to their owners.
 //
-// Execution model: a 1-rack pod shares one engine and one collector
-// with its rack — the classic single-threaded simulation, bit-identical
-// to the pre-pod code. A multi-rack pod gives every rack its own engine
-// and collector and advances them in lockstep windows no wider than the
-// interconnect propagation delay (parexec.go); racks only interact
-// through boundary-buffered interconnect messages and barrier-context
-// control-plane operations, so windows may execute concurrently.
+// Execution model: every rack owns its engine and collector, and one
+// loop — podExec.drive (parexec.go) — advances them. A multi-rack pod
+// moves in lockstep windows no wider than the interconnect propagation
+// delay; racks only interact through boundary-buffered interconnect
+// messages and barrier-context control-plane operations, so windows may
+// execute concurrently. A 1-rack pod has no peer to wait for and moves
+// one event at a time — the classic single-threaded simulation,
+// bit-identical to the pre-pod code.
 
 import (
 	"fmt"
+	"math"
 
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
@@ -92,33 +94,20 @@ type PodConfig struct {
 	DenseWindows bool
 }
 
-// DefaultPodConfig returns a pod of racks identical racks, each shaped
-// by core.DefaultConfig.
-func DefaultPodConfig(racks, computeBlades, memoryBlades int) PodConfig {
-	cfgs := make([]Config, racks)
-	for i := range cfgs {
-		cfgs[i] = DefaultConfig(computeBlades, memoryBlades)
-	}
-	return PodConfig{Racks: cfgs, Interconnect: fabric.DefaultInterConfig()}
-}
-
-// Pod is a multi-rack MIND deployment. A 1-rack pod shares one engine
-// and collector with its rack; a multi-rack pod runs one engine per
-// rack under the windowed executor (exec).
+// Pod is a MIND deployment of one or more racks, each with its own
+// engine and collector, advanced by one executor (exec).
 type Pod struct {
-	// eng and col are the shared engine/collector of a 1-rack pod. For
-	// a multi-rack pod eng is unused (each rack owns an engine) and col
-	// holds only the pod's own barrier-context counters (borrows,
-	// returns); Collector() merges everything on demand.
-	eng   *sim.Engine
+	// col holds only the pod's own barrier-context counters (borrows,
+	// returns); Collector() merges it with the racks' on demand.
 	col   *stats.Collector
 	racks []*Rack
 	ic    *fabric.Interconnect
 	promo PromotionConfig
 	exec  *podExec
 	// multiRack is fixed at construction (before racks are built): it
-	// gates address striping, the interconnect, per-rack engines and
-	// the pod counters.
+	// gates address striping, the interconnect, the promotion tick and
+	// the pod and cross-rack counters — the machinery a 1-rack pod must
+	// not have — and, in the executor, the width of a drive quantum.
 	multiRack bool
 
 	// leases records live cross-rack blade loans, for diagnostics.
@@ -146,7 +135,6 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		cfg.Promotion.MaxVMAsPerEpoch = DefaultPromotionConfig().MaxVMAsPerEpoch
 	}
 	p := &Pod{
-		eng:       sim.NewEngine(),
 		col:       stats.NewCollector(),
 		promo:     cfg.Promotion,
 		multiRack: len(cfg.Racks) > 1,
@@ -162,19 +150,26 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		}
 		p.racks = append(p.racks, r)
 	}
+	// No peer to wait for: a 1-rack pod's lookahead is unbounded, and
+	// cfg.Window, a bound on cross-rack lookahead, does not apply to it.
+	window := sim.Duration(math.MaxInt64)
 	if p.multiRack {
 		engs := make([]*sim.Engine, len(p.racks))
 		for i, r := range p.racks {
 			engs[i] = r.eng
 		}
 		p.ic = fabric.NewShardedInterconnect(engs, cfg.Interconnect)
-		p.exec = newPodExec(p, cfg.Window, cfg.Workers, cfg.DenseWindows)
+		window = cfg.Window
+		if prop := p.ic.Config().Propagation; window <= 0 || window > prop {
+			window = prop
+		}
 		if !cfg.Promotion.Disable {
 			for _, r := range p.racks {
 				r.schedulePromotionTick(p.promo.Epoch)
 			}
 		}
 	}
+	p.exec = &podExec{p: p, window: window, workers: max(cfg.Workers, 1), dense: cfg.DenseWindows}
 	return p, nil
 }
 
@@ -184,18 +179,10 @@ func (p *Pod) Rack(i int) *Rack { return p.racks[i] }
 // Racks returns the number of member racks.
 func (p *Pod) Racks() int { return len(p.racks) }
 
-// Engine exposes the shared simulation engine of a 1-rack pod. A
-// multi-rack pod has one engine per rack (Rack.Engine); use
-// ExecutedEvents for pod-wide event counts.
-func (p *Pod) Engine() *sim.Engine { return p.eng }
-
 // ExecutedEvents returns the total events dispatched across the pod's
 // engines. Under the parallel executor, read it only between drives or
 // at barriers.
 func (p *Pod) ExecutedEvents() uint64 {
-	if !p.multiRack {
-		return p.eng.Executed
-	}
 	var n uint64
 	for _, r := range p.racks {
 		n += r.eng.Executed
@@ -204,14 +191,14 @@ func (p *Pod) ExecutedEvents() uint64 {
 }
 
 // Collector returns the pod's metrics. For a 1-rack pod this is the
-// shared live collector. For a multi-rack pod it is a merged snapshot:
+// rack's live collector. For a multi-rack pod it is a merged snapshot:
 // counters and latency components sum across the rack shards and the
 // pod's own counters; series and histograms are shared by reference
 // (per-rack series names are rack-qualified, so they never collide).
 // Call it between drives or at barriers.
 func (p *Pod) Collector() *stats.Collector {
 	if !p.multiRack {
-		return p.col
+		return p.racks[0].col
 	}
 	m := stats.NewCollector()
 	m.MergeFrom(p.col)
@@ -225,10 +212,8 @@ func (p *Pod) Collector() *stats.Collector {
 // cheap form of Collector().Counter(name) for barrier-context sampling.
 func (p *Pod) CounterTotal(name string) uint64 {
 	n := p.col.Counter(name)
-	if p.multiRack {
-		for _, r := range p.racks {
-			n += r.col.Counter(name)
-		}
+	for _, r := range p.racks {
+		n += r.col.Counter(name)
 	}
 	return n
 }
@@ -243,67 +228,51 @@ func (p *Pod) Leases() int { return p.leases }
 // WindowStats reports the windowed executor's work accounting: windows
 // actually swept, grid windows skipped by the sparse-horizon jump, and
 // barriers whose cross-rack flush was elided because no send was
-// buffered. All zero for a 1-rack pod (no windowed executor). Read
+// buffered. All zero for a 1-rack pod, which sweeps no windows. Read
 // between drives or at barriers.
 func (p *Pod) WindowStats() (executed, skipped, flushesElided uint64) {
-	if !p.multiRack {
-		return 0, 0, 0
-	}
 	return p.exec.windowsExecuted, p.exec.windowsSkipped, p.exec.flushesElided
 }
 
-// Now returns current virtual time (the window cursor for a multi-rack
-// pod).
-func (p *Pod) Now() sim.Time {
-	if p.multiRack {
-		return p.exec.vnow
-	}
-	return p.eng.Now()
-}
+// Now returns current virtual time. Between drives and at barriers
+// every engine of the pod sits on the same instant (the window cursor),
+// so rack 0's clock is the pod's; read it only there.
+func (p *Pod) Now() sim.Time { return p.racks[0].eng.Now() }
 
 // AdvanceTime idles the pod for d of virtual time (lets epochs run).
 func (p *Pod) AdvanceTime(d sim.Duration) {
-	if p.multiRack {
-		target := p.exec.vnow.Add(d)
-		p.exec.drive(true, target, func() bool { return p.exec.vnow >= target })
-		return
-	}
-	p.eng.RunUntil(p.eng.Now().Add(d))
+	target := p.Now().Add(d)
+	p.exec.drive(true, target, func() bool { return p.Now() >= target })
 }
 
-// RunThreads drives the engines until every started thread in the pod
-// finishes, then stops the epoch loops and drains remaining events
-// (in-flight writebacks etc.). It returns the virtual time at which the
-// last thread finished.
+// RunThreads drives the pod until every started thread in it finishes,
+// then quiesces it: the epoch loops stop and remaining events (in-flight
+// writebacks etc.) drain. It returns the virtual time at which the last
+// thread finished — with no thread active at entry, the last finish any
+// earlier run recorded (zero if none ever ran).
 func (p *Pod) RunThreads() sim.Time {
-	if p.multiRack {
-		x := p.exec
-		x.drive(true, 0, func() bool { return p.activeThreadCount() == 0 })
-		finishedAt := sim.Time(0)
-		for _, r := range p.racks {
-			if r.lastFinish > finishedAt {
-				finishedAt = r.lastFinish
-			}
-		}
-		for _, r := range p.racks {
-			r.StopEpochs()
-		}
-		p.StopPromotionEpochs()
-		x.drive(true, 0, x.idle)
-		return finishedAt
-	}
-	for p.racks[0].activeThreads > 0 {
-		if !p.eng.Step() {
-			panic("core: threads pending but no events (wedged)")
+	p.exec.drive(true, 0, func() bool { return p.activeThreadCount() == 0 })
+	finishedAt := sim.Time(0)
+	for _, r := range p.racks {
+		if r.lastFinish > finishedAt {
+			finishedAt = r.lastFinish
 		}
 	}
-	finishedAt := p.eng.Now()
+	p.quiesce()
+	return finishedAt
+}
+
+// quiesce ends a run: it stops the splitter and promotion epoch loops —
+// self-rescheduling events that would keep the engines busy forever —
+// and drives the pod until nothing is pending anywhere, which is also
+// what releases the executor's worker pool. RunThreads and Serving.Run
+// end in it.
+func (p *Pod) quiesce() {
 	for _, r := range p.racks {
 		r.StopEpochs()
 	}
 	p.StopPromotionEpochs()
-	p.eng.Run()
-	return finishedAt
+	p.exec.drive(true, 0, p.exec.idle)
 }
 
 // activeThreadCount sums started-but-unfinished threads over the racks.

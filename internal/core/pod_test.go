@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"mind/internal/ctrlplane"
@@ -280,8 +281,8 @@ func TestPodDeterminism(t *testing.T) {
 }
 
 // TestSingleRackPodHasNoPodMachinery pins the 1-rack identity contract:
-// no interconnect, no pod counters, no promotion tick — the classic
-// single-rack event schedule.
+// no interconnect, no pod or cross-rack counters, no promotion tick, no
+// windows — the classic single-rack counter set and event schedule.
 func TestSingleRackPodHasNoPodMachinery(t *testing.T) {
 	c, err := NewCluster(DefaultConfig(2, 2))
 	if err != nil {
@@ -291,14 +292,142 @@ func TestSingleRackPodHasNoPodMachinery(t *testing.T) {
 	if pod.Interconnect() != nil {
 		t.Error("1-rack pod built an interconnect")
 	}
-	if pod.exec != nil {
-		t.Error("1-rack pod built a windowed executor")
-	}
 	if c.Rack.promoTick != nil {
 		t.Error("1-rack pod scheduled a promotion tick")
 	}
-	if _, ok := c.Collector().Snapshot()[stats.CtrCrossRackMsgs]; ok {
-		t.Error("1-rack pod registered cross-rack counters")
+	p := c.Exec("app")
+	vma, err := p.Mmap(64*mem.PageSize, mem.PermReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := p.SpawnThread(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	th.Start(func() (mem.VA, bool, bool) {
+		n++
+		return vma.Base + mem.VA(n%64*mem.PageSize), n%3 == 0, n <= 500
+	}, nil)
+	c.RunThreads()
+	if executed, skipped, elided := pod.WindowStats(); executed+skipped+elided != 0 {
+		t.Errorf("1-rack run swept windows: WindowStats() = %d, %d, %d", executed, skipped, elided)
+	}
+	snap := pod.Collector().Snapshot()
+	for _, k := range []string{stats.CtrCrossRackMsgs, stats.CtrBladeBorrows} {
+		if _, ok := snap[k]; ok {
+			t.Errorf("1-rack pod registered the pod counter %q", k)
+		}
+	}
+}
+
+// TestRunsEndQuiesced pins the one run tail: whatever the pod's size,
+// worker count or run entry point, a run returns with every engine
+// empty, the epoch loops stopped and the worker pool released, and
+// quiescing again is a no-op.
+func TestRunsEndQuiesced(t *testing.T) {
+	build := func(t *testing.T, racks, workers int) *Pod {
+		cfgs := []Config{podRackConfig(2, 1, 1024)}
+		if racks == 2 {
+			cfgs = append(cfgs, podRackConfig(2, 3, 1024))
+		}
+		for i := range cfgs {
+			cfgs[i].SplitterEpoch = 100 * sim.Microsecond
+		}
+		pod, err := NewPod(PodConfig{
+			Racks:     cfgs,
+			Workers:   workers,
+			Promotion: PromotionConfig{Epoch: 100 * sim.Microsecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pod
+	}
+	// mapWork gives rack 0 a working area: on the 2-rack pod its one
+	// blade is filled first, so the area lands on a borrowed blade.
+	mapWork := func(t *testing.T, pod *Pod, p *Process) mem.VMA {
+		if pod.Racks() == 2 {
+			if _, err := p.Mmap(1024*mem.PageSize, mem.PermReadWrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vma, err := p.Mmap(128*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pod.Racks() - 1; pod.Rack(0).BorrowedBlades() != want {
+			t.Fatalf("setup: rack 0 borrowed %d blades, want %d", pod.Rack(0).BorrowedBlades(), want)
+		}
+		return vma
+	}
+	entries := []struct {
+		name string
+		run  func(t *testing.T, pod *Pod)
+	}{
+		{"RunThreads", func(t *testing.T, pod *Pod) {
+			p := pod.Rack(0).Exec("app")
+			vma := mapWork(t, pod, p)
+			for b := 0; b < 2; b++ {
+				th, err := p.SpawnThread(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				th.Start(func() (mem.VA, bool, bool) {
+					n++
+					return vma.Base + mem.VA(n%128*mem.PageSize), n%3 == 0, n <= 1500
+				}, nil)
+			}
+			pod.RunThreads()
+		}},
+		{"Serving.Run", func(t *testing.T, pod *Pod) {
+			s, err := NewPodServing(pod, ServeConfig{Horizon: sim.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := pod.Rack(0).Exec("tenant")
+			vma := mapWork(t, pod, p)
+			if err := s.AddTenant(TenantWorkload{
+				Name: "tenant", Proc: p, Blade: 0,
+				Arrival: fixedGap(10 * sim.Microsecond),
+				NextOp:  roundRobinOps(vma.Base, 128),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, racks := range []int{1, 2} {
+		for _, workers := range []int{1, 2} {
+			for _, e := range entries {
+				t.Run(fmt.Sprintf("%s/racks=%d/workers=%d", e.name, racks, workers), func(t *testing.T) {
+					pod := build(t, racks, workers)
+					e.run(t, pod)
+					for i, r := range pod.racks {
+						if n := r.eng.Pending(); n != 0 {
+							t.Errorf("rack %d: %d events pending after the run", i, n)
+						}
+						if r.epochTick != nil || r.promoTick != nil {
+							t.Errorf("rack %d: an epoch loop survived the run", i)
+						}
+						if r.Splitter().Epochs() == 0 {
+							t.Errorf("rack %d: the splitter never ran, so stopping it proved nothing", i)
+						}
+					}
+					if pod.exec.wp != nil {
+						t.Error("the worker pool survived the run")
+					}
+					before := pod.ExecutedEvents()
+					pod.quiesce()
+					if got := pod.ExecutedEvents() - before; got != 0 {
+						t.Errorf("quiescing a quiesced pod dispatched %d events", got)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -86,15 +86,12 @@ func (p *Pod) scheduleFault(rack int, f *podFault) error {
 		return fmt.Errorf("core: fault time %v is in the past (now %v)", f.at, p.Now())
 	}
 	r := p.racks[rack]
-	if !p.multiRack {
-		// Classic single-engine path: the fault is just an event.
-		p.injectFault(r, f)
-		return nil
-	}
-	// If the fault is due before the next barrier would see it, inject
-	// now — registration happens with every engine parked on the window
-	// cursor, which is exactly barrier context.
-	if f.at < p.exec.vnow.Add(p.exec.window) {
+	// A fault due inside the executor's lookahead — before the next
+	// barrier would see it — is injected now: registration happens with
+	// every engine parked on the same instant, which is exactly barrier
+	// context. A 1-rack pod has no barriers and an unbounded lookahead,
+	// so there every fault is simply an event.
+	if f.at.Sub(p.Now()) < p.exec.window {
 		p.injectFault(r, f)
 		return nil
 	}

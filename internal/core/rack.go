@@ -27,10 +27,9 @@ type Rack struct {
 	idx int
 	cfg Config
 
-	// eng and col are this rack's engine and collector. In a 1-rack pod
-	// they alias the pod's (the classic single-threaded simulation); in
-	// a multi-rack pod every rack owns both, so windows can execute
-	// concurrently without sharing mutable state (parexec.go).
+	// eng and col are this rack's own engine and collector, whatever the
+	// pod's size: racks share no mutable state, so a multi-rack pod's
+	// windows can execute concurrently (parexec.go).
 	eng *sim.Engine
 	col *stats.Collector
 
@@ -68,7 +67,8 @@ type Rack struct {
 	// pendingFaults queues this rack's scheduled failure injections
 	// (podfail.go); the barrier converts due ones into rack events in
 	// rack-index order, so the injection schedule is independent of the
-	// worker count. 1-rack pods schedule directly and keep this empty.
+	// worker count. A 1-rack pod's unbounded lookahead makes every fault
+	// due at registration, so its queue stays empty.
 	pendingFaults []*podFault
 	// recovering counts failure recoveries in flight on this rack (blade
 	// kill re-homing, switch failover). While it is nonzero the rack is
@@ -224,8 +224,8 @@ func checkConfig(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// newRack builds and wires one rack onto the pod's engine and collector.
-// The construction order (stat handles, fabric, controller, nodes,
+// newRack builds and wires one rack on an engine and collector of its
+// own. The construction order (stat handles, fabric, controller, nodes,
 // blades, directory, splitter) fixes resource identities and therefore
 // the event schedule; it must stay exactly what the single-rack Cluster
 // constructor did so a 1-rack pod is bit-identical to the pre-pod code.
@@ -245,12 +245,8 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 		pod: pod,
 		idx: idx,
 		cfg: cfg,
-		eng: pod.eng,
-		col: pod.col,
-	}
-	if pod.multiRack {
-		c.eng = sim.NewEngine()
-		c.col = stats.NewCollector()
+		eng: sim.NewEngine(),
+		col: stats.NewCollector(),
 	}
 	c.hLostWrites = c.col.Handle(stats.CtrLostWrites)
 	c.hBladeEvents = c.col.Handle(stats.CtrBladeEvents)
@@ -368,8 +364,9 @@ func (c *Rack) scheduleEpoch(epoch sim.Duration) {
 	})
 }
 
-// seriesName qualifies a per-rack series on the pod-shared collector.
-// Rack 0 keeps the bare name every single-rack consumer reads.
+// seriesName qualifies a per-rack series so the racks' never collide in
+// the pod's merged collector. Rack 0 keeps the bare name every
+// single-rack consumer reads.
 func (c *Rack) seriesName(name string) string {
 	if c.idx == 0 {
 		return name
@@ -441,15 +438,6 @@ func (c *Rack) fetchData(va mem.VA, dst []byte) []byte {
 // Pod returns the pod this rack is a member of.
 func (c *Rack) Pod() *Pod { return c.pod }
 
-// Recovering reports whether a failure recovery (blade-kill re-homing
-// or switch failover) is in flight on this rack — the recovery blackout
-// the serving layer's brownout admission keys off. Rack event or
-// barrier context only.
-func (c *Rack) Recovering() bool { return c.recovering > 0 }
-
-// RackIndex returns this rack's index within its pod.
-func (c *Rack) RackIndex() int { return c.idx }
-
 // Engine exposes the simulation engine.
 func (c *Rack) Engine() *sim.Engine { return c.eng }
 
@@ -481,32 +469,16 @@ func (c *Rack) Config() Config { return c.cfg }
 // Now returns current virtual time.
 func (c *Rack) Now() sim.Time { return c.eng.Now() }
 
-// await drives the engine until done() has been called by some event.
-// In a multi-rack pod the whole pod must advance — the operation may
-// involve other racks — so the pod executor drives windows until the
-// completion fires. Blocking waits always drive inline-serially, even
-// when the pod is configured with workers: the waiting caller sits
-// outside any rack's event context, and several blocking control-plane
-// operations (blade kills, drains) mutate state across racks.
+// await drives the pod until done() has been called by some event. The
+// whole pod must advance — the operation may involve other racks.
+// Blocking waits always drive inline-serially, even when the pod is
+// configured with workers: the waiting caller sits outside any rack's
+// event context, and several blocking control-plane operations (blade
+// kills, drains) mutate state across racks.
 func (c *Rack) await(op func(done func())) {
-	if c.pod.multiRack {
-		fired := false
-		op(func() { fired = true })
-		c.pod.exec.drive(false, 0, func() bool { return fired })
-		return
-	}
 	fired := false
 	op(func() { fired = true })
-	steps := 0
-	for !fired {
-		if !c.eng.Step() {
-			panic("core: await ran out of events (protocol wedge)")
-		}
-		steps++
-		if steps > 500_000_000 {
-			panic("core: await exceeded step budget")
-		}
-	}
+	c.pod.exec.drive(false, 0, func() bool { return fired })
 }
 
 // InjectFailure installs a message-drop hook on the fabric (nil clears).

@@ -271,9 +271,9 @@ type serveShard struct {
 func (sh *serveShard) outstanding() int { return sh.liveArrivals + sh.pending }
 
 // Serving runs open-loop tenants over a pod: one serving shard per
-// rack, executing inside the pod's lockstep windows. A 1-rack pod
-// degenerates to the classic single-engine injector, bit-identical to
-// the pre-shard serving layer.
+// rack, advanced by the pod's executor like everything else. On a
+// 1-rack pod that is the classic single-engine injector, bit-identical
+// to the pre-shard serving layer.
 type Serving struct {
 	p   *Pod
 	cfg ServeConfig
@@ -282,15 +282,6 @@ type Serving struct {
 	shards []*serveShard
 
 	tenants int // total registered shares, across all shards
-}
-
-// NewServing attaches a serving layer to the pod that owns rack c —
-// the compatibility form of NewPodServing for single-rack callers.
-func NewServing(c *Rack, cfg ServeConfig) (*Serving, error) {
-	if c == nil {
-		return nil, fmt.Errorf("core: serving needs a rack")
-	}
-	return NewPodServing(c.pod, cfg)
 }
 
 // NewPodServing attaches a serving layer to a pod: one shard per rack,
@@ -373,17 +364,16 @@ func (s *Serving) AddTenant(t TenantWorkload) error {
 
 // Run schedules each tenant share's first arrival on its home shard,
 // drives the pod until every arrival chain has passed the horizon and
-// every admitted request has completed, then stops the epoch loops and
-// drains remaining events. It returns the virtual time the last
-// request finished.
+// every admitted request has completed, then quiesces it (the epoch
+// loops stop, remaining events drain). It returns the virtual time the
+// last request finished.
 //
-// A 1-rack pod steps its single shared engine directly — the classic
-// serial injector. A multi-rack pod rides the windowed executor:
-// shards run their windows (concurrently, when the pod has workers),
-// and the termination condition — every shard's outstanding count zero
-// — is evaluated only at window barriers, where all engines are parked
+// The termination condition — every shard's outstanding count zero — is
+// a stop condition of the pod executor like any other: a multi-rack pod
+// evaluates it only at window barriers, where all engines are parked
 // and the happens-before edges of the worker pool make the counter
-// reads safe and deterministic.
+// reads safe and deterministic; a 1-rack pod evaluates it after every
+// event, the classic serial injector.
 func (s *Serving) Run() (sim.Time, error) {
 	if s.tenants == 0 {
 		return s.p.Now(), fmt.Errorf("core: serving run with no tenants")
@@ -397,22 +387,7 @@ func (s *Serving) Run() (sim.Time, error) {
 		}
 	}
 
-	if !s.p.multiRack {
-		sh := s.shards[0]
-		for sh.outstanding() > 0 {
-			if !sh.c.eng.Step() {
-				return 0, fmt.Errorf("core: serving pending but no events (wedged)")
-			}
-		}
-		finishedAt := sh.c.eng.Now()
-		sh.c.StopEpochs()
-		s.p.StopPromotionEpochs()
-		sh.c.eng.Run()
-		return finishedAt, nil
-	}
-
-	x := s.p.exec
-	x.drive(true, 0, func() bool {
+	s.p.exec.drive(true, 0, func() bool {
 		for _, sh := range s.shards {
 			if sh.outstanding() > 0 {
 				return false
@@ -426,11 +401,7 @@ func (s *Serving) Run() (sim.Time, error) {
 			finishedAt = sh.lastFinish
 		}
 	}
-	for _, r := range s.p.racks {
-		r.StopEpochs()
-	}
-	s.p.StopPromotionEpochs()
-	x.drive(true, 0, x.idle)
+	s.p.quiesce()
 	return finishedAt, nil
 }
 

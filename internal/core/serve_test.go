@@ -33,7 +33,7 @@ func serveCluster(t *testing.T, blades int) *Cluster {
 // on construction errors.
 func newTestServing(t *testing.T, c *Cluster, cfg ServeConfig) *Serving {
 	t.Helper()
-	s, err := NewServing(c.Rack, cfg)
+	s, err := NewPodServing(c.Pod(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,17 +208,14 @@ func TestServingDeterministic(t *testing.T) {
 // TestServingInvalidConfigs pins the error (not panic) contract for
 // genuinely invalid serving configurations.
 func TestServingInvalidConfigs(t *testing.T) {
-	if _, err := NewServing(nil, ServeConfig{Horizon: sim.Millisecond}); err == nil {
-		t.Error("NewServing(nil rack) must error")
-	}
 	if _, err := NewPodServing(nil, ServeConfig{Horizon: sim.Millisecond}); err == nil {
 		t.Error("NewPodServing(nil pod) must error")
 	}
 	c := serveCluster(t, 1)
-	if _, err := NewServing(c.Rack, ServeConfig{}); err == nil {
+	if _, err := NewPodServing(c.Pod(), ServeConfig{}); err == nil {
 		t.Error("zero horizon must error")
 	}
-	if _, err := NewServing(c.Rack, ServeConfig{Horizon: -sim.Millisecond}); err == nil {
+	if _, err := NewPodServing(c.Pod(), ServeConfig{Horizon: -sim.Millisecond}); err == nil {
 		t.Error("negative horizon must error")
 	}
 	s := newTestServing(t, c, ServeConfig{Horizon: sim.Millisecond})

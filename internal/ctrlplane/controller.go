@@ -22,8 +22,6 @@ type Controller struct {
 	// PID-based ones (§4.2: e.g. one domain per client session).
 	sessionDomains map[mem.PDID]bool
 	nextSession    mem.PDID
-
-	syscalls uint64
 }
 
 // MSIStates is the number of stable MSI states; the materialized
@@ -73,14 +71,10 @@ func (c *Controller) Protection() *ProtectionTable { return c.prot }
 // Processes returns the process manager.
 func (c *Controller) Processes() *ProcessManager { return c.procs }
 
-// Syscalls returns the number of control-plane calls served.
-func (c *Controller) Syscalls() uint64 { return c.syscalls }
-
 // Mmap services an mmap intercept: it allocates a vma with balanced
 // placement and installs matching protection entries, returning the vma
 // exactly as the local mmap would (§6.1).
 func (c *Controller) Mmap(pid mem.PDID, length uint64, perm mem.Perm) (mem.VMA, error) {
-	c.syscalls++
 	vma, err := c.alloc.Alloc(pid, length, perm)
 	if err != nil {
 		return mem.VMA{}, err
@@ -103,7 +97,6 @@ func (c *Controller) Sbrk(pid mem.PDID, length uint64) (mem.VMA, error) {
 // Munmap services a munmap intercept: permissions are revoked for every
 // domain holding grants on the area, then the area is freed.
 func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
-	c.syscalls++
 	vma, _, err := c.alloc.Lookup(base)
 	if err != nil {
 		return err
@@ -126,7 +119,6 @@ func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
 // MProtect changes the permission class pid holds over [base,
 // base+length) (mprotect intercept).
 func (c *Controller) MProtect(pid mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
-	c.syscalls++
 	if perm == mem.PermNone {
 		return c.prot.Revoke(pid, base, length)
 	}
@@ -136,7 +128,6 @@ func (c *Controller) MProtect(pid mem.PDID, base mem.VA, length uint64, perm mem
 // CreateDomain mints a fresh protection domain not tied to any process —
 // the capability-style extension for per-session isolation (§4.2).
 func (c *Controller) CreateDomain() mem.PDID {
-	c.syscalls++
 	d := c.nextSession
 	c.nextSession++
 	c.sessionDomains[d] = true
@@ -146,7 +137,6 @@ func (c *Controller) CreateDomain() mem.PDID {
 // GrantDomain gives domain d permission class perm over [base,
 // base+length).
 func (c *Controller) GrantDomain(d mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
-	c.syscalls++
 	if !c.sessionDomains[d] {
 		return fmt.Errorf("ctrlplane: unknown session domain %d: %w", d, ErrBadAddress)
 	}
@@ -159,13 +149,11 @@ func (c *Controller) GrantDomain(d mem.PDID, base mem.VA, length uint64, perm me
 
 // Exec creates a process.
 func (c *Controller) Exec(name string) *Process {
-	c.syscalls++
 	return c.procs.Exec(name)
 }
 
 // Exit tears down a process: its threads, vmas and permissions.
 func (c *Controller) Exit(pid mem.PDID) error {
-	c.syscalls++
 	if _, err := c.procs.Lookup(pid); err != nil {
 		return err
 	}

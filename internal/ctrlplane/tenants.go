@@ -85,13 +85,6 @@ func PlaceTenants(tenants []TenantSpec, blades int, capacity uint64, overcommit 
 	return out, nil
 }
 
-// SortPlacementsByBlade orders placements blade-major (stable within a
-// blade) — the iteration order the serving layer uses so per-blade
-// setup is deterministic regardless of tenant declaration order.
-func SortPlacementsByBlade(ps []TenantPlacement) {
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Blade < ps[j].Blade })
-}
-
 // RackShare is one rack's slice of a pod-wide tenant placement: the
 // compute blade serving the share and the fraction of the tenant's
 // contracted rate routed there.
@@ -305,17 +298,4 @@ func (b *TokenBucket) Take(now sim.Time) bool {
 		return true
 	}
 	return false
-}
-
-// Level reports the current token level (after refilling to now) —
-// for tests and debugging.
-func (b *TokenBucket) Level(now sim.Time) float64 {
-	if now > b.last {
-		b.level += b.rate * float64(now-b.last) / float64(sim.Second)
-		if b.level > b.depth {
-			b.level = b.depth
-		}
-		b.last = now
-	}
-	return b.level
 }

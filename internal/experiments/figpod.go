@@ -205,7 +205,7 @@ func (p figPodParams) spec(migrate bool, T sim.Duration) prun.Spec {
 // bucket width differs): a fixed fine grid cannot cover an unknown
 // runtime, and the deterministic shared grid is worth one extra Tiny
 // run — the content-addressed cache dedupes it across FigPod and
-// FigPodDetails within a process.
+// the shape test within a process.
 func figPodRun(s Scale) (on, off figPodResult, err error) {
 	p := figPodConfig(s)
 	probe, err := s.do([]prun.Spec{p.spec(false, 0)})
@@ -245,10 +245,4 @@ func FigPod(s Scale) (*Figure, error) {
 	add("MIND-pod (migration)", on)
 	add("MIND-pod (no migration)", off)
 	return fig, nil
-}
-
-// FigPodDetails returns both toggles' raw results (cached if FigPod
-// already ran) for shape tests and cmd reporting.
-func FigPodDetails(s Scale) (on, off figPodResult, err error) {
-	return figPodRun(s)
 }

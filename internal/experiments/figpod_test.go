@@ -9,7 +9,7 @@ import "testing"
 // no-migration toggle.
 func TestFigPodShape(t *testing.T) {
 	t.Parallel()
-	on, off, err := FigPodDetails(Tiny)
+	on, off, err := figPodRun(Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

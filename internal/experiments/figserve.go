@@ -95,7 +95,7 @@ func (p figServeParams) spec(mult int, qos bool) prun.Spec {
 			if err != nil {
 				return nil, fmt.Errorf("figserve placement: %w", err)
 			}
-			s, err := core.NewServing(c.Rack, core.ServeConfig{Horizon: p.horizon, QueueCap: 1 << 20})
+			s, err := core.NewPodServing(c.Pod(), core.ServeConfig{Horizon: p.horizon, QueueCap: 1 << 20})
 			if err != nil {
 				return nil, err
 			}
@@ -187,10 +187,4 @@ func FigServe(s Scale) (*Figure, error) {
 		fig.add("aggressor (QoS)", x, withQoS[i].AggrP99US)
 	}
 	return fig, nil
-}
-
-// FigServeDetails returns the raw sweep results (cached if FigServe
-// already ran) for shape tests and cmd reporting.
-func FigServeDetails(s Scale) (noQoS, withQoS []figServeResult, err error) {
-	return figServeRun(s)
 }

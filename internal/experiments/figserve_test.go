@@ -12,7 +12,7 @@ import (
 func TestFigServeShape(t *testing.T) {
 	s := Tiny
 	s.cache = prun.NewCache()
-	noQoS, withQoS, err := FigServeDetails(s)
+	noQoS, withQoS, err := figServeRun(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,9 +330,3 @@ func FigServeKill(s Scale) (*Figure, error) {
 	}
 	return fig, nil
 }
-
-// FigServeKillDetails returns the raw storm result (cached if
-// FigServeKill already ran) for shape tests and cmd reporting.
-func FigServeKillDetails(s Scale) (figServeKillResult, error) {
-	return figServeKillRun(s)
-}

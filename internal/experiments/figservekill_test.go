@@ -17,7 +17,7 @@ import (
 func TestFigServeKillShape(t *testing.T) {
 	s := Tiny
 	s.cache = prun.NewCache()
-	r, err := FigServeKillDetails(s)
+	r, err := figServeKillRun(s)
 	if err != nil {
 		t.Fatal(err)
 	}

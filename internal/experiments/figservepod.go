@@ -218,9 +218,3 @@ func FigServePod(s Scale) (*Figure, error) {
 	}
 	return fig, nil
 }
-
-// FigServePodDetails returns the raw sweep results (cached if
-// FigServePod already ran) for shape tests and cmd reporting.
-func FigServePodDetails(s Scale) ([]figServePodResult, error) {
-	return figServePodRun(s)
-}

@@ -14,7 +14,7 @@ import (
 func TestFigServePodShape(t *testing.T) {
 	s := Tiny
 	s.cache = prun.NewCache()
-	res, err := FigServePodDetails(s)
+	res, err := figServePodRun(s)
 	if err != nil {
 		t.Fatal(err)
 	}

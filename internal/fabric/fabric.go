@@ -254,11 +254,6 @@ func (f *Fabric) RecirculateArg(fn func(any), arg any) {
 	f.eng.AtArg(ingEnd, fn, arg)
 }
 
-// Recirculate is the closure form of RecirculateArg.
-func (f *Fabric) Recirculate(fn func()) {
-	f.RecirculateArg(sim.CallFunc, fn)
-}
-
 // TraverseIngressArg models one ingress pipeline traversal for a packet
 // arriving on a port with no NIC model of its own (a pod uplink):
 // fn(arg) fires after match-action processing.
@@ -317,15 +312,6 @@ func (f *Fabric) MulticastFromSwitchArg(tos []NodeID, bytes int, fn func(arg any
 		f.eng.AtArg(rxEnd, fireMCDelivery, d)
 	}
 }
-
-// MulticastFromSwitch is the closure form of MulticastFromSwitchArg.
-func (f *Fabric) MulticastFromSwitch(tos []NodeID, bytes int, fn func(to NodeID)) {
-	f.MulticastFromSwitchArg(tos, bytes, callNodeFunc, fn)
-}
-
-// callNodeFunc adapts the closure-style multicast API onto the pre-bound
-// path (the plain func() adapters use sim.CallFunc).
-func callNodeFunc(x any, to NodeID) { x.(func(NodeID))(to) }
 
 // unicastHop carries a unicast across its first leg: what the switch
 // needs to forward it once ingress processing completes.

@@ -95,9 +95,9 @@ func TestDistinctNICsDoNotContend(t *testing.T) {
 func TestMulticastSingleEgressOccupancy(t *testing.T) {
 	eng, f := newTestFabric(t)
 	got := map[NodeID]sim.Time{}
-	f.MulticastFromSwitch([]NodeID{1, 2, 3}, CtrlMsgBytes, func(to NodeID) {
+	f.MulticastFromSwitchArg([]NodeID{1, 2, 3}, CtrlMsgBytes, func(_ any, to NodeID) {
 		got[to] = eng.Now()
-	})
+	}, nil)
 	eng.Run()
 	if len(got) != 3 {
 		t.Fatalf("delivered %d copies, want 3", len(got))
@@ -112,9 +112,9 @@ func TestDropInjection(t *testing.T) {
 	eng, f := newTestFabric(t)
 	f.DropFn = func(from, to NodeID) bool { return to == 2 }
 	delivered := map[NodeID]bool{}
-	f.MulticastFromSwitch([]NodeID{1, 2, 3}, CtrlMsgBytes, func(to NodeID) {
+	f.MulticastFromSwitchArg([]NodeID{1, 2, 3}, CtrlMsgBytes, func(_ any, to NodeID) {
 		delivered[to] = true
-	})
+	}, nil)
 	eng.Run()
 	if delivered[2] {
 		t.Error("dropped copy was delivered")
@@ -176,7 +176,7 @@ func TestRecirculateAddsDelay(t *testing.T) {
 	var direct, recirc sim.Time
 	f.SendToSwitch(0, CtrlMsgBytes, func() {
 		direct = eng.Now()
-		f.Recirculate(func() { recirc = eng.Now() })
+		f.RecirculateArg(func(any) { recirc = eng.Now() }, nil)
 	})
 	eng.Run()
 	if recirc.Sub(direct) < f.Config().RecircDelay {
@@ -208,7 +208,7 @@ func TestDeadNodeDropsDeliveries(t *testing.T) {
 	delivered := 0
 	f.SendFromSwitch(2, CtrlMsgBytes, func() { delivered++ })
 	f.SendFromSwitch(1, CtrlMsgBytes, func() { delivered++ })
-	f.MulticastFromSwitch([]NodeID{1, 2}, CtrlMsgBytes, func(NodeID) { delivered++ })
+	f.MulticastFromSwitchArg([]NodeID{1, 2}, CtrlMsgBytes, func(any, NodeID) { delivered++ }, nil)
 	f.SendToSwitch(2, CtrlMsgBytes, func() { delivered++ }) // dead sender
 	eng.Run()
 	if delivered != 2 {

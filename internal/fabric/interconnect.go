@@ -98,17 +98,14 @@ type icPort struct {
 }
 
 // Interconnect is the instantiated inter-rack network: one port (engine
-// + uplink/downlink lane pair) per rack. In immediate mode (one shared
-// engine) Send delivers in place, as a single-threaded pod expects. In
-// buffered mode (one engine per rack) Send only books the source uplink
-// and appends to the source port's outbox; FlushBoundary, called at
-// window barriers, books destination downlinks and injects arrivals —
+// + uplink/downlink lane pair) per rack. Send only books the source
+// uplink and appends to the source port's outbox; FlushBoundary, called
+// at window barriers, books destination downlinks and injects arrivals —
 // the boundary-buffering that lets racks run a window apart without
 // observing each other mid-window.
 type Interconnect struct {
-	cfg      InterConfig
-	ports    []icPort
-	buffered bool
+	cfg   InterConfig
+	ports []icPort
 
 	// pending counts buffered messages across every outbox, maintained
 	// O(1) so a barrier can decide to elide FlushBoundary — and all the
@@ -121,29 +118,11 @@ type Interconnect struct {
 	flushScratch []crossMsg
 }
 
-// NewInterconnect builds the immediate-mode interconnect for a pod whose
-// racks all share one engine. Zero config fields default from
-// DefaultInterConfig.
-func NewInterconnect(eng *sim.Engine, cfg InterConfig, racks int) *Interconnect {
-	engs := make([]*sim.Engine, racks)
-	for i := range engs {
-		engs[i] = eng
-	}
-	ic := newInterconnect(engs, cfg)
-	ic.buffered = false
-	return ic
-}
-
 // NewShardedInterconnect builds the boundary-buffered interconnect for a
 // pod whose racks each own an engine (engs[i] drives rack i). Sends
-// buffer in per-source outboxes until FlushBoundary.
+// buffer in per-source outboxes until FlushBoundary. Zero config fields
+// default from DefaultInterConfig.
 func NewShardedInterconnect(engs []*sim.Engine, cfg InterConfig) *Interconnect {
-	ic := newInterconnect(engs, cfg)
-	ic.buffered = true
-	return ic
-}
-
-func newInterconnect(engs []*sim.Engine, cfg InterConfig) *Interconnect {
 	cfg = cfg.withDefaults()
 	ic := &Interconnect{cfg: cfg, ports: make([]icPort, len(engs))}
 	for i := range ic.ports {
@@ -180,11 +159,11 @@ func (ic *Interconnect) serialize(bytes int) sim.Duration {
 // rack's downlink. fn(arg) fires on the target rack's engine when the
 // message is ready to enter the target ToR's ingress pipeline.
 //
-// In buffered mode only the source half happens here — from the source
-// rack's own execution context — and the message waits in the source
-// outbox for the next FlushBoundary. Because arrive includes the full
-// propagation delay and windows are no wider than it, the arrival always
-// lands at or beyond the barrier doing the delivery.
+// Only the source half happens here — from the source rack's own
+// execution context — and the message waits in the source outbox for the
+// next FlushBoundary. Because arrive includes the full propagation delay
+// and windows are no wider than it, the arrival always lands at or
+// beyond the barrier doing the delivery.
 func (ic *Interconnect) Send(from, to int, bytes int, fn func(any), arg any) {
 	if from == to {
 		panic(fmt.Sprintf("fabric: interconnect send within rack %d", from))
@@ -195,12 +174,8 @@ func (ic *Interconnect) Send(from, to int, bytes int, fn func(any), arg any) {
 	arrive := upEnd.Add(ic.cfg.Propagation)
 	p.sent++
 	p.bytesSent += uint64(bytes)
-	if ic.buffered {
-		p.outbox = append(p.outbox, crossMsg{to: to, bytes: bytes, arrive: arrive, fn: fn, arg: arg})
-		ic.pending.Add(1)
-		return
-	}
-	ic.deliver(crossMsg{to: to, bytes: bytes, arrive: arrive, fn: fn, arg: arg})
+	p.outbox = append(p.outbox, crossMsg{to: to, bytes: bytes, arrive: arrive, fn: fn, arg: arg})
+	ic.pending.Add(1)
 }
 
 func (ic *Interconnect) deliver(m crossMsg) {
@@ -210,8 +185,7 @@ func (ic *Interconnect) deliver(m crossMsg) {
 }
 
 // PendingBoundary returns how many sends are buffered awaiting the next
-// FlushBoundary, in O(1). Read it only at barriers (workers parked);
-// immediate mode never buffers, so it is then always zero.
+// FlushBoundary, in O(1). Read it only at barriers (workers parked).
 func (ic *Interconnect) PendingBoundary() int { return int(ic.pending.Load()) }
 
 // FlushBoundary delivers every buffered message: it drains all outboxes,
@@ -221,8 +195,7 @@ func (ic *Interconnect) PendingBoundary() int { return int(ic.pending.Load()) }
 // destination engine. Call it at window barriers, with every rack parked
 // on the boundary; it returns how many messages it delivered. An
 // all-empty boundary returns immediately — no port scan, no sort, no
-// allocation — so quiet barriers cost one atomic load. Immediate mode
-// never buffers, so this is then a no-op.
+// allocation — so quiet barriers cost one atomic load.
 func (ic *Interconnect) FlushBoundary() int {
 	if ic.pending.Load() == 0 {
 		return 0

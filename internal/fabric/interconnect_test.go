@@ -6,13 +6,19 @@ import (
 	"mind/internal/sim"
 )
 
+// twoRacks builds an interconnect between two racks, each on an engine
+// of its own.
+func twoRacks(cfg InterConfig) (*Interconnect, []*sim.Engine) {
+	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	return NewShardedInterconnect(engs, cfg), engs
+}
+
 func TestInterconnectUnloadedLatency(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultInterConfig()
-	ic := NewInterconnect(eng, cfg, 2)
+	ic, engs := twoRacks(DefaultInterConfig())
 	var at sim.Time
-	ic.Send(0, 1, PageBytes, func(any) { at = eng.Now() }, nil)
-	eng.Run()
+	ic.Send(0, 1, PageBytes, func(any) { at = engs[1].Now() }, nil)
+	ic.FlushBoundary()
+	engs[1].Run()
 	want := ic.OneWay(PageBytes)
 	if got := at.Sub(0); got != want {
 		t.Fatalf("unloaded crossing = %v, want OneWay = %v", got, want)
@@ -27,7 +33,7 @@ func TestInterconnectUnloadedLatency(t *testing.T) {
 // (a free spine, and a zero-width lookahead window), while the other
 // fields were defaulted. All fields must now default consistently.
 func TestInterconnectZeroConfigDefaults(t *testing.T) {
-	ic := NewInterconnect(sim.NewEngine(), InterConfig{}, 2)
+	ic, _ := twoRacks(InterConfig{})
 	def := DefaultInterConfig()
 	got := ic.Config()
 	if got != def {
@@ -43,7 +49,7 @@ func TestInterconnectZeroConfigDefaults(t *testing.T) {
 // 0 ns. Any nonzero payload must cost at least 1 ns of lane time, so a
 // 1-byte crossing is strictly slower than the payload-free baseline.
 func TestInterconnectSerializeRoundsUp(t *testing.T) {
-	ic := NewInterconnect(sim.NewEngine(), DefaultInterConfig(), 2)
+	ic, _ := twoRacks(DefaultInterConfig())
 	if ic.OneWay(1) <= ic.OneWay(0) {
 		t.Fatalf("OneWay(1)=%v not above OneWay(0)=%v: 1-byte payload serialized for free",
 			ic.OneWay(1), ic.OneWay(0))
@@ -121,16 +127,16 @@ func TestInterconnectBufferedDelivery(t *testing.T) {
 // a burst wider than the lane count serializes on the uplink, so the
 // last arrival is strictly later than an unloaded crossing.
 func TestInterconnectBandwidthQueues(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := DefaultInterConfig()
 	cfg.LinkSlots = 1
-	ic := NewInterconnect(eng, cfg, 2)
+	ic, engs := twoRacks(cfg)
 	const burst = 8
 	var last sim.Time
 	for i := 0; i < burst; i++ {
-		ic.Send(0, 1, PageBytes, func(any) { last = eng.Now() }, nil)
+		ic.Send(0, 1, PageBytes, func(any) { last = engs[1].Now() }, nil)
 	}
-	eng.Run()
+	ic.FlushBoundary()
+	engs[1].Run()
 	unloaded := ic.OneWay(PageBytes)
 	if got := last.Sub(0); got < unloaded+sim.Duration(burst-1)*(cfg.Overhead) {
 		t.Fatalf("burst of %d finished at %v; no uplink queueing visible (unloaded %v)",
@@ -138,12 +144,12 @@ func TestInterconnectBandwidthQueues(t *testing.T) {
 	}
 	// Traffic in the opposite direction uses separate lanes and must not
 	// have been delayed by this burst's uplink occupancy.
-	eng2 := sim.NewEngine()
-	ic2 := NewInterconnect(eng2, cfg, 2)
+	ic2, engs2 := twoRacks(cfg)
 	var revAt sim.Time
 	ic2.Send(0, 1, PageBytes, func(any) {}, nil)
-	ic2.Send(1, 0, CtrlMsgBytes, func(any) { revAt = eng2.Now() }, nil)
-	eng2.Run()
+	ic2.Send(1, 0, CtrlMsgBytes, func(any) { revAt = engs2[0].Now() }, nil)
+	ic2.FlushBoundary()
+	engs2[0].Run()
 	if got := revAt.Sub(0); got != ic2.OneWay(CtrlMsgBytes) {
 		t.Fatalf("reverse-direction crossing = %v, want unloaded %v", got, ic2.OneWay(CtrlMsgBytes))
 	}
@@ -155,13 +161,13 @@ func TestInterconnectRejectsIntraRackSend(t *testing.T) {
 			t.Fatal("send within one rack did not panic")
 		}
 	}()
-	ic := NewInterconnect(sim.NewEngine(), DefaultInterConfig(), 2)
+	ic, _ := twoRacks(DefaultInterConfig())
 	ic.Send(1, 1, 64, func(any) {}, nil)
 }
 
 // TestInterconnectPendingCounter pins the O(1) pending accounting the
-// pod executor's flush elision relies on: buffered sends increment it,
-// FlushBoundary consumes it, and immediate mode never accumulates any.
+// pod executor's flush elision relies on: sends increment it and
+// FlushBoundary consumes it.
 func TestInterconnectPendingCounter(t *testing.T) {
 	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
 	ic := NewShardedInterconnect(engs, DefaultInterConfig())
@@ -179,13 +185,6 @@ func TestInterconnectPendingCounter(t *testing.T) {
 	}
 	if got := ic.PendingBoundary(); got != 0 {
 		t.Fatalf("pending after flush = %d, want 0", got)
-	}
-
-	eng := sim.NewEngine()
-	imm := NewInterconnect(eng, DefaultInterConfig(), 2)
-	imm.Send(0, 1, PageBytes, func(any) {}, nil)
-	if got := imm.PendingBoundary(); got != 0 {
-		t.Fatalf("immediate-mode pending = %d, want 0", got)
 	}
 }
 

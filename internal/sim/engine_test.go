@@ -306,7 +306,7 @@ func TestRNGBoolEdges(t *testing.T) {
 func TestZipfBoundsAndSkew(t *testing.T) {
 	r := NewRNG(5, "z")
 	const n = 1000
-	z := NewZipf(r, n, 0.99)
+	z := NewZipfDist(n, 0.99).Sampler(r)
 	counts := make([]int, n)
 	const draws = 200000
 	for i := 0; i < draws; i++ {
@@ -324,7 +324,7 @@ func TestZipfBoundsAndSkew(t *testing.T) {
 
 func TestZipfLargeRange(t *testing.T) {
 	r := NewRNG(6, "z2")
-	z := NewZipf(r, 10_000_000, 0.99)
+	z := NewZipfDist(10_000_000, 0.99).Sampler(r)
 	for i := 0; i < 1000; i++ {
 		if v := z.Next(); v >= 10_000_000 {
 			t.Fatalf("out of range: %d", v)

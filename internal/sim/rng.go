@@ -175,13 +175,6 @@ func (d *ZipfDist) Sampler(rng *RNG) *Zipf {
 	return &Zipf{d: d, rng: rng}
 }
 
-// NewZipf is NewZipfDist(n, theta).Sampler(rng), for a caller that draws
-// one stream from the distribution. A caller that draws many streams
-// builds the distribution once and takes a Sampler per stream.
-func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
-	return NewZipfDist(n, theta).Sampler(rng)
-}
-
 // Next draws the next Zipf value in [0, n).
 func (z *Zipf) Next() uint64 {
 	d := z.d

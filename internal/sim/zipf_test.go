@@ -31,7 +31,7 @@ func TestZipfDrawsPinned(t *testing.T) {
 		{"NativeKVS8/s1", page * 4096 / 8, 0.99, 0xc0a5e7cb868bef8a},
 		{"NativeKVS8/s4", page * 4096 * 4 / 8, 0.99, 0x808d467ab65d4844},
 	} {
-		z := NewZipf(NewRNG(1021, "zipf-pin"), c.n, c.theta)
+		z := NewZipfDist(c.n, c.theta).Sampler(NewRNG(1021, "zipf-pin"))
 		h := fnv.New64a()
 		var b [8]byte
 		for i := 0; i < 4096; i++ {
@@ -44,13 +44,14 @@ func TestZipfDrawsPinned(t *testing.T) {
 	}
 }
 
-// TestZipfSamplersShareDist: samplers over one distribution draw what
-// one-shot NewZipf samplers draw from the same RNG streams.
+// TestZipfSamplersShareDist: samplers over one shared distribution draw
+// what samplers over a distribution of their own draw from the same RNG
+// streams.
 func TestZipfSamplersShareDist(t *testing.T) {
 	d := NewZipfDist(1<<23, 0.95)
 	for _, tag := range []string{"a", "b"} {
 		shared := d.Sampler(NewRNG(9, tag))
-		fresh := NewZipf(NewRNG(9, tag), 1<<23, 0.95)
+		fresh := NewZipfDist(1<<23, 0.95).Sampler(NewRNG(9, tag))
 		for i := 0; i < 1000; i++ {
 			if s, f := shared.Next(), fresh.Next(); s != f {
 				t.Fatalf("stream %q draw %d: shared %d, fresh %d", tag, i, s, f)
@@ -107,7 +108,7 @@ func TestZipfSmallRanges(t *testing.T) {
 		checkZipf(t, 1, 1, theta, 1000)
 		checkZipf(t, 1, 2, theta, 1000)
 		checkZipf(t, 1, 3, theta, 1000)
-		z := NewZipf(NewRNG(2, "two"), 2, theta)
+		z := NewZipfDist(2, theta).Sampler(NewRNG(2, "two"))
 		var seen [2]int
 		for i := 0; i < 1000; i++ {
 			seen[z.Next()]++
@@ -116,7 +117,7 @@ func TestZipfSmallRanges(t *testing.T) {
 			t.Errorf("n=2 theta=%v: rank counts %v", theta, seen)
 		}
 	}
-	z := NewZipf(NewRNG(3, "uniform"), 10, 0)
+	z := NewZipfDist(10, 0).Sampler(NewRNG(3, "uniform"))
 	var seen [10]int
 	for i := 0; i < 10000; i++ {
 		seen[z.Next()]++

@@ -164,16 +164,13 @@ func (a *ASIC) AddGroupMember(id, port int) {
 	b.Add(port)
 }
 
-// PruneMulticast resolves one multicast send: the packet is replicated to
-// every group member, and copies whose output port does not lead to a
-// blade in the sharer list are dropped in the egress pipeline (§4.3.2).
-// It returns the ports that actually receive a copy.
-func (a *ASIC) PruneMulticast(group int, sharers map[int]bool) ([]int, error) {
-	return a.PruneMulticastInto(nil, group, sharers)
-}
-
-// PruneMulticastInto is PruneMulticast appending into a caller-owned
-// buffer (reset to length zero), so hot callers can reuse scratch space.
+// PruneMulticastInto resolves one multicast send: the packet is
+// replicated to every group member, and copies whose output port does
+// not lead to a blade in the sharer list are dropped in the egress
+// pipeline (§4.3.2). It returns the ports that actually receive a copy,
+// appended into the caller-owned dst (reset to length zero; nil
+// allocates). The directory uses PruneMulticastBitmap; this map form is
+// the reference that path is tested against.
 func (a *ASIC) PruneMulticastInto(dst []int, group int, sharers map[int]bool) ([]int, error) {
 	members, ok := a.groups[group]
 	if !ok {

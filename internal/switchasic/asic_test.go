@@ -100,7 +100,7 @@ func TestASICMulticastPruning(t *testing.T) {
 	a := New(DefaultConfig())
 	a.SetGroup(1, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	sharers := map[int]bool{1: true, 4: true, 6: true}
-	got, err := a.PruneMulticast(1, sharers)
+	got, err := a.PruneMulticastInto(nil, 1, sharers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestASICMulticastPruning(t *testing.T) {
 
 func TestASICMulticastUnknownGroup(t *testing.T) {
 	a := New(DefaultConfig())
-	if _, err := a.PruneMulticast(9, nil); err == nil {
+	if _, err := a.PruneMulticastInto(nil, 9, nil); err == nil {
 		t.Error("unknown group should error")
 	}
 }
@@ -201,7 +201,7 @@ func TestASICGroupMembershipIncremental(t *testing.T) {
 	}
 
 	// Pruned multicast replicates to current members only.
-	ports, err := a.PruneMulticast(1, map[int]bool{0: true, 3: true, 9: true})
+	ports, err := a.PruneMulticastInto(nil, 1, map[int]bool{0: true, 3: true, 9: true})
 	if err != nil {
 		t.Fatal(err)
 	}
