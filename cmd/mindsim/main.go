@@ -35,12 +35,16 @@
 // them out across the runner's worker pool (-parallel), reporting
 // per-replicate throughput plus the mean/min/max spread. Replicate order
 // in the output is deterministic regardless of worker count.
+//
+// A flag that only the other mode reads (-racks without -serve, -threads
+// or -kill-blade-at with it) is an error, not a silent no-op.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -57,12 +61,9 @@ import (
 // runReport is everything one simulation run prints.
 type runReport struct {
 	Seed       uint64
-	Drain      core.DrainReport
-	Kill       core.KillReport
+	Faults     faultLog
 	AddedBlade ctrlplane.BladeID
 	DidAdd     bool
-	DidDrain   bool
-	DidKill    bool
 	MigStalls  uint64
 	MigPages   uint64
 	End        sim.Time
@@ -85,6 +86,13 @@ type runReport struct {
 
 func (r runReport) mops() float64 {
 	return float64(r.Total) / r.End.Sub(0).Seconds() / 1e6
+}
+
+// die prints a message and exits: 2 for a command-line mistake, 1 for a
+// failed run.
+func die(code int, msg ...any) {
+	fmt.Fprintln(os.Stderr, msg...)
+	os.Exit(code)
 }
 
 func main() {
@@ -130,9 +138,13 @@ func main() {
 	)
 	flag.Parse()
 
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModeFlags(*serveMode, set); err != nil {
+		die(2, err)
+	}
 	if *runs < 1 {
-		fmt.Fprintf(os.Stderr, "-runs must be >= 1 (got %d)\n", *runs)
-		os.Exit(2)
+		die(2, fmt.Sprintf("-runs must be >= 1 (got %d)", *runs))
 	}
 
 	var w workloads.Workload
@@ -152,8 +164,7 @@ func main() {
 	case "uniform":
 		w = workloads.Uniform(uint64(8192**scale), *readRatio, *sharing)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
+		die(2, fmt.Sprintf("unknown workload %q", *workload))
 	}
 
 	var cons core.Consistency
@@ -165,8 +176,7 @@ func main() {
 	case "pso+":
 		cons = core.PSOPlus
 	default:
-		fmt.Fprintf(os.Stderr, "unknown consistency %q\n", *consistency)
-		os.Exit(2)
+		die(2, fmt.Sprintf("unknown consistency %q", *consistency))
 	}
 
 	cachePages := int(float64(w.Footprint/mem.PageSize) * *cacheFrac)
@@ -176,20 +186,17 @@ func main() {
 
 	killID, killFault, err := parseFaultFlag("kill-blade", *killBlade)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		die(2, err)
 	}
 	drainID, drainFault, err := parseFaultFlag("drain-blade", *drainBlade)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		die(2, err)
 	}
 	var switchFault *timedFault
 	if *killSwitch != "" {
 		f, err := parseTimedFault("kill-switch", *killSwitch, false)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			die(2, err)
 		}
 		switchFault = &f
 	}
@@ -204,18 +211,29 @@ func main() {
 	}
 
 	if *serveMode {
-		faults := serveFaults{kill: killFault, drain: drainFault, failover: switchFault}
+		for _, name := range set {
+			if name == "kill-blade" && killFault == nil || name == "drain-blade" && drainFault == nil {
+				die(2, fmt.Sprintf("-serve takes -%s as dur:rack:blade", name))
+			}
+		}
+		faults := timedFaults{kill: killFault, drain: drainFault, failover: switchFault}
 		if err := runServeMode(w, shape, *serveRacks, *serveWorkers, *ops, *seed,
 			*serveRate, *serveQoS, sim.Duration(serveHorizon.Nanoseconds()),
 			sim.Duration(serveDeadline.Nanoseconds()), *serveRetries, *serveBrownout, faults); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
 		return
 	}
-	if killFault != nil || drainFault != nil || switchFault != nil {
-		fmt.Fprintln(os.Stderr, "timed fault forms (dur:rack:blade, -kill-switch) require -serve")
-		os.Exit(2)
+	if killFault != nil || drainFault != nil {
+		die(2, "the timed fault form dur:rack:blade requires -serve")
+	}
+	// Closed-loop mode pairs a blade id with an -at time, on its one rack.
+	var faults timedFaults
+	if *drainAt > 0 {
+		faults.drain = &timedFault{at: sim.Duration(drainAt.Nanoseconds()), blade: drainID}
+	}
+	if *killAt > 0 {
+		faults.kill = &timedFault{at: sim.Duration(killAt.Nanoseconds()), blade: killID}
 	}
 
 	runOnce := func(runSeed uint64) (runReport, error) {
@@ -240,39 +258,22 @@ func main() {
 
 		// Membership events, if requested, fire at fixed virtual times.
 		var report runReport
-		var evErr error
+		var addErr error
 		if *addBladeAt > 0 {
 			c.Engine().Schedule(sim.Duration(addBladeAt.Nanoseconds()), func() {
-				id, err := c.AddMemBlade(0)
-				report.AddedBlade, report.DidAdd = id, true
-				if err != nil && evErr == nil {
-					evErr = err
-				}
+				report.AddedBlade, addErr = c.AddMemBlade(0)
+				report.DidAdd = true
 			})
 		}
-		if *drainAt > 0 {
-			c.Engine().Schedule(sim.Duration(drainAt.Nanoseconds()), func() {
-				c.DrainMemBladeAsync(ctrlplane.BladeID(drainID), func(r core.DrainReport, err error) {
-					report.Drain, report.DidDrain = r, true
-					if err != nil && evErr == nil {
-						evErr = err
-					}
-				})
-			})
-		}
-		if *killAt > 0 {
-			c.Engine().Schedule(sim.Duration(killAt.Nanoseconds()), func() {
-				c.KillMemBladeAsync(ctrlplane.BladeID(killID), func(r core.KillReport, err error) {
-					report.Kill, report.DidKill = r, true
-					if err != nil && evErr == nil {
-						evErr = err
-					}
-				})
-			})
+		if err := faults.schedule(c.Pod(), &report.Faults); err != nil {
+			return runReport{}, err
 		}
 		end := c.RunThreads()
-		if evErr != nil {
-			return runReport{}, evErr
+		if addErr != nil {
+			return runReport{}, addErr
+		}
+		if report.Faults.err != nil {
+			return runReport{}, report.Faults.err
 		}
 
 		col := c.Collector()
@@ -320,8 +321,7 @@ func main() {
 	}
 	results, err := runner.Do(specs, runner.Options{Workers: *parallel})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(1, err)
 	}
 
 	first := results[0].(runReport)
@@ -345,16 +345,7 @@ func main() {
 	if first.DidAdd {
 		fmt.Printf("blade added      id=%d at %v\n", first.AddedBlade, *addBladeAt)
 	}
-	if first.DidDrain {
-		d := first.Drain
-		fmt.Printf("blade drained    id=%d: %d vmas, %d pages in %d batches, blackout %.3f ms\n",
-			d.Victim, d.Allocations, d.PagesMoved, d.Batches, d.Blackout().Seconds()*1e3)
-	}
-	if first.DidKill {
-		k := first.Kill
-		fmt.Printf("blade killed     id=%d: %d pages lost, %d vmas re-homed, blackout %.3f ms\n",
-			k.Victim, k.PagesLost, k.Allocations, k.Blackout().Seconds()*1e3)
-	}
+	fmt.Print(first.Faults.drained, first.Faults.killed)
 	if first.MigStalls > 0 || first.MigPages > 0 {
 		fmt.Printf("migration        %d pages moved, %d foreground stalls\n", first.MigPages, first.MigStalls)
 	}
@@ -425,17 +416,103 @@ func newServePod(shape rackShape, racks, workers int, seed uint64) (*core.Pod, e
 	return core.NewPod(pcfg)
 }
 
-// timedFault is one serving-mode fault parsed from "dur:rack[:blade]":
-// it lands at the given virtual time on the given rack.
+// timedFault is one fault: it lands at virtual time at, counted from the
+// run's start, on the given rack. A serving-mode fault, parsed from
+// "dur:rack[:blade]", names its rack in its report line (where).
 type timedFault struct {
-	at    time.Duration
+	at    sim.Duration
 	rack  int
 	blade int
+	where string
 }
 
-// serveFaults collects the serving-mode fault schedule (nil = none).
-type serveFaults struct {
+// timedFaults is a run's fault schedule (nil = none). Serving mode
+// fills it from the dur:rack[:blade] forms, closed-loop mode from its
+// -at flags, on rack 0.
+type timedFaults struct {
 	kill, drain, failover *timedFault
+}
+
+// faultLog holds the report line of each fault that completed, and the
+// first error one of them reported.
+type faultLog struct {
+	killed, drained, failedOver string
+	err                         error
+}
+
+// schedule registers the faults on the pod, each at its time from now.
+// Registration queues a fault on its rack and the pod executor injects
+// it at its exact virtual time, so the fault timeline does not depend on
+// the worker count.
+func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
+	keepErr := func(e error) {
+		if e != nil && log.err == nil {
+			log.err = e
+		}
+	}
+	if t := f.drain; t != nil {
+		err := pod.DrainMemBladeAt(t.rack, ctrlplane.BladeID(t.blade), pod.Now().Add(t.at), func(d core.DrainReport, e error) {
+			keepErr(e)
+			log.drained = fmt.Sprintf("blade drained    %sid=%d: %d vmas, %d pages in %d batches, blackout %.3f ms\n",
+				t.where, d.Victim, d.Allocations, d.PagesMoved, d.Batches, d.Blackout().Seconds()*1e3)
+		})
+		if err != nil {
+			return fmt.Errorf("-drain-blade: %w", err)
+		}
+	}
+	if t := f.kill; t != nil {
+		err := pod.KillMemBladeAt(t.rack, ctrlplane.BladeID(t.blade), pod.Now().Add(t.at), func(k core.KillReport, e error) {
+			keepErr(e)
+			lost := ""
+			if t.where != "" || k.VMAsLost > 0 {
+				lost = fmt.Sprintf(" %d vmas lost,", k.VMAsLost)
+			}
+			log.killed = fmt.Sprintf("blade killed     %sid=%d: %d pages lost, %d vmas re-homed,%s blackout %.3f ms\n",
+				t.where, k.Victim, k.PagesLost, k.Allocations, lost, k.Blackout().Seconds()*1e3)
+		})
+		if err != nil {
+			return fmt.Errorf("-kill-blade: %w", err)
+		}
+	}
+	if t := f.failover; t != nil {
+		err := pod.KillSwitchAt(t.rack, pod.Now().Add(t.at), func(r core.SwitchFailoverReport, e error) {
+			keepErr(e)
+			log.failedOver = fmt.Sprintf("switch failover  rack=%d: %d regions reset, blackout %.3f ms\n",
+				t.rack, r.RegionsReset, r.Blackout().Seconds()*1e3)
+		})
+		if err != nil {
+			return fmt.Errorf("-kill-switch: %w", err)
+		}
+	}
+	return nil
+}
+
+// closedLoopOnly and serveOnly name the flags only one of the two modes
+// reads; every other flag reaches both.
+var (
+	closedLoopOnly = []string{"threads", "runs", "parallel", "add-blade-at", "drain-blade-at", "kill-blade-at"}
+	serveOnly      = []string{"serve-horizon", "serve-rate", "serve-qos", "racks", "workers",
+		"serve-deadline", "serve-retries", "serve-brownout", "kill-switch"}
+)
+
+// checkModeFlags rejects flags set on the command line that the selected
+// mode would drop without a word (a -racks 2 that runs one rack, a
+// -kill-blade-at that injects nothing under -serve).
+func checkModeFlags(serve bool, set []string) error {
+	mode, other, foreign := "closed-loop mode", "-serve", serveOnly
+	if serve {
+		mode, other, foreign = other, mode, closedLoopOnly
+	}
+	var bad []string
+	for _, name := range set {
+		if slices.Contains(foreign, name) {
+			bad = append(bad, "-"+name)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("%s does not read %s (%s only)", mode, strings.Join(bad, ", "), other)
+	}
+	return nil
 }
 
 // parseFaultFlag interprets a -kill-blade/-drain-blade value: a bare
@@ -471,10 +548,11 @@ func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 	if err != nil || d <= 0 {
 		return timedFault{}, fmt.Errorf("-%s: bad fault time %q (want a positive duration like 1ms)", name, parts[0])
 	}
-	f := timedFault{at: d}
+	f := timedFault{at: sim.Duration(d.Nanoseconds())}
 	if f.rack, err = strconv.Atoi(parts[1]); err != nil {
 		return timedFault{}, fmt.Errorf("-%s: bad rack %q", name, parts[1])
 	}
+	f.where = fmt.Sprintf("rack=%d ", f.rack)
 	if wantBlade {
 		if f.blade, err = strconv.Atoi(parts[2]); err != nil {
 			return timedFault{}, fmt.Errorf("-%s: bad blade %q", name, parts[2])
@@ -492,7 +570,7 @@ func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 // from the per-rack streaming histograms. Timed faults land
 // barrier-ordered on the pod executor; their recovery reports print
 // after the run.
-func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults serveFaults) error {
+func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults timedFaults) error {
 	pod, err := newServePod(shape, racks, workers, seed)
 	if err != nil {
 		return err
@@ -531,39 +609,9 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 		return err
 	}
 
-	// Timed faults: registration queues each on its rack; the window
-	// barrier injects it at its exact virtual time regardless of
-	// -workers, so the fault timeline is worker-count invariant.
-	var killRep core.KillReport
-	var drainRep core.DrainReport
-	var failRep core.SwitchFailoverReport
-	var didKill, didDrain, didFail bool
-	var faultErr error
-	keepErr := func(e error) {
-		if e != nil && faultErr == nil {
-			faultErr = e
-		}
-	}
-	if f := faults.kill; f != nil {
-		err := pod.KillMemBladeAt(f.rack, ctrlplane.BladeID(f.blade), pod.Now().Add(sim.Duration(f.at.Nanoseconds())),
-			func(r core.KillReport, e error) { killRep, didKill = r, true; keepErr(e) })
-		if err != nil {
-			return fmt.Errorf("-kill-blade: %w", err)
-		}
-	}
-	if f := faults.drain; f != nil {
-		err := pod.DrainMemBladeAt(f.rack, ctrlplane.BladeID(f.blade), pod.Now().Add(sim.Duration(f.at.Nanoseconds())),
-			func(r core.DrainReport, e error) { drainRep, didDrain = r, true; keepErr(e) })
-		if err != nil {
-			return fmt.Errorf("-drain-blade: %w", err)
-		}
-	}
-	if f := faults.failover; f != nil {
-		err := pod.KillSwitchAt(f.rack, pod.Now().Add(sim.Duration(f.at.Nanoseconds())),
-			func(r core.SwitchFailoverReport, e error) { failRep, didFail = r, true; keepErr(e) })
-		if err != nil {
-			return fmt.Errorf("-kill-switch: %w", err)
-		}
+	var log faultLog
+	if err := faults.schedule(pod, &log); err != nil {
+		return err
 	}
 	params := workloads.Params{Threads: len(placements), Blades: blades, Seed: seed}
 	stream := 0
@@ -611,8 +659,8 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 	if err != nil {
 		return err
 	}
-	if faultErr != nil {
-		return fmt.Errorf("fault injection: %w", faultErr)
+	if log.err != nil {
+		return fmt.Errorf("fault injection: %w", log.err)
 	}
 	col := pod.Collector()
 	fmt.Printf("serving          workload=%s racks=%d blades=%d/rack workers=%d horizon=%.3f ms (virtual end %.3f ms)\n",
@@ -650,19 +698,6 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 			col.Counter(stats.CtrServeShed), col.Counter(stats.CtrServeTimedOut),
 			col.Counter(stats.CtrServeRetried), col.Counter(stats.CtrServeFailed))
 	}
-	if didKill {
-		k := killRep
-		fmt.Printf("blade killed     rack=%d id=%d: %d pages lost, %d vmas re-homed, %d vmas lost, blackout %.3f ms\n",
-			faults.kill.rack, k.Victim, k.PagesLost, k.Allocations, k.VMAsLost, k.Blackout().Seconds()*1e3)
-	}
-	if didDrain {
-		d := drainRep
-		fmt.Printf("blade drained    rack=%d id=%d: %d vmas, %d pages in %d batches, blackout %.3f ms\n",
-			faults.drain.rack, d.Victim, d.Allocations, d.PagesMoved, d.Batches, d.Blackout().Seconds()*1e3)
-	}
-	if didFail {
-		fmt.Printf("switch failover  rack=%d: %d regions reset, blackout %.3f ms\n",
-			faults.failover.rack, failRep.RegionsReset, failRep.Blackout().Seconds()*1e3)
-	}
+	fmt.Print(log.killed, log.drained, log.failedOver)
 	return nil
 }

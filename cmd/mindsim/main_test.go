@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"mind/internal/core"
@@ -59,5 +60,46 @@ func TestRackFlagsReachBothModes(t *testing.T) {
 
 	if _, err := newServePod(shape, 0, 0, 5); err == nil {
 		t.Error("-racks 0 built a pod")
+	}
+}
+
+// TestModeFlagsAreChecked: a flag only the other mode reads is refused by
+// name. `mindsim -racks 2 -workload GC` used to run one rack, and
+// `-serve -kill-blade-at 1ms -kill-blade 1` to inject nothing.
+func TestModeFlagsAreChecked(t *testing.T) {
+	for _, tc := range []struct {
+		serve bool
+		set   []string
+		want  []string // flags the error must name; none: no error
+	}{
+		{false, []string{"workload", "threads", "runs", "parallel", "kill-blade-at", "kill-blade", "seed"}, nil},
+		{true, []string{"serve", "racks", "workers", "serve-deadline", "kill-blade", "kill-switch", "ops", "cache"}, nil},
+		{false, []string{"racks", "workload"}, []string{"-racks"}},
+		{false, []string{"workers", "serve-rate", "serve-qos", "serve-horizon", "kill-switch"},
+			[]string{"-workers", "-serve-rate", "-serve-qos", "-serve-horizon", "-kill-switch"}},
+		{false, []string{"serve-deadline", "serve-retries", "serve-brownout"},
+			[]string{"-serve-deadline", "-serve-retries", "-serve-brownout"}},
+		{true, []string{"serve", "kill-blade-at", "kill-blade"}, []string{"-kill-blade-at"}},
+		{true, []string{"serve", "add-blade-at"}, []string{"-add-blade-at"}},
+		{true, []string{"serve", "drain-blade-at"}, []string{"-drain-blade-at"}},
+		{true, []string{"serve", "runs", "parallel"}, []string{"-runs", "-parallel"}},
+		{true, []string{"serve", "threads"}, []string{"-threads"}},
+	} {
+		err := checkModeFlags(tc.serve, tc.set)
+		if len(tc.want) == 0 {
+			if err != nil {
+				t.Errorf("serve=%v %v: %v", tc.serve, tc.set, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("serve=%v %v: accepted, want an error naming %v", tc.serve, tc.set, tc.want)
+			continue
+		}
+		for _, name := range tc.want {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("serve=%v %v: error %q does not name %s", tc.serve, tc.set, err, name)
+			}
+		}
 	}
 }

@@ -123,13 +123,24 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 
 	// Pod shape: every rack two compute blades; rack 0 is memory-poor on
 	// half the schedules (one local blade), so its spanning tenant lands
-	// on a borrowed blade and kills exercise the cross-rack split.
+	// on a borrowed blade and kills exercise the cross-rack split. From
+	// three racks up rack 1 is memory-poor on the same coin, so two
+	// borrowers can lose their leases inside the same window; the last
+	// rack then carries a third blade, to lend twice and still host its
+	// own tenant.
 	borrow := rng.Bool(0.5)
+	borrowers := 1
+	if cfg.Racks >= 3 {
+		borrowers = 2
+	}
 	cfgs := make([]core.Config, cfg.Racks)
 	for i := range cfgs {
 		blades := 2
-		if i == 0 && borrow {
+		switch {
+		case borrow && i < borrowers:
 			blades = 1
+		case borrow && borrowers == 2 && i == cfg.Racks-1:
+			blades = 3
 		}
 		rc := core.DefaultConfig(2, blades)
 		rc.MemoryBladeCapacity = 1024 * mem.PageSize
@@ -173,17 +184,21 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 			NextOp: schedOps(vma.Base, uint64(pages)),
 		})
 	}
-	if borrow {
-		// Fill rack 0's only local blade, then map the spanning tenant's
-		// share: its pow2-rounded need goes cross-rack on a lease.
-		if _, err := pod.Rack(0).Exec("filler").Mmap(900*mem.PageSize, mem.PermReadWrite); err != nil {
+	for r := 0; borrow && r < borrowers; r++ {
+		// Fill the rack's only local blade, then map its spanning tenant:
+		// the pow2-rounded need goes cross-rack on a lease.
+		if _, err := pod.Rack(r).Exec("filler").Mmap(900*mem.PageSize, mem.PermReadWrite); err != nil {
 			return nil, err
 		}
-		if err := addTenant("span", 0, 400); err != nil {
+		span := "span"
+		if r > 0 {
+			span = fmt.Sprintf("span%d", r)
+		}
+		if err := addTenant(span, r, 400); err != nil {
 			return nil, err
 		}
-		if pod.Rack(0).BorrowedBlades() == 0 {
-			return nil, fmt.Errorf("seed %d: rack 0 did not borrow", cfg.Seed)
+		if pod.Rack(r).BorrowedBlades() == 0 {
+			return nil, fmt.Errorf("seed %d: rack %d did not borrow", cfg.Seed, r)
 		}
 	}
 	for r := 0; r < cfg.Racks; r++ {
@@ -193,12 +208,13 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 	}
 
 	// The storm: fault f lands on rack (f+off)%racks, so consecutive
-	// faults hit different racks and same-rack faults are at least
-	// racks*spacing apart (recoveries on one shard do not overlap).
-	// Victim blades are drawn from [0, count] — the one-past-the-end id
-	// is deliberately invalid, and re-draws of an already-killed blade
-	// happen naturally — so the error paths stay under the same
-	// determinism contract as the happy paths.
+	// faults hit different racks. One fault in four keeps its
+	// predecessor's instant: different racks then recover inside the same
+	// window, and a run of kept instants brings faults back onto a rack
+	// whose recovery is still in flight. Victim blades are drawn from
+	// [0, count] — the one-past-the-end id is deliberately invalid, and
+	// re-draws of an already-killed blade happen naturally — so the error
+	// paths stay under the same determinism contract as the happy paths.
 	recs := make([]FaultRecord, cfg.Faults)
 	off := rng.Intn(cfg.Racks)
 	at := pod.Now().Add(30 * sim.Microsecond)
@@ -238,7 +254,9 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: register %s on rack %d: %w", cfg.Seed, recs[f].Kind, rack, err)
 		}
-		at = at.Add(sim.Duration(50+rng.Intn(40)) * sim.Microsecond)
+		if !rng.Bool(0.25) {
+			at = at.Add(sim.Duration(50+rng.Intn(40)) * sim.Microsecond)
+		}
 	}
 
 	end, err := s.Run()

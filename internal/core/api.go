@@ -21,15 +21,21 @@ type Process struct {
 // Rack returns the rack hosting the process.
 func (p *Process) Rack() *Rack { return p.c }
 
-// Exec starts a process (exec intercept → switch control plane).
-func (c *Rack) Exec(name string) *Process {
-	var p *ctrlplane.Process
+// syscall runs op in the switch control plane and blocks until it has
+// returned: the intercepted call's round trip through the switch CPU.
+func (c *Rack) syscall(op func()) {
 	c.await(func(done func()) {
 		c.fab.CtrlCall(0, func() {
-			p = c.ctl.Exec(name)
+			op()
 			done()
 		})
 	})
+}
+
+// Exec starts a process (exec intercept → switch control plane).
+func (c *Rack) Exec(name string) *Process {
+	var p *ctrlplane.Process
+	c.syscall(func() { p = c.ctl.Exec(name) })
 	return &Process{c: c, pid: p.PID}
 }
 
@@ -40,14 +46,15 @@ func (p *Process) PID() mem.PDID { return p.pid }
 // trips through the switch control plane. In a multi-rack pod, a rack
 // whose own memory blades cannot host the area borrows a spare blade
 // from another rack (one inter-rack control round trip) and retries —
-// the allocation ends up routed through both switches.
+// the allocation ends up routed through both switches. That retry
+// completes in a later event, which is why Mmap does not ride syscall.
 func (p *Process) Mmap(length uint64, perm mem.Perm) (mem.VMA, error) {
 	var vma mem.VMA
 	var err error
 	p.c.await(func(done func()) {
 		p.c.fab.CtrlCall(0, func() {
 			vma, err = p.c.ctl.Mmap(p.pid, length, perm)
-			if err == nil || !errors.Is(err, ctrlplane.ErrNoMemory) || !p.c.pod.canBorrow() {
+			if err == nil || !errors.Is(err, ctrlplane.ErrNoMemory) || !p.c.pod.multiRack {
 				done()
 				return
 			}
@@ -69,60 +76,35 @@ func (p *Process) Mmap(length uint64, perm mem.Perm) (mem.VMA, error) {
 // Munmap releases an area.
 func (p *Process) Munmap(base mem.VA) error {
 	var err error
-	p.c.await(func(done func()) {
-		p.c.fab.CtrlCall(0, func() {
-			err = p.c.ctl.Munmap(p.pid, base)
-			done()
-		})
-	})
+	p.c.syscall(func() { err = p.c.ctl.Munmap(p.pid, base) })
 	return err
 }
 
 // MProtect changes permissions on a range.
 func (p *Process) MProtect(base mem.VA, length uint64, perm mem.Perm) error {
 	var err error
-	p.c.await(func(done func()) {
-		p.c.fab.CtrlCall(0, func() {
-			err = p.c.ctl.MProtect(p.pid, base, length, perm)
-			done()
-		})
-	})
+	p.c.syscall(func() { err = p.c.ctl.MProtect(p.pid, base, length, perm) })
 	return err
 }
 
 // CreateDomain mints a session protection domain (§4.2).
 func (p *Process) CreateDomain() mem.PDID {
 	var d mem.PDID
-	p.c.await(func(done func()) {
-		p.c.fab.CtrlCall(0, func() {
-			d = p.c.ctl.CreateDomain()
-			done()
-		})
-	})
+	p.c.syscall(func() { d = p.c.ctl.CreateDomain() })
 	return d
 }
 
 // GrantDomain grants a session domain rights over a range.
 func (p *Process) GrantDomain(d mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
 	var err error
-	p.c.await(func(done func()) {
-		p.c.fab.CtrlCall(0, func() {
-			err = p.c.ctl.GrantDomain(d, base, length, perm)
-			done()
-		})
-	})
+	p.c.syscall(func() { err = p.c.ctl.GrantDomain(d, base, length, perm) })
 	return err
 }
 
 // Exit tears the process down.
 func (p *Process) Exit() error {
 	var err error
-	p.c.await(func(done func()) {
-		p.c.fab.CtrlCall(0, func() {
-			err = p.c.ctl.Exit(p.pid)
-			done()
-		})
-	})
+	p.c.syscall(func() { err = p.c.ctl.Exit(p.pid) })
 	return err
 }
 
@@ -134,12 +116,7 @@ func (p *Process) SpawnThread(blade int) (*Thread, error) {
 	}
 	var tid ctrlplane.TID
 	var err error
-	p.c.await(func(done func()) {
-		p.c.fab.CtrlCall(0, func() {
-			tid, err = p.c.ctl.Processes().SpawnThreadOn(p.pid, blade)
-			done()
-		})
-	})
+	p.c.syscall(func() { tid, err = p.c.ctl.Processes().SpawnThreadOn(p.pid, blade) })
 	if err != nil {
 		return nil, err
 	}

@@ -370,7 +370,7 @@ func TestSwitchFailover(t *testing.T) {
 	if err := a.Store(vma.Base, 777); err != nil {
 		t.Fatal(err)
 	}
-	c.Failover()
+	c.KillSwitch()
 	// After failover: translation/protection reconstructed, directory
 	// reset; data must still be readable from the other blade.
 	got, err := b.Load(vma.Base)

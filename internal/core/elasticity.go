@@ -2,22 +2,26 @@ package core
 
 // Online memory elasticity (§1, §4.1 "Transparency via outlier entries",
 // §4.4): memory blades join, drain and die while applications keep
-// running. A drain relocates every vma off the departing blade with live
-// page migration — regions are frozen and reset (compute blades flush),
-// pages copy in throttled batches, the TCAM gains outlier rules routing
-// the vma to its new home, and the area thaws — then the blade's
+// running. One mechanism moves a vma off a blade — rehome: freeze, region
+// reset (compute blades flush), throttled page copy, outlier-entry TCAM
+// rewrite, thaw — and a policy decides when and what an error means. A
+// drain re-homes every vma of the departing blade with its pages; kill
+// recovery, the involuntary version, does so without copies after a
+// detection delay (the contents died with the blade, its fabric port
+// went black); the promotion policy (promotion.go) pulls hot vmas off
+// borrowed blades. A blade that has departed is retired (retire): its
 // partition rule is withdrawn so translation can never resolve to it
-// again. A kill is the involuntary version: the blade's contents are
-// lost, the fabric goes black to its node, and after a detection delay
-// the control plane replays the same re-homing without the copies.
-// Switch failover (§4.4) is the third membership event: every region is
-// reset under a global freeze, then the backup data plane, rebuilt from
+// again, and if it was borrowed its lease ends. Blades enter the rack's
+// table through attach (rack.go), whichever way they arrive. Switch
+// failover (§4.4) is the third membership event: every region is reset
+// under a global freeze, then the backup data plane, rebuilt from
 // replicated control-plane state, goes live.
 //
-// All three are in-simulation events: they interleave with foreground
-// traffic on the event engine, and their cost — the per-area blackout of
-// a drain, the rack-wide blackout of a failover — is measurable on the
-// throughput timeline (Figure 10 panel, internal/experiments).
+// Drain, kill and failover are in-simulation events: they interleave
+// with foreground traffic on the event engine, and their cost — the
+// per-area blackout of a drain, the rack-wide blackout of a failover —
+// is measurable on the throughput timeline (Figure 10 panel,
+// internal/experiments).
 
 import (
 	"errors"
@@ -75,7 +79,7 @@ func (r SwitchFailoverReport) Blackout() sim.Duration { return r.End.Sub(r.Start
 
 // MemBladeCount returns how many memory blades have ever been part of
 // the rack (including drained and dead ones; ids are never reused).
-func (c *Rack) MemBladeCount() int { return len(c.mblades) }
+func (c *Rack) MemBladeCount() int { return len(c.mem) }
 
 // AddMemBlade hot-adds a memory blade with the given capacity (0 uses
 // the rack's configured per-blade capacity). The blade is immediately
@@ -89,11 +93,9 @@ func (c *Rack) AddMemBlade(capacity uint64) (ctrlplane.BladeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.fab.AddNode(memNodeBase + fabric.NodeID(id))
-	c.mblades = append(c.mblades, memblade.New(int(id)))
-	c.mbOwner = append(c.mbOwner, c.idx)
-	c.mbOwnNode = append(c.mbOwnNode, memNodeBase+fabric.NodeID(id))
-	c.remoteHeat = append(c.remoteHeat, 0)
+	node := memNodeBase + fabric.NodeID(id)
+	c.fab.AddNode(node)
+	c.attach(id, memblade.New(int(id)), c.idx, node)
 	c.col.IncH(c.hBladeEvents, 1)
 	return id, nil
 }
@@ -104,10 +106,10 @@ func (c *Rack) AddMemBlade(capacity uint64) (ctrlplane.BladeID, error) {
 // is a caller error reported explicitly, never a panic or a silent
 // double-recovery.
 func (c *Rack) bladeLive(victim ctrlplane.BladeID) error {
-	if int(victim) < 0 || int(victim) >= len(c.mblades) {
+	if int(victim) < 0 || int(victim) >= len(c.mem) {
 		return fmt.Errorf("core: no memory blade %d", victim)
 	}
-	if c.mblades[int(victim)].Dead() {
+	if c.mem[int(victim)].blade.Dead() {
 		return fmt.Errorf("core: memory blade %d is already dead", victim)
 	}
 	if c.ctl.Allocator().BladeRetired(victim) {
@@ -116,17 +118,104 @@ func (c *Rack) bladeLive(victim ctrlplane.BladeID) error {
 	return nil
 }
 
+// moveStats accumulates what re-homing cost across the vmas of one
+// drain, kill recovery or promotion.
+type moveStats struct {
+	regions int // directory entries reset
+	batches int // throttled copy batches
+	pages   int // materialized pages installed at their new home
+}
+
+// errTargetDied: the blade a copy was filling died with a batch in
+// flight; a drain retries the vma with a fresh target.
+var errTargetDied = errors.New("core: migration target died mid-copy")
+
+// rehome moves the vma based at base off blade from — the one mechanism
+// behind drains, kill recovery and promotions, and the only code that
+// freezes a vma's range. The range is frozen and its regions reset
+// (compute blades flush), pick names the new home (after the reset:
+// membership can change while a reset's flush round trips run), the
+// materialized pages copy over in throttled batches when withPages is
+// set (a dead source has none), and the TCAM rewrite (Allocator.Migrate)
+// cuts translation over. Only then do the copied pages materialize at
+// the target; on any error they go back to the source, which kept the
+// authoritative copy. The range thaws and done(err) fires in the same
+// event. What an error means is the caller's policy; ErrBadAddress says
+// the vma was unmapped under the move.
+func (c *Rack) rehome(base mem.VA, from ctrlplane.BladeID,
+	pick func(from ctrlplane.BladeID, base mem.VA) (ctrlplane.BladeID, error),
+	withPages bool, st *moveStats, done func(error)) {
+	alloc := c.ctl.Allocator()
+	reserved, err := alloc.Reserved(base)
+	if err != nil {
+		done(err)
+		return
+	}
+	area := mem.Range{Base: base, Size: reserved}
+	thaw := func(err error) {
+		c.dir.UnfreezeRange(area)
+		done(err)
+	}
+	c.dir.FreezeRange(area)
+	c.resetRange(area, func(n int) {
+		st.regions += n
+		to, err := pick(from, base)
+		if err != nil {
+			thaw(err)
+			return
+		}
+		if !withPages {
+			thaw(alloc.Migrate(base, to))
+			return
+		}
+		step := ctrlplane.MigrationStep{Base: base, Reserved: reserved, From: from, To: to}
+		c.copyPages(step, st, func(moved []memblade.PageCopy, err error) {
+			if err == nil {
+				err = alloc.Migrate(base, to)
+			}
+			if err != nil {
+				// The rewrite rolled back (or the target departed between
+				// selection and rewrite, or the vma is gone — retirement
+				// purges its pages then); a failed copy left none to return.
+				for _, pg := range moved {
+					c.mem[int(from)].blade.ReturnPage(pg)
+				}
+			} else {
+				for _, pg := range moved {
+					c.mem[int(to)].blade.InstallPage(pg)
+				}
+				st.pages += len(moved)
+				c.col.IncH(c.hMigratedPages, uint64(len(moved)))
+			}
+			thaw(err)
+		})
+	})
+}
+
+// retire withdraws a departed victim — drained empty or dead and
+// re-homed — from the allocator, so translation can never resolve to it
+// again. A borrowed victim's lease ends here: the device stays stranded
+// at its owner, retired on both sides (blade ids are never reused).
+func (c *Rack) retire(victim ctrlplane.BladeID) error {
+	alloc := c.ctl.Allocator()
+	already := alloc.BladeRetired(victim)
+	err := alloc.RetireBlade(victim)
+	if err == nil && !already && c.remoteBlade(victim) {
+		c.borrowed--
+	}
+	return err
+}
+
 // DrainMemBladeAsync starts draining victim from event context; done
 // fires (still in event context) when the blade is empty and retired.
-// Foreground traffic keeps flowing while pages move.
+// Every vma on it is re-homed with its pages (rehome), one at a time, so
+// foreground traffic to the others keeps flowing.
 //
 // A borrowed blade may be drained: the copy path (bladeTransfer) runs
-// each leg on the shard that owns it, the outlier rewrite is local to
-// this rack's TCAM, and retirement releases the lease — the device
-// stays stranded at its owner, exactly like a kill. The only
-// borrow-specific restriction is inherited from PlanDrain: the
-// remaining blades (borrowed or local) must have headroom for the
-// displaced vmas.
+// each leg on the shard that owns it, and the outlier rewrite is local
+// to this rack's TCAM. The only borrow-specific restriction is inherited
+// from PlanDrain: the remaining blades (borrowed or local) must have
+// headroom for the displaced vmas.
 func (c *Rack) DrainMemBladeAsync(victim ctrlplane.BladeID, done func(DrainReport, error)) {
 	alloc := c.ctl.Allocator()
 	rep := DrainReport{Victim: victim, Start: c.eng.Now()}
@@ -141,22 +230,25 @@ func (c *Rack) DrainMemBladeAsync(victim ctrlplane.BladeID, done func(DrainRepor
 	}
 	c.col.IncH(c.hBladeEvents, 1)
 
+	var st moveStats
+	finish := func(err error) {
+		rep.RegionsHit, rep.Batches, rep.PagesMoved = st.regions, st.batches, st.pages
+		rep.End = c.eng.Now()
+		done(rep, err)
+	}
 	// An aborted drain must not leave a healthy blade excluded from
 	// placement forever: its data is intact and it still serves traffic,
 	// so availability is restored (unless the blade died meanwhile —
 	// kill recovery owns it then).
 	fail := func(err error) {
-		if !c.mblades[int(victim)].Dead() {
+		if !c.mem[int(victim)].blade.Dead() {
 			_ = alloc.SetBladeAvailable(victim, true)
 		}
-		rep.End = c.eng.Now()
-		done(rep, err)
+		finish(err)
 	}
 
 	// Validate up front that the drain can succeed at all, then move one
-	// vma at a time. Targets are chosen fresh after each area's reset —
-	// membership can change (a blade added mid-drain, a planned target
-	// failing) while a reset's flush round-trips run.
+	// vma at a time.
 	if _, err := alloc.PlanDrain(victim); err != nil {
 		fail(err)
 		return
@@ -165,105 +257,32 @@ func (c *Rack) DrainMemBladeAsync(victim ctrlplane.BladeID, done func(DrainRepor
 	step = func() {
 		bases := alloc.AllocationsOn(victim)
 		if len(bases) == 0 {
-			c.finishDrain(victim, rep, done)
+			// Purge garbage pages (writebacks of vmas freed while they lived
+			// on the victim) and retire the blade.
+			rep.PagesPurged = c.mem[int(victim)].blade.DropAll()
+			finish(c.retire(victim))
 			return
 		}
-		base := bases[0]
-		reserved, err := alloc.Reserved(base)
-		if err != nil {
-			fail(err)
-			return
-		}
-		area := mem.Range{Base: base, Size: reserved}
-		c.dir.FreezeRange(area)
-		c.resetRange(area, func(n int) {
-			rep.RegionsHit += n
-			to, err := alloc.PickMigrationTarget(victim, base)
-			if errors.Is(err, ctrlplane.ErrBadAddress) {
-				// The vma was munmapped while its regions reset; it has
-				// left the work list. Any stale pages are purged at
-				// retirement.
-				c.dir.UnfreezeRange(area)
-				step()
-				return
-			}
-			if err != nil {
-				c.dir.UnfreezeRange(area)
+		c.rehome(bases[0], victim, alloc.PickMigrationTarget, true, &st, func(err error) {
+			switch {
+			case err == nil:
+				rep.Allocations++
+			case errors.Is(err, ctrlplane.ErrBadAddress),
+				errors.Is(err, ctrlplane.ErrBladeUnavailable),
+				errors.Is(err, errTargetDied):
+				// Transient: the vma was munmapped under the move and has
+				// left the work list, or the target departed; the next
+				// round picks afresh.
+			default:
+				// Persistent (no survivor fits, rule install failed): the
+				// drain aborts with the blade fully intact.
 				fail(err)
 				return
 			}
-			st := ctrlplane.MigrationStep{Base: base, Reserved: reserved, From: victim, To: to}
-			c.copyPages(st, &rep, func(moved []memblade.PageCopy, copyOK bool) {
-				if !copyOK {
-					// The target died mid-copy; everything already went
-					// back to the source. Retry the step with a fresh
-					// target.
-					c.dir.UnfreezeRange(area)
-					step()
-					return
-				}
-				err := alloc.Migrate(base, to)
-				c.dir.UnfreezeRange(area)
-				switch {
-				case err == nil:
-					// Cutover: only now do the copied pages materialize at
-					// the target and count as moved.
-					for _, pg := range moved {
-						c.mblades[int(to)].InstallPage(pg)
-					}
-					rep.PagesMoved += len(moved)
-					c.col.IncH(c.hMigratedPages, uint64(len(moved)))
-					rep.Allocations++
-					step()
-				case errors.Is(err, ctrlplane.ErrBladeUnavailable), errors.Is(err, ctrlplane.ErrBadAddress):
-					// Transient: the target departed between selection
-					// and the TCAM rewrite, or the vma was munmapped
-					// mid-copy. Put the pages back (retirement purges
-					// them if the vma is gone) and continue the drain.
-					for _, pg := range moved {
-						c.mblades[int(victim)].ReturnPage(pg)
-					}
-					step()
-				default:
-					// Persistent failure (rule install): the TCAM rewrite
-					// rolled back, the pages go back home, and the drain
-					// aborts with the blade fully intact.
-					for _, pg := range moved {
-						c.mblades[int(victim)].ReturnPage(pg)
-					}
-					fail(err)
-				}
-			})
+			step()
 		})
 	}
 	step()
-}
-
-// finishDrain purges garbage pages (writebacks of vmas freed while they
-// lived on the victim) and retires the blade.
-func (c *Rack) finishDrain(victim ctrlplane.BladeID, rep DrainReport, done func(DrainReport, error)) {
-	rep.PagesPurged = c.mblades[int(victim)].DropAll()
-	alreadyRetired := c.ctl.Allocator().BladeRetired(victim)
-	err := c.ctl.Allocator().RetireBlade(victim)
-	if err == nil && !alreadyRetired {
-		c.releaseLease(victim)
-	}
-	rep.End = c.eng.Now()
-	done(rep, err)
-}
-
-// releaseLease drops the borrow accounting when a borrowed blade
-// leaves the rack through a drain or kill instead of a return-to-owner
-// (a killed device is dead; a drained one stays stranded retired on
-// both sides — blade ids are never reused). Without this, Leases() and
-// BorrowedBlades() would report a phantom loan forever and the
-// promotion epochs would keep scanning an empty lease set.
-func (c *Rack) releaseLease(victim ctrlplane.BladeID) {
-	if !c.remoteBlade(victim) {
-		return
-	}
-	c.borrowed--
-	c.pod.leases--
 }
 
 // resetRange resets every directory entry overlapping r (compute blades
@@ -324,13 +343,12 @@ func (c *Rack) transfer(from, to fabric.NodeID, bytes int, done func(delivered b
 // Copied pages are buffered and only installed at the target by the
 // caller at cutover (after the TCAM rewrite commits) — the source
 // retains the authoritative copy until then, exactly like a real live
-// migration. done receives the buffered pages; ok=false means the
-// target died mid-copy, in which case every page is already back on the
-// source and the caller should retry with a fresh target.
-func (c *Rack) copyPages(st ctrlplane.MigrationStep, rep *DrainReport,
-	done func(moved []memblade.PageCopy, ok bool)) {
-	src := c.mblades[int(st.From)]
-	dst := c.mblades[int(st.To)]
+// migration. done receives the buffered pages, or errTargetDied with
+// every page already back on the source.
+func (c *Rack) copyPages(step ctrlplane.MigrationStep, st *moveStats,
+	done func(moved []memblade.PageCopy, err error)) {
+	src := c.mem[int(step.From)].blade
+	dst := c.mem[int(step.To)].blade
 	batch := c.cfg.Migration.BatchPages
 	if batch < 1 {
 		batch = 1
@@ -338,13 +356,13 @@ func (c *Rack) copyPages(st ctrlplane.MigrationStep, rep *DrainReport,
 	var moved []memblade.PageCopy
 	var next func()
 	next = func() {
-		pages := src.TakePagesIn(st.Base, st.Reserved, batch)
+		pages := src.TakePagesIn(step.Base, step.Reserved, batch)
 		if len(pages) == 0 {
-			done(moved, true)
+			done(moved, nil)
 			return
 		}
-		rep.Batches++
-		c.bladeTransfer(st.From, st.To,
+		st.batches++
+		c.bladeTransfer(step.From, step.To,
 			len(pages)*fabric.PageBytes, func(delivered bool) {
 				if !delivered || dst.Dead() {
 					// The target died with the batch in flight. Put
@@ -357,7 +375,7 @@ func (c *Rack) copyPages(st ctrlplane.MigrationStep, rep *DrainReport,
 					for _, p := range moved {
 						src.ReturnPage(p)
 					}
-					done(nil, false)
+					done(nil, errTargetDied)
 					return
 				}
 				moved = append(moved, pages...)
@@ -406,15 +424,18 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done f
 		done(rep, err)
 		return
 	}
-	rep.PagesLost = c.mblades[int(victim)].Kill()
+	slot := c.mem[int(victim)]
+	rep.PagesLost = slot.blade.Kill()
 	if markPort {
 		// The blade's fabric port lives in the rack that physically
 		// hosts it (for a borrowed blade, the lender's fabric).
-		c.pod.racks[c.mbOwner[int(victim)]].fab.SetNodeDead(c.mbOwnNode[int(victim)], true)
+		c.pod.racks[slot.owner].fab.SetNodeDead(slot.node, true)
 	}
 	c.col.IncH(c.hKills, 1)
 	c.recovering++
+	var st moveStats
 	finish := func(err error) {
+		rep.RegionsHit = st.regions
 		rep.End = c.eng.Now()
 		c.recovering--
 		c.col.IncH(c.hRecoveries, 1)
@@ -430,32 +451,13 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done f
 	step = func() {
 		bases := alloc.AllocationsOn(victim)
 		if len(bases) == 0 {
-			alreadyRetired := alloc.BladeRetired(victim)
-			err := alloc.RetireBlade(victim)
-			if err == nil && !alreadyRetired {
-				c.releaseLease(victim)
-			}
-			finish(err)
+			finish(c.retire(victim))
 			return
 		}
 		base := bases[0]
-		reserved, err := alloc.Reserved(base)
-		if err != nil {
-			finish(err)
-			return
-		}
-		area := mem.Range{Base: base, Size: reserved}
-		c.dir.FreezeRange(area)
-		c.resetRange(area, func(n int) {
-			rep.RegionsHit += n
-			// No page copies — the data is gone. Re-home the translation
-			// so the vma's pages materialize (as zeroes) on the survivor.
-			// The target is chosen now, after the reset, so concurrent
-			// membership changes are reflected.
-			to, err := alloc.PickMigrationTarget(victim, base)
-			if err == nil {
-				err = alloc.Migrate(base, to)
-			}
+		// No page copies — the data is gone. Re-home the translation so
+		// the vma's pages materialize (as zeroes) on the survivor.
+		c.rehome(base, victim, alloc.PickMigrationTarget, false, &st, func(err error) {
 			switch {
 			case err == nil:
 				rep.Allocations++
@@ -471,7 +473,6 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done f
 				_ = alloc.Free(base)
 				rep.VMAsLost++
 			}
-			c.dir.UnfreezeRange(area)
 			step()
 		})
 	}
@@ -495,8 +496,14 @@ func (c *Rack) KillMemBlade(victim ctrlplane.BladeID) (KillReport, error) {
 // event: a rack-wide freeze (every page request bounces with Retry),
 // every live region reset (compute blades flush their data), then the
 // backup ASIC — rebuilt from consistently-replicated control-plane
-// state — becomes the active data plane and the freeze lifts.
+// state — becomes the active data plane and the freeze lifts. A switch
+// that is already failing over cannot die again: a call while a failover
+// is in flight joins it, and its done fires with that outage's report.
 func (c *Rack) KillSwitchAsync(done func(SwitchFailoverReport)) {
+	c.failoverDone = append(c.failoverDone, done)
+	if len(c.failoverDone) > 1 {
+		return
+	}
 	rep := SwitchFailoverReport{Start: c.eng.Now()}
 	c.dir.SetFreezeAll(true)
 	c.col.IncH(c.hBladeEvents, 1)
@@ -512,7 +519,11 @@ func (c *Rack) KillSwitchAsync(done func(SwitchFailoverReport)) {
 		rep.End = c.eng.Now()
 		c.recovering--
 		c.col.IncH(c.hRecoveries, 1)
-		done(rep)
+		waiting := c.failoverDone
+		c.failoverDone = nil
+		for _, done := range waiting {
+			done(rep)
+		}
 	})
 }
 

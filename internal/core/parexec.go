@@ -44,12 +44,16 @@ package core
 // The barrier is also the pod's exclusive section. Operations that
 // inherently span racks — blade borrow/return (two allocators), idle
 // lease returns, scheduled failure injection (podfail.go), the
-// experiment sampler — run only here, with every engine parked. Rack events merely flag or enqueue them. Everything
-// else a rack event touches is rack-local by construction: per-rack
-// engine, collector, fabric, blades, pools. A borrowed blade's page
-// store belongs to the borrowing rack's shard for the duration of the
-// lease (the owner retired it from its own tables), which is why data
-// can land in it from borrower events.
+// experiment sampler — run only here, with every engine parked. Rack
+// events merely flag or enqueue them. Everything else a rack event
+// touches is rack-local by construction: per-rack engine, collector,
+// fabric, blade table, pools. No rack event writes a Pod field — a lease
+// that ends in rack context (a borrowed blade drained or killed) ends in
+// the borrower's own count, and Pod.Leases sums the counts at read;
+// TestConcurrentBorrowedRetirements holds this under the race detector.
+// A borrowed blade's page store belongs to the borrowing rack's shard
+// for the duration of the lease (the owner retired it from its own
+// tables), which is why data can land in it from borrower events.
 //
 // Determinism: none of this depends on the worker count. Window
 // contents are fixed by the event schedule, boundary injection order is
@@ -277,17 +281,13 @@ func (x *podExec) safeJump(target sim.Time) int64 {
 			k = 1
 		}
 	}
-	// Fault injections (podfail.go) and borrow resolutions: each is
-	// performed by the first barrier end with obligation time < end+W,
-	// i.e. minimal k with vnow+kW > at-W.
-	if kF := x.faultJumpBound(); kF < k {
-		k = kF
-	}
+	// Queued fault injections (podfail.go) and borrow resolutions.
 	for _, r := range x.p.racks {
+		for _, f := range r.pendingFaults {
+			k = min(k, x.barriersUntil(f.at))
+		}
 		for _, req := range r.pendingBorrows {
-			if kB := (int64(req.due)-w-vnow)/w + 1; kB < k {
-				k = kB
-			}
+			k = min(k, x.barriersUntil(req.due))
 		}
 	}
 	if target != 0 {
@@ -305,6 +305,18 @@ func (x *podExec) safeJump(target sim.Time) int64 {
 		return 1
 	}
 	return k
+}
+
+// barriersUntil returns how many grid windows the cursor may advance
+// without deferring an obligation queued for time at — a fault to
+// inject, a borrow to resolve. The first barrier end with at < end+W
+// performs it (injectDueFaults, barrier), so the jump must stop at the
+// minimal k with vnow+kW > at-W. Queued obligations satisfy at >= vnow+W
+// (earlier ones were performed at registration or a prior barrier), so
+// the bound is at least 1.
+func (x *podExec) barriersUntil(at sim.Time) int64 {
+	w := int64(x.window)
+	return (int64(at)-w-int64(x.vnow))/w + 1
 }
 
 // idle reports whether the pod can make no further progress: every

@@ -110,9 +110,6 @@ type Pod struct {
 	// not have — and, in the executor, the width of a drive quantum.
 	multiRack bool
 
-	// leases records live cross-rack blade loans, for diagnostics.
-	leases int
-
 	// Pod-level counters, bumped only in barrier context (registered
 	// only for multi-rack pods, so a 1-rack pod's counter set is
 	// exactly the classic single-rack one).
@@ -193,9 +190,11 @@ func (p *Pod) ExecutedEvents() uint64 {
 // Collector returns the pod's metrics. For a 1-rack pod this is the
 // rack's live collector. For a multi-rack pod it is a merged snapshot:
 // counters and latency components sum across the rack shards and the
-// pod's own counters; series and histograms are shared by reference
-// (per-rack series names are rack-qualified, so they never collide).
-// Call it between drives or at barriers.
+// pod's own counters; series and histograms are copied in and merged
+// sample for sample, never shared by reference (stats.Collector.MergeFrom;
+// per-rack series names are rack-qualified, so series never collide, and
+// a tenant's histogram shards merge under its one name). Call it between
+// drives or at barriers.
 func (p *Pod) Collector() *stats.Collector {
 	if !p.multiRack {
 		return p.racks[0].col
@@ -222,8 +221,16 @@ func (p *Pod) CounterTotal(name string) uint64 {
 // pod).
 func (p *Pod) Interconnect() *fabric.Interconnect { return p.ic }
 
-// Leases returns the number of live cross-rack blade loans.
-func (p *Pod) Leases() int { return p.leases }
+// Leases returns the number of live cross-rack blade loans: the racks'
+// borrowed counts, summed at read. Call it between drives or at
+// barriers.
+func (p *Pod) Leases() int {
+	n := 0
+	for _, r := range p.racks {
+		n += r.borrowed
+	}
+	return n
+}
 
 // WindowStats reports the windowed executor's work accounting: windows
 // actually swept, grid windows skipped by the sparse-horizon jump, and
@@ -269,9 +276,10 @@ func (p *Pod) RunThreads() sim.Time {
 // end in it.
 func (p *Pod) quiesce() {
 	for _, r := range p.racks {
-		r.StopEpochs()
+		r.eng.Cancel(r.epochTick)
+		r.eng.Cancel(r.promoTick)
+		r.epochTick, r.promoTick = nil, nil
 	}
-	p.StopPromotionEpochs()
 	p.exec.drive(true, 0, p.exec.idle)
 }
 
@@ -298,19 +306,6 @@ func (p *Pod) SampleEvery(every sim.Duration, fn func(now sim.Time)) {
 	p.exec.sampleFn = fn
 	p.exec.nextSample = p.exec.vnow.Add(every)
 }
-
-// StopPromotionEpochs cancels the promotion policy loops (end of run).
-func (p *Pod) StopPromotionEpochs() {
-	for _, r := range p.racks {
-		if r.promoTick != nil {
-			r.eng.Cancel(r.promoTick)
-			r.promoTick = nil
-		}
-	}
-}
-
-// canBorrow reports whether cross-rack borrowing is possible at all.
-func (p *Pod) canBorrow() bool { return len(p.racks) > 1 }
 
 // borrowAsync asks the pod for a remote memory blade able to hold a
 // reservation of need bytes for rack r. The negotiation costs one
@@ -366,15 +361,9 @@ func (p *Pod) borrow(r *Rack, need uint64) bool {
 			// unavailable, and borrows run exclusively at barriers.
 			panic(fmt.Sprintf("core: lend of blade %d: %v", id, err))
 		}
-		if int(newID) != len(r.mblades) {
-			panic("core: borrow broke blade id/index correspondence")
-		}
-		r.mblades = append(r.mblades, lender.mblades[int(id)])
-		r.mbOwner = append(r.mbOwner, lender.idx)
-		r.mbOwnNode = append(r.mbOwnNode, lender.mbOwnNode[int(id)])
-		r.remoteHeat = append(r.remoteHeat, 0)
+		lent := lender.mem[int(id)]
+		r.attach(newID, lent.blade, lender.idx, lent.node)
 		r.borrowed++
-		p.leases++
 		p.col.IncH(p.hBorrows, 1)
 		r.col.IncH(r.hBladeEvents, 1)
 		return true
@@ -390,8 +379,8 @@ func (p *Pod) borrow(r *Rack, need uint64) bool {
 // blade between the two allocators. Reports whether the return
 // happened. Barrier context only.
 func (p *Pod) returnBlade(borrower *Rack, id ctrlplane.BladeID) bool {
-	owner := p.racks[borrower.mbOwner[int(id)]]
-	blade := borrower.mblades[int(id)]
+	owner := p.racks[borrower.mem[int(id)].owner]
+	blade := borrower.mem[int(id)].blade
 	cap, err := borrower.ctl.Allocator().BladeCapacity(id)
 	if err != nil {
 		return false
@@ -409,13 +398,10 @@ func (p *Pod) returnBlade(borrower *Rack, id ctrlplane.BladeID) bool {
 		panic(fmt.Sprintf("core: return of borrowed blade %d: %v", id, err))
 	}
 	blade.DropAll()
-	owner.fab.AddNode(memNodeBase + fabric.NodeID(newID))
-	owner.mblades = append(owner.mblades, blade)
-	owner.mbOwner = append(owner.mbOwner, owner.idx)
-	owner.mbOwnNode = append(owner.mbOwnNode, memNodeBase+fabric.NodeID(newID))
-	owner.remoteHeat = append(owner.remoteHeat, 0)
+	node := memNodeBase + fabric.NodeID(newID)
+	owner.fab.AddNode(node)
+	owner.attach(newID, blade, owner.idx, node)
 	borrower.borrowed--
-	p.leases--
 	p.col.IncH(p.hReturns, 1)
 	owner.col.IncH(owner.hBladeEvents, 1)
 	return true
@@ -453,13 +439,14 @@ func (c *Rack) memRound(id ctrlplane.BladeID, req, resp int, dma sim.Duration, f
 	if j == nil {
 		j = &crossJob{p: c.pod, from: c}
 	}
-	owner := c.pod.racks[c.mbOwner[int(id)]]
-	j.owner, j.node, j.req, j.resp, j.dma, j.fn, j.arg = owner, c.mbOwnNode[int(id)], req, resp, dma, fn, arg
+	slot := &c.mem[int(id)]
+	owner := c.pod.racks[slot.owner]
+	j.owner, j.node, j.req, j.resp, j.dma, j.fn, j.arg = owner, slot.node, req, resp, dma, fn, arg
 	if owner == c {
 		c.fab.SendFromSwitchArg(j.node, req, memAtBlade, j)
 		return
 	}
-	c.remoteHeat[int(id)]++
+	slot.heat++
 	c.col.IncH(c.hCrossMsgs, 1)
 	c.fab.TraverseEgressArg(memReqToUplink, j)
 }

@@ -34,23 +34,16 @@ import (
 	"mind/internal/sim"
 )
 
-// podFault is one scheduled failure event. Exactly one of the done
-// callbacks is set, matching kind.
+// podFault is one scheduled failure event: run starts it on its rack at
+// at. killed marks a fault that kills memory blade blade — the one fact
+// the injector needs, because a borrowed victim's port is not its
+// rack's to blacken.
 type podFault struct {
-	kind  int // faultKill, faultDrain, faultSwitch
-	blade ctrlplane.BladeID
-	at    sim.Time
-
-	killDone   func(KillReport, error)
-	drainDone  func(DrainReport, error)
-	switchDone func(SwitchFailoverReport, error)
+	at     sim.Time
+	killed bool
+	blade  ctrlplane.BladeID
+	run    func(r *Rack, markPort bool)
 }
-
-const (
-	faultKill = iota
-	faultDrain
-	faultSwitch
-)
 
 // KillMemBladeAt schedules a memory-blade failure on rack's blade
 // victim at virtual time at. done fires in the rack's event context
@@ -60,20 +53,26 @@ const (
 // borrower, whose tables still know it — the lender retired its id
 // when the lease was granted.
 func (p *Pod) KillMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, done func(KillReport, error)) error {
-	return p.scheduleFault(rack, &podFault{kind: faultKill, blade: victim, at: at, killDone: done})
+	return p.scheduleFault(rack, &podFault{at: at, killed: true, blade: victim, run: func(r *Rack, markPort bool) {
+		r.killMemBladeAsync(victim, markPort, done)
+	}})
 }
 
 // DrainMemBladeAt schedules a graceful drain of rack's blade victim at
 // virtual time at; done fires when the blade is empty and retired.
 // Draining a borrowed blade is supported (see DrainMemBladeAsync).
 func (p *Pod) DrainMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, done func(DrainReport, error)) error {
-	return p.scheduleFault(rack, &podFault{kind: faultDrain, blade: victim, at: at, drainDone: done})
+	return p.scheduleFault(rack, &podFault{at: at, run: func(r *Rack, _ bool) {
+		r.DrainMemBladeAsync(victim, done)
+	}})
 }
 
 // KillSwitchAt schedules a switch failover on rack at virtual time at;
 // done fires when the backup data plane is live.
 func (p *Pod) KillSwitchAt(rack int, at sim.Time, done func(SwitchFailoverReport, error)) error {
-	return p.scheduleFault(rack, &podFault{kind: faultSwitch, at: at, switchDone: done})
+	return p.scheduleFault(rack, &podFault{at: at, run: func(r *Rack, _ bool) {
+		r.KillSwitchAsync(func(rep SwitchFailoverReport) { done(rep, nil) })
+	}})
 }
 
 // scheduleFault validates and queues one fault. Main-goroutine or
@@ -120,52 +119,19 @@ func (x *podExec) injectDueFaults(horizon sim.Time) {
 	}
 }
 
-// faultJumpBound returns the maximum number of grid windows the
-// sparse-horizon executor may advance without deferring a queued
-// fault's injection barrier: a fault at A is converted by the first
-// barrier end with A < end + W (see injectDueFaults' horizon), so the
-// jump must stop at the minimal k with vnow + kW > A - W. Queued faults
-// always satisfy A >= vnow + W (earlier ones were injected at
-// registration or a prior barrier), so the bound is at least 1.
-// Barrier context only.
-func (x *podExec) faultJumpBound() int64 {
-	w, vnow := int64(x.window), int64(x.vnow)
-	k := int64(1) << 62
-	for _, r := range x.p.racks {
-		for _, f := range r.pendingFaults {
-			if kF := (int64(f.at)-w-vnow)/w + 1; kF < k {
-				k = kF
-			}
-		}
-	}
-	return k
-}
-
 // injectFault schedules the fault's event(s) at its injection time.
 // Exclusive context (barrier or parked engines): it may read ownership
-// tables and schedule on more than one rack's engine.
+// tables and schedule on more than one rack's engine. It decides one
+// thing: a borrowed victim's port blackens in the lender's shard, the
+// contents loss and recovery run in the borrower's — both at the kill
+// instant.
 func (p *Pod) injectFault(r *Rack, f *podFault) {
-	switch f.kind {
-	case faultKill:
-		victim, done := f.blade, f.killDone
-		if int(victim) >= 0 && int(victim) < len(r.mblades) && r.remoteBlade(victim) {
-			// Borrowed blade: the port blackens in the lender's shard,
-			// the contents loss and recovery run in the borrower's —
-			// both at the kill instant.
-			owner := p.racks[r.mbOwner[int(victim)]]
-			node := r.mbOwnNode[int(victim)]
-			owner.eng.At(f.at, func() { owner.fab.SetNodeDead(node, true) })
-			r.eng.At(f.at, func() { r.killMemBladeAsync(victim, false, done) })
-			return
-		}
-		r.eng.At(f.at, func() { r.killMemBladeAsync(victim, true, done) })
-	case faultDrain:
-		victim, done := f.blade, f.drainDone
-		r.eng.At(f.at, func() { r.DrainMemBladeAsync(victim, done) })
-	case faultSwitch:
-		done := f.switchDone
-		r.eng.At(f.at, func() {
-			r.KillSwitchAsync(func(rep SwitchFailoverReport) { done(rep, nil) })
-		})
+	markPort := true
+	if f.killed && int(f.blade) >= 0 && int(f.blade) < len(r.mem) && r.remoteBlade(f.blade) {
+		slot := r.mem[int(f.blade)]
+		owner := p.racks[slot.owner]
+		owner.eng.At(f.at, func() { owner.fab.SetNodeDead(slot.node, true) })
+		markPort = false
 	}
+	r.eng.At(f.at, func() { f.run(r, markPort) })
 }

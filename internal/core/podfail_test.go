@@ -12,6 +12,7 @@ import (
 	"mind/internal/ctrlplane"
 	"mind/internal/mem"
 	"mind/internal/sim"
+	"mind/internal/stats"
 )
 
 // TestKillMemBladeLiveness: killing a blade that is unknown, already
@@ -169,7 +170,7 @@ func TestPodKillBorrowedBladeRecovers(t *testing.T) {
 		t.Fatalf("borrowed=%d, want 1", r0.BorrowedBlades())
 	}
 	victim := borrowedBladeID(t, r0)
-	ownNode := r0.mbOwnNode[int(victim)]
+	ownNode := r0.mem[int(victim)].node
 
 	const pages = 16
 	th, err := p.SpawnThread(0)
@@ -275,3 +276,135 @@ func TestPodFaultValidation(t *testing.T) {
 }
 
 const time1us = sim.Microsecond
+
+// TestConcurrentBorrowedRetirements: two memory-poor racks lose their
+// borrowed blades at the same instant — killed, or drained — while the
+// pod executes windows on two workers. Retiring a lease is rack-local
+// work: no rack event may write pod state, so the run is race-free (run
+// it under -race) and every lease is gone afterwards.
+func TestConcurrentBorrowedRetirements(t *testing.T) {
+	for _, mode := range []string{"kill", "drain"} {
+		t.Run(mode, func(t *testing.T) {
+			pod, err := NewPod(PodConfig{
+				Racks: []Config{
+					podRackConfig(2, 1, 1024),
+					podRackConfig(2, 1, 1024),
+					podRackConfig(2, 3, 1024),
+					podRackConfig(2, 3, 1024),
+				},
+				Promotion: PromotionConfig{Disable: true},
+				Workers:   2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var victims [2]ctrlplane.BladeID
+			for i := range victims {
+				r := pod.Rack(i)
+				p := r.Exec("borrower")
+				filler, err := p.Mmap(900*mem.PageSize, mem.PermReadWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Mmap(400*mem.PageSize, mem.PermReadWrite); err != nil {
+					t.Fatal(err)
+				}
+				if r.BorrowedBlades() != 1 {
+					t.Fatalf("setup: rack %d borrowed %d blades, want 1", i, r.BorrowedBlades())
+				}
+				victims[i] = borrowedBladeID(t, r)
+				if mode == "drain" {
+					// A drain needs local room for the displaced vma.
+					if err := p.Munmap(filler.Base); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if pod.Leases() != 2 {
+				t.Fatalf("setup: %d leases, want 2", pod.Leases())
+			}
+
+			at := pod.Now().Add(20 * sim.Microsecond)
+			for i, victim := range victims {
+				var err error
+				if mode == "kill" {
+					err = pod.KillMemBladeAt(i, victim, at, func(_ KillReport, e error) {
+						if e != nil {
+							t.Errorf("rack %d kill: %v", i, e)
+						}
+					})
+				} else {
+					err = pod.DrainMemBladeAt(i, victim, at, func(_ DrainReport, e error) {
+						if e != nil {
+							t.Errorf("rack %d drain: %v", i, e)
+						}
+					})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			pod.AdvanceTime(2 * sim.Millisecond)
+
+			if pod.Leases() != 0 {
+				t.Errorf("Leases() = %d after both borrowed blades departed, want 0", pod.Leases())
+			}
+			for i, victim := range victims {
+				r := pod.Rack(i)
+				if !r.Controller().Allocator().BladeRetired(victim) {
+					t.Errorf("rack %d: departed blade %d not retired", i, victim)
+				}
+				if r.BorrowedBlades() != 0 {
+					t.Errorf("rack %d still counts %d borrowed blades", i, r.BorrowedBlades())
+				}
+			}
+			col := pod.Collector()
+			if k, r := col.Counter(stats.CtrBladeKills), col.Counter(stats.CtrBladeRecoveries); k != r {
+				t.Errorf("blade_kills = %d, blade_recoveries = %d", k, r)
+			}
+		})
+	}
+}
+
+// TestOverlappingSwitchFailoversJoin: a switch that is already failing
+// over cannot die again. A second KillSwitchAt inside the first one's
+// blackout joins the failover in flight — one sweep, one kill counted —
+// and both callbacks fire with the same report. (Two sweeps interleaved
+// would lift each other's freeze and swap the ASIC under live regions.)
+func TestOverlappingSwitchFailoversJoin(t *testing.T) {
+	c := newTestCluster(t, 2, 2)
+	p := c.Exec("app")
+	const pages = 256
+	vma, err := p.Mmap(pages*mem.PageSize, mem.PermReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride(t, p, 0, 4000, []mem.VMA{vma}, pages)
+	stride(t, p, 1, 4000, []mem.VMA{vma}, pages)
+
+	var reps []SwitchFailoverReport
+	for _, d := range []sim.Duration{100 * sim.Microsecond, 120 * sim.Microsecond} {
+		if err := c.Pod().KillSwitchAt(0, c.Now().Add(d), func(r SwitchFailoverReport, e error) {
+			if e != nil {
+				t.Errorf("failover: %v", e)
+			}
+			reps = append(reps, r)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunThreads()
+	if len(reps) != 2 {
+		t.Fatalf("%d failover callbacks fired, want 2", len(reps))
+	}
+	if reps[0] != reps[1] {
+		t.Errorf("overlapping failovers reported different outages:\n%+v\n%+v", reps[0], reps[1])
+	}
+	if reps[0].RegionsReset == 0 || reps[0].Blackout() <= 20*sim.Microsecond {
+		t.Fatalf("the second failover did not land inside the first: %+v", reps[0])
+	}
+	col := c.Collector()
+	if k, r := col.Counter(stats.CtrBladeKills), col.Counter(stats.CtrBladeRecoveries); k != 1 || r != 1 {
+		t.Errorf("blade_kills = %d, blade_recoveries = %d, want 1 and 1", k, r)
+	}
+}

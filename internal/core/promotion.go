@@ -2,17 +2,15 @@ package core
 
 // Hot-page promotion (INDIGO-style): every promotion epoch the pod
 // scans each rack's borrowed blades; a blade whose remote-fetch heat
-// crossed the policy threshold gets its vmas migrated back to local
-// memory with the same live-migration machinery drains use — freeze →
-// directory reset → throttled page copy across the interconnect → TCAM
-// rewrite (outlier entries) → unfreeze. Borrowed blades that end up
-// empty are returned to their owning rack.
+// crossed the policy threshold gets its vmas re-homed to local memory
+// (Rack.rehome, the mechanism drains use; the page copy crosses the
+// interconnect). Borrowed blades that end up empty are returned to
+// their owning rack.
 
 import (
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
 	"mind/internal/mem"
-	"mind/internal/memblade"
 	"mind/internal/sim"
 )
 
@@ -47,7 +45,7 @@ func (c *Rack) runPromotionEpoch() {
 	if !c.promoting {
 		alloc := c.ctl.Allocator()
 		plan := alloc.PlanPromotions(c.remoteBlade, func(id ctrlplane.BladeID) uint64 {
-			return c.remoteHeat[int(id)]
+			return c.mem[int(id)].heat
 		}, ctrlplane.PromotionPolicy{
 			Threshold: c.pod.promo.Threshold,
 			MaxVMAs:   c.pod.promo.MaxVMAsPerEpoch,
@@ -59,8 +57,8 @@ func (c *Rack) runPromotionEpoch() {
 			c.wantReturns = true
 		}
 	}
-	for i := range c.remoteHeat {
-		c.remoteHeat[i] = 0
+	for i := range c.mem {
+		c.mem[i].heat = 0
 	}
 }
 
@@ -75,46 +73,23 @@ func (c *Rack) runPromotions(plan []ctrlplane.Promotion, i int) {
 	c.promoteVMA(plan[i], func() { c.runPromotions(plan, i+1) })
 }
 
-// promoteVMA migrates one remote-homed vma to a local blade: the exact
-// drain step, with the page copy crossing the interconnect.
-func (c *Rack) promoteVMA(st ctrlplane.Promotion, done func()) {
-	alloc := c.ctl.Allocator()
-	reserved, err := alloc.Reserved(st.Base)
-	if err != nil || reserved != st.Reserved {
-		// The vma was munmapped (or replaced) since planning.
+// promoteVMA re-homes one remote-homed vma on its planned local blade.
+// Whatever goes wrong — the vma was unmapped or replaced since planning,
+// the target departed, the rewrite failed — the promotion is abandoned
+// for this epoch.
+func (c *Rack) promoteVMA(p ctrlplane.Promotion, done func()) {
+	if reserved, err := c.ctl.Allocator().Reserved(p.Base); err != nil || reserved != p.Reserved {
 		done()
 		return
 	}
-	area := mem.Range{Base: st.Base, Size: reserved}
-	c.dir.FreezeRange(area)
-	c.resetRange(area, func(int) {
-		mst := ctrlplane.MigrationStep{Base: st.Base, Reserved: reserved, From: st.From, To: st.To}
-		var scratch DrainReport
-		c.copyPages(mst, &scratch, func(moved []memblade.PageCopy, copyOK bool) {
-			if !copyOK {
-				c.dir.UnfreezeRange(area)
-				done()
-				return
-			}
-			err := alloc.Migrate(st.Base, st.To)
-			c.dir.UnfreezeRange(area)
-			if err != nil {
-				// Transient or persistent, the promotion is abandoned for
-				// this epoch; the pages go back to the remote home.
-				for _, pg := range moved {
-					c.mblades[int(st.From)].ReturnPage(pg)
-				}
-				done()
-				return
-			}
-			for _, pg := range moved {
-				c.mblades[int(st.To)].InstallPage(pg)
-			}
-			c.col.IncH(c.hMigratedPages, uint64(len(moved)))
+	planned := func(ctrlplane.BladeID, mem.VA) (ctrlplane.BladeID, error) { return p.To, nil }
+	var st moveStats
+	c.rehome(p.Base, p.From, planned, true, &st, func(err error) {
+		if err == nil {
 			c.col.IncH(c.hPromotedVMAs, 1)
-			c.col.IncH(c.hPromotedPages, uint64(len(moved)))
-			done()
-		})
+			c.col.IncH(c.hPromotedPages, uint64(st.pages))
+		}
+		done()
 	})
 }
 
@@ -127,7 +102,7 @@ func (c *Rack) returnIdleBorrowedBlades() {
 		return
 	}
 	alloc := c.ctl.Allocator()
-	for id := range c.mblades {
+	for id := range c.mem {
 		bid := ctrlplane.BladeID(id)
 		if !c.remoteBlade(bid) || alloc.BladeRetired(bid) {
 			continue
@@ -150,9 +125,9 @@ func (c *Rack) returnIdleBorrowedBlades() {
 // the outcome — success or failure — always travels back as an ack, so
 // done fires in the coordinator's own event context.
 func (c *Rack) bladeTransfer(from, to ctrlplane.BladeID, bytes int, done func(delivered bool)) {
-	fromOwner := c.pod.racks[c.mbOwner[int(from)]]
-	toOwner := c.pod.racks[c.mbOwner[int(to)]]
-	fromNode, toNode := c.mbOwnNode[int(from)], c.mbOwnNode[int(to)]
+	fromOwner := c.pod.racks[c.mem[int(from)].owner]
+	toOwner := c.pod.racks[c.mem[int(to)].owner]
+	fromNode, toNode := c.mem[int(from)].node, c.mem[int(to)].node
 	if fromOwner == c && toOwner == c {
 		c.transfer(fromNode, toNode, bytes, done)
 		return

@@ -40,18 +40,14 @@ type Rack struct {
 	splitter *ctrlplane.Splitter
 
 	cblades []*computeblade.Blade
-	mblades []*memblade.Blade
-
-	// mbOwner maps a registered memory blade id to the pod rack index
-	// that physically hosts it; mbOwnNode is the blade's fabric NodeID
-	// in the owner's fabric. Local blades own themselves. remoteHeat
-	// counts the data-path messages (fault fetch requests and page
-	// writebacks) routed to each remote blade in the current promotion
-	// epoch — the signal the hot-page promotion policy consumes.
-	mbOwner    []int
-	mbOwnNode  []fabric.NodeID
-	remoteHeat []uint64
-	borrowed   int // registered blades currently homed in other racks
+	// mem is the blade table, indexed by the allocator's blade id: one
+	// slot per memory blade ever registered here (ids are never reused).
+	// attach is its only writer.
+	mem []memSlot
+	// borrowed counts live leases: registered, unretired blades homed in
+	// other racks. A lease starts in Pod.borrow and ends in retire or
+	// Pod.returnBlade.
+	borrowed int
 
 	// promoting serializes vma promotions: at most one freeze→copy→
 	// TCAM-rewrite chain runs per rack at a time.
@@ -75,6 +71,10 @@ type Rack struct {
 	// in recovery blackout; the serving layer's brownout admission sheds
 	// load against it. Written only from rack event context.
 	recovering int
+	// failoverDone holds the completions of the switch failover in
+	// flight (nonempty exactly while one is): the call that started it
+	// and any that joined it since.
+	failoverDone []func(SwitchFailoverReport)
 
 	threads []*Thread
 	// activeThreads counts started-but-unfinished threads on this rack;
@@ -106,6 +106,31 @@ type Rack struct {
 	hCrossMsgs     stats.Handle
 	hPromotedVMAs  stats.Handle
 	hPromotedPages stats.Handle
+}
+
+// memSlot is what a rack knows about one registered memory blade.
+type memSlot struct {
+	blade *memblade.Blade
+	// owner is the pod rack index that physically hosts the device and
+	// node its fabric NodeID in the owner's fabric. Local blades own
+	// themselves.
+	owner int
+	node  fabric.NodeID
+	// heat counts the data-path messages (fault fetch requests and page
+	// writebacks) routed to a remote blade in the current promotion epoch
+	// — the signal the hot-page promotion policy consumes.
+	heat uint64
+}
+
+// attach registers a memory blade under the id the allocator just gave
+// it — at construction, on a hot-add, when a borrowed blade arrives and
+// when a returned one comes home. Allocator ids and table indexes must
+// stay in step, whichever path registered the blade.
+func (c *Rack) attach(id ctrlplane.BladeID, blade *memblade.Blade, owner int, node fabric.NodeID) {
+	if int(id) != len(c.mem) {
+		panic(fmt.Sprintf("core: rack %d attaches blade %d at table index %d", c.idx, id, len(c.mem)))
+	}
+	c.mem = append(c.mem, memSlot{blade: blade, owner: owner, node: node})
 }
 
 // reqJob carries one page-fault request blade -> switch; jobs are pooled
@@ -152,7 +177,7 @@ func wbAtSwitch(x any) {
 		c.freeWB(j, true) // unmapped (racing munmap); drop
 		return
 	}
-	if c.mblades[int(home)].Dead() {
+	if c.mem[int(home)].blade.Dead() {
 		// One-sided write to a failed blade: the NIC's reliable
 		// connection errors out after the send attempt. The data is
 		// lost, but the completion (with error) still fires — flush
@@ -175,7 +200,7 @@ func wbAtSwitch(x any) {
 		c.memRound(home, fabric.PageBytes, fabric.CtrlMsgBytes, 0, wbLanded, j)
 		return
 	}
-	c.fab.SendFromSwitchArg(c.mbOwnNode[int(home)], fabric.PageBytes, wbLanded, j)
+	c.fab.SendFromSwitchArg(c.mem[int(home)].node, fabric.PageBytes, wbLanded, j)
 }
 
 // wbLanded persists the page and completes. For a local blade it runs at
@@ -185,7 +210,7 @@ func wbLanded(x any) {
 	j := x.(*wbJob)
 	c, va, data, home, done := j.c, j.va, j.data, j.home, j.done
 	c.freeWB(j, false)
-	c.mblades[int(home)].WritePage(va, data)
+	c.mem[int(home)].blade.WritePage(va, data)
 	done()
 }
 
@@ -279,13 +304,11 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 	}
 	for m := 0; m < cfg.MemoryBlades; m++ {
 		c.fab.AddNode(memNodeBase + fabric.NodeID(m))
-		if _, err := c.ctl.Allocator().AddBlade(cfg.MemoryBladeCapacity); err != nil {
+		id, err := c.ctl.Allocator().AddBlade(cfg.MemoryBladeCapacity)
+		if err != nil {
 			return nil, fmt.Errorf("core: register memory blade %d: %w", m, err)
 		}
-		c.mblades = append(c.mblades, memblade.New(m))
-		c.mbOwner = append(c.mbOwner, idx)
-		c.mbOwnNode = append(c.mbOwnNode, memNodeBase+fabric.NodeID(m))
-		c.remoteHeat = append(c.remoteHeat, 0)
+		c.attach(id, memblade.New(m), idx, memNodeBase+fabric.NodeID(m))
 	}
 
 	c.dir = coherence.NewDirectory(coherence.Config{
@@ -374,14 +397,6 @@ func (c *Rack) seriesName(name string) string {
 	return fmt.Sprintf("%s[rack%d]", name, c.idx)
 }
 
-// StopEpochs cancels the splitter's epoch loop (end of run).
-func (c *Rack) StopEpochs() {
-	if c.epochTick != nil {
-		c.eng.Cancel(c.epochTick)
-		c.epochTick = nil
-	}
-}
-
 // newReqJob takes a request job from the free list (or allocates one).
 func (c *Rack) newReqJob() *reqJob {
 	if j := c.reqFree.Get(); j != nil {
@@ -393,7 +408,7 @@ func (c *Rack) newReqJob() *reqJob {
 // remoteBlade reports whether registered memory blade id is homed in
 // another rack of the pod.
 func (c *Rack) remoteBlade(id ctrlplane.BladeID) bool {
-	return c.mbOwner[int(id)] != c.idx
+	return c.mem[int(id)].owner != c.idx
 }
 
 // memFetch serves the directory's page-fetch round trip against the
@@ -432,7 +447,7 @@ func (c *Rack) fetchData(va mem.VA, dst []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	return c.mblades[int(home)].ReadPageInto(va, dst)
+	return c.mem[int(home)].blade.ReadPageInto(va, dst)
 }
 
 // Pod returns the pod this rack is a member of.
@@ -457,7 +472,7 @@ func (c *Rack) Splitter() *ctrlplane.Splitter { return c.splitter }
 func (c *Rack) Blade(i int) *computeblade.Blade { return c.cblades[i] }
 
 // MemBlade returns memory blade m.
-func (c *Rack) MemBlade(m int) *memblade.Blade { return c.mblades[m] }
+func (c *Rack) MemBlade(m int) *memblade.Blade { return c.mem[m].blade }
 
 // BorrowedBlades returns how many of this rack's registered memory
 // blades are physically homed in other racks.
@@ -484,14 +499,4 @@ func (c *Rack) await(op func(done func())) {
 // InjectFailure installs a message-drop hook on the fabric (nil clears).
 func (c *Rack) InjectFailure(drop func(from, to fabric.NodeID) bool) {
 	c.fab.DropFn = drop
-}
-
-// Failover switches to the backup control plane/data plane (§4.4).
-// Directory entries are data-plane state and are not replicated: every
-// live region is reset first (compute blades flush their data), then the
-// backup ASIC is reconstructed from control-plane state and becomes
-// active. This is the blocking wrapper around KillSwitch, the
-// in-simulation failover event (elasticity.go).
-func (c *Rack) Failover() {
-	c.KillSwitch()
 }

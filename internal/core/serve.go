@@ -184,15 +184,49 @@ type serveTenant struct {
 	budget sim.Duration
 
 	lat *stats.StreamHist
+	// ctr counts this share's outcomes under "<counter>[<tenant>]".
+	ctr serveCounters
+}
 
-	hArrivals  stats.Handle
-	hCompleted stats.Handle
-	hThrottled stats.Handle
-	hDropped   stats.Handle
-	hTimedOut  stats.Handle
-	hRetried   stats.Handle
-	hShed      stats.Handle
-	hFailed    stats.Handle
+// serveOutcome names what can happen to an arrival; every one is counted
+// once for its shard and once for its tenant.
+type serveOutcome int
+
+const (
+	outArrived serveOutcome = iota
+	outCompleted
+	outThrottled
+	outDropped
+	outTimedOut
+	outRetried
+	outShed
+	outFailed
+	numServeOutcomes
+)
+
+// serveCounterNames is index-aligned with the outcomes.
+var serveCounterNames = [numServeOutcomes]string{
+	stats.CtrServeArrivals, stats.CtrServeCompleted, stats.CtrServeThrottled, stats.CtrServeDropped,
+	stats.CtrServeTimedOut, stats.CtrServeRetried, stats.CtrServeShed, stats.CtrServeFailed,
+}
+
+// serveCounters holds one counter handle per outcome.
+type serveCounters [numServeOutcomes]stats.Handle
+
+// newServeCounters registers the outcome counters on col, in outcome
+// order, each named by its counter name with suffix appended.
+func newServeCounters(col *stats.Collector, suffix string) (c serveCounters) {
+	for i, name := range serveCounterNames {
+		c[i] = col.Handle(name + suffix)
+	}
+	return c
+}
+
+// count records one outcome for the tenant's shard and for the tenant.
+func (st *serveTenant) count(o serveOutcome) {
+	col := st.s.c.col
+	col.IncH(st.s.ctr[o], 1)
+	col.IncH(st.ctr[o], 1)
 }
 
 // serveWorker drains one blade's FIFO, one request at a time.
@@ -247,15 +281,8 @@ type serveShard struct {
 	// rng feeds retry jitter and brownout coins; drawn from only in
 	// shard event order, so the stream is schedule-deterministic.
 	rng *sim.RNG
-
-	hArrivals  stats.Handle
-	hCompleted stats.Handle
-	hThrottled stats.Handle
-	hDropped   stats.Handle
-	hTimedOut  stats.Handle
-	hRetried   stats.Handle
-	hShed      stats.Handle
-	hFailed    stats.Handle
+	// ctr counts the shard's outcomes under the plain counter names.
+	ctr serveCounters
 
 	// liveArrivals counts tenant shares whose arrival chain has not
 	// passed its deadline; pending counts admitted-but-incomplete
@@ -269,6 +296,19 @@ type serveShard struct {
 
 // outstanding reports the shard's open work. Barrier/rack context only.
 func (sh *serveShard) outstanding() int { return sh.liveArrivals + sh.pending }
+
+// settle is where an admitted request meets its terminal fate —
+// completed, timed out, failed or dropped at readmission; the caller has
+// counted which. The shard's pending count drops, the finish time
+// advances and the request returns to the pool.
+func (s *serveShard) settle(req *serveReq) {
+	s.pending--
+	if now := s.c.eng.Now(); now > s.lastFinish {
+		s.lastFinish = now
+	}
+	req.tenant = nil
+	s.reqFree.Put(req)
+}
 
 // Serving runs open-loop tenants over a pod: one serving shard per
 // rack, advanced by the pod's executor like everything else. On a
@@ -303,17 +343,10 @@ func NewPodServing(p *Pod, cfg ServeConfig) (*Serving, error) {
 			return nil, fmt.Errorf("core: serving rack %d has no compute blades", c.idx)
 		}
 		sh := &serveShard{
-			sv:         s,
-			c:          c,
-			rng:        sim.NewRNG(cfg.Seed, fmt.Sprintf("serve-robust/r%d", c.idx)),
-			hArrivals:  c.col.Handle(stats.CtrServeArrivals),
-			hCompleted: c.col.Handle(stats.CtrServeCompleted),
-			hThrottled: c.col.Handle(stats.CtrServeThrottled),
-			hDropped:   c.col.Handle(stats.CtrServeDropped),
-			hTimedOut:  c.col.Handle(stats.CtrServeTimedOut),
-			hRetried:   c.col.Handle(stats.CtrServeRetried),
-			hShed:      c.col.Handle(stats.CtrServeShed),
-			hFailed:    c.col.Handle(stats.CtrServeFailed),
+			sv:  s,
+			c:   c,
+			rng: sim.NewRNG(cfg.Seed, fmt.Sprintf("serve-robust/r%d", c.idx)),
+			ctr: newServeCounters(c.col, ""),
 		}
 		eng := c.eng
 		for i := range c.cblades {
@@ -340,19 +373,12 @@ func (s *Serving) AddTenant(t TenantWorkload) error {
 		return fmt.Errorf("core: serving tenant %s: no compute blade %d on rack %d", t.Name, t.Blade, sh.c.idx)
 	}
 	st := &serveTenant{
-		s:          sh,
-		spec:       t,
-		pdid:       t.Proc.PID(),
-		budget:     s.cfg.Deadline,
-		lat:        sh.c.col.StreamHist("serve_lat[" + t.Name + "]"),
-		hArrivals:  sh.c.col.Handle("serve_arrivals[" + t.Name + "]"),
-		hCompleted: sh.c.col.Handle("serve_completed[" + t.Name + "]"),
-		hThrottled: sh.c.col.Handle("serve_throttled[" + t.Name + "]"),
-		hDropped:   sh.c.col.Handle("serve_dropped[" + t.Name + "]"),
-		hTimedOut:  sh.c.col.Handle("serve_timedout[" + t.Name + "]"),
-		hRetried:   sh.c.col.Handle("serve_retried[" + t.Name + "]"),
-		hShed:      sh.c.col.Handle("serve_shed[" + t.Name + "]"),
-		hFailed:    sh.c.col.Handle("serve_failed[" + t.Name + "]"),
+		s:      sh,
+		spec:   t,
+		pdid:   t.Proc.PID(),
+		budget: s.cfg.Deadline,
+		lat:    sh.c.col.StreamHist("serve_lat[" + t.Name + "]"),
+		ctr:    newServeCounters(sh.c.col, "["+t.Name+"]"),
 	}
 	if t.Deadline > 0 {
 		st.budget = t.Deadline
@@ -423,8 +449,7 @@ func (st *serveTenant) arrive() {
 		}
 	}
 
-	s.c.col.IncH(s.hArrivals, 1)
-	s.c.col.IncH(st.hArrivals, 1)
+	st.count(outArrived)
 
 	// Brownout admission: while the rack is in recovery blackout (a
 	// blade kill's re-homing or a switch failover in flight), shed a
@@ -432,8 +457,7 @@ func (st *serveTenant) arrive() {
 	// degraded data plane. The coin is a shard-RNG draw in event order,
 	// so the shed set is deterministic.
 	if s.sv.cfg.Brownout > 0 && s.c.recovering > 0 && s.rng.Bool(s.sv.cfg.Brownout) {
-		s.c.col.IncH(s.hShed, 1)
-		s.c.col.IncH(st.hShed, 1)
+		st.count(outShed)
 		return
 	}
 
@@ -441,15 +465,13 @@ func (st *serveTenant) arrive() {
 	// whole point is that an aggressor's excess never occupies the
 	// blade the compliant tenants share.
 	if st.spec.Limiter != nil && !st.spec.Limiter.Take(now) {
-		s.c.col.IncH(s.hThrottled, 1)
-		s.c.col.IncH(st.hThrottled, 1)
+		st.count(outThrottled)
 		return
 	}
 
 	w := s.workers[st.spec.Blade]
 	if w.qlen >= s.sv.cfg.QueueCap {
-		s.c.col.IncH(s.hDropped, 1)
-		s.c.col.IncH(st.hDropped, 1)
+		st.count(outDropped)
 		return
 	}
 
@@ -465,6 +487,13 @@ func (st *serveTenant) arrive() {
 	if st.budget > 0 {
 		req.deadline = now.Add(st.budget)
 	}
+	s.pending++
+	w.enqueue(req)
+}
+
+// enqueue appends req to the worker's FIFO and wakes the worker if it
+// sits idle.
+func (w *serveWorker) enqueue(req *serveReq) {
 	req.next = nil
 	if w.tail != nil {
 		w.tail.next = req
@@ -473,10 +502,9 @@ func (st *serveTenant) arrive() {
 	}
 	w.tail = req
 	w.qlen++
-	s.pending++
 	if !w.busy {
 		w.busy = true
-		s.c.eng.ScheduleArg(0, serveWorkerStep, w)
+		w.s.c.eng.ScheduleArg(0, serveWorkerStep, w)
 	}
 }
 
@@ -560,16 +588,9 @@ func (w *serveWorker) complete() {
 	case w.curErr != nil:
 		st.failAttempt(req, false)
 	default:
-		now := s.c.eng.Now()
-		st.lat.Observe(int64(now - req.arrival))
-		s.c.col.IncH(s.hCompleted, 1)
-		s.c.col.IncH(st.hCompleted, 1)
-		s.pending--
-		if now > s.lastFinish {
-			s.lastFinish = now
-		}
-		req.tenant = nil
-		s.reqFree.Put(req)
+		st.lat.Observe(int64(s.c.eng.Now() - req.arrival))
+		st.count(outCompleted)
+		s.settle(req)
 	}
 	w.curErr = nil
 	w.expired = false
@@ -590,25 +611,16 @@ func (st *serveTenant) failAttempt(req *serveReq, timedOut bool) {
 	s := st.s
 	if req.attempt < s.sv.cfg.MaxRetries {
 		req.attempt++
-		s.c.col.IncH(s.hRetried, 1)
-		s.c.col.IncH(st.hRetried, 1)
+		st.count(outRetried)
 		s.c.eng.ScheduleArg(s.sv.cfg.retryBackoff(req.attempt, s.rng), serveRetry, req)
 		return
 	}
-	now := s.c.eng.Now()
 	if timedOut {
-		s.c.col.IncH(s.hTimedOut, 1)
-		s.c.col.IncH(st.hTimedOut, 1)
+		st.count(outTimedOut)
 	} else {
-		s.c.col.IncH(s.hFailed, 1)
-		s.c.col.IncH(st.hFailed, 1)
+		st.count(outFailed)
 	}
-	s.pending--
-	if now > s.lastFinish {
-		s.lastFinish = now
-	}
-	req.tenant = nil
-	s.reqFree.Put(req)
+	s.settle(req)
 }
 
 // readmit re-enqueues a retried request on its blade. The deadline is
@@ -618,29 +630,11 @@ func (st *serveTenant) failAttempt(req *serveReq, timedOut bool) {
 // would have met.
 func (st *serveTenant) readmit(req *serveReq) {
 	s := st.s
-	now := s.c.eng.Now()
 	w := s.workers[st.spec.Blade]
 	if w.qlen >= s.sv.cfg.QueueCap {
-		s.c.col.IncH(s.hDropped, 1)
-		s.c.col.IncH(st.hDropped, 1)
-		s.pending--
-		if now > s.lastFinish {
-			s.lastFinish = now
-		}
-		req.tenant = nil
-		s.reqFree.Put(req)
+		st.count(outDropped)
+		s.settle(req)
 		return
 	}
-	req.next = nil
-	if w.tail != nil {
-		w.tail.next = req
-	} else {
-		w.head = req
-	}
-	w.tail = req
-	w.qlen++
-	if !w.busy {
-		w.busy = true
-		s.c.eng.ScheduleArg(0, serveWorkerStep, w)
-	}
+	w.enqueue(req)
 }

@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -427,6 +428,24 @@ func cachePagesFor(s Scale, footprint uint64) int {
 		p = 64
 	}
 	return p
+}
+
+// materialize writes a recognisable word into every page of the vma at
+// base, on the page's home blade, so drains and promotions move real
+// bytes and kills lose them, instead of never-written zero pages.
+func materialize(r *core.Rack, base mem.VA, pages uint64) error {
+	alloc := r.Controller().Allocator()
+	buf := make([]byte, mem.PageSize)
+	for pg := uint64(0); pg < pages; pg++ {
+		va := base + mem.VA(pg*mem.PageSize)
+		home, err := alloc.Translate(va)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(buf, pg+1)
+		r.MemBlade(int(home)).WritePage(va, buf)
+	}
+	return nil
 }
 
 // opsPerThread splits the fixed job across threads.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mind/internal/core"
@@ -65,10 +64,6 @@ type fig10Params struct {
 func fig10Config(s Scale) fig10Params {
 	const blades = 4
 	workingSet := uint64(8192 * s.WorkloadScale)
-	cache := int(float64(workingSet) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
 	threads := blades * 2
 	return fig10Params{
 		s:         s,
@@ -76,7 +71,7 @@ func fig10Config(s Scale) fig10Params {
 		threads:   threads,
 		blades:    blades,
 		memBlades: 2,
-		cache:     cache,
+		cache:     cachePagesFor(s, workingSet*mem.PageSize),
 		ops:       opsPerThread(s, threads),
 		seed:      s.seed(),
 	}
@@ -112,28 +107,6 @@ func fig10Remap(g core.AccessGen, logical mem.VA, chunk uint64, bases []mem.VA) 
 		off := uint64(va - logical)
 		return bases[off/chunk] + mem.VA(off%chunk), w, ok
 	}
-}
-
-// fig10Materialize preloads the dataset onto the memory blades (a
-// page-granular pattern), so drains move real bytes instead of
-// never-materialized zero pages.
-func fig10Materialize(c *core.Cluster, bases []mem.VA, chunk uint64) error {
-	alloc := c.Controller().Allocator()
-	buf := make([]byte, mem.PageSize)
-	n := uint64(0)
-	for _, base := range bases {
-		for p := uint64(0); p < chunk/mem.PageSize; p++ {
-			va := base + mem.VA(p)*mem.PageSize
-			home, err := alloc.Translate(va)
-			if err != nil {
-				return err
-			}
-			n++
-			binary.LittleEndian.PutUint64(buf, n)
-			c.MemBlade(int(home)).WritePage(va, buf)
-		}
-	}
-	return nil
 }
 
 // fig10Sampler appends per-bucket MOPS to xs/ys every bucket of virtual
@@ -193,9 +166,10 @@ func (p fig10Params) mindSpec(T sim.Duration) prun.Spec {
 					return nil, err
 				}
 				bases[i] = vma.Base
-			}
-			if err := fig10Materialize(c, bases, chunk); err != nil {
-				return nil, err
+				// Preload the dataset, so drains move real bytes.
+				if err := materialize(c.Rack, vma.Base, chunk/mem.PageSize); err != nil {
+					return nil, err
+				}
 			}
 			params := workloads.Params{Threads: p.threads, Blades: p.blades, OpsPerThread: p.ops, Seed: p.seed}
 			for t := 0; t < p.threads; t++ {

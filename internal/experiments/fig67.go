@@ -178,10 +178,7 @@ func Fig7Center(s Scale) (*Figure, error) {
 	workingSet := uint64(8192 * s.WorkloadScale)
 	// Each blade's cache is 25% of the working set, as in the paper's
 	// setup (512 MB against a 400k-page working set, §7.2).
-	cache := int(float64(workingSet) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
+	cache := cachePagesFor(s, workingSet*mem.PageSize)
 	type point struct {
 		read, share  float64
 		threads, ops int
@@ -224,10 +221,7 @@ func Fig7Right(s Scale) (*Figure, error) {
 		YLabel: "latency (us)",
 	}
 	workingSet := uint64(8192 * s.WorkloadScale)
-	cache := int(float64(workingSet) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
+	cache := cachePagesFor(s, workingSet*mem.PageSize)
 	type point struct {
 		read   float64
 		blades int

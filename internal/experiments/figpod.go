@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mind/internal/core"
@@ -52,17 +51,13 @@ type figPodParams struct {
 func figPodConfig(s Scale) figPodParams {
 	const blades = 4
 	wsPages := uint64(1024 * s.WorkloadScale)
-	cache := int(float64(wsPages) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
 	threads := blades * 2
 	return figPodParams{
 		s:       s,
 		kw:      kwUniform(wsPages, 0.5, 0.5),
 		threads: threads,
 		blades:  blades,
-		cache:   cache,
+		cache:   cachePagesFor(s, wsPages*mem.PageSize),
 		ops:     opsPerThread(s, threads),
 		seed:    s.seed(),
 		wsPages: wsPages,
@@ -122,19 +117,10 @@ func (p figPodParams) spec(migrate bool, T sim.Duration) prun.Spec {
 			if r0.BorrowedBlades() == 0 {
 				return nil, fmt.Errorf("figpod: working set did not land on a borrowed blade")
 			}
-			// Materialize the working set on the borrowed blade (as the
-			// fig10 panel does), so promotion moves real bytes across the
-			// interconnect instead of never-written zero pages.
-			alloc := r0.Controller().Allocator()
-			buf := make([]byte, mem.PageSize)
-			for pg := uint64(0); pg < p.wsPages; pg++ {
-				va := work.Base + mem.VA(pg*mem.PageSize)
-				home, err := alloc.Translate(va)
-				if err != nil {
-					return nil, err
-				}
-				binary.LittleEndian.PutUint64(buf, pg+1)
-				r0.MemBlade(int(home)).WritePage(va, buf)
+			// Materialize the working set on the borrowed blade, so
+			// promotion moves real bytes across the interconnect.
+			if err := materialize(r0, work.Base, p.wsPages); err != nil {
+				return nil, err
 			}
 			// Local capacity frees before the run: the promotion policy
 			// (when enabled) now has a target.

@@ -60,15 +60,11 @@ type figServeParams struct {
 
 func figServeConfig(s Scale) figServeParams {
 	w := workloads.MemcachedA(s.WorkloadScale)
-	cache := int(float64(w.Footprint/mem.PageSize) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
 	// The horizon is sized so the heaviest sweep point generates about
 	// TotalOps arrivals; lighter points see proportionally fewer.
 	maxRate := float64(figServeCompliantRate) * float64(1+figServeMults[len(figServeMults)-1])
 	horizon := sim.Duration(float64(s.TotalOps) / maxRate * float64(sim.Second))
-	return figServeParams{s: s, cache: cache, horizon: horizon, seed: s.seed()}
+	return figServeParams{s: s, cache: cachePagesFor(s, w.Footprint), horizon: horizon, seed: s.seed()}
 }
 
 // spec runs one sweep point: aggressor offered load = mult x the

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mind/internal/core"
@@ -67,20 +66,14 @@ type figServeKillResult struct {
 
 type figServeKillParams struct {
 	s       Scale
-	cache   int
 	horizon sim.Duration
 	seed    uint64
 }
 
 func figServeKillConfig(s Scale) figServeKillParams {
-	w := workloads.MemcachedA(s.WorkloadScale)
-	cache := int(float64(w.Footprint/mem.PageSize) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
 	total := 3 * float64(figServeKillRate)
 	horizon := sim.Duration(float64(s.TotalOps) / total * float64(sim.Second))
-	return figServeKillParams{s: s, cache: cache, horizon: horizon, seed: s.seed()}
+	return figServeKillParams{s: s, horizon: horizon, seed: s.seed()}
 }
 
 // spec runs the storm. All failure timing derives from the horizon, so
@@ -90,7 +83,7 @@ func figServeKillConfig(s Scale) figServeKillParams {
 // out during the blackout) but well above a healthy sojourn.
 func (p figServeKillParams) spec() prun.Spec {
 	return prun.Spec{
-		Key: prun.KeyOf("figservekill", p.s.WorkloadScale, p.cache, int64(p.horizon), p.seed),
+		Key: prun.KeyOf("figservekill", p.s.WorkloadScale, int64(p.horizon), p.seed),
 		Run: func() (any, error) {
 			H := p.horizon
 			detection := H / 40
@@ -181,26 +174,11 @@ func (p figServeKillParams) spec() prun.Spec {
 			}
 			// Pre-materialize the victim and drain datasets on their
 			// blades (serving writes ride the compute-blade caches), so
-			// the kill loses real pages and the drain moves real bytes —
-			// the fig10Materialize idiom.
-			materialize := func(rack int, vma mem.VMA, pages int) error {
-				alloc := pod.Rack(rack).Controller().Allocator()
-				buf := make([]byte, mem.PageSize)
-				for i := 0; i < pages; i++ {
-					va := vma.Base + mem.VA(i)*mem.PageSize
-					home, err := alloc.Translate(va)
-					if err != nil {
-						return err
-					}
-					binary.LittleEndian.PutUint64(buf, uint64(i+1))
-					pod.Rack(rack).MemBlade(int(home)).WritePage(va, buf)
-				}
-				return nil
-			}
-			if err := materialize(0, victimVMA, 400); err != nil {
+			// the kill loses real pages and the drain moves real bytes.
+			if err := materialize(pod.Rack(0), victimVMA.Base, 400); err != nil {
 				return nil, err
 			}
-			if err := materialize(1, bulkVMA, 128); err != nil {
+			if err := materialize(pod.Rack(1), bulkVMA.Base, 128); err != nil {
 				return nil, err
 			}
 

@@ -64,16 +64,12 @@ type figServePodParams struct {
 
 func figServePodConfig(s Scale) figServePodParams {
 	w := workloads.MemcachedA(s.WorkloadScale)
-	cache := int(float64(w.Footprint/mem.PageSize) * s.CacheFraction)
-	if cache < 64 {
-		cache = 64
-	}
 	// Aggregate offered load: 2 steady + MMPP mean + diurnal + wide.
 	const r = float64(figServePodRate)
 	mmppMean := (r/2*50e-6 + 10*r*20e-6) / 70e-6
 	total := 2*r + mmppMean + r + 2*r
 	horizon := sim.Duration(float64(s.TotalOps) / total * float64(sim.Second))
-	return figServePodParams{s: s, cache: cache, horizon: horizon, seed: s.seed()}
+	return figServePodParams{s: s, cache: cachePagesFor(s, w.Footprint), horizon: horizon, seed: s.seed()}
 }
 
 // spec runs the fixed population on a pod of the given rack count.

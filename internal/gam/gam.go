@@ -111,8 +111,8 @@ type Cluster struct {
 	fab *fabric.Fabric
 	col *stats.Collector
 
-	// Pre-resolved stats handles (the string-keyed Collector API is a
-	// deprecated shim; hot paths use integer handles).
+	// Stats handles, resolved once at construction: the Collector counts
+	// through integer handles only.
 	hAccesses   stats.Handle
 	hLocalHits  stats.Handle
 	hRemote     stats.Handle
