@@ -222,35 +222,41 @@ func (b *Blade) ID() int { return b.cfg.ID }
 // Cache exposes the page cache (tests, eviction checks).
 func (b *Blade) Cache() *Cache { return b.cache }
 
-// WouldHit reports whether an access would be served from the local cache
-// with sufficient rights, without touching accounting or recency. Threads
-// use it to batch hits while issuing faults at accurate timestamps.
-func (b *Blade) WouldHit(va mem.VA, write bool) bool {
+// TryHit serves one LOAD/STORE from the local cache if the page is cached
+// with sufficient rights: it counts the access and the hit, makes the page
+// most recently used, marks it dirty on a write and returns true — the
+// caller charges HitLatency itself. Otherwise it touches nothing and
+// returns false. Threads use it to batch hits while issuing faults at
+// accurate timestamps.
+func (b *Blade) TryHit(va mem.VA, write bool) bool {
 	p, ok := b.cache.Peek(va)
-	return ok && (!write || p.Writable)
+	if !ok || (write && !p.Writable) {
+		return false
+	}
+	b.cache.touch(p)
+	if write {
+		p.Dirty = true
+	}
+	b.col.IncH(b.hAccesses, 1)
+	b.col.IncH(b.hLocalHits, 1)
+	return true
 }
 
-// Access attempts one LOAD/STORE. Cache hits (with sufficient rights)
-// return hit=true immediately — the caller charges HitLatency itself.
-// Otherwise a page fault starts and done fires on completion. done may be
-// nil only when the caller has established the access will hit.
+// Access performs one LOAD/STORE and calls done exactly once: before
+// returning true when the cache serves it (the caller charges HitLatency
+// itself), or when the page fault it starts completes, after it returned
+// false. A page cached read-only under a write takes a coherence upgrade
+// fault (§3.2) and still counts as a use of the cached copy.
 func (b *Blade) Access(pdid mem.PDID, va mem.VA, write bool, done func(AccessResult)) (hit bool) {
-	b.col.IncH(b.hAccesses, 1)
-	if p, ok := b.cache.Lookup(va); ok {
-		if !write {
-			b.col.IncH(b.hLocalHits, 1)
-			return true
-		}
-		if p.Writable {
-			p.Dirty = true
-			b.col.IncH(b.hLocalHits, 1)
-			return true
-		}
-		// Cached read-only, write wanted: coherence upgrade fault (§3.2).
-	}
 	if done == nil {
-		panic("computeblade: miss with nil completion callback")
+		panic("computeblade: access with nil completion callback")
 	}
+	if b.TryHit(va, write) {
+		done(AccessResult{Page: mem.PageBase(va)})
+		return true
+	}
+	b.col.IncH(b.hAccesses, 1)
+	b.cache.Lookup(va) // a read-only copy under a write fault becomes most recent
 	want := mem.PermRead
 	if write {
 		want = mem.PermReadWrite

@@ -73,10 +73,10 @@ func TestFaultCompletesAndCaches(t *testing.T) {
 	if res.Total != want {
 		t.Errorf("total = %v, want %v", res.Total, want)
 	}
-	if !b.WouldHit(0x1234, false) {
+	if !wouldHit(b, 0x1234, false) {
 		t.Error("page not cached after fault")
 	}
-	if b.WouldHit(0x1234, true) {
+	if wouldHit(b, 0x1234, true) {
 		t.Error("read fault should not grant write")
 	}
 	if col.Counter(stats.CtrAccesses) != 1 {
@@ -216,10 +216,10 @@ func TestDowngradeKeepsReadOnlyCopies(t *testing.T) {
 	if ack.FlushedDirty != 1 || ack.Dropped != 0 {
 		t.Errorf("downgrade ack = %+v", ack)
 	}
-	if !b.WouldHit(0x4000, false) {
+	if !wouldHit(b, 0x4000, false) {
 		t.Error("downgrade dropped the copy")
 	}
-	if b.WouldHit(0x4000, true) {
+	if wouldHit(b, 0x4000, true) {
 		t.Error("downgrade left the page writable")
 	}
 }

@@ -50,9 +50,6 @@ type Cache struct {
 	// a cache that never fills never pays for its capacity (the free
 	// list then recycles records forever).
 	arena []PageState
-
-	hits   uint64
-	misses uint64
 }
 
 // arenaChunk is how many page records the cache carves per allocation.
@@ -91,28 +88,24 @@ func (c *Cache) Capacity() int { return c.capacity }
 // Len returns the number of cached pages.
 func (c *Cache) Len() int { return c.pages.n }
 
-// Hits and Misses return lookup accounting.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the number of failed lookups.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// Lookup returns the page if cached, bumping recency.
-func (c *Cache) Lookup(va mem.VA) (*PageState, bool) {
-	p := c.pages.get(packPageKey(mem.PageBase(va)))
-	if p == nil {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
+// touch makes the cached page p the most recently used.
+func (c *Cache) touch(p *PageState) {
 	if c.head.next != p {
 		c.unlink(p)
 		c.pushFront(p)
 	}
-	return p, true
 }
 
-// Peek returns the page without recency or accounting effects.
+// Lookup returns the page if cached, bumping recency.
+func (c *Cache) Lookup(va mem.VA) (*PageState, bool) {
+	p, ok := c.Peek(va)
+	if ok {
+		c.touch(p)
+	}
+	return p, ok
+}
+
+// Peek returns the page without recency effects.
 func (c *Cache) Peek(va mem.VA) (*PageState, bool) {
 	p := c.pages.get(packPageKey(mem.PageBase(va)))
 	return p, p != nil
@@ -124,10 +117,7 @@ func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
 	base := mem.PageBase(va)
 	if p := c.pages.get(packPageKey(base)); p != nil {
 		p.Writable = writable
-		if c.head.next != p {
-			c.unlink(p)
-			c.pushFront(p)
-		}
+		c.touch(p)
 		return p
 	}
 	if c.pages.n >= c.capacity {

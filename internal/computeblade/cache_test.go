@@ -23,9 +23,6 @@ func TestCacheInsertLookup(t *testing.T) {
 	if _, ok := c.Lookup(0x2000); ok {
 		t.Error("missing page hit")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
-	}
 }
 
 func TestCacheLRUOrder(t *testing.T) {
@@ -185,7 +182,7 @@ func cacheScript(c *Cache, steps int) []uint64 {
 		}
 		out = append(out, uint64(c.Len()))
 	}
-	return append(out, c.Hits(), c.Misses())
+	return out
 }
 
 // TestCacheGeometryInvariant: nothing a caller sees depends on how far

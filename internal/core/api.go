@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mind/internal/computeblade"
 	"mind/internal/ctrlplane"
 	"mind/internal/mem"
 	"mind/internal/sim"
@@ -138,71 +139,60 @@ func (p *Process) SpawnThread(blade int) (*Thread, error) {
 func (t *Thread) access(va mem.VA, write bool) error {
 	var res error
 	t.c.await(func(done func()) {
-		hit := t.c.cblades[t.blade].Access(t.pdid, va, write, func(r accessResultAlias) {
+		t.c.cblades[t.blade].Access(t.pdid, va, write, func(r computeblade.AccessResult) {
 			res = r.Err
 			done()
 		})
-		if hit {
-			done()
-		}
 	})
 	return res
+}
+
+// page performs one blocking access to the n bytes at va, which must stay
+// within one page, and returns the cached page and va's offset in it.
+func (t *Thread) page(va mem.VA, n int, write bool) (*computeblade.PageState, int, error) {
+	if err := t.access(va, write); err != nil {
+		return nil, 0, err
+	}
+	off := int(va - mem.PageBase(va))
+	if off+n > mem.PageSize {
+		return nil, 0, fmt.Errorf("core: %d-byte access at %#x crosses a page boundary", n, uint64(va))
+	}
+	p, ok := t.c.cblades[t.blade].Cache().Peek(va)
+	if !ok {
+		return nil, 0, fmt.Errorf("core: page vanished after the fault at %#x", uint64(va))
+	}
+	return p, off, nil
 }
 
 // Load reads one byte-addressed uint64 (little endian) from the global
 // address space, faulting the page in if needed.
 func (t *Thread) Load(va mem.VA) (uint64, error) {
-	if err := t.access(va, false); err != nil {
+	p, off, err := t.page(va, 8, false)
+	if err != nil {
 		return 0, err
-	}
-	p, ok := t.c.cblades[t.blade].Cache().Peek(va)
-	if !ok {
-		return 0, fmt.Errorf("core: page vanished after load fault at %#x", uint64(va))
 	}
 	if p.Data == nil {
 		return 0, nil // never-written memory reads as zero
-	}
-	off := int(va - mem.PageBase(va))
-	if off+8 > mem.PageSize {
-		return 0, fmt.Errorf("core: load crosses page boundary at %#x", uint64(va))
 	}
 	return binary.LittleEndian.Uint64(p.Data[off : off+8]), nil
 }
 
 // Store writes one uint64 (little endian), acquiring write ownership.
 func (t *Thread) Store(va mem.VA, val uint64) error {
-	if err := t.access(va, true); err != nil {
-		return err
-	}
-	p, ok := t.c.cblades[t.blade].Cache().Peek(va)
-	if !ok {
-		return fmt.Errorf("core: page vanished after store fault at %#x", uint64(va))
-	}
-	if p.Data == nil {
-		p.Data = make([]byte, mem.PageSize)
-	}
-	off := int(va - mem.PageBase(va))
-	if off+8 > mem.PageSize {
-		return fmt.Errorf("core: store crosses page boundary at %#x", uint64(va))
-	}
-	binary.LittleEndian.PutUint64(p.Data[off:off+8], val)
-	p.Dirty = true
-	return nil
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], val)
+	return t.StoreBytes(va, b[:])
 }
 
 // LoadBytes copies length bytes starting at va (must stay within one
 // page).
 func (t *Thread) LoadBytes(va mem.VA, length int) ([]byte, error) {
-	if err := t.access(va, false); err != nil {
+	p, off, err := t.page(va, length, false)
+	if err != nil {
 		return nil, err
 	}
-	off := int(va - mem.PageBase(va))
-	if off+length > mem.PageSize {
-		return nil, fmt.Errorf("core: LoadBytes crosses page boundary")
-	}
-	p, _ := t.c.cblades[t.blade].Cache().Peek(va)
 	out := make([]byte, length)
-	if p != nil && p.Data != nil {
+	if p.Data != nil {
 		copy(out, p.Data[off:off+length])
 	}
 	return out, nil
@@ -210,16 +200,9 @@ func (t *Thread) LoadBytes(va mem.VA, length int) ([]byte, error) {
 
 // StoreBytes writes bytes starting at va (within one page).
 func (t *Thread) StoreBytes(va mem.VA, data []byte) error {
-	if err := t.access(va, true); err != nil {
+	p, off, err := t.page(va, len(data), true)
+	if err != nil {
 		return err
-	}
-	off := int(va - mem.PageBase(va))
-	if off+len(data) > mem.PageSize {
-		return fmt.Errorf("core: StoreBytes crosses page boundary")
-	}
-	p, _ := t.c.cblades[t.blade].Cache().Peek(va)
-	if p == nil {
-		return fmt.Errorf("core: page vanished after store fault")
 	}
 	if p.Data == nil {
 		p.Data = make([]byte, mem.PageSize)

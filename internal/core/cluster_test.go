@@ -34,6 +34,33 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestThreadConfigValidation: a negative store buffer depth (under PSO the
+// first write miss would stall forever on an empty buffer) or think time
+// is an error from both constructors, on any rack of a pod.
+func TestThreadConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"store buffer PSO", func(c *Config) { c.Consistency, c.StoreBufferDepth = PSO, -1 }},
+		{"store buffer TSO", func(c *Config) { c.StoreBufferDepth = -3 }},
+		{"think time", func(c *Config) { c.ThinkTime = -sim.Nanosecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := DefaultConfig(1, 1)
+			good.MemoryBladeCapacity = 1 << 26
+			bad := good
+			tc.bad(&bad)
+			if _, err := NewCluster(bad); err == nil {
+				t.Error("NewCluster accepted it")
+			}
+			if _, err := NewPod(PodConfig{Racks: []Config{good, bad}}); err == nil {
+				t.Error("NewPod accepted it on rack 1")
+			}
+		})
+	}
+}
+
 func TestStoreLoadRoundTripSingleBlade(t *testing.T) {
 	c := newTestCluster(t, 1, 1)
 	p := c.Exec("app")

@@ -45,7 +45,7 @@ func TestAllocsCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		if hit := blade.Access(p.PID(), vma.Base, false, nil); !hit {
+		if !blade.TryHit(vma.Base, false) {
 			t.Fatal("expected cache hit")
 		}
 	}); avg != 0 {

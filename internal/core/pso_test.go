@@ -112,7 +112,7 @@ func TestPSOReadAfterWriteBlocks(t *testing.T) {
 	}
 	// The write must have drained before the read completed, so the page
 	// is cached writable and both ops counted.
-	if !c.Blade(0).WouldHit(vma.Base, true) {
+	if p, ok := c.Blade(0).Cache().Peek(vma.Base); !ok || !p.Writable {
 		t.Error("write never drained")
 	}
 }

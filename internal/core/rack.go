@@ -231,6 +231,9 @@ func checkConfig(cfg Config) (Config, error) {
 	if cfg.CachePagesPerBlade < 1 {
 		return cfg, fmt.Errorf("core: cache must hold at least one page")
 	}
+	if cfg.StoreBufferDepth < 0 || cfg.ThinkTime < 0 {
+		return cfg, fmt.Errorf("core: negative store buffer depth (%d) or think time (%v)", cfg.StoreBufferDepth, cfg.ThinkTime)
+	}
 	if cfg.StoreBufferDepth == 0 {
 		cfg.StoreBufferDepth = 16
 	}

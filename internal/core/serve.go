@@ -238,13 +238,13 @@ type serveWorker struct {
 	qlen       int
 	busy       bool
 
-	// cur is the request in service; accessDone is the pre-bound fault
+	// cur is the request in service; accessDone is the pre-bound access
 	// completion (one per worker — a worker serves one request at a
 	// time, so no per-request closure is needed). curErr carries the
 	// access's error into complete.
 	cur        *serveReq
 	curErr     error
-	accessDone func(accessResultAlias)
+	accessDone func(computeblade.AccessResult)
 
 	// deadEv is the worker's pooled deadline timer (engine.Rearm): it
 	// races the in-service fault chain and, firing first, marks the
@@ -351,7 +351,7 @@ func NewPodServing(p *Pod, cfg ServeConfig) (*Serving, error) {
 		eng := c.eng
 		for i := range c.cblades {
 			w := &serveWorker{s: sh, blade: i}
-			w.accessDone = func(r accessResultAlias) {
+			w.accessDone = func(r computeblade.AccessResult) {
 				w.curErr = r.Err
 				eng.ScheduleArg(0, serveComplete, w)
 			}
@@ -540,10 +540,8 @@ func (w *serveWorker) step() {
 			w.deadEv = s.c.eng.Rearm(w.deadEv, sim.Duration(req.deadline-now), serveDeadline, w)
 		}
 
-		blade := s.c.cblades[w.blade]
 		local := s.c.cfg.ThinkTime
-		if blade.WouldHit(req.va, req.write) {
-			blade.Access(req.tenant.pdid, req.va, req.write, nil)
+		if s.c.cblades[w.blade].TryHit(req.va, req.write) {
 			s.c.eng.ScheduleArg(local+computeblade.HitLatency, serveComplete, w)
 			return
 		}
@@ -552,19 +550,15 @@ func (w *serveWorker) step() {
 	}
 }
 
-// issue starts the blocking fault for the request in service. On a
-// memory-poor rack the faulted page may live on a borrowed blade: the
-// fetch round trip then crosses the pod interconnect (memRound), which
-// is how a serving shard exercises cross-rack traffic without ever
-// touching another shard's state directly.
+// issue performs the access of the request in service; accessDone
+// completes it, whether the cache or a fault served it. On a memory-poor
+// rack the faulted page may live on a borrowed blade: the fetch round
+// trip then crosses the pod interconnect (memRound), which is how a
+// serving shard exercises cross-rack traffic without ever touching
+// another shard's state directly.
 func (w *serveWorker) issue() {
 	req := w.cur
-	blade := w.s.c.cblades[w.blade]
-	hit := blade.Access(req.tenant.pdid, req.va, req.write, w.accessDone)
-	if hit {
-		// Raced with a concurrent fault that installed the page.
-		w.s.c.eng.ScheduleArg(0, serveComplete, w)
-	}
+	w.s.c.cblades[w.blade].Access(req.tenant.pdid, req.va, req.write, w.accessDone)
 }
 
 // complete finishes the request in service. The worker always waits

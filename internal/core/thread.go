@@ -7,8 +7,6 @@ import (
 	"mind/internal/sim"
 )
 
-type accessResultAlias = computeblade.AccessResult
-
 // AccessGen produces a thread's memory access stream: each call returns
 // the next access; ok=false ends the thread. Generators must be
 // deterministic.
@@ -32,38 +30,27 @@ type Thread struct {
 	// PSO state (§6.1): pages with writes still propagating.
 	pendingWrites map[mem.VA]int
 	pendingTotal  int
-	blockedOn     mem.VA // page whose drain unblocks us (0 = any slot)
-	resumeOnDrain bool
-	stash         stashed
 
-	// Deferred blocking issue: step parks the faulting access here and
+	// The parked access: step leaves a faulting access here and
 	// schedules threadIssue after the accrued local time, instead of
-	// minting a closure per fault.
+	// minting a closure per fault. A PSO stall parks its access here too
+	// and sets stalled; writeDrained replays it.
 	issueVA    mem.VA
 	issueWrite bool
+	stalled    bool
 
 	// Pre-bound completion callbacks, created once in Start: blockDone
-	// resumes the main loop after a blocking fault; asyncDone drains a
+	// resumes the main loop after a blocking access; asyncDone drains a
 	// PSO write (the page comes back in AccessResult.Page).
-	blockDone func(accessResultAlias)
-	asyncDone func(accessResultAlias)
+	blockDone func(computeblade.AccessResult)
+	asyncDone func(computeblade.AccessResult)
 }
 
 // Pre-bound thread continuations: scheduling them allocates neither a
 // closure nor (steady-state) an event.
 func threadStep(x any)   { x.(*Thread).step() }
 func threadFinish(x any) { x.(*Thread).finish() }
-func threadIssue(x any) {
-	t := x.(*Thread)
-	t.issueBlocking(t.issueVA, t.issueWrite)
-}
-
-// stashed is an access deferred by a PSO stall.
-type stashed struct {
-	va    mem.VA
-	write bool
-	valid bool
-}
+func threadIssue(x any)  { x.(*Thread).issueBlocking() }
 
 // TID returns the thread id.
 func (t *Thread) TID() ctrlplane.TID { return t.tid }
@@ -96,11 +83,11 @@ func (t *Thread) Start(gen AccessGen, onFinish func()) {
 	if t.c.cfg.Consistency != TSO {
 		t.pendingWrites = make(map[mem.VA]int)
 	}
-	t.blockDone = func(accessResultAlias) {
+	t.blockDone = func(computeblade.AccessResult) {
 		t.ops++
 		t.c.eng.ScheduleArg(0, threadStep, t)
 	}
-	t.asyncDone = func(r accessResultAlias) { t.writeDrained(r.Page) }
+	t.asyncDone = func(r computeblade.AccessResult) { t.writeDrained(r.Page) }
 	t.c.activeThreads++
 	t.c.eng.ScheduleArg(0, threadStep, t)
 }
@@ -133,18 +120,15 @@ func (t *Thread) step() {
 		}
 		local += t.c.cfg.ThinkTime
 		pso := t.pendingWrites != nil
-		page := mem.PageBase(va)
 
 		// PSO read-after-write hazard: block until the page's pending
 		// writes drain (§6.1).
-		if pso && !write && t.pendingWrites[page] > 0 {
-			t.blockedOn, t.resumeOnDrain = page, true
-			t.stash = stashed{va: va, write: write, valid: true}
+		if pso && !write && t.pendingWrites[mem.PageBase(va)] > 0 {
+			t.issueVA, t.issueWrite, t.stalled = va, write, true
 			return
 		}
 
-		if blade.WouldHit(va, write) {
-			blade.Access(t.pdid, va, write, nil)
+		if blade.TryHit(va, write) {
 			t.ops++
 			local += computeblade.HitLatency
 			continue
@@ -154,51 +138,39 @@ func (t *Thread) step() {
 		// buffer is full.
 		if pso && write {
 			if t.pendingTotal >= t.c.cfg.StoreBufferDepth {
-				t.blockedOn, t.resumeOnDrain = 0, true
-				t.stash = stashed{va: va, write: true, valid: true}
+				t.issueVA, t.issueWrite, t.stalled = va, write, true
 				return
 			}
 			t.issueAsyncWrite(va)
 			continue
 		}
 
-		// Blocking fault, issued after accrued local time.
-		if local > 0 {
-			t.issueVA, t.issueWrite = va, write
-			t.c.eng.ScheduleArg(local, threadIssue, t)
-			return
-		}
-		t.issueBlocking(va, write)
+		// Blocking fault, issued after the accrued local time (at least
+		// one positive think time).
+		t.issueVA, t.issueWrite = va, write
+		t.c.eng.ScheduleArg(local, threadIssue, t)
 		return
 	}
 	t.c.eng.ScheduleArg(local, threadStep, t)
 }
 
-// issueBlocking performs a fault the thread waits on (TSO accesses, PSO
-// reads).
-func (t *Thread) issueBlocking(va mem.VA, write bool) {
-	blade := t.c.cblades[t.blade]
-	hit := blade.Access(t.pdid, va, write, t.blockDone)
-	if hit {
-		// Raced with a concurrent fault that installed the page.
-		t.ops++
-		t.c.eng.ScheduleArg(0, threadStep, t)
-		return
+// issueBlocking performs the parked access and waits for it (TSO
+// accesses, PSO reads): blockDone resumes the main loop, whether the
+// cache or a fault served it.
+func (t *Thread) issueBlocking() {
+	if !t.c.cblades[t.blade].Access(t.pdid, t.issueVA, t.issueWrite, t.blockDone) {
+		t.faults++
 	}
-	t.faults++
 }
 
 // issueAsyncWrite starts a PSO write fault the thread does not wait on.
+// It always follows a failed TryHit in the same event, so it is a miss.
 func (t *Thread) issueAsyncWrite(va mem.VA) {
-	blade := t.c.cblades[t.blade]
-	page := mem.PageBase(va)
-	hit := blade.Access(t.pdid, va, true, t.asyncDone)
 	t.ops++
-	if !hit {
-		t.faults++
-		t.pendingWrites[page]++
-		t.pendingTotal++
-	}
+	t.faults++
+	t.pendingWrites[mem.PageBase(va)]++
+	t.pendingTotal++
+	t.c.cblades[t.blade].Access(t.pdid, va, true, t.asyncDone)
 }
 
 // writeDrained runs when an async PSO write completes.
@@ -212,40 +184,28 @@ func (t *Thread) writeDrained(page mem.VA) {
 	if t.pendingTotal > 0 {
 		t.pendingTotal--
 	}
-	if !t.resumeOnDrain {
+	// A stalled read resumes once its page drained, a stalled write once
+	// any store-buffer slot freed.
+	if !t.stalled || (!t.issueWrite && t.pendingWrites[mem.PageBase(t.issueVA)] > 0) {
 		return
 	}
-	// Resume only once the blocking condition cleared: the specific page
-	// drained, or (blockedOn == 0) any store-buffer slot freed.
-	if t.blockedOn != 0 && t.pendingWrites[t.blockedOn] > 0 {
-		return
-	}
-	t.resumeOnDrain = false
-	t.blockedOn = 0
-	st := t.stash
-	t.stash = stashed{}
-	if !st.valid {
-		t.c.eng.ScheduleArg(0, threadStep, t)
-		return
-	}
-	t.replay(st)
+	t.stalled = false
+	t.replay()
 }
 
-// replay re-issues a stalled access, then continues the main loop.
-func (t *Thread) replay(st stashed) {
-	blade := t.c.cblades[t.blade]
-	if blade.WouldHit(st.va, st.write) {
-		blade.Access(t.pdid, st.va, st.write, nil)
+// replay re-issues the stalled access, then continues the main loop.
+func (t *Thread) replay() {
+	if t.c.cblades[t.blade].TryHit(t.issueVA, t.issueWrite) {
 		t.ops++
 		t.c.eng.ScheduleArg(computeblade.HitLatency, threadStep, t)
 		return
 	}
-	if st.write && t.pendingWrites != nil {
-		t.issueAsyncWrite(st.va)
+	if t.issueWrite {
+		t.issueAsyncWrite(t.issueVA)
 		t.c.eng.ScheduleArg(0, threadStep, t)
 		return
 	}
-	t.issueBlocking(st.va, st.write)
+	t.issueBlocking()
 }
 
 // RunThreads drives the engine until every started thread in the pod
