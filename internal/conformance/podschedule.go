@@ -39,7 +39,6 @@ import (
 type PodSchedule struct {
 	Seed    uint64
 	Racks   int          // default 2
-	Window  sim.Duration // executor window (default 500ns)
 	Horizon sim.Duration // serving horizon (default 400us)
 	Faults  int          // failure injections (default 3)
 	// Dense disables the executor's sparse-horizon jump (every grid
@@ -53,9 +52,6 @@ type PodSchedule struct {
 func (c *PodSchedule) defaults() {
 	if c.Racks == 0 {
 		c.Racks = 2
-	}
-	if c.Window == 0 {
-		c.Window = 500 * sim.Nanosecond
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 400 * sim.Microsecond
@@ -148,7 +144,7 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		rc.Seed = cfg.Seed
 		cfgs[i] = rc
 	}
-	pod, err := core.NewPod(core.PodConfig{Racks: cfgs, Workers: workers, Window: cfg.Window, DenseWindows: cfg.Dense})
+	pod, err := core.NewPod(core.PodConfig{Racks: cfgs, Workers: workers, DenseWindows: cfg.Dense})
 	if err != nil {
 		return nil, err
 	}

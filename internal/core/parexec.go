@@ -18,21 +18,21 @@ package core
 // The inter-rack interconnect has a fixed propagation delay P: nothing a
 // rack does can affect another rack in less than P of virtual time. The
 // executor exploits exactly that bound. All rack engines advance in
-// lockstep windows [vnow, vnow+W) with W <= P; within a window each
-// engine runs independently (optionally on a worker pool), because any
-// cross-rack message sent inside the window arrives no earlier than its
-// uplink completion plus P — at or beyond the window's end. Sends
-// buffer in the interconnect's per-source outboxes and the barrier
-// between windows injects them into the destination engines
-// (fabric.Interconnect.FlushBoundary), merged in deterministic arrival
-// order.
+// lockstep windows [vnow, vnow+W) with W = P; within a window each
+// engine runs independently (runWindow fans the racks out over the
+// configured workers), because any cross-rack message sent inside the
+// window arrives no earlier than its uplink completion plus P — at or
+// beyond the window's end. Sends buffer in the interconnect's
+// per-source outboxes and the barrier between windows injects them into
+// the destination engines (fabric.Interconnect.FlushBoundary), merged
+// in deterministic arrival order.
 //
 // RunWindow dispatches strictly below the window end and then parks the
 // engine's clock ON the boundary, so between windows every engine sits
 // at exactly vnow. That makes the lookahead argument airtight: any
 // event scheduled from barrier context lands at >= vnow, and any send
 // booked during the next window departs at >= vnow, arriving at
-// >= vnow + P >= the next boundary.
+// >= vnow + P = the next boundary.
 //
 // Targets (AdvanceTime) differ accordingly, and only here: a 1-rack pod
 // reaches its target with RunUntil, inclusively — an event at the target
@@ -55,15 +55,26 @@ package core
 // for the duration of the lease (the owner retired it from its own
 // tables), which is why data can land in it from borrower events.
 //
+// A blocking call (Rack.await) drives like every other run. Its
+// synchronous prefix — e.g. a kill blackening a borrowed blade's port
+// in the lender's fabric — runs on the caller's goroutine before the
+// drive, with every engine parked; everything after it is rack events.
+// No goroutine outlives a window, so an idle pod holds none, and a
+// drive nested in barrier-context code is just another drive.
+//
 // Determinism: none of this depends on the worker count. Window
 // contents are fixed by the event schedule, boundary injection order is
 // fixed by arrival time (ties by source rack, then send order), and
-// barrier work runs in rack-index order. Serial, 1-worker and N-worker
+// barrier work runs in rack-index order. 1-worker and N-worker
 // execution produce bit-identical simulations; workers only change
 // wall-clock time. parexec_test.go enforces this with engine dispatch
 // hashes.
 
-import "mind/internal/sim"
+import (
+	"sync"
+
+	"mind/internal/sim"
+)
 
 // borrowReq is one queued blade-borrow negotiation: the allocator
 // transfer happens at the barrier preceding the window that contains
@@ -79,10 +90,10 @@ type borrowReq struct {
 type podExec struct {
 	p *Pod
 	// window is the executor's lookahead: the lockstep window width,
-	// clamped to the interconnect propagation delay (the conservative
-	// bound), or unbounded for a 1-rack pod, which waits for nobody.
+	// the interconnect propagation delay (the conservative bound), or
+	// unbounded for a 1-rack pod, which waits for nobody.
 	window sim.Duration
-	// workers is the configured worker-pool width for parallel drives.
+	// workers is how many goroutines a window fans out to.
 	workers int
 	// vnow is the window cursor of a multi-rack pod: every rack engine
 	// sits exactly here between drives.
@@ -91,14 +102,6 @@ type podExec struct {
 	// visited even when provably a no-op. The equivalence suites sweep
 	// it to pin sparse execution bit-identical to the dense baseline.
 	dense bool
-
-	// wp is the persistent worker pool of parallel drives. It is
-	// created lazily on the first parallel drive and survives across
-	// drives (RunThreads drives twice, AdvanceTime sampling loops drive
-	// per tick) so window handoff reuses parked goroutines instead of
-	// spawning a pool per drive; any drive that ends with the pod fully
-	// drained releases it, so an idle pod holds no goroutines.
-	wp *wpool
 
 	// Barrier-driven sampler (Pod.SampleEvery).
 	sampleEvery sim.Duration
@@ -121,8 +124,8 @@ const wedged = "core: pod drive ran out of events (protocol wedge)"
 // (AdvanceTime, whose stop is "the target is reached"); a zero target
 // means "until stop", and running dry beforehand is a wedge. The 1-rack
 // loop carries no budget and no bookkeeping: it is every figure's inner
-// loop. When parallel is set (and the pod has workers to use), windows
-// execute on the persistent worker pool.
+// loop. Every caller — AdvanceTime, RunThreads, Serving.Run, quiesce and
+// the blocking API's await — drives the same way.
 //
 // In sparse mode (the default) each iteration jumps the cursor directly
 // to the window containing the pod's safe horizon (nextBarrier),
@@ -132,7 +135,7 @@ const wedged = "core: pod drive ran out of events (protocol wedge)"
 // (targets, thread counts, serve completion, await flags, idleness) can
 // only change through dispatched events or barrier work, and the
 // skipped region has neither.
-func (x *podExec) drive(parallel bool, target sim.Time, stop func() bool) {
+func (x *podExec) drive(target sim.Time, stop func() bool) {
 	if !x.p.multiRack {
 		eng := x.p.racks[0].eng
 		if target != 0 {
@@ -145,30 +148,17 @@ func (x *podExec) drive(parallel bool, target sim.Time, stop func() bool) {
 		}
 		return
 	}
-	var wp *wpool
-	if parallel && x.workers > 1 {
-		if x.wp == nil {
-			x.wp = newWpool(x.p.racks, x.workers)
-		}
-		wp = x.wp
-	}
 	startExec := x.p.ExecutedEvents()
 	for !stop() {
 		if target == 0 && x.idle() {
 			panic(wedged)
 		}
 		end := x.nextBarrier(target)
-		if wp != nil {
-			wp.run(end)
-		} else {
-			for _, r := range x.p.racks {
-				r.eng.RunWindow(end)
-			}
-		}
+		x.runWindow(end)
 		x.vnow = end
 		x.windowsExecuted++
 		// Elide the cross-rack merge entirely on a quiet boundary: the
-		// pending counter is exact here (workers parked), so skipping
+		// pending counter is exact here (workers joined), so skipping
 		// FlushBoundary when it is zero delivers the same nothing.
 		if x.p.ic.PendingBoundary() > 0 {
 			x.p.ic.FlushBoundary()
@@ -180,13 +170,32 @@ func (x *podExec) drive(parallel bool, target sim.Time, stop func() bool) {
 			panic("core: pod drive exceeded event budget")
 		}
 	}
-	// Release the pool once the pod has fully drained: parked workers
-	// are cheap between drives of a live run, but an idle pod (between
-	// tests, or retired) should hold no goroutines.
-	if x.wp != nil && x.idle() {
-		x.wp.close()
-		x.wp = nil
+}
+
+// runWindow runs every rack engine up to end. With n = min(workers,
+// racks) above 1, worker w runs racks w, w+n, … on its own goroutine,
+// and Wait orders every rack mutation of the window before the
+// barrier's reads. No goroutine outlives the window.
+func (x *podExec) runWindow(end sim.Time) {
+	racks := x.p.racks
+	n := min(x.workers, len(racks))
+	if n <= 1 {
+		for _, r := range racks {
+			r.eng.RunWindow(end)
+		}
+		return
 	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(racks); i += n {
+				racks[i].eng.RunWindow(end)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // nextBarrier returns the end of the next window to sweep. Dense mode
@@ -373,57 +382,5 @@ func (x *podExec) barrier(end sim.Time) {
 			x.sampleFn(x.nextSample)
 			x.nextSample = x.nextSample.Add(x.sampleEvery)
 		}
-	}
-}
-
-// wpool executes one window across the racks on a fixed set of
-// goroutines. Worker w owns racks w, w+n, w+2n, … for its lifetime, so
-// a rack's engine is only ever touched by one goroutine per drive; the
-// start/done channel operations order each window's rack mutations
-// before the barrier's reads.
-type wpool struct {
-	racks []*Rack
-	n     int
-	start []chan sim.Time
-	done  chan struct{}
-}
-
-func newWpool(racks []*Rack, workers int) *wpool {
-	if workers > len(racks) {
-		workers = len(racks)
-	}
-	wp := &wpool{
-		racks: racks,
-		n:     workers,
-		start: make([]chan sim.Time, workers),
-		done:  make(chan struct{}, workers),
-	}
-	for w := 0; w < workers; w++ {
-		ch := make(chan sim.Time, 1)
-		wp.start[w] = ch
-		go func(w int, ch chan sim.Time) {
-			for end := range ch {
-				for i := w; i < len(wp.racks); i += wp.n {
-					wp.racks[i].eng.RunWindow(end)
-				}
-				wp.done <- struct{}{}
-			}
-		}(w, ch)
-	}
-	return wp
-}
-
-func (wp *wpool) run(end sim.Time) {
-	for _, ch := range wp.start {
-		ch <- end
-	}
-	for range wp.start {
-		<-wp.done
-	}
-}
-
-func (wp *wpool) close() {
-	for _, ch := range wp.start {
-		close(ch)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mind/internal/ctrlplane"
+	"mind/internal/fabric"
 	"mind/internal/mem"
 	"mind/internal/sim"
 	"mind/internal/stats"
@@ -15,7 +16,7 @@ import (
 // returns everything that must be invariant across worker counts: the
 // finish time, each engine's executed-event count and dispatch-trace
 // hash, and the merged counter snapshot.
-func equivRun(t *testing.T, racks, workers int, window sim.Duration, dense bool) (sim.Time, []uint64, []uint64, map[string]uint64) {
+func equivRun(t *testing.T, racks, workers int, prop sim.Duration, dense bool) (sim.Time, []uint64, []uint64, map[string]uint64) {
 	t.Helper()
 	cfgs := make([]Config, racks)
 	cfgs[0] = podRackConfig(2, 1, 1024)
@@ -25,8 +26,8 @@ func equivRun(t *testing.T, racks, workers int, window sim.Duration, dense bool)
 	pod, err := NewPod(PodConfig{
 		Racks:        cfgs,
 		Promotion:    PromotionConfig{Epoch: 200 * sim.Microsecond, Threshold: 4},
+		Interconnect: fabric.InterConfig{Propagation: prop},
 		Workers:      workers,
-		Window:       window,
 		DenseWindows: dense,
 	})
 	if err != nil {
@@ -70,9 +71,9 @@ func equivRun(t *testing.T, racks, workers int, window sim.Duration, dense bool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Randomized but seeded per (rack, blade, window): every
+			// Randomized but seeded per (rack, blade, delay): every
 			// worker count replays the identical access stream.
-			rng := sim.NewRNG(uint64(13+ri*8+b)^uint64(window), "parexec-equiv")
+			rng := sim.NewRNG(uint64(13+ri*8+b)^uint64(prop), "parexec-equiv")
 			ops := 1500 + int(rng.Uint64n(1500))
 			n := 0
 			th.Start(func() (mem.VA, bool, bool) {
@@ -96,15 +97,15 @@ func equivRun(t *testing.T, racks, workers int, window sim.Duration, dense bool)
 }
 
 // TestParallelEquivalence is the determinism contract of the windowed
-// executor: for every pod shape and window width, the dense serial
-// baseline (every 1-window barrier visited), dense parallel execution,
-// and sparse-horizon execution at every worker count must produce the
-// same simulation — same finish time, the same dispatch sequence on
-// every engine (event-by-event, via the trace hash), and byte-identical
-// merged statistics. The window width itself legitimately changes the
-// schedule (boundary-buffered deliveries batch differently), which is
-// why equality is asserted across worker counts and sparseness within
-// one window, not across windows.
+// executor: for every pod shape and interconnect propagation delay
+// (which is the window width), the dense serial baseline (every
+// 1-window barrier visited), dense parallel execution, and
+// sparse-horizon execution at every worker count must produce the same
+// simulation — same finish time, the same dispatch sequence on every
+// engine (event-by-event, via the trace hash), and byte-identical merged
+// statistics. The delay itself legitimately changes the schedule, which
+// is why equality is asserted across worker counts and sparseness
+// within one delay, not across delays.
 func TestParallelEquivalence(t *testing.T) {
 	type variant struct {
 		workers int
@@ -118,11 +119,11 @@ func TestParallelEquivalence(t *testing.T) {
 		{workers: 8, dense: false},
 	}
 	for _, racks := range []int{2, 3} {
-		for _, window := range []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond} {
-			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, window), func(t *testing.T) {
-				endS, execS, hashS, snapS := equivRun(t, racks, 1, window, true)
+		for _, prop := range []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond} {
+			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, prop), func(t *testing.T) {
+				endS, execS, hashS, snapS := equivRun(t, racks, 1, prop, true)
 				for _, v := range variants {
-					end, exec, hash, snap := equivRun(t, racks, v.workers, window, v.dense)
+					end, exec, hash, snap := equivRun(t, racks, v.workers, prop, v.dense)
 					tag := fmt.Sprintf("workers=%d dense=%v", v.workers, v.dense)
 					if end != endS {
 						t.Errorf("%s: end %v, dense serial %v", tag, end, endS)
@@ -169,14 +170,14 @@ func (g *seededGap) Next(now sim.Time) sim.Duration {
 // finish time, per-engine dispatch-trace hashes, the merged counter
 // snapshot, and the executor's window accounting (executed, skipped,
 // flushes elided).
-func equivServeRun(t *testing.T, racks, workers int, window sim.Duration, dense bool) (sim.Time, []uint64, map[string]uint64, [3]uint64) {
+func equivServeRun(t *testing.T, racks, workers int, prop sim.Duration, dense bool) (sim.Time, []uint64, map[string]uint64, [3]uint64) {
 	t.Helper()
 	cfgs := make([]Config, racks)
 	cfgs[0] = podRackConfig(2, 1, 1024)
 	for i := 1; i < racks; i++ {
 		cfgs[i] = podRackConfig(2, 3, 1024)
 	}
-	pod, err := NewPod(PodConfig{Racks: cfgs, Workers: workers, Window: window, DenseWindows: dense})
+	pod, err := NewPod(PodConfig{Racks: cfgs, Interconnect: fabric.InterConfig{Propagation: prop}, Workers: workers, DenseWindows: dense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func equivServeRun(t *testing.T, racks, workers int, window sim.Duration, dense 
 // tenant), the dense serial baseline, dense parallel execution, and
 // sparse-horizon execution at every worker count must produce the same
 // finish time, the same per-engine dispatch sequence, and byte-identical
-// merged statistics at every racks×window point. The window schedule is
+// merged statistics at every racks×propagation point. The window schedule is
 // held to the same contract under this load: every sparse variant visits,
 // skips and elides the same barriers whatever its worker count, the
 // sparse horizon really engages (windows skipped, flushes elided), and
@@ -258,15 +259,15 @@ func TestParallelEquivalenceServing(t *testing.T) {
 		{workers: 8, dense: false},
 	}
 	for _, racks := range []int{2, 3} {
-		for _, window := range []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond} {
-			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, window), func(t *testing.T) {
-				endS, hashS, snapS, winS := equivServeRun(t, racks, 1, window, true)
+		for _, prop := range []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond} {
+			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, prop), func(t *testing.T) {
+				endS, hashS, snapS, winS := equivServeRun(t, racks, 1, prop, true)
 				if winS[1] != 0 {
 					t.Errorf("dense serial skipped %d windows, want 0", winS[1])
 				}
 				var sparseWin *[3]uint64
 				for _, v := range variants {
-					end, hash, snap, win := equivServeRun(t, racks, v.workers, window, v.dense)
+					end, hash, snap, win := equivServeRun(t, racks, v.workers, prop, v.dense)
 					tag := fmt.Sprintf("workers=%d dense=%v", v.workers, v.dense)
 					switch {
 					case v.dense:
@@ -334,14 +335,14 @@ func errString(err error) string {
 // a rack-1 blade drains, and a second kill of the already-dead blade
 // must report the same error at the same instant regardless of worker
 // count.
-func equivFailRun(t *testing.T, racks, workers int, window sim.Duration) (sim.Time, []uint64, map[string]uint64, faultOutcomes) {
+func equivFailRun(t *testing.T, racks, workers int, prop sim.Duration) (sim.Time, []uint64, map[string]uint64, faultOutcomes) {
 	t.Helper()
 	cfgs := make([]Config, racks)
 	cfgs[0] = podRackConfig(2, 1, 1024)
 	for i := 1; i < racks; i++ {
 		cfgs[i] = podRackConfig(2, 3, 1024)
 	}
-	pod, err := NewPod(PodConfig{Racks: cfgs, Workers: workers, Window: window})
+	pod, err := NewPod(PodConfig{Racks: cfgs, Interconnect: fabric.InterConfig{Propagation: prop}, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,11 +497,11 @@ func equivFailRun(t *testing.T, racks, workers int, window sim.Duration) (sim.Ti
 // errors).
 func TestParallelEquivalenceFailures(t *testing.T) {
 	for _, racks := range []int{2, 3} {
-		for _, window := range []sim.Duration{250 * sim.Nanosecond, sim.Microsecond} {
-			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, window), func(t *testing.T) {
-				endS, hashS, snapS, outS := equivFailRun(t, racks, 1, window)
+		for _, prop := range []sim.Duration{250 * sim.Nanosecond, sim.Microsecond} {
+			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, prop), func(t *testing.T) {
+				endS, hashS, snapS, outS := equivFailRun(t, racks, 1, prop)
 				for _, workers := range []int{2, 4, 8} {
-					end, hash, snap, out := equivFailRun(t, racks, workers, window)
+					end, hash, snap, out := equivFailRun(t, racks, workers, prop)
 					if end != endS {
 						t.Errorf("workers=%d: end %v, serial %v", workers, end, endS)
 					}
@@ -564,31 +565,5 @@ func TestSparseWindowStats(t *testing.T) {
 	}
 	if sx >= dx {
 		t.Errorf("sparse executed %d windows, want fewer than dense's %d", sx, dx)
-	}
-}
-
-// TestPodWindowClamp pins the lookahead bound: a configured window wider
-// than the interconnect propagation delay must be clamped to it, and a
-// zero window must default to it.
-func TestPodWindowClamp(t *testing.T) {
-	mk := func(window sim.Duration) *Pod {
-		pod, err := NewPod(PodConfig{
-			Racks:  []Config{podRackConfig(2, 1, 1024), podRackConfig(2, 3, 1024)},
-			Window: window,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pod
-	}
-	prop := mk(0).Interconnect().Config().Propagation
-	if got := mk(0).exec.window; got != prop {
-		t.Errorf("zero window defaulted to %v, want propagation %v", got, prop)
-	}
-	if got := mk(10 * prop).exec.window; got != prop {
-		t.Errorf("oversized window clamped to %v, want propagation %v", got, prop)
-	}
-	if got := mk(prop / 4).exec.window; got != prop/4 {
-		t.Errorf("narrow window = %v, want %v", got, prop/4)
 	}
 }

@@ -26,10 +26,10 @@ package core
 //
 // Execution model: every rack owns its engine and collector, and one
 // loop — podExec.drive (parexec.go) — advances them. A multi-rack pod
-// moves in lockstep windows no wider than the interconnect propagation
-// delay; racks only interact through boundary-buffered interconnect
-// messages and barrier-context control-plane operations, so windows may
-// execute concurrently. A 1-rack pod has no peer to wait for and moves
+// moves in lockstep windows one interconnect propagation delay wide;
+// racks only interact through boundary-buffered interconnect messages
+// and barrier-context control-plane operations, so windows may execute
+// concurrently. A 1-rack pod has no peer to wait for and moves
 // one event at a time — the classic single-threaded simulation,
 // bit-identical to the pre-pod code.
 
@@ -77,14 +77,10 @@ type PodConfig struct {
 	Interconnect fabric.InterConfig
 	// Promotion paces hot-page promotion (zero fields take defaults).
 	Promotion PromotionConfig
-	// Workers is how many OS threads execute rack windows concurrently
-	// in a multi-rack pod (0 or 1: serial). Any worker count produces
+	// Workers is how many goroutines each window of a multi-rack pod
+	// fans its racks out to (0 or 1: serial). Any worker count produces
 	// bit-identical results; workers only change wall-clock time.
 	Workers int
-	// Window overrides the lockstep window width (0: the interconnect
-	// propagation delay). It is clamped to at most the propagation
-	// delay — the conservative lookahead bound.
-	Window sim.Duration
 	// DenseWindows disables the sparse-horizon jump: the executor
 	// visits every 1-window barrier even when provably a no-op, as it
 	// did before sparse execution existed. Either setting produces
@@ -147,8 +143,8 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		}
 		p.racks = append(p.racks, r)
 	}
-	// No peer to wait for: a 1-rack pod's lookahead is unbounded, and
-	// cfg.Window, a bound on cross-rack lookahead, does not apply to it.
+	// No peer to wait for: a 1-rack pod's lookahead is unbounded. A
+	// multi-rack pod's is the interconnect propagation delay.
 	window := sim.Duration(math.MaxInt64)
 	if p.multiRack {
 		engs := make([]*sim.Engine, len(p.racks))
@@ -156,10 +152,7 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 			engs[i] = r.eng
 		}
 		p.ic = fabric.NewShardedInterconnect(engs, cfg.Interconnect)
-		window = cfg.Window
-		if prop := p.ic.Config().Propagation; window <= 0 || window > prop {
-			window = prop
-		}
+		window = p.ic.Config().Propagation
 		if !cfg.Promotion.Disable {
 			for _, r := range p.racks {
 				r.schedulePromotionTick(p.promo.Epoch)
@@ -249,7 +242,7 @@ func (p *Pod) Now() sim.Time { return p.racks[0].eng.Now() }
 // AdvanceTime idles the pod for d of virtual time (lets epochs run).
 func (p *Pod) AdvanceTime(d sim.Duration) {
 	target := p.Now().Add(d)
-	p.exec.drive(true, target, func() bool { return p.Now() >= target })
+	p.exec.drive(target, func() bool { return p.Now() >= target })
 }
 
 // RunThreads drives the pod until every started thread in it finishes,
@@ -258,7 +251,7 @@ func (p *Pod) AdvanceTime(d sim.Duration) {
 // thread finished — with no thread active at entry, the last finish any
 // earlier run recorded (zero if none ever ran).
 func (p *Pod) RunThreads() sim.Time {
-	p.exec.drive(true, 0, func() bool { return p.activeThreadCount() == 0 })
+	p.exec.drive(0, func() bool { return p.activeThreadCount() == 0 })
 	finishedAt := sim.Time(0)
 	for _, r := range p.racks {
 		if r.lastFinish > finishedAt {
@@ -271,16 +264,15 @@ func (p *Pod) RunThreads() sim.Time {
 
 // quiesce ends a run: it stops the splitter and promotion epoch loops —
 // self-rescheduling events that would keep the engines busy forever —
-// and drives the pod until nothing is pending anywhere, which is also
-// what releases the executor's worker pool. RunThreads and Serving.Run
-// end in it.
+// and drives the pod until nothing is pending anywhere. RunThreads and
+// Serving.Run end in it.
 func (p *Pod) quiesce() {
 	for _, r := range p.racks {
 		r.eng.Cancel(r.epochTick)
 		r.eng.Cancel(r.promoTick)
 		r.epochTick, r.promoTick = nil, nil
 	}
-	p.exec.drive(true, 0, p.exec.idle)
+	p.exec.drive(0, p.exec.idle)
 }
 
 // activeThreadCount sums started-but-unfinished threads over the racks.

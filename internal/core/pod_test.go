@@ -323,8 +323,7 @@ func TestSingleRackPodHasNoPodMachinery(t *testing.T) {
 
 // TestRunsEndQuiesced pins the one run tail: whatever the pod's size,
 // worker count or run entry point, a run returns with every engine
-// empty, the epoch loops stopped and the worker pool released, and
-// quiescing again is a no-op.
+// empty and the epoch loops stopped, and quiescing again is a no-op.
 func TestRunsEndQuiesced(t *testing.T) {
 	build := func(t *testing.T, racks, workers int) *Pod {
 		cfgs := []Config{podRackConfig(2, 1, 1024)}
@@ -416,9 +415,6 @@ func TestRunsEndQuiesced(t *testing.T) {
 						if r.Splitter().Epochs() == 0 {
 							t.Errorf("rack %d: the splitter never ran, so stopping it proved nothing", i)
 						}
-					}
-					if pod.exec.wp != nil {
-						t.Error("the worker pool survived the run")
 					}
 					before := pod.ExecutedEvents()
 					pod.quiesce()

@@ -487,16 +487,16 @@ func (c *Rack) Config() Config { return c.cfg }
 // Now returns current virtual time.
 func (c *Rack) Now() sim.Time { return c.eng.Now() }
 
-// await drives the pod until done() has been called by some event. The
-// whole pod must advance — the operation may involve other racks.
-// Blocking waits always drive inline-serially, even when the pod is
-// configured with workers: the waiting caller sits outside any rack's
-// event context, and several blocking control-plane operations (blade
-// kills, drains) mutate state across racks.
+// await runs op on the caller's goroutine, with every engine parked, and
+// then drives the pod like any other run until done() has been called
+// by some event. The whole pod advances — the operation may wait on
+// other racks (a borrow negotiation, a remote blade). The flag done sets
+// is read only by drive's stop condition, at a barrier, after the
+// window's workers have joined.
 func (c *Rack) await(op func(done func())) {
 	fired := false
 	op(func() { fired = true })
-	c.pod.exec.drive(false, 0, func() bool { return fired })
+	c.pod.exec.drive(0, func() bool { return fired })
 }
 
 // InjectFailure installs a message-drop hook on the fabric (nil clears).

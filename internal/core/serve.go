@@ -397,9 +397,9 @@ func (s *Serving) AddTenant(t TenantWorkload) error {
 // The termination condition — every shard's outstanding count zero — is
 // a stop condition of the pod executor like any other: a multi-rack pod
 // evaluates it only at window barriers, where all engines are parked
-// and the happens-before edges of the worker pool make the counter
-// reads safe and deterministic; a 1-rack pod evaluates it after every
-// event, the classic serial injector.
+// and the window's joined workers make the counter reads safe and
+// deterministic; a 1-rack pod evaluates it after every event, the
+// classic serial injector.
 func (s *Serving) Run() (sim.Time, error) {
 	if s.tenants == 0 {
 		return s.p.Now(), fmt.Errorf("core: serving run with no tenants")
@@ -413,7 +413,7 @@ func (s *Serving) Run() (sim.Time, error) {
 		}
 	}
 
-	s.p.exec.drive(true, 0, func() bool {
+	s.p.exec.drive(0, func() bool {
 		for _, sh := range s.shards {
 			if sh.outstanding() > 0 {
 				return false
