@@ -400,22 +400,19 @@ func (c *Rack) DrainMemBlade(victim ctrlplane.BladeID) (DrainReport, error) {
 	return rep, err
 }
 
-// KillMemBladeAsync injects a memory-blade failure from event context:
+// killMemBladeAsync injects a memory-blade failure from event context:
 // the blade's contents are lost instantly and its fabric port goes
 // black. After the configured detection delay the control plane re-homes
 // every vma that lived there (their pages read as zero — the data died)
 // and retires the blade. done fires when recovery completes.
-func (c *Rack) KillMemBladeAsync(victim ctrlplane.BladeID, done func(KillReport, error)) {
-	c.killMemBladeAsync(victim, true, done)
-}
-
-// killMemBladeAsync is the kill implementation. markPort controls who
-// blackens the blade's fabric port: a rack-local kill (or any kill in a
-// 1-rack pod) marks it inline, but when the pod injector kills a
-// borrowed blade under the windowed executor the port lives in the
-// lender's fabric, so the injector schedules the SetNodeDead as a
-// lender-rack event at the same instant (podfail.go) and this shard
-// must not touch it — rack events only mutate rack-local state.
+//
+// markPort controls who blackens the blade's fabric port. The blocking
+// KillMemBlade marks it inline, with every engine parked; but when the
+// pod injector kills a borrowed blade under the windowed executor the
+// port lives in the lender's fabric, so the injector schedules the
+// SetNodeDead as a lender-rack event at the same instant (podfail.go)
+// and this shard must not touch it — rack events only mutate rack-local
+// state. Pod.KillMemBladeAt is the in-simulation entry point.
 func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done func(KillReport, error)) {
 	alloc := c.ctl.Allocator()
 	rep := KillReport{Victim: victim, Start: c.eng.Now()}
@@ -484,7 +481,7 @@ func (c *Rack) KillMemBlade(victim ctrlplane.BladeID) (KillReport, error) {
 	var rep KillReport
 	var err error
 	c.await(func(done func()) {
-		c.KillMemBladeAsync(victim, func(r KillReport, e error) {
+		c.killMemBladeAsync(victim, true, func(r KillReport, e error) {
 			rep, err = r, e
 			done()
 		})

@@ -334,7 +334,7 @@ func TestKillOfMigrationTargetMidDrain(t *testing.T) {
 		c.DrainMemBladeAsync(victim, func(r DrainReport, e error) { drained, derr = true, e })
 	})
 	c.Engine().Schedule(40*sim.Microsecond, func() {
-		c.KillMemBladeAsync(target, func(KillReport, error) { killed = true })
+		c.killMemBladeAsync(target, true, func(KillReport, error) { killed = true })
 	})
 	for steps := 0; !(drained && killed); steps++ {
 		if !c.Engine().Step() || steps > 20_000_000 {

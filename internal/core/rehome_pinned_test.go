@@ -106,7 +106,7 @@ func TestRehomePinned(t *testing.T) {
 			c.DrainMemBladeAsync(victim, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
 		})
 		c.Engine().Schedule(300*sim.Microsecond, func() {
-			c.KillMemBladeAsync(target, func(r KillReport, e error) { krep, kerr, killed = r, e, true })
+			c.killMemBladeAsync(target, true, func(r KillReport, e error) { krep, kerr, killed = r, e, true })
 		})
 		end := c.RunThreads()
 		if !drained || !killed || derr != nil || kerr != nil {

@@ -235,7 +235,7 @@ func TestServeKillStormSingleRack(t *testing.T) {
 	var krep KillReport
 	killed := false
 	c.Engine().Schedule(500*sim.Microsecond, func() {
-		c.KillMemBladeAsync(victim, func(r KillReport, e error) {
+		c.killMemBladeAsync(victim, true, func(r KillReport, e error) {
 			if e != nil {
 				t.Errorf("kill: %v", e)
 			}

@@ -34,57 +34,6 @@ type TenantSpec struct {
 	Burst float64
 }
 
-// TenantPlacement is the control plane's decision for one tenant.
-type TenantPlacement struct {
-	Spec  TenantSpec
-	Blade int // compute blade serving this tenant's requests
-}
-
-// PlaceTenants maps tenants onto blades least-loaded-first (by placed
-// Active bytes, ties broken by blade index — deterministic) and admits
-// them under the overcommit gate:
-//
-//	Σ Active    <= capacity            (the hot sets must fit)
-//	Σ Footprint <= capacity*overcommit (reservations may oversubscribe)
-//
-// Tenants are considered in the given order; a tenant failing either
-// gate is rejected with an error naming it, and placement stops — the
-// caller decides whether to shed it or re-plan.
-func PlaceTenants(tenants []TenantSpec, blades int, capacity uint64, overcommit float64) ([]TenantPlacement, error) {
-	if blades < 1 {
-		return nil, fmt.Errorf("ctrlplane: no compute blades to place on")
-	}
-	if overcommit < 1 {
-		overcommit = 1
-	}
-	load := make([]uint64, blades)
-	var sumActive, sumFootprint uint64
-	limit := uint64(float64(capacity) * overcommit)
-	out := make([]TenantPlacement, 0, len(tenants))
-	for _, t := range tenants {
-		if sumActive+t.Active > capacity {
-			return out, fmt.Errorf("ctrlplane: tenant %s rejected: hot-set gate (%d + %d > %d)",
-				t.Name, sumActive, t.Active, capacity)
-		}
-		if sumFootprint+t.Footprint > limit {
-			return out, fmt.Errorf("ctrlplane: tenant %s rejected: overcommit gate (%d + %d > %d)",
-				t.Name, sumFootprint, t.Footprint, limit)
-		}
-		sumActive += t.Active
-		sumFootprint += t.Footprint
-		// Least-loaded blade, lowest index on ties.
-		best := 0
-		for b := 1; b < blades; b++ {
-			if load[b] < load[best] {
-				best = b
-			}
-		}
-		load[best] += t.Active
-		out = append(out, TenantPlacement{Spec: t, Blade: best})
-	}
-	return out, nil
-}
-
 // RackShare is one rack's slice of a pod-wide tenant placement: the
 // compute blade serving the share and the fraction of the tenant's
 // contracted rate routed there.
@@ -122,17 +71,21 @@ func (p PodPlacement) Bucket(i int) *TokenBucket {
 }
 
 // PlaceTenantsPod maps tenants onto a pod of racks×bladesPerRack
-// compute blades. Each rack runs the same twin admission gates as
-// PlaceTenants (ΣActive <= capacityPerRack, ΣFootprint <=
-// capacityPerRack×overcommit). A tenant goes wholly to the least-
-// loaded rack (by placed Active bytes, ties by rack index) that can
-// admit it; a tenant too big for any single rack's remaining headroom
-// is split greedily across racks in least-loaded order, its Footprint
-// charged pro-rata with the Active bytes placed. Within a rack the
-// share lands on the least-loaded blade. Everything is deterministic:
-// tenants are considered in the given order, ties break by lowest
-// index. A tenant the whole pod cannot admit is rejected with an
-// error naming it, and placement stops — the caller decides whether
+// compute blades (racks = 1 places onto one rack's blades). Each rack
+// admits under twin overcommit gates:
+//
+//	Σ Active    <= capacityPerRack            (the hot sets must fit)
+//	Σ Footprint <= capacityPerRack*overcommit (reservations may oversubscribe)
+//
+// A tenant goes wholly to the least-loaded rack (by placed Active
+// bytes, ties by rack index) that can admit it; a tenant too big for
+// any single rack's remaining headroom is split greedily across racks
+// in least-loaded order, its Footprint charged pro-rata with the Active
+// bytes placed. Within a rack the share lands on the least-loaded blade
+// (by placed Active bytes, ties by blade index). Everything is
+// deterministic: tenants are considered in the given order, ties break
+// by lowest index. A tenant the whole pod cannot admit is rejected with
+// an error naming it, and placement stops — the caller decides whether
 // to shed it or re-plan.
 func PlaceTenantsPod(tenants []TenantSpec, racks, bladesPerRack int, capacityPerRack uint64, overcommit float64) ([]PodPlacement, error) {
 	if racks < 1 {

@@ -2,11 +2,14 @@ package ctrlplane
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mind/internal/sim"
 )
+
+// The single-rack cases place onto one rack's blades (racks = 1).
 
 func TestPlaceTenantsLeastLoaded(t *testing.T) {
 	tenants := []TenantSpec{
@@ -14,7 +17,7 @@ func TestPlaceTenantsLeastLoaded(t *testing.T) {
 		{Name: "b", Footprint: 100, Active: 30},
 		{Name: "c", Footprint: 100, Active: 20},
 	}
-	ps, err := PlaceTenants(tenants, 2, 1000, 2)
+	ps, err := PlaceTenantsPod(tenants, 1, 2, 1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,35 +25,35 @@ func TestPlaceTenantsLeastLoaded(t *testing.T) {
 	// (30 < 40).
 	want := []int{0, 1, 1}
 	for i, p := range ps {
-		if p.Blade != want[i] {
-			t.Errorf("tenant %s on blade %d, want %d", p.Spec.Name, p.Blade, want[i])
+		if p.Spans() || p.Shares[0].Blade != want[i] {
+			t.Errorf("tenant %s placed %+v, want whole on blade %d", p.Spec.Name, p.Shares, want[i])
 		}
 	}
 }
 
 func TestPlaceTenantsOvercommitGates(t *testing.T) {
 	// Hot-set gate: ΣActive must fit raw capacity.
-	_, err := PlaceTenants([]TenantSpec{
+	_, err := PlaceTenantsPod([]TenantSpec{
 		{Name: "a", Footprint: 50, Active: 60},
 		{Name: "b", Footprint: 50, Active: 50},
-	}, 2, 100, 4)
-	if err == nil || !strings.Contains(err.Error(), "hot-set") {
-		t.Errorf("want hot-set rejection, got %v", err)
+	}, 1, 2, 100, 4)
+	if err == nil || !strings.Contains(err.Error(), "tenant b rejected") {
+		t.Errorf("want hot-set rejection of b, got %v", err)
 	}
 	// Overcommit gate: ΣFootprint may exceed capacity up to the factor.
-	ps, err := PlaceTenants([]TenantSpec{
+	ps, err := PlaceTenantsPod([]TenantSpec{
 		{Name: "a", Footprint: 150, Active: 40},
 		{Name: "b", Footprint: 40, Active: 40},
-	}, 2, 100, 2)
+	}, 1, 2, 100, 2)
 	if err != nil || len(ps) != 2 {
 		t.Errorf("2x overcommit should admit 190 footprint on 100 capacity: %v", err)
 	}
-	_, err = PlaceTenants([]TenantSpec{
+	_, err = PlaceTenantsPod([]TenantSpec{
 		{Name: "a", Footprint: 150, Active: 40},
 		{Name: "b", Footprint: 60, Active: 40},
-	}, 2, 100, 2)
-	if err == nil || !strings.Contains(err.Error(), "overcommit") {
-		t.Errorf("want overcommit rejection, got %v", err)
+	}, 1, 2, 100, 2)
+	if err == nil || !strings.Contains(err.Error(), "tenant b rejected") {
+		t.Errorf("want overcommit rejection of b, got %v", err)
 	}
 }
 
@@ -61,15 +64,13 @@ func TestPlaceTenantsDeterministic(t *testing.T) {
 		{Name: "c", Footprint: 10, Active: 10},
 		{Name: "d", Footprint: 10, Active: 10},
 	}
-	p1, err1 := PlaceTenants(tenants, 3, 1000, 1)
-	p2, err2 := PlaceTenants(tenants, 3, 1000, 1)
+	p1, err1 := PlaceTenantsPod(tenants, 1, 3, 1000, 1)
+	p2, err2 := PlaceTenantsPod(tenants, 1, 3, 1000, 1)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("placement not deterministic at %d", i)
-		}
+	if !reflect.DeepEqual(p1, p2) {
+		t.Fatalf("placement not deterministic:\n%+v\nvs\n%+v", p1, p2)
 	}
 }
 

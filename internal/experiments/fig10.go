@@ -195,12 +195,13 @@ func (p fig10Params) mindSpec(T sim.Duration) prun.Spec {
 			var krep core.KillReport
 			drainVictim, killVictim := ctrlplane.BladeID(1), ctrlplane.BladeID(0)
 			eng.Schedule(addAt, func() { _, addErr = c.AddMemBlade(0) })
-			eng.Schedule(drainAt, func() {
-				c.DrainMemBladeAsync(drainVictim, func(r core.DrainReport, e error) { drep, drainErr = r, e })
-			})
-			eng.Schedule(killAt, func() {
-				c.KillMemBladeAsync(killVictim, func(r core.KillReport, e error) { krep, killErr = r, e })
-			})
+			now := c.Now()
+			if err := c.Pod().DrainMemBladeAt(0, drainVictim, now.Add(drainAt), func(r core.DrainReport, e error) { drep, drainErr = r, e }); err != nil {
+				return nil, err
+			}
+			if err := c.Pod().KillMemBladeAt(0, killVictim, now.Add(killAt), func(r core.KillReport, e error) { krep, killErr = r, e }); err != nil {
+				return nil, err
+			}
 
 			end := c.RunThreads()
 			for _, e := range []error{addErr, drainErr, killErr} {

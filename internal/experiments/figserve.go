@@ -87,7 +87,7 @@ func (p figServeParams) spec(mult int, qos bool) prun.Spec {
 				{Name: "aggressor", Footprint: w.Footprint, Active: w.Footprint / 2,
 					RatePerSec: figServeAggrLimit, Burst: figServeBucketDepth},
 			}
-			placements, err := ctrlplane.PlaceTenants(specs, 1, 2*w.Footprint, 2)
+			placements, err := ctrlplane.PlaceTenantsPod(specs, 1, 1, 2*w.Footprint, 2)
 			if err != nil {
 				return nil, fmt.Errorf("figserve placement: %w", err)
 			}
@@ -108,12 +108,12 @@ func (p figServeParams) spec(mult int, qos bool) prun.Spec {
 				}
 				var lim *ctrlplane.TokenBucket
 				if qos {
-					lim = ctrlplane.NewTokenBucket(pl.Spec.RatePerSec, pl.Spec.Burst)
+					lim = pl.Bucket(0)
 				}
 				err = s.AddTenant(core.TenantWorkload{
 					Name:    pl.Spec.Name,
 					Proc:    proc,
-					Blade:   pl.Blade,
+					Blade:   pl.Shares[0].Blade,
 					Arrival: workloads.NewPoisson(p.seed, pl.Spec.Name, rate),
 					NextOp:  workloads.RequestStreamIn(w, vma.Base, vma.Len, i, params),
 					Limiter: lim,

@@ -282,8 +282,6 @@ type Engine struct {
 	free  Pool[Event]
 	evMem []Event
 
-	stopped bool
-
 	// plain disables the free list, the fast lane, and the calendar
 	// ring, forcing every event through the reference (time, seq) heap —
 	// the oracle mode the equivalence tests compare against.
@@ -848,10 +846,9 @@ func (e *Engine) PeekTime() (Time, bool) {
 	return 0, false
 }
 
-// Run dispatches events until the queue drains or Stop is called.
+// Run dispatches events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
@@ -859,8 +856,7 @@ func (e *Engine) Run() {
 // clock to deadline if the simulation ran dry earlier. Events scheduled
 // beyond deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && e.stepUntil(deadline) {
+	for e.stepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -877,16 +873,12 @@ func (e *Engine) RunUntil(deadline Time) {
 // at >= end and the clock sits exactly on the boundary, so boundary
 // injections with at == end are legal non-past schedules.
 func (e *Engine) RunWindow(end Time) {
-	e.stopped = false
-	for !e.stopped && e.stepUntil(end-1) {
+	for e.stepUntil(end - 1) {
 	}
 	if e.now < end {
 		e.now = end
 	}
 }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
 
 // FreeListLen reports the current size of the event free list
 // (diagnostics and pool tests).

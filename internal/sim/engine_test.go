@@ -119,26 +119,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3 after Stop", count)
-	}
-	if e.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestEnginePastEventClamped(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(100, func() {
