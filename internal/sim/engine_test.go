@@ -176,17 +176,67 @@ func TestResourceParallelSlots(t *testing.T) {
 	}
 }
 
-// TestResourceHeapEquivalence pins the min-heap Reserve against the
-// linear-min-scan reference it replaced: the returned (start, end) only
-// depend on the multiset of slot next-free times, never on which slot
-// served a job, so the two must agree on every reservation — including
-// non-monotone arrival times (the fabric books pipelines at now,
-// now+recirculation and NIC-arrival times interleaved) and mixed
-// service durations.
-func TestResourceHeapEquivalence(t *testing.T) {
-	for _, slots := range []int{1, 2, 3, 7, 32} {
-		r := NewResource(slots)
-		ref := make([]Time, slots) // reference: plain slice, linear scan
+// resourcePair runs a Resource beside the linear-min-scan reference it
+// is pinned against: a plain slice of next-free times whose earliest
+// entry every booking replaces. The returned (start, end) depend only on
+// the multiset of next-free times, never on which slot served a job, so
+// any exact multiset structure must agree with it on every reservation.
+type resourcePair struct {
+	r    *Resource
+	ref  []Time
+	step int
+
+	served               uint64
+	busy, waits, maxWait Duration
+}
+
+func newResourcePair(slots int) *resourcePair {
+	return &resourcePair{r: NewResource(slots), ref: make([]Time, slots)}
+}
+
+// reserve books (at, d) on both sides and fails on any disagreement.
+func (p *resourcePair) reserve(t *testing.T, at Time, d Duration) {
+	t.Helper()
+	gotS, gotE := p.r.Reserve(at, d)
+	best := 0
+	for j := 1; j < len(p.ref); j++ {
+		if p.ref[j] < p.ref[best] {
+			best = j
+		}
+	}
+	wantS := max(at, p.ref[best])
+	wantE := wantS.Add(d)
+	p.ref[best] = wantE
+	if gotS != wantS || gotE != wantE {
+		t.Fatalf("slots=%d step %d: Reserve(%d, %d) = (%d, %d), reference (%d, %d)",
+			len(p.ref), p.step, at, d, gotS, gotE, wantS, wantE)
+	}
+	p.step++
+	wait := wantS.Sub(at)
+	p.served++
+	p.busy += d
+	p.waits += wait
+	p.maxWait = max(p.maxWait, wait)
+}
+
+// checkStats compares the Resource's accounting with the reference's.
+func (p *resourcePair) checkStats(t *testing.T) {
+	t.Helper()
+	served, busy, waits, maxWait := p.r.Stats()
+	if served != p.served || busy != p.busy || waits != p.waits || maxWait != p.maxWait {
+		t.Fatalf("slots=%d: Stats() = (%d, %d, %d, %d), reference (%d, %d, %d, %d)",
+			len(p.ref), served, busy, waits, maxWait, p.served, p.busy, p.waits, p.maxWait)
+	}
+}
+
+// TestResourceEquivalence pins Reserve against the linear-min-scan
+// reference: non-monotone arrival times (the fabric books pipelines at
+// now, now+recirculation and NIC-arrival times interleaved), mixed
+// service durations, and bursts far below the latest booking, whose ends
+// land deep inside the slot order rather than after its maximum.
+func TestResourceEquivalence(t *testing.T) {
+	for _, slots := range []int{1, 2, 3, 4, 7, 32} {
+		p := newResourcePair(slots)
 		rng := NewRNG(42, "resource-heap")
 		var at Time
 		for i := 0; i < 5000; i++ {
@@ -196,24 +246,59 @@ func TestResourceHeapEquivalence(t *testing.T) {
 			if at < 0 {
 				at = 0
 			}
-			d := Duration(1 + rng.Uint64n(50))
-			gotS, gotE := r.Reserve(at, d)
-			best := 0
-			for j := 1; j < len(ref); j++ {
-				if ref[j] < ref[best] {
-					best = j
+			p.reserve(t, at, Duration(1+rng.Uint64n(50)))
+			if i%97 == 96 {
+				low := at.Add(-Duration(500 + rng.Uint64n(2000)))
+				for b := 0; b < 2*slots; b++ {
+					p.reserve(t, low.Add(Duration(rng.Uint64n(20))), Duration(1+rng.Uint64n(10)))
 				}
 			}
-			wantS := at
-			if ref[best] > wantS {
-				wantS = ref[best]
-			}
-			wantE := wantS.Add(d)
-			ref[best] = wantE
-			if gotS != wantS || gotE != wantE {
-				t.Fatalf("slots=%d step %d: Reserve(%d, %d) = (%d, %d), reference (%d, %d)",
-					slots, i, at, d, gotS, gotE, wantS, wantE)
-			}
+		}
+		p.checkStats(t)
+	}
+}
+
+// FuzzResource reads a byte string as a slot count followed by (signed
+// arrival step, duration) pairs and holds Reserve to the reference.
+func FuzzResource(f *testing.F) {
+	f.Add([]byte{5, 10, 40, 10, 40, 0x80, 3, 0x80, 3, 0x80, 3, 20, 7})
+	f.Add([]byte{2, 1, 200, 1, 200, 1, 200, 0xf0, 1, 0xf0, 1, 0xf0, 1, 0xf0, 1})
+	f.Add([]byte{0, 5, 5, 0xfb, 9, 5, 0})
+	rng := NewRNG(7, "fuzz-resource")
+	for _, slots := range []byte{1, 3, 4, 5} {
+		ops := []byte{slots}
+		for i := 0; i < 200; i++ {
+			ops = append(ops, byte(rng.Uint64()), byte(rng.Uint64n(64)))
+		}
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		p := newResourcePair([]int{1, 2, 3, 4, 7, 32}[int(ops[0])%6])
+		var at Time
+		for i := 1; i+1 < len(ops); i += 2 {
+			at = at.Add(Duration(int8(ops[i])) * 8)
+			p.reserve(t, at, Duration(ops[i+1]))
+		}
+		p.checkStats(t)
+	})
+}
+
+// TestResourceReserveZeroAlloc pins Reserve allocation-free at every
+// slot count the simulator uses (a NIC lane, a GAM node's cores, a
+// switch pipeline), for bookings after and far below the latest end.
+func TestResourceReserveZeroAlloc(t *testing.T) {
+	for _, slots := range []int{1, 4, 32} {
+		r := NewResource(slots)
+		var at Time
+		if avg := testing.AllocsPerRun(1000, func() {
+			at += 10
+			r.Reserve(at, 25)
+			r.Reserve(at-400, 3)
+		}); avg != 0 {
+			t.Errorf("slots=%d: Reserve allocates %v/op, want 0", slots, avg)
 		}
 	}
 }

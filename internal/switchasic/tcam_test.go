@@ -2,6 +2,8 @@ package switchasic
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +214,197 @@ func TestTCAMInsertDeleteInverseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// tcamOracle is the brute-force reference FuzzTCAM holds a TCAM to: a
+// flat rule list, scanned whole on every lookup.
+type tcamOracle struct {
+	rules    []Entry
+	capacity int
+}
+
+func (o *tcamOracle) find(pdid uint32, base, size uint64) int {
+	for i, e := range o.rules {
+		if e.PDID == pdid && e.Base == base && e.Size == size {
+			return i
+		}
+	}
+	return -1
+}
+
+// lookup returns the longest-prefix match: the smallest matching range,
+// and at one size the exact-pdid rule before the wildcard one.
+func (o *tcamOracle) lookup(pdid uint32, addr uint64) (Entry, bool) {
+	best := -1
+	for i, e := range o.rules {
+		if addr&^(e.Size-1) != e.Base || (e.PDID != WildcardPDID && e.PDID != pdid) {
+			continue
+		}
+		if best < 0 || e.Size < o.rules[best].Size || e.Size == o.rules[best].Size && e.PDID != WildcardPDID {
+			best = i
+		}
+	}
+	if best < 0 {
+		return Entry{}, false
+	}
+	return o.rules[best], true
+}
+
+// sorted returns the rules in Entries() order: size, then base, then pdid.
+func (o *tcamOracle) sorted() []Entry {
+	out := append([]Entry(nil), o.rules...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Size != b.Size {
+			return a.Size < b.Size
+		}
+		if a.Base != b.Base {
+			return a.Base < b.Base
+		}
+		return a.PDID < b.PDID
+	})
+	return out
+}
+
+// tcamFuzzLevels are the range sizes (log2) FuzzTCAM draws from: single
+// addresses, two page-scale sizes that nest, and the half-space level
+// whose only bases are 0 and 1<<63.
+var tcamFuzzLevels = [4]int{0, 12, 14, 63}
+
+const tcamFuzzCapacity = 12
+
+// runTCAMOps reads ops as 3-byte records (kind|pdid, level|high-bit,
+// address byte) and applies each to a TCAM and to the oracle, checking
+// returned values, errors, Len() and Lookups() after every op and the
+// Entries() order before every Clear and at the end.
+func runTCAMOps(t *testing.T, ops []byte) *TCAM {
+	t.Helper()
+	tc := NewTCAM("fuzz", tcamFuzzCapacity)
+	o := &tcamOracle{capacity: tcamFuzzCapacity}
+	var lookups uint64
+	for i := 0; i+2 < len(ops); i += 3 {
+		b0, b1, b2 := ops[i], ops[i+1], ops[i+2]
+		pdid := uint32(b0>>4) % 3
+		size := uint64(1) << tcamFuzzLevels[b1&3]
+		addr := uint64(b2)<<10 | uint64(b1>>7)<<63
+		base := addr &^ (size - 1)
+		switch kind := b0 & 15; {
+		case kind < 6:
+			e := Entry{PDID: pdid, Base: base, Size: size, Value: int64(i)}
+			err := tc.Insert(e)
+			switch {
+			case o.find(pdid, base, size) >= 0:
+				if err == nil || errors.Is(err, ErrTCAMFull) {
+					t.Fatalf("op %d: Insert(%v) of a duplicate = %v, want a duplicate error", i, e, err)
+				}
+			case len(o.rules) >= o.capacity:
+				if !errors.Is(err, ErrTCAMFull) {
+					t.Fatalf("op %d: Insert(%v) into a full table = %v, want ErrTCAMFull", i, e, err)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("op %d: Insert(%v) = %v", i, e, err)
+				}
+				o.rules = append(o.rules, e)
+			}
+		case kind < 9:
+			err := tc.Delete(pdid, base, size)
+			if j := o.find(pdid, base, size); j >= 0 {
+				if err != nil {
+					t.Fatalf("op %d: Delete(%d, %#x, %#x) = %v", i, pdid, base, size, err)
+				}
+				o.rules = append(o.rules[:j], o.rules[j+1:]...)
+			} else if !errors.Is(err, ErrNoEntry) {
+				t.Fatalf("op %d: Delete(%d, %#x, %#x) of an absent rule = %v, want ErrNoEntry", i, pdid, base, size, err)
+			}
+		case kind < 13:
+			v, err := tc.Lookup(pdid, addr)
+			lookups++
+			want, ok := o.lookup(pdid, addr)
+			if ok && (err != nil || v != want.Value) || !ok && !errors.Is(err, ErrNoEntry) {
+				t.Fatalf("op %d: Lookup(%d, %#x) = (%d, %v), oracle (%v, %v)", i, pdid, addr, v, err, want, ok)
+			}
+		case kind < 15:
+			got, err := tc.LookupEntry(pdid, addr)
+			lookups++
+			want, ok := o.lookup(pdid, addr)
+			if ok && (err != nil || got != want) || !ok && !errors.Is(err, ErrNoEntry) {
+				t.Fatalf("op %d: LookupEntry(%d, %#x) = (%v, %v), oracle (%v, %v)", i, pdid, addr, got, err, want, ok)
+			}
+		default:
+			checkTCAMEntries(t, i, tc, o)
+			tc.Clear()
+			o.rules = o.rules[:0]
+		}
+		if tc.Len() != len(o.rules) || tc.Lookups() != lookups {
+			t.Fatalf("op %d: Len() = %d, Lookups() = %d; oracle %d, %d", i, tc.Len(), tc.Lookups(), len(o.rules), lookups)
+		}
+	}
+	checkTCAMEntries(t, len(ops), tc, o)
+	return tc
+}
+
+// checkTCAMEntries compares Entries() with the oracle's rules in order.
+func checkTCAMEntries(t *testing.T, op int, tc *TCAM, o *tcamOracle) {
+	t.Helper()
+	got, want := tc.Entries(), o.sorted()
+	if len(got) != len(want) {
+		t.Fatalf("op %d: Entries() has %d rules, oracle %d", op, len(got), len(want))
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("op %d: Entries()[%d] = %v, oracle %v", op, j, got[j], want[j])
+		}
+	}
+}
+
+// randomTCAMOps draws n op records over the first span address bytes,
+// with Clear made rare, so tables fill to capacity and drain again
+// between clears; a small span makes deletes and duplicates hit.
+func randomTCAMOps(seed int64, n, span int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]byte, 0, 3*n)
+	for i := 0; i < n; i++ {
+		b0 := byte(rng.Intn(256))
+		if b0&15 == 15 && rng.Intn(8) != 0 {
+			b0 &^= 1
+		}
+		ops = append(ops, b0, byte(rng.Intn(256)), byte(rng.Intn(span)))
+	}
+	return ops
+}
+
+// FuzzTCAM holds Insert/Delete/Lookup/LookupEntry/Clear on a small-
+// capacity TCAM to the brute-force LPM oracle.
+func FuzzTCAM(f *testing.F) {
+	f.Add(randomTCAMOps(1, 150, 256))
+	f.Add(randomTCAMOps(2, 150, 16))
+	f.Add([]byte{0x00, 0x01, 0x10, 0x10, 0x01, 0x10, 0x0a, 0x00, 0x13, 0x1a, 0x00, 0x13, 0x2d, 0x80, 0x00})
+	f.Fuzz(func(t *testing.T, ops []byte) { runTCAMOps(t, ops) })
+}
+
+// TestTCAMLookupZeroAlloc pins the data-plane lookup allocation-free on
+// hits and misses, wildcard and pdid-qualified, over one to three levels.
+func TestTCAMLookupZeroAlloc(t *testing.T) {
+	tc := NewTCAM("t", 0)
+	for i, e := range []Entry{
+		{Base: 0, Size: 1 << 30, Value: 1},
+		{PDID: 7, Base: 0x100000, Size: 0x100000, Value: 2},
+		{Base: 0x100000, Size: 0x1000, Value: 3},
+	} {
+		must(t, tc.Insert(e))
+		for _, q := range []struct {
+			pdid uint32
+			addr uint64
+		}{{0, 0x100800}, {7, 0x150000}, {7, 0x5000}, {9, 1 << 31}, {0, 1 << 40}} {
+			if avg := testing.AllocsPerRun(1000, func() {
+				_, _ = tc.Lookup(q.pdid, q.addr)
+				_, _ = tc.LookupEntry(q.pdid, q.addr)
+			}); avg != 0 {
+				t.Errorf("%d levels: lookup (%d, %#x) allocates %v/op, want 0", i+1, q.pdid, q.addr, avg)
+			}
+		}
 	}
 }
 
