@@ -8,9 +8,21 @@ package sim
 // A Resource does not schedule events itself; callers ask "if work arrives
 // at time t and needs d of service, when does it start and finish?" and
 // then schedule their own completion events. This keeps resources cheap
-// (O(log k) per reservation for k slots) and composable.
+// and composable.
+//
+// The slots' next-free times are kept as a ring in ascending order from
+// head. A reservation only ever reads the minimum (start = max(at, min))
+// and replaces it with the new end, so only the multiset of next-free
+// times is observable — which slot served a job never surfaces — and any
+// exact multiset structure gives the same (start, end) as a linear scan
+// for the earliest slot. The ring pops the head and inserts the end by
+// shifting later ends up one cell from the tail: a booking that ends at
+// or after every other slot (the common case) costs one compare, and one
+// that ends earlier (ingress booked at a NIC-arrival or recirculation
+// time) shifts only the slots that end after it.
 type Resource struct {
-	slots []Time // next-free time per service slot, min-heap by value
+	slots []Time // next-free time per service slot, ascending from head
+	head  int
 
 	// Accounting.
 	busy    Duration // total service time reserved
@@ -33,35 +45,27 @@ func NewResource(slots int) *Resource {
 // actual start and end times. The caller is responsible for scheduling any
 // completion event at end.
 func (r *Resource) Reserve(at Time, d Duration) (start, end Time) {
-	// slots is a min-heap by next-free time, so the earliest-free slot
-	// is the root: replace it with the new end and sift down (~log k
-	// compares vs the k-wide scan this replaced — the switch pipelines
-	// run 32 slots and Reserve is the hot path). Only the multiset of
-	// slot values is observable (start = max(at, min); which slot served
-	// a job never surfaces), so heap order is output-identical to the
-	// linear min scan.
-	start = at
-	if r.slots[0] > start {
-		start = r.slots[0]
-	}
+	s := r.slots
+	i := r.head
+	start = max(at, s[i])
 	end = start.Add(d)
-	r.slots[0] = end
-	n := len(r.slots)
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if rc := c + 1; rc < n && r.slots[rc] < r.slots[c] {
-			c = rc
-		}
-		if r.slots[i] <= r.slots[c] {
-			break
-		}
-		r.slots[i], r.slots[c] = r.slots[c], r.slots[i]
-		i = c
+	// The head leaves; its cell is the ring's new tail. Walk back from
+	// it over the slots that end after end, moving each up one cell.
+	if r.head++; r.head == len(s) {
+		r.head = 0
 	}
+	for n := len(s) - 1; n > 0; n-- {
+		j := i - 1
+		if j < 0 {
+			j = len(s) - 1
+		}
+		if s[j] <= end {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = end
 
 	wait := start.Sub(at)
 	r.waits += wait

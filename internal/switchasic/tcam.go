@@ -42,27 +42,128 @@ func (e Entry) String() string {
 	return fmt.Sprintf("tcam{pdid=%d [%#x,+%#x) -> %d}", e.PDID, e.Base, e.Size, e.Value)
 }
 
-type tcamKey struct {
-	pdid uint32
-	base uint64
-}
-
 // TCAM is a longest-prefix-match table over power-of-two ranges. The most
 // specific (smallest) matching range wins, which is exactly the LPM
 // property the paper relies on for outlier translation entries (§4.1).
+//
+// Rules are grouped by range size: levels[log2(size)] holds every rule of
+// that size, and inUse lists the non-empty levels in ascending order, so
+// a lookup probes the smallest ranges first and stops at the first hit.
+// A probe is one (pdid, base) key in one level's table.
 type TCAM struct {
 	name     string
 	capacity int
-	levels   map[int]map[tcamKey]int64 // log2(size) -> key -> value
-	inUse    []int                     // sorted distinct levels present
+	levels   [64]*table // log2(size) -> rules of that size
+	inUse    []int      // sorted levels holding at least one rule
 	count    int
 	lookups  uint64
+}
+
+// tcamSlot is one rule of a level; used marks an occupied slot (pdid 0
+// and base 0 are both valid keys, so no key value can mark an empty one).
+type tcamSlot struct {
+	base  uint64
+	value int64
+	pdid  uint32
+	used  bool
+}
+
+// table holds the rules of one TCAM level, open-addressed by (pdid,
+// base): multiplicative hashing into the top bits, linear probing and
+// backward-shift deletion, so the table never accumulates tombstones. It
+// is allocated on its level's first insert at tableMinSize slots,
+// doubles when an insert would pass load 1/2, and keeps its slots when
+// its last rule is deleted (the level only leaves inUse). Unlike the
+// blade cache's wordTable, whose key packs into one nonzero word, a
+// rule's key is a 32-bit pdid plus a full 64-bit base, and base 0 is a
+// valid key.
+type table struct {
+	slots []tcamSlot
+	shift uint // 64 - log2(len(slots))
+	n     int
+}
+
+const tableMinSize = 8 // power of two
+
+// home is the slot where the probe for (pdid, base) starts. Bases are
+// aligned to the level's size, so their low bits are zero; the top bits
+// of the product mix in every bit above them.
+func (tb *table) home(pdid uint32, base uint64) int {
+	return int(((base ^ uint64(pdid)*0x9e3779b97f4a7c15) * 0x9e3779b97f4a7c15) >> tb.shift)
+}
+
+// find returns the slot holding (pdid, base), or -1. A table exists only
+// once put has sized it, and load stays at most 1/2, so the probe always
+// reaches an empty slot.
+func (tb *table) find(pdid uint32, base uint64) int {
+	m := len(tb.slots) - 1
+	for i := tb.home(pdid, base); ; i = (i + 1) & m {
+		s := &tb.slots[i]
+		if !s.used {
+			return -1
+		}
+		if s.base == base && s.pdid == pdid {
+			return i
+		}
+	}
+}
+
+// put inserts a rule whose (pdid, base) is not present.
+func (tb *table) put(pdid uint32, base uint64, v int64) {
+	if 2*(tb.n+1) > len(tb.slots) {
+		tb.grow()
+	}
+	m := len(tb.slots) - 1
+	i := tb.home(pdid, base)
+	for tb.slots[i].used {
+		i = (i + 1) & m
+	}
+	tb.slots[i] = tcamSlot{base: base, value: v, pdid: pdid, used: true}
+	tb.n++
+}
+
+// grow rehashes into a table twice the size (or the first one).
+func (tb *table) grow() {
+	old := tb.slots
+	size := max(tableMinSize, 2*len(old))
+	tb.slots = make([]tcamSlot, size)
+	tb.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	tb.n = 0
+	for _, s := range old {
+		if s.used {
+			tb.put(s.pdid, s.base, s.value)
+		}
+	}
+}
+
+// del empties slot i, pulling back any displaced rules in its probe chain.
+func (tb *table) del(i int) {
+	m := len(tb.slots) - 1
+	tb.n--
+	for {
+		tb.slots[i] = tcamSlot{}
+		j := i
+		for {
+			j = (j + 1) & m
+			s := &tb.slots[j]
+			if !s.used {
+				return
+			}
+			// The rule at j may move into the hole at i iff its home
+			// lies outside the (cyclic) range (i, j].
+			if (j-tb.home(s.pdid, s.base))&m >= (j-i)&m {
+				tb.slots[i] = *s
+				i = j
+				break
+			}
+		}
+	}
 }
 
 // NewTCAM creates a table with the given rule capacity; capacity <= 0
 // means unlimited (used by the PSO+ "infinite switch capacity" variant).
 func NewTCAM(name string, capacity int) *TCAM {
-	return &TCAM{name: name, capacity: capacity, levels: make(map[int]map[tcamKey]int64)}
+	return &TCAM{name: name, capacity: capacity}
 }
 
 // Name returns the table's diagnostic name.
@@ -91,26 +192,27 @@ func level(size uint64) int { return bits.TrailingZeros64(size) }
 
 // Insert installs a rule. It fails if the range is not a power-of-two
 // aligned range, if an identical (PDID, range) rule exists, or if the
-// table is full.
+// table is full. A refused rule leaves the table untouched.
 func (t *TCAM) Insert(e Entry) error {
 	if err := checkPo2Range(e.Base, e.Size); err != nil {
 		return err
 	}
 	lvl := level(e.Size)
-	m := t.levels[lvl]
-	if m == nil {
-		m = make(map[tcamKey]int64)
-		t.levels[lvl] = m
-		t.inUse = insertSortedUnique(t.inUse, lvl)
-	}
-	k := tcamKey{pdid: e.PDID, base: e.Base}
-	if _, dup := m[k]; dup {
+	tb := t.levels[lvl]
+	if tb != nil && tb.find(e.PDID, e.Base) >= 0 {
 		return fmt.Errorf("switchasic: duplicate rule %v", e)
 	}
 	if t.capacity > 0 && t.count >= t.capacity {
 		return ErrTCAMFull
 	}
-	m[k] = e.Value
+	if tb == nil {
+		tb = &table{}
+		t.levels[lvl] = tb
+	}
+	if tb.n == 0 {
+		t.inUse = insertSortedUnique(t.inUse, lvl)
+	}
+	tb.put(e.PDID, e.Base, e.Value)
 	t.count++
 	return nil
 }
@@ -122,18 +224,17 @@ func (t *TCAM) Delete(pdid uint32, base, size uint64) error {
 		return err
 	}
 	lvl := level(size)
-	m := t.levels[lvl]
-	if m == nil {
+	tb := t.levels[lvl]
+	if tb == nil {
 		return ErrNoEntry
 	}
-	k := tcamKey{pdid: pdid, base: base}
-	if _, ok := m[k]; !ok {
+	i := tb.find(pdid, base)
+	if i < 0 {
 		return ErrNoEntry
 	}
-	delete(m, k)
+	tb.del(i)
 	t.count--
-	if len(m) == 0 {
-		delete(t.levels, lvl)
+	if tb.n == 0 {
 		t.inUse = removeSorted(t.inUse, lvl)
 	}
 	return nil
@@ -146,15 +247,15 @@ func (t *TCAM) Delete(pdid uint32, base, size uint64) error {
 func (t *TCAM) Lookup(pdid uint32, addr uint64) (int64, error) {
 	t.lookups++
 	for _, lvl := range t.inUse {
-		m := t.levels[lvl]
+		tb := t.levels[lvl]
 		base := addr &^ (uint64(1)<<lvl - 1)
 		if pdid != WildcardPDID {
-			if v, ok := m[tcamKey{pdid: pdid, base: base}]; ok {
-				return v, nil
+			if i := tb.find(pdid, base); i >= 0 {
+				return tb.slots[i].value, nil
 			}
 		}
-		if v, ok := m[tcamKey{pdid: WildcardPDID, base: base}]; ok {
-			return v, nil
+		if i := tb.find(WildcardPDID, base); i >= 0 {
+			return tb.slots[i].value, nil
 		}
 	}
 	return 0, ErrNoEntry
@@ -165,17 +266,15 @@ func (t *TCAM) Lookup(pdid uint32, addr uint64) (int64, error) {
 func (t *TCAM) LookupEntry(pdid uint32, addr uint64) (Entry, error) {
 	t.lookups++
 	for _, lvl := range t.inUse {
-		m := t.levels[lvl]
+		tb := t.levels[lvl]
 		base := addr &^ (uint64(1)<<lvl - 1)
 		if pdid != WildcardPDID {
-			k := tcamKey{pdid: pdid, base: base}
-			if v, ok := m[k]; ok {
-				return Entry{PDID: pdid, Base: base, Size: 1 << lvl, Value: v}, nil
+			if i := tb.find(pdid, base); i >= 0 {
+				return Entry{PDID: pdid, Base: base, Size: 1 << lvl, Value: tb.slots[i].value}, nil
 			}
 		}
-		k := tcamKey{pdid: WildcardPDID, base: base}
-		if v, ok := m[k]; ok {
-			return Entry{PDID: WildcardPDID, Base: base, Size: 1 << lvl, Value: v}, nil
+		if i := tb.find(WildcardPDID, base); i >= 0 {
+			return Entry{PDID: WildcardPDID, Base: base, Size: 1 << lvl, Value: tb.slots[i].value}, nil
 		}
 	}
 	return Entry{}, ErrNoEntry
@@ -187,26 +286,26 @@ func (t *TCAM) LookupEntry(pdid uint32, addr uint64) (Entry, error) {
 func (t *TCAM) Entries() []Entry {
 	out := make([]Entry, 0, t.count)
 	for _, lvl := range t.inUse {
-		keys := make([]tcamKey, 0, len(t.levels[lvl]))
-		for k := range t.levels[lvl] {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].base != keys[j].base {
-				return keys[i].base < keys[j].base
+		from := len(out)
+		for _, s := range t.levels[lvl].slots {
+			if s.used {
+				out = append(out, Entry{PDID: s.pdid, Base: s.base, Size: 1 << lvl, Value: s.value})
 			}
-			return keys[i].pdid < keys[j].pdid
-		})
-		for _, k := range keys {
-			out = append(out, Entry{PDID: k.pdid, Base: k.base, Size: 1 << lvl, Value: t.levels[lvl][k]})
 		}
+		rules := out[from:]
+		sort.Slice(rules, func(i, j int) bool {
+			if rules[i].Base != rules[j].Base {
+				return rules[i].Base < rules[j].Base
+			}
+			return rules[i].PDID < rules[j].PDID
+		})
 	}
 	return out
 }
 
 // Clear removes every rule.
 func (t *TCAM) Clear() {
-	t.levels = make(map[int]map[tcamKey]int64)
+	t.levels = [64]*table{}
 	t.inUse = nil
 	t.count = 0
 }

@@ -220,8 +220,7 @@ func TestTCAMInsertDeleteInverseProperty(t *testing.T) {
 // tcamOracle is the brute-force reference FuzzTCAM holds a TCAM to: a
 // flat rule list, scanned whole on every lookup.
 type tcamOracle struct {
-	rules    []Entry
-	capacity int
+	rules []Entry
 }
 
 func (o *tcamOracle) find(pdid uint32, base, size uint64) int {
@@ -281,7 +280,7 @@ const tcamFuzzCapacity = 12
 func runTCAMOps(t *testing.T, ops []byte) *TCAM {
 	t.Helper()
 	tc := NewTCAM("fuzz", tcamFuzzCapacity)
-	o := &tcamOracle{capacity: tcamFuzzCapacity}
+	o := &tcamOracle{}
 	var lookups uint64
 	for i := 0; i+2 < len(ops); i += 3 {
 		b0, b1, b2 := ops[i], ops[i+1], ops[i+2]
@@ -298,7 +297,7 @@ func runTCAMOps(t *testing.T, ops []byte) *TCAM {
 				if err == nil || errors.Is(err, ErrTCAMFull) {
 					t.Fatalf("op %d: Insert(%v) of a duplicate = %v, want a duplicate error", i, e, err)
 				}
-			case len(o.rules) >= o.capacity:
+			case len(o.rules) >= tcamFuzzCapacity:
 				if !errors.Is(err, ErrTCAMFull) {
 					t.Fatalf("op %d: Insert(%v) into a full table = %v, want ErrTCAMFull", i, e, err)
 				}
@@ -375,9 +374,61 @@ func randomTCAMOps(seed int64, n, span int) []byte {
 	return ops
 }
 
+// wrappedTCAMOps inserts three wildcard page-size rules whose probes all
+// start at the last slot of a fresh table, so the chain wraps to slots 0
+// and 1; it then looks each up, deletes the rule at the chain's head
+// (backward shift across the wrap) and the other two.
+func wrappedTCAMOps() []byte {
+	fresh := &table{shift: 64 - 3} // tableMinSize slots
+	var keys []byte
+	for b2 := 0; b2 < 256 && len(keys) < 3; b2 += 4 {
+		if fresh.home(WildcardPDID, uint64(b2)<<10) == tableMinSize-1 {
+			keys = append(keys, byte(b2))
+		}
+	}
+	var ops []byte
+	for _, kind := range []byte{0, 9, 13, 6, 9, 13, 6} { // insert, lookups, delete
+		for _, k := range keys {
+			ops = append(ops, kind, 1, k)
+		}
+	}
+	return ops
+}
+
+func TestTCAMTableWrappedChain(t *testing.T) {
+	ops := wrappedTCAMOps()
+	tc := runTCAMOps(t, ops[:9])
+	tb := tc.levels[12]
+	if len(ops) != 3*21 || len(tb.slots) != tableMinSize || !tb.slots[tableMinSize-1].used || !tb.slots[0].used || !tb.slots[1].used {
+		t.Fatalf("after three inserts: %d ops, %d slots; want a chain wrapped around an %d-slot table", len(ops), len(tb.slots), tableMinSize)
+	}
+	if tc = runTCAMOps(t, ops); tc.Len() != 0 || len(tc.inUse) != 0 {
+		t.Fatalf("after deleting every rule: Len() = %d, inUse = %v", tc.Len(), tc.inUse)
+	}
+}
+
+// TestTCAMRejectedInsertLeavesNoLevel pins that a refused insert — a full
+// table or a duplicate — adds no level for every later lookup to probe.
+func TestTCAMRejectedInsertLeavesNoLevel(t *testing.T) {
+	tc := NewTCAM("t", 1)
+	must(t, tc.Insert(Entry{Base: 0, Size: 1 << 12, Value: 1}))
+	for lvl := 13; lvl <= 17; lvl++ {
+		if err := tc.Insert(Entry{Base: 0, Size: 1 << lvl, Value: 2}); !errors.Is(err, ErrTCAMFull) {
+			t.Fatalf("insert at level %d into a full table = %v, want ErrTCAMFull", lvl, err)
+		}
+	}
+	if err := tc.Insert(Entry{Base: 0, Size: 1 << 12, Value: 3}); err == nil {
+		t.Fatal("duplicate accepted")
+	}
+	if len(tc.inUse) != 1 || tc.inUse[0] != 12 {
+		t.Errorf("inUse = %v after refused inserts, want [12]", tc.inUse)
+	}
+}
+
 // FuzzTCAM holds Insert/Delete/Lookup/LookupEntry/Clear on a small-
 // capacity TCAM to the brute-force LPM oracle.
 func FuzzTCAM(f *testing.F) {
+	f.Add(wrappedTCAMOps())
 	f.Add(randomTCAMOps(1, 150, 256))
 	f.Add(randomTCAMOps(2, 150, 16))
 	f.Add([]byte{0x00, 0x01, 0x10, 0x10, 0x01, 0x10, 0x0a, 0x00, 0x13, 0x1a, 0x00, 0x13, 0x2d, 0x80, 0x00})
