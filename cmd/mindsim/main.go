@@ -645,7 +645,7 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 				Proc:    p,
 				Blade:   share.Blade,
 				Arrival: arr,
-				NextOp:  workloads.RequestStream(w, vma.Base, stream, params),
+				NextOp:  workloads.RequestStreamIn(w, vma.Base, vma.Len, stream, params),
 				Limiter: lim,
 			})
 			if err != nil {

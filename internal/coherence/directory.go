@@ -212,18 +212,16 @@ type Deps struct {
 	Translate func(mem.VA) (ctrlplane.BladeID, error)
 	// Protect performs the data-plane permission check.
 	Protect func(mem.PDID, mem.VA, mem.Perm) error
-	// MemNode and BladeNode map blade identities to fabric endpoints.
-	MemNode   func(ctrlplane.BladeID) fabric.NodeID
+	// BladeNode maps a compute blade identity to its fabric endpoint.
 	BladeNode func(int) fabric.NodeID
-	// MemFetch, when set, performs the full switch -> home blade -> switch
-	// round trip of a page fetch (64 B request out, NIC-only DMA at the
-	// blade, 4 KB response back) and fires fn(arg) when the response is
-	// ready at the requester's switch. core wires this so borrowed
-	// (remote-homed) blades are reached through the owning rack's switch
-	// over the pod interconnect — as one fused round trip, which keeps
-	// every intermediate hop on the owning rack's shard under the
-	// parallel executor. When nil, it defaults to the classic
-	// single-switch hops over Fabric via MemNode.
+	// MemFetch (required) performs the full switch -> home blade ->
+	// switch round trip of a page fetch (64 B request out, NIC-only DMA
+	// at the blade, 4 KB response back) and fires fn(arg) when the
+	// response is ready at the requester's switch. core wires it so
+	// borrowed (remote-homed) blades are reached through the owning
+	// rack's switch over the pod interconnect — as one fused round trip,
+	// which keeps every intermediate hop on the owning rack's shard under
+	// the parallel executor.
 	MemFetch func(id ctrlplane.BladeID, fn func(any), arg any)
 }
 
@@ -239,18 +237,6 @@ func NewDirectory(cfg Config, d Deps) *Directory {
 		cfg.InitialRegionSize < mem.PageSize || cfg.TopLevelSize < cfg.InitialRegionSize {
 		panic(fmt.Sprintf("coherence: bad region config %+v", cfg))
 	}
-	memFetch := d.MemFetch
-	if memFetch == nil {
-		fab, memNode, eng := d.Fabric, d.MemNode, d.Engine
-		memFetch = func(id ctrlplane.BladeID, fn func(any), arg any) {
-			node := memNode(id)
-			fab.SendFromSwitchArg(node, fabric.CtrlMsgBytes, func(any) {
-				eng.ScheduleArg(fab.MemDMA(), func(any) {
-					fab.SendToSwitchArg(node, fabric.PageBytes, fn, arg)
-				}, nil)
-			}, nil)
-		}
-	}
 	return &Directory{
 		eng:       d.Engine,
 		fab:       d.Fabric,
@@ -259,7 +245,7 @@ func NewDirectory(cfg Config, d Deps) *Directory {
 		cfg:       cfg,
 		translate: d.Translate,
 		protect:   d.Protect,
-		memFetch:  memFetch,
+		memFetch:  d.MemFetch,
 		bladeNode: d.BladeNode,
 		rt:        newBlockTable(cfg.TopLevelSize),
 		inFlight:  make(map[reqKey]*pending),
@@ -761,5 +747,5 @@ func (d *Directory) finish(r *Region) {
 	d.startTransition(r, next)
 }
 
-// Regions returns the number of live directory entries.
+// RegionCount returns the number of live directory entries.
 func (d *Directory) RegionCount() int { return d.rt.count }

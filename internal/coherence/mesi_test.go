@@ -38,8 +38,8 @@ func newMESIHarness(t *testing.T, blades int) *protoHarness {
 		Collector: h.col,
 		Translate: func(mem.VA) (ctrlplane.BladeID, error) { return 0, nil },
 		Protect:   func(mem.PDID, mem.VA, mem.Perm) error { return nil },
-		MemNode:   func(ctrlplane.BladeID) fabric.NodeID { return 1000 },
 		BladeNode: func(i int) fabric.NodeID { return fabric.NodeID(i) },
+		MemFetch:  memFetchVia(h.eng, h.fab, 1000),
 	})
 	for i := 0; i < blades; i++ {
 		fb := &fakeBlade{h: h, id: i, dirtyFor: map[mem.VA]int{}}

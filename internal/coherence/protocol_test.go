@@ -88,8 +88,8 @@ func newProtoHarness(t *testing.T, blades int, slotCap int) *protoHarness {
 			}
 			return nil
 		},
-		MemNode:   func(ctrlplane.BladeID) fabric.NodeID { return 1000 },
 		BladeNode: func(i int) fabric.NodeID { return fabric.NodeID(i) },
+		MemFetch:  memFetchVia(h.eng, h.fab, 1000),
 	})
 	for i := 0; i < blades; i++ {
 		fb := &fakeBlade{h: h, id: i, dirtyFor: map[mem.VA]int{}}
@@ -97,6 +97,19 @@ func newProtoHarness(t *testing.T, blades int, slotCap int) *protoHarness {
 		h.dir.RegisterBlade(i, fb)
 	}
 	return h
+}
+
+// memFetchVia is the page fetch of a single-switch rack whose memory
+// blade sits at fabric node node: the request out, the blade's DMA, the
+// page back.
+func memFetchVia(eng *sim.Engine, fab *fabric.Fabric, node fabric.NodeID) func(ctrlplane.BladeID, func(any), any) {
+	return func(_ ctrlplane.BladeID, fn func(any), arg any) {
+		fab.SendFromSwitchArg(node, fabric.CtrlMsgBytes, func(any) {
+			eng.ScheduleArg(fab.MemDMA(), func(any) {
+				fab.SendToSwitchArg(node, fabric.PageBytes, fn, arg)
+			}, nil)
+		}, nil)
+	}
 }
 
 // request issues a page request and runs the sim until completion.

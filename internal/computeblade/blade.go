@@ -31,13 +31,16 @@ type Config struct {
 	// control plane to reset the address.
 	FaultTimeout sim.Duration
 	MaxRetries   int
-	// RetryBackoff and MaxRetryBackoff pace repeated Retry bounces (the
-	// address is mid-reset or mid-migration, §4.4): the reissue delay
-	// doubles from RetryBackoff up to the cap, so blades do not flood
-	// the fabric while a frozen area moves.
-	RetryBackoff    sim.Duration
-	MaxRetryBackoff sim.Duration
 }
+
+// retryBackoff and maxRetryBackoff pace repeated Retry bounces (the
+// address is mid-reset or mid-migration, §4.4): the reissue delay doubles
+// from retryBackoff up to the cap, so blades do not flood the fabric
+// while a frozen area moves.
+const (
+	retryBackoff    = 5 * sim.Microsecond
+	maxRetryBackoff = 320 * sim.Microsecond
+)
 
 // DefaultConfig returns calibrated blade costs.
 func DefaultConfig(id, cachePages int) Config {
@@ -50,8 +53,6 @@ func DefaultConfig(id, cachePages int) Config {
 		TLBShootdown:      2800 * sim.Nanosecond,
 		FaultTimeout:      2 * sim.Millisecond,
 		MaxRetries:        3,
-		RetryBackoff:      5 * sim.Microsecond,
-		MaxRetryBackoff:   320 * sim.Microsecond,
 	}
 }
 
@@ -180,20 +181,8 @@ type Blade struct {
 	pendingWritebacks int
 }
 
-// New creates a blade.
+// New creates a blade; cfg starts from DefaultConfig.
 func New(cfg Config, deps Deps) *Blade {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.FaultTimeout == 0 {
-		cfg.FaultTimeout = 2 * sim.Millisecond
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 5 * sim.Microsecond
-	}
-	if cfg.MaxRetryBackoff == 0 {
-		cfg.MaxRetryBackoff = 320 * sim.Microsecond
-	}
 	b := &Blade{
 		cfg:        cfg,
 		eng:        deps.Engine,
@@ -381,16 +370,12 @@ func (b *Blade) onCompletion(f *fault, c coherence.Completion) {
 		// backoff, so a long freeze is polled, not hammered.
 		f.bounces++
 		delay := b.cfg.PageFaultCost
-		if f.bounces > 1 && b.cfg.RetryBackoff > 0 {
+		if f.bounces > 1 {
 			shift := f.bounces - 2
 			if shift > 16 {
 				shift = 16
 			}
-			backoff := b.cfg.RetryBackoff << uint(shift)
-			if b.cfg.MaxRetryBackoff > 0 && backoff > b.cfg.MaxRetryBackoff {
-				backoff = b.cfg.MaxRetryBackoff
-			}
-			delay += backoff
+			delay += min(retryBackoff<<uint(shift), maxRetryBackoff)
 		}
 		f.pendingIssues++
 		b.eng.ScheduleArg(delay, faultIssue, f)

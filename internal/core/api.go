@@ -121,15 +121,13 @@ func (p *Process) SpawnThread(blade int) (*Thread, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Thread{
+	return &Thread{
 		c:     p.c,
 		proc:  p,
 		tid:   tid,
 		blade: blade,
 		pdid:  p.pid,
-	}
-	p.c.threads = append(p.c.threads, t)
-	return t, nil
+	}, nil
 }
 
 // --- Synchronous data-path operations (used by examples and the KVS) ---

@@ -35,8 +35,8 @@ func TestClusterValidation(t *testing.T) {
 }
 
 // TestThreadConfigValidation: a negative store buffer depth (under PSO the
-// first write miss would stall forever on an empty buffer) or think time
-// is an error from both constructors, on any rack of a pod.
+// first write miss would stall forever on an empty buffer) is an error
+// from both constructors, on any rack of a pod.
 func TestThreadConfigValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -44,7 +44,6 @@ func TestThreadConfigValidation(t *testing.T) {
 	}{
 		{"store buffer PSO", func(c *Config) { c.Consistency, c.StoreBufferDepth = PSO, -1 }},
 		{"store buffer TSO", func(c *Config) { c.StoreBufferDepth = -3 }},
-		{"think time", func(c *Config) { c.ThinkTime = -sim.Nanosecond }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			good := DefaultConfig(1, 1)
@@ -423,11 +422,13 @@ func TestMultiThreadWorkloadRun(t *testing.T) {
 	c := newTestCluster(t, 2, 1)
 	p := c.Exec("app")
 	vma, _ := p.Mmap(1<<20, mem.PermReadWrite)
+	var threads []*Thread
 	for i := 0; i < 2; i++ {
 		th, err := p.SpawnThread(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		threads = append(threads, th)
 		rng := sim.NewRNG(uint64(i+1), "wl")
 		n := 0
 		th.Start(func() (mem.VA, bool, bool) {
@@ -446,7 +447,7 @@ func TestMultiThreadWorkloadRun(t *testing.T) {
 	if col.Counter(stats.CtrAccesses) < 6000 {
 		t.Errorf("accesses = %d, want >= 6000", col.Counter(stats.CtrAccesses))
 	}
-	for _, th := range c.threads {
+	for _, th := range threads {
 		if !th.Done() || th.Ops() != 3000 {
 			t.Errorf("thread ops = %d done=%v", th.Ops(), th.Done())
 		}

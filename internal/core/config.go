@@ -12,7 +12,6 @@
 package core
 
 import (
-	"mind/internal/computeblade"
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
 	"mind/internal/sim"
@@ -70,15 +69,10 @@ type Config struct {
 	// DisableSplitting for fixed-granularity ablations (Figure 9 left).
 	SplitterEpoch    sim.Duration
 	DisableSplitting bool
-	// SplitterC is the initial fairness constant c (Eq. 1).
-	SplitterC float64
-	// ASIC, Fabric and Blade carry the hardware calibration constants.
+	// ASIC and Fabric carry the switch and network calibration constants;
+	// every compute blade is built from computeblade.DefaultConfig.
 	ASIC   switchasic.Config
 	Fabric fabric.Config
-	Blade  computeblade.Config
-	// ThinkTime is the per-access CPU cost threads pay between memory
-	// accesses (models instruction execution; default 30 ns).
-	ThinkTime sim.Duration
 	// StoreBufferDepth bounds outstanding async writes under PSO.
 	StoreBufferDepth int
 	// Migration throttles live page migration during blade drains and
@@ -91,18 +85,19 @@ type Config struct {
 	// (§8 extension): private read-then-write patterns save the upgrade
 	// fault, at the cost of serial downgrades for read-shared data.
 	ExclusiveReads bool
-	// Seed drives all deterministic randomness.
+	// Seed is read by nothing in this package: the simulation's random
+	// streams are seeded by workloads.Params.Seed, ServeConfig.Seed and
+	// the arrival processes' seeds.
 	Seed uint64
 }
 
 // MigrationConfig paces online memory elasticity. A drain moves pages in
-// batches of BatchPages with BatchGap of idle fabric time between
-// batches, so foreground traffic keeps flowing through the same NICs;
-// DetectionDelay models how long the control plane takes to notice a
-// dead memory blade before recovery starts.
+// batches of BatchPages with migrationBatchGap of idle fabric time
+// between batches, so foreground traffic keeps flowing through the same
+// NICs; DetectionDelay models how long the control plane takes to notice
+// a dead memory blade before recovery starts.
 type MigrationConfig struct {
 	BatchPages     int
-	BatchGap       sim.Duration
 	DetectionDelay sim.Duration
 }
 
@@ -111,13 +106,13 @@ type MigrationConfig struct {
 func DefaultMigrationConfig() MigrationConfig {
 	return MigrationConfig{
 		BatchPages:     32,
-		BatchGap:       3 * sim.Microsecond,
 		DetectionDelay: 50 * sim.Microsecond,
 	}
 }
 
 // DefaultConfig returns a rack calibrated to the paper's testbed: the
-// given number of compute/memory blades, 30k directory slots, 45k rules,
+// given number of compute/memory blades, 30k directory slots (the only
+// switch budget enforced; match-action rules are counted, not capped),
 // 16 KB initial regions, 100 ms epochs.
 func DefaultConfig(computeBlades, memoryBlades int) Config {
 	return Config{
@@ -130,11 +125,8 @@ func DefaultConfig(computeBlades, memoryBlades int) Config {
 		InitialRegionSize:   16 << 10,
 		TopLevelRegionSize:  2 << 20,
 		SplitterEpoch:       100 * sim.Millisecond,
-		SplitterC:           4,
 		ASIC:                switchasic.DefaultConfig(),
 		Fabric:              fabric.DefaultConfig(),
-		Blade:               computeblade.DefaultConfig(0, 0),
-		ThinkTime:           30 * sim.Nanosecond,
 		StoreBufferDepth:    16,
 		Migration:           DefaultMigrationConfig(),
 		Seed:                1,

@@ -336,12 +336,15 @@ func (c *Rack) transfer(from, to fabric.NodeID, bytes int, done func(delivered b
 	})
 }
 
+// migrationBatchGap is the idle fabric time between a drain's batches.
+const migrationBatchGap = 3 * sim.Microsecond
+
 // copyPages ships the step's materialized pages in throttled batches:
 // each batch is one transfer through the switch (source NIC → fabric →
-// target NIC) followed by BatchGap of idle time, so foreground RDMA on
-// the same NICs interleaves with the migration instead of starving.
-// Copied pages are buffered and only installed at the target by the
-// caller at cutover (after the TCAM rewrite commits) — the source
+// target NIC) followed by migrationBatchGap of idle time, so foreground
+// RDMA on the same NICs interleaves with the migration instead of
+// starving. Copied pages are buffered and only installed at the target
+// by the caller at cutover (after the TCAM rewrite commits) — the source
 // retains the authoritative copy until then, exactly like a real live
 // migration. done receives the buffered pages, or errTargetDied with
 // every page already back on the source.
@@ -379,7 +382,7 @@ func (c *Rack) copyPages(step ctrlplane.MigrationStep, st *moveStats,
 					return
 				}
 				moved = append(moved, pages...)
-				c.eng.Schedule(c.cfg.Migration.BatchGap, next)
+				c.eng.Schedule(migrationBatchGap, next)
 			})
 	}
 	next()
@@ -489,14 +492,14 @@ func (c *Rack) KillMemBlade(victim ctrlplane.BladeID) (KillReport, error) {
 	return rep, err
 }
 
-// KillSwitchAsync executes the §4.4 switch failover as an in-simulation
+// killSwitchAsync executes the §4.4 switch failover as an in-simulation
 // event: a rack-wide freeze (every page request bounces with Retry),
 // every live region reset (compute blades flush their data), then the
 // backup ASIC — rebuilt from consistently-replicated control-plane
 // state — becomes the active data plane and the freeze lifts. A switch
 // that is already failing over cannot die again: a call while a failover
 // is in flight joins it, and its done fires with that outage's report.
-func (c *Rack) KillSwitchAsync(done func(SwitchFailoverReport)) {
+func (c *Rack) killSwitchAsync(done func(SwitchFailoverReport)) {
 	c.failoverDone = append(c.failoverDone, done)
 	if len(c.failoverDone) > 1 {
 		return
@@ -529,7 +532,7 @@ func (c *Rack) KillSwitchAsync(done func(SwitchFailoverReport)) {
 func (c *Rack) KillSwitch() SwitchFailoverReport {
 	var rep SwitchFailoverReport
 	c.await(func(done func()) {
-		c.KillSwitchAsync(func(r SwitchFailoverReport) {
+		c.killSwitchAsync(func(r SwitchFailoverReport) {
 			rep = r
 			done()
 		})

@@ -71,7 +71,7 @@ func (p *Pod) DrainMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, d
 // done fires when the backup data plane is live.
 func (p *Pod) KillSwitchAt(rack int, at sim.Time, done func(SwitchFailoverReport, error)) error {
 	return p.scheduleFault(rack, &podFault{at: at, run: func(r *Rack, _ bool) {
-		r.KillSwitchAsync(func(rep SwitchFailoverReport) { done(rep, nil) })
+		r.killSwitchAsync(func(rep SwitchFailoverReport) { done(rep, nil) })
 	}})
 }
 

@@ -76,7 +76,6 @@ type Rack struct {
 	// and any that joined it since.
 	failoverDone []func(SwitchFailoverReport)
 
-	threads []*Thread
 	// activeThreads counts started-but-unfinished threads on this rack;
 	// lastFinish is the virtual time the most recent one finished. Both
 	// are written only from rack event context.
@@ -231,20 +230,14 @@ func checkConfig(cfg Config) (Config, error) {
 	if cfg.CachePagesPerBlade < 1 {
 		return cfg, fmt.Errorf("core: cache must hold at least one page")
 	}
-	if cfg.StoreBufferDepth < 0 || cfg.ThinkTime < 0 {
-		return cfg, fmt.Errorf("core: negative store buffer depth (%d) or think time (%v)", cfg.StoreBufferDepth, cfg.ThinkTime)
+	if cfg.StoreBufferDepth < 0 {
+		return cfg, fmt.Errorf("core: negative store buffer depth (%d)", cfg.StoreBufferDepth)
 	}
 	if cfg.StoreBufferDepth == 0 {
 		cfg.StoreBufferDepth = 16
 	}
-	if cfg.ThinkTime == 0 {
-		cfg.ThinkTime = 30 * sim.Nanosecond
-	}
 	if cfg.Migration.BatchPages == 0 {
 		cfg.Migration.BatchPages = DefaultMigrationConfig().BatchPages
-	}
-	if cfg.Migration.BatchGap == 0 {
-		cfg.Migration.BatchGap = DefaultMigrationConfig().BatchGap
 	}
 	if cfg.Migration.DetectionDelay == 0 {
 		cfg.Migration.DetectionDelay = DefaultMigrationConfig().DetectionDelay
@@ -331,13 +324,7 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 	})
 
 	for i := 0; i < cfg.ComputeBlades; i++ {
-		bcfg := cfg.Blade
-		if bcfg.PageFaultCost == 0 {
-			bcfg = computeblade.DefaultConfig(i, cfg.CachePagesPerBlade)
-		}
-		bcfg.ID = i
-		bcfg.CachePages = cfg.CachePagesPerBlade
-		blade := computeblade.New(bcfg, computeblade.Deps{
+		blade := computeblade.New(computeblade.DefaultConfig(i, cfg.CachePagesPerBlade), computeblade.Deps{
 			Engine:    c.eng,
 			Collector: c.col,
 			SendRequest: func(i int) func(mem.PDID, mem.VA, mem.Perm, func(coherence.Completion)) {
@@ -372,9 +359,6 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 		}
 		if cfg.TopLevelRegionSize > 0 {
 			scfg.TopLevelSize = cfg.TopLevelRegionSize
-		}
-		if cfg.SplitterC > 0 {
-			scfg.C = cfg.SplitterC
 		}
 		c.splitter = ctrlplane.NewSplitter(scfg, c.dir)
 		c.scheduleEpoch(sim.Duration(scfg.Epoch))

@@ -65,15 +65,12 @@ type TenantWorkload struct {
 	// Arrival generates the share's open-loop inter-arrival gaps.
 	Arrival ArrivalProcess
 	// NextOp yields the share's next (va, write) op — an endless
-	// stream (workloads.RequestStream).
+	// stream (workloads.RequestStreamIn).
 	NextOp func() (mem.VA, bool)
 	// Limiter, when non-nil, gates admission (QoS throttling): an
 	// arrival that cannot take a token is shed and counted, never
 	// queued.
 	Limiter *ctrlplane.TokenBucket
-	// Deadline overrides ServeConfig.Deadline for this tenant share
-	// when nonzero (end-to-end request budget).
-	Deadline sim.Duration
 }
 
 // ServeConfig shapes a serving run.
@@ -104,13 +101,10 @@ type ServeConfig struct {
 	// original deadline.
 	MaxRetries int
 	// RetryBackoff is the base backoff: attempt k waits
-	// RetryBackoff<<(k-1) plus a deterministic jitter in [0,
-	// RetryBackoff), clamped to MaxBackoff. 0 with retries enabled
+	// RetryBackoff<<(k-1), clamped to 64x RetryBackoff, plus a
+	// deterministic jitter in [0, RetryBackoff). 0 with retries enabled
 	// defaults to 2us.
 	RetryBackoff sim.Duration
-	// MaxBackoff clamps the exponential backoff (overflow guard). 0
-	// defaults to 64x RetryBackoff.
-	MaxBackoff sim.Duration
 	// Brownout is the probability that an arrival on a rack currently
 	// in recovery blackout (blade-kill re-homing or switch failover in
 	// flight) is shed at admission — graceful degradation instead of
@@ -124,20 +118,17 @@ type ServeConfig struct {
 }
 
 // retryBackoff computes attempt's backoff (attempt >= 1): exponential
-// from the base with an overflow-proof doubling loop, clamped to max,
-// plus a jitter draw in [0, base) from the shard's RNG stream.
+// from the base with an overflow-proof doubling loop, clamped to 64x the
+// base (to the base itself when that would overflow), plus a jitter draw
+// in [0, base) from the shard's RNG stream.
 func (cfg *ServeConfig) retryBackoff(attempt int, rng *sim.RNG) sim.Duration {
 	base := cfg.RetryBackoff
 	if base <= 0 {
 		base = 2 * sim.Microsecond
 	}
-	max := cfg.MaxBackoff
-	if max <= 0 {
-		if base > sim.Duration(1)<<56 {
-			max = base
-		} else {
-			max = base << 6
-		}
+	max := base << 6
+	if base > sim.Duration(1)<<56 {
+		max = base
 	}
 	d := base
 	for i := 1; i < attempt; i++ {
@@ -164,7 +155,7 @@ type serveReq struct {
 
 	// attempt counts re-admissions; deadline is the request's end-to-end
 	// expiry, fixed at admission and never refreshed across retries
-	// (zero when the tenant has no request budget). arrival stays the
+	// (zero when the run has no request budget). arrival stays the
 	// original arrival across retries, so a served retry's observed
 	// sojourn spans the whole client wait.
 	attempt  int
@@ -179,9 +170,6 @@ type serveTenant struct {
 
 	// Stop generating arrivals past this virtual time.
 	deadline sim.Time
-	// budget is the end-to-end request deadline (tenant override or
-	// ServeConfig.Deadline); 0 means unbounded.
-	budget sim.Duration
 
 	lat *stats.StreamHist
 	// ctr counts this share's outcomes under "<counter>[<tenant>]".
@@ -373,15 +361,11 @@ func (s *Serving) AddTenant(t TenantWorkload) error {
 		return fmt.Errorf("core: serving tenant %s: no compute blade %d on rack %d", t.Name, t.Blade, sh.c.idx)
 	}
 	st := &serveTenant{
-		s:      sh,
-		spec:   t,
-		pdid:   t.Proc.PID(),
-		budget: s.cfg.Deadline,
-		lat:    sh.c.col.StreamHist("serve_lat[" + t.Name + "]"),
-		ctr:    newServeCounters(sh.c.col, "["+t.Name+"]"),
-	}
-	if t.Deadline > 0 {
-		st.budget = t.Deadline
+		s:    sh,
+		spec: t,
+		pdid: t.Proc.PID(),
+		lat:  sh.c.col.StreamHist("serve_lat[" + t.Name + "]"),
+		ctr:  newServeCounters(sh.c.col, "["+t.Name+"]"),
 	}
 	sh.tenants = append(sh.tenants, st)
 	s.tenants++
@@ -484,8 +468,8 @@ func (st *serveTenant) arrive() {
 	req.arrival = now
 	req.attempt = 0
 	req.deadline = 0
-	if st.budget > 0 {
-		req.deadline = now.Add(st.budget)
+	if budget := s.sv.cfg.Deadline; budget > 0 {
+		req.deadline = now.Add(budget)
 	}
 	s.pending++
 	w.enqueue(req)
@@ -540,12 +524,11 @@ func (w *serveWorker) step() {
 			w.deadEv = s.c.eng.Rearm(w.deadEv, sim.Duration(req.deadline-now), serveDeadline, w)
 		}
 
-		local := s.c.cfg.ThinkTime
 		if s.c.cblades[w.blade].TryHit(req.va, req.write) {
-			s.c.eng.ScheduleArg(local+computeblade.HitLatency, serveComplete, w)
+			s.c.eng.ScheduleArg(thinkTime+computeblade.HitLatency, serveComplete, w)
 			return
 		}
-		s.c.eng.ScheduleArg(local, serveIssue, w)
+		s.c.eng.ScheduleArg(thinkTime, serveIssue, w)
 		return
 	}
 }

@@ -67,6 +67,10 @@ func (t *Thread) Faults() uint64 { return t.faults }
 // Done reports whether the access stream is exhausted.
 func (t *Thread) Done() bool { return t.done }
 
+// thinkTime is the per-access CPU cost threads and serve workers pay
+// between memory accesses (models instruction execution).
+const thinkTime = 30 * sim.Nanosecond
+
 // yieldQuantum bounds how much local (cache-hit) time a thread
 // accumulates before re-entering the event loop, keeping virtual-time
 // interleaving fine-grained.
@@ -118,7 +122,7 @@ func (t *Thread) step() {
 			t.c.eng.ScheduleArg(local, threadFinish, t)
 			return
 		}
-		local += t.c.cfg.ThinkTime
+		local += thinkTime
 		pso := t.pendingWrites != nil
 
 		// PSO read-after-write hazard: block until the page's pending

@@ -53,23 +53,23 @@ type SplitterConfig struct {
 	TopLevelSize uint64
 	// C is the initial fairness constant c in t = Σf / (c·N) (Eq. 1).
 	C float64
-	// UtilizationCap is the SRAM occupancy above which the controller
-	// stops splitting and starts merging; the paper keeps utilization
-	// below 95% (§5.2).
-	UtilizationCap float64
-	// MinC and MaxC clamp the adaptive adjustment of C.
-	MinC, MaxC float64
 }
+
+const (
+	// utilizationCap is the SRAM occupancy above which the controller
+	// stops splitting and halves c; the paper keeps utilization below
+	// 95% (§5.2).
+	utilizationCap = 0.95
+	// minC and maxC clamp the adaptive adjustment of c.
+	minC, maxC = 0.25, 1024
+)
 
 // DefaultSplitterConfig returns the paper's defaults.
 func DefaultSplitterConfig() SplitterConfig {
 	return SplitterConfig{
-		Epoch:          100 * 1e6, // 100 ms
-		TopLevelSize:   2 << 20,
-		C:              4,
-		UtilizationCap: 0.95,
-		MinC:           0.25,
-		MaxC:           1024,
+		Epoch:        100 * 1e6, // 100 ms
+		TopLevelSize: 2 << 20,
+		C:            4,
 	}
 }
 
@@ -103,9 +103,6 @@ type buddyPair struct {
 func NewSplitter(cfg SplitterConfig, dir RegionDirectory) *Splitter {
 	if cfg.C <= 0 {
 		cfg.C = 1
-	}
-	if cfg.UtilizationCap <= 0 || cfg.UtilizationCap > 1 {
-		cfg.UtilizationCap = 0.95
 	}
 	return &Splitter{cfg: cfg, dir: dir, c: cfg.C}
 }
@@ -175,7 +172,7 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 		if float64(r.FalseInvals) <= t || r.Size <= mem.PageSize {
 			continue
 		}
-		if util() >= s.cfg.UtilizationCap {
+		if util() >= utilizationCap {
 			break
 		}
 		if err := s.dir.SplitRegion(r.Base); err == nil {
@@ -196,17 +193,12 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 	// t); any headroom -> allow finer tracking (larger c), increasing
 	// storage utilization without hitting capacity.
 	if cap > 0 {
-		if util() >= s.cfg.UtilizationCap {
+		if util() >= utilizationCap {
 			s.c /= 2
 		} else {
 			s.c *= 2
 		}
-		if s.c < s.cfg.MinC {
-			s.c = s.cfg.MinC
-		}
-		if s.c > s.cfg.MaxC {
-			s.c = s.cfg.MaxC
-		}
+		s.c = min(max(s.c, minC), maxC)
 	}
 
 	s.dir.ResetEpochCounters()

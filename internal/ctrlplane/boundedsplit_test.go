@@ -297,12 +297,12 @@ func TestSplitterAdaptiveCGrowsWithHeadroom(t *testing.T) {
 	if s.C() <= 1 {
 		t.Errorf("c = %v, expected growth with low utilization", s.C())
 	}
-	// Clamped at MaxC.
+	// Clamped at maxC.
 	for i := 0; i < 30; i++ {
 		s.RunEpoch()
 	}
-	if s.C() > cfg.MaxC {
-		t.Errorf("c = %v exceeds MaxC", s.C())
+	if s.C() > maxC {
+		t.Errorf("c = %v exceeds maxC", s.C())
 	}
 }
 

@@ -8,33 +8,22 @@ import (
 	"mind/internal/bitset"
 )
 
-// Default resource limits measured on the paper's Tofino testbed (§7.2):
-// about 45k match-action rules for translation + protection, and 30k
-// SRAM slots reserved for cache-directory entries.
-const (
-	DefaultRuleCapacity = 45000
-	DefaultSlotCapacity = 30000
-)
+// DefaultSlotCapacity is the directory budget measured on the paper's
+// Tofino testbed (§7.2): 30k SRAM slots reserved for cache-directory
+// entries. The same measurement puts the match-action rule budget for
+// translation + protection at about 45k; the simulator counts rules
+// (ASIC.Rules) but does not cap them.
+const DefaultSlotCapacity = 30000
 
 // Config sizes an ASIC instance.
 type Config struct {
-	// RuleCapacity bounds the combined translation + protection rule
-	// count (0 = unlimited).
-	RuleCapacity int
 	// SlotCapacity bounds directory entries (0 = unlimited).
 	SlotCapacity int
-	// Stages is the number of match-action stages per pipeline; the MIND
-	// directory transition needs two MAUs plus a recirculation (§6.3).
-	Stages int
 }
 
-// DefaultConfig returns the Tofino-calibrated limits.
+// DefaultConfig returns the Tofino-calibrated directory budget.
 func DefaultConfig() Config {
-	return Config{
-		RuleCapacity: DefaultRuleCapacity,
-		SlotCapacity: DefaultSlotCapacity,
-		Stages:       12,
-	}
+	return Config{SlotCapacity: DefaultSlotCapacity}
 }
 
 // ASIC bundles the data-plane stores MIND programs: the translation
@@ -72,10 +61,8 @@ type ASIC struct {
 	deliveredCopies uint64
 }
 
-// New constructs an ASIC with the given limits. The shared rule budget is
-// split between translation and protection dynamically: both tables draw
-// from one capacity pool, which we model by giving each table the full
-// capacity and checking the combined count in RulesFull.
+// New constructs an ASIC with the given directory budget. The rule
+// tables are unbounded: their combined size is reported by Rules.
 func New(cfg Config) *ASIC {
 	a := &ASIC{
 		cfg:         cfg,
@@ -90,15 +77,6 @@ func New(cfg Config) *ASIC {
 
 // Rules returns the combined installed match-action rule count.
 func (a *ASIC) Rules() int { return a.Translation.Len() + a.Protection.Len() + a.sttEntries }
-
-// RulesFull reports whether installing n more rules would exceed the
-// shared capacity.
-func (a *ASIC) RulesFull(n int) bool {
-	return a.cfg.RuleCapacity > 0 && a.Rules()+n > a.cfg.RuleCapacity
-}
-
-// RuleCapacity returns the shared rule budget (0 = unlimited).
-func (a *ASIC) RuleCapacity() int { return a.cfg.RuleCapacity }
 
 // InstallSTT records the materialized state-transition table for the
 // coherence protocol: one rule per (state, request-type) pair (§6.3).

@@ -81,18 +81,12 @@ func TestSlotStoreUtilization(t *testing.T) {
 }
 
 func TestASICRuleAccounting(t *testing.T) {
-	a := New(Config{RuleCapacity: 10, SlotCapacity: 5})
+	a := New(Config{SlotCapacity: 5})
 	must(t, a.Translation.Insert(Entry{Base: 0, Size: 1 << 30, Value: 0}))
 	must(t, a.Protection.Insert(Entry{PDID: 1, Base: 0, Size: 1 << 20, Value: 2}))
 	a.InstallSTT(6)
 	if a.Rules() != 8 {
 		t.Errorf("rules = %d, want 8", a.Rules())
-	}
-	if a.RulesFull(2) {
-		t.Error("should have room for 2 more")
-	}
-	if !a.RulesFull(3) {
-		t.Error("3 more should exceed capacity")
 	}
 }
 

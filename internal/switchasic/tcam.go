@@ -3,9 +3,10 @@
 // power-of-two address ranges (used for address translation and
 // vma-granularity memory protection, §4.1-4.2), SRAM register slots (the
 // cache-directory store, §6.3), a native multicast engine with egress
-// sharer-list pruning (§4.3.2), and capacity accounting matching the
-// paper's reported limits (~45k match-action rules, 30k directory slots,
-// §7.2).
+// sharer-list pruning (§4.3.2), and resource accounting against the
+// paper's Tofino measurements (§7.2): the 30k directory slots are a hard
+// cap, while match-action rules (~45k on Tofino) are only counted
+// (ASIC.Rules, plotted by Figure 8 center).
 package switchasic
 
 import (

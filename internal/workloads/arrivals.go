@@ -232,12 +232,12 @@ func (d *Diurnal) Next(now sim.Time) sim.Duration {
 	}
 }
 
-// RequestStream adapts a closed-loop Workload generator into an
+// requestStream adapts a closed-loop Workload generator into an
 // endless per-tenant op source for the serving layer: each call to the
 // returned generator yields the next (va, write) op of the tenant's
 // access pattern, cycling the underlying pattern indefinitely. The
 // serving layer consumes one op per admitted request.
-func RequestStream(w Workload, base mem.VA, thread int, p Params) func() (mem.VA, bool) {
+func requestStream(w Workload, base mem.VA, thread int, p Params) func() (mem.VA, bool) {
 	// Build with an effectively unbounded op budget; the arrival
 	// horizon, not an op count, ends a serving run.
 	p.OpsPerThread = math.MaxInt32
@@ -253,7 +253,7 @@ func RequestStream(w Workload, base mem.VA, thread int, p Params) func() (mem.VA
 	}
 }
 
-// RequestStreamIn is RequestStream folded into the tenant's mapped
+// RequestStreamIn is requestStream folded into the tenant's mapped
 // window [base, base+bytes): a generated VA past the window wraps
 // modulo the window length. Serving tenants map their placement share
 // of the workload, not the workload's whole footprint, and an access
@@ -262,9 +262,9 @@ func RequestStream(w Workload, base mem.VA, thread int, p Params) func() (mem.VA
 // generator's draw sequence (and so the whole event schedule)
 // deterministic while modeling a tenant whose working set is its
 // share. When bytes covers the workload footprint the fold is the
-// identity and the stream equals RequestStream's.
+// identity and the stream equals requestStream's.
 func RequestStreamIn(w Workload, base mem.VA, bytes uint64, thread int, p Params) func() (mem.VA, bool) {
-	next := RequestStream(w, base, thread, p)
+	next := requestStream(w, base, thread, p)
 	if bytes == 0 || bytes >= w.Footprint {
 		return next
 	}

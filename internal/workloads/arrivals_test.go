@@ -117,8 +117,8 @@ func TestArrivalDeterminism(t *testing.T) {
 // any closed-loop cap and stay deterministic.
 func TestRequestStreamEndless(t *testing.T) {
 	p := Params{Threads: 2, Blades: 2, Seed: 99}
-	s1 := RequestStream(MemcachedA(1), 0, 0, p)
-	s2 := RequestStream(MemcachedA(1), 0, 0, p)
+	s1 := requestStream(MemcachedA(1), 0, 0, p)
+	s2 := requestStream(MemcachedA(1), 0, 0, p)
 	for i := 0; i < 10000; i++ {
 		va1, wr1 := s1()
 		va2, wr2 := s2()
