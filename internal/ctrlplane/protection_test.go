@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -255,4 +256,109 @@ func TestProtectionEntriesAllDomains(t *testing.T) {
 	if p.Entries(0) != 2 {
 		t.Errorf("total entries = %d", p.Entries(0))
 	}
+}
+
+// protFuzzBase is the first page of FuzzProtection's 64-page window. It
+// is aligned to the window's size, so buddy coalescing can reach one
+// entry covering the whole window.
+const (
+	protFuzzPages  = 64
+	protFuzzBase   = mem.VA(protFuzzPages * mem.PageSize)
+	protFuzzMaxOps = 16
+)
+
+// runProtectionOps reads ops as 3-byte Assign/Revoke ops over a 64-page
+// window and pdids {1, 2, 3}: the first byte holds the kind (bit 0,
+// Revoke if set), the perm (bit 1, read-write if set) and the pdid (the
+// bits above); the next two are the first page and the page count less
+// one. After every op, Check of every page, pdid and wanted perm must
+// agree with a per-page permission oracle, Rejects must count the
+// refusals, and Entries(0) must equal the TCAM's rule count. Only the
+// first protFuzzMaxOps ops run: each costs ~400 checks, and a refused
+// check formats its error.
+func runProtectionOps(t *testing.T, ops []byte) {
+	t.Helper()
+	if len(ops) > 3*protFuzzMaxOps {
+		ops = ops[:3*protFuzzMaxOps]
+	}
+	asic := switchasic.New(switchasic.DefaultConfig())
+	p := NewProtectionTable(asic)
+	var oracle [4][protFuzzPages]mem.Perm // pdid 1..3; PermNone is unmapped
+	var rejects uint64
+	for i := 0; i+2 < len(ops); i += 3 {
+		ctl := ops[i]
+		pdid := mem.PDID(ctl>>2)%3 + 1
+		perm := mem.PermRead
+		if ctl&2 != 0 {
+			perm = mem.PermReadWrite
+		}
+		first := uint64(ops[i+1]) % protFuzzPages
+		n := uint64(ops[i+2])%(protFuzzPages-first) + 1
+		base := protFuzzBase + mem.VA(first*mem.PageSize)
+		length := n * mem.PageSize
+		if ctl&1 == 0 {
+			if err := p.Assign(pdid, base, length, perm); err != nil {
+				t.Fatalf("op %d: Assign(%d, %#x, %#x, %v) = %v", i/3, pdid, uint64(base), length, perm, err)
+			}
+		} else {
+			if err := p.Revoke(pdid, base, length); err != nil {
+				t.Fatalf("op %d: Revoke(%d, %#x, %#x) = %v", i/3, pdid, uint64(base), length, err)
+			}
+			perm = mem.PermNone
+		}
+		for pg := first; pg < first+n; pg++ {
+			oracle[pdid][pg] = perm
+		}
+		for d := mem.PDID(1); d <= 3; d++ {
+			for pg := uint64(0); pg < protFuzzPages; pg++ {
+				// An address inside the page, not only its first byte.
+				va := protFuzzBase + mem.VA(pg*mem.PageSize+pg*61)
+				for _, want := range []mem.Perm{mem.PermRead, mem.PermReadWrite} {
+					err := p.Check(d, va, want)
+					if ok := oracle[d][pg].Allows(want); ok != (err == nil) {
+						t.Fatalf("op %d: Check(%d, page %d, %v) = %v, oracle has %v", i/3, d, pg, want, err, oracle[d][pg])
+					}
+					if err != nil {
+						rejects++
+					}
+				}
+			}
+			for _, va := range []mem.VA{protFuzzBase - 1, protFuzzBase + protFuzzPages*mem.PageSize} {
+				if p.Check(d, va, mem.PermRead) == nil {
+					t.Fatalf("op %d: Check(%d, %#x) outside the window allowed", i/3, d, uint64(va))
+				}
+				rejects++
+			}
+		}
+		if p.Rejects() != rejects {
+			t.Fatalf("op %d: Rejects() = %d, want %d", i/3, p.Rejects(), rejects)
+		}
+		if got, want := p.Entries(0), asic.Protection.Len(); got != want {
+			t.Fatalf("op %d: Entries(0) = %d, TCAM holds %d rules", i/3, got, want)
+		}
+	}
+}
+
+func randomProtectionOps(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]byte, 3*n)
+	rng.Read(ops)
+	return ops
+}
+
+// FuzzProtection holds Assign/Revoke — range splitting, buddy coalescing
+// and the split-down of partly revoked rules — to a per-page oracle.
+func FuzzProtection(f *testing.F) {
+	f.Add([]byte{
+		0x00, 0, 63, // pdid 1: the whole window read-only
+		0x01, 20, 2, // pdid 1: revoke pages 20..22
+		0x02, 16, 15, // pdid 1: pages 16..31 read-write
+		0x02, 0, 15, // pdid 1: pages 0..15 read-write, the buddy of 16..31
+		0x04, 7, 40, // pdid 2: pages 7..47 read-only, unaligned
+		0x0a, 5, 0, // pdid 3: page 5 read-write
+		0x01, 0, 63, // pdid 1: revoke the whole window
+	})
+	f.Add(randomProtectionOps(1, protFuzzMaxOps))
+	f.Add(randomProtectionOps(2, protFuzzMaxOps))
+	f.Fuzz(func(t *testing.T, ops []byte) { runProtectionOps(t, ops) })
 }
