@@ -55,16 +55,6 @@ func (s *Set) Count() int {
 	return n
 }
 
-// Empty reports whether the set has no members.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // CopyFrom makes s an exact copy of o, reusing s's backing array.
 func (s *Set) CopyFrom(o *Set) {
 	if cap(s.words) < len(o.words) {

@@ -28,9 +28,6 @@ func TestSetAgainstMap(t *testing.T) {
 			t.Fatalf("Count = %d, want %d", s.Count(), len(m))
 		}
 	}
-	if s.Empty() != (len(m) == 0) {
-		t.Fatalf("Empty = %v with %d members", s.Empty(), len(m))
-	}
 	// AppendTo must be ascending and complete.
 	got := s.AppendTo(nil)
 	for i, v := range got {
@@ -87,11 +84,11 @@ func TestCopyUnionOnly(t *testing.T) {
 	if !zeroWord.OnlyMember(5) {
 		t.Error("OnlyMember tripped by zeroed trailing word")
 	}
-	if zeroWord.Empty() {
-		t.Error("Empty with one member")
+	if zeroWord.Count() != 1 {
+		t.Errorf("Count = %d with one member", zeroWord.Count())
 	}
 	zeroWord.Clear()
-	if !zeroWord.Empty() || zeroWord.Count() != 0 {
+	if zeroWord.Count() != 0 {
 		t.Error("Clear did not empty the set")
 	}
 }

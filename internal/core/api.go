@@ -115,16 +115,14 @@ func (p *Process) SpawnThread(blade int) (*Thread, error) {
 	if blade < 0 || blade >= len(p.c.cblades) {
 		return nil, fmt.Errorf("core: no compute blade %d", blade)
 	}
-	var tid ctrlplane.TID
 	var err error
-	p.c.syscall(func() { tid, err = p.c.ctl.Processes().SpawnThreadOn(p.pid, blade) })
+	p.c.syscall(func() { err = p.c.ctl.Processes().SpawnThreadOn(p.pid, blade) })
 	if err != nil {
 		return nil, err
 	}
 	return &Thread{
 		c:     p.c,
 		proc:  p,
-		tid:   tid,
 		blade: blade,
 		pdid:  p.pid,
 	}, nil

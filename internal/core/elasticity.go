@@ -178,7 +178,7 @@ func (c *Rack) rehome(base mem.VA, from ctrlplane.BladeID,
 				// selection and rewrite, or the vma is gone — retirement
 				// purges its pages then); a failed copy left none to return.
 				for _, pg := range moved {
-					c.mem[int(from)].blade.ReturnPage(pg)
+					c.mem[int(from)].blade.InstallPage(pg)
 				}
 			} else {
 				for _, pg := range moved {
@@ -373,10 +373,10 @@ func (c *Rack) copyPages(step ctrlplane.MigrationStep, st *moveStats,
 					// source died too — crash semantics) and report the
 					// failed copy.
 					for _, p := range pages {
-						src.ReturnPage(p)
+						src.InstallPage(p)
 					}
 					for _, p := range moved {
-						src.ReturnPage(p)
+						src.InstallPage(p)
 					}
 					done(nil, errTargetDied)
 					return

@@ -45,7 +45,8 @@ import (
 
 // PromotionConfig paces the pod's hot-page promotion policy.
 type PromotionConfig struct {
-	// Epoch is the policy scan period (default 500 µs).
+	// Epoch is the policy scan period (default 500 µs; negative is a
+	// config error).
 	Epoch sim.Duration
 	// Threshold is the minimum remote data-path messages (fault fetch
 	// requests plus page writebacks) a borrowed blade must see in one
@@ -117,6 +118,9 @@ type Pod struct {
 func NewPod(cfg PodConfig) (*Pod, error) {
 	if len(cfg.Racks) == 0 {
 		return nil, fmt.Errorf("core: pod needs at least one rack")
+	}
+	if cfg.Promotion.Epoch < 0 {
+		return nil, fmt.Errorf("core: negative promotion epoch %v", cfg.Promotion.Epoch)
 	}
 	if cfg.Promotion.Epoch == 0 {
 		cfg.Promotion.Epoch = DefaultPromotionConfig().Epoch

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mind/internal/ctrlplane"
 	"mind/internal/mem"
@@ -33,6 +34,32 @@ func newTestPod(t *testing.T, promo PromotionConfig) *Pod {
 		t.Fatal(err)
 	}
 	return pod
+}
+
+// TestPodRejectsNegativePromotionEpoch pins a hang: NewPod defaulted the
+// promotion epoch only when it was zero, and a negative one re-armed every
+// rack's promotion tick at the same instant inside one window, forever. A
+// pod that does get built must at least advance; a hang fails the test
+// after 10 s instead of at the test binary's timeout.
+func TestPodRejectsNegativePromotionEpoch(t *testing.T) {
+	pod, err := NewPod(PodConfig{
+		Racks:     []Config{podRackConfig(2, 1, 1024), podRackConfig(2, 3, 1024)},
+		Promotion: PromotionConfig{Epoch: -sim.Microsecond},
+	})
+	if err != nil {
+		return
+	}
+	advanced := make(chan struct{})
+	go func() {
+		pod.AdvanceTime(10 * sim.Microsecond)
+		close(advanced)
+	}()
+	select {
+	case <-advanced:
+		t.Fatal("NewPod accepted a negative promotion epoch")
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewPod accepted a negative promotion epoch, and AdvanceTime hangs")
+	}
 }
 
 func TestPodBorrowOnENOMEM(t *testing.T) {

@@ -181,7 +181,7 @@ func TestMigrationEndToEnd(t *testing.T) {
 	reserved, _ := c.Controller().Allocator().Reserved(vma.Base)
 	for off := uint64(0); off < reserved; off += mem.PageSize {
 		va := vma.Base + mem.VA(off)
-		if data := c.MemBlade(int(home)).ReadPage(va); data != nil {
+		if data := c.MemBlade(int(home)).ReadPageInto(va, nil); data != nil {
 			c.MemBlade(int(dst)).WritePage(va, data)
 		}
 	}
@@ -227,8 +227,5 @@ func TestThreadAccessors(t *testing.T) {
 	c.RunThreads()
 	if !th.Done() || th.Ops() != 10 || th.Faults() == 0 {
 		t.Errorf("ops=%d faults=%d done=%v", th.Ops(), th.Faults(), th.Done())
-	}
-	if th.TID() < 0 {
-		t.Error("tid")
 	}
 }

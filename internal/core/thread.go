@@ -2,7 +2,6 @@ package core
 
 import (
 	"mind/internal/computeblade"
-	"mind/internal/ctrlplane"
 	"mind/internal/mem"
 	"mind/internal/sim"
 )
@@ -17,7 +16,6 @@ type AccessGen func() (va mem.VA, write bool, ok bool)
 type Thread struct {
 	c     *Rack
 	proc  *Process
-	tid   ctrlplane.TID
 	blade int
 	pdid  mem.PDID
 
@@ -51,9 +49,6 @@ type Thread struct {
 func threadStep(x any)   { x.(*Thread).step() }
 func threadFinish(x any) { x.(*Thread).finish() }
 func threadIssue(x any)  { x.(*Thread).issueBlocking() }
-
-// TID returns the thread id.
-func (t *Thread) TID() ctrlplane.TID { return t.tid }
 
 // BladeID returns the hosting compute blade.
 func (t *Thread) BladeID() int { return t.blade }

@@ -128,15 +128,6 @@ func (f *freeList) free(base mem.VA, size uint64) {
 	}
 }
 
-// freeBytes totals the holes (for fragmentation diagnostics).
-func (f *freeList) freeBytes() uint64 {
-	var n uint64
-	for _, h := range f.holes {
-		n += h.size
-	}
-	return n
-}
-
 // allocation records one live vma with its reserved (power-of-two)
 // footprint and current home blade.
 type allocation struct {

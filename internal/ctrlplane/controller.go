@@ -87,13 +87,6 @@ func (c *Controller) Mmap(pid mem.PDID, length uint64, perm mem.Perm) (mem.VMA, 
 	return vma, nil
 }
 
-// Sbrk services a brk/sbrk intercept. Heap growth is served as a fresh
-// anonymous read-write area; glibc treats non-contiguous brk results via
-// mmap fallback, which this models.
-func (c *Controller) Sbrk(pid mem.PDID, length uint64) (mem.VMA, error) {
-	return c.Mmap(pid, length, mem.PermReadWrite)
-}
-
 // Munmap services a munmap intercept: permissions are revoked for every
 // domain holding grants on the area, then the area is freed.
 func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {

@@ -81,18 +81,6 @@ func TestControllerMunmapRequiresBase(t *testing.T) {
 	}
 }
 
-func TestControllerSbrk(t *testing.T) {
-	c := newCtl(t, 1)
-	p := c.Exec("app")
-	vma, err := c.Sbrk(p.PID, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vma.Perm != mem.PermReadWrite {
-		t.Errorf("heap perm = %v", vma.Perm)
-	}
-}
-
 func TestControllerMProtect(t *testing.T) {
 	c := newCtl(t, 1)
 	p := c.Exec("app")
@@ -163,34 +151,13 @@ func TestControllerExitCleansUp(t *testing.T) {
 	}
 }
 
-func TestControllerThreadPlacementRoundRobin(t *testing.T) {
-	c := newCtl(t, 4)
-	p := c.Exec("app")
-	counts := make([]int, 4)
-	for i := 0; i < 8; i++ {
-		_, blade, err := c.Processes().SpawnThread(p.PID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[blade]++
-	}
-	for b, n := range counts {
-		if n != 2 {
-			t.Errorf("blade %d threads = %d, want 2 (round-robin §6.1)", b, n)
-		}
-	}
-	if got := c.Processes().BladesInUse(p.PID); len(got) != 4 {
-		t.Errorf("blades in use = %v", got)
-	}
-}
-
 func TestControllerSamePIDAcrossBlades(t *testing.T) {
 	c := newCtl(t, 2)
 	p := c.Exec("app")
-	_, b0, _ := c.Processes().SpawnThread(p.PID)
-	_, b1, _ := c.Processes().SpawnThread(p.PID)
-	if b0 == b1 {
-		t.Fatal("threads should land on different blades")
+	for blade := 0; blade < 2; blade++ {
+		if err := c.Processes().SpawnThreadOn(p.PID, blade); err != nil {
+			t.Fatalf("spawn on blade %d: %v", blade, err)
+		}
 	}
 	// Both threads share the PID and thus the protection domain (§6.1).
 	vma, _ := c.Mmap(p.PID, 1<<16, mem.PermReadWrite)
@@ -246,42 +213,27 @@ func TestProcessManagerErrors(t *testing.T) {
 	if _, err := m.Lookup(99); !errors.Is(err, ErrNoProcess) {
 		t.Error("lookup unknown should fail")
 	}
-	if _, _, err := m.SpawnThread(99); !errors.Is(err, ErrNoProcess) {
+	if err := m.SpawnThreadOn(99, 0); !errors.Is(err, ErrNoProcess) {
 		t.Error("spawn for unknown should fail")
 	}
 	p := m.Exec("x")
-	if _, err := m.SpawnThreadOn(p.PID, 7); err == nil {
-		t.Error("spawn on bad blade should fail")
+	for _, blade := range []int{-1, 2, 7} {
+		if err := m.SpawnThreadOn(p.PID, blade); err == nil {
+			t.Errorf("spawn on bad blade %d should fail", blade)
+		}
 	}
-	tid, err := m.SpawnThreadOn(p.PID, 1)
-	if err != nil {
+	if err := m.SpawnThreadOn(p.PID, 1); err != nil {
 		t.Fatal(err)
-	}
-	if b, ok := p.ThreadBlade(tid); !ok || b != 1 {
-		t.Errorf("thread blade = %d, %v", b, ok)
-	}
-	if err := m.ExitThread(p.PID, tid); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ExitThread(p.PID, tid); err == nil {
-		t.Error("double thread exit should fail")
-	}
-	if p.Threads() != 0 {
-		t.Error("thread count wrong")
 	}
 	if m.Processes() != 1 {
 		t.Error("process count wrong")
-	}
-	ids := p.ThreadIDs()
-	if len(ids) != 0 {
-		t.Error("thread ids wrong")
 	}
 }
 
 func TestProcessManagerNoComputeBlades(t *testing.T) {
 	m := NewProcessManager(0)
 	p := m.Exec("x")
-	if _, _, err := m.SpawnThread(p.PID); err == nil {
+	if err := m.SpawnThreadOn(p.PID, 0); err == nil {
 		t.Error("spawn with no blades should fail")
 	}
 }

@@ -5,8 +5,8 @@ package ctrlplane
 // allocation off a departing blade, and blade retirement (withdrawing
 // the partition's translation rule so no address can ever again resolve
 // to it). The data movement itself — page copies, directory resets, the
-// throttle — is orchestrated by core.Cluster; this layer only decides
-// *where* each vma goes and keeps the TCAM consistent.
+// throttle — is orchestrated by core's Rack.rehome; this layer only
+// decides *where* each vma goes and keeps the TCAM consistent.
 
 import (
 	"errors"

@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"mind/internal/mem"
 )
@@ -11,48 +10,23 @@ import (
 // ErrNoProcess is returned for operations on unknown PIDs (ESRCH).
 var ErrNoProcess = errors.New("ctrlplane: no such process (ESRCH)")
 
-// TID identifies a thread within the rack.
-type TID int
-
 // Process is the control plane's internal representation of a user
 // process (the analogue of Linux's task_struct kept at the switch CPU,
 // §6.1/§6.3). Threads of one process may run on different compute blades
 // while transparently sharing the address space: they share the PID,
 // which doubles as the protection domain ID.
 type Process struct {
-	PID     mem.PDID
-	Name    string
-	threads map[TID]int // thread -> compute blade index
+	PID  mem.PDID
+	Name string
 }
 
-// Threads returns the number of live threads.
-func (p *Process) Threads() int { return len(p.threads) }
-
-// ThreadBlade returns the compute blade hosting thread t.
-func (p *Process) ThreadBlade(t TID) (int, bool) {
-	b, ok := p.threads[t]
-	return b, ok
-}
-
-// ThreadIDs returns thread IDs in ascending order.
-func (p *Process) ThreadIDs() []TID {
-	out := make([]TID, 0, len(p.threads))
-	for t := range p.threads {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ProcessManager tracks processes and places threads across compute
-// blades. MIND does not innovate on scheduling: threads and processes are
-// placed round-robin (§6.1).
+// ProcessManager tracks processes and admits their threads onto compute
+// blades. MIND does not innovate on scheduling (§6.1): the caller picks
+// each thread's blade, as the experiments pin threads per blade (§7.1).
 type ProcessManager struct {
 	computeBlades int
 	procs         map[mem.PDID]*Process
 	nextPID       mem.PDID
-	nextTID       TID
-	rr            int
 }
 
 // NewProcessManager creates a manager for a rack with the given number of
@@ -67,7 +41,7 @@ func NewProcessManager(computeBlades int) *ProcessManager {
 
 // Exec creates a process (the exec intercept, §6.1) and returns it.
 func (m *ProcessManager) Exec(name string) *Process {
-	p := &Process{PID: m.nextPID, Name: name, threads: make(map[TID]int)}
+	p := &Process{PID: m.nextPID, Name: name}
 	m.nextPID++
 	m.procs[p.PID] = p
 	return p
@@ -91,72 +65,19 @@ func (m *ProcessManager) Lookup(pid mem.PDID) (*Process, error) {
 	return p, nil
 }
 
-// SpawnThread places a new thread of pid on a compute blade round-robin
-// and returns its TID and blade index. Threads on different blades keep
-// the same PID, sharing the address space via the protection and
-// translation rules at the switch (§6.1).
-func (m *ProcessManager) SpawnThread(pid mem.PDID) (TID, int, error) {
-	p, ok := m.procs[pid]
-	if !ok {
-		return 0, 0, ErrNoProcess
-	}
-	if m.computeBlades == 0 {
-		return 0, 0, fmt.Errorf("ctrlplane: no compute blades registered")
-	}
-	t := m.nextTID
-	m.nextTID++
-	blade := m.rr % m.computeBlades
-	m.rr++
-	p.threads[t] = blade
-	return t, blade, nil
-}
-
-// SpawnThreadOn places a thread on an explicit blade (used by experiment
-// harnesses that pin thread counts per blade, as §7.1 does).
-func (m *ProcessManager) SpawnThreadOn(pid mem.PDID, blade int) (TID, error) {
-	p, ok := m.procs[pid]
-	if !ok {
-		return 0, ErrNoProcess
-	}
-	if blade < 0 || blade >= m.computeBlades {
-		return 0, fmt.Errorf("ctrlplane: no compute blade %d", blade)
-	}
-	t := m.nextTID
-	m.nextTID++
-	p.threads[t] = blade
-	return t, nil
-}
-
-// ExitThread removes one thread.
-func (m *ProcessManager) ExitThread(pid mem.PDID, t TID) error {
-	p, ok := m.procs[pid]
-	if !ok {
+// SpawnThreadOn admits a thread of pid on the given compute blade (the
+// clone intercept, §6.1). Threads on different blades keep the same PID,
+// sharing the address space via the protection and translation rules at
+// the switch.
+func (m *ProcessManager) SpawnThreadOn(pid mem.PDID, blade int) error {
+	if _, ok := m.procs[pid]; !ok {
 		return ErrNoProcess
 	}
-	if _, ok := p.threads[t]; !ok {
-		return fmt.Errorf("ctrlplane: pid %d has no thread %d", pid, t)
+	if blade < 0 || blade >= m.computeBlades {
+		return fmt.Errorf("ctrlplane: no compute blade %d", blade)
 	}
-	delete(p.threads, t)
 	return nil
 }
 
 // Processes returns the number of live processes.
 func (m *ProcessManager) Processes() int { return len(m.procs) }
-
-// BladesInUse returns the distinct compute blades hosting threads of pid.
-func (m *ProcessManager) BladesInUse(pid mem.PDID) []int {
-	p, ok := m.procs[pid]
-	if !ok {
-		return nil
-	}
-	set := map[int]bool{}
-	for _, b := range p.threads {
-		set[b] = true
-	}
-	out := make([]int, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}

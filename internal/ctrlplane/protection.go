@@ -20,35 +20,34 @@ var ErrPermission = errors.New("ctrlplane: permission denied (EACCES)")
 // space.
 type ProtectionTable struct {
 	asic *switchasic.ASIC
-	// installed tracks live TCAM ranges per domain: base -> size. It is
+	// installed tracks live TCAM ranges per domain: base -> rule. It is
 	// the control plane's mirror of data-plane state, used for revocation
 	// and failover reconstruction.
-	installed map[mem.PDID]map[mem.VA]uint64
-	perms     map[mem.PDID]map[mem.VA]mem.Perm // parallel: base -> perm
+	installed map[mem.PDID]map[mem.VA]rule
 	rejects   uint64
+}
+
+// rule is one installed protection entry: its size and permission class.
+type rule struct {
+	size uint64
+	perm mem.Perm
 }
 
 // NewProtectionTable creates a table that installs rules into asic.
 func NewProtectionTable(asic *switchasic.ASIC) *ProtectionTable {
 	return &ProtectionTable{
 		asic:      asic,
-		installed: make(map[mem.PDID]map[mem.VA]uint64),
-		perms:     make(map[mem.PDID]map[mem.VA]mem.Perm),
+		installed: make(map[mem.PDID]map[mem.VA]rule),
 	}
 }
 
-func (p *ProtectionTable) domain(pdid mem.PDID) (map[mem.VA]uint64, map[mem.VA]mem.Perm) {
+func (p *ProtectionTable) domain(pdid mem.PDID) map[mem.VA]rule {
 	m, ok := p.installed[pdid]
 	if !ok {
-		m = make(map[mem.VA]uint64)
+		m = make(map[mem.VA]rule)
 		p.installed[pdid] = m
 	}
-	pm, ok := p.perms[pdid]
-	if !ok {
-		pm = make(map[mem.VA]mem.Perm)
-		p.perms[pdid] = pm
-	}
-	return m, pm
+	return m
 }
 
 func (p *ProtectionTable) insertOne(pdid mem.PDID, r mem.Range, perm mem.Perm) error {
@@ -60,9 +59,7 @@ func (p *ProtectionTable) insertOne(pdid mem.PDID, r mem.Range, perm mem.Perm) e
 	}); err != nil {
 		return err
 	}
-	m, pm := p.domain(pdid)
-	m[r.Base] = r.Size
-	pm[r.Base] = perm
+	p.domain(pdid)[r.Base] = rule{size: r.Size, perm: perm}
 	return nil
 }
 
@@ -70,9 +67,7 @@ func (p *ProtectionTable) deleteOne(pdid mem.PDID, base mem.VA, size uint64) err
 	if err := p.asic.Protection.Delete(uint32(pdid), uint64(base), size); err != nil {
 		return err
 	}
-	m, pm := p.domain(pdid)
-	delete(m, base)
-	delete(pm, base)
+	delete(p.domain(pdid), base)
 	return nil
 }
 
@@ -101,7 +96,7 @@ func (p *ProtectionTable) Assign(pdid mem.PDID, base mem.VA, length uint64, perm
 // coalesce repeatedly merges buddy entry pairs with equal permissions in
 // the vicinity of the just-modified range.
 func (p *ProtectionTable) coalesce(pdid mem.PDID, base mem.VA, length uint64) {
-	m, pm := p.domain(pdid)
+	m := p.domain(pdid)
 	for {
 		merged := false
 		// Deterministic scan order.
@@ -111,30 +106,25 @@ func (p *ProtectionTable) coalesce(pdid mem.PDID, base mem.VA, length uint64) {
 		}
 		sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 		for _, b := range bases {
-			size, ok := m[b]
+			r, ok := m[b]
 			if !ok {
 				continue // removed by an earlier merge this pass
 			}
-			buddy := b ^ mem.VA(size)
-			bsize, ok := m[buddy]
-			if !ok || bsize != size {
-				continue
-			}
-			if pm[b] != pm[buddy] {
-				continue
+			buddy := b ^ mem.VA(r.size)
+			if m[buddy] != r {
+				continue // no buddy of the same size and permission
 			}
 			lo := b
 			if buddy < lo {
 				lo = buddy
 			}
-			perm := pm[b]
-			if err := p.deleteOne(pdid, b, size); err != nil {
+			if err := p.deleteOne(pdid, b, r.size); err != nil {
 				return
 			}
-			if err := p.deleteOne(pdid, buddy, size); err != nil {
+			if err := p.deleteOne(pdid, buddy, r.size); err != nil {
 				return
 			}
-			if err := p.insertOne(pdid, mem.Range{Base: lo, Size: size * 2}, perm); err != nil {
+			if err := p.insertOne(pdid, mem.Range{Base: lo, Size: r.size * 2}, r.perm); err != nil {
 				return
 			}
 			merged = true
@@ -152,18 +142,18 @@ func (p *ProtectionTable) Revoke(pdid mem.PDID, base mem.VA, length uint64) erro
 	if length == 0 {
 		return nil
 	}
-	m, pm := p.domain(pdid)
+	m := p.domain(pdid)
 	end := base + mem.VA(length)
 	// Collect overlapping installed entries.
 	var overlapping []mem.Range
-	for b, size := range m {
-		if b < end && base < b+mem.VA(size) {
-			overlapping = append(overlapping, mem.Range{Base: b, Size: size})
+	for b, r := range m {
+		if b < end && base < b+mem.VA(r.size) {
+			overlapping = append(overlapping, mem.Range{Base: b, Size: r.size})
 		}
 	}
 	sort.Slice(overlapping, func(i, j int) bool { return overlapping[i].Base < overlapping[j].Base })
 	for _, r := range overlapping {
-		perm := pm[r.Base]
+		perm := m[r.Base].perm
 		if err := p.deleteOne(pdid, r.Base, r.Size); err != nil {
 			return err
 		}
@@ -202,16 +192,6 @@ func (p *ProtectionTable) Check(pdid mem.PDID, va mem.VA, want mem.Perm) error {
 			pdid, uint64(va), mem.Perm(v), want, ErrPermission)
 	}
 	return nil
-}
-
-// Grant returns the permission class domain pdid holds at va
-// (PermNone if unmapped).
-func (p *ProtectionTable) Grant(pdid mem.PDID, va mem.VA) mem.Perm {
-	v, err := p.asic.Protection.Lookup(uint32(pdid), uint64(va))
-	if err != nil {
-		return mem.PermNone
-	}
-	return mem.Perm(v)
 }
 
 // Entries returns the number of installed protection rules for the

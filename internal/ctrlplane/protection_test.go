@@ -186,17 +186,6 @@ func TestProtectionMProtectOverride(t *testing.T) {
 	}
 }
 
-func TestProtectionGrant(t *testing.T) {
-	p, _ := newProt(t)
-	_ = p.Assign(5, 0x1000, 0x1000, mem.PermRead)
-	if g := p.Grant(5, 0x1800); g != mem.PermRead {
-		t.Errorf("grant = %v", g)
-	}
-	if g := p.Grant(5, 0x9000); g != mem.PermNone {
-		t.Errorf("unmapped grant = %v", g)
-	}
-}
-
 func TestProtectionMultiDomainSameRange(t *testing.T) {
 	p, _ := newProt(t)
 	// Session-style domains (§4.2): two domains, disjoint rights on one

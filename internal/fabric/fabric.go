@@ -103,7 +103,7 @@ type Fabric struct {
 	// the NIC slices): every message addressed to (or sent from) a dead
 	// node is silently lost, the way a link to a crashed blade goes
 	// black. Unlike DropFn this is permanent rack state, set by
-	// failure-injection events (Cluster.KillMemBlade).
+	// failure-injection events (Pod.KillMemBladeAt).
 	dead bitset.Set
 
 	// Delivered counts successful end-point deliveries; Dropped counts

@@ -47,10 +47,11 @@ func DefaultInterConfig() InterConfig {
 	}
 }
 
-// withDefaults fills every zero field from DefaultInterConfig. A zero
-// Propagation or Overhead used to slip through and yield a free spine —
-// and, worse, a zero-width lookahead window for the parallel executor —
-// so all five fields now default consistently.
+// withDefaults fills every zero or negative field from
+// DefaultInterConfig. A zero Propagation or Overhead used to slip through
+// and yield a free spine — and, worse, a zero-width lookahead window for
+// the parallel executor — and a negative CtrlRTT made every borrow fall
+// due before it was requested, so all five fields default consistently.
 func (cfg InterConfig) withDefaults() InterConfig {
 	def := DefaultInterConfig()
 	if cfg.Propagation <= 0 {
@@ -65,7 +66,7 @@ func (cfg InterConfig) withDefaults() InterConfig {
 	if cfg.LinkSlots < 1 {
 		cfg.LinkSlots = def.LinkSlots
 	}
-	if cfg.CtrlRTT == 0 {
+	if cfg.CtrlRTT <= 0 {
 		cfg.CtrlRTT = def.CtrlRTT
 	}
 	return cfg
@@ -83,18 +84,16 @@ type crossMsg struct {
 }
 
 // icPort is one rack's attachment point: its engine, its uplink/downlink
-// lane pair, its outbox of not-yet-delivered messages, and its share of
-// the send accounting. Everything in a port is written only from its own
-// rack's execution context (or the barrier), so concurrent racks never
-// touch the same port — the sharding that makes Send race-free under the
-// parallel executor.
+// lane pair and its outbox of not-yet-delivered messages. Everything in a
+// port is written only from its own rack's execution context (or the
+// barrier), so concurrent racks never touch the same port — the sharding
+// that makes Send race-free under the parallel executor. Crossings are
+// counted by the callers, in the cross_rack_msgs counter.
 type icPort struct {
-	eng       *sim.Engine
-	up        *sim.Resource
-	down      *sim.Resource
-	outbox    []crossMsg
-	sent      uint64
-	bytesSent uint64
+	eng    *sim.Engine
+	up     *sim.Resource
+	down   *sim.Resource
+	outbox []crossMsg
 }
 
 // Interconnect is the instantiated inter-rack network: one port (engine
@@ -172,8 +171,6 @@ func (ic *Interconnect) Send(from, to int, bytes int, fn func(any), arg any) {
 	cost := ic.cfg.Overhead + ic.serialize(bytes)
 	_, upEnd := p.up.Reserve(p.eng.Now(), cost)
 	arrive := upEnd.Add(ic.cfg.Propagation)
-	p.sent++
-	p.bytesSent += uint64(bytes)
 	p.outbox = append(p.outbox, crossMsg{to: to, bytes: bytes, arrive: arrive, fn: fn, arg: arg})
 	ic.pending.Add(1)
 }
@@ -228,27 +225,6 @@ func (ic *Interconnect) FlushBoundary() int {
 	}
 	n := len(s)
 	ic.flushScratch = s[:0]
-	return n
-}
-
-// Sent returns how many messages have crossed the interconnect, summed
-// over the per-rack shards. Under the parallel executor, read it only at
-// barriers or after the run — mid-window reads would race with sends.
-func (ic *Interconnect) Sent() uint64 {
-	var n uint64
-	for i := range ic.ports {
-		n += ic.ports[i].sent
-	}
-	return n
-}
-
-// BytesSent returns the total payload bytes crossed, summed over the
-// per-rack shards. Same barrier-only read rule as Sent.
-func (ic *Interconnect) BytesSent() uint64 {
-	var n uint64
-	for i := range ic.ports {
-		n += ic.ports[i].bytesSent
-	}
 	return n
 }
 

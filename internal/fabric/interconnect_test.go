@@ -23,24 +23,27 @@ func TestInterconnectUnloadedLatency(t *testing.T) {
 	if got := at.Sub(0); got != want {
 		t.Fatalf("unloaded crossing = %v, want OneWay = %v", got, want)
 	}
-	if ic.Sent() != 1 || ic.BytesSent() != PageBytes {
-		t.Fatalf("accounting: sent=%d bytes=%d", ic.Sent(), ic.BytesSent())
-	}
 }
 
-// TestInterconnectZeroConfigDefaults pins the defaulting bugfix: a
+// TestInterconnectZeroConfigDefaults pins the defaulting bugfixes: a
 // zero-value InterConfig used to keep Propagation and Overhead at zero
 // (a free spine, and a zero-width lookahead window), while the other
-// fields were defaulted. All fields must now default consistently.
+// fields were defaulted; a negative CtrlRTT used to pass through, so a
+// borrow fell due before it was requested. All fields must default
+// consistently, from zero and from negative values.
 func TestInterconnectZeroConfigDefaults(t *testing.T) {
-	ic, _ := twoRacks(InterConfig{})
 	def := DefaultInterConfig()
-	got := ic.Config()
-	if got != def {
-		t.Fatalf("zero-value config defaulted to %+v, want %+v", got, def)
-	}
-	if ic.OneWay(0) == 0 {
-		t.Fatal("zero-value config yields a zero-latency spine")
+	for _, cfg := range []InterConfig{
+		{},
+		{Propagation: -1, Overhead: -1, BytesPerNs: -1, LinkSlots: -1, CtrlRTT: -1},
+	} {
+		ic, _ := twoRacks(cfg)
+		if got := ic.Config(); got != def {
+			t.Fatalf("config %+v defaulted to %+v, want %+v", cfg, got, def)
+		}
+		if ic.OneWay(0) == 0 {
+			t.Fatalf("config %+v yields a zero-latency spine", cfg)
+		}
 	}
 }
 
@@ -61,11 +64,11 @@ func TestInterconnectSerializeRoundsUp(t *testing.T) {
 	}
 }
 
-// TestInterconnectConcurrentSends pins the counter-sharding bugfix: with
-// per-rack engines, racks send concurrently, and the old bare
-// Sent/BytesSent fields were a data race (run under -race to see it on
-// the pre-fix code). Sharded per source port, parallel sends from
-// distinct racks are safe and the merged totals exact.
+// TestInterconnectConcurrentSends pins the port-sharding bugfix: with
+// per-rack engines, racks send concurrently, and state shared between
+// senders was a data race (run under -race to see it). Sharded per source
+// port, with an atomic pending count, parallel sends from distinct racks
+// are safe and the barrier sees, and delivers, every one of them.
 func TestInterconnectConcurrentSends(t *testing.T) {
 	const racks = 4
 	const perRack = 1000
@@ -86,8 +89,11 @@ func TestInterconnectConcurrentSends(t *testing.T) {
 	for r := 0; r < racks; r++ {
 		<-done
 	}
-	if ic.Sent() != racks*perRack || ic.BytesSent() != racks*perRack*CtrlMsgBytes {
-		t.Fatalf("accounting after concurrent sends: sent=%d bytes=%d", ic.Sent(), ic.BytesSent())
+	if got := ic.PendingBoundary(); got != racks*perRack {
+		t.Fatalf("pending after concurrent sends = %d, want %d", got, racks*perRack)
+	}
+	if n := ic.FlushBoundary(); n != racks*perRack {
+		t.Fatalf("FlushBoundary after concurrent sends delivered %d, want %d", n, racks*perRack)
 	}
 }
 

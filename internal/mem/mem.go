@@ -25,9 +25,6 @@ func PageBase(va VA) VA { return va &^ (PageSize - 1) }
 // PageIndex returns the page number containing va.
 func PageIndex(va VA) uint64 { return uint64(va) >> PageShift }
 
-// PageAddr returns the base address of page number idx.
-func PageAddr(idx uint64) VA { return VA(idx << PageShift) }
-
 // PDID identifies a protection domain (§4.2). For existing applications
 // MIND uses the process identifier as the PDID.
 type PDID uint32
@@ -77,9 +74,6 @@ func (v VMA) Contains(va VA) bool { return va >= v.Base && va < v.End() }
 
 // Overlaps reports whether two areas intersect.
 func (v VMA) Overlaps(o VMA) bool { return v.Base < o.End() && o.Base < v.End() }
-
-// Pages returns the number of pages the area spans (Len rounded up).
-func (v VMA) Pages() uint64 { return (v.Len + PageSize - 1) / PageSize }
 
 func (v VMA) String() string {
 	return fmt.Sprintf("vma{%#x +%#x pdid=%d %s}", uint64(v.Base), v.Len, v.PDID, v.Perm)

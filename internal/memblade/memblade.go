@@ -24,10 +24,8 @@ type Blade struct {
 	writes uint64
 
 	// dead marks a killed blade (failure injection): its contents are
-	// gone and every subsequent access is accounted as lost.
-	dead     bool
-	deadOps  uint64
-	migrated uint64 // pages handed off by TakePagesIn (drain)
+	// gone and every subsequent access is lost.
+	dead bool
 }
 
 // New creates an empty blade.
@@ -38,33 +36,13 @@ func New(id int) *Blade {
 // ID returns the blade id.
 func (b *Blade) ID() int { return b.id }
 
-// ReadPage returns the page containing va, or nil if it was never
-// materialized (all-zero). The returned slice is a copy. A dead blade
-// serves nothing.
-func (b *Blade) ReadPage(va mem.VA) []byte {
-	if b.dead {
-		b.deadOps++
-		return nil
-	}
-	b.reads++
-	p, ok := b.pages[mem.PageIndex(va)]
-	if !ok {
-		return nil
-	}
-	cp := make([]byte, mem.PageSize)
-	copy(cp, p)
-	return cp
-}
-
 // ReadPageInto copies the page containing va into dst — allocating a
-// fresh page buffer only when dst is nil — and returns it, or nil if
-// the page was never materialized (all-zero; dst is then untouched and
-// stays the caller's to reuse). This is the allocation-free variant of
-// ReadPage for callers that recycle page buffers. A dead blade serves
-// nothing.
+// fresh page buffer only when dst is nil, so the result is never the
+// blade's own — and returns it, or nil if the page was never materialized
+// (all-zero; dst is then untouched and stays the caller's to reuse). A
+// dead blade serves nothing.
 func (b *Blade) ReadPageInto(va mem.VA, dst []byte) []byte {
 	if b.dead {
-		b.deadOps++
 		return nil
 	}
 	b.reads++
@@ -83,7 +61,6 @@ func (b *Blade) ReadPageInto(va mem.VA, dst []byte) []byte {
 // never-materialized page stays zero) — used by barrier writebacks.
 func (b *Blade) WritePage(va mem.VA, data []byte) {
 	if b.dead {
-		b.deadOps++
 		return
 	}
 	b.writes++
@@ -131,34 +108,19 @@ func (b *Blade) TakePagesIn(base mem.VA, size uint64, max int) []PageCopy {
 	for _, idx := range idxs {
 		out = append(out, PageCopy{VA: mem.VA(idx) * mem.PageSize, Data: b.pages[idx]})
 		delete(b.pages, idx)
-		b.migrated++
 	}
 	return out
 }
 
-// InstallPage stores a migrated page's bytes directly (the drain path's
-// receive side; no RDMA accounting — timing is modelled by the fabric).
+// InstallPage stores a migrated page's bytes directly: the drain path's
+// receive side, or the source taking back a page whose transfer failed (no
+// RDMA accounting — timing is modelled by the fabric). A no-op on a dead
+// blade (crash semantics).
 func (b *Blade) InstallPage(p PageCopy) {
 	if b.dead {
-		b.deadOps++
 		return
 	}
 	b.pages[mem.PageIndex(p.VA)] = p.Data
-}
-
-// ReturnPage undoes one page of a TakePagesIn whose transfer failed: the
-// bytes go back and the migrated-out count is corrected, so a retried
-// batch is not double-counted. A no-op on a dead blade (crash
-// semantics).
-func (b *Blade) ReturnPage(p PageCopy) {
-	if b.dead {
-		b.deadOps++
-		return
-	}
-	b.pages[mem.PageIndex(p.VA)] = p.Data
-	if b.migrated > 0 {
-		b.migrated--
-	}
 }
 
 // DropAll discards every materialized page (the final purge of a drain:
@@ -181,9 +143,3 @@ func (b *Blade) Kill() int {
 
 // Dead reports whether the blade has been killed.
 func (b *Blade) Dead() bool { return b.dead }
-
-// DeadOps returns accesses that arrived after the blade died.
-func (b *Blade) DeadOps() uint64 { return b.deadOps }
-
-// MigratedOut returns pages handed off through TakePagesIn.
-func (b *Blade) MigratedOut() uint64 { return b.migrated }

@@ -3,7 +3,6 @@ package switchasic
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"mind/internal/bitset"
 )
@@ -47,12 +46,10 @@ type ASIC struct {
 	// (§8), so we account for it.
 	sttEntries int
 
-	// Multicast group membership: group id -> ports (compute blades),
-	// kept sorted, plus the same membership as a bitmap for the egress
-	// pruning fast path (word-parallel intersection with sharer
-	// bitmaps).
-	groups    map[int][]int
-	groupBits map[int]*bitset.Set
+	// Multicast group membership: group id -> ports (compute blades). A
+	// bitmap walks in ascending order, and egress pruning intersects it
+	// word-parallel with sharer bitmaps.
+	groups map[int]*bitset.Set
 
 	// Accounting.
 	recirculations  uint64
@@ -69,8 +66,7 @@ func New(cfg Config) *ASIC {
 		Translation: NewTCAM("translation", 0),
 		Protection:  NewTCAM("protection", 0),
 		Directory:   NewSlotStore(cfg.SlotCapacity),
-		groups:      make(map[int][]int),
-		groupBits:   make(map[int]*bitset.Set),
+		groups:      make(map[int]*bitset.Set),
 	}
 	return a
 }
@@ -86,60 +82,40 @@ func (a *ASIC) InstallSTT(entries int) { a.sttEntries = entries }
 func (a *ASIC) STTEntries() int { return a.sttEntries }
 
 // SetGroup installs multicast group membership (all compute blades in the
-// rack, §4.3.2). Membership is kept sorted so replication order — and
-// with it every event ordering downstream of a multicast — is a function
-// of the member set, not of update history.
+// rack, §4.3.2). Replication is in ascending port order, so every event
+// ordering downstream of a multicast is a function of the member set, not
+// of update history.
 func (a *ASIC) SetGroup(id int, ports []int) {
-	cp := make([]int, len(ports))
-	copy(cp, ports)
-	sort.Ints(cp)
-	a.groups[id] = cp
-	b := a.groupBits[id]
-	if b == nil {
-		b = &bitset.Set{}
-		a.groupBits[id] = b
+	g := &bitset.Set{}
+	for _, p := range ports {
+		g.Add(p)
 	}
-	b.Clear()
-	for _, p := range cp {
-		b.Add(p)
-	}
+	a.groups[id] = g
 }
 
-// Group returns a copy of a group's membership (sorted). Callers may
-// hold it across membership updates without aliasing the live table.
+// Group returns a copy of a group's membership in ascending order (nil
+// for an unknown group). Callers may hold it across membership updates
+// without aliasing the live table.
 func (a *ASIC) Group(id int) []int {
-	members := a.groups[id]
-	if members == nil {
+	g := a.groups[id]
+	if g == nil {
 		return nil
 	}
-	cp := make([]int, len(members))
-	copy(cp, members)
-	return cp
+	return g.AppendTo(make([]int, 0, g.Count()))
 }
 
-// AddGroupMember installs one port into a multicast group, keeping
-// membership sorted so replication order is deterministic regardless of
-// the sequence of membership updates — the control plane builds the
-// invalidation group through this path, one rule install per compute
-// blade. Adding an existing member is a no-op. (The inverse operation
-// arrives with compute-blade retirement; memory blades are never group
-// members, so nothing removes entries today.)
+// AddGroupMember installs one port into a multicast group — the control
+// plane builds the invalidation group through this path, one rule install
+// per compute blade. Adding an existing member is a no-op. (The inverse
+// operation arrives with compute-blade retirement; memory blades are never
+// group members, so nothing removes entries today.)
 func (a *ASIC) AddGroupMember(id, port int) {
-	members := a.groups[id]
-	i := sort.SearchInts(members, port)
-	if i < len(members) && members[i] == port {
-		return
+	g := a.groups[id]
+	if g == nil {
+		g = &bitset.Set{}
+		a.groups[id] = g
 	}
-	members = append(members, 0)
-	copy(members[i+1:], members[i:])
-	members[i] = port
-	a.groups[id] = members
-	b := a.groupBits[id]
-	if b == nil {
-		b = &bitset.Set{}
-		a.groupBits[id] = b
-	}
-	b.Add(port)
+	g.Add(port)
 }
 
 // PruneMulticastInto resolves one multicast send: the packet is
@@ -150,13 +126,12 @@ func (a *ASIC) AddGroupMember(id, port int) {
 // allocates). The directory uses PruneMulticastBitmap; this map form is
 // the reference that path is tested against.
 func (a *ASIC) PruneMulticastInto(dst []int, group int, sharers map[int]bool) ([]int, error) {
-	members, ok := a.groups[group]
-	if !ok {
+	if _, ok := a.groups[group]; !ok {
 		return nil, fmt.Errorf("switchasic: unknown multicast group %d", group)
 	}
 	a.multicasts++
 	out := dst[:0]
-	for _, p := range members {
+	for _, p := range a.Group(group) {
 		if sharers[p] {
 			out = append(out, p)
 			a.deliveredCopies++
@@ -172,16 +147,16 @@ func (a *ASIC) PruneMulticastInto(dst []int, group int, sharers map[int]bool) ([
 // the sharer list arrives as a bitmap, so the replicate-and-prune
 // resolves as a word-parallel intersection with the group's membership
 // bitmap instead of a per-member map probe. Ports are appended to dst
-// (reset to length zero) in ascending order — the same order the sorted
-// member walk produces.
+// (reset to length zero) in ascending order — the same order the member
+// walk produces.
 func (a *ASIC) PruneMulticastBitmap(dst []int, group int, sharers *bitset.Set) ([]int, error) {
-	members, ok := a.groups[group]
+	g, ok := a.groups[group]
 	if !ok {
 		return nil, fmt.Errorf("switchasic: unknown multicast group %d", group)
 	}
 	a.multicasts++
 	out := dst[:0]
-	gw := a.groupBits[group].Words()
+	gw := g.Words()
 	sw := sharers.Words()
 	n := len(gw)
 	if len(sw) < n {
@@ -195,7 +170,7 @@ func (a *ASIC) PruneMulticastBitmap(dst []int, group int, sharers *bitset.Set) (
 		}
 	}
 	a.deliveredCopies += uint64(len(out))
-	a.prunedCopies += uint64(len(members) - len(out))
+	a.prunedCopies += uint64(g.Count() - len(out))
 	return out, nil
 }
 
@@ -224,8 +199,8 @@ func (a *ASIC) CloneState() *ASIC {
 		}
 	}
 	b.sttEntries = a.sttEntries
-	for id, ports := range a.groups {
-		b.SetGroup(id, ports)
+	for id := range a.groups {
+		b.SetGroup(id, a.Group(id))
 	}
 	return b
 }

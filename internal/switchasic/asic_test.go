@@ -66,18 +66,6 @@ func TestSlotStoreUnlimited(t *testing.T) {
 	if s.Free() != -1 {
 		t.Errorf("unlimited Free = %d", s.Free())
 	}
-	if s.Utilization() != 0 {
-		t.Errorf("unlimited utilization = %v", s.Utilization())
-	}
-}
-
-func TestSlotStoreUtilization(t *testing.T) {
-	s := NewSlotStore(4)
-	_, _ = s.Alloc()
-	_, _ = s.Alloc()
-	if got := s.Utilization(); got != 0.5 {
-		t.Errorf("utilization = %v", got)
-	}
 }
 
 func TestASICRuleAccounting(t *testing.T) {

@@ -67,14 +67,6 @@ func (s *SlotStore) Free() int {
 	return s.capacity - s.inUse
 }
 
-// Utilization returns occupancy in [0,1]; always 0 when unlimited.
-func (s *SlotStore) Utilization() float64 {
-	if s.capacity <= 0 {
-		return 0
-	}
-	return float64(s.inUse) / float64(s.capacity)
-}
-
 // take marks slot (wi, b) used and advances the accounting.
 func (s *SlotStore) take(wi, b int) (SlotID, error) {
 	s.words[wi] |= 1 << uint(b)
