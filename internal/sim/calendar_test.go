@@ -6,15 +6,15 @@ import (
 
 // This file pins the calendar-queue event queue against the reference
 // (time, seq) heap: randomized dispatch-order equivalence across every
-// container (now lane, drain-window heap, calendar ring, far-future
-// overflow heap), including Cancel and Rearm of events that cross the
+// container (drain-window heap, calendar ring, far-future overflow
+// heap), including Cancel and Rearm of events that cross the
 // ring horizon — the operations whose bookkeeping differs most between
 // the two implementations.
 
 // calDriver runs a randomized schedule program on one engine, recording
 // dispatch order. Delays are drawn from bands that deliberately straddle
-// the engine's internal boundaries: 0 (fast lane), sub-bucket (drain
-// window), multi-bucket (ring), and beyond the ~65 µs horizon
+// the engine's internal boundaries: 0 (the current instant), sub-bucket
+// (drain window), multi-bucket (ring), and beyond the ~65 µs horizon
 // (overflow heap, later migrated into the ring).
 type calDriver struct {
 	e      *Engine
@@ -29,7 +29,7 @@ type calDriver struct {
 func calDelay(h uint64) Duration {
 	switch h % 5 {
 	case 0:
-		return 0 // current instant: now lane
+		return 0 // the current instant
 	case 1:
 		return Duration(h % uint64(bucketWidth)) // inside the drain window
 	case 2:
@@ -291,7 +291,7 @@ func TestOverflowMigrationOrdering(t *testing.T) {
 func TestCancelAcrossContainers(t *testing.T) {
 	e := NewEngine()
 	bad := func() { t.Error("canceled event fired") }
-	lane := e.Schedule(0, bad)                       // now lane
+	now := e.Schedule(0, bad)                        // current instant
 	ring := e.Schedule(Duration(5*bucketWidth), bad) // calendar ring
 	far := e.Schedule(Duration(horizon)+12345, bad)  // overflow heap
 	keep := false
@@ -299,7 +299,7 @@ func TestCancelAcrossContainers(t *testing.T) {
 	if e.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", e.Pending())
 	}
-	for _, ev := range []*Event{lane, ring, far} {
+	for _, ev := range []*Event{now, ring, far} {
 		e.Cancel(ev)
 	}
 	if e.Pending() != 1 {
@@ -309,7 +309,7 @@ func TestCancelAcrossContainers(t *testing.T) {
 	if !keep {
 		t.Error("surviving event did not fire")
 	}
-	for _, ev := range []*Event{lane, ring, far} {
+	for _, ev := range []*Event{now, ring, far} {
 		if !ev.Canceled() {
 			t.Error("event not marked canceled")
 		}

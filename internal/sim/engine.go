@@ -10,12 +10,12 @@
 //
 // The steady-state scheduling path is allocation-free and O(1) per event:
 // ScheduleArg/AtArg take a pre-bound callback (a plain function plus its
-// argument, instead of a freshly minted closure), their events are
-// recycled through a free list after firing, and events scheduled for the
-// current instant bypass the queue through a FIFO fast lane. Events in
-// the near future land in a bucketed calendar ring (constant-time insert,
-// buckets sorted only when their window is reached) small enough to stay
-// in the host's cache; far timers (past the ~65 µs ring horizon — fault
+// argument, instead of a freshly minted closure), and their events are
+// recycled through a free list after firing. Events in the near future
+// land in a bucketed calendar ring (constant-time insert, buckets sorted
+// only when their window is reached) small enough to stay in the host's
+// cache; an event scheduled into the window being drained, the current
+// instant included, joins that window's small heap; far timers (past the ~65 µs ring horizon — fault
 // timeouts, serve deadlines, epoch ticks — most of them canceled long
 // before they are due) wait in a typed binary heap and migrate into the
 // ring as the horizon advances. Dispatch order is identical to a pure
@@ -88,12 +88,11 @@ const (
 
 // Event locations: which physical container currently holds the event.
 // whereRing/whereOverflow/whereCurHeap events can be removed eagerly on
-// Cancel (their idx names the slot); whereLane/whereSorted events are
-// canceled lazily and stay resident until their FIFO slot or sorted
-// window drains, so Rearm must not reuse the object before then.
+// Cancel (their idx names the slot); whereSorted events are canceled
+// lazily and stay resident until their sorted window drains, so Rearm
+// must not reuse the object before then.
 const (
 	whereNone     uint8 = iota
-	whereLane           // nowQ FIFO (current instant)
 	whereRing           // a calendar-ring bucket; idx = position in the bucket
 	whereSorted         // the sorted current-window slice being drained
 	whereCurHeap        // the small heap of events behind the drain cursor
@@ -261,18 +260,6 @@ type Engine struct {
 	slabs   [][]*Event
 	slabMem []*Event
 
-	// nowQ is the same-time fast lane: a FIFO of events scheduled for
-	// the current instant. The calendar never receives an event at the
-	// current time (enqueue routes those here), so every queued event at
-	// e.now predates — and therefore has a smaller seq than — every
-	// lane entry, and "drain queue-at-now first, then the lane in FIFO
-	// order" is exactly ascending (time, seq). nowHead is the drain
-	// cursor; nowLive counts lane entries that are still pending
-	// (cancellation skips lazily).
-	nowQ    []*Event
-	nowHead int
-	nowLive int
-
 	// free is the event free list: fired ScheduleArg/AtArg events are
 	// recycled here. Events whose pointer escaped to a caller
 	// (Schedule/At/ScheduleTimer) are never recycled — a retained
@@ -282,8 +269,7 @@ type Engine struct {
 	free  Pool[Event]
 	evMem []Event
 
-	// plain disables the free list, the fast lane, and the calendar
-	// ring, forcing every event through the reference (time, seq) heap —
+	// plain disables the free list and the calendar ring, forcing every event through the reference (time, seq) heap —
 	// the oracle mode the equivalence tests compare against.
 	plain bool
 
@@ -309,8 +295,8 @@ func NewEngine() *Engine {
 	}
 }
 
-// newPlainEngine returns an engine with pooling, the fast lane, and the
-// calendar ring disabled: the reference implementation the equivalence
+// newPlainEngine returns an engine with pooling and the calendar ring
+// disabled: the reference implementation the equivalence
 // property tests drive in lockstep with a production engine.
 func newPlainEngine() *Engine {
 	return &Engine{plain: true}
@@ -399,8 +385,8 @@ func (e *Engine) Rearm(ev *Event, delay Duration, fn func(any), arg any) *Event 
 		panic("sim: Rearm of a pending event (cancel it first)")
 	}
 	if ev.where != whereNone {
-		// The canceled event still occupies a lane slot or a sorted-
-		// window slot (lazy cancellation); reusing the object would make
+		// The canceled event still occupies a sorted-window slot (lazy
+		// cancellation); reusing the object would make
 		// the stale slot fire the re-armed callback at the wrong time.
 		// Hand back a fresh event instead — the stale one stays canceled
 		// and drains harmlessly.
@@ -442,8 +428,11 @@ func (e *Engine) enqueue(at Time, fn func(any), arg any, pooled bool) *Event {
 }
 
 // place routes a pending event to its container: the plain-mode heap, the
-// current-instant fast lane, the current drain window's heap, a calendar
-// bucket, or the far-future overflow heap.
+// current drain window's heap, a calendar bucket, or the far-future
+// overflow heap. An event at the current instant is no exception: below
+// wheelStart the window heap merges it with the drained bucket by (time,
+// seq), and at or past it (a clock parked by RunUntil or RunWindow) its
+// bucket has not opened yet.
 func (e *Engine) place(ev *Event) {
 	if e.plain {
 		ev.where = whereOverflow
@@ -452,13 +441,9 @@ func (e *Engine) place(ev *Event) {
 	}
 	at := ev.at
 	switch {
-	case at == e.now:
-		ev.where = whereLane
-		e.nowQ = append(e.nowQ, ev)
-		e.nowLive++
 	case at < e.wheelStart:
-		// A short delay landing inside the window currently being
-		// drained: merge it with sortedCur through the window heap.
+		// A short or zero delay landing inside the window currently
+		// being drained: merge it with sortedCur through the window heap.
 		ev.where = whereCurHeap
 		e.curHeap.push(ev)
 	case at < e.wheelStart+horizon:
@@ -530,9 +515,6 @@ func (e *Engine) Cancel(ev *Event) {
 	case whereSorted:
 		// Lazily skipped when the drain cursor reaches it.
 		e.curLive--
-	case whereLane:
-		// In the now lane: mark and skip lazily at pop time.
-		e.nowLive--
 	}
 	ev.state = stateCanceled
 	ev.fn, ev.arg = nil, nil
@@ -540,7 +522,7 @@ func (e *Engine) Cancel(ev *Event) {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {
-	return e.nowLive + e.curLive + len(e.curHeap) + e.wheelLive + len(e.queue)
+	return e.curLive + len(e.curHeap) + e.wheelLive + len(e.queue)
 }
 
 // fire dispatches one event, recycling it first if it never escaped.
@@ -769,10 +751,6 @@ func (e *Engine) Step() bool { return e.stepUntil(MaxTime) }
 // under Step, Run, RunUntil and RunWindow: the head is located once per
 // event, and the bound is tested on the event about to fire.
 func (e *Engine) stepUntil(limit Time) bool {
-	// Nothing pending predates the clock.
-	if e.now > limit {
-		return false
-	}
 	if e.plain {
 		if len(e.queue) == 0 || e.queue[0].at > limit {
 			return false
@@ -783,39 +761,14 @@ func (e *Engine) stepUntil(limit Time) bool {
 		e.fire(ev)
 		return true
 	}
-	for {
-		head := e.wheelHead()
-		// Calendar events at the current instant predate everything in
-		// the now lane (see the nowQ invariant), so they dispatch first.
-		if head != nil && head.at == e.now {
-			e.popWheel(head)
-			e.fire(head)
-			return true
-		}
-		if e.nowHead < len(e.nowQ) {
-			ev := e.nowQ[e.nowHead]
-			e.nowQ[e.nowHead] = nil
-			e.nowHead++
-			if e.nowHead == len(e.nowQ) {
-				e.nowQ = e.nowQ[:0]
-				e.nowHead = 0
-			}
-			ev.where = whereNone
-			if ev.state == stateCanceled {
-				continue
-			}
-			e.nowLive--
-			e.fire(ev)
-			return true
-		}
-		if head == nil || head.at > limit {
-			return false
-		}
-		e.popWheel(head)
-		e.now = head.at
-		e.fire(head)
-		return true
+	head := e.wheelHead()
+	if head == nil || head.at > limit {
+		return false
 	}
+	e.popWheel(head)
+	e.now = head.at
+	e.fire(head)
+	return true
 }
 
 // PeekTime returns the earliest pending event's timestamp without
@@ -836,9 +789,6 @@ func (e *Engine) PeekTime() (Time, bool) {
 			return 0, false
 		}
 		return e.queue[0].at, true
-	}
-	if e.nowLive > 0 {
-		return e.now, true
 	}
 	if head := e.wheelHead(); head != nil {
 		return head.at, true

@@ -16,12 +16,12 @@ func TestPeekTimeEmpty(t *testing.T) {
 	}
 }
 
-// TestPeekTimeNowLane checks the boundary-injection case the pod
-// executor depends on: after RunWindow parks the clock on end, an event
-// injected at exactly end (a cross-rack arrival) sits in the now lane
-// and must be visible as the earliest pending time — it forces the next
-// window to be adjacent, never skipped.
-func TestPeekTimeNowLane(t *testing.T) {
+// TestPeekTimeBoundaryInjection checks the case the pod executor depends
+// on: after RunWindow parks the clock on end, an event injected at
+// exactly end (a cross-rack arrival) must be visible as the earliest
+// pending time — it forces the next window to be adjacent, never
+// skipped.
+func TestPeekTimeBoundaryInjection(t *testing.T) {
 	e := NewEngine()
 	e.RunWindow(100)
 	e.At(100, func() {})
@@ -98,7 +98,7 @@ func TestPeekTimeOverflow(t *testing.T) {
 // TestPeekTimeDispatchNeutral is the property the sparse-horizon
 // executor rests on: interleaving PeekTime calls anywhere in a run must
 // not change the dispatch sequence. Two engines replay the same
-// schedule — self-rescheduling chains spanning the now lane, the ring
+// schedule — self-rescheduling chains spanning the window heap, the ring
 // and the overflow heap — one peeked before every step, and their
 // dispatch-trace hashes must agree.
 func TestPeekTimeDispatchNeutral(t *testing.T) {
@@ -112,7 +112,7 @@ func TestPeekTimeDispatchNeutral(t *testing.T) {
 			if n > 40 {
 				return
 			}
-			e.Schedule(Duration(n%3), tick)                // now lane / in-window
+			e.Schedule(Duration(n%3), tick)                // now / in-window
 			e.Schedule(Duration(137*n), func() {})         // ring
 			e.Schedule(Duration(3*Millisecond), func() {}) // overflow
 		}

@@ -41,9 +41,9 @@ func TestEventStateTransitions(t *testing.T) {
 	}
 }
 
-// TestEventCancelInNowLane covers cancellation of a current-instant event
-// (which lives in the FIFO fast lane, not the heap).
-func TestEventCancelInNowLane(t *testing.T) {
+// TestEventCancelAtNow covers cancellation of an event scheduled for the
+// current instant.
+func TestEventCancelAtNow(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	ev := e.Schedule(0, func() { ran = true })
@@ -56,18 +56,18 @@ func TestEventCancelInNowLane(t *testing.T) {
 	}
 	e.Run()
 	if ran {
-		t.Error("canceled now-lane event fired")
+		t.Error("canceled same-instant event fired")
 	}
 	if !ev.Canceled() {
-		t.Error("now-lane event not marked canceled")
+		t.Error("same-instant event not marked canceled")
 	}
 }
 
-// TestNowLaneOrdering verifies the fast-lane invariant: heap events at
-// the current time (scheduled earlier, smaller seq) dispatch before
-// same-time events scheduled during that instant, which run in FIFO
-// order — i.e. exactly ascending (time, seq).
-func TestNowLaneOrdering(t *testing.T) {
+// TestSameInstantOrdering verifies that queued events at the current time
+// (scheduled earlier, smaller seq) dispatch before same-time events
+// scheduled during that instant, which run in FIFO order — i.e. exactly
+// ascending (time, seq).
+func TestSameInstantOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	e.Schedule(10, func() {
@@ -125,11 +125,11 @@ func TestEventPoolRecycling(t *testing.T) {
 
 // TestAllocsScheduleFireRecycle pins the engine's steady-state cost: one
 // ScheduleArg/fire/recycle cycle must not allocate, through both the
-// same-time fast lane and the heap.
+// current instant and a short delay.
 func TestAllocsScheduleFireRecycle(t *testing.T) {
 	e := NewEngine()
 	nop := func(any) {}
-	// Warm the pool and the lane's backing array.
+	// Warm the pool and the window heap's backing array.
 	for i := 0; i < 8; i++ {
 		e.ScheduleArg(0, nop, nil)
 		e.ScheduleArg(1, nop, nil)
@@ -137,10 +137,10 @@ func TestAllocsScheduleFireRecycle(t *testing.T) {
 	e.Run()
 
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleArg(0, nop, nil) // fast lane
+		e.ScheduleArg(0, nop, nil) // the current instant
 		e.Step()
 	}); avg != 0 {
-		t.Errorf("fast-lane schedule/fire/recycle allocates %v/op, want 0", avg)
+		t.Errorf("zero-delay schedule/fire/recycle allocates %v/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		e.ScheduleArg(5, nop, nil) // heap path
@@ -150,17 +150,17 @@ func TestAllocsScheduleFireRecycle(t *testing.T) {
 	}
 }
 
-// TestRearmAfterLaneCancel: re-arming a timer that was canceled while
-// resident in the now lane must not revive the stale lane slot — the
-// re-armed callback fires exactly once, at the re-armed time.
-func TestRearmAfterLaneCancel(t *testing.T) {
+// TestRearmAfterSameInstantCancel: re-arming a timer that was canceled
+// while queued for the current instant must not revive the stale entry —
+// the re-armed callback fires exactly once, at the re-armed time.
+func TestRearmAfterSameInstantCancel(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	record := func(any) { fired = append(fired, e.Now()) }
-	ev := e.ScheduleTimer(0, record, nil) // lands in the now lane
-	e.Cancel(ev)                          // lazily marked; slot still queued
-	ev = e.Rearm(ev, 5, record, nil)      // must not reuse the resident object
-	e.Schedule(1, func() {})              // keep the clock moving
+	ev := e.ScheduleTimer(0, record, nil) // queued for the current instant
+	e.Cancel(ev)
+	ev = e.Rearm(ev, 5, record, nil)
+	e.Schedule(1, func() {}) // keep the clock moving
 	e.Run()
 	if len(fired) != 1 || fired[0] != 5 {
 		t.Fatalf("re-armed timer fired at %v, want exactly once at t=5", fired)
@@ -169,7 +169,7 @@ func TestRearmAfterLaneCancel(t *testing.T) {
 		t.Error("re-armed event not marked fired")
 	}
 	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after drain, want 0 (lane accounting corrupted)", e.Pending())
+		t.Errorf("Pending = %d after drain, want 0", e.Pending())
 	}
 	// And the normal reuse path still works: cancel out of the heap,
 	// re-arm, fire.
@@ -207,7 +207,7 @@ type eqDriver struct {
 
 func (d *eqDriver) schedule(id uint64) {
 	h := eqMix(id)
-	delay := Duration(h % 37) // includes 0: exercises the fast lane
+	delay := Duration(h % 37) // includes 0: the current instant
 	if h&1 == 0 {
 		d.e.ScheduleArg(delay, d.fire, id)
 		return
@@ -240,7 +240,7 @@ func (d *eqDriver) fired(id uint64) {
 // TestPoolEquivalenceRandomized drives an identical randomized schedule —
 // mixed closure/pre-bound forms, zero and nonzero delays, nested
 // scheduling, cancellations — through a pooled engine and the plain
-// reference engine (no pool, no fast lane) and asserts identical dispatch
+// reference engine (no pool, no calendar) and asserts identical dispatch
 // order, Executed counts, and final clocks.
 func TestPoolEquivalenceRandomized(t *testing.T) {
 	const seeds = 20
