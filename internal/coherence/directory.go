@@ -25,16 +25,12 @@ type Invalidation struct {
 	Downgrade bool
 	// Reset marks the §4.4 recovery path: flush and drop unconditionally.
 	Reset bool
-	// Requester is the blade whose request triggered this.
-	Requester int
 }
 
 // AckInfo is a sharer's response to an invalidation.
 type AckInfo struct {
-	Blade        int
 	FlushedDirty int // dirty pages written back to the memory blade
 	FalseInvals  int // flushed dirty pages other than the requested one
-	Dropped      int // clean copies discarded
 	QueueDelay   sim.Duration
 	TLBTime      sim.Duration
 }
@@ -101,8 +97,8 @@ type reqKey struct {
 	want  mem.Perm
 }
 
-// pending is one in-flight or queued page request. The directory and
-// region fields let the whole request pipeline run on pre-bound
+// pending is one in-flight or queued page request for key.page. The
+// directory and region fields let the whole request pipeline run on pre-bound
 // package-level continuations (pendExec, pendAtSwitch, ...) instead of
 // per-hop closures. Pendings are pooled: a request that completes
 // normally (notifyComplete/failPending with every expected ACK counted)
@@ -115,7 +111,6 @@ type pending struct {
 	d    *Directory
 	key  reqKey
 	pdid mem.PDID
-	va   mem.VA
 	done func(Completion)
 
 	// Transition bookkeeping.
@@ -156,10 +151,9 @@ type Directory struct {
 	translate func(mem.VA) (ctrlplane.BladeID, error)
 	protect   func(mem.PDID, mem.VA, mem.Perm) error
 	memFetch  func(ctrlplane.BladeID, func(any), any)
-	bladeNode func(int) fabric.NodeID
 
 	// blades is indexed by blade ID (dense; the control plane numbers
-	// compute blades 0..N-1).
+	// compute blades 0..N-1), which is also the blade's fabric node.
 	blades []BladePort
 
 	// rt is the block-indexed region table (see blockTable).
@@ -212,8 +206,6 @@ type Deps struct {
 	Translate func(mem.VA) (ctrlplane.BladeID, error)
 	// Protect performs the data-plane permission check.
 	Protect func(mem.PDID, mem.VA, mem.Perm) error
-	// BladeNode maps a compute blade identity to its fabric endpoint.
-	BladeNode func(int) fabric.NodeID
 	// MemFetch (required) performs the full switch -> home blade ->
 	// switch round trip of a page fetch (64 B request out, NIC-only DMA
 	// at the blade, 4 KB response back) and fires fn(arg) when the
@@ -246,7 +238,6 @@ func NewDirectory(cfg Config, d Deps) *Directory {
 		translate: d.Translate,
 		protect:   d.Protect,
 		memFetch:  d.MemFetch,
-		bladeNode: d.BladeNode,
 		rt:        newBlockTable(cfg.TopLevelSize),
 		inFlight:  make(map[reqKey]*pending),
 
@@ -348,15 +339,9 @@ func (d *Directory) createRegion(base mem.VA, size uint64) (*Region, error) {
 func (d *Directory) newPending(key reqKey, pdid mem.PDID, done func(Completion)) *pending {
 	p := d.pendFree.Get()
 	if p == nil {
-		p = &pending{d: d}
+		p = new(pending)
 	}
-	p.key, p.pdid, p.va, p.done = key, pdid, key.page, done
-	p.region = nil
-	p.inv = Invalidation{}
-	p.transition = ""
-	p.needAcks, p.invCount = 0, 0
-	p.acksForFetch, p.dataAtBlade, p.writable, p.notified = false, false, false, false
-	p.invQueue, p.invTLB = 0, 0
+	*p = pending{d: d, key: key, pdid: pdid, done: done}
 	return p
 }
 
@@ -393,9 +378,7 @@ func (d *Directory) RequestPage(blade int, pdid mem.PDID, va mem.VA, want mem.Pe
 	// Data-plane permission check (§4.2), in the same pipeline pass.
 	if err := d.protect(pdid, va, want); err != nil {
 		d.col.IncH(d.hRejected, 1)
-		d.fab.SendFromSwitch(d.bladeNode(blade), fabric.CtrlMsgBytes, func() {
-			done(Completion{Err: err})
-		})
+		d.reply(blade, done, Completion{Err: err})
 		return
 	}
 
@@ -404,9 +387,7 @@ func (d *Directory) RequestPage(blade int, pdid mem.PDID, va mem.VA, want mem.Pe
 		// over): bounce with Retry, exactly like a §4.4 reset. No pending
 		// entry is created, so retransmissions bounce individually.
 		d.col.IncH(d.hStalls, 1)
-		d.fab.SendFromSwitch(d.bladeNode(blade), fabric.CtrlMsgBytes, func() {
-			done(Completion{Retry: true})
-		})
+		d.reply(blade, done, Completion{Retry: true})
 		return
 	}
 
@@ -416,21 +397,15 @@ func (d *Directory) RequestPage(blade int, pdid mem.PDID, va mem.VA, want mem.Pe
 
 	region, err := d.lookupOrCreate(page)
 	if err != nil {
-		delete(d.inFlight, key)
+		d.bounce(p, Completion{Err: err})
 		d.recycle(p)
-		d.fab.SendFromSwitch(d.bladeNode(blade), fabric.CtrlMsgBytes, func() {
-			done(Completion{Err: err})
-		})
 		return
 	}
 	if region.resetting {
 		// A §4.4 reset is tearing this entry down; tell the blade to
 		// retry once the reset completes.
-		delete(d.inFlight, key)
+		d.bounce(p, Completion{Retry: true})
 		d.recycle(p)
-		d.fab.SendFromSwitch(d.bladeNode(blade), fabric.CtrlMsgBytes, func() {
-			done(Completion{Retry: true})
-		})
 		return
 	}
 	if region.busy {
@@ -454,10 +429,11 @@ func (d *Directory) startTransition(r *Region, p *pending) {
 // state, so the steady-state fault path schedules no closures.
 func pendExec(x any) {
 	p := x.(*pending)
-	p.d.executeTransition(p.region, p)
+	p.d.executeTransition(p)
 }
 
-func (d *Directory) executeTransition(r *Region, p *pending) {
+func (d *Directory) executeTransition(p *pending) {
+	r := p.region
 	blade := p.key.blade
 	write := p.key.want == mem.PermReadWrite
 
@@ -530,10 +506,10 @@ func (d *Directory) executeTransition(r *Region, p *pending) {
 	p.acksForFetch = n > 0 && (p.transition == "M->S" || p.transition == "M->M")
 
 	if n > 0 {
-		d.sendInvalidations(r, p, downgrade)
+		d.sendInvalidations(p, downgrade)
 	}
 	if !p.acksForFetch {
-		d.fetchAndDeliver(r, p)
+		d.fetchAndDeliver(p)
 	}
 }
 
@@ -562,7 +538,7 @@ func ackAtSwitch(x any) {
 	ctx.p = nil
 	ctx.info = AckInfo{}
 	d.ackFree.Put(ctx)
-	d.handleAck(p.region, p, info)
+	d.handleAck(p, info)
 }
 
 // pendDeliverInv runs at a sharer when a multicast invalidation copy
@@ -582,7 +558,7 @@ func pendDeliverInv(x any, to fabric.NodeID) {
 // sendInvalidations multicasts an invalidation to the targets in
 // d.invTargets. The packet is replicated to the whole compute-blade
 // multicast group and pruned in egress to the sharer bitmap (§4.3.2).
-func (d *Directory) sendInvalidations(r *Region, p *pending, downgrade bool) {
+func (d *Directory) sendInvalidations(p *pending, downgrade bool) {
 	ports, err := d.asic.PruneMulticastBitmap(d.scratchPorts, ctrlplane.InvalidationGroup, &d.invTargets)
 	if err != nil {
 		panic(fmt.Sprintf("coherence: multicast: %v", err))
@@ -590,14 +566,13 @@ func (d *Directory) sendInvalidations(r *Region, p *pending, downgrade bool) {
 	d.scratchPorts = ports
 	d.col.IncH(d.hMulticasts, 1)
 	p.inv = Invalidation{
-		Region:    r.Range(),
-		Requested: p.va,
+		Region:    p.region.Range(),
+		Requested: p.key.page,
 		Downgrade: downgrade,
-		Requester: p.key.blade,
 	}
 	nodes := d.scratchNodes[:0]
 	for _, pt := range ports {
-		nodes = append(nodes, d.bladeNode(pt))
+		nodes = append(nodes, fabric.NodeID(pt))
 	}
 	d.scratchNodes = nodes[:0]
 	if !d.cfg.SequentialInvalidation {
@@ -620,7 +595,7 @@ func (d *Directory) sendInvalidations(r *Region, p *pending, downgrade bool) {
 		d.col.IncH(d.hInvals, 1)
 		port.HandleInvalidation(p.inv, func(info AckInfo) {
 			d.fab.SendToSwitch(to, fabric.CtrlMsgBytes, func() {
-				d.handleAck(r, p, info)
+				d.handleAck(p, info)
 				if acked != nil {
 					acked()
 				}
@@ -640,7 +615,8 @@ func (d *Directory) sendInvalidations(r *Region, p *pending, downgrade bool) {
 	next(0)
 }
 
-func (d *Directory) handleAck(r *Region, p *pending, info AckInfo) {
+func (d *Directory) handleAck(p *pending, info AckInfo) {
+	r := p.region
 	r.falseInvals += uint64(info.FalseInvals)
 	r.invalsEpoch++
 	d.col.IncH(d.hFlushed, uint64(info.FlushedDirty))
@@ -662,14 +638,14 @@ func (d *Directory) handleAck(r *Region, p *pending, info AckInfo) {
 	}
 	if p.acksForFetch {
 		// Serial path: the flush has landed, memory is now fresh.
-		d.fetchAndDeliver(r, p)
+		d.fetchAndDeliver(p)
 		return
 	}
 	// Parallel path: if the data already reached the blade, notify it
 	// that exclusivity is established (the requester waits for ACKs,
 	// §4.4).
 	if p.dataAtBlade {
-		d.notifyComplete(r, p)
+		d.notifyComplete(p)
 	}
 }
 
@@ -677,11 +653,15 @@ func (d *Directory) handleAck(r *Region, p *pending, info AckInfo) {
 // and forwards the 4 KB response to the requester, rewriting headers
 // (RDMA connection virtualization, §6.3). The round trip to the home
 // blade runs behind the MemFetch hook; the remaining hops run on
-// pre-bound continuations carried by the pending.
-func (d *Directory) fetchAndDeliver(r *Region, p *pending) {
-	home, err := d.translate(p.va)
+// pre-bound continuations carried by the pending. A page with no home
+// fails the request and releases the region.
+func (d *Directory) fetchAndDeliver(p *pending) {
+	home, err := d.translate(p.key.page)
 	if err != nil {
-		d.failPending(r, p, err)
+		if d.bounce(p, Completion{Err: err}) {
+			d.finish(p.region)
+			d.recycle(p)
+		}
 		return
 	}
 	d.memFetch(home, pendAtSwitch, p)
@@ -691,7 +671,7 @@ func (d *Directory) fetchAndDeliver(r *Region, p *pending) {
 // rewrite) to the faulting blade.
 func pendAtSwitch(x any) {
 	p := x.(*pending)
-	p.d.fab.SendFromSwitchArg(p.d.bladeNode(p.key.blade), fabric.PageBytes, pendAtBlade, p)
+	p.d.fab.SendFromSwitchArg(fabric.NodeID(p.key.blade), fabric.PageBytes, pendAtBlade, p)
 }
 
 // pendAtBlade: the page arrived at the requester.
@@ -701,12 +681,12 @@ func pendAtBlade(x any) {
 	if p.needAcks > 0 {
 		return // still waiting on parallel ACKs
 	}
-	p.d.notifyComplete(p.region, p)
+	p.d.notifyComplete(p)
 }
 
 // notifyComplete finishes the request at the blade and releases the
 // region for the next waiter.
-func (d *Directory) notifyComplete(r *Region, p *pending) {
+func (d *Directory) notifyComplete(p *pending) {
 	if p.notified {
 		return
 	}
@@ -719,22 +699,27 @@ func (d *Directory) notifyComplete(r *Region, p *pending) {
 		InvQueue:      p.invQueue,
 		InvTLB:        p.invTLB,
 	})
-	d.finish(r)
+	d.finish(p.region)
 	d.recycle(p)
 }
 
-func (d *Directory) failPending(r *Region, p *pending, err error) {
+// reply sends a control message from the switch to blade and runs
+// done(c) when it lands: every answer that carries no page — a refusal,
+// a Retry, an error — takes this path.
+func (d *Directory) reply(blade int, done func(Completion), c Completion) {
+	d.fab.SendFromSwitch(fabric.NodeID(blade), fabric.CtrlMsgBytes, func() { done(c) })
+}
+
+// bounce answers p with c through reply and forgets the request, unless p
+// was already answered; it reports whether it answered.
+func (d *Directory) bounce(p *pending, c Completion) bool {
 	if p.notified {
-		return
+		return false
 	}
 	p.notified = true
 	delete(d.inFlight, p.key)
-	done := p.done
-	d.fab.SendFromSwitch(d.bladeNode(p.key.blade), fabric.CtrlMsgBytes, func() {
-		done(Completion{Err: err})
-	})
-	d.finish(r)
-	d.recycle(p)
+	d.reply(p.key.blade, p.done, c)
+	return true
 }
 
 // finish releases the region and starts the next queued transition.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mind/internal/ctrlplane"
-	"mind/internal/fabric"
 	"mind/internal/mem"
 	"mind/internal/sim"
 	"mind/internal/switchasic"
@@ -334,17 +333,19 @@ func (d *Directory) ResetRegion(va mem.VA, done func()) {
 	d.col.IncH(d.hResets, 1)
 	r.resetting = true
 
-	// Fail queued waiters immediately; the in-flight transition (if any)
-	// is abandoned — its completion is superseded by Retry.
-	waiters := r.takeWaiters()
-	inflight := make([]*pending, 0, 1)
+	// Answer every request on the region with Retry, in key order: the
+	// queued waiters and the in-flight transition (if any), which is
+	// abandoned — its completion is superseded. All of them are in the
+	// in-flight table.
+	r.takeWaiters()
+	var retry []*pending
 	for _, p := range d.inFlight {
-		if r.Contains(p.va) {
-			inflight = append(inflight, p)
+		if r.Contains(p.key.page) {
+			retry = append(retry, p)
 		}
 	}
-	sort.Slice(inflight, func(i, j int) bool {
-		a, b := inflight[i].key, inflight[j].key
+	sort.Slice(retry, func(i, j int) bool {
+		a, b := retry[i].key, retry[j].key
 		if a.page != b.page {
 			return a.page < b.page
 		}
@@ -353,55 +354,23 @@ func (d *Directory) ResetRegion(va mem.VA, done func()) {
 		}
 		return a.want < b.want
 	})
-	retryAll := append(inflight, waiters...)
-	for _, p := range retryAll {
-		if p.notified {
-			continue
-		}
-		p.notified = true
-		delete(d.inFlight, p.key)
-		pp := p
-		d.fab.SendFromSwitch(d.bladeNode(pp.key.blade), fabric.CtrlMsgBytes, func() {
-			pp.done(Completion{Retry: true})
-		})
+	for _, p := range retry {
+		d.bounce(p, Completion{Retry: true})
 	}
 
-	// Force every compute blade to flush and drop the region. Unlike
-	// data-plane invalidations, the reset travels over the control
-	// plane's reliable TCP connections (§4.4, §6.1) — it must make
-	// progress even when the data path is lossy, otherwise recovery
-	// itself could wedge. The target list is the invalidation multicast
-	// group's membership — the control plane's authoritative, sorted
-	// record of which compute blades are in the rack.
-	members := d.asic.Group(ctrlplane.InvalidationGroup)
-	if len(members) == 0 {
-		// Racks built without a group (unit-test directories): fall back
-		// to the registered ports, ascending.
-		for b, port := range d.blades {
-			if port != nil {
-				members = append(members, b)
-			}
-		}
-	}
-	// Tolerate group members whose directory port is not (yet)
-	// registered — membership updates and registration are separate
-	// control-plane steps.
-	bladeIDs := members[:0:0]
-	for _, b := range members {
-		if d.bladePort(b) != nil {
-			bladeIDs = append(bladeIDs, b)
-		}
-	}
+	// Force every registered compute blade, in ascending order, to flush
+	// and drop the region. Unlike data-plane invalidations, the reset
+	// travels over the control plane's reliable TCP connections (§4.4,
+	// §6.1) — it must make progress even when the data path is lossy,
+	// otherwise recovery itself could wedge.
 	inv := Invalidation{Region: r.Range(), Requested: mem.PageBase(va), Reset: true}
-	remaining := len(bladeIDs)
-	if remaining == 0 {
-		d.removeAfterReset(r)
-		d.eng.Schedule(0, done)
-		return
-	}
 	half := sim.Duration(int64(d.fab.Config().CtrlRTT) / 2)
-	for _, b := range bladeIDs {
-		port := d.blades[b]
+	remaining := 0
+	for _, port := range d.blades {
+		if port == nil {
+			continue
+		}
+		remaining++
 		d.eng.Schedule(half, func() {
 			port.HandleInvalidation(inv, func(info AckInfo) {
 				d.eng.Schedule(half, func() {
@@ -415,6 +384,10 @@ func (d *Directory) ResetRegion(va mem.VA, done func()) {
 			})
 		})
 	}
+	if remaining == 0 {
+		d.removeAfterReset(r)
+		d.eng.Schedule(0, done)
+	}
 }
 
 func (d *Directory) removeAfterReset(r *Region) {
@@ -423,15 +396,7 @@ func (d *Directory) removeAfterReset(r *Region) {
 	// bounced with Retry (their retransmissions were deduped against the
 	// in-flight table, so they must be answered, not dropped).
 	for _, p := range r.takeWaiters() {
-		if p.notified {
-			continue
-		}
-		p.notified = true
-		delete(d.inFlight, p.key)
-		pp := p
-		d.fab.SendFromSwitch(d.bladeNode(pp.key.blade), fabric.CtrlMsgBytes, func() {
-			pp.done(Completion{Retry: true})
-		})
+		d.bounce(p, Completion{Retry: true})
 	}
 	r.resetting = false
 	_ = d.RemoveRegion(r.Base)

@@ -37,7 +37,6 @@ func newTestDirectory(t *testing.T, slotCap int, initial, top uint64) (*Director
 		Collector: stats.NewCollector(),
 		Translate: func(mem.VA) (ctrlplane.BladeID, error) { return 0, nil },
 		Protect:   func(mem.PDID, mem.VA, mem.Perm) error { return nil },
-		BladeNode: func(i int) fabric.NodeID { return fabric.NodeID(i) },
 		MemFetch:  memFetchVia(eng, fab, 1000),
 	})
 	return d, asic

@@ -38,7 +38,6 @@ func newMESIHarness(t *testing.T, blades int) *protoHarness {
 		Collector: h.col,
 		Translate: func(mem.VA) (ctrlplane.BladeID, error) { return 0, nil },
 		Protect:   func(mem.PDID, mem.VA, mem.Perm) error { return nil },
-		BladeNode: func(i int) fabric.NodeID { return fabric.NodeID(i) },
 		MemFetch:  memFetchVia(h.eng, h.fab, 1000),
 	})
 	for i := 0; i < blades; i++ {

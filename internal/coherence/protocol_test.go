@@ -38,7 +38,7 @@ type fakeBlade struct {
 func (b *fakeBlade) HandleInvalidation(inv Invalidation, ack func(AckInfo)) {
 	b.invs = append(b.invs, inv)
 	respond := func() {
-		info := AckInfo{Blade: b.id}
+		var info AckInfo
 		if n, ok := b.dirtyFor[inv.Region.Base]; ok {
 			info.FlushedDirty = n
 			info.FalseInvals = n - 1
@@ -88,8 +88,7 @@ func newProtoHarness(t *testing.T, blades int, slotCap int) *protoHarness {
 			}
 			return nil
 		},
-		BladeNode: func(i int) fabric.NodeID { return fabric.NodeID(i) },
-		MemFetch:  memFetchVia(h.eng, h.fab, 1000),
+		MemFetch: memFetchVia(h.eng, h.fab, 1000),
 	})
 	for i := 0; i < blades; i++ {
 		fb := &fakeBlade{h: h, id: i, dirtyFor: map[mem.VA]int{}}

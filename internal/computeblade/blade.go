@@ -62,14 +62,12 @@ type AccessResult struct {
 	Err error
 	// Page is the page the fault was for, so pre-bound completion
 	// callbacks need not capture it.
-	Page       mem.VA
-	Total      sim.Duration
-	PgFault    sim.Duration
-	Network    sim.Duration
-	InvQueue   sim.Duration
-	InvTLB     sim.Duration
-	Transition string
-	Retries    int
+	Page     mem.VA
+	Total    sim.Duration
+	PgFault  sim.Duration
+	Network  sim.Duration
+	InvQueue sim.Duration
+	InvTLB   sim.Duration
 }
 
 // Deps are the blade's hooks into the rest of the rack, wired by core.
@@ -382,7 +380,7 @@ func (b *Blade) onCompletion(f *fault, c coherence.Completion) {
 		return
 	}
 	if c.Err != nil {
-		b.settle(f, AccessResult{Err: c.Err, Retries: f.retries})
+		b.settle(f, AccessResult{Err: c.Err})
 		return
 	}
 	// Evict if needed, then install the page and charge PTE population.
@@ -420,13 +418,11 @@ func (b *Blade) install(f *fault) {
 	b.col.AddLatencyH(b.hLatInvQueue, c.InvQueue)
 	b.col.AddLatencyH(b.hLatInvTLB, c.InvTLB)
 	b.settle(f, AccessResult{
-		Total:      total,
-		PgFault:    pg,
-		Network:    net,
-		InvQueue:   c.InvQueue,
-		InvTLB:     c.InvTLB,
-		Transition: c.Transition,
-		Retries:    f.retries,
+		Total:    total,
+		PgFault:  pg,
+		Network:  net,
+		InvQueue: c.InvQueue,
+		InvTLB:   c.InvTLB,
 	})
 }
 
@@ -516,7 +512,7 @@ func (b *Blade) HandleInvalidation(inv coherence.Invalidation, ack func(coherenc
 func (b *Blade) processInvalidation(j *invJob) {
 	inv := j.inv
 	pages := b.cache.PagesIn(inv.Region.Base, inv.Region.Size)
-	j.info = coherence.AckInfo{Blade: b.cfg.ID, QueueDelay: j.queueDelay}
+	j.info = coherence.AckInfo{QueueDelay: j.queueDelay}
 
 	var flushes int
 	for _, p := range pages {
@@ -538,7 +534,6 @@ func (b *Blade) processInvalidation(j *invJob) {
 		} else {
 			// Full invalidation or reset: drop the mapping.
 			b.cache.Remove(p.VA)
-			j.info.Dropped++
 			j.pteChanged = true
 		}
 	}

@@ -320,7 +320,6 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 		Translate: c.ctl.Allocator().Translate,
 		Protect:   c.ctl.Protection().Check,
 		MemFetch:  c.memFetch,
-		BladeNode: func(i int) fabric.NodeID { return fabric.NodeID(i) },
 	})
 
 	for i := 0; i < cfg.ComputeBlades; i++ {
