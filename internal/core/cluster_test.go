@@ -60,6 +60,36 @@ func TestThreadConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRegionAndMigrationConfigValidation: a region size the directory
+// cannot use, a negative splitter epoch and a negative migration batch or
+// detection delay are errors from both constructors — not a panic inside
+// the directory, a silent default or a silent clamp.
+func TestRegionAndMigrationConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"initial region not a power of two", func(c *Config) { c.InitialRegionSize = 3000 }},
+		{"top level below initial", func(c *Config) { c.InitialRegionSize, c.TopLevelRegionSize = 64<<10, 32<<10 }},
+		{"negative splitter epoch", func(c *Config) { c.SplitterEpoch = -sim.Millisecond }},
+		{"negative migration batch", func(c *Config) { c.Migration.BatchPages = -1 }},
+		{"negative detection delay", func(c *Config) { c.Migration.DetectionDelay = -sim.Microsecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := DefaultConfig(1, 1)
+			good.MemoryBladeCapacity = 1 << 26
+			bad := good
+			tc.bad(&bad)
+			if _, err := NewCluster(bad); err == nil {
+				t.Error("NewCluster accepted it")
+			}
+			if _, err := NewPod(PodConfig{Racks: []Config{good, bad}}); err == nil {
+				t.Error("NewPod accepted it on rack 1")
+			}
+		})
+	}
+}
+
 func TestStoreLoadRoundTripSingleBlade(t *testing.T) {
 	c := newTestCluster(t, 1, 1)
 	p := c.Exec("app")

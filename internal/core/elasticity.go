@@ -353,9 +353,6 @@ func (c *Rack) copyPages(step ctrlplane.MigrationStep, st *moveStats,
 	src := c.mem[int(step.From)].blade
 	dst := c.mem[int(step.To)].blade
 	batch := c.cfg.Migration.BatchPages
-	if batch < 1 {
-		batch = 1
-	}
 	var moved []memblade.PageCopy
 	var next func()
 	next = func() {

@@ -236,6 +236,23 @@ func checkConfig(cfg Config) (Config, error) {
 	if cfg.StoreBufferDepth == 0 {
 		cfg.StoreBufferDepth = 16
 	}
+	initial, top := cfg.InitialRegionSize, cfg.TopLevelRegionSize
+	if initial == 0 {
+		initial = coherence.DefaultConfig().InitialRegionSize
+	}
+	if top == 0 {
+		top = coherence.DefaultConfig().TopLevelSize
+	}
+	if !mem.IsPow2(initial) || !mem.IsPow2(top) || initial < mem.PageSize || top < initial {
+		return cfg, fmt.Errorf("core: region sizes must be powers of two with page <= initial (%d) <= top level (%d)", initial, top)
+	}
+	if cfg.SplitterEpoch < 0 {
+		return cfg, fmt.Errorf("core: negative splitter epoch (%v)", cfg.SplitterEpoch)
+	}
+	if cfg.Migration.BatchPages < 0 || cfg.Migration.DetectionDelay < 0 {
+		return cfg, fmt.Errorf("core: negative migration batch (%d) or detection delay (%v)",
+			cfg.Migration.BatchPages, cfg.Migration.DetectionDelay)
+	}
 	if cfg.Migration.BatchPages == 0 {
 		cfg.Migration.BatchPages = DefaultMigrationConfig().BatchPages
 	}
