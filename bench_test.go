@@ -1,21 +1,14 @@
 package mind_test
 
-// Figure and ablation benches: one per figure of the paper's evaluation
-// (§7, Figures 5-9) plus ablations for the design choices called out in
-// DESIGN.md. Each figure bench regenerates its panel at the Tiny
-// experiment scale and reports headline values through b.ReportMetric,
-// so `go test -bench=.` walks the entire evaluation. They are for looking
-// at a panel and for profiling while working (-cpuprofile, -memprofile);
-// a performance or no-regression claim is made with the repository's one
-// benchmark, `go run ./benchmark` (benchmark/README.md).
-//
-// Figure benches route through internal/runner (the experiments package
-// fans every panel's data points across its worker pool), so wall time
-// reflects the parallel harness; each iteration resets the run cache so
-// repeated iterations measure real executions, not cache hits.
-//
-// Absolute values come from the calibrated simulator; the reproduction
-// target is the paper's shapes (see EXPERIMENTS.md).
+// Ablation and microbenchmarks for the design choices called out in
+// DESIGN.md: multicast vs sequential invalidation, recirculation,
+// placement, the MESI exclusive grant, thread affinity, the drain batch
+// size, and two raw protocol paths. They report virtual-time findings
+// through b.ReportMetric, and some check them with b.Fatal; CI runs each
+// once. The evaluation figures are regenerated by cmd/figures and hashed
+// by TestDumpAllPanels (internal/experiments); a performance or
+// no-regression claim is made with the repository's one benchmark,
+// `go run ./benchmark` (benchmark/README.md).
 
 import (
 	"fmt"
@@ -23,219 +16,12 @@ import (
 
 	"mind/internal/core"
 	"mind/internal/ctrlplane"
-	"mind/internal/experiments"
 	"mind/internal/mem"
 	"mind/internal/sim"
 	"mind/internal/stats"
 	"mind/internal/switchasic"
 	"mind/internal/workloads"
 )
-
-// BenchmarkFig5IntraBlade regenerates Figure 5 (left): intra-blade
-// thread scaling of MIND vs FastSwap vs GAM.
-func BenchmarkFig5IntraBlade(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig5Left(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m, ok := figs["TF"].Get("MIND", 10); ok {
-			b.ReportMetric(m, "TF-MIND@10thr")
-		}
-		if g, ok := figs["TF"].Get("GAM", 10); ok {
-			b.ReportMetric(g, "TF-GAM@10thr")
-		}
-	}
-}
-
-// BenchmarkFig5InterBlade regenerates Figure 5 (center): inter-blade
-// scaling of MIND/MIND-PSO/MIND-PSO+/GAM.
-func BenchmarkFig5InterBlade(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig5Center(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m, ok := figs["TF"].Get("MIND", 8); ok {
-			b.ReportMetric(m, "TF-MIND@8blades")
-		}
-		if m, ok := figs["MA"].Get("MIND-PSO", 8); ok {
-			b.ReportMetric(m, "MA-PSO@8blades")
-		}
-	}
-}
-
-// BenchmarkFig5NativeKVS regenerates Figure 5 (right): Native-KVS
-// YCSB-A/C throughput.
-func BenchmarkFig5NativeKVS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig5Right(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m, ok := figs["YCSB-C"].Get("MIND(multi)", 80); ok {
-			b.ReportMetric(m, "YCSB-C-MOPS@80thr")
-		}
-	}
-}
-
-// BenchmarkFig6InvalidationOverhead regenerates Figure 6: protocol event
-// rates per access vs blade count.
-func BenchmarkFig6InvalidationOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig6(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := figs["MA"].Get("invalidations", 8); ok {
-			b.ReportMetric(v, "MA-invals/access@8")
-		}
-	}
-}
-
-// BenchmarkFig7Transitions regenerates Figure 7 (left): per-transition
-// MSI latencies.
-func BenchmarkFig7Transitions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		fig, err := experiments.Fig7Left(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := fig.Get("S->S", 8); ok {
-			b.ReportMetric(v, "S->S-us")
-		}
-		if v, ok := fig.Get("M->M", 8); ok {
-			b.ReportMetric(v, "M->M-us")
-		}
-	}
-}
-
-// BenchmarkFig7Throughput regenerates Figure 7 (center): IOPS vs
-// read/sharing ratio.
-func BenchmarkFig7Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		fig, err := experiments.Fig7Center(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := fig.Get("R=1.00", 1); ok {
-			b.ReportMetric(v, "IOPS-read-only-shared")
-		}
-		if v, ok := fig.Get("R=0.00", 1); ok {
-			b.ReportMetric(v, "IOPS-write-shared")
-		}
-	}
-}
-
-// BenchmarkFig7Breakdown regenerates Figure 7 (right): the remote-access
-// latency breakdown.
-func BenchmarkFig7Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		fig, err := experiments.Fig7Right(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := fig.Get("R=0.0/inv_tlb", 8); ok {
-			b.ReportMetric(v, "inv-tlb-us@8blades")
-		}
-	}
-}
-
-// BenchmarkFig8Directory regenerates Figure 8 (left): directory entries
-// over time under the capacity limit.
-func BenchmarkFig8Directory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig8Left(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		max := 0.0
-		for _, s := range figs["MA"].Series {
-			for _, y := range s.Y {
-				if y > max {
-					max = y
-				}
-			}
-		}
-		b.ReportMetric(max, "MA-peak-entries")
-	}
-}
-
-// BenchmarkFig8Rules regenerates Figure 8 (center): match-action rules
-// for MIND vs page-granularity translation.
-func BenchmarkFig8Rules(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		fig, err := experiments.Fig8Center(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := fig.Get("MIND/TF", 8); ok {
-			b.ReportMetric(v, "MIND-rules")
-		}
-		if v, ok := fig.Get("2MB/TF", 8); ok {
-			b.ReportMetric(v, "2MB-rules")
-		}
-	}
-}
-
-// BenchmarkFig8Fairness regenerates Figure 8 (right): allocation load
-// balance.
-func BenchmarkFig8Fairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		fig, err := experiments.Fig8Right(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := fig.Get("MIND/MA&C", 8); ok {
-			b.ReportMetric(v, "MIND-fairness")
-		}
-		if v, ok := fig.Get("1GB/MA&C", 8); ok {
-			b.ReportMetric(v, "1GB-fairness")
-		}
-	}
-}
-
-// BenchmarkFig9Tradeoff regenerates Figure 9 (left): fixed region
-// granularities vs Bounded Splitting.
-func BenchmarkFig9Tradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig9Left(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := figs["GC"].Get("false-invals", 5); ok {
-			b.ReportMetric(v, "GC-BS-false-invals-norm")
-		}
-	}
-}
-
-// BenchmarkFig9Sensitivity regenerates Figure 9 (right): epoch and
-// initial-region-size sensitivity.
-func BenchmarkFig9Sensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		figs, err := experiments.Fig9Right(experiments.Tiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := figs["TF"].Get("initial-size-sweep", 4); ok {
-			b.ReportMetric(v, "TF-16KB-initial-norm")
-		}
-	}
-}
-
-// --- Ablation benches for the design choices DESIGN.md calls out ---
 
 // newAblationCluster builds a small rack for protocol microbenches.
 func newAblationCluster(b *testing.B, mutate func(*core.Config)) (*core.Cluster, *core.Process) {

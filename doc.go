@@ -16,7 +16,6 @@
 // and merges results in canonical order, so regeneration parallelizes
 // across cores with bit-identical output.
 //
-// The root package holds no code; bench_test.go hosts the benchmark
-// harness with one benchmark per evaluation figure plus the design-choice
-// ablations.
+// The root package holds no code; bench_test.go hosts the design-choice
+// ablation benchmarks.
 package mind
