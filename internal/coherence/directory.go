@@ -98,15 +98,16 @@ type reqKey struct {
 }
 
 // pending is one in-flight or queued page request for key.page. The
-// directory and region fields let the whole request pipeline run on pre-bound
-// package-level continuations (pendExec, pendAtSwitch, ...) instead of
-// per-hop closures. Pendings are pooled: a request that completes
-// normally (notifyComplete/failPending with every expected ACK counted)
-// has no surviving references — the fetch chain has ended at the blade,
-// every ackCtx has been recycled, and the inFlight entry is deleted — so
-// the object returns to the directory's free list. Requests abandoned by
-// a §4.4 reset or wedged by message loss are never recycled (their
-// callbacks may still hold the pointer); they are simply garbage.
+// directory and region fields let the whole request pipeline run on
+// pre-bound package-level continuations (pendExec, pendAtSwitch, ...)
+// instead of per-hop closures. Pendings are pooled: a request that
+// completes normally (notifyComplete, or a failed fetch, with every
+// expected ACK counted) has no surviving references — the fetch chain has
+// ended at the blade, every ackCtx has been recycled, and the inFlight
+// entry is deleted — so the object returns to the directory's free list.
+// Requests abandoned by a §4.4 reset or wedged by message loss are never
+// recycled (their callbacks may still hold the pointer); they are simply
+// garbage.
 type pending struct {
 	d    *Directory
 	key  reqKey

@@ -25,7 +25,7 @@ const (
 	// size so merges can grow a region over the whole window.
 	dirFuzzBase = mem.VA(1 << 32)
 	// dirFuzzNoHome is the one page translation fails for: its requests
-	// end in failPending after the transition ran.
+	// fail at the fetch, after the transition ran.
 	dirFuzzNoHome  = dirFuzzPages - 1
 	dirFuzzMaxOps  = 64
 	dirFuzzBadPDID = mem.PDID(999) // protoHarness's Protect refuses it

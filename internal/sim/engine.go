@@ -15,10 +15,10 @@
 // land in a bucketed calendar ring (constant-time insert, buckets sorted
 // only when their window is reached) small enough to stay in the host's
 // cache; an event scheduled into the window being drained, the current
-// instant included, joins that window's small heap; far timers (past the ~65 µs ring horizon — fault
-// timeouts, serve deadlines, epoch ticks — most of them canceled long
-// before they are due) wait in a typed binary heap and migrate into the
-// ring as the horizon advances. Dispatch order is identical to a pure
+// instant included, joins that window's small heap; far timers (past the
+// ~65 µs ring horizon — fault timeouts, serve deadlines, epoch ticks —
+// most of them canceled long before they are due) wait in a typed binary
+// heap and migrate into the ring as the horizon advances. Dispatch order is identical to a pure
 // (time, sequence) heap in every mode.
 package sim
 
@@ -269,8 +269,9 @@ type Engine struct {
 	free  Pool[Event]
 	evMem []Event
 
-	// plain disables the free list and the calendar ring, forcing every event through the reference (time, seq) heap —
-	// the oracle mode the equivalence tests compare against.
+	// plain disables the free list and the calendar ring, forcing every
+	// event through the reference (time, seq) heap — the oracle mode the
+	// equivalence tests compare against.
 	plain bool
 
 	// Executed counts events dispatched since creation, for debugging and
@@ -296,8 +297,8 @@ func NewEngine() *Engine {
 }
 
 // newPlainEngine returns an engine with pooling and the calendar ring
-// disabled: the reference implementation the equivalence
-// property tests drive in lockstep with a production engine.
+// disabled: the reference implementation the equivalence property tests
+// drive in lockstep with a production engine.
 func newPlainEngine() *Engine {
 	return &Engine{plain: true}
 }
@@ -386,10 +387,10 @@ func (e *Engine) Rearm(ev *Event, delay Duration, fn func(any), arg any) *Event 
 	}
 	if ev.where != whereNone {
 		// The canceled event still occupies a sorted-window slot (lazy
-		// cancellation); reusing the object would make
-		// the stale slot fire the re-armed callback at the wrong time.
-		// Hand back a fresh event instead — the stale one stays canceled
-		// and drains harmlessly.
+		// cancellation); reusing the object would make the stale slot
+		// fire the re-armed callback at the wrong time. Hand back a fresh
+		// event instead — the stale one stays canceled and drains
+		// harmlessly.
 		return e.enqueue(e.now.Add(delay), fn, arg, false)
 	}
 	at := e.now.Add(delay)
