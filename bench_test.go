@@ -354,14 +354,15 @@ func BenchmarkDrainBatchSize(b *testing.B) {
 					return va, j%4 == 0, true
 				}, nil)
 				var rep core.DrainReport
-				c.Engine().Schedule(100*sim.Microsecond, func() {
-					c.DrainMemBladeAsync(victim, func(r core.DrainReport, e error) {
-						rep = r
-						if e != nil {
-							b.Error(e)
-						}
-					})
+				err = c.Pod().DrainMemBladeAt(0, victim, c.Now().Add(100*sim.Microsecond), func(r core.DrainReport, e error) {
+					rep = r
+					if e != nil {
+						b.Error(e)
+					}
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				end := c.RunThreads()
 				if rep.PagesMoved != pages {
 					b.Fatalf("moved %d pages, want %d", rep.PagesMoved, pages)

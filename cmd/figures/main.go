@@ -7,9 +7,9 @@
 //	figures -fig all -scale quick
 //	figures -fig 5c -scale full -parallel 8
 //
-// Panel ids: 5l 5c 5r 6 7l 7c 7r 8l 8c 8r 9l 9r 10 pod serve servepod
-// servekill, or "all". Panel 10 is the elasticity timeline (beyond the paper):
-// throughput while a memory blade hot-joins, another drains with live
+// Panel ids are the ids of experiments.Panels, the one panel list
+// (figures -h prints them), or "all". Panel 10 is the elasticity
+// timeline (beyond the paper): throughput while a memory blade hot-joins, another drains with live
 // page migration, and a third is killed mid-run. Panel "pod" is the
 // pod-scale panel (beyond the paper): a 2-rack pod whose memory-poor
 // rack borrows a blade across the interconnect, with the hot-page
@@ -41,15 +41,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"mind/internal/experiments"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "panel to regenerate (5l 5c 5r 6 7l 7c 7r 8l 8c 8r 9l 9r 10 pod serve servepod servekill, all)")
+	ids := make([]string, len(experiments.Panels))
+	for i, p := range experiments.Panels {
+		ids[i] = p.ID
+	}
+	fig := flag.String("fig", "all", "panel to regenerate ("+strings.Join(ids, " ")+", all)")
 	scaleName := flag.String("scale", "quick", "experiment scale: tiny, quick, full")
 	parallel := flag.Int("parallel", 0, "runner workers: 0 = one per CPU, -1 = serial, n = n workers")
 	workers := flag.Int("workers", 0, "pod executor workers for the pod panel (0 = serial; output is identical at any count)")
@@ -70,55 +76,23 @@ func main() {
 	scale.Workers = *parallel
 	scale.PodWorkers = *workers
 
-	type panel struct {
-		id  string
-		run func() error
-	}
-	printMap := func(figs map[string]*experiments.Figure) {
-		names := make([]string, 0, len(figs))
-		for n := range figs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(figs[n])
-		}
-	}
-	printOne := func(f *experiments.Figure) { fmt.Println(f) }
-
-	panels := []panel{
-		{"5l", func() error { f, err := experiments.Fig5Left(scale); printMapIf(printMap, f, err); return err }},
-		{"5c", func() error { f, err := experiments.Fig5Center(scale); printMapIf(printMap, f, err); return err }},
-		{"5r", func() error { f, err := experiments.Fig5Right(scale); printMapIf(printMap, f, err); return err }},
-		{"6", func() error { f, err := experiments.Fig6(scale); printMapIf(printMap, f, err); return err }},
-		{"7l", func() error { f, err := experiments.Fig7Left(scale); printOneIf(printOne, f, err); return err }},
-		{"7c", func() error { f, err := experiments.Fig7Center(scale); printOneIf(printOne, f, err); return err }},
-		{"7r", func() error { f, err := experiments.Fig7Right(scale); printOneIf(printOne, f, err); return err }},
-		{"8l", func() error { f, err := experiments.Fig8Left(scale); printMapIf(printMap, f, err); return err }},
-		{"8c", func() error { f, err := experiments.Fig8Center(scale); printOneIf(printOne, f, err); return err }},
-		{"8r", func() error { f, err := experiments.Fig8Right(scale); printOneIf(printOne, f, err); return err }},
-		{"9l", func() error { f, err := experiments.Fig9Left(scale); printMapIf(printMap, f, err); return err }},
-		{"9r", func() error { f, err := experiments.Fig9Right(scale); printMapIf(printMap, f, err); return err }},
-		{"10", func() error { f, err := experiments.Fig10(scale); printOneIf(printOne, f, err); return err }},
-		{"pod", func() error { f, err := experiments.FigPod(scale); printOneIf(printOne, f, err); return err }},
-		{"serve", func() error { f, err := experiments.FigServe(scale); printOneIf(printOne, f, err); return err }},
-		{"servepod", func() error { f, err := experiments.FigServePod(scale); printOneIf(printOne, f, err); return err }},
-		{"servekill", func() error { f, err := experiments.FigServeKill(scale); printOneIf(printOne, f, err); return err }},
-	}
-
 	ran := false
 	start := time.Now()
-	for _, p := range panels {
-		if *fig != "all" && *fig != p.id {
+	for _, p := range experiments.Panels {
+		if *fig != "all" && *fig != p.ID {
 			continue
 		}
 		ran = true
 		panelStart := time.Now()
-		if err := p.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "panel %s: %v\n", p.id, err)
+		figs, err := p.Run(scale)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "panel %s: %v\n", p.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[panel %s regenerated in %v]\n\n", p.id, time.Since(panelStart).Round(time.Millisecond))
+		for _, k := range slices.Sorted(maps.Keys(figs)) {
+			fmt.Println(figs[k])
+		}
+		fmt.Printf("[panel %s regenerated in %v]\n\n", p.ID, time.Since(panelStart).Round(time.Millisecond))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown panel %q\n", *fig)
@@ -127,16 +101,4 @@ func main() {
 	hits, misses := experiments.CacheStats()
 	fmt.Printf("[total %v — %d runs executed, %d served from cache]\n",
 		time.Since(start).Round(time.Millisecond), misses, hits)
-}
-
-func printMapIf(p func(map[string]*experiments.Figure), f map[string]*experiments.Figure, err error) {
-	if err == nil {
-		p(f)
-	}
-}
-
-func printOneIf(p func(*experiments.Figure), f *experiments.Figure, err error) {
-	if err == nil {
-		p(f)
-	}
 }

@@ -19,15 +19,17 @@
 // completions, and the report shows per-tenant p50/p99/p999 sojourn
 // times from the streaming histograms plus admission-control counters.
 //
-// Serving mode also accepts timed fault injection: -kill-blade and
-// -drain-blade take "dur:rack:blade" (e.g. 1ms:0:1 kills rack 0's
-// blade 1 one virtual millisecond in) and -kill-switch takes
-// "dur:rack" for a switch failover. Faults land barrier-ordered on the
-// pod executor — the same virtual timeline at any -workers count — and
-// the recovery report (pages lost/moved, vmas re-homed, blackout) is
-// printed after the run, along with the degraded-mode request
-// counters (shed, timed out, retried, failed) when -serve-deadline
-// and -serve-retries arm the robustness layer.
+// Both modes take the same membership events, each at a virtual time
+// counted from the run's start on one rack of the pod: -add-blade
+// "dur:rack" hot-adds a memory blade, -drain-blade and -kill-blade
+// "dur:rack:blade" live-drain or kill one (e.g. 1ms:0:1 kills rack 0's
+// blade 1 one virtual millisecond in), and -kill-switch "dur:rack"
+// fails the rack's switch over. Faults land barrier-ordered on the pod
+// executor — the same virtual timeline at any -workers count — and the
+// event reports (pages lost/moved, vmas re-homed, blackout) are printed
+// after the run; in serving mode so are the degraded-mode request
+// counters (shed, timed out, retried, failed) when -serve-deadline and
+// -serve-retries arm the robustness layer.
 //
 // With -runs N > 1, mindsim executes N replicates of the configuration —
 // replicate i derives its seed from the root -seed via sim.DeriveSeed,
@@ -37,7 +39,7 @@
 // in the output is deterministic regardless of worker count.
 //
 // A flag that only the other mode reads (-racks without -serve, -threads
-// or -kill-blade-at with it) is an error, not a silent no-op.
+// with it) is an error, not a silent no-op.
 package main
 
 import (
@@ -58,34 +60,17 @@ import (
 	"mind/internal/workloads"
 )
 
-// runReport is everything one simulation run prints.
+// runReport is one run's result: the detail block it prints and what
+// the replicate table reads.
 type runReport struct {
-	Seed       uint64
-	Faults     faultLog
-	AddedBlade ctrlplane.BladeID
-	DidAdd     bool
-	MigStalls  uint64
-	MigPages   uint64
-	End        sim.Time
-	Total      uint64
-	HitPct     float64
-	RemotePA   float64
-	InvalsPA   float64
-	FlushedPA  float64
-	FalseInv   uint64
-	Splits     uint64
-	Merges     uint64
-	PeakDir    int
-	DirCap     int
-	Remote     uint64
-	LatPgFault sim.Duration
-	LatNetwork sim.Duration
-	LatInvQ    sim.Duration
-	LatInvTLB  sim.Duration
+	detail   string
+	end      sim.Time
+	total    uint64
+	invalsPA float64
 }
 
 func (r runReport) mops() float64 {
-	return float64(r.Total) / r.End.Sub(0).Seconds() / 1e6
+	return float64(r.total) / r.end.Sub(0).Seconds() / 1e6
 }
 
 // die prints a message and exits: 2 for a command-line mistake, 1 for a
@@ -124,17 +109,12 @@ func main() {
 		serveRetries  = flag.Int("serve-retries", 0, "serving mode: retries per request within its deadline")
 		serveBrownout = flag.Float64("serve-brownout", 0, "serving mode: probability of shedding an arrival while its rack is recovering")
 
-		// Online memory elasticity events. In closed-loop mode
-		// -kill-blade/-drain-blade name a blade id and fire at the
-		// matching -*-at time; in serving mode they take timed
-		// "dur:rack:blade" forms and -kill-switch ("dur:rack") joins
-		// them (0 / empty disables each).
-		addBladeAt = flag.Duration("add-blade-at", 0, "hot-add a memory blade at this virtual time")
-		drainAt    = flag.Duration("drain-blade-at", 0, "live-drain -drain-blade at this virtual time")
-		drainBlade = flag.String("drain-blade", "0", "memory blade to drain: id (closed-loop), or dur:rack:blade (serving mode)")
-		killAt     = flag.Duration("kill-blade-at", 0, "kill -kill-blade at this virtual time (failure injection)")
-		killBlade  = flag.String("kill-blade", "1", "memory blade to kill: id (closed-loop), or dur:rack:blade (serving mode)")
-		killSwitch = flag.String("kill-switch", "", "serving mode: switch failover as dur:rack")
+		// Membership events, in both modes (see the package comment;
+		// empty disables each).
+		addBlade   = flag.String("add-blade", "", "hot-add a memory blade: dur:rack")
+		drainBlade = flag.String("drain-blade", "", "live-drain a memory blade: dur:rack:blade")
+		killBlade  = flag.String("kill-blade", "", "kill a memory blade (failure injection): dur:rack:blade")
+		killSwitch = flag.String("kill-switch", "", "switch failover: dur:rack")
 	)
 	flag.Parse()
 
@@ -148,23 +128,13 @@ func main() {
 	}
 
 	var w workloads.Workload
-	switch *workload {
-	case "TF":
-		w = workloads.TF(*scale)
-	case "GC":
-		w = workloads.GC(*scale)
-	case "MA":
-		w = workloads.MemcachedA(*scale)
-	case "MC":
-		w = workloads.MemcachedC(*scale)
-	case "kvs-a":
-		w = workloads.NativeKVS(0.5, *scale)
-	case "kvs-c":
-		w = workloads.NativeKVS(1.0, *scale)
-	case "uniform":
+	if *workload == "uniform" {
 		w = workloads.Uniform(uint64(8192**scale), *readRatio, *sharing)
-	default:
-		die(2, fmt.Sprintf("unknown workload %q", *workload))
+	} else {
+		var err error
+		if w, err = workloads.ByName(*workload, *scale); err != nil {
+			die(2, err)
+		}
 	}
 
 	var cons core.Consistency
@@ -184,21 +154,21 @@ func main() {
 		cachePages = 64
 	}
 
-	killID, killFault, err := parseFaultFlag("kill-blade", *killBlade)
-	if err != nil {
-		die(2, err)
-	}
-	drainID, drainFault, err := parseFaultFlag("drain-blade", *drainBlade)
-	if err != nil {
-		die(2, err)
-	}
-	var switchFault *timedFault
-	if *killSwitch != "" {
-		f, err := parseTimedFault("kill-switch", *killSwitch, false)
+	parse := func(name, s string, wantBlade bool) *timedFault {
+		if s == "" {
+			return nil
+		}
+		f, err := parseTimedFault(name, s, wantBlade)
 		if err != nil {
 			die(2, err)
 		}
-		switchFault = &f
+		return &f
+	}
+	faults := timedFaults{
+		add:      parse("add-blade", *addBlade, false),
+		drain:    parse("drain-blade", *drainBlade, true),
+		kill:     parse("kill-blade", *killBlade, true),
+		failover: parse("kill-switch", *killSwitch, false),
 	}
 
 	shape := rackShape{
@@ -211,29 +181,12 @@ func main() {
 	}
 
 	if *serveMode {
-		for _, name := range set {
-			if name == "kill-blade" && killFault == nil || name == "drain-blade" && drainFault == nil {
-				die(2, fmt.Sprintf("-serve takes -%s as dur:rack:blade", name))
-			}
-		}
-		faults := timedFaults{kill: killFault, drain: drainFault, failover: switchFault}
 		if err := runServeMode(w, shape, *serveRacks, *serveWorkers, *ops, *seed,
 			*serveRate, *serveQoS, sim.Duration(serveHorizon.Nanoseconds()),
 			sim.Duration(serveDeadline.Nanoseconds()), *serveRetries, *serveBrownout, faults); err != nil {
 			die(1, err)
 		}
 		return
-	}
-	if killFault != nil || drainFault != nil {
-		die(2, "the timed fault form dur:rack:blade requires -serve")
-	}
-	// Closed-loop mode pairs a blade id with an -at time, on its one rack.
-	var faults timedFaults
-	if *drainAt > 0 {
-		faults.drain = &timedFault{at: sim.Duration(drainAt.Nanoseconds()), blade: drainID}
-	}
-	if *killAt > 0 {
-		faults.kill = &timedFault{at: sim.Duration(killAt.Nanoseconds()), blade: killID}
 	}
 
 	runOnce := func(runSeed uint64) (runReport, error) {
@@ -256,49 +209,40 @@ func main() {
 			th.Start(w.Gen(vma.Base, t, p), nil)
 		}
 
-		// Membership events, if requested, fire at fixed virtual times.
-		var report runReport
-		var addErr error
-		if *addBladeAt > 0 {
-			c.Engine().Schedule(sim.Duration(addBladeAt.Nanoseconds()), func() {
-				report.AddedBlade, addErr = c.AddMemBlade(0)
-				report.DidAdd = true
-			})
-		}
-		if err := faults.schedule(c.Pod(), &report.Faults); err != nil {
+		var log faultLog
+		if err := faults.schedule(c.Pod(), &log); err != nil {
 			return runReport{}, err
 		}
 		end := c.RunThreads()
-		if addErr != nil {
-			return runReport{}, addErr
-		}
-		if report.Faults.err != nil {
-			return runReport{}, report.Faults.err
+		if log.err != nil {
+			return runReport{}, log.err
 		}
 
 		col := c.Collector()
 		total := col.Counter(stats.CtrAccesses)
 		remote := col.Counter(stats.CtrRemoteAccesses)
-		report.Seed = runSeed
-		report.End = end
-		report.Total = total
-		report.HitPct = 100 * float64(col.Counter(stats.CtrLocalHits)) / float64(total)
-		report.RemotePA = col.PerAccess(stats.CtrRemoteAccesses)
-		report.InvalsPA = col.PerAccess(stats.CtrInvalidations)
-		report.FlushedPA = col.PerAccess(stats.CtrFlushedPages)
-		report.FalseInv = col.Counter(stats.CtrFalseInvals)
-		report.Splits = col.Counter(stats.CtrSplits)
-		report.Merges = col.Counter(stats.CtrMerges)
-		report.PeakDir = c.Controller().ASIC().Directory.Peak()
-		report.DirCap = cfg.ASIC.SlotCapacity
-		report.Remote = remote
-		report.LatPgFault = col.MeanLatency(stats.LatPgFault, remote)
-		report.LatNetwork = col.MeanLatency(stats.LatNetwork, remote)
-		report.LatInvQ = col.MeanLatency(stats.LatInvQueue, remote)
-		report.LatInvTLB = col.MeanLatency(stats.LatInvTLB, remote)
-		report.MigStalls = col.Counter(stats.CtrMigrationStalls)
-		report.MigPages = col.Counter(stats.CtrMigratedPages)
-		return report, nil
+		rep := runReport{end: end, total: total, invalsPA: col.PerAccess(stats.CtrInvalidations)}
+		var b strings.Builder
+		fmt.Fprintf(&b, "virtual runtime  %.3f ms\n", end.Sub(0).Seconds()*1e3)
+		fmt.Fprintf(&b, "throughput       %.3f MOPS\n", rep.mops())
+		fmt.Fprintf(&b, "accesses         %d (hits %.2f%%)\n", total, 100*float64(col.Counter(stats.CtrLocalHits))/float64(total))
+		fmt.Fprintf(&b, "remote/access    %s\n", stats.FormatPerAccess(col.PerAccess(stats.CtrRemoteAccesses)))
+		fmt.Fprintf(&b, "invals/access    %s\n", stats.FormatPerAccess(rep.invalsPA))
+		fmt.Fprintf(&b, "flushed/access   %s\n", stats.FormatPerAccess(col.PerAccess(stats.CtrFlushedPages)))
+		fmt.Fprintf(&b, "false invals     %d\n", col.Counter(stats.CtrFalseInvals))
+		fmt.Fprintf(&b, "splits/merges    %d/%d\n", col.Counter(stats.CtrSplits), col.Counter(stats.CtrMerges))
+		fmt.Fprintf(&b, "directory peak   %d entries (capacity %d)\n", c.Controller().ASIC().Directory.Peak(), cfg.ASIC.SlotCapacity)
+		if remote > 0 {
+			fmt.Fprintf(&b, "latency/remote   pgfault=%v network=%v inv-queue=%v inv-tlb=%v\n",
+				col.MeanLatency(stats.LatPgFault, remote), col.MeanLatency(stats.LatNetwork, remote),
+				col.MeanLatency(stats.LatInvQueue, remote), col.MeanLatency(stats.LatInvTLB, remote))
+		}
+		b.WriteString(log.String())
+		if stalls, pages := col.Counter(stats.CtrMigrationStalls), col.Counter(stats.CtrMigratedPages); stalls > 0 || pages > 0 {
+			fmt.Fprintf(&b, "migration        %d pages moved, %d foreground stalls\n", pages, stalls)
+		}
+		rep.detail = b.String()
+		return rep, nil
 	}
 
 	// Replicate 0 runs the root seed itself (so -runs 1 reproduces the
@@ -315,7 +259,7 @@ func main() {
 		specs[i] = runner.Spec{
 			Key: runner.KeyOf("mindsim", *workload, *blades, *memBlades, *threads, *ops,
 				cons, *readRatio, *sharing, *scale, cachePages, *dirSlots, int64(*epoch), runSeed,
-				int64(*addBladeAt), int64(*drainAt), drainID, int64(*killAt), killID),
+				*addBlade, *drainBlade, *killBlade, *killSwitch),
 			Run: func() (any, error) { return runOnce(runSeed) },
 		}
 	}
@@ -329,26 +273,7 @@ func main() {
 		w.Name, *blades, *threads, *ops, cons)
 	fmt.Printf("footprint        %d pages (%d MB), cache %d pages/blade\n",
 		w.Footprint/mem.PageSize, w.Footprint>>20, cachePages)
-	fmt.Printf("virtual runtime  %.3f ms\n", first.End.Sub(0).Seconds()*1e3)
-	fmt.Printf("throughput       %.3f MOPS\n", first.mops())
-	fmt.Printf("accesses         %d (hits %.2f%%)\n", first.Total, first.HitPct)
-	fmt.Printf("remote/access    %s\n", stats.FormatPerAccess(first.RemotePA))
-	fmt.Printf("invals/access    %s\n", stats.FormatPerAccess(first.InvalsPA))
-	fmt.Printf("flushed/access   %s\n", stats.FormatPerAccess(first.FlushedPA))
-	fmt.Printf("false invals     %d\n", first.FalseInv)
-	fmt.Printf("splits/merges    %d/%d\n", first.Splits, first.Merges)
-	fmt.Printf("directory peak   %d entries (capacity %d)\n", first.PeakDir, first.DirCap)
-	if first.Remote > 0 {
-		fmt.Printf("latency/remote   pgfault=%v network=%v inv-queue=%v inv-tlb=%v\n",
-			first.LatPgFault, first.LatNetwork, first.LatInvQ, first.LatInvTLB)
-	}
-	if first.DidAdd {
-		fmt.Printf("blade added      id=%d at %v\n", first.AddedBlade, *addBladeAt)
-	}
-	fmt.Print(first.Faults.drained, first.Faults.killed)
-	if first.MigStalls > 0 || first.MigPages > 0 {
-		fmt.Printf("migration        %d pages moved, %d foreground stalls\n", first.MigPages, first.MigStalls)
-	}
+	fmt.Print(first.detail)
 
 	if *runs > 1 {
 		fmt.Printf("\nreplicates (%d runs, root seed %d):\n", *runs, *seed)
@@ -364,7 +289,7 @@ func main() {
 				max = m
 			}
 			fmt.Printf("  run %-3d seed=%-20d runtime=%8.3f ms  %7.3f MOPS  invals/access=%s\n",
-				i, seeds[i], rep.End.Sub(0).Seconds()*1e3, m, stats.FormatPerAccess(rep.InvalsPA))
+				i, seeds[i], rep.end.Sub(0).Seconds()*1e3, m, stats.FormatPerAccess(rep.invalsPA))
 		}
 		mean := sum / float64(len(results))
 		spreadPct := 0.0
@@ -416,45 +341,55 @@ func newServePod(shape rackShape, racks, workers int, seed uint64) (*core.Pod, e
 	return core.NewPod(pcfg)
 }
 
-// timedFault is one fault: it lands at virtual time at, counted from the
-// run's start, on the given rack. A serving-mode fault, parsed from
-// "dur:rack[:blade]", names its rack in its report line (where).
+// timedFault is one membership event, parsed from "dur:rack[:blade]":
+// it lands at virtual time at, counted from the run's start, on rack.
 type timedFault struct {
 	at    sim.Duration
 	rack  int
 	blade int
-	where string
 }
 
-// timedFaults is a run's fault schedule (nil = none). Serving mode
-// fills it from the dur:rack[:blade] forms, closed-loop mode from its
-// -at flags, on rack 0.
+// timedFaults is a run's event schedule (nil = none).
 type timedFaults struct {
-	kill, drain, failover *timedFault
+	add, drain, kill, failover *timedFault
 }
 
-// faultLog holds the report line of each fault that completed, and the
+// faultLog holds the report line of each event that completed, and the
 // first error one of them reported.
 type faultLog struct {
-	killed, drained, failedOver string
-	err                         error
+	added, killed, drained, failedOver string
+	err                                error
 }
 
-// schedule registers the faults on the pod, each at its time from now.
+func (l *faultLog) String() string { return l.added + l.killed + l.drained + l.failedOver }
+
+// schedule registers the events on the pod, each at its time from now.
 // Registration queues a fault on its rack and the pod executor injects
-// it at its exact virtual time, so the fault timeline does not depend on
-// the worker count.
+// it at its exact virtual time, so the event timeline does not depend
+// on the worker count. An add is rack-local and goes straight onto its
+// rack's engine.
 func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
 	keepErr := func(e error) {
 		if e != nil && log.err == nil {
 			log.err = e
 		}
 	}
+	if t := f.add; t != nil {
+		if t.rack < 0 || t.rack >= pod.Racks() {
+			return fmt.Errorf("-add-blade: pod has no rack %d", t.rack)
+		}
+		r := pod.Rack(t.rack)
+		r.Engine().At(pod.Now().Add(t.at), func() {
+			id, err := r.AddMemBlade(0)
+			keepErr(err)
+			log.added = fmt.Sprintf("blade added      rack=%d id=%d at %v\n", t.rack, id, time.Duration(t.at))
+		})
+	}
 	if t := f.drain; t != nil {
 		err := pod.DrainMemBladeAt(t.rack, ctrlplane.BladeID(t.blade), pod.Now().Add(t.at), func(d core.DrainReport, e error) {
 			keepErr(e)
-			log.drained = fmt.Sprintf("blade drained    %sid=%d: %d vmas, %d pages in %d batches, blackout %.3f ms\n",
-				t.where, d.Victim, d.Allocations, d.PagesMoved, d.Batches, d.Blackout().Seconds()*1e3)
+			log.drained = fmt.Sprintf("blade drained    rack=%d id=%d: %d vmas, %d pages in %d batches, blackout %.3f ms\n",
+				t.rack, d.Victim, d.Allocations, d.PagesMoved, d.Batches, d.Blackout().Seconds()*1e3)
 		})
 		if err != nil {
 			return fmt.Errorf("-drain-blade: %w", err)
@@ -463,12 +398,8 @@ func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
 	if t := f.kill; t != nil {
 		err := pod.KillMemBladeAt(t.rack, ctrlplane.BladeID(t.blade), pod.Now().Add(t.at), func(k core.KillReport, e error) {
 			keepErr(e)
-			lost := ""
-			if t.where != "" || k.VMAsLost > 0 {
-				lost = fmt.Sprintf(" %d vmas lost,", k.VMAsLost)
-			}
-			log.killed = fmt.Sprintf("blade killed     %sid=%d: %d pages lost, %d vmas re-homed,%s blackout %.3f ms\n",
-				t.where, k.Victim, k.PagesLost, k.Allocations, lost, k.Blackout().Seconds()*1e3)
+			log.killed = fmt.Sprintf("blade killed     rack=%d id=%d: %d pages lost, %d vmas re-homed, %d vmas lost, blackout %.3f ms\n",
+				t.rack, k.Victim, k.PagesLost, k.Allocations, k.VMAsLost, k.Blackout().Seconds()*1e3)
 		})
 		if err != nil {
 			return fmt.Errorf("-kill-blade: %w", err)
@@ -490,14 +421,14 @@ func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
 // closedLoopOnly and serveOnly name the flags only one of the two modes
 // reads; every other flag reaches both.
 var (
-	closedLoopOnly = []string{"threads", "runs", "parallel", "add-blade-at", "drain-blade-at", "kill-blade-at"}
+	closedLoopOnly = []string{"threads", "runs", "parallel"}
 	serveOnly      = []string{"serve-horizon", "serve-rate", "serve-qos", "racks", "workers",
-		"serve-deadline", "serve-retries", "serve-brownout", "kill-switch"}
+		"serve-deadline", "serve-retries", "serve-brownout"}
 )
 
 // checkModeFlags rejects flags set on the command line that the selected
 // mode would drop without a word (a -racks 2 that runs one rack, a
-// -kill-blade-at that injects nothing under -serve).
+// -runs 4 that serves once).
 func checkModeFlags(serve bool, set []string) error {
 	mode, other, foreign := "closed-loop mode", "-serve", serveOnly
 	if serve {
@@ -515,25 +446,6 @@ func checkModeFlags(serve bool, set []string) error {
 	return nil
 }
 
-// parseFaultFlag interprets a -kill-blade/-drain-blade value: a bare
-// integer is the closed-loop blade id (paired with -kill-blade-at /
-// -drain-blade-at), a "dur:rack:blade" triple is a serving-mode timed
-// fault.
-func parseFaultFlag(name, s string) (id int, fault *timedFault, err error) {
-	if !strings.Contains(s, ":") {
-		id, err = strconv.Atoi(s)
-		if err != nil {
-			return 0, nil, fmt.Errorf("-%s: blade id %q is not an integer (timed form is dur:rack:blade)", name, s)
-		}
-		return id, nil, nil
-	}
-	f, err := parseTimedFault(name, s, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	return 0, &f, nil
-}
-
 // parseTimedFault parses "dur:rack:blade" (wantBlade) or "dur:rack".
 func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 	parts := strings.Split(s, ":")
@@ -546,13 +458,12 @@ func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 	}
 	d, err := time.ParseDuration(parts[0])
 	if err != nil || d <= 0 {
-		return timedFault{}, fmt.Errorf("-%s: bad fault time %q (want a positive duration like 1ms)", name, parts[0])
+		return timedFault{}, fmt.Errorf("-%s: bad event time %q (want a positive duration like 1ms)", name, parts[0])
 	}
 	f := timedFault{at: sim.Duration(d.Nanoseconds())}
 	if f.rack, err = strconv.Atoi(parts[1]); err != nil {
 		return timedFault{}, fmt.Errorf("-%s: bad rack %q", name, parts[1])
 	}
-	f.where = fmt.Sprintf("rack=%d ", f.rack)
 	if wantBlade {
 		if f.blade, err = strconv.Atoi(parts[2]); err != nil {
 			return timedFault{}, fmt.Errorf("-%s: bad blade %q", name, parts[2])
@@ -567,9 +478,9 @@ func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 // one rack's admission headroom spans racks), the bursty tenant rides
 // a QoS token bucket split proportional to its placement shares, and
 // the report shows sojourn percentiles per (tenant, home rack) share
-// from the per-rack streaming histograms. Timed faults land
-// barrier-ordered on the pod executor; their recovery reports print
-// after the run.
+// from the per-rack streaming histograms. Membership events land
+// barrier-ordered on the pod executor; their reports print after the
+// run.
 func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults timedFaults) error {
 	pod, err := newServePod(shape, racks, workers, seed)
 	if err != nil {
@@ -698,6 +609,6 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 			col.Counter(stats.CtrServeShed), col.Counter(stats.CtrServeTimedOut),
 			col.Counter(stats.CtrServeRetried), col.Counter(stats.CtrServeFailed))
 	}
-	fmt.Print(log.killed, log.drained, log.failedOver)
+	fmt.Print(log.String())
 	return nil
 }

@@ -64,26 +64,25 @@ func TestRackFlagsReachBothModes(t *testing.T) {
 }
 
 // TestModeFlagsAreChecked: a flag only the other mode reads is refused by
-// name. `mindsim -racks 2 -workload GC` used to run one rack, and
-// `-serve -kill-blade-at 1ms -kill-blade 1` to inject nothing.
+// name. `mindsim -racks 2 -workload GC` used to run one rack. The four
+// membership events reach both modes.
 func TestModeFlagsAreChecked(t *testing.T) {
 	for _, tc := range []struct {
 		serve bool
 		set   []string
 		want  []string // flags the error must name; none: no error
 	}{
-		{false, []string{"workload", "threads", "runs", "parallel", "kill-blade-at", "kill-blade", "seed"}, nil},
-		{true, []string{"serve", "racks", "workers", "serve-deadline", "kill-blade", "kill-switch", "ops", "cache"}, nil},
+		{false, []string{"workload", "threads", "runs", "parallel", "seed"}, nil},
+		{false, []string{"add-blade", "drain-blade", "kill-blade", "kill-switch"}, nil},
+		{true, []string{"serve", "racks", "workers", "serve-deadline", "ops", "cache"}, nil},
+		{true, []string{"serve", "add-blade", "drain-blade", "kill-blade", "kill-switch"}, nil},
 		{false, []string{"racks", "workload"}, []string{"-racks"}},
-		{false, []string{"workers", "serve-rate", "serve-qos", "serve-horizon", "kill-switch"},
-			[]string{"-workers", "-serve-rate", "-serve-qos", "-serve-horizon", "-kill-switch"}},
+		{false, []string{"workers", "serve-rate", "serve-qos", "serve-horizon"},
+			[]string{"-workers", "-serve-rate", "-serve-qos", "-serve-horizon"}},
 		{false, []string{"serve-deadline", "serve-retries", "serve-brownout"},
 			[]string{"-serve-deadline", "-serve-retries", "-serve-brownout"}},
-		{true, []string{"serve", "kill-blade-at", "kill-blade"}, []string{"-kill-blade-at"}},
-		{true, []string{"serve", "add-blade-at"}, []string{"-add-blade-at"}},
-		{true, []string{"serve", "drain-blade-at"}, []string{"-drain-blade-at"}},
 		{true, []string{"serve", "runs", "parallel"}, []string{"-runs", "-parallel"}},
-		{true, []string{"serve", "threads"}, []string{"-threads"}},
+		{true, []string{"serve", "threads", "kill-blade"}, []string{"-threads"}},
 	} {
 		err := checkModeFlags(tc.serve, tc.set)
 		if len(tc.want) == 0 {
@@ -100,6 +99,39 @@ func TestModeFlagsAreChecked(t *testing.T) {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("serve=%v %v: error %q does not name %s", tc.serve, tc.set, err, name)
 			}
+		}
+	}
+}
+
+// TestParseTimedFault: the one event syntax, dur:rack for a blade add or
+// a switch failover and dur:rack:blade for a drain or a kill.
+func TestParseTimedFault(t *testing.T) {
+	for _, tc := range []struct {
+		s         string
+		wantBlade bool
+		want      timedFault
+		err       string // substring of the error; empty: must parse
+	}{
+		{"2ms:1", false, timedFault{at: 2 * sim.Millisecond, rack: 1}, ""},
+		{"1500us:0:3", true, timedFault{at: 1500 * sim.Microsecond, rack: 0, blade: 3}, ""},
+		{"2ms:1", true, timedFault{}, "not of the form dur:rack:blade"},
+		{"2ms:1:0", false, timedFault{}, "not of the form dur:rack"},
+		{"2ms:1:0:0", true, timedFault{}, "not of the form"},
+		{"soon:1:0", true, timedFault{}, "bad event time"},
+		{"0s:1:0", true, timedFault{}, "bad event time"},
+		{"-1ms:1", false, timedFault{}, "bad event time"},
+		{"1ms:x", false, timedFault{}, "bad rack"},
+		{"1ms:0:b", true, timedFault{}, "bad blade"},
+	} {
+		got, err := parseTimedFault("kill-blade", tc.s, tc.wantBlade)
+		if tc.err == "" {
+			if err != nil || got != tc.want {
+				t.Errorf("%q (blade %v): %+v, %v; want %+v", tc.s, tc.wantBlade, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.err) || !strings.Contains(err.Error(), "-kill-blade") {
+			t.Errorf("%q (blade %v): error %v, want one naming -kill-blade and %q", tc.s, tc.wantBlade, err, tc.err)
 		}
 	}
 }

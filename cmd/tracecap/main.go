@@ -53,32 +53,14 @@ func main() {
 	}
 }
 
-func workloadByName(name string, scale int) (workloads.Workload, bool) {
-	switch name {
-	case "TF":
-		return workloads.TF(scale), true
-	case "GC":
-		return workloads.GC(scale), true
-	case "MA":
-		return workloads.MemcachedA(scale), true
-	case "MC":
-		return workloads.MemcachedC(scale), true
-	case "kvs-a":
-		return workloads.NativeKVS(0.5, scale), true
-	case "kvs-c":
-		return workloads.NativeKVS(1.0, scale), true
-	}
-	return workloads.Workload{}, false
-}
-
 // captureBase is the provisional base traces are captured against;
 // Rebase adjusts at replay time.
 const captureBase = mem.VA(1) << 32
 
 func doCapture(name, out string, thread, threads, blades, ops, scale int, seed uint64) error {
-	w, ok := workloadByName(name, scale)
-	if !ok {
-		return fmt.Errorf("unknown workload %q", name)
+	w, err := workloads.ByName(name, scale)
+	if err != nil {
+		return err
 	}
 	p := workloads.Params{Threads: threads, Blades: blades, OpsPerThread: ops, Seed: seed}
 	f, err := os.Create(out)

@@ -153,12 +153,12 @@ func run(out io.Writer, tiny bool) error {
 	var drep core.DrainReport
 	var derr error
 	drained := false
-	drainAt := cluster.Now().Add(2 * sim.Millisecond)
-	cluster.Engine().At(drainAt, func() {
-		cluster.DrainMemBladeAsync(victim, func(r core.DrainReport, e error) {
-			drep, derr, drained = r, e, true
-		})
+	err = cluster.Pod().DrainMemBladeAt(0, victim, cluster.Now().Add(2*sim.Millisecond), func(r core.DrainReport, e error) {
+		drep, derr, drained = r, e, true
 	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "phase 2: scaled to %d threads on %d blades; memory blade %d hot-joined, draining blade %d live\n",
 		scaled, bladeCount, added, victim)
 

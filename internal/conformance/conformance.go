@@ -182,15 +182,13 @@ func (h *harness) drive() error {
 		}
 	}
 	// Let a still-running drain finish, then verify everything.
-	if h.drainPending {
-		eng := h.c.Engine()
-		// The splitter's epoch tick reschedules itself forever, so the
-		// engine never runs dry; bound the wait instead.
-		for steps := 0; h.drainPending; steps++ {
-			if !eng.Step() || steps > 50_000_000 {
-				return fmt.Errorf("drain of blade %d wedged (seed %d)", h.drainVictim, h.cfg.Seed)
-			}
+	// The splitter's epoch tick reschedules itself forever, so the
+	// engine never runs dry; bound the wait at a second of virtual time.
+	for waited := sim.Duration(0); h.drainPending; waited += sim.Millisecond {
+		if waited >= sim.Second {
+			return fmt.Errorf("drain of blade %d wedged (seed %d)", h.drainVictim, h.cfg.Seed)
 		}
+		h.c.AdvanceTime(sim.Millisecond)
 	}
 	if h.drainDone {
 		if err := h.drainCompleted(); err != nil {
@@ -251,12 +249,15 @@ func (h *harness) membershipEvent() error {
 		}
 		h.drainPending = true
 		h.drainVictim = victim
-		h.c.DrainMemBladeAsync(victim, func(r core.DrainReport, err error) {
+		err := h.c.Pod().DrainMemBladeAt(0, victim, h.c.Now(), func(r core.DrainReport, err error) {
 			h.drainPending = false
 			h.drainDone = true
 			h.drainRep, h.drainErr = r, err
 			h.res.PagesMoved += r.PagesMoved
 		})
+		if err != nil {
+			return fmt.Errorf("drain blade %d: %w", victim, err)
+		}
 		h.res.Drains++
 	case "kill":
 		victim, ok := h.pickVictim()

@@ -206,7 +206,7 @@ func (c *Rack) retire(victim ctrlplane.BladeID) error {
 	return err
 }
 
-// DrainMemBladeAsync starts draining victim from event context; done
+// drainMemBladeAsync starts draining victim from event context; done
 // fires (still in event context) when the blade is empty and retired.
 // Every vma on it is re-homed with its pages (rehome), one at a time, so
 // foreground traffic to the others keeps flowing.
@@ -216,7 +216,7 @@ func (c *Rack) retire(victim ctrlplane.BladeID) error {
 // to this rack's TCAM. The only borrow-specific restriction is inherited
 // from PlanDrain: the remaining blades (borrowed or local) must have
 // headroom for the displaced vmas.
-func (c *Rack) DrainMemBladeAsync(victim ctrlplane.BladeID, done func(DrainReport, error)) {
+func (c *Rack) drainMemBladeAsync(victim ctrlplane.BladeID, done func(DrainReport, error)) {
 	alloc := c.ctl.Allocator()
 	rep := DrainReport{Victim: victim, Start: c.eng.Now()}
 	rep.End = rep.Start // failed reports still carry a sane window
@@ -386,13 +386,13 @@ func (c *Rack) copyPages(step ctrlplane.MigrationStep, st *moveStats,
 }
 
 // DrainMemBlade drains victim and blocks (driving the simulation) until
-// it is empty and retired. For use outside event context (examples,
-// conformance tests); inside the simulation use DrainMemBladeAsync.
+// it is empty and retired. For use outside event context; to drain at a
+// virtual time while the simulation runs, use Pod.DrainMemBladeAt.
 func (c *Rack) DrainMemBlade(victim ctrlplane.BladeID) (DrainReport, error) {
 	var rep DrainReport
 	var err error
 	c.await(func(done func()) {
-		c.DrainMemBladeAsync(victim, func(r DrainReport, e error) {
+		c.drainMemBladeAsync(victim, func(r DrainReport, e error) {
 			rep, err = r, e
 			done()
 		})

@@ -177,7 +177,7 @@ func TestDrainUnderLoadKeepsTrafficFlowing(t *testing.T) {
 	var derr error
 	drained := false
 	c.Engine().Schedule(50*sim.Microsecond, func() {
-		c.DrainMemBladeAsync(victim, func(r DrainReport, e error) {
+		c.drainMemBladeAsync(victim, func(r DrainReport, e error) {
 			drep, derr = r, e
 			drained = true
 		})
@@ -331,7 +331,7 @@ func TestKillOfMigrationTargetMidDrain(t *testing.T) {
 	drained, killed := false, false
 	var derr error
 	c.Engine().Schedule(10*sim.Microsecond, func() {
-		c.DrainMemBladeAsync(victim, func(r DrainReport, e error) { drained, derr = true, e })
+		c.drainMemBladeAsync(victim, func(r DrainReport, e error) { drained, derr = true, e })
 	})
 	c.Engine().Schedule(40*sim.Microsecond, func() {
 		c.killMemBladeAsync(target, true, func(KillReport, error) { killed = true })
@@ -501,7 +501,7 @@ func TestMunmapDuringDrainSkipsVMA(t *testing.T) {
 	var derr error
 	drained := false
 	c.Engine().Schedule(10*sim.Microsecond, func() {
-		c.DrainMemBladeAsync(0, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
+		c.drainMemBladeAsync(0, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
 	})
 	// Free vma A while its regions are being reset (the drain processes
 	// it first: lowest base).

@@ -60,10 +60,10 @@ func (p *Pod) KillMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, do
 
 // DrainMemBladeAt schedules a graceful drain of rack's blade victim at
 // virtual time at; done fires when the blade is empty and retired.
-// Draining a borrowed blade is supported (see DrainMemBladeAsync).
+// Draining a borrowed blade is supported (see drainMemBladeAsync).
 func (p *Pod) DrainMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, done func(DrainReport, error)) error {
 	return p.scheduleFault(rack, &podFault{at: at, run: func(r *Rack, _ bool) {
-		r.DrainMemBladeAsync(victim, done)
+		r.drainMemBladeAsync(victim, done)
 	}})
 }
 

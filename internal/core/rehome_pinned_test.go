@@ -103,7 +103,7 @@ func TestRehomePinned(t *testing.T) {
 		var derr, kerr error
 		drained, killed := false, false
 		c.Engine().Schedule(10*sim.Microsecond, func() {
-			c.DrainMemBladeAsync(victim, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
+			c.drainMemBladeAsync(victim, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
 		})
 		c.Engine().Schedule(300*sim.Microsecond, func() {
 			c.killMemBladeAsync(target, true, func(r KillReport, e error) { krep, kerr, killed = r, e, true })
@@ -162,7 +162,7 @@ func TestRehomePinned(t *testing.T) {
 		var derr error
 		drained := false
 		c.Engine().Schedule(10*sim.Microsecond, func() {
-			c.DrainMemBladeAsync(0, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
+			c.drainMemBladeAsync(0, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
 		})
 		// Free vma A while its regions are being reset (the drain processes
 		// it first: lowest base).

@@ -58,97 +58,20 @@ func TestDumpAllPanels(t *testing.T) {
 		s.PodWorkers = n
 	}
 	var lines []string
-	one := func(name string, f *Figure, err error) {
+	for _, p := range Panels {
+		figs, err := p.Run(s)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("fig%s: %v", p.ID, err)
 		}
-		h := sha256.New()
-		hashFig(h, f)
-		lines = append(lines, fmt.Sprintf("%s %x", name, h.Sum(nil)))
-	}
-	many := func(name string, figs map[string]*Figure, err error) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		keys := make([]string, 0, len(figs))
-		for k := range figs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for k, f := range figs {
+			name := "fig" + p.ID
+			if k != "" {
+				name += "/" + k
+			}
 			h := sha256.New()
-			hashFig(h, figs[k])
-			lines = append(lines, fmt.Sprintf("%s/%s %x", name, k, h.Sum(nil)))
+			hashFig(h, f)
+			lines = append(lines, fmt.Sprintf("%s %x", name, h.Sum(nil)))
 		}
-	}
-
-	{
-		figs, err := Fig5Left(s)
-		many("fig5l", figs, err)
-	}
-	{
-		figs, err := Fig5Center(s)
-		many("fig5c", figs, err)
-	}
-	{
-		figs, err := Fig5Right(s)
-		many("fig5r", figs, err)
-	}
-	{
-		figs, err := Fig6(s)
-		many("fig6", figs, err)
-	}
-	{
-		f, err := Fig7Left(s)
-		one("fig7l", f, err)
-	}
-	{
-		f, err := Fig7Center(s)
-		one("fig7c", f, err)
-	}
-	{
-		f, err := Fig7Right(s)
-		one("fig7r", f, err)
-	}
-	{
-		figs, err := Fig8Left(s)
-		many("fig8l", figs, err)
-	}
-	{
-		f, err := Fig8Center(s)
-		one("fig8c", f, err)
-	}
-	{
-		f, err := Fig8Right(s)
-		one("fig8r", f, err)
-	}
-	{
-		figs, err := Fig9Left(s)
-		many("fig9l", figs, err)
-	}
-	{
-		figs, err := Fig9Right(s)
-		many("fig9r", figs, err)
-	}
-	{
-		f, err := Fig10(s)
-		one("fig10", f, err)
-	}
-	{
-		f, err := FigPod(s)
-		one("figpod", f, err)
-	}
-	{
-		f, err := FigServe(s)
-		one("figserve", f, err)
-	}
-	{
-		f, err := FigServePod(s)
-		one("figservepod", f, err)
-	}
-	{
-		f, err := FigServeKill(s)
-		one("figservekill", f, err)
 	}
 
 	sort.Strings(lines)

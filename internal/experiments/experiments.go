@@ -140,10 +140,8 @@ func (f *Figure) Get(label string, x float64) (float64, bool) {
 		if s.Label != label {
 			continue
 		}
-		for i, xv := range s.X {
-			if xv == x {
-				return s.Y[i], true
-			}
+		if y, ok := figLookup(s, x); ok {
+			return y, true
 		}
 	}
 	return 0, false

@@ -20,6 +20,7 @@
 package workloads
 
 import (
+	"fmt"
 	"sync"
 
 	"mind/internal/core"
@@ -311,6 +312,27 @@ func NativeKVS(readRatio float64, scale int) Workload {
 			})
 		},
 	}
+}
+
+// ByName returns the workload the command-line tools call name (TF, GC,
+// MA, MC, kvs-a, kvs-c) at the given scale. Uniform takes a working set
+// and two ratios rather than a scale, so it has no name here.
+func ByName(name string, scale int) (Workload, error) {
+	switch name {
+	case "TF":
+		return TF(scale), nil
+	case "GC":
+		return GC(scale), nil
+	case "MA":
+		return MemcachedA(scale), nil
+	case "MC":
+		return MemcachedC(scale), nil
+	case "kvs-a":
+		return NativeKVS(0.5, scale), nil
+	case "kvs-c":
+		return NativeKVS(1.0, scale), nil
+	}
+	return Workload{}, fmt.Errorf("unknown workload %q", name)
 }
 
 // All returns the four paper workloads at the given scale.

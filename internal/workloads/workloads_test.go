@@ -290,3 +290,20 @@ func TestSeedDeterminismAcrossSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestByName: each command-line name builds its workload at the given
+// scale, and an unknown name is an error.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]Workload{
+		"TF": TF(2), "GC": GC(2), "MA": MemcachedA(2), "MC": MemcachedC(2),
+		"kvs-a": NativeKVS(0.5, 2), "kvs-c": NativeKVS(1.0, 2),
+	} {
+		w, err := ByName(name, 2)
+		if err != nil || w.Name != want.Name || w.Footprint != want.Footprint {
+			t.Errorf("%s: %s of %d bytes, %v; want %s of %d", name, w.Name, w.Footprint, err, want.Name, want.Footprint)
+		}
+	}
+	if _, err := ByName("uniform", 1); err == nil {
+		t.Error("uniform resolved by name; it takes ratios, not a scale")
+	}
+}
