@@ -192,13 +192,11 @@ func (f *dirFuzz) complete(r *dirFuzzReq, c Completion) {
 // in it.
 func (f *dirFuzz) reset(va mem.VA) {
 	d := f.h.dir
+	// A reset of a region already resetting is held only to running its
+	// done once: by then the region may be gone, or a newer one may have
+	// taken its place. The per-op oracle covers the rest.
 	var rng mem.Range
-	if r, err := d.Lookup(va); err == nil {
-		if r.resetting {
-			// A second reset of a region already resetting is outside
-			// what this target pins.
-			return
-		}
+	if r, err := d.Lookup(va); err == nil && !r.resetting {
 		rng = r.Range()
 	}
 	i := len(f.resets)
@@ -450,6 +448,20 @@ func FuzzDirectory(f *testing.F) {
 		req1, 0xf8, 2, // refused pdid
 		merge, 1, 0,
 		epoch, 0, 0,
+	})
+	// A second reset of a resetting region, with blade 2's ACK to it
+	// held: after the first reset completes, blade 1 reads a page into a
+	// fresh region, which the second reset's completion must leave alone.
+	f.Add([]byte{3,
+		req1, 0x00, 0, // blade 0 reads page 0
+		reset | midFlight, 7, 0, // reset 1
+		reset | midFlight, 7, 0, // reset 2, 7 µs later
+		retransmit | midFlight, 7, 0, // (nothing live) past reset 1's invalidations
+		hold | midFlight, 2, 0, // blade 2 holds its ACK to reset 2
+		retransmit | midFlight, 7, 0,
+		retransmit | midFlight, 7, 0, // past reset 1's completion
+		req1, 0x01, 0, // blade 1 reads page 0
+		hold, 2, 0, // release blade 2: reset 2 completes
 	})
 	f.Add(randomDirectoryOps(1, 40))
 	f.Add(randomDirectoryOps(2, dirFuzzMaxOps))

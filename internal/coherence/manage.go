@@ -399,5 +399,9 @@ func (d *Directory) removeAfterReset(r *Region) {
 		d.bounce(p, Completion{Retry: true})
 	}
 	r.resetting = false
-	_ = d.RemoveRegion(r.Base)
+	// A second reset of the same region finds it gone, or replaced by a
+	// newer region a request built after the first reset finished.
+	if d.rt.exact(r.Base) == r {
+		_ = d.RemoveRegion(r.Base)
+	}
 }

@@ -362,6 +362,41 @@ func TestProtocolRequestDuringResetBounces(t *testing.T) {
 	h.eng.Run()
 }
 
+// TestProtocolSecondResetSparesNewerRegion: a reset issued on a region
+// that is already resetting must not, when it completes, remove the
+// fresh region a request built after the first reset finished. The
+// second reset's removal used to look the region up by base alone and
+// delete the newer entry, leaving blade 1 granted a page the directory
+// no longer tracked.
+func TestProtocolSecondResetSparesNewerRegion(t *testing.T) {
+	h := newProtoHarness(t, 2, 100)
+	va := mem.VA(0xC00000)
+	h.request(t, 0, va, mem.PermRead)
+	rtt := h.fab.Config().CtrlRTT
+	start := h.eng.Now()
+	first, second := false, false
+	h.dir.ResetRegion(va, func() { first = true })
+	h.eng.RunUntil(start.Add(rtt * 9 / 10))
+	h.dir.ResetRegion(va, func() { second = true })
+	h.eng.RunUntil(start.Add(rtt))
+	if !first || second {
+		t.Fatalf("at one CtrlRTT: first reset done %v, second %v; want true, false", first, second)
+	}
+	var got Completion
+	h.dir.RequestPage(1, 1, va, mem.PermRead, func(c Completion) { got = c })
+	h.eng.Run()
+	if !second || got.Retry || got.Err != nil {
+		t.Fatalf("second reset done %v; blade 1's read after the first reset: %+v", second, got)
+	}
+	r, err := h.dir.Lookup(va)
+	if err != nil {
+		t.Fatal("the second reset removed the region blade 1 was granted a page of")
+	}
+	if !r.sharers.Has(1) {
+		t.Errorf("region %v lost blade 1 from its sharers", r)
+	}
+}
+
 func TestProtocolMulticastAccounting(t *testing.T) {
 	h := newProtoHarness(t, 8, 100)
 	va := mem.VA(0x900000)
