@@ -53,7 +53,7 @@ type PromotionConfig struct {
 	// epoch before its vmas become promotion candidates (default 32).
 	Threshold uint64
 	// MaxVMAsPerEpoch bounds promotions started per rack per epoch
-	// (default 8).
+	// (default 8; negative is a config error).
 	MaxVMAsPerEpoch int
 	// Disable turns the policy off: borrowed memory stays remote (the
 	// no-migration ablation the pod experiment toggles).
@@ -121,6 +121,9 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 	}
 	if cfg.Promotion.Epoch < 0 {
 		return nil, fmt.Errorf("core: negative promotion epoch %v", cfg.Promotion.Epoch)
+	}
+	if cfg.Promotion.MaxVMAsPerEpoch < 0 {
+		return nil, fmt.Errorf("core: negative promotion bound %d vmas per epoch", cfg.Promotion.MaxVMAsPerEpoch)
 	}
 	if cfg.Promotion.Epoch == 0 {
 		cfg.Promotion.Epoch = DefaultPromotionConfig().Epoch

@@ -322,7 +322,14 @@ func NewPodServing(p *Pod, cfg ServeConfig) (*Serving, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("core: serving horizon must be positive (got %v)", cfg.Horizon)
 	}
-	if cfg.QueueCap <= 0 {
+	if cfg.QueueCap < 0 || cfg.Deadline < 0 || cfg.MaxRetries < 0 || cfg.RetryBackoff < 0 {
+		return nil, fmt.Errorf("core: negative serving knob (queue cap %d, deadline %v, retries %d, backoff %v)",
+			cfg.QueueCap, cfg.Deadline, cfg.MaxRetries, cfg.RetryBackoff)
+	}
+	if !(cfg.Brownout >= 0 && cfg.Brownout <= 1) {
+		return nil, fmt.Errorf("core: brownout probability %v is outside [0, 1]", cfg.Brownout)
+	}
+	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 4096
 	}
 	s := &Serving{p: p, cfg: cfg}

@@ -205,6 +205,47 @@ func TestServingDeterministic(t *testing.T) {
 	}
 }
 
+// TestNegativeKnobsRejected: a negative serving or promotion knob is a
+// config error. NewPodServing used to run MaxRetries -1 as no retries,
+// Deadline -1 as none, RetryBackoff -1 as 2 µs, QueueCap -3 as 4096 and
+// a brownout outside [0, 1] as given; NewPod ran MaxVMAsPerEpoch -1 as
+// unbounded.
+func TestNegativeKnobsRejected(t *testing.T) {
+	c := serveCluster(t, 1)
+	serve := func(cfg ServeConfig) func() error {
+		return func() error {
+			cfg.Horizon = sim.Millisecond
+			_, err := NewPodServing(c.Pod(), cfg)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"MaxRetries -1", serve(ServeConfig{MaxRetries: -1})},
+		{"Deadline -1", serve(ServeConfig{Deadline: -1})},
+		{"RetryBackoff -1", serve(ServeConfig{MaxRetries: 1, Deadline: sim.Millisecond, RetryBackoff: -1})},
+		{"QueueCap -3", serve(ServeConfig{QueueCap: -3})},
+		{"Brownout -0.5", serve(ServeConfig{Brownout: -0.5})},
+		{"Brownout 1.5", serve(ServeConfig{Brownout: 1.5})},
+		{"MaxVMAsPerEpoch -1", func() error {
+			_, err := NewPod(PodConfig{
+				Racks:     []Config{podRackConfig(2, 1, 1024), podRackConfig(2, 3, 1024)},
+				Promotion: PromotionConfig{MaxVMAsPerEpoch: -1},
+			})
+			return err
+		}},
+	} {
+		if err := tc.build(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if err := serve(ServeConfig{Brownout: 1, MaxRetries: 2, Deadline: sim.Millisecond})(); err != nil {
+		t.Errorf("brownout 1 with retries: %v", err)
+	}
+}
+
 // TestServingInvalidConfigs pins the error (not panic) contract for
 // genuinely invalid serving configurations.
 func TestServingInvalidConfigs(t *testing.T) {
