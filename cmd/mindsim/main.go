@@ -8,6 +8,7 @@
 //	mindsim -workload uniform -read 0.5 -sharing 1 -blades 8 -threads 8
 //	mindsim -workload MA -blades 8 -threads 80 -consistency pso
 //	mindsim -workload GC -runs 8 -parallel 4
+//	mindsim -workload uniform -memblades 2 -add-blade 2ms:0 -drain-blade 4ms:0:0
 //	mindsim -serve -workload MA -blades 4 -ops 40000
 //	mindsim -serve -racks 2 -serve-deadline 40us -serve-retries 2 \
 //	    -kill-blade 1ms:0:1 -kill-switch 2ms:1
