@@ -449,6 +449,9 @@ func FuzzDirectory(f *testing.F) {
 		merge, 1, 0,
 		epoch, 0, 0,
 	})
+	f.Add(randomDirectoryOps(1, 40))
+	f.Add(randomDirectoryOps(2, dirFuzzMaxOps))
+	f.Add(randomDirectoryOps(3, dirFuzzMaxOps))
 	// A second reset of a resetting region, with blade 2's ACK to it
 	// held: after the first reset completes, blade 1 reads a page into a
 	// fresh region, which the second reset's completion must leave alone.
@@ -463,8 +466,5 @@ func FuzzDirectory(f *testing.F) {
 		req1, 0x01, 0, // blade 1 reads page 0
 		hold, 2, 0, // release blade 2: reset 2 completes
 	})
-	f.Add(randomDirectoryOps(1, 40))
-	f.Add(randomDirectoryOps(2, dirFuzzMaxOps))
-	f.Add(randomDirectoryOps(3, dirFuzzMaxOps))
 	f.Fuzz(func(t *testing.T, ops []byte) { runDirectoryOps(t, ops) })
 }
