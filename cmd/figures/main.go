@@ -7,9 +7,9 @@
 //	figures -fig all -scale quick
 //	figures -fig 5c -scale full -parallel 8
 //
-// Panel ids are the ids of experiments.Panels, the one panel list
-// (figures -h prints them), or "all". Panel 10 is the elasticity
-// timeline (beyond the paper): throughput while a memory blade hot-joins, another drains with live
+// Panel ids are those of experiments.Panels, the one panel list
+// (figures -h prints them), or "all". Panel 10 is the elasticity timeline (beyond the paper):
+// throughput while a memory blade hot-joins, another drains with live
 // page migration, and a third is killed mid-run. Panel "pod" is the
 // pod-scale panel (beyond the paper): a 2-rack pod whose memory-poor
 // rack borrows a blade across the interconnect, with the hot-page
