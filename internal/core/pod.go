@@ -476,6 +476,9 @@ func memReqAtOwner(x any) {
 // egress + the blade's NIC).
 func memReqOwnerToBlade(x any) {
 	j := x.(*crossJob)
+	if memLostWrite(j) {
+		return
+	}
 	j.owner.fab.SendFromSwitchArg(j.node, j.req, memAtBlade, j)
 }
 
@@ -495,7 +498,27 @@ func memAtBlade(x any) {
 // owning switch.
 func memDMADone(x any) {
 	j := x.(*crossJob)
+	if memLostWrite(j) {
+		return
+	}
 	j.owner.fab.SendToSwitchArg(j.node, j.resp, memRespAtOwnerSwitch, j)
+}
+
+// memLostWrite completes a writeback whose borrowed blade's port went
+// black while the write was in flight: the fabric would drop the send,
+// and a flush barrier waiting on it would wedge its reset. Like
+// wbAtSwitch's dead-home path, the reliable connection errors out
+// instead — the write is marked lost and the error completion rides the
+// response path back to the borrower. Fetches keep drop-and-timeout:
+// the §4.4 retransmit path recovers them.
+func memLostWrite(j *crossJob) bool {
+	wb, ok := j.arg.(*wbJob)
+	if !ok || !j.owner.fab.NodeDead(j.node) {
+		return false
+	}
+	wb.lost = true
+	j.owner.eng.ScheduleArg(j.owner.fab.OneWayBase(j.resp), memRespAtOwnerSwitch, j)
+	return true
 }
 
 // memRespAtOwnerSwitch: the response is in the owning rack's switch.

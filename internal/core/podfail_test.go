@@ -408,3 +408,50 @@ func TestOverlappingSwitchFailoversJoin(t *testing.T) {
 		t.Errorf("blade_kills = %d, blade_recoveries = %d, want 1 and 1", k, r)
 	}
 }
+
+// TestKillDuringBorrowedFlushCompletes: a kill that lands while a
+// drain's flush is in flight to the same borrowed blade must not wedge
+// the drain. The compute blade's flush writeback reaches the lender
+// after the blade's port went black; it must still complete (counted as
+// a lost write), so the reset ACKs, the range thaws and the drain
+// reports. The offsets scan the whole flush window in 250 ns steps.
+func TestKillDuringBorrowedFlushCompletes(t *testing.T) {
+	var wedged []sim.Duration
+	for d := sim.Duration(0); d <= 40*sim.Microsecond; d += 250 * sim.Nanosecond {
+		pod := newTestPod(t, PromotionConfig{Disable: true})
+		r0 := pod.Rack(0)
+		p := r0.Exec("borrower")
+		filler, err := p.Mmap(1024*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work, err := p.Mmap(256*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := borrowedBladeID(t, r0)
+		th, err := p.SpawnThread(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, th, work.Base, 24)
+		if err := p.Munmap(filler.Base); err != nil {
+			t.Fatal(err)
+		}
+		drained, killed := false, false
+		at := pod.Now().Add(20 * sim.Microsecond)
+		if err := pod.DrainMemBladeAt(0, victim, at, func(DrainReport, error) { drained = true }); err != nil {
+			t.Fatal(err)
+		}
+		if err := pod.KillMemBladeAt(0, victim, at.Add(d), func(KillReport, error) { killed = true }); err != nil {
+			t.Fatal(err)
+		}
+		pod.AdvanceTime(20 * sim.Millisecond)
+		if !drained || !killed || r0.Directory().FrozenRanges() != 0 {
+			wedged = append(wedged, d)
+		}
+	}
+	if len(wedged) != 0 {
+		t.Fatalf("%d kill offsets wedged the drain (report missing or range frozen): %v", len(wedged), wedged)
+	}
+}

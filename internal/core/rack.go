@@ -163,6 +163,7 @@ type wbJob struct {
 	data []byte
 	buf  []byte
 	home ctrlplane.BladeID
+	lost bool // a borrowed home's port went black with the write in flight
 	done func()
 }
 
@@ -204,18 +205,23 @@ func wbAtSwitch(x any) {
 
 // wbLanded persists the page and completes. For a local blade it runs at
 // the blade, at delivery; for a borrowed blade it runs at the borrower's
-// switch when the write ack returns.
+// switch when the write ack (or the error completion of a write whose
+// target died in flight, memLostWrite) returns.
 func wbLanded(x any) {
 	j := x.(*wbJob)
-	c, va, data, home, done := j.c, j.va, j.data, j.home, j.done
+	c, va, data, home, lost, done := j.c, j.va, j.data, j.home, j.lost, j.done
 	c.freeWB(j, false)
-	c.mem[int(home)].blade.WritePage(va, data)
+	if lost {
+		c.col.IncH(c.hLostWrites, 1)
+	} else {
+		c.mem[int(home)].blade.WritePage(va, data)
+	}
 	done()
 }
 
 func (c *Rack) freeWB(j *wbJob, callDone bool) {
 	done := j.done
-	j.done, j.data = nil, nil
+	j.done, j.data, j.lost = nil, nil, false
 	c.wbFree.Put(j)
 	if callDone {
 		done()
