@@ -109,7 +109,7 @@ func (c *Rack) bladeLive(victim ctrlplane.BladeID) error {
 	if int(victim) < 0 || int(victim) >= len(c.mem) {
 		return fmt.Errorf("core: no memory blade %d", victim)
 	}
-	if c.mem[int(victim)].blade.Dead() {
+	if c.mem[int(victim)].dead {
 		return fmt.Errorf("core: memory blade %d is already dead", victim)
 	}
 	if c.ctl.Allocator().BladeRetired(victim) {
@@ -422,6 +422,7 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done f
 		return
 	}
 	slot := c.mem[int(victim)]
+	c.mem[int(victim)].dead = true
 	rep.PagesLost = slot.blade.Kill()
 	if markPort {
 		// The blade's fabric port lives in the rack that physically

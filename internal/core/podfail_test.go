@@ -455,3 +455,55 @@ func TestKillDuringBorrowedFlushCompletes(t *testing.T) {
 		t.Fatalf("%d kill offsets wedged the drain (report missing or range frozen): %v", len(wedged), wedged)
 	}
 }
+
+// TestKillOfLentBladeIsRackLocal: a lender that kills the id it lent
+// away, in the same instant as the borrower kills the blade, is told the
+// id is retired at any worker count. The lender must not read the
+// blade's own state: its store belongs to the borrower's shard, which
+// may run its kill first, after, or at the same time.
+func TestKillOfLentBladeIsRackLocal(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		pod, err := NewPod(PodConfig{
+			Racks:     []Config{podRackConfig(2, 1, 1024), podRackConfig(2, 2, 1024)},
+			Promotion: PromotionConfig{Disable: true},
+			Workers:   workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r0, r1 := pod.Rack(0), pod.Rack(1)
+		p := r0.Exec("borrower")
+		if _, err := p.Mmap(900*mem.PageSize, mem.PermReadWrite); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Mmap(400*mem.PageSize, mem.PermReadWrite); err != nil {
+			t.Fatal(err)
+		}
+		borrowed := borrowedBladeID(t, r0)
+		lent := -1
+		for id := 0; id < r1.MemBladeCount(); id++ {
+			if r1.MemBlade(id) == r0.MemBlade(int(borrowed)) {
+				lent = id
+			}
+		}
+		if lent < 0 {
+			t.Fatal("setup: lender holds no entry for the lent blade")
+		}
+		var lenderErr error
+		at := pod.Now().Add(20 * sim.Microsecond)
+		if err := pod.KillMemBladeAt(1, ctrlplane.BladeID(lent), at, func(_ KillReport, e error) { lenderErr = e }); err != nil {
+			t.Fatal(err)
+		}
+		if err := pod.KillMemBladeAt(0, borrowed, at, func(_ KillReport, e error) {
+			if e != nil {
+				t.Errorf("workers=%d: borrower kill: %v", workers, e)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		pod.AdvanceTime(2 * sim.Millisecond)
+		if lenderErr == nil || !strings.Contains(lenderErr.Error(), "retired") {
+			t.Errorf("workers=%d: lender kill of its lent id: err = %v, want retired error", workers, lenderErr)
+		}
+	}
+}

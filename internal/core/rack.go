@@ -115,6 +115,11 @@ type memSlot struct {
 	// themselves.
 	owner int
 	node  fabric.NodeID
+	// dead records that this rack killed the blade. A rack may read the
+	// blade's own state only while its page store is the rack's: a lent
+	// blade's store belongs to the borrower, whose shard may kill it
+	// inside the same window.
+	dead bool
 	// heat counts the data-path messages (fault fetch requests and page
 	// writebacks) routed to a remote blade in the current promotion epoch
 	// — the signal the hot-page promotion policy consumes.
