@@ -20,7 +20,8 @@ package conformance
 //   - departure hygiene: a blade whose kill or drain completed is
 //     retired, holds zero pages, and recovery ran (kills==recoveries);
 //   - failure injection is total: an invalid victim reports an error
-//     through its callback, it never panics or wedges the pod.
+//     through its callback, it never panics or wedges the pod;
+//   - no range stays frozen once the run ends.
 //
 // A schedule is a pure function of its seed; any failing seed replays
 // bit-identically at any worker count.
@@ -284,6 +285,13 @@ func checkPodInvariants(cfg PodSchedule, pod *core.Pod, out *PodOutcome) error {
 	if snap[stats.CtrBladeKills] != snap[stats.CtrBladeRecoveries] {
 		return fmt.Errorf("seed %d: %d kills but %d recoveries",
 			cfg.Seed, snap[stats.CtrBladeKills], snap[stats.CtrBladeRecoveries])
+	}
+	for i := 0; i < cfg.Racks; i++ {
+		// A reset whose flush never lands keeps its range frozen; serving
+		// deadlines would otherwise hide the wedge.
+		if n := pod.Rack(i).Directory().FrozenRanges(); n != 0 {
+			return fmt.Errorf("seed %d: rack %d ends with %d frozen ranges", cfg.Seed, i, n)
+		}
 	}
 	for _, rec := range out.Faults {
 		if !rec.Done || rec.Err != "" || rec.Kind == "switch" {
