@@ -3,17 +3,20 @@ package conformance
 // Pod-scale conformance: randomized failure storms — blade kills
 // (including borrowed, cross-rack blades), live drains and switch
 // failovers at random times on random racks, some deliberately invalid
-// — landing in a multi-rack pod that is serving open-loop traffic with
-// the request-robustness layer armed (deadlines, bounded retries,
-// brownout shedding).
+// — landing in a multi-rack pod that runs either closed-loop threads or
+// open-loop traffic with the request-robustness layer armed (deadlines,
+// bounded retries, brownout shedding). The schedule also draws the
+// executor's window width, and on borrowing schedules whether local
+// memory frees up mid-run, so promotion brings the borrowed vma home
+// and the lease returns.
 //
-// Each schedule is run twice, serially (one worker) and on a worker
-// pool, and the two executions must be bit-identical: same finish
-// time, same per-engine dispatch-trace hash, byte-identical merged
-// statistics, and the same fault outcome for every injected failure —
-// same error string, same blackout window, same pages lost. On top of
-// the determinism half, every run must satisfy the safety invariants
-// regardless of worker count:
+// This is the determinism oracle of the windowed pod executor: a
+// schedule run serially, on a worker pool, or with dense windows must
+// be bit-identical — same finish time, same per-engine dispatch-trace
+// hash, byte-identical merged statistics, and the same fault outcome
+// for every injected failure (same error string, same blackout window,
+// same pages lost). On top of the determinism half, every run must
+// satisfy the safety invariants regardless of worker count:
 //
 //   - request conservation: every arrival meets exactly one terminal
 //     fate (completed, throttled, dropped, shed, timed out or failed);
@@ -40,7 +43,7 @@ import (
 type PodSchedule struct {
 	Seed    uint64
 	Racks   int          // default 2
-	Horizon sim.Duration // serving horizon (default 400us)
+	Horizon sim.Duration // serving horizon (default 400us); a closed-loop thread runs 4 ops per us of it
 	Faults  int          // failure injections (default 3)
 	// Dense disables the executor's sparse-horizon jump (every grid
 	// barrier visited). The storm suite sweeps it: dense and sparse
@@ -78,12 +81,33 @@ type FaultRecord struct {
 }
 
 // PodOutcome is everything a schedule produces that must be invariant
-// across worker counts.
+// across worker counts. Windows (executed, skipped, flushes elided) is
+// invariant across sparse runs only: a dense run skips none.
 type PodOutcome struct {
 	End      sim.Time
 	Hashes   []uint64
 	Counters map[string]uint64
 	Faults   []FaultRecord
+	Windows  [3]uint64
+}
+
+// podMix is the part of a schedule drawn from its own RNG stream, so
+// it never moves a storm's fault kinds, victims or times.
+type podMix struct {
+	window   sim.Duration // interconnect propagation: the executor's window width
+	closed   bool         // closed-loop threads instead of open-loop serving
+	unmap    bool         // borrowing: free the filler, so promotion brings the span home
+	throttle bool         // serving: a token bucket on rack 1's local tenant
+	twin     bool         // serving, borrowing: the span tenant's second share on rack 1
+}
+
+func drawMix(seed uint64) (podMix, *sim.RNG) {
+	rng := sim.NewRNG(seed, "pod-schedule/mix")
+	windows := []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond}
+	m := podMix{window: windows[rng.Intn(len(windows))], closed: rng.Bool(0.5), unmap: rng.Bool(0.5)}
+	m.throttle = !m.closed && rng.Bool(0.5)
+	m.twin = !m.closed && rng.Bool(0.5)
+	return m, rng
 }
 
 // schedGap is the open-loop arrival process: gaps are a pure function
@@ -111,12 +135,13 @@ func schedOps(base mem.VA, pages uint64) func() (mem.VA, bool) {
 
 // RunPodSchedule executes one randomized pod failure storm on the given
 // worker count and returns its outcome, or the first invariant
-// violation. The schedule (tenants, fault kinds, victims, times) is
-// derived entirely from cfg.Seed before the run starts, so two calls
-// with different worker counts drive the identical storm.
+// violation. The schedule (driver, window, tenants, fault kinds,
+// victims, times) is derived entirely from cfg.Seed before the run
+// starts, so two calls with different worker counts drive one storm.
 func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 	cfg.defaults()
 	rng := sim.NewRNG(cfg.Seed, "pod-schedule")
+	mix, mixRNG := drawMix(cfg.Seed)
 
 	// Pod shape: every rack two compute blades; rack 0 is memory-poor on
 	// half the schedules (one local blade), so its spanning tenant lands
@@ -145,7 +170,14 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		rc.Seed = cfg.Seed
 		cfgs[i] = rc
 	}
-	pod, err := core.NewPod(core.PodConfig{Racks: cfgs, Workers: workers, DenseWindows: cfg.Dense})
+	pcfg := core.PodConfig{Racks: cfgs, Workers: workers, DenseWindows: cfg.Dense}
+	pcfg.Interconnect.Propagation = mix.window
+	if borrow && mix.unmap {
+		// Freed local memory plus a short, eager epoch: the borrowed vma
+		// is promoted home mid-run and the lease returns.
+		pcfg.Promotion = core.PromotionConfig{Epoch: 200 * sim.Microsecond, Threshold: 4}
+	}
+	pod, err := core.NewPod(pcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -153,53 +185,92 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		pod.Rack(i).Engine().EnableDispatchHash()
 	}
 
-	s, err := core.NewPodServing(pod, core.ServeConfig{
+	scfg := core.ServeConfig{
 		Horizon:      cfg.Horizon,
 		Deadline:     sim.Duration(20+rng.Intn(40)) * sim.Microsecond,
 		MaxRetries:   rng.Intn(3),
 		RetryBackoff: 2 * sim.Microsecond,
 		Brownout:     float64(rng.Intn(5)) / 10,
 		Seed:         cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
 	}
-	addTenant := func(name string, rack, pages int) error {
+	var s *core.Serving
+	if !mix.closed {
+		if s, err = core.NewPodServing(pod, scfg); err != nil {
+			return nil, err
+		}
+	}
+	// A tenant is a process with one vma. Serving makes it an open-loop
+	// share; a closed-loop schedule gives it one thread on the same blade
+	// walking the same ops, started once setup is done.
+	var threads []func()
+	addTenant := func(r *sim.RNG, name string, rack, pages int, lim *ctrlplane.TokenBucket) error {
 		p := pod.Rack(rack).Exec(name)
 		vma, err := p.Mmap(uint64(pages)*mem.PageSize, mem.PermReadWrite)
 		if err != nil {
 			return err
 		}
-		return s.AddTenant(core.TenantWorkload{
-			Name:  name,
-			Proc:  p,
-			Blade: rng.Intn(2),
-			Arrival: &schedGap{
-				rng:  sim.NewRNG(cfg.Seed, "pod-schedule/arrive/"+name),
-				mean: sim.Duration(3+rng.Intn(5)) * sim.Microsecond,
-			},
-			NextOp: schedOps(vma.Base, uint64(pages)),
+		blade, mean := r.Intn(2), sim.Duration(3+r.Intn(5))*sim.Microsecond
+		next := schedOps(vma.Base, uint64(pages))
+		if s != nil {
+			return s.AddTenant(core.TenantWorkload{
+				Name:    name,
+				Proc:    p,
+				Blade:   blade,
+				Arrival: &schedGap{rng: sim.NewRNG(cfg.Seed, fmt.Sprintf("pod-schedule/arrive/%s@%d", name, rack)), mean: mean},
+				NextOp:  next,
+				Limiter: lim,
+			})
+		}
+		th, err := p.SpawnThread(blade)
+		if err != nil {
+			return err
+		}
+		ops := 4 * int(cfg.Horizon/sim.Microsecond)
+		threads = append(threads, func() {
+			th.Start(func() (mem.VA, bool, bool) {
+				ops--
+				va, write := next()
+				return va, write, ops >= 0
+			}, nil)
 		})
+		return nil
 	}
 	for r := 0; borrow && r < borrowers; r++ {
 		// Fill the rack's only local blade, then map its spanning tenant:
 		// the pow2-rounded need goes cross-rack on a lease.
-		if _, err := pod.Rack(r).Exec("filler").Mmap(900*mem.PageSize, mem.PermReadWrite); err != nil {
+		filler := pod.Rack(r).Exec("filler")
+		fvma, err := filler.Mmap(900*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
 			return nil, err
 		}
 		span := "span"
 		if r > 0 {
 			span = fmt.Sprintf("span%d", r)
 		}
-		if err := addTenant(span, r, 400); err != nil {
+		if err := addTenant(rng, span, r, 400, nil); err != nil {
 			return nil, err
 		}
 		if pod.Rack(r).BorrowedBlades() == 0 {
 			return nil, fmt.Errorf("seed %d: rack %d did not borrow", cfg.Seed, r)
 		}
+		if mix.unmap {
+			if err := filler.Munmap(fvma.Base); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for r := 0; r < cfg.Racks; r++ {
-		if err := addTenant(fmt.Sprintf("t%d", r), r, 64); err != nil {
+		var lim *ctrlplane.TokenBucket
+		if r == 1 && mix.throttle {
+			lim = ctrlplane.NewTokenBucket(120_000, 8)
+		}
+		if err := addTenant(rng, fmt.Sprintf("t%d", r), r, 64, lim); err != nil {
+			return nil, err
+		}
+	}
+	if borrow && mix.twin {
+		// The merged per-tenant accounting: a same-name share on rack 1.
+		if err := addTenant(mixRNG, "span", 1, 64, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -256,14 +327,22 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		}
 	}
 
-	end, err := s.Run()
-	if err != nil {
-		return nil, err
+	var end sim.Time
+	if s != nil {
+		if end, err = s.Run(); err != nil {
+			return nil, err
+		}
+	} else {
+		for _, start := range threads {
+			start()
+		}
+		end = pod.RunThreads()
 	}
 	out := &PodOutcome{End: end, Faults: recs, Counters: pod.Collector().Snapshot()}
 	for i := 0; i < cfg.Racks; i++ {
 		out.Hashes = append(out.Hashes, pod.Rack(i).Engine().DispatchHash())
 	}
+	out.Windows[0], out.Windows[1], out.Windows[2] = pod.WindowStats()
 	if err := checkPodInvariants(cfg, pod, out); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mind/internal/runner"
 	"mind/internal/sim"
+	"mind/internal/stats"
 )
 
 // podScheduleCount is how many randomized pod failure storms the suite
@@ -30,15 +31,54 @@ func podScheduleConfig(i int, short bool) PodSchedule {
 	return cfg
 }
 
+// podRun is one execution of a schedule beside the serial baseline.
+type podRun struct {
+	workers int
+	dense   bool
+}
+
+// podRunsAgree is the determinism contract of the pod executor, stated
+// once: cfg runs serially with sparse windows, then once per run, and
+// every outcome must equal the serial one — finish time, dispatch
+// hashes, merged counters and fault reports. A dense run must skip no
+// window; window counts are compared between sparse runs only. It
+// returns the serial outcome.
+func podRunsAgree(t testing.TB, cfg PodSchedule, runs ...podRun) *PodOutcome {
+	t.Helper()
+	cfg.Dense = false
+	serial, err := RunPodSchedule(cfg, 1)
+	if err != nil {
+		t.Fatalf("seed %d serial: %v", cfg.Seed, err)
+	}
+	for _, r := range runs {
+		rcfg := cfg
+		rcfg.Dense = r.dense
+		out, err := RunPodSchedule(rcfg, r.workers)
+		if err != nil {
+			t.Fatalf("seed %d at %+v: %v", cfg.Seed, r, err)
+		}
+		if r.dense {
+			if out.Windows[1] != 0 {
+				t.Fatalf("seed %d at %+v: a dense run skipped %d windows", cfg.Seed, r, out.Windows[1])
+			}
+			out.Windows = serial.Windows
+		}
+		if !reflect.DeepEqual(serial, out) {
+			t.Fatalf("seed %d diverged from the serial run at %+v:\nserial %+v\nrun    %+v",
+				cfg.Seed, r, serial, out)
+		}
+	}
+	return serial
+}
+
 // TestRandomPodSchedules replays randomized pod-scale failure storms —
 // kills (borrowed blades included), drains and switch failovers under
-// robust serving load — each executed serially and on a worker pool,
-// asserting bit-identical outcomes (finish time, dispatch hashes,
-// merged counters, fault reports) plus the safety invariants
-// documented on RunPodSchedule. Every other schedule is additionally
-// replayed with dense windowing (sparse-horizon jump disabled): the
-// dense oracle must match the sparse runs bit-for-bit, fault timelines
-// included.
+// closed-loop or robust serving load, at three window widths — each
+// executed serially and on a worker pool, and every other schedule
+// also with dense windows (sparse-horizon jump disabled), through
+// podRunsAgree. Each run also satisfies the safety invariants
+// documented on RunPodSchedule. The test fails if the drawn mix
+// leaves any dimension unexercised.
 func TestRandomPodSchedules(t *testing.T) {
 	t.Parallel()
 	n := podScheduleCount
@@ -46,32 +86,27 @@ func TestRandomPodSchedules(t *testing.T) {
 		n = 25
 	}
 	var kills, drains, switches, errs int
+	var closed, serving, promotions, returns, throttled, skipped, elided uint64
+	windows := map[sim.Duration]int{}
 	for i := 0; i < n; i++ {
 		cfg := podScheduleConfig(i, testing.Short())
-		serial, err := RunPodSchedule(cfg, 1)
-		if err != nil {
-			t.Fatalf("schedule %d serial: %v", i, err)
-		}
-		par, err := RunPodSchedule(cfg, 2+i%3)
-		if err != nil {
-			t.Fatalf("schedule %d parallel: %v", i, err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("schedule %d (seed %d) diverged between worker counts:\nserial   %+v\nparallel %+v",
-				i, cfg.Seed, serial, par)
-		}
+		runs := []podRun{{workers: 2 + i%3}}
 		if i%2 == 0 {
-			denseCfg := cfg
-			denseCfg.Dense = true
-			dense, err := RunPodSchedule(denseCfg, 1+i%4)
-			if err != nil {
-				t.Fatalf("schedule %d dense: %v", i, err)
-			}
-			if !reflect.DeepEqual(serial, dense) {
-				t.Fatalf("schedule %d (seed %d) diverged between sparse and dense windowing:\nsparse %+v\ndense  %+v",
-					i, cfg.Seed, serial, dense)
-			}
+			runs = append(runs, podRun{workers: 1 + i%4, dense: true})
 		}
+		serial := podRunsAgree(t, cfg, runs...)
+		mix, _ := drawMix(cfg.Seed)
+		windows[mix.window]++
+		if mix.closed {
+			closed++
+		} else {
+			serving++
+		}
+		promotions += serial.Counters[stats.CtrPromotedVMAs]
+		returns += serial.Counters[stats.CtrBladeReturns]
+		throttled += serial.Counters[stats.CtrServeThrottled]
+		skipped += serial.Windows[1]
+		elided += serial.Windows[2]
 		for _, rec := range serial.Faults {
 			if rec.Err != "" {
 				errs++
@@ -90,41 +125,57 @@ func TestRandomPodSchedules(t *testing.T) {
 			}
 		}
 	}
-	// The generator must exercise every fault kind and the error paths,
-	// or the determinism contract is vacuous.
+	// The generator must exercise every fault kind, the error paths and
+	// every drawn dimension, or the determinism contract is vacuous.
 	if kills == 0 || drains == 0 || switches == 0 || errs == 0 {
 		t.Fatalf("storm mix degenerate: kills=%d drains=%d switches=%d errors=%d",
 			kills, drains, switches, errs)
 	}
-	t.Logf("%d schedules: %d kills, %d drains, %d switch failovers, %d faulted injections",
-		n, kills, drains, switches, errs)
+	if len(windows) != 3 || closed == 0 || serving == 0 || promotions == 0 || returns == 0 ||
+		throttled == 0 || skipped == 0 || elided == 0 {
+		t.Fatalf("drawn mix degenerate: window widths %v, closed-loop %d, serving %d, promotions %d, lease returns %d, throttled %d, windows skipped %d, flushes elided %d",
+			windows, closed, serving, promotions, returns, throttled, skipped, elided)
+	}
+	t.Logf("%d schedules: %d kills, %d drains, %d switch failovers, %d faulted injections; window widths %v, %d closed-loop, %d serving; %d promotions, %d lease returns, %d throttled, %d windows skipped, %d flushes elided",
+		n, kills, drains, switches, errs, windows, closed, serving, promotions, returns, throttled, skipped, elided)
 }
 
-// TestPodScheduleDeterminism re-runs one storm at the same worker count
-// and requires identical outcomes — failing seeds must replay
-// bit-identically — and a different seed must actually change the run.
+// TestPodScheduleDeterminism re-runs one closed-loop storm whose
+// borrowed vma is promoted home mid-run and requires identical outcomes
+// — failing seeds must replay bit-identically — and a different seed
+// must actually change the run.
 func TestPodScheduleDeterminism(t *testing.T) {
 	t.Parallel()
-	cfg := podScheduleConfig(3, true)
-	a, err := RunPodSchedule(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunPodSchedule(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged:\n  %+v\n  %+v", a, b)
+	cfg := podScheduleConfig(19, true)
+	a := podRunsAgree(t, cfg, podRun{workers: 1})
+	if mix, _ := drawMix(cfg.Seed); !mix.closed || a.Counters[stats.CtrPromotedVMAs] == 0 || a.Counters[stats.CtrBladeReturns] == 0 {
+		t.Fatalf("schedule 19 is no closed-loop promotion: mix %+v, counters %v", mix, a.Counters)
 	}
 	cfg.Seed++
-	c, err := RunPodSchedule(cfg, 4)
+	b, err := RunPodSchedule(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a, c) {
+	if reflect.DeepEqual(a, b) {
 		t.Fatal("different seed produced an identical storm")
 	}
+}
+
+// FuzzPodSchedule searches the schedule space for a run that breaks
+// podRunsAgree or a safety invariant: any seed, in the -short shape, on
+// 2-4 racks, run serially and again on 1-8 workers, sparse or dense.
+// Everything else is drawn from the seed, as in TestRandomPodSchedules,
+// whose first schedules are the seed corpus.
+func FuzzPodSchedule(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		cfg := podScheduleConfig(i, true)
+		f.Add(cfg.Seed, uint8(max(cfg.Racks, 2)-2), uint8(2+i%3), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, racks, workers uint8, dense bool) {
+		cfg := podScheduleConfig(0, true)
+		cfg.Seed, cfg.Racks = seed, 2+int(racks%3)
+		podRunsAgree(t, cfg, podRun{workers: 1 + int(workers%8), dense: dense})
+	})
 }
 
 // TestPodSchedulesRace fans storms across the runner's worker pool —
