@@ -67,8 +67,8 @@ package core
 // fixed by arrival time (ties by source rack, then send order), and
 // barrier work runs in rack-index order. 1-worker and N-worker
 // execution produce bit-identical simulations; workers only change
-// wall-clock time. parexec_test.go enforces this with engine dispatch
-// hashes.
+// wall-clock time. The conformance pod storm (conformance.RunPodSchedule,
+// searched by FuzzPodSchedule) enforces this with engine dispatch hashes.
 
 import (
 	"sync"

@@ -85,7 +85,7 @@ type PodConfig struct {
 	// DenseWindows disables the sparse-horizon jump: the executor
 	// visits every 1-window barrier even when provably a no-op, as it
 	// did before sparse execution existed. Either setting produces
-	// bit-identical simulations (the equivalence suites sweep both);
+	// bit-identical simulations (the conformance pod storm sweeps both);
 	// dense exists as the oracle for that comparison and as an escape
 	// hatch, not as a supported performance mode.
 	DenseWindows bool

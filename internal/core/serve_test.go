@@ -378,33 +378,3 @@ func TestServingMultiRack(t *testing.T) {
 		t.Error("rack 0's faults should have crossed the interconnect")
 	}
 }
-
-// TestServingMultiRackWorkerInvariance: a multi-rack serving run is
-// bit-identical at any worker count.
-func TestServingMultiRackWorkerInvariance(t *testing.T) {
-	run := func(workers int) (uint64, uint64, int64, sim.Time) {
-		pod := servePod(t, 3, 2, workers)
-		s, err := NewPodServing(pod, ServeConfig{Horizon: sim.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addPodServeTenant(t, pod, s, "a", 0, 0, 512, 20*sim.Microsecond, nil)
-		addPodServeTenant(t, pod, s, "b", 1, 0, 64, 30*sim.Microsecond, ctrlplane.NewTokenBucket(50_000, 4))
-		addPodServeTenant(t, pod, s, "c", 2, 1, 64, 25*sim.Microsecond, nil)
-		end, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := pod.Collector()
-		return col.Counter(stats.CtrServeCompleted), col.Counter(stats.CtrServeThrottled),
-			col.StreamHist("serve_lat[a]").Percentile(99), end
-	}
-	d1, t1, p1, e1 := run(1)
-	for _, workers := range []int{2, 8} {
-		d2, t2, p2, e2 := run(workers)
-		if d1 != d2 || t1 != t2 || p1 != p2 || e1 != e2 {
-			t.Fatalf("workers=%d diverged: (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
-				workers, d2, t2, p2, e2, d1, t1, p1, e1)
-		}
-	}
-}

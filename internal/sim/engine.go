@@ -282,7 +282,7 @@ type Engine struct {
 	// every dispatched (at, seq) pair into an FNV-style accumulator.
 	// Two engines that executed the identical event sequence — same
 	// times, same tie-break order — end with the same hash, which is
-	// how the serial-vs-parallel equivalence tests assert "identical
+	// how the serial-vs-parallel pod storms assert "identical
 	// (time, seq) dispatch" without recording full traces.
 	hashOn       bool
 	dispatchHash uint64
