@@ -139,14 +139,14 @@ func doReplay(out io.Writer, path string, blades int) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("empty trace")
 	}
-	// Size an area covering the trace's footprint.
-	var hi mem.VA
+	// Size an area covering the trace's footprint. Traces tracecap
+	// captured start at captureBase; any other valid trace may start
+	// below it, and then its first page is the base.
+	base, hi := captureBase, mem.VA(0)
 	for _, r := range recs {
-		if r.VA > hi {
-			hi = r.VA
-		}
+		base, hi = min(base, mem.PageBase(r.VA)), max(hi, r.VA)
 	}
-	footprint := uint64(hi-captureBase) + mem.PageSize
+	footprint := uint64(hi-base) + mem.PageSize
 
 	cfg := core.DefaultConfig(blades, 4)
 	cfg.MemoryBladeCapacity = mem.NextPow2(footprint * 2)
@@ -170,7 +170,7 @@ func doReplay(out io.Writer, path string, blades int) error {
 	if err != nil {
 		return err
 	}
-	th.Start(trace.Replay(trace.Rebase(recs, captureBase, vma.Base)), nil)
+	th.Start(trace.Replay(trace.Rebase(recs, base, vma.Base)), nil)
 	end := c.RunThreads()
 	col := c.Collector()
 	fmt.Fprintf(out, "replayed %d accesses in %.3f ms virtual (%.2f MOPS)\n",
