@@ -40,7 +40,8 @@
 // in the output is deterministic regardless of worker count.
 //
 // A flag that only the other mode reads (-racks without -serve, -threads
-// with it) is an error, not a silent no-op.
+// with it) is an error, not a silent no-op; so is a number no run can
+// use (-threads 0, -read 1.5, -serve-rate 0).
 package main
 
 import (
@@ -86,24 +87,13 @@ func main() {
 		workload    = flag.String("workload", "TF", "TF, GC, MA, MC, kvs-a, kvs-c, uniform")
 		blades      = flag.Int("blades", 2, "compute blades")
 		memBlades   = flag.Int("memblades", 8, "memory blades")
-		threads     = flag.Int("threads", 20, "total threads (spread round-robin)")
-		ops         = flag.Int("ops", 20000, "accesses per thread")
 		consistency = flag.String("consistency", "tso", "tso, pso, pso+")
-		readRatio   = flag.Float64("read", 0.5, "read ratio (uniform workload)")
-		sharing     = flag.Float64("sharing", 0.5, "sharing ratio (uniform workload)")
-		scale       = flag.Int("scale", 1, "workload footprint scale")
-		cacheFrac   = flag.Float64("cache", 0.25, "per-blade cache as fraction of footprint")
-		dirSlots    = flag.Int("dirslots", 0, "directory slot capacity (0 = paper default 30k)")
-		epoch       = flag.Duration("epoch", 0, "bounded-splitting epoch (0 = 100ms)")
 		seed        = flag.Uint64("seed", 1, "root run seed")
 		runs        = flag.Int("runs", 1, "replicates with seeds derived from the root seed")
 		parallel    = flag.Int("parallel", 0, "runner workers: 0 = one per CPU, -1 = serial, n = n workers")
 
 		// Open-loop serving mode (see the package comment).
 		serveMode     = flag.Bool("serve", false, "open-loop serving mode: three tenants inject arrivals; prints per-tenant p50/p99/p999")
-		serveHorizon  = flag.Duration("serve-horizon", 0, "serving horizon of virtual time (0 = sized so ~3*ops arrivals land)")
-		serveRate     = flag.Float64("serve-rate", 100_000, "steady tenant arrival rate, req/s (bursty and diurnal tenants scale from it)")
-		serveQoS      = flag.Float64("serve-qos", 150_000, "contracted req/s for the bursty tenant's token bucket (0 = no throttling)")
 		serveRacks    = flag.Int("racks", 1, "serving mode: racks in the pod (tenants are placed across racks; >1 runs sharded serving)")
 		serveWorkers  = flag.Int("workers", 0, "serving mode: pod executor worker count for multi-rack runs (0 or 1 = serial)")
 		serveDeadline = flag.Duration("serve-deadline", 0, "serving mode: end-to-end request deadline (0 = none)")
@@ -117,6 +107,7 @@ func main() {
 		killBlade  = flag.String("kill-blade", "", "kill a memory blade (failure injection): dur:rack:blade")
 		killSwitch = flag.String("kill-switch", "", "switch failover: dur:rack")
 	)
+	num := numericFlags(flag.CommandLine)
 	flag.Parse()
 
 	var set []string
@@ -127,13 +118,16 @@ func main() {
 	if *runs < 1 {
 		die(2, fmt.Sprintf("-runs must be >= 1 (got %d)", *runs))
 	}
+	if err := num.check(); err != nil {
+		die(2, err)
+	}
 
 	var w workloads.Workload
 	if *workload == "uniform" {
-		w = workloads.Uniform(uint64(8192**scale), *readRatio, *sharing)
+		w = workloads.Uniform(uint64(8192*num.scale), num.read, num.sharing)
 	} else {
 		var err error
-		if w, err = workloads.ByName(*workload, *scale); err != nil {
+		if w, err = workloads.ByName(*workload, num.scale); err != nil {
 			die(2, err)
 		}
 	}
@@ -150,7 +144,7 @@ func main() {
 		die(2, fmt.Sprintf("unknown consistency %q", *consistency))
 	}
 
-	cachePages := int(float64(w.Footprint/mem.PageSize) * *cacheFrac)
+	cachePages := int(float64(w.Footprint/mem.PageSize) * num.cache)
 	if cachePages < 64 {
 		cachePages = 64
 	}
@@ -177,13 +171,13 @@ func main() {
 		memBlades:   *memBlades,
 		cachePages:  cachePages,
 		consistency: cons,
-		dirSlots:    *dirSlots,
-		epoch:       sim.Duration(epoch.Nanoseconds()),
+		dirSlots:    num.dirSlots,
+		epoch:       sim.Duration(num.epoch.Nanoseconds()),
 	}
 
 	if *serveMode {
-		if err := runServeMode(w, shape, *serveRacks, *serveWorkers, *ops, *seed,
-			*serveRate, *serveQoS, sim.Duration(serveHorizon.Nanoseconds()),
+		if err := runServeMode(w, shape, *serveRacks, *serveWorkers, num.ops, *seed,
+			num.serveRate, num.serveQoS, sim.Duration(num.serveHorizon.Nanoseconds()),
 			sim.Duration(serveDeadline.Nanoseconds()), *serveRetries, *serveBrownout, faults); err != nil {
 			die(1, err)
 		}
@@ -201,8 +195,8 @@ func main() {
 		if err != nil {
 			return runReport{}, err
 		}
-		p := workloads.Params{Threads: *threads, Blades: *blades, OpsPerThread: *ops, Seed: runSeed}
-		for t := 0; t < *threads; t++ {
+		p := workloads.Params{Threads: num.threads, Blades: *blades, OpsPerThread: num.ops, Seed: runSeed}
+		for t := 0; t < num.threads; t++ {
 			th, err := proc.SpawnThread(t % *blades)
 			if err != nil {
 				return runReport{}, err
@@ -258,8 +252,8 @@ func main() {
 		}
 		seeds[i] = runSeed
 		specs[i] = runner.Spec{
-			Key: runner.KeyOf("mindsim", *workload, *blades, *memBlades, *threads, *ops,
-				cons, *readRatio, *sharing, *scale, cachePages, *dirSlots, int64(*epoch), runSeed,
+			Key: runner.KeyOf("mindsim", *workload, *blades, *memBlades, num.threads, num.ops,
+				cons, num.read, num.sharing, num.scale, cachePages, num.dirSlots, int64(num.epoch), runSeed,
 				*addBlade, *drainBlade, *killBlade, *killSwitch),
 			Run: func() (any, error) { return runOnce(runSeed) },
 		}
@@ -271,7 +265,7 @@ func main() {
 
 	first := results[0].(runReport)
 	fmt.Printf("workload=%s blades=%d threads=%d ops/thread=%d consistency=%s\n",
-		w.Name, *blades, *threads, *ops, cons)
+		w.Name, *blades, num.threads, num.ops, cons)
 	fmt.Printf("footprint        %d pages (%d MB), cache %d pages/blade\n",
 		w.Footprint/mem.PageSize, w.Footprint>>20, cachePages)
 	fmt.Print(first.detail)
@@ -426,6 +420,60 @@ var (
 	serveOnly      = []string{"serve-horizon", "serve-rate", "serve-qos", "racks", "workers",
 		"serve-deadline", "serve-retries", "serve-brownout"}
 )
+
+// numFlags are the numeric flags whose range mindsim checks before it
+// runs anything. The serving knobs NewPodServing checks (deadline,
+// retries, brownout) stay its own.
+type numFlags struct {
+	threads, ops, scale, dirSlots             int
+	cache, read, sharing, serveRate, serveQoS float64
+	epoch, serveHorizon                       time.Duration
+}
+
+// numericFlags registers the numeric flags on fs.
+func numericFlags(fs *flag.FlagSet) *numFlags {
+	n := &numFlags{}
+	fs.IntVar(&n.threads, "threads", 20, "total threads (spread round-robin)")
+	fs.IntVar(&n.ops, "ops", 20000, "accesses per thread")
+	fs.Float64Var(&n.read, "read", 0.5, "read ratio (uniform workload)")
+	fs.Float64Var(&n.sharing, "sharing", 0.5, "sharing ratio (uniform workload)")
+	fs.IntVar(&n.scale, "scale", 1, "workload footprint scale")
+	fs.Float64Var(&n.cache, "cache", 0.25, "per-blade cache as fraction of footprint")
+	fs.IntVar(&n.dirSlots, "dirslots", 0, "directory slot capacity (0 = paper default 30k)")
+	fs.DurationVar(&n.epoch, "epoch", 0, "bounded-splitting epoch (0 = 100ms)")
+	fs.DurationVar(&n.serveHorizon, "serve-horizon", 0, "serving horizon of virtual time (0 = sized so ~3*ops arrivals land)")
+	fs.Float64Var(&n.serveRate, "serve-rate", 100_000, "steady tenant arrival rate, req/s (bursty and diurnal tenants scale from it)")
+	fs.Float64Var(&n.serveQoS, "serve-qos", 150_000, "contracted req/s for the bursty tenant's token bucket (0 = no throttling)")
+	return n
+}
+
+// check rejects a value no run can use, naming its flag: one that used
+// to panic, print NaN or fall back to a default without a word.
+func (n *numFlags) check() error {
+	for _, c := range []struct {
+		flag string
+		bad  bool
+		got  any
+		want string
+	}{
+		{"threads", n.threads < 1, n.threads, ">= 1"},
+		{"ops", n.ops < 1, n.ops, ">= 1"},
+		{"scale", n.scale < 1, n.scale, ">= 1"},
+		{"cache", n.cache <= 0, n.cache, "> 0"},
+		{"read", n.read < 0 || n.read > 1, n.read, "in [0, 1]"},
+		{"sharing", n.sharing < 0 || n.sharing > 1, n.sharing, "in [0, 1]"},
+		{"dirslots", n.dirSlots < 0, n.dirSlots, ">= 0"},
+		{"epoch", n.epoch < 0, n.epoch, ">= 0"},
+		{"serve-horizon", n.serveHorizon < 0, n.serveHorizon, ">= 0"},
+		{"serve-rate", n.serveRate <= 0, n.serveRate, "> 0"},
+		{"serve-qos", n.serveQoS < 0, n.serveQoS, ">= 0"},
+	} {
+		if c.bad {
+			return fmt.Errorf("-%s must be %s (got %v)", c.flag, c.want, c.got)
+		}
+	}
+	return nil
+}
 
 // checkModeFlags rejects flags set on the command line that the selected
 // mode would drop without a word (a -racks 2 that runs one rack, a

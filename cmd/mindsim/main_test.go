@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -132,6 +133,35 @@ func TestParseTimedFault(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.err) || !strings.Contains(err.Error(), "-kill-blade") {
 			t.Errorf("%q (blade %v): error %v, want one naming -kill-blade and %q", tc.s, tc.wantBlade, err, tc.err)
+		}
+	}
+}
+
+// TestNumericFlagsAreChecked: a number no run can use exits 2 naming its
+// flag. `-scale -1` used to panic, `-threads 0` to print hits NaN%, and
+// `-cache -1` or `-epoch -1ms` to run a default without a word. The
+// defaults pass.
+func TestNumericFlagsAreChecked(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("mindsim", flag.ContinueOnError)
+		n := numericFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return n.check()
+	}
+	if err := parse(); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+	for _, tc := range [][2]string{
+		{"threads", "0"}, {"ops", "0"}, {"scale", "0"}, {"scale", "-1"}, {"scale", "-3"},
+		{"cache", "0"}, {"cache", "-1"}, {"read", "1.5"}, {"read", "-0.1"},
+		{"sharing", "-1"}, {"sharing", "2"}, {"dirslots", "-5"}, {"epoch", "-1ms"},
+		{"serve-horizon", "-1ms"}, {"serve-rate", "0"}, {"serve-rate", "-5"}, {"serve-qos", "-1"},
+	} {
+		err := parse("-"+tc[0], tc[1])
+		if err == nil || !strings.Contains(err.Error(), "-"+tc[0]+" ") {
+			t.Errorf("-%s %s: error %v, want one naming -%s", tc[0], tc[1], err, tc[0])
 		}
 	}
 }
