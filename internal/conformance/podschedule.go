@@ -135,7 +135,7 @@ func schedOps(base mem.VA, pages uint64) func() (mem.VA, bool) {
 
 // RunPodSchedule executes one randomized pod failure storm on the given
 // worker count and returns its outcome, or the first invariant
-// violation. The schedule (driver, window, tenants, fault kinds,
+// violation. The schedule (traffic, window, tenants, fault kinds,
 // victims, times) is derived entirely from cfg.Seed before the run
 // starts, so two calls with different worker counts drive one storm.
 func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
@@ -185,6 +185,7 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		pod.Rack(i).Engine().EnableDispatchHash()
 	}
 
+	// Drawn on closed-loop schedules too, so the storm's draws stay put.
 	scfg := core.ServeConfig{
 		Horizon:      cfg.Horizon,
 		Deadline:     sim.Duration(20+rng.Intn(40)) * sim.Microsecond,
@@ -199,9 +200,8 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 			return nil, err
 		}
 	}
-	// A tenant is a process with one vma. Serving makes it an open-loop
-	// share; a closed-loop schedule gives it one thread on the same blade
-	// walking the same ops, started once setup is done.
+	// A tenant is a process with one vma: an open-loop share, or one thread
+	// on the same blade walking the same ops, started once setup is done.
 	var threads []func()
 	addTenant := func(r *sim.RNG, name string, rack, pages int, lim *ctrlplane.TokenBucket) error {
 		p := pod.Rack(rack).Exec(name)
