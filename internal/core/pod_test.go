@@ -253,6 +253,60 @@ func TestPodPromotionMigratesHotVMAHome(t *testing.T) {
 	}
 }
 
+// TestPodDeterminism runs the same 2-rack borrow+promote workload twice
+// and requires identical virtual end times and counter snapshots.
+func TestPodDeterminism(t *testing.T) {
+	run := func() (sim.Time, map[string]uint64) {
+		pod := newTestPod(t, PromotionConfig{Epoch: 200 * sim.Microsecond, Threshold: 4})
+		// Rack 0 fills its one blade and then borrows; rack 1 stays local.
+		lengths := [][]uint64{{900, 400}, {600}}
+		for ri := 0; ri < 2; ri++ {
+			r := pod.Rack(ri)
+			p := r.Exec("w")
+			length := lengths[ri][len(lengths[ri])-1] * mem.PageSize
+			var vma mem.VMA
+			for _, pgs := range lengths[ri] {
+				var err error
+				vma, err = p.Mmap(pgs*mem.PageSize, mem.PermReadWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for b := 0; b < 2; b++ {
+				th, err := p.SpawnThread(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := sim.NewRNG(uint64(7+ri), "podgold")
+				n := 0
+				th.Start(func() (mem.VA, bool, bool) {
+					if n >= 3000 {
+						return 0, false, false
+					}
+					n++
+					pg := rng.Uint64n(length / mem.PageSize)
+					return vma.Base + mem.VA(pg*mem.PageSize), rng.Bool(0.3), true
+				}, nil)
+			}
+		}
+		end := pod.RunThreads()
+		return end, pod.Collector().Snapshot()
+	}
+	end1, snap1 := run()
+	end2, snap2 := run()
+	if end1 != end2 {
+		t.Fatalf("pod end time diverged: %v vs %v", end1, end2)
+	}
+	if len(snap1) != len(snap2) {
+		t.Fatalf("counter sets differ: %d vs %d", len(snap1), len(snap2))
+	}
+	for k, v := range snap1 {
+		if snap2[k] != v {
+			t.Errorf("counter %q diverged: %d vs %d", k, v, snap2[k])
+		}
+	}
+}
+
 // TestSingleRackPodHasNoPodMachinery pins the 1-rack identity contract:
 // no interconnect, no pod or cross-rack counters, no promotion tick, no
 // windows — the classic single-rack counter set and event schedule.
