@@ -6,9 +6,10 @@ package conformance
 // — landing in a multi-rack pod that runs either closed-loop threads or
 // open-loop traffic with the request-robustness layer armed (deadlines,
 // bounded retries, brownout shedding). The schedule also draws the
-// executor's window width, and on borrowing schedules whether local
-// memory frees up mid-run, so promotion brings the borrowed vma home
-// and the lease returns.
+// executor's window width, on borrowing schedules whether local memory
+// frees up mid-run, so promotion brings the borrowed vma home and the
+// lease returns, and whether the last rack's tenant stays idle, so the
+// executor parks that rack until a fault wakes it.
 //
 // This is the determinism oracle of the windowed pod executor: a
 // schedule run serially, on a worker pool, or with dense windows must
@@ -99,6 +100,9 @@ type podMix struct {
 	unmap    bool         // borrowing: free the filler, so promotion brings the span home
 	throttle bool         // serving: a token bucket on rack 1's local tenant
 	twin     bool         // serving, borrowing: the span tenant's second share on rack 1
+	// quiet: the last rack's local tenant never starts, so on a
+	// non-borrowing schedule faults land on a rack only barrier work wakes.
+	quiet bool
 }
 
 func drawMix(seed uint64) (podMix, *sim.RNG) {
@@ -107,6 +111,7 @@ func drawMix(seed uint64) (podMix, *sim.RNG) {
 	m := podMix{window: windows[rng.Intn(len(windows))], closed: rng.Bool(0.5), unmap: rng.Bool(0.5)}
 	m.throttle = !m.closed && rng.Bool(0.5)
 	m.twin = !m.closed && rng.Bool(0.5)
+	m.quiet = rng.Bool(0.25)
 	return m, rng
 }
 
@@ -202,14 +207,19 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 	}
 	// A tenant is a process with one vma: an open-loop share, or one thread
 	// on the same blade walking the same ops, started once setup is done.
+	// A tenant that does not start still maps its vma and draws its blade
+	// and mean, so the draws after it stay in place.
 	var threads []func()
-	addTenant := func(r *sim.RNG, name string, rack, pages int, lim *ctrlplane.TokenBucket) error {
+	addTenant := func(r *sim.RNG, name string, rack, pages int, lim *ctrlplane.TokenBucket, start bool) error {
 		p := pod.Rack(rack).Exec(name)
 		vma, err := p.Mmap(uint64(pages)*mem.PageSize, mem.PermReadWrite)
 		if err != nil {
 			return err
 		}
 		blade, mean := r.Intn(2), sim.Duration(3+r.Intn(5))*sim.Microsecond
+		if !start {
+			return nil
+		}
 		next := schedOps(vma.Base, uint64(pages))
 		if s != nil {
 			return s.AddTenant(core.TenantWorkload{
@@ -247,7 +257,7 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		if r > 0 {
 			span = fmt.Sprintf("span%d", r)
 		}
-		if err := addTenant(rng, span, r, 400, nil); err != nil {
+		if err := addTenant(rng, span, r, 400, nil, true); err != nil {
 			return nil, err
 		}
 		if pod.Rack(r).BorrowedBlades() == 0 {
@@ -264,13 +274,14 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		if r == 1 && mix.throttle {
 			lim = ctrlplane.NewTokenBucket(120_000, 8)
 		}
-		if err := addTenant(rng, fmt.Sprintf("t%d", r), r, 64, lim); err != nil {
+		quiet := mix.quiet && r == cfg.Racks-1
+		if err := addTenant(rng, fmt.Sprintf("t%d", r), r, 64, lim, !quiet); err != nil {
 			return nil, err
 		}
 	}
 	if borrow && mix.twin {
 		// The merged per-tenant accounting: a same-name share on rack 1.
-		if err := addTenant(mixRNG, "span", 1, 64, nil); err != nil {
+		if err := addTenant(mixRNG, "span", 1, 64, nil, true); err != nil {
 			return nil, err
 		}
 	}

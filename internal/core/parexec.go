@@ -34,6 +34,34 @@ package core
 // booked during the next window departs at >= vnow, arriving at
 // >= vnow + P = the next boundary.
 //
+// A window pays only for the racks with work due. The executor caches
+// one next-event time per rack (podExec.next), and the invariant is
+// that next[i] is never above rack i's earliest pending event. A rack
+// whose entry is at or past the window's end has nothing to dispatch:
+// it is parked (Engine.Park moves its clock to the boundary) instead of
+// entered. A rack that runs gets its exact entry back from RunWindow,
+// which had to find its next head to stop. A cancel only raises a head,
+// so a stale low entry costs one wasted entry, never a skipped event.
+// Every path that can put an event on rack i outside rack i's own
+// window keeps the invariant:
+//
+//   - a boundary delivery lowers its destination's entry
+//     (fabric.Interconnect.Deliveries);
+//   - the barrier's slow path (fault injection, idle-lease returns,
+//     borrow resolution), the sampler and the start of every drive, a
+//     nested one included, mark the whole cache stale, and the next
+//     iteration re-peeks every rack once.
+//
+// The barrier's own obligations are cached beside it: the earliest
+// queued fault (faultsDue) and borrow (borrowsDue), and a flag a rack's
+// window raises when it flagged a lease return or queued a borrow. So a
+// quiet window — nothing due, no flag, no sampler tick — costs one pass
+// over the cache (the minimum that sizes the jump), one Park per idle
+// rack, one atomic load for the elided flush and one flag test at the
+// barrier; no engine is touched but the ones with events. Dense mode
+// still enters every rack every window, which makes it the oracle the
+// skipping is checked against.
+//
 // Targets (AdvanceTime) differ accordingly, and only here: a 1-rack pod
 // reaches its target with RunUntil, inclusively — an event at the target
 // instant is dispatched, as the single-engine simulation always did —
@@ -98,10 +126,38 @@ type podExec struct {
 	// vnow is the window cursor of a multi-rack pod: every rack engine
 	// sits exactly here between drives.
 	vnow sim.Time
-	// dense disables the sparse-horizon jump: every 1-window barrier is
-	// visited even when provably a no-op. The equivalence suites sweep
-	// it to pin sparse execution bit-identical to the dense baseline.
+	// dense disables the sparse-horizon jump, and with it parking: every
+	// 1-window barrier is visited and every rack entered even when
+	// provably a no-op. The equivalence suites sweep it to pin sparse
+	// execution bit-identical to the dense baseline.
 	dense bool
+
+	// next caches each rack's next event time (sim.MaxTime: none). The
+	// invariant, held between windows: next[i] is never above rack i's
+	// earliest pending event (see the file comment for what keeps it).
+	// Multi-rack pods only.
+	next []sim.Time
+	// stale marks next as untrusted: some path put events on a rack
+	// without lowering its entry, so the next iteration re-peeks every
+	// rack once (refresh).
+	stale bool
+	// work: a window left barrier work behind — a flagged lease return
+	// or a newly queued borrow. Only rack events flag returns and queue
+	// borrows, so only windows raise it.
+	work bool
+	// faultsDue is the earliest queued fault injection and borrowsDue the
+	// earliest queued borrow resolution (sim.MaxTime: none). faultsDue is
+	// kept by scheduleFault and injectDueFaults; borrowsDue by the
+	// barrier, since a borrow queued inside a window raises work.
+	faultsDue  sim.Time
+	borrowsDue sim.Time
+	// executed counts the events windows dispatched: the drive's budget.
+	executed uint64
+	// entered and parked count, per rack, the windows that ran its
+	// engine and the windows that only parked its clock.
+	entered, parked []uint64
+	// lanes holds each worker's tally of one window, reduced after Wait.
+	lanes []lane
 
 	// Barrier-driven sampler (Pod.SampleEvery).
 	sampleEvery sim.Duration
@@ -114,6 +170,29 @@ type podExec struct {
 	windowsExecuted uint64
 	windowsSkipped  uint64
 	flushesElided   uint64
+}
+
+// lane is one worker's tally of a window: events dispatched and whether
+// any of its racks left barrier work.
+type lane struct {
+	events uint64
+	work   bool
+}
+
+// newPodExec builds the executor; a multi-rack pod gets the per-rack
+// next-event cache, stale until the first drive peeks it.
+func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
+	x := &podExec{p: p, window: window, workers: max(workers, 1), dense: dense,
+		faultsDue: sim.MaxTime, borrowsDue: sim.MaxTime}
+	if p.multiRack {
+		n := len(p.racks)
+		x.next = make([]sim.Time, n)
+		x.entered = make([]uint64, n)
+		x.parked = make([]uint64, n)
+		x.lanes = make([]lane, min(x.workers, n))
+		x.stale = true
+	}
+	return x
 }
 
 // wedged: stop() does not hold and nothing is left that could make it.
@@ -135,6 +214,11 @@ const wedged = "core: pod drive ran out of events (protocol wedge)"
 // (targets, thread counts, serve completion, await flags, idleness) can
 // only change through dispatched events or barrier work, and the
 // skipped region has neither.
+//
+// Code between drives may schedule anything on any rack, so a drive
+// starts with the next-event cache stale. A drive nested in barrier
+// code starts the same way, and the barrier code around it marks the
+// cache stale again when it is done.
 func (x *podExec) drive(target sim.Time, stop func() bool) {
 	if !x.p.multiRack {
 		eng := x.p.racks[0].eng
@@ -148,40 +232,76 @@ func (x *podExec) drive(target sim.Time, stop func() bool) {
 		}
 		return
 	}
-	startExec := x.p.ExecutedEvents()
+	x.stale = true
+	start := x.executed
 	for !stop() {
-		if target == 0 && x.idle() {
+		if x.stale {
+			x.refresh()
+		}
+		head := x.earliest()
+		// next[i] == MaxTime means rack i has no event at all, so only an
+		// empty cache can be a wedge; idle() confirms it.
+		if target == 0 && head == sim.MaxTime && x.idle() {
 			panic(wedged)
 		}
-		end := x.nextBarrier(target)
+		end := x.nextBarrier(target, head)
 		x.runWindow(end)
 		x.vnow = end
 		x.windowsExecuted++
 		// Elide the cross-rack merge entirely on a quiet boundary: the
 		// pending counter is exact here (workers joined), so skipping
-		// FlushBoundary when it is zero delivers the same nothing.
+		// FlushBoundary when it is zero delivers the same nothing. A
+		// delivery lowers its destination's cached next event.
 		if x.p.ic.PendingBoundary() > 0 {
 			x.p.ic.FlushBoundary()
+			for _, d := range x.p.ic.Deliveries() {
+				x.next[d.To] = min(x.next[d.To], d.At)
+			}
 		} else {
 			x.flushesElided++
 		}
 		x.barrier(end)
-		if x.p.ExecutedEvents()-startExec > 2_000_000_000 {
+		if x.executed-start > 2_000_000_000 {
 			panic("core: pod drive exceeded event budget")
 		}
 	}
 }
 
-// runWindow runs every rack engine up to end. With n = min(workers,
-// racks) above 1, worker w runs racks w, w+n, … on its own goroutine,
-// and Wait orders every rack mutation of the window before the
+// refresh re-reads every rack's cached next event from its engine.
+func (x *podExec) refresh() {
+	for i, r := range x.p.racks {
+		t, ok := r.eng.PeekTime()
+		if !ok {
+			t = sim.MaxTime
+		}
+		x.next[i] = t
+	}
+	x.stale = false
+}
+
+// earliest returns the pod's earliest cached next event (sim.MaxTime:
+// no rack has one).
+func (x *podExec) earliest() sim.Time {
+	head := sim.MaxTime
+	for _, t := range x.next {
+		head = min(head, t)
+	}
+	return head
+}
+
+// runWindow advances every rack to end (step). With n = min(workers,
+// racks) above 1, worker w steps racks w, w+n, … on its own goroutine,
+// writing only those racks' cache entries and its own lane, and Wait
+// orders every rack mutation of the window before the reduction and the
 // barrier's reads. No goroutine outlives the window.
 func (x *podExec) runWindow(end sim.Time) {
 	racks := x.p.racks
 	n := min(x.workers, len(racks))
 	if n <= 1 {
-		for _, r := range racks {
-			r.eng.RunWindow(end)
+		for i := range racks {
+			events, work := x.step(i, end)
+			x.executed += events
+			x.work = x.work || work
 		}
 		return
 	}
@@ -190,23 +310,53 @@ func (x *podExec) runWindow(end sim.Time) {
 	for w := 0; w < n; w++ {
 		go func() {
 			defer wg.Done()
+			var l lane
 			for i := w; i < len(racks); i += n {
-				racks[i].eng.RunWindow(end)
+				events, work := x.step(i, end)
+				l.events += events
+				l.work = l.work || work
 			}
+			x.lanes[w] = l
 		}()
 	}
 	wg.Wait()
+	for _, l := range x.lanes[:n] {
+		x.executed += l.events
+		x.work = x.work || l.work
+	}
 }
 
-// nextBarrier returns the end of the next window to sweep. Dense mode
-// always advances one window (capped at target). Sparse mode jumps
-// ahead k windows when the k-1 intermediate grid barriers are provably
-// no-ops, which is exactly when every obligation lies at or beyond the
-// jump's end:
+// step advances rack i to end. In sparse mode a rack whose cached next
+// event is at or past end has nothing to dispatch and is only parked;
+// otherwise its window runs and reports the new head. It returns the
+// events dispatched and whether the window left barrier work: a flagged
+// lease return or a newly queued borrow.
+func (x *podExec) step(i int, end sim.Time) (events uint64, work bool) {
+	r := x.p.racks[i]
+	if !x.dense && x.next[i] >= end {
+		r.eng.Park(end)
+		x.parked[i]++
+		return 0, false
+	}
+	x.entered[i]++
+	executed, borrows := r.eng.Executed, len(r.pendingBorrows)
+	t, ok := r.eng.RunWindow(end)
+	if !ok {
+		t = sim.MaxTime
+	}
+	x.next[i] = t
+	return r.eng.Executed - executed, r.wantReturns || len(r.pendingBorrows) > borrows
+}
+
+// nextBarrier returns the end of the next window to sweep; head is the
+// pod's earliest cached next event. Dense mode always advances one
+// window (capped at target). Sparse mode jumps ahead k windows when the
+// k-1 intermediate grid barriers are provably no-ops, which is exactly
+// when every obligation lies at or beyond the jump's end:
 //
 //   - earliest pending event: with every engine parked on vnow and the
 //     outboxes empty (the previous barrier flushed), no rack can
-//     dispatch before tE = min PeekTime across engines, and no
+//     dispatch before tE = min over racks of the next event, and no
 //     cross-rack send can exist before a dispatch. The jump lands on
 //     the grid window containing tE, so skipped windows dispatch
 //     nothing, flush nothing, and consume no sequence numbers — the
@@ -226,18 +376,13 @@ func (x *podExec) runWindow(end sim.Time) {
 // Serve-termination probes and thread-completion checks need no clamp:
 // they are stop() conditions evaluated at barriers, and nothing in a
 // skipped region can change them (see drive).
-func (x *podExec) nextBarrier(target sim.Time) sim.Time {
+func (x *podExec) nextBarrier(target, head sim.Time) sim.Time {
 	end := x.vnow.Add(x.window)
-	if x.dense {
-		if target != 0 && end > target {
-			end = target
+	if !x.dense {
+		if k := x.safeJump(target, head); k > 1 {
+			end = x.vnow.Add(x.window * sim.Duration(k))
+			x.windowsSkipped += uint64(k - 1)
 		}
-		return end
-	}
-	k := x.safeJump(target)
-	if k > 1 {
-		end = x.vnow.Add(x.window * sim.Duration(k))
-		x.windowsSkipped += uint64(k - 1)
 	}
 	if target != 0 && end > target {
 		end = target
@@ -249,83 +394,40 @@ func (x *podExec) nextBarrier(target sim.Time) sim.Time {
 // sweep: the largest k such that no obligation (event dispatch, sampler
 // tick, fault injection, borrow resolution) is due at any of the k-1
 // intermediate barriers. Returns at least 1. Barrier context only.
-func (x *podExec) safeJump(target sim.Time) int64 {
-	w := int64(x.window)
-	vnow := int64(x.vnow)
-	const unbounded = int64(1) << 62
-	k := unbounded
-
-	// Earliest pending event across the rack engines. kE is the minimal
-	// k with vnow+kW > tE, i.e. the jump's final window contains tE. One
-	// pass, exiting on the first rack that forces the adjacent window —
-	// an event inside it, or a flagged lease return (wantReturns can
-	// only be set by a rack event and is consumed by the barrier
-	// immediately after, so it is clear here; if it ever were set, the
-	// next barrier must run it). In busy phases some rack nearly always
-	// has imminent work, so the sparse check typically costs one peek
-	// instead of a full sweep plus the obligation clamps below.
-	for _, r := range x.p.racks {
-		if r.wantReturns {
-			return 1
-		}
-		t, ok := r.eng.PeekTime()
-		if !ok {
-			continue
-		}
-		kE := (int64(t)-vnow)/w + 1
-		if kE <= 1 {
-			return 1
-		}
-		if kE < k {
-			k = kE
-		}
-	}
-	// Sampler tick: minimal k with vnow+kW >= nextSample.
+//
+// Each obligation bounds the jump by a latest instant lim that the
+// final window must contain — the minimal k with vnow+kW > lim — so the
+// clamps fold into one minimum and k = (lim-vnow)/W + 1, one division,
+// taken only when lim lies past the adjacent window:
+//
+//   - an event at tE must be inside the final window: lim = tE;
+//   - a sampler tick fires at the first barrier >= nextSample:
+//     lim = nextSample-1;
+//   - a fault or borrow due at t resolves at the first barrier end with
+//     t < end+W (barriersUntil's clamp): lim = t-W;
+//   - dense mode reaches target in ceil((target-vnow)/W) windows, never
+//     jump past that (nextBarrier caps the final window): lim = target-1.
+func (x *podExec) safeJump(target, head sim.Time) int64 {
+	lim := head
 	if x.sampleFn != nil {
-		if d := int64(x.nextSample) - vnow; d > 0 {
-			if kS := (d + w - 1) / w; kS < k {
-				k = kS
-			}
-		} else {
-			k = 1
-		}
+		lim = min(lim, x.nextSample-1)
 	}
-	// Queued fault injections (podfail.go) and borrow resolutions.
-	for _, r := range x.p.racks {
-		for _, f := range r.pendingFaults {
-			k = min(k, x.barriersUntil(f.at))
-		}
-		for _, req := range r.pendingBorrows {
-			k = min(k, x.barriersUntil(req.due))
-		}
+	if x.faultsDue != sim.MaxTime {
+		lim = min(lim, x.faultsDue.Add(-x.window))
+	}
+	if x.borrowsDue != sim.MaxTime {
+		lim = min(lim, x.borrowsDue.Add(-x.window))
 	}
 	if target != 0 {
-		// Dense mode reaches target in ceil((target-vnow)/W) windows;
-		// never jump past that (nextBarrier caps the final window).
-		if kT := (int64(target) - vnow + w - 1) / w; kT < k {
-			k = kT
-		}
+		lim = min(lim, target-1)
 	}
-	if k < 1 || k == unbounded {
-		// Clamped below a window (an overdue obligation — cannot happen
-		// after a correct barrier, but never jump past one), or nothing
-		// pending at all with no target (the idle/wedge check in drive
-		// owns that case): advance exactly one window.
+	// Below the adjacent window's end an obligation forces it; an
+	// unbounded lim (nothing pending, no target) leaves the wedge check
+	// in drive to own the case: advance exactly one window.
+	if lim < x.vnow.Add(x.window) || lim == sim.MaxTime {
 		return 1
 	}
-	return k
-}
-
-// barriersUntil returns how many grid windows the cursor may advance
-// without deferring an obligation queued for time at — a fault to
-// inject, a borrow to resolve. The first barrier end with at < end+W
-// performs it (injectDueFaults, barrier), so the jump must stop at the
-// minimal k with vnow+kW > at-W. Queued obligations satisfy at >= vnow+W
-// (earlier ones were performed at registration or a prior barrier), so
-// the bound is at least 1.
-func (x *podExec) barriersUntil(at sim.Time) int64 {
-	w := int64(x.window)
-	return (int64(at)-w-int64(x.vnow))/w + 1
+	return int64(lim.Sub(x.vnow)/x.window) + 1
 }
 
 // idle reports whether the pod can make no further progress: every
@@ -341,46 +443,57 @@ func (x *podExec) idle() bool {
 }
 
 // barrier is the exclusive section between windows: every rack engine
-// is parked on end. It performs the flagged idle-blade returns, the due
-// borrow negotiations, and the sampler — in rack-index order, so the
-// outcome is independent of how the windows were scheduled.
+// is parked on end. It performs the due fault injections, the flagged
+// idle-blade returns, the due borrow negotiations, and the sampler — in
+// rack-index order, so the outcome is independent of how the windows
+// were scheduled. A quiet barrier — no rack flagged work, no fault or
+// borrow due inside the next window, no sampler tick — is one test.
+// Everything behind the test may schedule on any rack, so it leaves the
+// next-event cache stale.
 func (x *podExec) barrier(end sim.Time) {
-	// Failure injection precedes the barrier's lease traffic: a fault
-	// due inside the next window [end, end+window) becomes ordinary
-	// rack events at its exact injection time (podfail.go), before any
-	// blade changes hands at this boundary.
-	x.injectDueFaults(end.Add(x.window))
-	for _, r := range x.p.racks {
-		if r.wantReturns {
-			r.wantReturns = false
-			r.returnIdleBorrowedBlades()
-		}
-	}
-	// A borrow whose due time falls inside the next window [end,
-	// end+window) must resolve now; later ones keep waiting. done fires
-	// as a normal borrower event at the due time, so threads observe
-	// the negotiation RTT exactly.
 	horizon := end.Add(x.window)
-	for _, r := range x.p.racks {
-		if len(r.pendingBorrows) == 0 {
-			continue
+	if x.work || x.faultsDue < horizon || x.borrowsDue < horizon {
+		x.work = false
+		// Failure injection precedes the barrier's lease traffic: a fault
+		// due inside the next window [end, end+window) becomes ordinary
+		// rack events at its exact injection time (podfail.go), before any
+		// blade changes hands at this boundary.
+		x.injectDueFaults(horizon)
+		for _, r := range x.p.racks {
+			if r.wantReturns {
+				r.wantReturns = false
+				r.returnIdleBorrowedBlades()
+			}
 		}
-		rest := r.pendingBorrows[:0]
-		for _, req := range r.pendingBorrows {
-			if req.due >= horizon {
-				rest = append(rest, req)
+		// A borrow whose due time falls inside the next window [end,
+		// end+window) must resolve now; later ones keep waiting. done fires
+		// as a normal borrower event at the due time, so threads observe
+		// the negotiation RTT exactly.
+		x.borrowsDue = sim.MaxTime
+		for _, r := range x.p.racks {
+			if len(r.pendingBorrows) == 0 {
 				continue
 			}
-			ok := x.p.borrow(r, req.need)
-			done := req.done
-			r.eng.At(req.due, func() { done(ok) })
+			rest := r.pendingBorrows[:0]
+			for _, req := range r.pendingBorrows {
+				if req.due >= horizon {
+					rest = append(rest, req)
+					x.borrowsDue = min(x.borrowsDue, req.due)
+					continue
+				}
+				ok := x.p.borrow(r, req.need)
+				done := req.done
+				r.eng.At(req.due, func() { done(ok) })
+			}
+			r.pendingBorrows = rest
 		}
-		r.pendingBorrows = rest
+		x.stale = true
 	}
-	if x.sampleFn != nil {
+	if x.sampleFn != nil && x.nextSample <= x.vnow {
 		for x.nextSample <= x.vnow {
 			x.sampleFn(x.nextSample)
 			x.nextSample = x.nextSample.Add(x.sampleEvery)
 		}
+		x.stale = true
 	}
 }

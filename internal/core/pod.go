@@ -82,12 +82,13 @@ type PodConfig struct {
 	// fans its racks out to (0 or 1: serial). Any worker count produces
 	// bit-identical results; workers only change wall-clock time.
 	Workers int
-	// DenseWindows disables the sparse-horizon jump: the executor
-	// visits every 1-window barrier even when provably a no-op, as it
-	// did before sparse execution existed. Either setting produces
-	// bit-identical simulations (the conformance pod storm sweeps both);
-	// dense exists as the oracle for that comparison and as an escape
-	// hatch, not as a supported performance mode.
+	// DenseWindows disables the sparse-horizon jump and rack parking:
+	// the executor visits every 1-window barrier and enters every rack
+	// even when provably a no-op, as it did before sparse execution
+	// existed. Either setting produces bit-identical simulations (the
+	// conformance pod storm sweeps both); dense exists as the oracle for
+	// that comparison and as an escape hatch, not as a supported
+	// performance mode.
 	DenseWindows bool
 }
 
@@ -166,7 +167,7 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 			}
 		}
 	}
-	p.exec = &podExec{p: p, window: window, workers: max(cfg.Workers, 1), dense: cfg.DenseWindows}
+	p.exec = newPodExec(p, window, cfg.Workers, cfg.DenseWindows)
 	return p, nil
 }
 
@@ -296,10 +297,15 @@ func (p *Pod) activeThreadCount() int {
 // first window barrier at or after each multiple of every. This
 // replaces engine-scheduled self-rescheduling samplers, which would
 // keep the engines eternally non-idle and — worse — run as rack events
-// whose placement depends on the shard layout. Multi-rack pods only.
+// whose placement depends on the shard layout. Multi-rack pods only,
+// and every must be positive: the barrier catches up on every tick due,
+// so a zero period would never let it leave.
 func (p *Pod) SampleEvery(every sim.Duration, fn func(now sim.Time)) {
 	if !p.multiRack {
 		panic("core: SampleEvery requires a multi-rack pod")
+	}
+	if every <= 0 {
+		panic(fmt.Sprintf("core: SampleEvery period %v is not positive", every))
 	}
 	p.exec.sampleEvery = every
 	p.exec.sampleFn = fn

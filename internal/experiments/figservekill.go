@@ -76,6 +76,13 @@ func figServeKillConfig(s Scale) figServeKillParams {
 	return figServeKillParams{s: s, horizon: horizon, seed: s.seed()}
 }
 
+// sampleEvery is the timeline's bucket width: a horizon's
+// figServeKillBuckets-th, never below 1 ns, because Pod.SampleEvery
+// rejects a period that is not positive.
+func (p figServeKillParams) sampleEvery() sim.Duration {
+	return max(p.horizon/figServeKillBuckets, sim.Nanosecond)
+}
+
 // spec runs the storm. All failure timing derives from the horizon, so
 // every scale sees the same storm shape: detection is slowed to a
 // bucket's width (the blackout must be visible on the timeline grid)
@@ -227,7 +234,7 @@ func (p figServeKillParams) spec() prun.Spec {
 			n := 0
 			var lastDone, lastBad uint64
 			var lastT sim.Time
-			pod.SampleEvery(H/figServeKillBuckets, func(now sim.Time) {
+			pod.SampleEvery(p.sampleEvery(), func(now sim.Time) {
 				if n >= maxBuckets {
 					return
 				}

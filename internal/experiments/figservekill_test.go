@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	prun "mind/internal/runner"
+	"mind/internal/sim"
 )
 
 // TestFigServeKillShape checks the failure panel's signature at Tiny
@@ -65,5 +66,26 @@ func TestFigServeKillShape(t *testing.T) {
 	}
 	if r.VictimP99US <= 0 || r.SteadyP99US <= 0 {
 		t.Errorf("missing p99s: victim %.1fus steady %.1fus", r.VictimP99US, r.SteadyP99US)
+	}
+}
+
+// TestFigServeKillSamplesPositive pins the panel's sampler period
+// positive at every scale, down to a zero-op one whose horizon is zero:
+// a zero period would hang the first barrier (Pod.SampleEvery rejects
+// it), and the period at the named scales is exactly the horizon's
+// bucket share.
+func TestFigServeKillSamplesPositive(t *testing.T) {
+	for _, s := range []Scale{Tiny, Quick, Full, {TotalOps: 1}, {}} {
+		p := figServeKillConfig(s)
+		every := p.sampleEvery()
+		if every <= 0 {
+			t.Errorf("%d ops: sampler period %v", s.TotalOps, every)
+		}
+		if want := p.horizon / figServeKillBuckets; want > 0 && every != want {
+			t.Errorf("%d ops: sampler period %v, want the horizon's bucket %v", s.TotalOps, every, want)
+		}
+	}
+	if p := figServeKillConfig(Scale{}); p.sampleEvery() != sim.Nanosecond {
+		t.Errorf("zero-op scale: period %v, want 1ns", p.sampleEvery())
 	}
 }

@@ -216,3 +216,37 @@ func TestInterconnectFlushBoundaryEmptyFree(t *testing.T) {
 		t.Fatalf("empty FlushBoundary allocated %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestInterconnectDeliveriesRecordHeads pins the delivery record the pod
+// executor lowers its cached next-event times with: one entry per
+// message the last FlushBoundary injected, whose earliest time per
+// destination is that engine's new head, and none after a flush that
+// delivered nothing.
+func TestInterconnectDeliveriesRecordHeads(t *testing.T) {
+	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+	ic := NewShardedInterconnect(engs, DefaultInterConfig())
+	ic.Send(0, 2, PageBytes, func(any) {}, nil)
+	ic.Send(0, 1, PageBytes, func(any) {}, nil)
+	ic.Send(1, 2, CtrlMsgBytes, func(any) {}, nil)
+	n := ic.FlushBoundary()
+	ds := ic.Deliveries()
+	if len(ds) != n || n != 3 {
+		t.Fatalf("%d deliveries recorded for %d delivered, want 3", len(ds), n)
+	}
+	earliest := map[int]sim.Time{}
+	for _, d := range ds {
+		if at, ok := earliest[d.To]; !ok || d.At < at {
+			earliest[d.To] = d.At
+		}
+	}
+	for i, e := range engs {
+		at, ok := earliest[i]
+		head, pending := e.PeekTime()
+		if ok != pending || at != head {
+			t.Fatalf("rack %d: recorded earliest (%v, %v), engine head (%v, %v)", i, at, ok, head, pending)
+		}
+	}
+	if ic.FlushBoundary(); len(ic.Deliveries()) != 0 {
+		t.Fatalf("empty flush left %d deliveries recorded", len(ic.Deliveries()))
+	}
+}

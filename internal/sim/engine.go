@@ -823,11 +823,48 @@ func (e *Engine) RunUntil(deadline Time) {
 // injected. After RunWindow returns, every remaining queued event has
 // at >= end and the clock sits exactly on the boundary, so boundary
 // injections with at == end are legal non-past schedules.
-func (e *Engine) RunWindow(end Time) {
-	for e.stepUntil(end - 1) {
+//
+// It reports the head it stopped at, exactly as PeekTime would right
+// after it: the window had to locate that head to know it must stop, so
+// the pod executor's per-rack lookahead costs nothing extra.
+func (e *Engine) RunWindow(end Time) (next Time, ok bool) {
+	for {
+		var head *Event
+		if e.plain {
+			if len(e.queue) > 0 {
+				head = e.queue[0]
+			}
+		} else {
+			head = e.wheelHead()
+		}
+		if head == nil || head.at >= end {
+			e.Park(end)
+			if head == nil {
+				return 0, false
+			}
+			return head.at, true
+		}
+		// stepUntil's dispatch, on the head already in hand.
+		if e.plain {
+			e.queue.remove(0)
+			head.where = whereNone
+		} else {
+			e.popWheel(head)
+		}
+		e.now = head.at
+		e.fire(head)
 	}
-	if e.now < end {
-		e.now = end
+}
+
+// Park moves the clock to t without dispatching anything (a no-op when
+// the clock is already there or beyond). It is RunWindow(t) for an
+// engine the caller knows has no event below t — the pod executor parks
+// a rack with nothing due instead of entering it — and it must only be
+// used so: an event below t would be dispatched late, at a clock past
+// its timestamp.
+func (e *Engine) Park(t Time) {
+	if e.now < t {
+		e.now = t
 	}
 }
 

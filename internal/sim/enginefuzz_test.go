@@ -21,6 +21,10 @@ type fuzzDriver struct {
 	fired   []fuzzFired
 	handles []*Event
 	nextID  uint64
+	// winAt, winOK are what the last RunWindow op reported as the head
+	// it stopped at.
+	winAt Time
+	winOK bool
 }
 
 // fuzzEv is one event's payload. kids is its child program: bit 0 asks
@@ -111,7 +115,7 @@ func (d *fuzzDriver) apply(op, a, b byte) bool {
 	case 7:
 		e.RunUntil(e.Now().Add(delay))
 	case 8:
-		e.RunWindow(e.Now().Add(delay))
+		d.winAt, d.winOK = e.RunWindow(e.Now().Add(delay))
 	case 9:
 		// PeekTime: the comparison after every op peeks both engines.
 	}
@@ -123,7 +127,8 @@ const fuzzEngineMaxOps = 300
 
 // runEngineOps drives the calendar engine and the plain reference heap
 // with the same op stream. After every op both must agree on the fired
-// (id, time) sequence, Now, Pending, Executed and PeekTime.
+// (id, time) sequence, Now, Pending, Executed and PeekTime, and after a
+// RunWindow op each engine's reported head must be its PeekTime.
 func runEngineOps(t *testing.T, ops []byte) {
 	t.Helper()
 	if len(ops) > 3*fuzzEngineMaxOps {
@@ -153,6 +158,10 @@ func runEngineOps(t *testing.T, ops []byte) {
 		atP, okP := p.e.PeekTime()
 		if atW != atP || okW != okP {
 			t.Fatalf("op %d (%d %d %d): PeekTime = (%d, %v), reference (%d, %v)", i/3, op, a, b, atW, okW, atP, okP)
+		}
+		if op%10 == 8 && (w.winAt != atW || w.winOK != okW || p.winAt != atP || p.winOK != okP) {
+			t.Fatalf("op %d (%d %d %d): RunWindow reported (%d, %v), reference (%d, %v); PeekTime (%d, %v)",
+				i/3, op, a, b, w.winAt, w.winOK, p.winAt, p.winOK, atW, okW)
 		}
 	}
 }
