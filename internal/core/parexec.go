@@ -180,7 +180,7 @@ type lane struct {
 }
 
 // newPodExec builds the executor; a multi-rack pod gets the per-rack
-// next-event cache, stale until the first drive peeks it.
+// next-event cache, which every drive starts by peeking.
 func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 	x := &podExec{p: p, window: window, workers: max(workers, 1), dense: dense,
 		faultsDue: sim.MaxTime, borrowsDue: sim.MaxTime}
@@ -190,7 +190,6 @@ func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 		x.entered = make([]uint64, n)
 		x.parked = make([]uint64, n)
 		x.lanes = make([]lane, min(x.workers, n))
-		x.stale = true
 	}
 	return x
 }
