@@ -288,63 +288,58 @@ func (x *podExec) earliest() sim.Time {
 	return head
 }
 
-// runWindow advances every rack to end (step). With n = min(workers,
-// racks) above 1, worker w steps racks w, w+n, … on its own goroutine,
-// writing only those racks' cache entries and its own lane, and Wait
-// orders every rack mutation of the window before the reduction and the
+// runWindow advances every rack to end. With n = min(workers, racks)
+// above 1, worker w steps racks w, w+n, … on its own goroutine, writing
+// only those racks' cache entries and its own lane, and Wait orders
+// every rack mutation of the window before the reduction and the
 // barrier's reads. No goroutine outlives the window.
 func (x *podExec) runWindow(end sim.Time) {
-	racks := x.p.racks
-	n := min(x.workers, len(racks))
+	n := min(x.workers, len(x.p.racks))
 	if n <= 1 {
-		for i := range racks {
-			events, work := x.step(i, end)
-			x.executed += events
-			x.work = x.work || work
+		x.lanes[0] = x.stepRacks(0, 1, end)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for w := 0; w < n; w++ {
+			go func() {
+				defer wg.Done()
+				x.lanes[w] = x.stepRacks(w, n, end)
+			}()
 		}
-		return
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer wg.Done()
-			var l lane
-			for i := w; i < len(racks); i += n {
-				events, work := x.step(i, end)
-				l.events += events
-				l.work = l.work || work
-			}
-			x.lanes[w] = l
-		}()
-	}
-	wg.Wait()
 	for _, l := range x.lanes[:n] {
 		x.executed += l.events
 		x.work = x.work || l.work
 	}
 }
 
-// step advances rack i to end. In sparse mode a rack whose cached next
-// event is at or past end has nothing to dispatch and is only parked;
-// otherwise its window runs and reports the new head. It returns the
-// events dispatched and whether the window left barrier work: a flagged
-// lease return or a newly queued borrow.
-func (x *podExec) step(i int, end sim.Time) (events uint64, work bool) {
-	r := x.p.racks[i]
-	if !x.dense && x.next[i] >= end {
-		r.eng.Park(end)
-		x.parked[i]++
-		return 0, false
+// stepRacks advances racks first, first+stride, … to end. In sparse
+// mode a rack whose cached next event is at or past end has nothing to
+// dispatch and is only parked; otherwise its window runs and reports
+// the new head. The lane tallies the events dispatched and whether a
+// window left barrier work: a flagged lease return or a newly queued
+// borrow.
+func (x *podExec) stepRacks(first, stride int, end sim.Time) (l lane) {
+	racks := x.p.racks
+	for i := first; i < len(racks); i += stride {
+		r := racks[i]
+		if !x.dense && x.next[i] >= end {
+			r.eng.Park(end)
+			x.parked[i]++
+			continue
+		}
+		x.entered[i]++
+		executed, borrows := r.eng.Executed, len(r.pendingBorrows)
+		t, ok := r.eng.RunWindow(end)
+		if !ok {
+			t = sim.MaxTime
+		}
+		x.next[i] = t
+		l.events += r.eng.Executed - executed
+		l.work = l.work || r.wantReturns || len(r.pendingBorrows) > borrows
 	}
-	x.entered[i]++
-	executed, borrows := r.eng.Executed, len(r.pendingBorrows)
-	t, ok := r.eng.RunWindow(end)
-	if !ok {
-		t = sim.MaxTime
-	}
-	x.next[i] = t
-	return r.eng.Executed - executed, r.wantReturns || len(r.pendingBorrows) > borrows
+	return l
 }
 
 // nextBarrier returns the end of the next window to sweep; head is the

@@ -748,9 +748,10 @@ func (e *Engine) popWheel(ev *Event) {
 func (e *Engine) Step() bool { return e.stepUntil(MaxTime) }
 
 // stepUntil dispatches the single earliest event if its timestamp is at
-// most limit, and reports whether it did. It is the one dispatch loop
-// under Step, Run, RunUntil and RunWindow: the head is located once per
-// event, and the bound is tested on the event about to fire.
+// most limit, and reports whether it did. It is the dispatch step under
+// Step, Run and RunUntil, and RunWindow repeats it inline: the head is
+// located once per event, and the bound is tested on the event about to
+// fire.
 func (e *Engine) stepUntil(limit Time) bool {
 	if e.plain {
 		if len(e.queue) == 0 || e.queue[0].at > limit {
@@ -844,7 +845,9 @@ func (e *Engine) RunWindow(end Time) (next Time, ok bool) {
 			}
 			return head.at, true
 		}
-		// stepUntil's dispatch, on the head already in hand.
+		// stepUntil's dispatch, on the head already in hand. Calling
+		// stepUntil instead costs a call level per rack-window, which the
+		// pod executor pays on every rack it enters.
 		if e.plain {
 			e.queue.remove(0)
 			head.where = whereNone
