@@ -53,12 +53,13 @@ package core
 //     iteration re-peeks every rack once.
 //
 // The barrier's own obligations are cached beside it: the earliest
-// queued fault (faultsDue) and borrow (borrowsDue), and a flag a rack's
-// window raises when it flagged a lease return or queued a borrow. So a
-// quiet window — nothing due, no flag, no sampler tick — costs one pass
-// over the cache (the minimum that sizes the jump), one Park per idle
-// rack, one atomic load for the elided flush and one flag test at the
-// barrier; no engine is touched but the ones with events. Dense mode
+// queued fault (faultsDue) and borrow (borrowsDue), and a flag a window
+// raises when a rack that dispatched events has a lease return flagged
+// or a borrow queued. So a quiet window — nothing due, no flag, no
+// sampler tick — costs one pass over the cache (the minimum that sizes
+// the jump), one Park per idle rack, one atomic load for the elided
+// flush and one flag test at the barrier; no engine is touched but the
+// ones with events. Dense mode
 // still enters every rack every window, which makes it the oracle the
 // skipping is checked against.
 //
@@ -142,8 +143,8 @@ type podExec struct {
 	// rack once (refresh).
 	stale bool
 	// work: a window left barrier work behind — a flagged lease return
-	// or a newly queued borrow. Only rack events flag returns and queue
-	// borrows, so only windows raise it.
+	// or a queued borrow on a rack that dispatched events. Only rack
+	// events flag returns and queue borrows, so only windows raise it.
 	work bool
 	// faultsDue is the earliest queued fault injection and borrowsDue the
 	// earliest queued borrow resolution (sim.MaxTime: none). faultsDue is
@@ -318,8 +319,7 @@ func (x *podExec) runWindow(end sim.Time) {
 // mode a rack whose cached next event is at or past end has nothing to
 // dispatch and is only parked; otherwise its window runs and reports
 // the new head. The lane tallies the events dispatched and whether a
-// window left barrier work: a flagged lease return or a newly queued
-// borrow.
+// window left barrier work: a flagged lease return or a queued borrow.
 func (x *podExec) stepRacks(first, stride int, end sim.Time) (l lane) {
 	racks := x.p.racks
 	for i := first; i < len(racks); i += stride {
@@ -330,14 +330,19 @@ func (x *podExec) stepRacks(first, stride int, end sim.Time) (l lane) {
 			continue
 		}
 		x.entered[i]++
-		executed, borrows := r.eng.Executed, len(r.pendingBorrows)
+		executed := r.eng.Executed
 		t, ok := r.eng.RunWindow(end)
 		if !ok {
 			t = sim.MaxTime
 		}
 		x.next[i] = t
-		l.events += r.eng.Executed - executed
-		l.work = l.work || r.wantReturns || len(r.pendingBorrows) > borrows
+		// Only an event flags a lease return or queues a borrow. A queued
+		// borrow not yet due raises work too: the slow path it costs is
+		// exact, and borrows are rare.
+		if n := r.eng.Executed - executed; n > 0 {
+			l.events += n
+			l.work = l.work || r.wantReturns || len(r.pendingBorrows) > 0
+		}
 	}
 	return l
 }
