@@ -16,6 +16,5 @@
 // and merges results in canonical order, so regeneration parallelizes
 // across cores with bit-identical output.
 //
-// The root package holds no code; bench_test.go hosts the design-choice
-// ablation benchmarks.
+// The root package holds no code.
 package mind

@@ -33,20 +33,19 @@ import (
 type Config struct {
 	Seed          uint64
 	ComputeBlades int // foreground threads, one per blade (default 2)
-	MemBlades     int // initial memory blades (default 2)
 	Areas         int // shared vmas (default 4)
 	AreaPages     int // pages per vma (default 48)
 	Ops           int // foreground loads/stores (default 240)
 	Events        int // membership events woven into the op stream (default 3)
-	MaxMemBlades  int // cap on hot-adds (default 6)
 }
+
+// A schedule starts with memBlades memory blades and hot-adds up to
+// maxMemBlades.
+const memBlades, maxMemBlades = 2, 6
 
 func (c *Config) defaults() {
 	if c.ComputeBlades == 0 {
 		c.ComputeBlades = 2
-	}
-	if c.MemBlades == 0 {
-		c.MemBlades = 2
 	}
 	if c.Areas == 0 {
 		c.Areas = 4
@@ -59,9 +58,6 @@ func (c *Config) defaults() {
 	}
 	if c.Events == 0 {
 		c.Events = 3
-	}
-	if c.MaxMemBlades == 0 {
-		c.MaxMemBlades = 6
 	}
 }
 
@@ -106,7 +102,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 func (h *harness) setup() error {
-	ccfg := core.DefaultConfig(h.cfg.ComputeBlades, h.cfg.MemBlades)
+	ccfg := core.DefaultConfig(h.cfg.ComputeBlades, memBlades)
 	ccfg.MemoryBladeCapacity = 1 << 26
 	// A small cache forces remote traffic, so coherence and migration
 	// genuinely interleave.
@@ -224,7 +220,7 @@ func (h *harness) drainCompleted() error {
 func (h *harness) membershipEvent() error {
 	alloc := h.c.Controller().Allocator()
 	var moves []string
-	if h.c.MemBladeCount() < h.cfg.MaxMemBlades {
+	if h.c.MemBladeCount() < maxMemBlades {
 		moves = append(moves, "add")
 	}
 	// Drains and kills need a survivor, and we keep at most one drain in

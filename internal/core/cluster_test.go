@@ -11,11 +11,14 @@ import (
 	"mind/internal/stats"
 )
 
-func newTestCluster(t *testing.T, computeBlades, memBlades int) *Cluster {
+func newTestCluster(t testing.TB, computeBlades, memBlades int, mutate ...func(*Config)) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig(computeBlades, memBlades)
 	cfg.MemoryBladeCapacity = 1 << 28 // 256 MB per blade keeps tests light
 	cfg.CachePagesPerBlade = 1024
+	for _, m := range mutate {
+		m(&cfg)
+	}
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -573,5 +576,100 @@ func TestBoundedSplittingReactsToFalseSharing(t *testing.T) {
 	}
 	if c.Collector().Counter(stats.CtrFalseInvals) == 0 {
 		t.Error("no false invalidations recorded")
+	}
+}
+
+// privateSweep has blade 0 of an 8-blade rack, built with mutate, touch
+// each of pages fresh pages once: a read, then a write if write is set.
+// It returns the sweep's virtual duration and the rack's collector.
+func privateSweep(t *testing.T, pages int, write bool, mutate ...func(*Config)) (sim.Duration, *stats.Collector) {
+	t.Helper()
+	c := newTestCluster(t, 8, 2, mutate...)
+	p := c.Exec("sweep")
+	vma, err := p.Mmap(8<<20, mem.PermReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := p.SpawnThread(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := c.Now()
+	for i := 0; i < pages; i++ {
+		va := vma.Base + mem.VA(i*mem.PageSize)
+		if err := th.Touch(va, false); err != nil {
+			t.Fatal(err)
+		}
+		if write {
+			if err := th.Touch(va, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c.Now().Sub(start), c.Collector()
+}
+
+// TestRecirculationCost: the directory update's second pass through the
+// pipeline (§6.3) puts one recirculation on every cold I->S fault's
+// critical path, so 64 faults take exactly 64 RecircDelays longer than
+// with the delay zeroed.
+func TestRecirculationCost(t *testing.T) {
+	const pages = 64
+	with, wc := privateSweep(t, pages, false)
+	without, nc := privateSweep(t, pages, false, func(cfg *Config) { cfg.Fabric.RecircDelay = 0 })
+	if with != 586496*sim.Nanosecond || without != 560896*sim.Nanosecond {
+		t.Errorf("sweep took %v with recirculation delay, %v without; want 586.496µs, 560.896µs", with, without)
+	}
+	if d := DefaultConfig(8, 2).Fabric.RecircDelay; with-without != pages*d {
+		t.Errorf("recirculation cost %v, want %d × %v", with-without, pages, d)
+	}
+	for _, col := range []*stats.Collector{wc, nc} {
+		if n := col.Counter(stats.CtrRecirculations); n != pages {
+			t.Errorf("recirculations = %d, want %d", n, pages)
+		}
+	}
+}
+
+// TestExclusiveGrantSavesUpgrades: the MESI-style Exclusive grant (§8
+// "Other coherence protocols") lets a private read-then-write sweep write
+// without an upgrade fault. MSI pays one upgrade per 16 KB region: the
+// upgrade makes the whole region Modified, so the region's later pages
+// fault straight into M.
+func TestExclusiveGrantSavesUpgrades(t *testing.T) {
+	const pages = 256
+	msi, mc := privateSweep(t, pages, true)
+	mesi, ec := privateSweep(t, pages, true, func(cfg *Config) { cfg.ExclusiveReads = true })
+	regions := uint64(pages * mem.PageSize / (16 << 10))
+	if n := mc.Counter(stats.CtrRemoteAccesses); n != pages+regions {
+		t.Errorf("MSI remote accesses = %d, want %d", n, pages+regions)
+	}
+	if n := ec.Counter(stats.CtrRemoteAccesses); n != pages {
+		t.Errorf("MESI remote accesses = %d, want %d", n, pages)
+	}
+	if msi != 2932480*sim.Nanosecond || mesi != 2345984*sim.Nanosecond {
+		t.Errorf("sweep took %v under MSI, %v under MESI; want 2.93248ms, 2.345984ms", msi, mesi)
+	}
+}
+
+// BenchmarkOwnershipPingPong is the raw M->M transfer microbench between
+// two blades.
+func BenchmarkOwnershipPingPong(b *testing.B) {
+	c := newTestCluster(b, 8, 2)
+	p := c.Exec("ablation")
+	vma, err := p.Mmap(1<<20, mem.PermReadWrite)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t0, _ := p.SpawnThread(0)
+	t1, _ := p.SpawnThread(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th := t0
+		if i%2 == 1 {
+			th = t1
+		}
+		if err := th.Touch(vma.Base, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

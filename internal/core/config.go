@@ -102,7 +102,7 @@ type MigrationConfig struct {
 }
 
 // DefaultMigrationConfig returns the drain throttle operating point
-// (see BenchmarkDrainBatchSize for the measured tradeoff).
+// (see TestDrainBatchTradeoff for the measured tradeoff).
 func DefaultMigrationConfig() MigrationConfig {
 	return MigrationConfig{
 		BatchPages:     32,

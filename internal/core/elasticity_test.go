@@ -203,6 +203,81 @@ func TestDrainUnderLoadKeepsTrafficFlowing(t *testing.T) {
 	}
 }
 
+// TestDrainBatchTradeoff is the drain throttle's operating curve, which
+// DefaultMigrationConfig picks from: a 1024-page blade drains while a
+// foreground thread streams accesses over the survivor's vma. A larger
+// batch raises drain bandwidth and shortens the blackout, and lowers the
+// foreground throughput inside the drain's [Start, End) window.
+func TestDrainBatchTradeoff(t *testing.T) {
+	const pages, ops = 1024, 20000
+	var prevRate, prevBlackout, prevMOPS float64
+	for i, batch := range []int{8, 32, 128, 512} {
+		c := newTestCluster(t, 2, 2, func(cfg *Config) {
+			cfg.CachePagesPerBlade = 512
+			cfg.Migration.BatchPages = batch
+		})
+		proc := c.Exec("drain")
+		// Two vmas: least-loaded placement puts one per blade.
+		v0, err := proc.Mmap(pages*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1, err := proc.Mmap(pages*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim, err := c.Controller().Allocator().Translate(v0.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Preload the victim's vma so the drain moves a full dataset.
+		buf := make([]byte, mem.PageSize)
+		for p := 0; p < pages; p++ {
+			buf[0] = byte(p)
+			c.MemBlade(int(victim)).WritePage(v0.Base+mem.VA(p)*mem.PageSize, buf)
+		}
+		th, err := proc.SpawnThread(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var issued []sim.Time
+		th.Start(func() (mem.VA, bool, bool) {
+			j := len(issued)
+			if j >= ops {
+				return 0, false, false
+			}
+			issued = append(issued, c.Now())
+			return v1.Base + mem.VA((j*7919)%(pages*mem.PageSize)), (j+1)%4 == 0, true
+		}, nil)
+		var rep DrainReport
+		var derr error
+		err = c.Pod().DrainMemBladeAt(0, victim, c.Now().Add(100*sim.Microsecond), func(r DrainReport, e error) {
+			rep, derr = r, e
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RunThreads()
+		if derr != nil || rep.PagesMoved != pages {
+			t.Fatalf("batch %d: moved %d pages (%v), want %d", batch, rep.PagesMoved, derr, pages)
+		}
+		during := 0
+		for _, at := range issued {
+			if at >= rep.Start && at < rep.End {
+				during++
+			}
+		}
+		blackout := rep.Blackout().Seconds() * 1e3 // virtual ms
+		rate, mops := pages/blackout, float64(during)/blackout/1e3
+		t.Logf("batch %d: %.0f pages/ms, blackout %.3f ms, foreground %.3f MOPS", batch, rate, blackout, mops)
+		if i > 0 && (rate <= prevRate || blackout >= prevBlackout || mops >= prevMOPS) {
+			t.Errorf("batch %d: %.0f pages/ms, blackout %.3f ms, %.3f MOPS; the smaller batch gave %.0f, %.3f, %.3f",
+				batch, rate, blackout, mops, prevRate, prevBlackout, prevMOPS)
+		}
+		prevRate, prevBlackout, prevMOPS = rate, blackout, mops
+	}
+}
+
 func TestKillMemBladeLosesDataButRecovers(t *testing.T) {
 	c := newTestCluster(t, 1, 2)
 	p := c.Exec("app")

@@ -53,9 +53,9 @@ package core
 //     iteration re-peeks every rack once.
 //
 // The barrier's own obligations are cached beside it: the earliest
-// queued fault (faultsDue) and borrow (borrowsDue), and a flag a window
-// raises when a rack that dispatched events has a lease return flagged
-// or a borrow queued. So a quiet window — nothing due, no flag, no
+// queued fault or borrow (due), and a flag a window raises when a rack
+// that dispatched events has a lease return flagged or a borrow queued.
+// So a quiet window — nothing due, no flag, no
 // sampler tick — costs one pass over the cache (the minimum that sizes
 // the jump), one Park per idle rack, one atomic load for the elided
 // flush and one flag test at the barrier; no engine is touched but the
@@ -146,12 +146,12 @@ type podExec struct {
 	// or a queued borrow on a rack that dispatched events. Only rack
 	// events flag returns and queue borrows, so only windows raise it.
 	work bool
-	// faultsDue is the earliest queued fault injection and borrowsDue the
-	// earliest queued borrow resolution (sim.MaxTime: none). faultsDue is
-	// kept by scheduleFault and injectDueFaults; borrowsDue by the
-	// barrier, since a borrow queued inside a window raises work.
-	faultsDue  sim.Time
-	borrowsDue sim.Time
+	// due is the earliest queued fault injection or borrow resolution
+	// (sim.MaxTime: none); at a barrier it is never above either.
+	// scheduleFault lowers it, a borrow queued inside a window raises
+	// work instead, and the barrier's slow path recomputes it from the
+	// faults and borrows it leaves queued.
+	due sim.Time
 	// executed counts the events windows dispatched: the drive's budget.
 	executed uint64
 	// entered and parked count, per rack, the windows that ran its
@@ -184,7 +184,7 @@ type lane struct {
 // next-event cache, which every drive starts by peeking.
 func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 	x := &podExec{p: p, window: window, workers: max(workers, 1), dense: dense,
-		faultsDue: sim.MaxTime, borrowsDue: sim.MaxTime}
+		due: sim.MaxTime}
 	if p.multiRack {
 		n := len(p.racks)
 		x.next = make([]sim.Time, n)
@@ -411,11 +411,8 @@ func (x *podExec) safeJump(target, head sim.Time) int64 {
 	if x.sampleFn != nil {
 		lim = min(lim, x.nextSample-1)
 	}
-	if x.faultsDue != sim.MaxTime {
-		lim = min(lim, x.faultsDue.Add(-x.window))
-	}
-	if x.borrowsDue != sim.MaxTime {
-		lim = min(lim, x.borrowsDue.Add(-x.window))
+	if x.due != sim.MaxTime {
+		lim = min(lim, x.due.Add(-x.window))
 	}
 	if target != 0 {
 		lim = min(lim, target-1)
@@ -451,8 +448,8 @@ func (x *podExec) idle() bool {
 // next-event cache stale.
 func (x *podExec) barrier(end sim.Time) {
 	horizon := end.Add(x.window)
-	if x.work || x.faultsDue < horizon || x.borrowsDue < horizon {
-		x.work = false
+	if x.work || x.due < horizon {
+		x.work, x.due = false, sim.MaxTime
 		// Failure injection precedes the barrier's lease traffic: a fault
 		// due inside the next window [end, end+window) becomes ordinary
 		// rack events at its exact injection time (podfail.go), before any
@@ -468,7 +465,6 @@ func (x *podExec) barrier(end sim.Time) {
 		// end+window) must resolve now; later ones keep waiting. done fires
 		// as a normal borrower event at the due time, so threads observe
 		// the negotiation RTT exactly.
-		x.borrowsDue = sim.MaxTime
 		for _, r := range x.p.racks {
 			if len(r.pendingBorrows) == 0 {
 				continue
@@ -477,7 +473,7 @@ func (x *podExec) barrier(end sim.Time) {
 			for _, req := range r.pendingBorrows {
 				if req.due >= horizon {
 					rest = append(rest, req)
-					x.borrowsDue = min(x.borrowsDue, req.due)
+					x.due = min(x.due, req.due)
 					continue
 				}
 				ok := x.p.borrow(r, req.need)

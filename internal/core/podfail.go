@@ -95,20 +95,16 @@ func (p *Pod) scheduleFault(rack int, f *podFault) error {
 		return nil
 	}
 	r.pendingFaults = append(r.pendingFaults, f)
-	p.exec.faultsDue = min(p.exec.faultsDue, f.at)
+	p.exec.due = min(p.exec.due, f.at)
 	return nil
 }
 
 // injectDueFaults converts queued faults due before horizon into rack
-// events and re-derives faultsDue from the faults left. Barrier context
+// events and lowers due to the earliest fault left. Barrier context
 // only; racks are scanned in index order and each rack's faults in
 // registration order, so the injection schedule is a pure function of
 // the registered faults.
 func (x *podExec) injectDueFaults(horizon sim.Time) {
-	if x.faultsDue >= horizon {
-		return
-	}
-	x.faultsDue = sim.MaxTime
 	for _, r := range x.p.racks {
 		if len(r.pendingFaults) == 0 {
 			continue
@@ -117,7 +113,7 @@ func (x *podExec) injectDueFaults(horizon sim.Time) {
 		for _, f := range r.pendingFaults {
 			if f.at >= horizon {
 				rest = append(rest, f)
-				x.faultsDue = min(x.faultsDue, f.at)
+				x.due = min(x.due, f.at)
 				continue
 			}
 			x.p.injectFault(r, f)

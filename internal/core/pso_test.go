@@ -118,43 +118,46 @@ func TestPSOReadAfterWriteBlocks(t *testing.T) {
 }
 
 // TestSequentialInvalidationCorrectness: the unicast ablation must
-// preserve protocol correctness (values still coherent), only slower.
+// preserve protocol correctness (values still coherent), only slower:
+// invalidating 7 sharers one at a time takes longer than the switch's
+// multicast (§4.3.2).
 func TestSequentialInvalidationCorrectness(t *testing.T) {
-	cfg := DefaultConfig(4, 1)
-	cfg.MemoryBladeCapacity = 1 << 28
-	cfg.CachePagesPerBlade = 1024
-	cfg.SequentialInvalidation = true
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := c.Exec("app")
-	vma, _ := p.Mmap(1<<16, mem.PermReadWrite)
-	var threads []*Thread
-	for i := 0; i < 4; i++ {
-		th, _ := p.SpawnThread(i)
-		threads = append(threads, th)
-	}
-	// Everyone reads, then one writes, then everyone re-reads.
-	for _, th := range threads {
-		if _, err := th.Load(vma.Base); err != nil {
+	var took [2]sim.Duration
+	for i, sequential := range []bool{false, true} {
+		c := newTestCluster(t, 8, 2, func(cfg *Config) { cfg.SequentialInvalidation = sequential })
+		p := c.Exec("app")
+		vma, _ := p.Mmap(1<<16, mem.PermReadWrite)
+		var threads []*Thread
+		for b := 0; b < 8; b++ {
+			th, _ := p.SpawnThread(b)
+			threads = append(threads, th)
+		}
+		// Seven blades read, the eighth writes, then everyone re-reads.
+		for _, th := range threads[1:] {
+			if _, err := th.Load(vma.Base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := c.Now()
+		if err := threads[0].Store(vma.Base, 321); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := threads[2].Store(vma.Base, 321); err != nil {
-		t.Fatal(err)
-	}
-	for i, th := range threads {
-		v, err := th.Load(vma.Base)
-		if err != nil {
-			t.Fatal(err)
+		took[i] = c.Now().Sub(start)
+		for b, th := range threads {
+			v, err := th.Load(vma.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != 321 {
+				t.Errorf("sequential=%v: blade %d read %d, want 321", sequential, b, v)
+			}
 		}
-		if v != 321 {
-			t.Errorf("blade %d read %d, want 321", i, v)
+		if c.Collector().Counter(stats.CtrInvalidations) == 0 {
+			t.Errorf("sequential=%v: no invalidations recorded", sequential)
 		}
 	}
-	if c.Collector().Counter(stats.CtrInvalidations) == 0 {
-		t.Error("no invalidations recorded")
+	if took[1] <= took[0] {
+		t.Errorf("sequential invalidation (%v) should cost more than multicast (%v)", took[1], took[0])
 	}
 }
 

@@ -74,16 +74,34 @@ func TestAllocLeastLoadedBalances(t *testing.T) {
 	}
 }
 
+// TestAllocLeastLoadedMixedSizes: on mixed allocation sizes least-loaded
+// placement keeps the blades balanced (§7.2) and beats round-robin,
+// while first-fit piles everything on blade 0 (§4.1). The second input
+// is the placement ablation's trace on 8 blades.
 func TestAllocLeastLoadedMixedSizes(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 4, 1<<30)
-	sizes := []uint64{1 << 20, 8 << 20, 64 << 10, 2 << 20, 16 << 20, 4 << 10}
-	for i := 0; i < 60; i++ {
-		if _, err := a.Alloc(1, sizes[i%len(sizes)], mem.PermReadWrite); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		blades, allocs int
+		sizes          []uint64
+	}{
+		{4, 60, []uint64{1 << 20, 8 << 20, 64 << 10, 2 << 20, 16 << 20, 4 << 10}},
+		{8, 128, []uint64{1 << 20, 4 << 20, 64 << 10, 2 << 20, 8 << 20, 256 << 10, 1 << 20, 16 << 20}},
+	} {
+		fair := map[PlacementPolicy]float64{}
+		for _, policy := range []PlacementPolicy{PlaceLeastLoaded, PlaceRoundRobin, PlaceFirstFit} {
+			a, _ := newAlloc(t, policy, tc.blades, 1<<30)
+			for i := 0; i < tc.allocs; i++ {
+				if _, err := a.Alloc(1, tc.sizes[i%len(tc.sizes)], mem.PermReadWrite); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fair[policy] = stats.JainFairness(a.BladeLoad())
 		}
-	}
-	if fair := stats.JainFairness(a.BladeLoad()); fair < 0.95 {
-		t.Errorf("Jain fairness = %v for mixed sizes, want > 0.95 (§7.2)", fair)
+		t.Logf("%d blades: Jain fairness least-loaded %.4f, round-robin %.4f, first-fit %.4f",
+			tc.blades, fair[PlaceLeastLoaded], fair[PlaceRoundRobin], fair[PlaceFirstFit])
+		if fair[PlaceLeastLoaded] < 0.95 || fair[PlaceLeastLoaded] <= fair[PlaceRoundRobin] ||
+			fair[PlaceFirstFit] != 1/float64(tc.blades) {
+			t.Errorf("%d blades: want least-loaded > 0.95 and above round-robin, first-fit exactly 1/%d", tc.blades, tc.blades)
+		}
 	}
 }
 

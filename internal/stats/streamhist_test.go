@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -228,4 +229,57 @@ func TestStreamHistObserveZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Observe allocates %v per call, want 0", allocs)
 	}
+}
+
+// FuzzStreamHist reads a byte string as samples split between two
+// histograms: each sample is a control byte (bit 0 picks the histogram,
+// the rest how many of the next bytes, at most 5, form the value) and a
+// little-endian value below 2^40, so Sum cannot wrap. Merging must equal
+// observing every sample in one histogram and must commute, and every
+// percentile must obey s <= est <= s + s/32 + 1 against the sorted
+// samples' nearest-rank value.
+func FuzzStreamHist(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x02, 7, 0x03, 31, 0x0a, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x04, 0x20, 0x00, 0x05, 0xe8, 0x03, 0x00, 0x09, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a, b, all StreamHist
+		var samples []int64
+		for len(data) > 0 {
+			ctl := data[0]
+			n := min(int(ctl>>1)%6, len(data)-1)
+			var v int64
+			for i := n; i >= 1; i-- {
+				v = v<<8 | int64(data[i])
+			}
+			data = data[1+n:]
+			if ctl&1 == 0 {
+				a.Observe(v)
+			} else {
+				b.Observe(v)
+			}
+			all.Observe(v)
+			samples = append(samples, v)
+		}
+		ab, ba := a, b
+		ab.MergeFrom(&b)
+		ba.MergeFrom(&a)
+		if ab != all {
+			t.Fatalf("merge: count %d sum %d min %d max %d, one histogram: %d %d %d %d",
+				ab.Count(), ab.Sum(), ab.Min(), ab.Max(), all.Count(), all.Sum(), all.Min(), all.Max())
+		}
+		if ba != ab {
+			t.Fatal("merge(a,b) != merge(b,a)")
+		}
+		slices.Sort(samples)
+		for _, p := range []float64{0, 50, 99, 99.9, 100} {
+			est := all.Percentile(p)
+			if got := ab.Percentile(p); got != est {
+				t.Fatalf("p%v: merged %d, one histogram %d", p, got, est)
+			}
+			if s := exactPercentile(samples, p); est < s || est > s+s/32+1 {
+				t.Fatalf("n=%d p%v: exact %d, estimate %d outside [s, s+s/32+1]", len(samples), p, s, est)
+			}
+		}
+	})
 }

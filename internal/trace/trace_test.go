@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mind/internal/mem"
@@ -230,4 +231,57 @@ func TestRealCountMismatchRejected(t *testing.T) {
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("over-declared count: err = %v, want ErrBadTrace", err)
 	}
+}
+
+// FuzzTraceRead: Read must never panic on any byte string, and any trace
+// it accepts must round-trip through NewWriter and Finish to identical
+// records.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.Append(mem.VA(0x100000000+i*0x1000), i == 1); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	counted := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(counted[8:16], 3)
+	f.Add(valid)
+	f.Add(counted)
+	f.Add(valid[:16+9+4])
+	f.Add(valid[:16])
+	f.Add([]byte("MINDTRC0"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		w, err := NewWriter(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r.VA, r.Write); err != nil {
+				t.Fatalf("accepted record %+v does not write back: %v", r, err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("written-back trace rejected: %v", err)
+		}
+		if !slices.Equal(back, recs) {
+			t.Fatalf("round trip changed %d records into %d", len(recs), len(back))
+		}
+	})
 }

@@ -3,7 +3,9 @@ package workloads
 import (
 	"testing"
 
+	"mind/internal/core"
 	"mind/internal/mem"
+	"mind/internal/stats"
 )
 
 func drain(gen func() (mem.VA, bool, bool)) (n int, writes int, pages map[mem.VA]bool) {
@@ -229,6 +231,54 @@ func TestNativeKVSPartitionLocality(t *testing.T) {
 	}
 	if remote == 0 {
 		t.Error("expected some cross-partition traffic")
+	}
+}
+
+// TestNativeKVSThreadAffinity is the §8 "Thread management" direction:
+// Native-KVS threads placed on the blade that owns their key partition
+// beat misplaced ones on throughput and on invalidations per access.
+func TestNativeKVSThreadAffinity(t *testing.T) {
+	run := func(aligned bool) (mops, invPerAccess float64) {
+		const blades = 4
+		w := NativeKVS(0.5, 1)
+		cfg := core.DefaultConfig(blades, 2)
+		cfg.MemoryBladeCapacity = 1 << 30
+		cfg.CachePagesPerBlade = int(w.Footprint / mem.PageSize / 2)
+		c, err := core.NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.Exec("affinity")
+		vma, err := p.Mmap(w.Footprint, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two threads per partition: aligned placement co-locates each
+		// partition's pair on one blade (their read-write sharing stays
+		// in the local cache); misplaced splits every pair across blades,
+		// turning that sharing into coherence traffic.
+		const threads = 2 * blades
+		params := Params{Threads: threads, Blades: blades, OpsPerThread: 20000, Seed: 5}
+		for i := 0; i < threads; i++ {
+			blade := i % blades // the partition this thread favours
+			if !aligned {
+				blade = (i%blades + i/blades) % blades
+			}
+			th, err := p.SpawnThread(blade)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th.Start(w.Gen(vma.Base, i, params), nil)
+		}
+		end := c.RunThreads()
+		col := c.Collector()
+		return float64(col.Counter(stats.CtrAccesses)) / end.Sub(0).Seconds() / 1e6, col.PerAccess(stats.CtrInvalidations)
+	}
+	alignedMOPS, alignedInv := run(true)
+	misMOPS, misInv := run(false)
+	t.Logf("aligned %.2f MOPS, %.3f invalidations/access; misplaced %.2f MOPS, %.3f", alignedMOPS, alignedInv, misMOPS, misInv)
+	if alignedMOPS <= misMOPS || alignedInv >= misInv {
+		t.Error("aligned threads should beat misplaced ones on MOPS and on invalidations per access")
 	}
 }
 
