@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"mind/internal/ctrlplane"
@@ -27,13 +29,55 @@ func newTestCluster(t testing.TB, computeBlades, memBlades int, mutate ...func(*
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(Config{ComputeBlades: 0, MemoryBlades: 1}); err == nil {
-		t.Error("zero compute blades accepted")
+	for _, tc := range []struct {
+		name string
+		// field is what the error must name; empty: any error.
+		field string
+		bad   func(*Config)
+	}{
+		{"zero compute blades", "", func(c *Config) { c.ComputeBlades = 0 }},
+		{"zero cache", "", func(c *Config) { c.CachePagesPerBlade = 0 }},
+		// A fabric calibration that makes time run backwards or a transfer
+		// free: cold store+load on 2x2 read 9.164 µs by default, but
+		// 3.460 µs with NICBytesPerNs 0, 4.364 µs with WireDelay -1 µs and
+		// 2.500 µs with a zero fabric.Config, all accepted silently.
+		{"zero NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = 0 }},
+		{"negative NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = -12.5 }},
+		{"NaN NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = math.NaN() }},
+		{"infinite NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = math.Inf(1) }},
+		{"zero fabric config", "NICBytesPerNs", func(c *Config) { c.Fabric = fabric.Config{} }},
+		{"negative wire delay", "WireDelay", func(c *Config) { c.Fabric.WireDelay = -sim.Microsecond }},
+		{"negative NIC overhead", "NICOverhead", func(c *Config) { c.Fabric.NICOverhead = -1 }},
+		{"negative pipeline delay", "PipelineDelay", func(c *Config) { c.Fabric.PipelineDelay = -1 }},
+		{"negative pipeline service", "PipelineService", func(c *Config) { c.Fabric.PipelineService = -1 }},
+		{"negative recirculation delay", "RecircDelay", func(c *Config) { c.Fabric.RecircDelay = -1 }},
+		{"negative memory DMA", "MemDMA", func(c *Config) { c.Fabric.MemDMA = -1 }},
+		{"negative control RTT", "CtrlRTT", func(c *Config) { c.Fabric.CtrlRTT = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := DefaultConfig(1, 1)
+			good.MemoryBladeCapacity = 1 << 26
+			bad := good
+			tc.bad(&bad)
+			_, errC := NewCluster(bad)
+			_, errP := NewPod(PodConfig{Racks: []Config{good, bad}})
+			for _, err := range []error{errC, errP} {
+				if err == nil {
+					t.Fatal("accepted (NewCluster, then NewPod on rack 1)")
+				}
+				if !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("error %q does not name %s", err, tc.field)
+				}
+			}
+		})
 	}
-	cfg := DefaultConfig(1, 1)
-	cfg.CachePagesPerBlade = 0
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("zero cache accepted")
+	// Zero delays stay legal: an ablation may price recirculation at 0.
+	ok := DefaultConfig(1, 1)
+	ok.MemoryBladeCapacity = 1 << 26
+	ok.Fabric.WireDelay, ok.Fabric.NICOverhead, ok.Fabric.PipelineDelay = 0, 0, 0
+	ok.Fabric.PipelineService, ok.Fabric.RecircDelay, ok.Fabric.MemDMA, ok.Fabric.CtrlRTT = 0, 0, 0, 0
+	if _, err := NewCluster(ok); err != nil {
+		t.Errorf("zero fabric delays rejected: %v", err)
 	}
 }
 

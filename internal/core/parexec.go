@@ -34,34 +34,24 @@ package core
 // booked during the next window departs at >= vnow, arriving at
 // >= vnow + P = the next boundary.
 //
-// A window pays only for the racks with work due. The executor caches
-// one next-event time per rack (podExec.next), and the invariant is
-// that next[i] is never above rack i's earliest pending event. A rack
-// whose entry is at or past the window's end has nothing to dispatch:
-// it is parked (Engine.Park moves its clock to the boundary) instead of
-// entered. A rack that runs gets its exact entry back from RunWindow,
-// which had to find its next head to stop. A cancel only raises a head,
-// so a stale low entry costs one wasted entry, never a skipped event.
-// Every path that can put an event on rack i outside rack i's own
-// window keeps the invariant:
+// A window pays only for the racks with work due. Each engine knows its
+// next event: sim.Engine keeps its earliest pending time exact across
+// every insert, cancel and dispatch, and Engine.PeekTime reads it. A
+// rack whose head is at or past the window's end has nothing to
+// dispatch: it is parked (Engine.Park moves its clock to the boundary)
+// instead of entered. Whatever schedules on a rack — its own window, a
+// boundary delivery, the barrier, the sampler, code between drives —
+// goes through that engine, so no path here has to report it.
 //
-//   - a boundary delivery lowers its destination's entry
-//     (fabric.Interconnect.Deliveries);
-//   - the barrier's slow path (fault injection, idle-lease returns,
-//     borrow resolution), the sampler and the start of every drive, a
-//     nested one included, mark the whole cache stale, and the next
-//     iteration re-peeks every rack once.
-//
-// The barrier's own obligations are cached beside it: the earliest
-// queued fault or borrow (due), and a flag a window raises when a rack
-// that dispatched events has a lease return flagged or a borrow queued.
-// So a quiet window — nothing due, no flag, no
-// sampler tick — costs one pass over the cache (the minimum that sizes
-// the jump), one Park per idle rack, one atomic load for the elided
-// flush and one flag test at the barrier; no engine is touched but the
-// ones with events. Dense mode
-// still enters every rack every window, which makes it the oracle the
-// skipping is checked against.
+// The barrier's own obligations are cached beside the engines: the
+// earliest queued fault or borrow (due), and a flag a window raises when
+// a rack that dispatched events has a lease return flagged or a borrow
+// queued. So a quiet window — nothing due, no flag, no sampler tick —
+// costs one PeekTime per rack (the minimum that sizes the jump), one
+// Park per idle rack, one atomic load for the elided flush and one flag
+// test at the barrier; no engine is entered but the ones with events.
+// Dense mode still enters every rack every window, which makes it the
+// oracle the skipping is checked against.
 //
 // Targets (AdvanceTime) differ accordingly, and only here: a 1-rack pod
 // reaches its target with RunUntil, inclusively — an event at the target
@@ -100,6 +90,7 @@ package core
 // searched by FuzzPodSchedule) enforces this with engine dispatch hashes.
 
 import (
+	"fmt"
 	"sync"
 
 	"mind/internal/sim"
@@ -133,15 +124,6 @@ type podExec struct {
 	// execution bit-identical to the dense baseline.
 	dense bool
 
-	// next caches each rack's next event time (sim.MaxTime: none). The
-	// invariant, held between windows: next[i] is never above rack i's
-	// earliest pending event (see the file comment for what keeps it).
-	// Multi-rack pods only.
-	next []sim.Time
-	// stale marks next as untrusted: some path put events on a rack
-	// without lowering its entry, so the next iteration re-peeks every
-	// rack once (refresh).
-	stale bool
 	// work: a window left barrier work behind — a flagged lease return
 	// or a queued borrow on a rack that dispatched events. Only rack
 	// events flag returns and queue borrows, so only windows raise it.
@@ -181,13 +163,12 @@ type lane struct {
 }
 
 // newPodExec builds the executor; a multi-rack pod gets the per-rack
-// next-event cache, which every drive starts by peeking.
+// window counters and the worker lanes.
 func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 	x := &podExec{p: p, window: window, workers: max(workers, 1), dense: dense,
 		due: sim.MaxTime}
 	if p.multiRack {
 		n := len(p.racks)
-		x.next = make([]sim.Time, n)
 		x.entered = make([]uint64, n)
 		x.parked = make([]uint64, n)
 		x.lanes = make([]lane, min(x.workers, n))
@@ -195,8 +176,21 @@ func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 	return x
 }
 
-// wedged: stop() does not hold and nothing is left that could make it.
-const wedged = "core: pod drive ran out of events (protocol wedge)"
+// wedge panics because stop() does not hold and nothing is left that
+// could make it. The message names the virtual time and, per rack, what
+// is still queued, so a failed pin says where the protocol stalled.
+func (x *podExec) wedge(now sim.Time) {
+	msg := fmt.Sprintf("core: pod drive ran out of events at %dns (protocol wedge)", now)
+	for i, r := range x.p.racks {
+		head := "none"
+		if t, ok := r.eng.PeekTime(); ok {
+			head = fmt.Sprintf("%dns", t)
+		}
+		msg += fmt.Sprintf("; rack %d: %d events pending, head %s, %d borrows and %d faults queued",
+			i, r.eng.Pending(), head, len(r.pendingBorrows), len(r.pendingFaults))
+	}
+	panic(msg)
+}
 
 // drive advances the pod, quantum by quantum (see the file comment),
 // until stop() reports done. A nonzero target bounds the drive
@@ -214,11 +208,6 @@ const wedged = "core: pod drive ran out of events (protocol wedge)"
 // (targets, thread counts, serve completion, await flags, idleness) can
 // only change through dispatched events or barrier work, and the
 // skipped region has neither.
-//
-// Code between drives may schedule anything on any rack, so a drive
-// starts with the next-event cache stale. A drive nested in barrier
-// code starts the same way, and the barrier code around it marks the
-// cache stale again when it is done.
 func (x *podExec) drive(target sim.Time, stop func() bool) {
 	if !x.p.multiRack {
 		eng := x.p.racks[0].eng
@@ -227,22 +216,18 @@ func (x *podExec) drive(target sim.Time, stop func() bool) {
 		}
 		for !stop() {
 			if !eng.Step() {
-				panic(wedged)
+				x.wedge(eng.Now())
 			}
 		}
 		return
 	}
-	x.stale = true
 	start := x.executed
 	for !stop() {
-		if x.stale {
-			x.refresh()
-		}
 		head := x.earliest()
-		// next[i] == MaxTime means rack i has no event at all, so only an
-		// empty cache can be a wedge; idle() confirms it.
+		// head == MaxTime means no rack has an event at all, so only then
+		// can the pod be wedged; idle() confirms it.
 		if target == 0 && head == sim.MaxTime && x.idle() {
-			panic(wedged)
+			x.wedge(x.vnow)
 		}
 		end := x.nextBarrier(target, head)
 		x.runWindow(end)
@@ -250,13 +235,9 @@ func (x *podExec) drive(target sim.Time, stop func() bool) {
 		x.windowsExecuted++
 		// Elide the cross-rack merge entirely on a quiet boundary: the
 		// pending counter is exact here (workers joined), so skipping
-		// FlushBoundary when it is zero delivers the same nothing. A
-		// delivery lowers its destination's cached next event.
+		// FlushBoundary when it is zero delivers the same nothing.
 		if x.p.ic.PendingBoundary() > 0 {
 			x.p.ic.FlushBoundary()
-			for _, d := range x.p.ic.Deliveries() {
-				x.next[d.To] = min(x.next[d.To], d.At)
-			}
 		} else {
 			x.flushesElided++
 		}
@@ -267,23 +248,12 @@ func (x *podExec) drive(target sim.Time, stop func() bool) {
 	}
 }
 
-// refresh re-reads every rack's cached next event from its engine.
-func (x *podExec) refresh() {
-	for i, r := range x.p.racks {
-		t, ok := r.eng.PeekTime()
-		if !ok {
-			t = sim.MaxTime
-		}
-		x.next[i] = t
-	}
-	x.stale = false
-}
-
-// earliest returns the pod's earliest cached next event (sim.MaxTime:
-// no rack has one).
+// earliest returns the pod's earliest pending event (sim.MaxTime: no
+// rack has one).
 func (x *podExec) earliest() sim.Time {
 	head := sim.MaxTime
-	for _, t := range x.next {
+	for _, r := range x.p.racks {
+		t, _ := r.eng.PeekTime()
 		head = min(head, t)
 	}
 	return head
@@ -291,7 +261,7 @@ func (x *podExec) earliest() sim.Time {
 
 // runWindow advances every rack to end. With n = min(workers, racks)
 // above 1, worker w steps racks w, w+n, … on its own goroutine, writing
-// only those racks' cache entries and its own lane, and Wait orders
+// only those racks' engines and its own lane, and Wait orders
 // every rack mutation of the window before the reduction and the
 // barrier's reads. No goroutine outlives the window.
 func (x *podExec) runWindow(end sim.Time) {
@@ -316,26 +286,24 @@ func (x *podExec) runWindow(end sim.Time) {
 }
 
 // stepRacks advances racks first, first+stride, … to end. In sparse
-// mode a rack whose cached next event is at or past end has nothing to
-// dispatch and is only parked; otherwise its window runs and reports
-// the new head. The lane tallies the events dispatched and whether a
-// window left barrier work: a flagged lease return or a queued borrow.
+// mode a rack whose next event is at or past end has nothing to
+// dispatch and is only parked; otherwise its window runs. The lane
+// tallies the events dispatched and whether a window left barrier work:
+// a flagged lease return or a queued borrow.
 func (x *podExec) stepRacks(first, stride int, end sim.Time) (l lane) {
 	racks := x.p.racks
 	for i := first; i < len(racks); i += stride {
 		r := racks[i]
-		if !x.dense && x.next[i] >= end {
-			r.eng.Park(end)
-			x.parked[i]++
-			continue
+		if !x.dense {
+			if t, _ := r.eng.PeekTime(); t >= end {
+				r.eng.Park(end)
+				x.parked[i]++
+				continue
+			}
 		}
 		x.entered[i]++
 		executed := r.eng.Executed
-		t, ok := r.eng.RunWindow(end)
-		if !ok {
-			t = sim.MaxTime
-		}
-		x.next[i] = t
+		r.eng.RunWindow(end)
 		// Only an event flags a lease return or queues a borrow. A queued
 		// borrow not yet due raises work too: the slow path it costs is
 		// exact, and borrows are rare.
@@ -348,7 +316,7 @@ func (x *podExec) stepRacks(first, stride int, end sim.Time) (l lane) {
 }
 
 // nextBarrier returns the end of the next window to sweep; head is the
-// pod's earliest cached next event. Dense mode always advances one
+// pod's earliest pending event. Dense mode always advances one
 // window (capped at target). Sparse mode jumps ahead k windows when the
 // k-1 intermediate grid barriers are provably no-ops, which is exactly
 // when every obligation lies at or beyond the jump's end:
@@ -444,8 +412,6 @@ func (x *podExec) idle() bool {
 // rack-index order, so the outcome is independent of how the windows
 // were scheduled. A quiet barrier — no rack flagged work, no fault or
 // borrow due inside the next window, no sampler tick — is one test.
-// Everything behind the test may schedule on any rack, so it leaves the
-// next-event cache stale.
 func (x *podExec) barrier(end sim.Time) {
 	horizon := end.Add(x.window)
 	if x.work || x.due < horizon {
@@ -482,13 +448,11 @@ func (x *podExec) barrier(end sim.Time) {
 			}
 			r.pendingBorrows = rest
 		}
-		x.stale = true
 	}
 	if x.sampleFn != nil && x.nextSample <= x.vnow {
 		for x.nextSample <= x.vnow {
 			x.sampleFn(x.nextSample)
 			x.nextSample = x.nextSample.Add(x.sampleEvery)
 		}
-		x.stale = true
 	}
 }

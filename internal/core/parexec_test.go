@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -203,11 +204,11 @@ func TestSampleEveryRejectsNonPositive(t *testing.T) {
 	}
 }
 
-// TestSamplerEventsRun pins the sampler's place in the next-event
-// cache: a sampler may schedule on any rack (it runs in barrier
-// context), so each tick must leave the cache stale. Here every tick
-// puts one event on rack 1 of an otherwise idle pod, due well before
-// the next tick; a cache that missed it would park rack 1 past it.
+// TestSamplerEventsRun checks that what a sampler schedules runs on
+// time: a sampler may schedule on any rack (it runs in barrier context),
+// and the rack's engine must then report that event as its head. Here
+// every tick puts one event on rack 1 of an otherwise idle pod, due well
+// before the next tick; a head that missed it would park rack 1 past it.
 func TestSamplerEventsRun(t *testing.T) {
 	pod, err := NewPod(PodConfig{
 		Racks:     []Config{podRackConfig(2, 1, 1024), podRackConfig(2, 1, 1024)},
@@ -228,5 +229,39 @@ func TestSamplerEventsRun(t *testing.T) {
 	pod.AdvanceTime(200 * sim.Microsecond)
 	if ticks != 10 {
 		t.Errorf("%d ticks over 200 µs, want 10", ticks)
+	}
+}
+
+// TestWedgeSaysWhere drives an idle pod, on the 1-rack path and on the
+// windowed one, with a stop condition that never holds: the drive must
+// panic with a message that names the virtual time and each rack's
+// queues, so a pin that wedges says where.
+func TestWedgeSaysWhere(t *testing.T) {
+	for _, racks := range []int{1, 2} {
+		cfgs := make([]Config, racks)
+		for i := range cfgs {
+			cfgs[i] = podRackConfig(2, 1, 1024)
+		}
+		pod, err := NewPod(PodConfig{Racks: cfgs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pod.RunThreads() // no threads: stops the epoch loops and drains
+		pod.AdvanceTime(50 * sim.Microsecond)
+		now := pod.Now()
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			pod.exec.drive(0, func() bool { return false })
+			return ""
+		}()
+		for _, want := range []string{"protocol wedge", fmt.Sprintf("at %dns", now),
+			"rack 0: 0 events pending, head none, 0 borrows and 0 faults queued"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%d racks: wedge message %q lacks %q", racks, msg, want)
+			}
+		}
+		if strings.Contains(msg, "rack 1") != (racks == 2) {
+			t.Errorf("%d racks: wedge message %q names the wrong racks", racks, msg)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mind/internal/coherence"
 	"mind/internal/computeblade"
@@ -269,6 +270,18 @@ func checkConfig(cfg Config) (Config, error) {
 	}
 	if cfg.Migration.DetectionDelay == 0 {
 		cfg.Migration.DetectionDelay = DefaultMigrationConfig().DetectionDelay
+	}
+	// A fabric calibration must not run time backwards or make a transfer
+	// free; zero delays stay legal (an ablation may drop recirculation).
+	f := cfg.Fabric
+	if !(f.NICBytesPerNs > 0) || math.IsInf(f.NICBytesPerNs, 1) {
+		return cfg, fmt.Errorf("core: fabric NICBytesPerNs must be positive and finite (%v)", f.NICBytesPerNs)
+	}
+	names := [...]string{"WireDelay", "NICOverhead", "PipelineDelay", "PipelineService", "RecircDelay", "MemDMA", "CtrlRTT"}
+	for i, d := range [...]sim.Duration{f.WireDelay, f.NICOverhead, f.PipelineDelay, f.PipelineService, f.RecircDelay, f.MemDMA, f.CtrlRTT} {
+		if d < 0 {
+			return cfg, fmt.Errorf("core: negative fabric %s (%v)", names[i], d)
+		}
 	}
 	return cfg, nil
 }

@@ -115,17 +115,6 @@ type Interconnect struct {
 	pending atomic.Int64
 
 	flushScratch []crossMsg
-	// delivered records what the last FlushBoundary injected, one entry
-	// per message, so the pod executor can lower its cached next-event
-	// time of each destination rack without peeking its engine.
-	delivered []Delivery
-}
-
-// Delivery is one arrival a FlushBoundary injected: the destination
-// rack and the time the message was scheduled at on its engine.
-type Delivery struct {
-	To int
-	At sim.Time
 }
 
 // NewShardedInterconnect builds the boundary-buffered interconnect for a
@@ -190,13 +179,7 @@ func (ic *Interconnect) deliver(m crossMsg) {
 	q := &ic.ports[m.to]
 	_, downEnd := q.down.Reserve(m.arrive, ic.cfg.Overhead+ic.serialize(m.bytes))
 	q.eng.AtArg(downEnd, m.fn, m.arg)
-	ic.delivered = append(ic.delivered, Delivery{To: m.to, At: downEnd})
 }
-
-// Deliveries returns the arrivals the last FlushBoundary injected, in
-// injection order (empty after a flush that delivered nothing). The
-// slice is reused by the next FlushBoundary; read it at the barrier.
-func (ic *Interconnect) Deliveries() []Delivery { return ic.delivered }
 
 // PendingBoundary returns how many sends are buffered awaiting the next
 // FlushBoundary, in O(1). Read it only at barriers (workers parked).
@@ -211,7 +194,6 @@ func (ic *Interconnect) PendingBoundary() int { return int(ic.pending.Load()) }
 // all-empty boundary returns immediately — no port scan, no sort, no
 // allocation — so quiet barriers cost one atomic load.
 func (ic *Interconnect) FlushBoundary() int {
-	ic.delivered = ic.delivered[:0]
 	if ic.pending.Load() == 0 {
 		return 0
 	}

@@ -269,10 +269,16 @@ type Engine struct {
 	free  Pool[Event]
 	evMem []Event
 
-	// plain disables the free list and the calendar ring, forcing every
-	// event through the reference (time, seq) heap — the oracle mode the
-	// equivalence tests compare against.
+	// plain disables the free list, the calendar ring and the head cache,
+	// forcing every event through the reference (time, seq) heap — the
+	// oracle mode the equivalence tests compare against.
 	plain bool
+
+	// head caches the earliest pending event's time for PeekTime
+	// (MaxTime: none; headUnknown: recompute). place lowers it, a
+	// dispatch or a cancel at that time invalidates it, and RunWindow
+	// leaves it exact. A plain engine leaves it unknown.
+	head Time
 
 	// Executed counts events dispatched since creation, for debugging and
 	// runaway detection in tests.
@@ -288,11 +294,16 @@ type Engine struct {
 	dispatchHash uint64
 }
 
+// headUnknown marks Engine.head stale. Event times are never negative, so
+// place's lowering leaves it alone.
+const headUnknown Time = -1
+
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
 	return &Engine{
 		ring:     make([][]*Event, numBuckets),
 		ringBits: make([]uint64, numBuckets/64),
+		head:     MaxTime,
 	}
 }
 
@@ -300,7 +311,7 @@ func NewEngine() *Engine {
 // disabled: the reference implementation the equivalence property tests
 // drive in lockstep with a production engine.
 func newPlainEngine() *Engine {
-	return &Engine{plain: true}
+	return &Engine{plain: true, head: headUnknown}
 }
 
 // Now returns the current virtual time.
@@ -435,6 +446,9 @@ func (e *Engine) enqueue(at Time, fn func(any), arg any, pooled bool) *Event {
 // seq), and at or past it (a clock parked by RunUntil or RunWindow) its
 // bucket has not opened yet.
 func (e *Engine) place(ev *Event) {
+	if ev.at < e.head {
+		e.head = ev.at
+	}
 	if e.plain {
 		ev.where = whereOverflow
 		e.queue.push(ev)
@@ -490,6 +504,9 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.state != statePending {
 		return
 	}
+	if ev.at == e.head {
+		e.head = headUnknown
+	}
 	switch ev.where {
 	case whereOverflow:
 		e.queue.remove(ev.idx)
@@ -538,6 +555,7 @@ func (e *Engine) fire(ev *Event) {
 	ev.fn, ev.arg = nil, nil
 	ev.state = stateFired
 	ev.where = whereNone
+	e.head = headUnknown
 	if ev.pooled {
 		// Safe to recycle before the callback runs: fn/arg are saved,
 		// and an immediate reuse inside the callback just reinitializes
@@ -732,15 +750,29 @@ func (e *Engine) wheelHead() *Event {
 	}
 }
 
-// popWheel removes the event wheelHead returned.
-func (e *Engine) popWheel(ev *Event) {
-	if len(e.curHeap) > 0 && e.curHeap[0] == ev {
-		e.curHeap.remove(0)
-		return
+// first returns the earliest pending event without removing it, or nil.
+func (e *Engine) first() *Event {
+	if e.plain {
+		if len(e.queue) == 0 {
+			return nil
+		}
+		return e.queue[0]
 	}
-	e.sortedCur[e.curIdx] = nil
-	e.curIdx++
-	e.curLive--
+	return e.wheelHead()
+}
+
+// pop removes the event first returned.
+func (e *Engine) pop(ev *Event) {
+	switch {
+	case e.plain:
+		e.queue.remove(0)
+	case len(e.curHeap) > 0 && e.curHeap[0] == ev:
+		e.curHeap.remove(0)
+	default:
+		e.sortedCur[e.curIdx] = nil
+		e.curIdx++
+		e.curLive--
+	}
 }
 
 // Step dispatches the single earliest event, advancing the clock to its
@@ -753,49 +785,45 @@ func (e *Engine) Step() bool { return e.stepUntil(MaxTime) }
 // located once per event, and the bound is tested on the event about to
 // fire.
 func (e *Engine) stepUntil(limit Time) bool {
-	if e.plain {
-		if len(e.queue) == 0 || e.queue[0].at > limit {
-			return false
-		}
-		ev := e.queue.remove(0)
-		ev.where = whereNone
-		e.now = ev.at
-		e.fire(ev)
-		return true
-	}
-	head := e.wheelHead()
+	head := e.first()
 	if head == nil || head.at > limit {
 		return false
 	}
-	e.popWheel(head)
+	e.pop(head)
 	e.now = head.at
 	e.fire(head)
 	return true
 }
 
 // PeekTime returns the earliest pending event's timestamp without
-// dispatching anything. It is the lookahead primitive of the
-// sparse-horizon pod executor: at a barrier, the minimum PeekTime
-// across all rack engines bounds the first window in which any rack can
-// dispatch, so every window before it may be skipped.
-//
-// Peeking may rotate the calendar ring's drain window (and migrate
-// overflow events that have come inside the horizon) to locate the
-// head, but it never fires, reorders or drops an event: the dispatch
-// sequence — and therefore the dispatch-trace hash — is identical
+// dispatching anything, or (MaxTime, false) when none is pending. It is
+// the lookahead primitive of the sparse-horizon pod executor: the
+// minimum across rack engines sizes the jump, and a rack whose head is
+// at or past a window's end is parked. It reads the cached head; only
+// after an invalidation does it locate the head, which may rotate the
+// calendar ring's drain window (and migrate overflow events), but never
+// fires, reorders or drops an event: the dispatch-trace hash is the same
 // whether or not PeekTime was called. Call it only from contexts that
-// already own the engine (barrier context under the pod executor).
+// already own the engine.
 func (e *Engine) PeekTime() (Time, bool) {
-	if e.plain {
-		if len(e.queue) == 0 {
-			return 0, false
-		}
-		return e.queue[0].at, true
+	t := e.head
+	if t < 0 {
+		t = e.findHead()
 	}
-	if head := e.wheelHead(); head != nil {
-		return head.at, true
+	return t, t != MaxTime
+}
+
+// findHead is PeekTime's recompute (MaxTime: nothing pending); a plain
+// engine does not cache the answer.
+func (e *Engine) findHead() Time {
+	t := MaxTime
+	if head := e.first(); head != nil {
+		t = head.at
 	}
-	return 0, false
+	if !e.plain {
+		e.head = t
+	}
+	return t
 }
 
 // Run dispatches events until the queue drains.
@@ -825,35 +853,26 @@ func (e *Engine) RunUntil(deadline Time) {
 // at >= end and the clock sits exactly on the boundary, so boundary
 // injections with at == end are legal non-past schedules.
 //
-// It reports the head it stopped at, exactly as PeekTime would right
-// after it: the window had to locate that head to know it must stop, so
-// the pod executor's per-rack lookahead costs nothing extra.
-func (e *Engine) RunWindow(end Time) (next Time, ok bool) {
+// The window had to locate the head it stopped at to know it must stop,
+// so it leaves that head cached: the PeekTime that follows is a field
+// read.
+func (e *Engine) RunWindow(end Time) {
 	for {
-		var head *Event
-		if e.plain {
-			if len(e.queue) > 0 {
-				head = e.queue[0]
-			}
-		} else {
-			head = e.wheelHead()
-		}
+		head := e.first()
 		if head == nil || head.at >= end {
 			e.Park(end)
-			if head == nil {
-				return 0, false
+			if !e.plain {
+				e.head = MaxTime
+				if head != nil {
+					e.head = head.at
+				}
 			}
-			return head.at, true
+			return
 		}
 		// stepUntil's dispatch, on the head already in hand. Calling
 		// stepUntil instead costs a call level per rack-window, which the
 		// pod executor pays on every rack it enters.
-		if e.plain {
-			e.queue.remove(0)
-			head.where = whereNone
-		} else {
-			e.popWheel(head)
-		}
+		e.pop(head)
 		e.now = head.at
 		e.fire(head)
 	}

@@ -5,7 +5,7 @@ import "testing"
 // TestRunWindowStrictUpperEdge checks the window primitive's contract:
 // RunWindow(end) dispatches events strictly below end, leaves events at
 // end queued for the next window, parks the clock exactly on the
-// boundary, and reports the head it stopped at.
+// boundary, and leaves the head it stopped at as PeekTime's answer.
 func TestRunWindowStrictUpperEdge(t *testing.T) {
 	e := NewEngine()
 	var got []Time
@@ -15,8 +15,9 @@ func TestRunWindowStrictUpperEdge(t *testing.T) {
 	e.At(100, rec) // exactly on the boundary: belongs to the next window
 	e.At(150, rec)
 
-	if next, ok := e.RunWindow(100); next != 100 || !ok {
-		t.Fatalf("RunWindow(100) reported head (%v, %v), want (100, true)", next, ok)
+	e.RunWindow(100)
+	if next, ok := e.PeekTime(); next != 100 || !ok {
+		t.Fatalf("PeekTime after RunWindow(100) = (%v, %v), want (100, true)", next, ok)
 	}
 	if len(got) != 2 || got[0] != 10 || got[1] != 99 {
 		t.Fatalf("window [0,100) dispatched %v, want [10 99]", got)
@@ -31,8 +32,9 @@ func TestRunWindowStrictUpperEdge(t *testing.T) {
 	// A boundary injection at exactly the window edge (the cross-rack
 	// arrival case) must be dispatchable by the next window.
 	e.At(100, rec)
-	if next, ok := e.RunWindow(200); next != 0 || ok {
-		t.Fatalf("RunWindow(200) over a drained queue reported (%v, %v), want (0, false)", next, ok)
+	e.RunWindow(200)
+	if next, ok := e.PeekTime(); next != MaxTime || ok {
+		t.Fatalf("PeekTime after RunWindow(200) drained the queue = (%v, %v), want (MaxTime, false)", next, ok)
 	}
 	if len(got) != 5 {
 		t.Fatalf("second window dispatched %d events total, want 5", len(got))
@@ -44,10 +46,11 @@ func TestRunWindowStrictUpperEdge(t *testing.T) {
 		t.Fatalf("clock after RunWindow(200) = %v, want 200", e.Now())
 	}
 
-	// A head past the window, in the overflow heap: reported, not run.
+	// A head past the window, in the overflow heap: peeked, not run.
 	e.At(200+Time(horizon)+7, rec)
-	if next, ok := e.RunWindow(300); next != 200+Time(horizon)+7 || !ok || len(got) != 5 {
-		t.Fatalf("RunWindow(300) reported (%v, %v) after %d dispatches, want (%v, true) after 5",
+	e.RunWindow(300)
+	if next, ok := e.PeekTime(); next != 200+Time(horizon)+7 || !ok || len(got) != 5 {
+		t.Fatalf("PeekTime after RunWindow(300) = (%v, %v) after %d dispatches, want (%v, true) after 5",
 			next, ok, len(got), 200+Time(horizon)+7)
 	}
 }
@@ -56,8 +59,9 @@ func TestRunWindowStrictUpperEdge(t *testing.T) {
 // advances the clock (dry racks must keep lockstep with busy ones).
 func TestRunWindowEmpty(t *testing.T) {
 	e := NewEngine()
-	if _, ok := e.RunWindow(1000); ok {
-		t.Fatal("RunWindow over an empty queue reported a head")
+	e.RunWindow(1000)
+	if _, ok := e.PeekTime(); ok {
+		t.Fatal("PeekTime after RunWindow over an empty queue reported a head")
 	}
 	if e.Now() != 1000 {
 		t.Fatalf("clock = %v, want 1000", e.Now())

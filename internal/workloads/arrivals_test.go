@@ -166,3 +166,67 @@ func TestArrivalDegenerateParams(t *testing.T) {
 		t.Errorf("Inf rate should clamp to the 1e9/s ceiling (mean gap %.2f ns)", m)
 	}
 }
+
+// FuzzArrivals holds the three arrival processes to their contract under
+// any parameters, degenerate ones included: every gap is at least 1 ns,
+// a second process from the same seed replays the same gaps, and 10 000
+// draws finish (a hang shows as a fuzz timeout; -short draws 1 000, as
+// the floor-rate MMPP seeds take ~0.8 s each). kind%3 picks Poisson
+// (rate a), MMPP (rates a and b, dwells c and d, in seconds) or Diurnal
+// (base rate a, swing b, period).
+func FuzzArrivals(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ms, s := int64(sim.Millisecond), int64(sim.Second)
+	// TestArrivalDegenerateParams' table, plus -Inf.
+	for _, c := range []struct {
+		kind       uint8
+		seed       uint64
+		a, b, c, d float64
+		period     int64
+	}{
+		{0, 1, 0, 0, 0, 0, 0},
+		{0, 1, -500, 0, 0, 0, 0},
+		{0, 1, nan, 0, 0, 0, 0},
+		{0, 1, inf, 0, 0, 0, 0},
+		{0, 1, -inf, 0, 0, 0, 0},
+		{1, 2, 0, 0, 0, 0, 0},
+		{1, 2, -1, -1, -1, -1, 0},
+		{1, 2, nan, nan, nan, nan, 0},
+		{1, 2, inf, inf, inf, inf, 0},
+		{1, 2, -inf, inf, -inf, nan, 0},
+		{2, 3, 0, 0.5, 0, 0, ms},
+		{2, 3, nan, nan, 0, 0, 0},
+		{2, 3, inf, inf, 0, 0, -s},
+		{2, 3, -inf, -inf, 0, 0, 1},
+	} {
+		f.Add(c.kind, c.seed, c.a, c.b, c.c, c.d, c.period)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, seed uint64, a, b, c, d float64, period int64) {
+		mk := func() ArrivalProcess {
+			switch kind % 3 {
+			case 0:
+				return NewPoisson(seed, "fuzz", a)
+			case 1:
+				return NewMMPP(seed, "fuzz", a, b, c, d)
+			default:
+				return NewDiurnal(seed, "fuzz", a, b, sim.Duration(period))
+			}
+		}
+		draws := 10_000
+		if testing.Short() {
+			draws = 1_000
+		}
+		p, replay := mk(), mk()
+		now := sim.Time(0)
+		for i := 0; i < draws; i++ {
+			g := p.Next(now)
+			if g < 1 {
+				t.Fatalf("draw %d at %d: gap %d, want >= 1 ns", i, now, g)
+			}
+			if h := replay.Next(now); h != g {
+				t.Fatalf("draw %d at %d: gap %d, replay from the same seed %d", i, now, g, h)
+			}
+			now += sim.Time(g)
+		}
+	})
+}
