@@ -45,6 +45,9 @@ func TestClusterValidation(t *testing.T) {
 		{"negative NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = -12.5 }},
 		{"NaN NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = math.NaN() }},
 		{"infinite NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = math.Inf(1) }},
+		// Positive and finite, but a migration batch's serialization
+		// overflows sim.Duration: the same probe read 3.460 µs, as at 0.
+		{"overflowing NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = 1e-300 }},
 		{"zero fabric config", "NICBytesPerNs", func(c *Config) { c.Fabric = fabric.Config{} }},
 		{"negative wire delay", "WireDelay", func(c *Config) { c.Fabric.WireDelay = -sim.Microsecond }},
 		{"negative NIC overhead", "NICOverhead", func(c *Config) { c.Fabric.NICOverhead = -1 }},

@@ -151,6 +151,17 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		}
 		p.racks = append(p.racks, r)
 	}
+	// A zero or negative interconnect bandwidth defaults; NaN, +Inf and
+	// one too small for a migration batch would make every crossing cost
+	// serialize's 1 ns floor.
+	if bw := cfg.Interconnect.BytesPerNs; !(bw <= 0) {
+		for _, r := range p.racks {
+			if math.IsInf(bw, 1) || !batchSerializes(bw, r.cfg.Migration.BatchPages) {
+				return nil, fmt.Errorf("core: Interconnect.BytesPerNs must be finite and serialize a %d-page migration batch in a representable time (%v)",
+					r.cfg.Migration.BatchPages, bw)
+			}
+		}
+	}
 	// No peer to wait for: a 1-rack pod's lookahead is unbounded. A
 	// multi-rack pod's is the interconnect propagation delay.
 	window := sim.Duration(math.MaxInt64)

@@ -277,6 +277,10 @@ func checkConfig(cfg Config) (Config, error) {
 	if !(f.NICBytesPerNs > 0) || math.IsInf(f.NICBytesPerNs, 1) {
 		return cfg, fmt.Errorf("core: fabric NICBytesPerNs must be positive and finite (%v)", f.NICBytesPerNs)
 	}
+	if !batchSerializes(f.NICBytesPerNs, cfg.Migration.BatchPages) {
+		return cfg, fmt.Errorf("core: fabric NICBytesPerNs %v cannot serialize a %d-page migration batch in a representable time",
+			f.NICBytesPerNs, cfg.Migration.BatchPages)
+	}
 	names := [...]string{"WireDelay", "NICOverhead", "PipelineDelay", "PipelineService", "RecircDelay", "MemDMA", "CtrlRTT"}
 	for i, d := range [...]sim.Duration{f.WireDelay, f.NICOverhead, f.PipelineDelay, f.PipelineService, f.RecircDelay, f.MemDMA, f.CtrlRTT} {
 		if d < 0 {
@@ -284,6 +288,15 @@ func checkConfig(cfg Config) (Config, error) {
 		}
 	}
 	return cfg, nil
+}
+
+// batchSerializes reports whether one migration batch of batchPages
+// pages, the largest payload a rack fabric or the interconnect carries,
+// serializes at bytesPerNs (positive) within math.MaxInt64 ns. A
+// bandwidth below that overflows sim.Duration, and the transfer comes
+// out free.
+func batchSerializes(bytesPerNs float64, batchPages int) bool {
+	return float64(batchPages)*fabric.PageBytes/bytesPerNs < math.MaxInt64
 }
 
 // newRack builds and wires one rack on an engine and collector of its

@@ -197,9 +197,10 @@ func (f *Fabric) Engine() *sim.Engine { return f.eng }
 // dedicated access to a separate 100 Gbps NIC (§7 cluster setup).
 func (f *Fabric) AddNode(id NodeID) {
 	i := slot(id)
-	for i >= len(f.nicTx) {
-		f.nicTx = append(f.nicTx, nil)
-		f.nicRx = append(f.nicRx, nil)
+	if n := i + 1 - len(f.nicTx); n > 0 {
+		// Memory nodes sit a thousand ids up: grow to the slot at once.
+		f.nicTx = append(f.nicTx, make([]*sim.Resource, n)...)
+		f.nicRx = append(f.nicRx, make([]*sim.Resource, n)...)
 	}
 	if f.nicTx[i] != nil {
 		panic(fmt.Sprintf("fabric: duplicate node %d", id))

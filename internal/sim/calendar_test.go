@@ -1,21 +1,23 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
 // This file pins the calendar-queue event queue against the reference
-// (time, seq) heap: randomized dispatch-order equivalence across every
-// container (drain-window heap, calendar ring, far-future overflow
-// heap), including Cancel and Rearm of events that cross the
-// ring horizon — the operations whose bookkeeping differs most between
-// the two implementations.
+// (time, seq) heap: randomized dispatch-order equivalence across both
+// containers (the calendar ring's ordered buckets, including the one
+// being dispatched from, and the far-future overflow heap), including
+// Cancel and Rearm of events that cross the ring horizon — the
+// operations whose bookkeeping differs most between the two
+// implementations.
 
 // calDriver runs a randomized schedule program on one engine, recording
 // dispatch order. Delays are drawn from bands that deliberately straddle
 // the engine's internal boundaries: 0 (the current instant), sub-bucket
-// (drain window), multi-bucket (ring), and beyond the ~65 µs horizon
-// (overflow heap, later migrated into the ring).
+// (the bucket being dispatched from), multi-bucket (ring), and beyond
+// the ~65 µs horizon (overflow heap, later migrated into the ring).
 type calDriver struct {
 	e      *Engine
 	order  []uint64
@@ -31,7 +33,7 @@ func calDelay(h uint64) Duration {
 	case 0:
 		return 0 // the current instant
 	case 1:
-		return Duration(h % uint64(bucketWidth)) // inside the drain window
+		return Duration(h % uint64(bucketWidth)) // inside the current bucket
 	case 2:
 		return Duration(h % uint64(64*bucketWidth)) // nearby ring buckets
 	case 3:
@@ -73,8 +75,8 @@ func (d *calDriver) fired(id uint64) {
 	}
 	if h%7 == 0 && len(d.timers) > 0 {
 		// Cancel a surviving handle — possibly one that has already
-		// migrated overflow -> ring, or that sits in the window being
-		// drained right now.
+		// migrated overflow -> ring, or that sits in the bucket being
+		// dispatched from right now.
 		d.e.Cancel(d.timers[int(h>>16)%len(d.timers)])
 	}
 	if h%11 == 0 && len(d.timers) > 0 && d.budget > 0 {
@@ -249,7 +251,15 @@ func TestEventHeapAgainstSort(t *testing.T) {
 		}
 		check()
 	}
-	sortEvents(live)
+	slices.SortFunc(live, func(a, b *Event) int {
+		switch {
+		case evLess(a, b):
+			return -1
+		case evLess(b, a):
+			return 1
+		}
+		return 0
+	})
 	for i, want := range live {
 		if got := h.remove(0); got != want {
 			t.Fatalf("pop %d = (%d, %d), want (%d, %d)", i, got.at, got.seq, want.at, want.seq)
@@ -264,8 +274,9 @@ func TestEventHeapAgainstSort(t *testing.T) {
 // TestOverflowMigrationOrdering pins the one ordering case the ring
 // cannot see at insert time: an event placed in the overflow heap (far
 // future, small seq) must still dispatch before a later-scheduled ring
-// event at the same timestamp (larger seq), which requires the migration
-// path to land it in the same bucket before that bucket's window opens.
+// event at the same timestamp (larger seq), which requires the edge's
+// advance to migrate it into the ring as soon as the horizon covers it,
+// before a same-time event can be placed there.
 func TestOverflowMigrationOrdering(t *testing.T) {
 	e := NewEngine()
 	target := Time(horizon) + 777 // beyond the horizon at t=0

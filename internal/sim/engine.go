@@ -11,15 +11,17 @@
 // The steady-state scheduling path is allocation-free and O(1) per event:
 // ScheduleArg/AtArg take a pre-bound callback (a plain function plus its
 // argument, instead of a freshly minted closure), and their events are
-// recycled through a free list after firing. Events in the near future
-// land in a bucketed calendar ring (constant-time insert, buckets sorted
-// only when their window is reached) small enough to stay in the host's
-// cache; an event scheduled into the window being drained, the current
-// instant included, joins that window's small heap; far timers (past the
-// ~65 µs ring horizon — fault timeouts, serve deadlines, epoch ticks —
-// most of them canceled long before they are due) wait in a typed binary
-// heap and migrate into the ring as the horizon advances. Dispatch order is identical to a pure
-// (time, sequence) heap in every mode.
+// recycled through a free list after firing. The queue is two
+// containers. Events in the near future, the current instant included,
+// land in a bucketed calendar ring small enough to stay in the host's
+// cache; each bucket is kept in (time, sequence) order on insert, which
+// is nearly always an append, and dispatch takes the head of the first
+// non-empty bucket. Far timers (past the ~65 µs ring horizon — fault
+// timeouts, serve deadlines, epoch ticks — most of them canceled long
+// before they are due) wait in a typed binary heap and migrate into the
+// ring as its edge advances. Cancel removes an event from either at
+// once. Dispatch order is identical to a pure (time, sequence) heap in
+// every mode.
 package sim
 
 import (
@@ -62,7 +64,7 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fus", d.Micros()) }
 // Calendar-ring geometry. Buckets are 256 ns wide (a handful of fabric
 // hops), and the ring covers a ~65 µs horizon: every delay a fault is
 // made of (pipeline service, NIC, wire, DMA, control RTT, the first retry
-// backoffs) schedules in O(1), while the ring's bucket headers (6 KiB)
+// backoffs) schedules in O(1), while the ring's bucket headers (8 KiB)
 // stay resident in the host's cache however many rack engines a pod
 // runs. Timers — the 2 ms fault timeout, serve deadlines, epoch and
 // promotion ticks — go to the overflow heap; nearly all of them are
@@ -86,19 +88,6 @@ const (
 	stateCanceled
 )
 
-// Event locations: which physical container currently holds the event.
-// whereRing/whereOverflow/whereCurHeap events can be removed eagerly on
-// Cancel (their idx names the slot); whereSorted events are canceled
-// lazily and stay resident until their sorted window drains, so Rearm
-// must not reuse the object before then.
-const (
-	whereNone     uint8 = iota
-	whereRing           // a calendar-ring bucket; idx = position in the bucket
-	whereSorted         // the sorted current-window slice being drained
-	whereCurHeap        // the small heap of events behind the drain cursor
-	whereOverflow       // the far-future overflow heap; idx = heap index
-)
-
 // Event is a scheduled callback. The zero Event is invalid. Events
 // returned by Schedule/At/ScheduleTimer stay owned by the caller and are
 // never recycled; events created by ScheduleArg/AtArg never escape the
@@ -108,12 +97,11 @@ type Event struct {
 	seq uint64
 	fn  func(any)
 	arg any
-	// idx is the event's slot in its current container: heap index for
-	// whereOverflow/whereCurHeap, bucket position for whereRing, -1
-	// otherwise.
+	// idx is the event's slot in the overflow heap while it waits
+	// there, and -1 otherwise: a pending event with idx -1 sits in a
+	// calendar bucket, where Cancel finds it by binary search.
 	idx    int
 	state  uint8
-	where  uint8
 	pooled bool
 }
 
@@ -146,9 +134,9 @@ func evLess(a, b *Event) bool {
 
 // eventHeap is a binary min-heap of events by (time, seq), each event's
 // idx tracking its slot so Cancel can remove it from the middle. The
-// sifts are written out against evLess for the reason sortEvents is:
-// container/heap pays an interface call per comparison and per swap, and
-// this heap is the everyday path of every timer and of the drain window.
+// sifts are written out against evLess: container/heap pays an interface
+// call per comparison and per swap, and this heap is the everyday path
+// of every timer.
 type eventHeap []*Event
 
 // push adds ev.
@@ -218,45 +206,38 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// queue is the overflow heap, the far-timer path: events past the
-	// ring horizon at insert time. Its minimum is always >= every
-	// ring/window event (overflow events migrate into the ring before
-	// their bucket's window can open), so it only needs consulting when
-	// the ring runs dry. In plain mode it is the only queue.
+	// queue is the overflow heap, the far-timer path: every event at or
+	// past wheelStart+horizon. Its minimum is therefore later than every
+	// ring event, so it only needs consulting when the ring runs dry. In
+	// plain mode it is the only queue.
 	queue eventHeap
 
-	// The calendar ring: ring[b] holds events with
-	// wheelStart <= at < wheelStart+horizon whose (at>>bucketShift)
-	// lands on b. Buckets are unordered (sorted at drain); ringBits is
-	// the non-empty-bucket bitmap; wheelLive counts live ring events.
-	ring      [][]*Event
+	// The calendar ring: ring[b] holds the events with
+	// wheelStart <= at < wheelStart+horizon whose (at>>bucketShift) lands
+	// on b, ascending (time, seq). ringBits is the non-empty-bucket
+	// bitmap; wheelLive counts ring events.
+	ring      []bucket
 	ringBits  []uint64
 	wheelLive int
-	// wheelStart is the lower edge of the ring: the end of the last
-	// drained bucket window, always bucket-aligned. Events scheduled
-	// below it (short delays inside the window being drained) go to
-	// curHeap instead.
+	// wheelStart is the ring's lower edge, bucket-aligned and never past
+	// now: each dispatch moves it to the dispatched event's bucket, and an
+	// insert past the horizon first catches it up to now's bucket. Both
+	// then migrate the overflow events the horizon has come to cover.
 	wheelStart Time
+	// headBucket caches the first non-empty bucket (-1: unknown). An
+	// insert into an earlier bucket lowers it and emptying its bucket
+	// clears it, so the head is found without a bitmap scan between
+	// bucket drains.
+	headBucket int
 
-	// The current drain window: sortedCur is the last drained bucket,
-	// sorted ascending (time, seq), consumed from curIdx; curLive counts
-	// its not-yet-canceled remainder. curHeap holds events inserted
-	// behind wheelStart after the window opened; the dispatcher merges
-	// the two by (time, seq). Everything here is < wheelStart, so it
-	// precedes every ring and overflow event.
-	sortedCur []*Event
-	curIdx    int
-	curLive   int
-	curHeap   eventHeap
-
-	// slabs recycles bucket backing arrays: a drained window's slice
-	// returns here and the next insert into an empty bucket takes it,
-	// so steady-state bucket churn allocates nothing even though the
-	// set of active buckets slides forward in time. slabMem is the
-	// carve block behind a dry pool: fresh slabs are sliced off one
-	// shared allocation instead of allocated one by one, so warming
-	// the ring (a pod runs one engine per rack, each with its own ring)
-	// costs O(buckets/64) allocations rather than O(buckets).
+	// slabs recycles bucket backing arrays: a bucket that empties returns
+	// its slice here and the next insert into an empty bucket takes it,
+	// so steady-state bucket churn allocates nothing even though the set
+	// of active buckets slides forward in time. slabMem is the carve
+	// block behind a dry pool: fresh slabs are sliced off one shared
+	// allocation instead of allocated one by one, so warming the ring (a
+	// pod runs one engine per rack, each with its own ring) costs
+	// O(buckets/64) allocations rather than O(buckets).
 	slabs   [][]*Event
 	slabMem []*Event
 
@@ -294,6 +275,14 @@ type Engine struct {
 	dispatchHash uint64
 }
 
+// bucket is one calendar slot: evs[head:] are its events, ascending
+// (time, seq); dispatch takes evs[head]. An empty bucket has no backing
+// array (it went back to the slab list).
+type bucket struct {
+	evs  []*Event
+	head int
+}
+
 // headUnknown marks Engine.head stale. Event times are never negative, so
 // place's lowering leaves it alone.
 const headUnknown Time = -1
@@ -301,9 +290,10 @@ const headUnknown Time = -1
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
 	return &Engine{
-		ring:     make([][]*Event, numBuckets),
-		ringBits: make([]uint64, numBuckets/64),
-		head:     MaxTime,
+		ring:       make([]bucket, numBuckets),
+		ringBits:   make([]uint64, numBuckets/64),
+		headBucket: -1,
+		head:       MaxTime,
 	}
 }
 
@@ -396,17 +386,8 @@ func (e *Engine) Rearm(ev *Event, delay Duration, fn func(any), arg any) *Event 
 	if ev.state == statePending {
 		panic("sim: Rearm of a pending event (cancel it first)")
 	}
-	if ev.where != whereNone {
-		// The canceled event still occupies a sorted-window slot (lazy
-		// cancellation); reusing the object would make the stale slot
-		// fire the re-armed callback at the wrong time. Hand back a fresh
-		// event instead — the stale one stays canceled and drains
-		// harmlessly.
-		return e.enqueue(e.now.Add(delay), fn, arg, false)
-	}
-	at := e.now.Add(delay)
 	e.seq++
-	ev.at, ev.seq, ev.fn, ev.arg = at, e.seq, fn, arg
+	ev.at, ev.seq, ev.fn, ev.arg = e.now.Add(delay), e.seq, fn, arg
 	ev.state, ev.idx, ev.pooled = statePending, -1, false
 	e.place(ev)
 	return ev
@@ -439,45 +420,56 @@ func (e *Engine) enqueue(at Time, fn func(any), arg any, pooled bool) *Event {
 	return ev
 }
 
-// place routes a pending event to its container: the plain-mode heap, the
-// current drain window's heap, a calendar bucket, or the far-future
-// overflow heap. An event at the current instant is no exception: below
-// wheelStart the window heap merges it with the drained bucket by (time,
-// seq), and at or past it (a clock parked by RunUntil or RunWindow) its
-// bucket has not opened yet.
+// place routes a pending event to its container: the calendar bucket of
+// its time when that lies inside the horizon, the overflow heap
+// otherwise, and the heap alone in plain mode.
 func (e *Engine) place(ev *Event) {
 	if ev.at < e.head {
 		e.head = ev.at
 	}
 	if e.plain {
-		ev.where = whereOverflow
 		e.queue.push(ev)
 		return
 	}
-	at := ev.at
-	switch {
-	case at < e.wheelStart:
-		// A short or zero delay landing inside the window currently
-		// being drained: merge it with sortedCur through the window heap.
-		ev.where = whereCurHeap
-		e.curHeap.push(ev)
-	case at < e.wheelStart+horizon:
-		e.pushRing(ev)
-	default:
-		ev.where = whereOverflow
-		e.queue.push(ev)
+	if ev.at >= e.wheelStart+horizon {
+		// The edge may lag behind a clock that Park or RunUntil moved
+		// without a dispatch; bring it up before giving up on the ring.
+		e.moveEdge(e.now)
+		if ev.at >= e.wheelStart+horizon {
+			e.queue.push(ev)
+			return
+		}
+	}
+	e.pushRing(ev)
+}
+
+// moveEdge raises the ring's lower edge to t's bucket (t must not pass
+// any ring event) and migrates the overflow events the horizon now
+// covers, which keeps every overflow event behind every ring event.
+func (e *Engine) moveEdge(t Time) {
+	ws := t &^ (bucketWidth - 1)
+	if ws <= e.wheelStart {
+		return
+	}
+	e.wheelStart = ws
+	for len(e.queue) > 0 && e.queue[0].at < ws+horizon {
+		e.pushRing(e.queue.remove(0))
 	}
 }
 
 // pushRing inserts a pending event into its calendar bucket (the event's
-// time must lie in [wheelStart, wheelStart+horizon)).
+// time must lie in [wheelStart, wheelStart+horizon)), keeping the bucket
+// ascending: append, then bubble back past later events. New events
+// carry the largest seq, so the bubble stops at once unless the event is
+// earlier than one already in its bucket.
 func (e *Engine) pushRing(ev *Event) {
 	b := int(ev.at>>bucketShift) & ringMask
-	bucket := e.ring[b]
-	if bucket == nil {
-		if bucket = e.popSlab(); bucket == nil {
+	bk := &e.ring[b]
+	s := bk.evs
+	if s == nil {
+		if s = e.popSlab(); s == nil {
 			// Slab pool dry (more buckets concurrently populated than
-			// windows drained so far — e.g. a rack-wide burst of fabric
+			// ever emptied so far — e.g. a rack-wide burst of fabric
 			// hops spread across the horizon): carve a 32-cap slab
 			// from the block allocation, so the bucket skips the
 			// 1→2→4→… growth ladder and warming the whole ring costs a
@@ -486,20 +478,42 @@ func (e *Engine) pushRing(ev *Event) {
 			if len(e.slabMem) < slabCap {
 				e.slabMem = make([]*Event, 64*slabCap)
 			}
-			bucket = e.slabMem[:0:slabCap]
+			s = e.slabMem[:0:slabCap]
 			e.slabMem = e.slabMem[slabCap:]
 		}
+		e.ringBits[b>>6] |= 1 << uint(b&63)
+		start := int(e.wheelStart>>bucketShift) & ringMask
+		if e.wheelLive == 0 || e.headBucket >= 0 && (b-start)&ringMask < (e.headBucket-start)&ringMask {
+			e.headBucket = b
+		}
 	}
-	ev.where = whereRing
-	ev.idx = len(bucket)
-	e.ring[b] = append(bucket, ev)
-	e.ringBits[b>>6] |= 1 << uint(b&63)
+	i := len(s)
+	s = append(s, ev)
+	for i > bk.head && evLess(ev, s[i-1]) {
+		s[i] = s[i-1]
+		i--
+	}
+	s[i] = ev
+	bk.evs = s
 	e.wheelLive++
 }
 
-// Cancel removes a pending event. Canceling an already-fired or
-// already-canceled event is a no-op. Canceled events are never recycled:
-// the caller keeps the (now inert) handle.
+// emptyBucket returns bucket b's backing array to the slab list once its
+// last event has left.
+func (e *Engine) emptyBucket(b int) {
+	bk := &e.ring[b]
+	e.slabs = append(e.slabs, bk.evs[:0])
+	bk.evs, bk.head = nil, 0
+	e.ringBits[b>>6] &^= 1 << uint(b&63)
+	if e.headBucket == b {
+		e.headBucket = -1
+	}
+}
+
+// Cancel removes a pending event from its container at once. Canceling
+// an already-fired or already-canceled event is a no-op. Canceled events
+// are never recycled: the caller keeps the (now inert) handle, which
+// Rearm may reuse.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.state != statePending {
 		return
@@ -507,41 +521,34 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev.at == e.head {
 		e.head = headUnknown
 	}
-	switch ev.where {
-	case whereOverflow:
+	if ev.idx >= 0 {
 		e.queue.remove(ev.idx)
-		ev.where = whereNone
-	case whereCurHeap:
-		e.curHeap.remove(ev.idx)
-		ev.where = whereNone
-	case whereRing:
-		// Buckets are unordered until drained, so swap-remove is legal.
+	} else {
 		b := int(ev.at>>bucketShift) & ringMask
-		bucket := e.ring[b]
-		last := len(bucket) - 1
-		moved := bucket[last]
-		bucket[ev.idx] = moved
-		moved.idx = ev.idx
-		bucket[last] = nil
-		e.ring[b] = bucket[:last]
-		if last == 0 {
-			e.ringBits[b>>6] &^= 1 << uint(b&63)
+		bk := &e.ring[b]
+		s := bk.evs
+		i, j := bk.head, len(s)
+		for i < j {
+			if m := int(uint(i+j) >> 1); evLess(s[m], ev) {
+				i = m + 1
+			} else {
+				j = m
+			}
 		}
+		copy(s[i:], s[i+1:])
+		s[len(s)-1] = nil
+		bk.evs = s[:len(s)-1]
 		e.wheelLive--
-		ev.where = whereNone
-		ev.idx = -1
-	case whereSorted:
-		// Lazily skipped when the drain cursor reaches it.
-		e.curLive--
+		if bk.head == len(bk.evs) {
+			e.emptyBucket(b)
+		}
 	}
 	ev.state = stateCanceled
 	ev.fn, ev.arg = nil, nil
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int {
-	return e.curLive + len(e.curHeap) + e.wheelLive + len(e.queue)
-}
+func (e *Engine) Pending() int { return e.wheelLive + len(e.queue) }
 
 // fire dispatches one event, recycling it first if it never escaped.
 func (e *Engine) fire(ev *Event) {
@@ -554,7 +561,6 @@ func (e *Engine) fire(ev *Event) {
 	fn, arg := ev.fn, ev.arg
 	ev.fn, ev.arg = nil, nil
 	ev.state = stateFired
-	ev.where = whereNone
 	e.head = headUnknown
 	if ev.pooled {
 		// Safe to recycle before the callback runs: fn/arg are saved,
@@ -566,129 +572,8 @@ func (e *Engine) fire(ev *Event) {
 	fn(arg)
 }
 
-// sortEvents orders a drained bucket ascending (time, seq) in place,
-// allocation-free: insertion sort with a direct, inlinable comparison.
-// Buckets are tiny (events within one 256 ns window — the p99 is a
-// handful of entries), and this measurably outperforms
-// slices.SortFunc here: the generic pdqsort pays an indirect
-// comparator call per comparison, which at millions of drains per
-// second costs ~10% of rack-scenario throughput. The heapsort arm
-// bounds the degenerate case (one bucket absorbing a same-timestamp
-// burst) at O(n log n) without allocating.
-func sortEvents(s []*Event) {
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	if n <= 48 {
-		for i := 1; i < n; i++ {
-			ev := s[i]
-			j := i - 1
-			for j >= 0 && evLess(ev, s[j]) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = ev
-		}
-		return
-	}
-	// Heapsort: build a max-heap, then swap the max to the tail.
-	siftDown := func(lo, hi int) {
-		root := lo
-		for {
-			child := 2*root + 1
-			if child >= hi {
-				return
-			}
-			if child+1 < hi && evLess(s[child], s[child+1]) {
-				child++
-			}
-			if !evLess(s[root], s[child]) {
-				return
-			}
-			s[root], s[child] = s[child], s[root]
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		s[0], s[i] = s[i], s[0]
-		siftDown(0, i)
-	}
-}
-
-// advance refills the drain window from the calendar ring (migrating
-// overflow events that have come inside the horizon first), returning
-// false when no queued events remain anywhere. On return with true, the
-// earliest pending event is in sortedCur or curHeap.
-func (e *Engine) advance() bool {
-	for {
-		if e.curLive > 0 || len(e.curHeap) > 0 {
-			return true
-		}
-		if e.wheelLive == 0 {
-			if len(e.queue) == 0 {
-				return false
-			}
-			// The ring ran dry: jump its lower edge to the overflow
-			// minimum's bucket so migration can land it.
-			if ws := e.queue[0].at &^ (bucketWidth - 1); ws > e.wheelStart {
-				e.wheelStart = ws
-			}
-		}
-		// Migrate far-future events that the advancing horizon now
-		// covers. Their (time, seq) order relative to ring residents is
-		// restored by the per-bucket sort at drain.
-		for len(e.queue) > 0 && e.queue[0].at < e.wheelStart+horizon {
-			e.pushRing(e.queue.remove(0))
-		}
-		// Find the next non-empty bucket at or after wheelStart. All
-		// ring events live in [wheelStart, wheelStart+horizon), so
-		// scanning the bitmap forward (with wraparound) visits buckets
-		// in ascending time order.
-		start := int(e.wheelStart>>bucketShift) & ringMask
-		b := e.nextBucket(start)
-		if b < 0 {
-			// wheelLive > 0 guarantees a set bit; the bitmap is exact
-			// (cleared on cancel-to-empty and drain).
-			panic("sim: calendar ring accounting corrupted")
-		}
-		windowStart := e.wheelStart + Time((b-start)&ringMask)<<bucketShift
-
-		// Open the bucket as the new drain window. The previous
-		// window's backing array returns to the slab pool so the next
-		// newly-touched bucket reuses it — steady state allocates
-		// nothing. Any canceled leftovers behind the old cursor lose
-		// their residency first.
-		for i := e.curIdx; i < len(e.sortedCur); i++ {
-			if ev := e.sortedCur[i]; ev != nil {
-				ev.where = whereNone
-				e.sortedCur[i] = nil
-			}
-		}
-		if cap(e.sortedCur) > 0 {
-			e.slabs = append(e.slabs, e.sortedCur[:0])
-		}
-		bucket := e.ring[b]
-		e.ring[b] = nil
-		e.ringBits[b>>6] &^= 1 << uint(b&63)
-		for _, ev := range bucket {
-			ev.where = whereSorted
-			ev.idx = -1
-		}
-		sortEvents(bucket)
-		e.sortedCur = bucket
-		e.curIdx = 0
-		e.curLive = len(bucket)
-		e.wheelLive -= len(bucket)
-		e.wheelStart = windowStart + bucketWidth
-	}
-}
-
 // popSlab takes a recycled bucket backing array (zero length, retained
-// capacity), or nil when none is available (append will allocate).
+// capacity), or nil when none is available.
 func (e *Engine) popSlab() []*Event {
 	n := len(e.slabs)
 	if n == 0 {
@@ -718,60 +603,44 @@ func (e *Engine) nextBucket(start int) int {
 	return -1
 }
 
-// wheelHead returns the earliest pending calendar event without removing
-// it (ensuring the drain window is populated), or nil when none remain.
-func (e *Engine) wheelHead() *Event {
-	for {
-		// Drop canceled entries under the cursor so the head is live.
-		for e.curIdx < len(e.sortedCur) {
-			ev := e.sortedCur[e.curIdx]
-			if ev.state != stateCanceled {
-				break
-			}
-			ev.where = whereNone
-			e.sortedCur[e.curIdx] = nil
-			e.curIdx++
-		}
-		var head *Event
-		if e.curIdx < len(e.sortedCur) {
-			head = e.sortedCur[e.curIdx]
-		}
-		if len(e.curHeap) > 0 {
-			if h := e.curHeap[0]; head == nil || evLess(h, head) {
-				head = h
-			}
-		}
-		if head != nil {
-			return head
-		}
-		if !e.advance() {
-			return nil
-		}
-	}
-}
-
-// first returns the earliest pending event without removing it, or nil.
+// first returns the earliest pending event without removing it, or nil:
+// the head of the first non-empty bucket, or the overflow minimum when
+// the ring is empty (always so in plain mode).
 func (e *Engine) first() *Event {
-	if e.plain {
+	if e.wheelLive == 0 {
 		if len(e.queue) == 0 {
 			return nil
 		}
 		return e.queue[0]
 	}
-	return e.wheelHead()
+	b := e.headBucket
+	if b < 0 {
+		// All ring events lie in [wheelStart, wheelStart+horizon), so the
+		// bitmap scan from the edge's bucket meets them in time order.
+		b = e.nextBucket(int(e.wheelStart>>bucketShift) & ringMask)
+		e.headBucket = b
+	}
+	bk := &e.ring[b]
+	return bk.evs[bk.head]
 }
 
-// pop removes the event first returned.
+// pop removes the event first returned and moves the ring's edge up to
+// it.
 func (e *Engine) pop(ev *Event) {
-	switch {
-	case e.plain:
+	if ev.idx >= 0 {
 		e.queue.remove(0)
-	case len(e.curHeap) > 0 && e.curHeap[0] == ev:
-		e.curHeap.remove(0)
-	default:
-		e.sortedCur[e.curIdx] = nil
-		e.curIdx++
-		e.curLive--
+	} else {
+		b := e.headBucket
+		bk := &e.ring[b]
+		bk.evs[bk.head] = nil
+		bk.head++
+		e.wheelLive--
+		if bk.head == len(bk.evs) {
+			e.emptyBucket(b)
+		}
+	}
+	if !e.plain {
+		e.moveEdge(ev.at)
 	}
 }
 
@@ -800,11 +669,10 @@ func (e *Engine) stepUntil(limit Time) bool {
 // the lookahead primitive of the sparse-horizon pod executor: the
 // minimum across rack engines sizes the jump, and a rack whose head is
 // at or past a window's end is parked. It reads the cached head; only
-// after an invalidation does it locate the head, which may rotate the
-// calendar ring's drain window (and migrate overflow events), but never
-// fires, reorders or drops an event: the dispatch-trace hash is the same
-// whether or not PeekTime was called. Call it only from contexts that
-// already own the engine.
+// after an invalidation does it locate the head, which reads the first
+// non-empty calendar bucket (or the overflow minimum) and moves no
+// event: the dispatch-trace hash is the same whether or not PeekTime was
+// called. Call it only from contexts that already own the engine.
 func (e *Engine) PeekTime() (Time, bool) {
 	t := e.head
 	if t < 0 {

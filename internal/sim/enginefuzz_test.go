@@ -19,6 +19,7 @@ type fuzzFired struct {
 // id and a child program; the handles of Schedule, At, ScheduleTimer and
 // Rearm are held for later Cancel and Rearm ops.
 type fuzzDriver struct {
+	t       *testing.T
 	e       *Engine
 	fired   []fuzzFired
 	handles []*Event
@@ -95,18 +96,19 @@ func (d *fuzzDriver) apply(op, a, b byte) bool {
 		}
 	case 5:
 		// Rearm a held handle in whatever state it is in (a pending one is
-		// canceled first), or a nil one, which allocates.
+		// canceled first), which must reuse the object, or a nil one,
+		// which allocates.
 		i := int(b) % (len(d.handles) + 1)
 		var ev *Event
 		if i < len(d.handles) {
 			ev = d.handles[i]
 			e.Cancel(ev)
 		}
-		ev = e.Rearm(ev, delay, fuzzFireArg, d.newEv(b>>5))
-		if i < len(d.handles) {
-			d.handles[i] = ev
-		} else {
-			d.handles = append(d.handles, ev)
+		switch re := e.Rearm(ev, delay, fuzzFireArg, d.newEv(b>>5)); {
+		case ev == nil:
+			d.handles = append(d.handles, re)
+		case re != ev:
+			d.t.Fatalf("Rearm of a settled handle returned a fresh event")
 		}
 	case 6:
 		return e.Step()
@@ -131,8 +133,8 @@ func runEngineOps(t *testing.T, ops []byte) {
 	if len(ops) > 3*fuzzEngineMaxOps {
 		ops = ops[:3*fuzzEngineMaxOps]
 	}
-	w := &fuzzDriver{e: NewEngine()}
-	p := &fuzzDriver{e: newPlainEngine()}
+	w := &fuzzDriver{t: t, e: NewEngine()}
+	p := &fuzzDriver{t: t, e: newPlainEngine()}
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, b := ops[i], ops[i+1], ops[i+2]
 		stepW, stepP := w.apply(op, a, b), p.apply(op, a, b)
@@ -159,10 +161,11 @@ func runEngineOps(t *testing.T, ops []byte) {
 	}
 }
 
-// FuzzEngine holds the calendar engine (window heap, ring, overflow heap,
-// lazy cancellation, Rearm in place) to the plain (time, seq) heap under
-// any mix of schedules, cancels, re-arms and the four ways to advance the
-// clock.
+// FuzzEngine holds the calendar engine (ordered ring buckets with their
+// head indices, the cached head bucket, the overflow heap and migration
+// out of it, eager cancellation, Rearm in place) to the plain
+// (time, seq) heap under any mix of schedules, cancels, re-arms and the
+// four ways to advance the clock.
 func FuzzEngine(f *testing.F) {
 	const (
 		sched, schedArg, at, timer, cancel, rearm, step, runUntil, runWindow, peek = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9
@@ -212,8 +215,8 @@ func FuzzEngine(f *testing.F) {
 		step, 0, 0,
 	})
 	// Rearm a canceled head earlier than the next event: first a head in
-	// the drain window being dispatched (lazily canceled, so Rearm hands
-	// back a fresh event), then one in a ring bucket (re-armed in place).
+	// the bucket being dispatched from, then one in a later ring bucket;
+	// cancellation is eager, so both are re-armed in place.
 	f.Add([]byte{
 		band(schedArg, 2), 5, 0,
 		band(timer, 2), 5, 0,
@@ -249,5 +252,113 @@ func FuzzEngine(f *testing.F) {
 		}
 		f.Add(ops)
 	}
+	// Schedule into a partially dispatched bucket, below its remaining
+	// events and at the current instant: the insert bubbles back to the
+	// bucket's head index and no further.
+	f.Add([]byte{
+		band(schedArg, 1), 10, 0,
+		band(timer, 1), 200, 0,
+		band(sched, 1), 220, 0,
+		step, 0, 0,
+		band(schedArg, 1), 50, 0,
+		band(sched, 0), 0, 0,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// Schedule into buckets earlier than the cached head bucket, once
+	// after a peek and once after a window stopped before that bucket:
+	// the insert must lower the cache.
+	f.Add([]byte{
+		band(timer, 2), 10, 0,
+		band(schedArg, 2), 12, 0,
+		peek, 0, 0,
+		band(schedArg, 2), 3, 0,
+		band(sched, 2), 5, 0,
+		step, 0, 0,
+		step, 0, 0,
+		band(runWindow, 2), 2, 0,
+		band(timer, 1), 9, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// Cancel from the middle of a partially dispatched bucket, then
+	// Rearm that handle into the same bucket, below its remaining events.
+	f.Add([]byte{
+		band(schedArg, 1), 10, 0,
+		band(timer, 1), 100, 0,
+		band(timer, 1), 150, 0,
+		band(sched, 1), 200, 0,
+		step, 0, 0,
+		band(cancel, 0), 0, 1,
+		peek, 0, 0,
+		band(rearm, 1), 30, 1,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// Move the clock far past the ring's edge without a dispatch there,
+	// by RunUntil and by a window that parks, then schedule near the new
+	// clock, inside the ring and past the horizon: the edge must catch up
+	// before a near event can enter the ring.
+	f.Add([]byte{
+		band(timer, 4), 200, 0,
+		band(schedArg, 2), 5, 0,
+		band(runUntil, 4), 0, 0,
+		band(schedArg, 1), 7, 0,
+		band(timer, 3), 9, 0,
+		band(sched, 2), 100, 0,
+		peek, 0, 0,
+		band(timer, 4), 255, 0,
+		band(runWindow, 4), 0, 0,
+		band(sched, 0), 0, 0,
+		band(schedArg, 3), 1, 0,
+		band(timer, 2), 1, 0,
+		peek, 0, 0,
+		band(runUntil, 4), 255, 0,
+		band(runUntil, 4), 255, 0,
+	})
+	// A dispatch moves the ring's edge far enough that the horizon covers
+	// an overflow timer; a ring event scheduled just after, later than
+	// that timer, must not dispatch first.
+	f.Add([]byte{
+		band(timer, 3), 10, 0,
+		band(timer, 3), 12, 0,
+		band(schedArg, 2), 20, 0,
+		step, 0, 0,
+		band(schedArg, 2), 255, 0,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// A bucket outgrows its 32-slot slab while half of it has been
+	// dispatched: append moves it to a larger array, dispatched prefix
+	// and head index included, and the inserts that follow land after
+	// and among its remaining events.
+	var fill []byte
+	for i := byte(0); i < 32; i++ {
+		fill = append(fill, band(schedArg, 1), 8+7*i, 0)
+	}
+	for i := 0; i < 16; i++ {
+		fill = append(fill, step, 0, 0)
+	}
+	fill = append(fill,
+		band(schedArg, 1), 140, 0,
+		band(timer, 1), 130, 0,
+		band(schedArg, 1), 120, 0,
+		band(sched, 1), 10, 0,
+		band(cancel, 0), 0, 1,
+		peek, 0, 0,
+		band(runUntil, 2), 255, 0,
+	)
+	f.Add(fill)
 	f.Fuzz(func(t *testing.T, ops []byte) { runEngineOps(t, ops) })
 }

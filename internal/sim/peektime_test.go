@@ -50,9 +50,10 @@ func TestPeekTimeCalendarRing(t *testing.T) {
 	}
 }
 
-// TestPeekTimeInWindowHeap checks the drain-window insert path: an
-// event scheduled from within a callback into the bucket currently
-// being drained lands in curHeap, and a peek between steps must see it.
+// TestPeekTimeInWindowHeap checks an insert into the bucket being
+// dispatched from: an event scheduled from within a callback into its
+// own bucket lands behind the bucket's head index, and a peek between
+// steps must see it.
 func TestPeekTimeInWindowHeap(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() { e.Schedule(5, func() {}) }) // 15 shares 10's bucket
@@ -98,8 +99,8 @@ func TestPeekTimeOverflow(t *testing.T) {
 // TestPeekTimeDispatchNeutral is the property the sparse-horizon
 // executor rests on: interleaving PeekTime calls anywhere in a run must
 // not change the dispatch sequence. Two engines replay the same
-// schedule — self-rescheduling chains spanning the window heap, the ring
-// and the overflow heap — one peeked before every step, and their
+// schedule — self-rescheduling chains spanning the current bucket, the
+// ring and the overflow heap — one peeked before every step, and their
 // dispatch-trace hashes must agree.
 func TestPeekTimeDispatchNeutral(t *testing.T) {
 	build := func() *Engine {
