@@ -47,6 +47,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -176,7 +177,7 @@ func main() {
 	}
 
 	if *serveMode {
-		if err := runServeMode(w, shape, *serveRacks, *serveWorkers, num.ops, *seed,
+		if err := runServeMode(os.Stdout, w, shape, *serveRacks, *serveWorkers, num.ops, *seed,
 			num.serveRate, num.serveQoS, sim.Duration(num.serveHorizon.Nanoseconds()),
 			sim.Duration(serveDeadline.Nanoseconds()), *serveRetries, *serveBrownout, faults); err != nil {
 			die(1, err)
@@ -209,8 +210,8 @@ func main() {
 			return runReport{}, err
 		}
 		end := c.RunThreads()
-		if log.err != nil {
-			return runReport{}, log.err
+		if err := log.err(); err != nil {
+			return runReport{}, err
 		}
 
 		col := c.Collector()
@@ -349,14 +350,30 @@ type timedFaults struct {
 	add, drain, kill, failover *timedFault
 }
 
-// faultLog holds the report line of each event that completed, and the
-// first error one of them reported.
+// faultLog holds each event's report line and error. An event writes
+// only its own two fields: events on different racks can complete on
+// different goroutines inside one executor window.
 type faultLog struct {
-	added, killed, drained, failedOver string
-	err                                error
+	added, killed, drained, failedOver     string
+	addErr, drainErr, killErr, failoverErr error
 }
 
 func (l *faultLog) String() string { return l.added + l.killed + l.drained + l.failedOver }
+
+// err returns the first event error in the fixed order add, drain,
+// kill, failover, named by its flag, so the report does not depend on
+// which goroutine finished first.
+func (l *faultLog) err() error {
+	for _, e := range []struct {
+		flag string
+		err  error
+	}{{"add-blade", l.addErr}, {"drain-blade", l.drainErr}, {"kill-blade", l.killErr}, {"kill-switch", l.failoverErr}} {
+		if e.err != nil {
+			return fmt.Errorf("-%s: %w", e.flag, e.err)
+		}
+	}
+	return nil
+}
 
 // schedule registers the events on the pod, each at its time from now.
 // Registration queues a fault on its rack and the pod executor injects
@@ -364,25 +381,20 @@ func (l *faultLog) String() string { return l.added + l.killed + l.drained + l.f
 // on the worker count. An add is rack-local and goes straight onto its
 // rack's engine.
 func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
-	keepErr := func(e error) {
-		if e != nil && log.err == nil {
-			log.err = e
-		}
-	}
 	if t := f.add; t != nil {
 		if t.rack < 0 || t.rack >= pod.Racks() {
 			return fmt.Errorf("-add-blade: pod has no rack %d", t.rack)
 		}
 		r := pod.Rack(t.rack)
 		r.Engine().At(pod.Now().Add(t.at), func() {
-			id, err := r.AddMemBlade(0)
-			keepErr(err)
+			var id ctrlplane.BladeID
+			id, log.addErr = r.AddMemBlade(0)
 			log.added = fmt.Sprintf("blade added      rack=%d id=%d at %v\n", t.rack, id, time.Duration(t.at))
 		})
 	}
 	if t := f.drain; t != nil {
 		err := pod.DrainMemBladeAt(t.rack, ctrlplane.BladeID(t.blade), pod.Now().Add(t.at), func(d core.DrainReport, e error) {
-			keepErr(e)
+			log.drainErr = e
 			log.drained = fmt.Sprintf("blade drained    rack=%d id=%d: %d vmas, %d pages in %d batches, blackout %.3f ms\n",
 				t.rack, d.Victim, d.Allocations, d.PagesMoved, d.Batches, d.Blackout().Seconds()*1e3)
 		})
@@ -392,7 +404,7 @@ func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
 	}
 	if t := f.kill; t != nil {
 		err := pod.KillMemBladeAt(t.rack, ctrlplane.BladeID(t.blade), pod.Now().Add(t.at), func(k core.KillReport, e error) {
-			keepErr(e)
+			log.killErr = e
 			log.killed = fmt.Sprintf("blade killed     rack=%d id=%d: %d pages lost, %d vmas re-homed, %d vmas lost, blackout %.3f ms\n",
 				t.rack, k.Victim, k.PagesLost, k.Allocations, k.VMAsLost, k.Blackout().Seconds()*1e3)
 		})
@@ -402,7 +414,7 @@ func (f timedFaults) schedule(pod *core.Pod, log *faultLog) error {
 	}
 	if t := f.failover; t != nil {
 		err := pod.KillSwitchAt(t.rack, pod.Now().Add(t.at), func(r core.SwitchFailoverReport, e error) {
-			keepErr(e)
+			log.failoverErr = e
 			log.failedOver = fmt.Sprintf("switch failover  rack=%d: %d regions reset, blackout %.3f ms\n",
 				t.rack, r.RegionsReset, r.Blackout().Seconds()*1e3)
 		})
@@ -530,7 +542,7 @@ func parseTimedFault(name, s string, wantBlade bool) (timedFault, error) {
 // from the per-rack streaming histograms. Membership events land
 // barrier-ordered on the pod executor; their reports print after the
 // run.
-func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults timedFaults) error {
+func runServeMode(out io.Writer, w workloads.Workload, shape rackShape, racks, workers, ops int, seed uint64, rate, qos float64, horizon sim.Duration, deadline sim.Duration, retries int, brownout float64, faults timedFaults) error {
 	pod, err := newServePod(shape, racks, workers, seed)
 	if err != nil {
 		return err
@@ -569,10 +581,6 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 		return err
 	}
 
-	var log faultLog
-	if err := faults.schedule(pod, &log); err != nil {
-		return err
-	}
 	params := workloads.Params{Threads: len(placements), Blades: blades, Seed: seed}
 	stream := 0
 	for _, pl := range placements {
@@ -615,17 +623,23 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 		}
 	}
 
+	// Registered once setup is done, as in closed-loop mode: the tenants'
+	// mmaps drive the clock, and event times count from the run's start.
+	var log faultLog
+	if err := faults.schedule(pod, &log); err != nil {
+		return err
+	}
 	end, err := s.Run()
 	if err != nil {
 		return err
 	}
-	if log.err != nil {
-		return fmt.Errorf("fault injection: %w", log.err)
+	if err := log.err(); err != nil {
+		return fmt.Errorf("fault injection: %w", err)
 	}
 	col := pod.Collector()
-	fmt.Printf("serving          workload=%s racks=%d blades=%d/rack workers=%d horizon=%.3f ms (virtual end %.3f ms)\n",
+	fmt.Fprintf(out, "serving          workload=%s racks=%d blades=%d/rack workers=%d horizon=%.3f ms (virtual end %.3f ms)\n",
 		w.Name, racks, blades, workers, horizon.Seconds()*1e3, end.Sub(0).Seconds()*1e3)
-	fmt.Printf("offered load     steady=%.0f/s burst=%.0f/s mean (QoS contract %.0f/s) diurnal=%.0f/s mean\n",
+	fmt.Fprintf(out, "offered load     steady=%.0f/s burst=%.0f/s mean (QoS contract %.0f/s) diurnal=%.0f/s mean\n",
 		rate, mmppMean, qos, rate)
 	// Per-tenant percentiles split by home rack: each share's sojourn
 	// histogram lives in its rack's collector; the pod-wide totals are
@@ -635,7 +649,7 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 		for _, share := range pl.Shares {
 			rcol := pod.Rack(share.Rack).Collector()
 			lat := rcol.StreamHist("serve_lat[" + n + "]")
-			fmt.Printf("tenant %-9s rack=%-2d blade=%d share=%.2f arrivals=%-7d completed=%-7d throttled=%-6d dropped=%-5d p50=%.1fus p99=%.1fus p999=%.1fus\n",
+			fmt.Fprintf(out, "tenant %-9s rack=%-2d blade=%d share=%.2f arrivals=%-7d completed=%-7d throttled=%-6d dropped=%-5d p50=%.1fus p99=%.1fus p999=%.1fus\n",
 				n, share.Rack, share.Blade, share.Share,
 				rcol.Counter("serve_arrivals["+n+"]"), rcol.Counter("serve_completed["+n+"]"),
 				rcol.Counter("serve_throttled["+n+"]"), rcol.Counter("serve_dropped["+n+"]"),
@@ -643,21 +657,21 @@ func runServeMode(w workloads.Workload, shape rackShape, racks, workers, ops int
 		}
 		if pl.Spans() {
 			lat := col.StreamHist("serve_lat[" + n + "]")
-			fmt.Printf("tenant %-9s pod-wide (spans %d racks)      arrivals=%-7d completed=%-7d throttled=%-6d dropped=%-5d p50=%.1fus p99=%.1fus p999=%.1fus\n",
+			fmt.Fprintf(out, "tenant %-9s pod-wide (spans %d racks)      arrivals=%-7d completed=%-7d throttled=%-6d dropped=%-5d p50=%.1fus p99=%.1fus p999=%.1fus\n",
 				n, len(pl.Shares),
 				col.Counter("serve_arrivals["+n+"]"), col.Counter("serve_completed["+n+"]"),
 				col.Counter("serve_throttled["+n+"]"), col.Counter("serve_dropped["+n+"]"),
 				float64(lat.Percentile(50))/1e3, float64(lat.Percentile(99))/1e3, float64(lat.Percentile(99.9))/1e3)
 		}
 	}
-	fmt.Printf("total            arrivals=%d completed=%d throttled=%d dropped=%d\n",
+	fmt.Fprintf(out, "total            arrivals=%d completed=%d throttled=%d dropped=%d\n",
 		col.Counter(stats.CtrServeArrivals), col.Counter(stats.CtrServeCompleted),
 		col.Counter(stats.CtrServeThrottled), col.Counter(stats.CtrServeDropped))
 	if deadline > 0 || brownout > 0 {
-		fmt.Printf("degraded         shed=%d timedout=%d retried=%d failed=%d\n",
+		fmt.Fprintf(out, "degraded         shed=%d timedout=%d retried=%d failed=%d\n",
 			col.Counter(stats.CtrServeShed), col.Counter(stats.CtrServeTimedOut),
 			col.Counter(stats.CtrServeRetried), col.Counter(stats.CtrServeFailed))
 	}
-	fmt.Print(log.String())
+	fmt.Fprint(out, log.String())
 	return nil
 }

@@ -2,11 +2,14 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
 	"mind/internal/core"
+	"mind/internal/mem"
 	"mind/internal/sim"
+	"mind/internal/workloads"
 )
 
 // TestRackFlagsReachBothModes: -consistency, -dirslots and -epoch shape
@@ -163,5 +166,59 @@ func TestNumericFlagsAreChecked(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-"+tc[0]+" ") {
 			t.Errorf("-%s %s: error %v, want one naming -%s", tc[0], tc[1], err, tc[0])
 		}
+	}
+}
+
+// runServe runs serving mode as `mindsim -serve -racks 2 -ops 2000`
+// with the other flags at their defaults, on the given executor workers
+// and membership events, and returns its report.
+func runServe(t *testing.T, workers int, faults timedFaults) (string, error) {
+	t.Helper()
+	w, err := workloads.ByName("TF", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := rackShape{blades: 2, memBlades: 8, cachePages: max(64, int(float64(w.Footprint/mem.PageSize)*0.25))}
+	var out strings.Builder
+	err = runServeMode(&out, w, shape, 2, workers, 2000, 1, 100_000, 150_000, 0, 0, 0, 0, faults)
+	return out.String(), err
+}
+
+// TestServeEventsCountFromRunStart: in serving mode an event's time
+// counts from the serving run's start, as in closed-loop mode. The
+// events used to be registered before tenant setup, whose mmaps take
+// ~186 µs of virtual time, so `-kill-switch 100us:1` fired before any
+// traffic: 0 regions reset, a 0 ms blackout.
+func TestServeEventsCountFromRunStart(t *testing.T) {
+	out, err := runServe(t, 0, timedFaults{failover: &timedFault{at: 100 * sim.Microsecond, rack: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regions int
+	var blackout float64
+	i := strings.Index(out, "switch failover")
+	if i < 0 {
+		t.Fatalf("no failover report in:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "switch failover  rack=1: %d regions reset, blackout %f ms", &regions, &blackout); err != nil {
+		t.Fatalf("failover report %q: %v", out[i:], err)
+	}
+	if regions == 0 || blackout <= 0 {
+		t.Errorf("a failover 100 µs into serving reset %d regions in a %.3f ms blackout; want traffic's regions reset", regions, blackout)
+	}
+}
+
+// TestServeFaultErrorsDoNotRace: two failing events on different racks
+// in one window complete on two executor goroutines. Each writes its
+// own error, and the reported one is fixed (add, drain, kill, failover
+// order): the drain's, named by its flag. The two used to share one
+// slot, a data race under -race whose winner decided the message.
+func TestServeFaultErrorsDoNotRace(t *testing.T) {
+	_, err := runServe(t, 2, timedFaults{
+		drain: &timedFault{at: 100 * sim.Microsecond, rack: 0, blade: 99},
+		kill:  &timedFault{at: 100 * sim.Microsecond, rack: 1, blade: 99},
+	})
+	if err == nil || !strings.Contains(err.Error(), "-drain-blade: core: no memory blade 99") {
+		t.Fatalf("error %v, want the drain's, naming -drain-blade", err)
 	}
 }

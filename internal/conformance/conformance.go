@@ -20,6 +20,7 @@
 package conformance
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -178,13 +179,8 @@ func (h *harness) drive() error {
 		}
 	}
 	// Let a still-running drain finish, then verify everything.
-	// The splitter's epoch tick reschedules itself forever, so the
-	// engine never runs dry; bound the wait at a second of virtual time.
-	for waited := sim.Duration(0); h.drainPending; waited += sim.Millisecond {
-		if waited >= sim.Second {
-			return fmt.Errorf("drain of blade %d wedged (seed %d)", h.drainVictim, h.cfg.Seed)
-		}
-		h.c.AdvanceTime(sim.Millisecond)
+	if err := h.await(&h.drainPending, "drain", h.drainVictim); err != nil {
+		return err
 	}
 	if h.drainDone {
 		if err := h.drainCompleted(); err != nil {
@@ -195,6 +191,20 @@ func (h *harness) drive() error {
 		return err
 	}
 	h.res.End = h.c.Now()
+	return nil
+}
+
+// await advances virtual time until *pending clears: a membership
+// event on victim has completed. The splitter's epoch tick reschedules
+// itself forever, so the engine never runs dry; the wait is bounded at
+// a second of virtual time.
+func (h *harness) await(pending *bool, event string, victim ctrlplane.BladeID) error {
+	for waited := sim.Duration(0); *pending; waited += sim.Millisecond {
+		if waited >= sim.Second {
+			return fmt.Errorf("%s of blade %d wedged (seed %d)", event, victim, h.cfg.Seed)
+		}
+		h.c.AdvanceTime(sim.Millisecond)
+	}
 	return nil
 }
 
@@ -268,7 +278,17 @@ func (h *harness) membershipEvent() error {
 				doomed = append(doomed, va)
 			}
 		}
-		rep, err := h.c.KillMemBlade(victim)
+		// A kill is a sequence point: it starts at once and the schedule
+		// waits for its recovery.
+		var rep core.KillReport
+		var kerr error
+		killing := true
+		err := h.c.Pod().KillMemBladeAt(0, victim, h.c.Now(), func(r core.KillReport, e error) {
+			rep, kerr, killing = r, e, false
+		})
+		if err == nil {
+			err = cmp.Or(h.await(&killing, "kill", victim), kerr)
+		}
 		if err != nil {
 			return fmt.Errorf("kill blade %d: %w", victim, err)
 		}

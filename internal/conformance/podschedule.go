@@ -9,7 +9,8 @@ package conformance
 // executor's window width, on borrowing schedules whether local memory
 // frees up mid-run, so promotion brings the borrowed vma home and the
 // lease returns, and whether the last rack's tenant stays idle, so the
-// executor parks that rack until a fault wakes it.
+// executor parks that rack until a fault wakes it, and whether the first
+// fault registers at the current instant, so it starts inline.
 //
 // This is the determinism oracle of the windowed pod executor: a
 // schedule run serially, on a worker pool, or with dense windows must
@@ -103,6 +104,9 @@ type podMix struct {
 	// quiet: the last rack's local tenant never starts, so on a
 	// non-borrowing schedule faults land on a rack only barrier work wakes.
 	quiet bool
+	// inline: the first fault registers at the current instant, so it
+	// starts inline, before the run — a borrowed victim's port too.
+	inline bool
 }
 
 func drawMix(seed uint64) (podMix, *sim.RNG) {
@@ -112,6 +116,7 @@ func drawMix(seed uint64) (podMix, *sim.RNG) {
 	m.throttle = !m.closed && rng.Bool(0.5)
 	m.twin = !m.closed && rng.Bool(0.5)
 	m.quiet = rng.Bool(0.25)
+	m.inline = rng.Bool(0.25)
 	return m, rng
 }
 
@@ -302,11 +307,14 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		rec := &recs[f]
 		rec.Rack = rack
 		rec.At = at
+		if f == 0 && mix.inline {
+			rec.At = pod.Now()
+		}
 		switch rng.Intn(3) {
 		case 0:
 			rec.Kind = "kill"
 			rec.Blade = rng.Intn(pod.Rack(rack).MemBladeCount() + 1)
-			err = pod.KillMemBladeAt(rack, ctrlplane.BladeID(rec.Blade), at, func(r core.KillReport, e error) {
+			err = pod.KillMemBladeAt(rack, ctrlplane.BladeID(rec.Blade), rec.At, func(r core.KillReport, e error) {
 				rec.Done = true
 				rec.Err = errText(e)
 				rec.Start, rec.End = r.Start, r.End
@@ -315,7 +323,7 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		case 1:
 			rec.Kind = "drain"
 			rec.Blade = rng.Intn(pod.Rack(rack).MemBladeCount() + 1)
-			err = pod.DrainMemBladeAt(rack, ctrlplane.BladeID(rec.Blade), at, func(r core.DrainReport, e error) {
+			err = pod.DrainMemBladeAt(rack, ctrlplane.BladeID(rec.Blade), rec.At, func(r core.DrainReport, e error) {
 				rec.Done = true
 				rec.Err = errText(e)
 				rec.Start, rec.End = r.Start, r.End
@@ -324,7 +332,7 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 		default:
 			rec.Kind = "switch"
 			rec.Blade = -1
-			err = pod.KillSwitchAt(rack, at, func(r core.SwitchFailoverReport, e error) {
+			err = pod.KillSwitchAt(rack, rec.At, func(r core.SwitchFailoverReport, e error) {
 				rec.Done = true
 				rec.Err = errText(e)
 				rec.Start, rec.End = r.Start, r.End

@@ -77,7 +77,8 @@ func podRunsAgree(t testing.TB, cfg PodSchedule, runs ...podRun) *PodOutcome {
 // executed serially and on a worker pool, and every other schedule
 // also with dense windows (sparse-horizon jump and parking disabled),
 // through podRunsAgree; on some schedules the last rack carries no
-// traffic, so the faults that land there wake a parked rack. Each run
+// traffic, so the faults that land there wake a parked rack, and on some
+// the first fault registers at the current instant and starts inline. Each run
 // also satisfies the safety invariants documented on RunPodSchedule.
 // The test fails if the drawn mix leaves any dimension unexercised.
 func TestRandomPodSchedules(t *testing.T) {
@@ -86,7 +87,7 @@ func TestRandomPodSchedules(t *testing.T) {
 	if testing.Short() {
 		n = 25
 	}
-	var kills, drains, switches, errs, quietHits int
+	var kills, drains, switches, errs, quietHits, inlineHits int
 	var closed, serving, promotions, returns, throttled, skipped, elided uint64
 	windows := map[sim.Duration]int{}
 	for i := 0; i < n; i++ {
@@ -108,6 +109,9 @@ func TestRandomPodSchedules(t *testing.T) {
 		throttled += serial.Counters[stats.CtrServeThrottled]
 		skipped += serial.Windows[1]
 		elided += serial.Windows[2]
+		if mix.inline && serial.Faults[0].Done {
+			inlineHits++
+		}
 		for _, rec := range serial.Faults {
 			if mix.quiet && rec.Rack == max(cfg.Racks, 2)-1 && rec.Done {
 				quietHits++
@@ -136,12 +140,12 @@ func TestRandomPodSchedules(t *testing.T) {
 			kills, drains, switches, errs)
 	}
 	if len(windows) != 3 || closed == 0 || serving == 0 || promotions == 0 || returns == 0 ||
-		throttled == 0 || skipped == 0 || elided == 0 || quietHits == 0 {
-		t.Fatalf("drawn mix degenerate: window widths %v, closed-loop %d, serving %d, promotions %d, lease returns %d, throttled %d, windows skipped %d, flushes elided %d, faults on a quiet rack %d",
-			windows, closed, serving, promotions, returns, throttled, skipped, elided, quietHits)
+		throttled == 0 || skipped == 0 || elided == 0 || quietHits == 0 || inlineHits == 0 {
+		t.Fatalf("drawn mix degenerate: window widths %v, closed-loop %d, serving %d, promotions %d, lease returns %d, throttled %d, windows skipped %d, flushes elided %d, faults on a quiet rack %d, faults started inline %d",
+			windows, closed, serving, promotions, returns, throttled, skipped, elided, quietHits, inlineHits)
 	}
-	t.Logf("%d schedules: %d kills, %d drains, %d switch failovers, %d faulted injections; window widths %v, %d closed-loop, %d serving; %d promotions, %d lease returns, %d throttled, %d windows skipped, %d flushes elided, %d faults on a quiet rack",
-		n, kills, drains, switches, errs, windows, closed, serving, promotions, returns, throttled, skipped, elided, quietHits)
+	t.Logf("%d schedules: %d kills, %d drains, %d switch failovers, %d faulted injections; window widths %v, %d closed-loop, %d serving; %d promotions, %d lease returns, %d throttled, %d windows skipped, %d flushes elided, %d faults on a quiet rack, %d faults started inline",
+		n, kills, drains, switches, errs, windows, closed, serving, promotions, returns, throttled, skipped, elided, quietHits, inlineHits)
 }
 
 // TestPodScheduleDeterminism re-runs one closed-loop storm whose

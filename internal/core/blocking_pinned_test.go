@@ -68,7 +68,7 @@ func blockingRun(t *testing.T, workers int) (sim.Time, []uint64, []uint64, map[s
 		}
 	}
 
-	if _, err := r0.DrainMemBlade(victim); err != nil {
+	if _, err := drainNow(r0, victim); err != nil {
 		t.Fatalf("drain of the lease: %v", err)
 	}
 	if pod.Leases() != 0 {
@@ -90,7 +90,7 @@ func blockingRun(t *testing.T, workers int) (sim.Time, []uint64, []uint64, map[s
 			t.Fatal(err)
 		}
 	}
-	if rep := pod.Rack(1).KillSwitch(); rep.RegionsReset == 0 || rep.Blackout() <= 0 {
+	if rep := failoverNow(pod.Rack(1)); rep.RegionsReset == 0 || rep.Blackout() <= 0 {
 		t.Fatalf("implausible failover report: %+v", rep)
 	}
 	for i := 0; i < stores; i += 37 {

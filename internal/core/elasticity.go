@@ -385,35 +385,17 @@ func (c *Rack) copyPages(step ctrlplane.MigrationStep, st *moveStats,
 	next()
 }
 
-// DrainMemBlade drains victim and blocks (driving the simulation) until
-// it is empty and retired. For use outside event context; to drain at a
-// virtual time while the simulation runs, use Pod.DrainMemBladeAt.
-func (c *Rack) DrainMemBlade(victim ctrlplane.BladeID) (DrainReport, error) {
-	var rep DrainReport
-	var err error
-	c.await(func(done func()) {
-		c.drainMemBladeAsync(victim, func(r DrainReport, e error) {
-			rep, err = r, e
-			done()
-		})
-	})
-	return rep, err
-}
-
 // killMemBladeAsync injects a memory-blade failure from event context:
 // the blade's contents are lost instantly and its fabric port goes
 // black. After the configured detection delay the control plane re-homes
 // every vma that lived there (their pages read as zero — the data died)
 // and retires the blade. done fires when recovery completes.
 //
-// markPort controls who blackens the blade's fabric port. The blocking
-// KillMemBlade marks it inline, with every engine parked; but when the
-// pod injector kills a borrowed blade under the windowed executor the
-// port lives in the lender's fabric, so the injector schedules the
-// SetNodeDead as a lender-rack event at the same instant (podfail.go)
-// and this shard must not touch it — rack events only mutate rack-local
-// state. Pod.KillMemBladeAt is the in-simulation entry point.
-func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done func(KillReport, error)) {
+// Only a local victim's port is blackened here, in this rack's own
+// fabric. A borrowed victim's port lives in the lender's fabric, which
+// this rack's events never write: the pod injector blackens it
+// (Pod.injectFault, podfail.go). Pod.KillMemBladeAt is the entry point.
+func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, done func(KillReport, error)) {
 	alloc := c.ctl.Allocator()
 	rep := KillReport{Victim: victim, Start: c.eng.Now()}
 	rep.End = rep.Start // failed reports still carry a sane window
@@ -424,10 +406,8 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done f
 	slot := c.mem[int(victim)]
 	c.mem[int(victim)].dead = true
 	rep.PagesLost = slot.blade.Kill()
-	if markPort {
-		// The blade's fabric port lives in the rack that physically
-		// hosts it (for a borrowed blade, the lender's fabric).
-		c.pod.racks[slot.owner].fab.SetNodeDead(slot.node, true)
+	if !c.remoteBlade(victim) {
+		c.fab.SetNodeDead(slot.node, true)
 	}
 	c.col.IncH(c.hKills, 1)
 	c.recovering++
@@ -477,19 +457,6 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, markPort bool, done f
 	c.eng.Schedule(c.cfg.Migration.DetectionDelay, step)
 }
 
-// KillMemBlade kills victim and blocks until recovery completes.
-func (c *Rack) KillMemBlade(victim ctrlplane.BladeID) (KillReport, error) {
-	var rep KillReport
-	var err error
-	c.await(func(done func()) {
-		c.killMemBladeAsync(victim, true, func(r KillReport, e error) {
-			rep, err = r, e
-			done()
-		})
-	})
-	return rep, err
-}
-
 // killSwitchAsync executes the §4.4 switch failover as an in-simulation
 // event: a rack-wide freeze (every page request bounces with Retry),
 // every live region reset (compute blades flush their data), then the
@@ -497,7 +464,8 @@ func (c *Rack) KillMemBlade(victim ctrlplane.BladeID) (KillReport, error) {
 // state — becomes the active data plane and the freeze lifts. A switch
 // that is already failing over cannot die again: a call while a failover
 // is in flight joins it, and its done fires with that outage's report.
-func (c *Rack) killSwitchAsync(done func(SwitchFailoverReport)) {
+// A failover cannot fail: the error is always nil.
+func (c *Rack) killSwitchAsync(done func(SwitchFailoverReport, error)) {
 	c.failoverDone = append(c.failoverDone, done)
 	if len(c.failoverDone) > 1 {
 		return
@@ -520,20 +488,7 @@ func (c *Rack) killSwitchAsync(done func(SwitchFailoverReport)) {
 		waiting := c.failoverDone
 		c.failoverDone = nil
 		for _, done := range waiting {
-			done(rep)
+			done(rep, nil)
 		}
 	})
-}
-
-// KillSwitch runs the switch failover and blocks until the backup data
-// plane is live, returning the measured blackout.
-func (c *Rack) KillSwitch() SwitchFailoverReport {
-	var rep SwitchFailoverReport
-	c.await(func(done func()) {
-		c.killSwitchAsync(func(r SwitchFailoverReport) {
-			rep = r
-			done()
-		})
-	})
-	return rep
 }

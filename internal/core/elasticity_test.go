@@ -87,7 +87,7 @@ func TestDrainMovesDataAndRetiresBlade(t *testing.T) {
 		fillPages(t, th, a.Base, pages)
 	}
 	// Push dirty data to the memory blades so the victim holds real bytes.
-	rep := c.KillSwitch() // resets flush everything; also covers SwapASIC
+	rep := failoverNow(c.Rack) // resets flush everything; also covers SwapASIC
 	if rep.RegionsReset == 0 {
 		t.Fatal("failover reset nothing")
 	}
@@ -98,7 +98,7 @@ func TestDrainMovesDataAndRetiresBlade(t *testing.T) {
 		t.Fatal("victim holds no pages; test setup broken")
 	}
 
-	drep, err := c.DrainMemBlade(victim)
+	drep, err := drainNow(c.Rack, victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +303,9 @@ func TestKillMemBladeLosesDataButRecovers(t *testing.T) {
 	}
 	fillPages(t, th, a.Base, pages)
 	fillPages(t, th, b.Base, pages)
-	c.KillSwitch() // flush all dirty data to the blades
+	failoverNow(c.Rack) // flush all dirty data to the blades
 
-	krep, err := c.KillMemBlade(homeA)
+	krep, err := killNow(c.Rack, homeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestKillSwitchEventMeasuresBlackout(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillPages(t, th, vma.Base, 8)
-	rep := c.KillSwitch()
+	rep := failoverNow(c.Rack)
 	if rep.RegionsReset == 0 || rep.Blackout() <= 0 {
 		t.Fatalf("implausible failover report: %+v", rep)
 	}
@@ -409,7 +409,7 @@ func TestKillOfMigrationTargetMidDrain(t *testing.T) {
 		c.drainMemBladeAsync(victim, func(r DrainReport, e error) { drained, derr = true, e })
 	})
 	c.Engine().Schedule(40*sim.Microsecond, func() {
-		c.killMemBladeAsync(target, true, func(KillReport, error) { killed = true })
+		c.killMemBladeAsync(target, func(KillReport, error) { killed = true })
 	})
 	for steps := 0; !(drained && killed); steps++ {
 		if !c.Engine().Step() || steps > 20_000_000 {
@@ -501,7 +501,7 @@ func TestKillWithoutSurvivorCapacityForciblyUnmaps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	krep, err := c.KillMemBlade(home0)
+	krep, err := killNow(c.Rack, home0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestAbortedDrainRestoresAvailability(t *testing.T) {
 	if _, err := p.Mmap(1<<20, mem.PermReadWrite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DrainMemBlade(0); err == nil {
+	if _, err := drainNow(c.Rack, 0); err == nil {
 		t.Fatal("drain with no survivor succeeded")
 	}
 	alloc := c.Controller().Allocator()
@@ -570,7 +570,7 @@ func TestMunmapDuringDrainSkipsVMA(t *testing.T) {
 	}
 	fillPages(t, th, a.Base, pages)
 	fillPages(t, th, b.Base, pages)
-	c.KillSwitch() // flush dirty data to blade 0
+	failoverNow(c.Rack) // flush dirty data to blade 0
 
 	var drep DrainReport
 	var derr error

@@ -75,9 +75,10 @@ package core
 // tables), which is why data can land in it from borrower events.
 //
 // A blocking call (Rack.await) drives like every other run. Its
-// synchronous prefix — e.g. a kill blackening a borrowed blade's port
-// in the lender's fabric — runs on the caller's goroutine before the
-// drive, with every engine parked; everything after it is rack events.
+// synchronous prefix — e.g. a syscall's send to the switch CPU — runs
+// on the caller's goroutine before the drive, with every engine parked;
+// everything after it is rack events. A membership event registered at
+// the current instant starts the same way (podfail.go).
 // No goroutine outlives a window, so an idle pod holds none, and a
 // drive nested in barrier-context code is just another drive.
 //
@@ -96,13 +97,12 @@ import (
 	"mind/internal/sim"
 )
 
-// borrowReq is one queued blade-borrow negotiation: the allocator
-// transfer happens at the barrier preceding the window that contains
-// due, and done(ok) fires as a borrower event at due.
-type borrowReq struct {
-	need uint64
-	due  sim.Time
-	done func(ok bool)
+// deferred is one piece of barrier work a rack queues: a fault to
+// inject (podfail.go) or a blade borrow to negotiate (Pod.borrowAsync).
+// run happens at the barrier preceding the window that contains due.
+type deferred struct {
+	due sim.Time
+	run func()
 }
 
 // podExec advances a pod's engines: one event at a time for a 1-rack
@@ -419,34 +419,20 @@ func (x *podExec) barrier(end sim.Time) {
 		// Failure injection precedes the barrier's lease traffic: a fault
 		// due inside the next window [end, end+window) becomes ordinary
 		// rack events at its exact injection time (podfail.go), before any
-		// blade changes hands at this boundary.
-		x.injectDueFaults(horizon)
+		// blade changes hands at this boundary. A borrow due there resolves
+		// after the returns; its done fires as a normal borrower event at
+		// the due time, so threads observe the negotiation RTT exactly.
+		for _, r := range x.p.racks {
+			x.runDue(&r.pendingFaults, horizon)
+		}
 		for _, r := range x.p.racks {
 			if r.wantReturns {
 				r.wantReturns = false
 				r.returnIdleBorrowedBlades()
 			}
 		}
-		// A borrow whose due time falls inside the next window [end,
-		// end+window) must resolve now; later ones keep waiting. done fires
-		// as a normal borrower event at the due time, so threads observe
-		// the negotiation RTT exactly.
 		for _, r := range x.p.racks {
-			if len(r.pendingBorrows) == 0 {
-				continue
-			}
-			rest := r.pendingBorrows[:0]
-			for _, req := range r.pendingBorrows {
-				if req.due >= horizon {
-					rest = append(rest, req)
-					x.due = min(x.due, req.due)
-					continue
-				}
-				ok := x.p.borrow(r, req.need)
-				done := req.done
-				r.eng.At(req.due, func() { done(ok) })
-			}
-			r.pendingBorrows = rest
+			x.runDue(&r.pendingBorrows, horizon)
 		}
 	}
 	if x.sampleFn != nil && x.nextSample <= x.vnow {
@@ -455,4 +441,19 @@ func (x *podExec) barrier(end sim.Time) {
 			x.nextSample = x.nextSample.Add(x.sampleEvery)
 		}
 	}
+}
+
+// runDue runs the queued work due before horizon, in queue order, and
+// lowers due to the earliest work left. Barrier context only.
+func (x *podExec) runDue(q *[]deferred, horizon sim.Time) {
+	rest := (*q)[:0]
+	for _, d := range *q {
+		if d.due >= horizon {
+			rest = append(rest, d)
+			x.due = min(x.due, d.due)
+			continue
+		}
+		d.run()
+	}
+	*q = rest
 }

@@ -172,6 +172,12 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 		}
 		p.ic = fabric.NewShardedInterconnect(engs, cfg.Interconnect)
 		window = p.ic.Config().Propagation
+		// A borrow queued inside a window must not fall due before the
+		// barrier that resolves it, or its done is late by the difference.
+		if rtt := p.ic.CtrlRTT(); rtt < window {
+			return nil, fmt.Errorf("core: Interconnect.CtrlRTT %v is below Interconnect.Propagation %v: a borrow negotiation must span a window",
+				rtt, window)
+		}
 		if !cfg.Promotion.Disable {
 			for _, r := range p.racks {
 				r.schedulePromotionTick(p.promo.Epoch)
@@ -330,11 +336,11 @@ func (p *Pod) SampleEvery(every sim.Duration, fn func(now sim.Time)) {
 // only queues on the rack, and the barrier performs the allocator
 // transfer exclusively (parexec.go).
 func (p *Pod) borrowAsync(r *Rack, need uint64, done func(ok bool)) {
-	r.pendingBorrows = append(r.pendingBorrows, borrowReq{
-		need: need,
-		due:  r.eng.Now().Add(p.ic.CtrlRTT()),
-		done: done,
-	})
+	due := r.eng.Now().Add(p.ic.CtrlRTT())
+	r.pendingBorrows = append(r.pendingBorrows, deferred{due: due, run: func() {
+		ok := p.borrow(r, need)
+		r.eng.At(due, func() { done(ok) })
+	}})
 }
 
 // borrow transfers one lendable blade from another rack to r. The

@@ -71,16 +71,23 @@ func TestPodRejectsNegativePromotionEpoch(t *testing.T) {
 // 5 B/ns. Zero and negative bandwidths keep defaulting.
 func TestPodInterconnectValidation(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		bw   float64
-		ok   bool
+		name      string
+		bw        float64
+		prop, rtt sim.Duration
+		bad       []string // fields the error must name; none: NewPod succeeds
 	}{
-		{"NaN", math.NaN(), false},
-		{"infinite", math.Inf(1), false},
-		{"overflowing", 1e-300, false},
-		{"zero defaults", 0, true},
-		{"negative defaults", -5, true},
-		{"default", 5, true},
+		{"NaN", math.NaN(), 0, 0, []string{"Interconnect.BytesPerNs"}},
+		{"infinite", math.Inf(1), 0, 0, []string{"Interconnect.BytesPerNs"}},
+		{"overflowing", 1e-300, 0, 0, []string{"Interconnect.BytesPerNs"}},
+		{"zero defaults", 0, 0, 0, nil},
+		{"negative defaults", -5, 0, 0, nil},
+		{"default", 5, 0, 0, nil},
+		// A borrow's negotiation RTT must span the window it is queued in:
+		// with a wider window a borrow fell due before the barrier that
+		// resolves it, and its done fired late, at that barrier.
+		{"RTT below propagation", 5, 150 * sim.Microsecond, 0, []string{"Interconnect.CtrlRTT", "Interconnect.Propagation"}},
+		{"RTT below explicit propagation", 5, 3 * sim.Microsecond, 2 * sim.Microsecond, []string{"Interconnect.CtrlRTT", "Interconnect.Propagation"}},
+		{"RTT equal to propagation", 5, 100 * sim.Microsecond, 0, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := PodConfig{
@@ -88,10 +95,13 @@ func TestPodInterconnectValidation(t *testing.T) {
 				Promotion: PromotionConfig{Disable: true},
 			}
 			cfg.Interconnect.BytesPerNs = tc.bw
+			cfg.Interconnect.Propagation, cfg.Interconnect.CtrlRTT = tc.prop, tc.rtt
 			pod, err := NewPod(cfg)
-			if !tc.ok {
-				if err == nil || !strings.Contains(err.Error(), "Interconnect.BytesPerNs") {
-					t.Fatalf("NewPod error = %v, want one naming Interconnect.BytesPerNs", err)
+			if len(tc.bad) > 0 {
+				for _, field := range tc.bad {
+					if err == nil || !strings.Contains(err.Error(), field) {
+						t.Fatalf("NewPod error = %v, want one naming %s", err, field)
+					}
 				}
 				return
 			}
@@ -527,7 +537,7 @@ func TestPodDrainOfBorrowedBladeReleasesLease(t *testing.T) {
 	if err := p.Munmap(bases[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r0.DrainMemBlade(victim); err != nil {
+	if _, err := drainNow(r0, victim); err != nil {
 		t.Fatalf("drain of borrowed blade: %v", err)
 	}
 	if got := pod.Leases(); got != 0 {

@@ -7,12 +7,15 @@ package core
 // Under parallel execution a failure cannot simply be called from
 // outside: the moment it lands relative to each shard's event schedule
 // must be independent of the worker count. So scheduled faults follow
-// the borrow-negotiation pattern (parexec.go): registration only
-// queues the fault on its rack; the window barrier — the pod's
-// exclusive section, with every engine parked — converts faults due
-// inside the next window into ordinary rack events at their exact
+// the borrow-negotiation pattern (parexec.go): registration queues the
+// fault on its rack as deferred barrier work; the window barrier — the
+// pod's exclusive section, with every engine parked — converts faults
+// due inside the next window into ordinary rack events at their exact
 // injection times, scanning racks in index order. Serial and N-worker
-// runs therefore produce bit-identical fault timelines.
+// runs therefore produce bit-identical fault timelines. Registration is
+// itself exclusive context, so a fault due before the next barrier is
+// injected at once, and one at the current instant starts inline:
+// these three functions are the only way into a membership event.
 //
 // The genuinely cross-rack case is a borrowed blade dying: the page
 // store belongs to the borrower's shard (the lease), but the physical
@@ -34,15 +37,14 @@ import (
 	"mind/internal/sim"
 )
 
-// podFault is one scheduled failure event: run starts it on its rack at
-// at. killed marks a fault that kills memory blade blade — the one fact
-// the injector needs, because a borrowed victim's port is not its
-// rack's to blacken.
+// podFault is one membership event: run starts it on its rack at at.
+// A kill names its victim in kill (-1 otherwise) — the one fact the
+// injector needs, because a borrowed victim's port is not its rack's to
+// blacken.
 type podFault struct {
-	at     sim.Time
-	killed bool
-	blade  ctrlplane.BladeID
-	run    func(r *Rack, markPort bool)
+	at   sim.Time
+	kill ctrlplane.BladeID
+	run  func(r *Rack)
 }
 
 // KillMemBladeAt schedules a memory-blade failure on rack's blade
@@ -53,8 +55,8 @@ type podFault struct {
 // borrower, whose tables still know it — the lender retired its id
 // when the lease was granted.
 func (p *Pod) KillMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, done func(KillReport, error)) error {
-	return p.scheduleFault(rack, &podFault{at: at, killed: true, blade: victim, run: func(r *Rack, markPort bool) {
-		r.killMemBladeAsync(victim, markPort, done)
+	return p.scheduleFault(rack, podFault{at: at, kill: victim, run: func(r *Rack) {
+		r.killMemBladeAsync(victim, done)
 	}})
 }
 
@@ -62,7 +64,7 @@ func (p *Pod) KillMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, do
 // virtual time at; done fires when the blade is empty and retired.
 // Draining a borrowed blade is supported (see drainMemBladeAsync).
 func (p *Pod) DrainMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, done func(DrainReport, error)) error {
-	return p.scheduleFault(rack, &podFault{at: at, run: func(r *Rack, _ bool) {
+	return p.scheduleFault(rack, podFault{at: at, kill: -1, run: func(r *Rack) {
 		r.drainMemBladeAsync(victim, done)
 	}})
 }
@@ -70,71 +72,57 @@ func (p *Pod) DrainMemBladeAt(rack int, victim ctrlplane.BladeID, at sim.Time, d
 // KillSwitchAt schedules a switch failover on rack at virtual time at;
 // done fires when the backup data plane is live.
 func (p *Pod) KillSwitchAt(rack int, at sim.Time, done func(SwitchFailoverReport, error)) error {
-	return p.scheduleFault(rack, &podFault{at: at, run: func(r *Rack, _ bool) {
-		r.killSwitchAsync(func(rep SwitchFailoverReport) { done(rep, nil) })
+	return p.scheduleFault(rack, podFault{at: at, kill: -1, run: func(r *Rack) {
+		r.killSwitchAsync(done)
 	}})
 }
 
-// scheduleFault validates and queues one fault. Main-goroutine or
-// barrier context only (engines parked), like AddTenant/SampleEvery.
-func (p *Pod) scheduleFault(rack int, f *podFault) error {
+// scheduleFault validates and registers one fault. Main-goroutine or
+// barrier context only (engines parked), like AddTenant/SampleEvery:
+// registration happens with every engine parked on the same instant,
+// which is exactly barrier context. So a fault at that instant starts
+// inline, before the call returns, and one due inside the executor's
+// lookahead — before the next barrier would see it — is injected now.
+// A 1-rack pod has no barriers and an unbounded lookahead, so there
+// every later fault is simply an event. The rest wait in the rack's
+// queue for the barrier.
+func (p *Pod) scheduleFault(rack int, f podFault) error {
 	if rack < 0 || rack >= len(p.racks) {
 		return fmt.Errorf("core: pod has no rack %d", rack)
 	}
-	if f.at < p.Now() {
-		return fmt.Errorf("core: fault time %v is in the past (now %v)", f.at, p.Now())
+	now := p.Now()
+	if f.at < now {
+		return fmt.Errorf("core: fault time %v is in the past (now %v)", f.at, now)
 	}
 	r := p.racks[rack]
-	// A fault due inside the executor's lookahead — before the next
-	// barrier would see it — is injected now: registration happens with
-	// every engine parked on the same instant, which is exactly barrier
-	// context. A 1-rack pod has no barriers and an unbounded lookahead,
-	// so there every fault is simply an event.
-	if f.at.Sub(p.Now()) < p.exec.window {
-		p.injectFault(r, f)
+	if f.at.Sub(now) < p.exec.window {
+		p.injectFault(r, f, f.at == now)
 		return nil
 	}
-	r.pendingFaults = append(r.pendingFaults, f)
+	r.pendingFaults = append(r.pendingFaults, deferred{due: f.at, run: func() { p.injectFault(r, f, false) }})
 	p.exec.due = min(p.exec.due, f.at)
 	return nil
 }
 
-// injectDueFaults converts queued faults due before horizon into rack
-// events and lowers due to the earliest fault left. Barrier context
-// only; racks are scanned in index order and each rack's faults in
-// registration order, so the injection schedule is a pure function of
-// the registered faults.
-func (x *podExec) injectDueFaults(horizon sim.Time) {
-	for _, r := range x.p.racks {
-		if len(r.pendingFaults) == 0 {
-			continue
-		}
-		rest := r.pendingFaults[:0]
-		for _, f := range r.pendingFaults {
-			if f.at >= horizon {
-				rest = append(rest, f)
-				x.due = min(x.due, f.at)
-				continue
-			}
-			x.p.injectFault(r, f)
-		}
-		r.pendingFaults = rest
-	}
-}
-
-// injectFault schedules the fault's event(s) at its injection time.
-// Exclusive context (barrier or parked engines): it may read ownership
-// tables and schedule on more than one rack's engine. It decides one
-// thing: a borrowed victim's port blackens in the lender's shard, the
-// contents loss and recovery run in the borrower's — both at the kill
+// injectFault starts the fault at its injection time: inline, or as
+// rack events at f.at. Exclusive context (barrier or parked engines):
+// it may read ownership tables and write or schedule on more than one
+// rack. It decides one thing, and is the only code that blackens a lent
+// blade's port: a borrowed victim's port blackens in the lender, the
+// contents loss and recovery run in the borrower — both at the kill
 // instant.
-func (p *Pod) injectFault(r *Rack, f *podFault) {
-	markPort := true
-	if f.killed && int(f.blade) >= 0 && int(f.blade) < len(r.mem) && r.remoteBlade(f.blade) {
-		slot := r.mem[int(f.blade)]
-		owner := p.racks[slot.owner]
-		owner.eng.At(f.at, func() { owner.fab.SetNodeDead(slot.node, true) })
-		markPort = false
+func (p *Pod) injectFault(r *Rack, f podFault, inline bool) {
+	start := func(on *Rack, fn func()) {
+		if inline {
+			fn()
+		} else {
+			on.eng.At(f.at, fn)
+		}
 	}
-	r.eng.At(f.at, func() { f.run(r, markPort) })
+	if v := int(f.kill); v >= 0 && v < len(r.mem) && r.remoteBlade(f.kill) {
+		slot := r.mem[v]
+		owner := p.racks[slot.owner]
+		start(owner, func() { owner.fab.SetNodeDead(slot.node, true) })
+	}
+	start(r, func() { f.run(r) })
 }

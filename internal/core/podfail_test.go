@@ -15,6 +15,47 @@ import (
 	"mind/internal/stats"
 )
 
+// drainNow, killNow and failoverNow register a membership event on c at
+// the current instant, so it starts inline, and drive the pod until it
+// completes.
+func drainNow(c *Rack, victim ctrlplane.BladeID) (rep DrainReport, err error) {
+	c.await(func(done func()) {
+		mustRegister(c.pod.DrainMemBladeAt(c.idx, victim, c.Now(), func(r DrainReport, e error) {
+			rep, err = r, e
+			done()
+		}))
+	})
+	return rep, err
+}
+
+func killNow(c *Rack, victim ctrlplane.BladeID) (rep KillReport, err error) {
+	c.await(func(done func()) {
+		mustRegister(c.pod.KillMemBladeAt(c.idx, victim, c.Now(), func(r KillReport, e error) {
+			rep, err = r, e
+			done()
+		}))
+	})
+	return rep, err
+}
+
+func failoverNow(c *Rack) (rep SwitchFailoverReport) {
+	c.await(func(done func()) {
+		mustRegister(c.pod.KillSwitchAt(c.idx, c.Now(), func(r SwitchFailoverReport, _ error) {
+			rep = r
+			done()
+		}))
+	})
+	return rep
+}
+
+// mustRegister panics on a registration error; an event at the current
+// instant on its own rack has none.
+func mustRegister(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // TestKillMemBladeLiveness: killing a blade that is unknown, already
 // dead, or retired returns an explicit error instead of panicking or
 // re-running recovery over a corpse.
@@ -25,21 +66,21 @@ func TestKillMemBladeLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := c.KillMemBlade(0); err != nil {
+	if _, err := killNow(c.Rack, 0); err != nil {
 		t.Fatalf("first kill: %v", err)
 	}
-	if _, err := c.KillMemBlade(0); err == nil || !strings.Contains(err.Error(), "already dead") {
+	if _, err := killNow(c.Rack, 0); err == nil || !strings.Contains(err.Error(), "already dead") {
 		t.Fatalf("second kill of blade 0: err = %v, want already-dead error", err)
 	}
-	if _, err := c.KillMemBlade(99); err == nil || !strings.Contains(err.Error(), "no memory blade") {
+	if _, err := killNow(c.Rack, 99); err == nil || !strings.Contains(err.Error(), "no memory blade") {
 		t.Fatalf("kill of unknown blade: err = %v, want no-such-blade error", err)
 	}
 
 	// A drained (retired but healthy) blade is equally unkillable.
-	if _, err := c.DrainMemBlade(1); err != nil {
+	if _, err := drainNow(c.Rack, 1); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, err := c.KillMemBlade(1); err == nil || !strings.Contains(err.Error(), "retired") {
+	if _, err := killNow(c.Rack, 1); err == nil || !strings.Contains(err.Error(), "retired") {
 		t.Fatalf("kill of retired blade: err = %v, want retired error", err)
 	}
 
@@ -100,7 +141,7 @@ func TestDrainBorrowedBladeMovesDataAndReleasesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillPages(t, th, work.Base, pages)
-	r0.KillSwitch() // flush dirty pages down to the borrowed blade
+	failoverNow(r0) // flush dirty pages down to the borrowed blade
 	if r0.MemBlade(int(victim)).MaterializedPages() == 0 {
 		t.Fatal("setup: borrowed blade holds no pages")
 	}
@@ -109,7 +150,7 @@ func TestDrainBorrowedBladeMovesDataAndReleasesLease(t *testing.T) {
 	if err := p.Munmap(filler.Base); err != nil {
 		t.Fatal(err)
 	}
-	drep, err := r0.DrainMemBlade(victim)
+	drep, err := drainNow(r0, victim)
 	if err != nil {
 		t.Fatalf("drain of borrowed blade: %v", err)
 	}
@@ -179,7 +220,7 @@ func TestPodKillBorrowedBladeRecovers(t *testing.T) {
 	}
 	fillPages(t, th, keep.Base, pages)
 	fillPages(t, th, work.Base, pages)
-	r0.KillSwitch() // flush dirty pages down to the blades
+	failoverNow(r0) // flush dirty pages down to the blades
 	if r0.MemBlade(int(victim)).MaterializedPages() == 0 {
 		t.Fatal("setup: borrowed blade holds no pages")
 	}
@@ -240,6 +281,42 @@ func TestPodKillBorrowedBladeRecovers(t *testing.T) {
 	}
 	if got, _ := th.Load(work.Base + 8); got != 42 {
 		t.Fatalf("post-recovery store lost: %d", got)
+	}
+}
+
+// TestInlineKillOfBorrowedBlade: a kill registered at the current
+// instant starts before the call returns. The injector blackens the
+// borrowed victim's port in the lender's fabric and the borrower loses
+// the contents at once; recovery then runs as borrower events and
+// retires the lease.
+func TestInlineKillOfBorrowedBlade(t *testing.T) {
+	pod := newTestPod(t, PromotionConfig{Disable: true})
+	r0 := pod.Rack(0)
+	p := r0.Exec("borrower")
+	if _, err := p.Mmap(1024*mem.PageSize, mem.PermReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Mmap(256*mem.PageSize, mem.PermReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	victim := borrowedBladeID(t, r0)
+	node := r0.mem[int(victim)].node
+
+	var kerr error
+	done := false
+	if err := pod.KillMemBladeAt(0, victim, pod.Now(), func(_ KillReport, e error) { kerr, done = e, true }); err != nil {
+		t.Fatal(err)
+	}
+	if !pod.Rack(1).fab.NodeDead(node) || !r0.mem[int(victim)].dead || r0.fab.NodeDead(node) {
+		t.Fatalf("inline kill: lender port dead %v, borrower saw the death %v, borrower fabric touched %v",
+			pod.Rack(1).fab.NodeDead(node), r0.mem[int(victim)].dead, r0.fab.NodeDead(node))
+	}
+	pod.AdvanceTime(2 * sim.Millisecond)
+	if !done || kerr != nil {
+		t.Fatalf("recovery done %v, err %v", done, kerr)
+	}
+	if pod.Leases() != 0 {
+		t.Fatalf("lease not retired: %d leases", pod.Leases())
 	}
 }
 

@@ -180,7 +180,7 @@ func TestMigrationEndToEnd(t *testing.T) {
 	// Flush the dirty page to its home blade, copy the backing pages to
 	// the destination, then switch translation (the page-migration
 	// sequence an OS would run).
-	c.KillSwitch() // reset = flush everything (reuse the reset path)
+	failoverNow(c.Rack) // reset = flush everything (reuse the reset path)
 	reserved, _ := c.Controller().Allocator().Reserved(vma.Base)
 	for off := uint64(0); off < reserved; off += mem.PageSize {
 		va := vma.Base + mem.VA(off)

@@ -57,16 +57,14 @@ type Rack struct {
 	// borrowed blades; the next window barrier performs the returns
 	// (cross-rack allocator mutations never run from rack events).
 	wantReturns bool
-	// pendingBorrows queues this rack's outstanding blade-borrow
-	// negotiations for the barrier (parexec.go). In a 1-rack pod
-	// borrowing is rejected up front, so the queue stays empty.
-	pendingBorrows []borrowReq
-	// pendingFaults queues this rack's scheduled failure injections
-	// (podfail.go); the barrier converts due ones into rack events in
-	// rack-index order, so the injection schedule is independent of the
-	// worker count. A 1-rack pod's unbounded lookahead makes every fault
-	// due at registration, so its queue stays empty.
-	pendingFaults []*podFault
+	// pendingFaults and pendingBorrows queue this rack's work for the
+	// barrier (parexec.go): scheduled failure injections (podfail.go)
+	// and blade-borrow negotiations. The barrier runs the due ones in
+	// rack-index order, so what they do is independent of the worker
+	// count. A 1-rack pod's unbounded lookahead makes every fault due at
+	// registration and it rejects borrowing up front, so there both
+	// queues stay empty.
+	pendingFaults, pendingBorrows []deferred
 	// recovering counts failure recoveries in flight on this rack (blade
 	// kill re-homing, switch failover). While it is nonzero the rack is
 	// in recovery blackout; the serving layer's brownout admission sheds
@@ -75,7 +73,7 @@ type Rack struct {
 	// failoverDone holds the completions of the switch failover in
 	// flight (nonempty exactly while one is): the call that started it
 	// and any that joined it since.
-	failoverDone []func(SwitchFailoverReport)
+	failoverDone []func(SwitchFailoverReport, error)
 
 	// activeThreads counts started-but-unfinished threads on this rack;
 	// lastFinish is the virtual time the most recent one finished. Both

@@ -106,7 +106,7 @@ func TestRehomePinned(t *testing.T) {
 			c.drainMemBladeAsync(victim, func(r DrainReport, e error) { drep, derr, drained = r, e, true })
 		})
 		c.Engine().Schedule(300*sim.Microsecond, func() {
-			c.killMemBladeAsync(target, true, func(r KillReport, e error) { krep, kerr, killed = r, e, true })
+			c.killMemBladeAsync(target, func(r KillReport, e error) { krep, kerr, killed = r, e, true })
 		})
 		end := c.RunThreads()
 		if !drained || !killed || derr != nil || kerr != nil {
@@ -153,7 +153,7 @@ func TestRehomePinned(t *testing.T) {
 		}
 		fillPages(t, th, a.Base, pages)
 		fillPages(t, th, b.Base, pages)
-		c.KillSwitch() // flush dirty data to blade 0
+		failoverNow(c.Rack) // flush dirty data to blade 0
 		// Foreground traffic on the vma that survives; the one that is
 		// unmapped under the drain is left alone.
 		stride(t, p, 1, 2000, []mem.VMA{b}, pages)
@@ -247,7 +247,7 @@ func TestRehomePinned(t *testing.T) {
 		}
 		step("promotion")
 
-		drep, err := r0.DrainMemBlade(lease)
+		drep, err := drainNow(r0, lease)
 		if err != nil {
 			t.Fatalf("drain of the borrowed blade: %v", err)
 		}

@@ -189,7 +189,7 @@ func TestServeKillStormSingleRack(t *testing.T) {
 	var krep KillReport
 	killed := false
 	c.Engine().Schedule(500*sim.Microsecond, func() {
-		c.killMemBladeAsync(victim, true, func(r KillReport, e error) {
+		c.killMemBladeAsync(victim, func(r KillReport, e error) {
 			if e != nil {
 				t.Errorf("kill: %v", e)
 			}

@@ -208,9 +208,9 @@ func TestSoloDispatchPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.KillSwitch()
+		failoverNow(c.Rack)
 		step("failover")
-		if _, err := c.DrainMemBlade(victim); err != nil {
+		if _, err := drainNow(c.Rack, victim); err != nil {
 			t.Fatal(err)
 		}
 		step("drain")
