@@ -15,8 +15,9 @@
 //     pages, and new allocations avoid it;
 //   - allocator isolation: live vmas never overlap.
 //
-// The harness is deterministic: a schedule is a pure function of its
-// seed, so any failing seed replays bit-identically.
+// The harness is deterministic: a schedule, the rack's shape included,
+// is a pure function of its seed, so any failing seed replays
+// bit-identically.
 package conformance
 
 import (
@@ -30,36 +31,48 @@ import (
 	"mind/internal/sim"
 )
 
-// Config parameterizes one randomized schedule.
+// Config parameterizes one randomized schedule. Everything else — the
+// rack's shape and the membership events — is drawn from Seed.
 type Config struct {
-	Seed          uint64
-	ComputeBlades int // foreground threads, one per blade (default 2)
-	Areas         int // shared vmas (default 4)
-	AreaPages     int // pages per vma (default 48)
-	Ops           int // foreground loads/stores (default 240)
-	Events        int // membership events woven into the op stream (default 3)
+	Seed uint64
+	Ops  int // foreground loads/stores (default 240)
 }
 
 // A schedule starts with memBlades memory blades and hot-adds up to
 // maxMemBlades.
 const memBlades, maxMemBlades = 2, 6
 
-func (c *Config) defaults() {
-	if c.ComputeBlades == 0 {
-		c.ComputeBlades = 2
+// shape is the part of a schedule drawn from its own RNG stream, so a
+// draw appended to it never moves the op stream.
+type shape struct {
+	computeBlades int // one foreground thread each: 2-4
+	areas         int // shared vmas: 1-4
+	areaPages     int // pages per vma; a one-page vma maps only its slots' bytes
+	// slots is the number of value slots per page, 8 bytes apart: with
+	// more than one, several blades' words share a page (false sharing).
+	slots      int
+	cachePages int // per compute blade: half the mapped pages (at least 16), or 4 on one schedule in four
+	events     int // membership events: none on one schedule in eight, else 4-6
+}
+
+func drawShape(seed uint64) shape {
+	rng := sim.NewRNG(seed, "conformance-schedule/shape")
+	s := shape{
+		computeBlades: 2 + rng.Intn(3),
+		areas:         1 + rng.Intn(4),
+		areaPages:     []int{1, 8, 48}[rng.Intn(3)],
+		slots:         []int{1, 16, 512}[rng.Intn(3)],
 	}
-	if c.Areas == 0 {
-		c.Areas = 4
+	// A small cache forces remote traffic, so coherence and migration
+	// genuinely interleave; a tiny one evicts on nearly every access.
+	s.cachePages = max(16, s.areas*s.areaPages/2)
+	if rng.Bool(0.25) {
+		s.cachePages = 4
 	}
-	if c.AreaPages == 0 {
-		c.AreaPages = 48
+	if !rng.Bool(0.125) {
+		s.events = 4 + rng.Intn(3)
 	}
-	if c.Ops == 0 {
-		c.Ops = 240
-	}
-	if c.Events == 0 {
-		c.Events = 3
-	}
+	return s
 }
 
 // Result summarizes one schedule; identical seeds must produce identical
@@ -74,6 +87,7 @@ type Result struct {
 
 type harness struct {
 	cfg     Config
+	shape   shape
 	c       *core.Cluster
 	threads []*core.Thread
 	areas   []mem.VMA
@@ -91,8 +105,10 @@ type harness struct {
 // Run executes one randomized membership-change schedule and returns its
 // Result, or the first invariant violation.
 func Run(cfg Config) (Result, error) {
-	cfg.defaults()
-	h := &harness{cfg: cfg, oracle: make(map[mem.VA]uint64)}
+	if cfg.Ops == 0 {
+		cfg.Ops = 240
+	}
+	h := &harness{cfg: cfg, shape: drawShape(cfg.Seed), oracle: make(map[mem.VA]uint64)}
 	if err := h.setup(); err != nil {
 		return h.res, err
 	}
@@ -103,26 +119,27 @@ func Run(cfg Config) (Result, error) {
 }
 
 func (h *harness) setup() error {
-	ccfg := core.DefaultConfig(h.cfg.ComputeBlades, memBlades)
+	ccfg := core.DefaultConfig(h.shape.computeBlades, memBlades)
 	ccfg.MemoryBladeCapacity = 1 << 26
-	// A small cache forces remote traffic, so coherence and migration
-	// genuinely interleave.
-	ccfg.CachePagesPerBlade = max(16, h.cfg.AreaPages/2)
-	ccfg.Seed = h.cfg.Seed
+	ccfg.CachePagesPerBlade = h.shape.cachePages
 	c, err := core.NewCluster(ccfg)
 	if err != nil {
 		return err
 	}
 	h.c = c
 	p := c.Exec("conformance")
-	for i := 0; i < h.cfg.Areas; i++ {
-		vma, err := p.Mmap(uint64(h.cfg.AreaPages)*mem.PageSize, mem.PermReadWrite)
+	length := uint64(h.shape.areaPages) * mem.PageSize
+	if h.shape.areaPages == 1 {
+		length = uint64(h.shape.slots) * 8
+	}
+	for i := 0; i < h.shape.areas; i++ {
+		vma, err := p.Mmap(length, mem.PermReadWrite)
 		if err != nil {
 			return err
 		}
 		h.areas = append(h.areas, vma)
 	}
-	for b := 0; b < h.cfg.ComputeBlades; b++ {
+	for b := 0; b < h.shape.computeBlades; b++ {
 		th, err := p.SpawnThread(b)
 		if err != nil {
 			return err
@@ -133,16 +150,15 @@ func (h *harness) setup() error {
 	return nil
 }
 
-// pageVA picks the canonical probe address of page p in area a (one
-// value slot per page).
-func (h *harness) pageVA(area, page int) mem.VA {
-	return h.areas[area].Base + mem.VA(page)*mem.PageSize + 8
+// slotVA is the address of value slot s of page p in area a.
+func (h *harness) slotVA(area, page, slot int) mem.VA {
+	return h.areas[area].Base + mem.VA(page)*mem.PageSize + mem.VA(slot)*8
 }
 
 func (h *harness) drive() error {
 	// Pre-draw the op indices at which membership events fire.
 	evAt := make(map[int]bool)
-	for len(evAt) < h.cfg.Events {
+	for len(evAt) < min(h.shape.events, h.cfg.Ops) {
 		evAt[h.rng.Intn(h.cfg.Ops)] = true
 	}
 	seq := uint64(0)
@@ -158,7 +174,7 @@ func (h *harness) drive() error {
 			}
 		}
 		th := h.threads[h.rng.Intn(len(h.threads))]
-		va := h.pageVA(h.rng.Intn(len(h.areas)), h.rng.Intn(h.cfg.AreaPages))
+		va := h.slotVA(h.rng.Intn(len(h.areas)), h.rng.Intn(h.shape.areaPages), h.rng.Intn(h.shape.slots))
 		if h.rng.Bool(0.5) {
 			seq++
 			if err := th.Store(va, seq); err != nil {
@@ -346,8 +362,8 @@ func (h *harness) afterDeparture(victim ctrlplane.BladeID, drainErr error) error
 		return fmt.Errorf("departed blade %d still accounts %v bytes (seed %d)", victim, load[int(victim)], h.cfg.Seed)
 	}
 	for a := range h.areas {
-		for p := 0; p < h.cfg.AreaPages; p++ {
-			va := h.pageVA(a, p)
+		for p := 0; p < h.shape.areaPages; p++ {
+			va := h.slotVA(a, p, 0)
 			home, err := alloc.Translate(va)
 			if err != nil {
 				return fmt.Errorf("mapped %#x does not translate after departure of %d: %w", uint64(va), victim, err)

@@ -109,7 +109,7 @@ type podMix struct {
 	inline bool
 }
 
-func drawMix(seed uint64) (podMix, *sim.RNG) {
+func drawMix(seed uint64) podMix {
 	rng := sim.NewRNG(seed, "pod-schedule/mix")
 	windows := []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond}
 	m := podMix{window: windows[rng.Intn(len(windows))], closed: rng.Bool(0.5), unmap: rng.Bool(0.5)}
@@ -117,7 +117,7 @@ func drawMix(seed uint64) (podMix, *sim.RNG) {
 	m.twin = !m.closed && rng.Bool(0.5)
 	m.quiet = rng.Bool(0.25)
 	m.inline = rng.Bool(0.25)
-	return m, rng
+	return m
 }
 
 // schedGap is the open-loop arrival process: gaps are a pure function
@@ -151,7 +151,7 @@ func schedOps(base mem.VA, pages uint64) func() (mem.VA, bool) {
 func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 	cfg.defaults()
 	rng := sim.NewRNG(cfg.Seed, "pod-schedule")
-	mix, mixRNG := drawMix(cfg.Seed)
+	mix := drawMix(cfg.Seed)
 
 	// Pod shape: every rack two compute blades; rack 0 is memory-poor on
 	// half the schedules (one local blade), so its spanning tenant lands
@@ -286,7 +286,9 @@ func RunPodSchedule(cfg PodSchedule, workers int) (*PodOutcome, error) {
 	}
 	if borrow && mix.twin {
 		// The merged per-tenant accounting: a same-name share on rack 1.
-		if err := addTenant(mixRNG, "span", 1, 64, nil, true); err != nil {
+		// It draws from a stream of its own, so a draw appended to the mix
+		// never moves it.
+		if err := addTenant(sim.NewRNG(cfg.Seed, "pod-schedule/twin"), "span", 1, 64, nil, true); err != nil {
 			return nil, err
 		}
 	}

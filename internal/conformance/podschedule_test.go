@@ -97,7 +97,7 @@ func TestRandomPodSchedules(t *testing.T) {
 			runs = append(runs, podRun{workers: 1 + i%4, dense: true})
 		}
 		serial := podRunsAgree(t, cfg, runs...)
-		mix, _ := drawMix(cfg.Seed)
+		mix := drawMix(cfg.Seed)
 		windows[mix.window]++
 		if mix.closed {
 			closed++
@@ -156,7 +156,7 @@ func TestPodScheduleDeterminism(t *testing.T) {
 	t.Parallel()
 	cfg := podScheduleConfig(19, true)
 	a := podRunsAgree(t, cfg, podRun{workers: 1})
-	if mix, _ := drawMix(cfg.Seed); !mix.closed || a.Counters[stats.CtrPromotedVMAs] == 0 || a.Counters[stats.CtrBladeReturns] == 0 {
+	if mix := drawMix(cfg.Seed); !mix.closed || a.Counters[stats.CtrPromotedVMAs] == 0 || a.Counters[stats.CtrBladeReturns] == 0 {
 		t.Fatalf("schedule 19 is no closed-loop promotion: mix %+v, counters %v", mix, a.Counters)
 	}
 	cfg.Seed++

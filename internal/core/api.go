@@ -161,7 +161,10 @@ func (t *Thread) page(va mem.VA, n int, write bool) (*computeblade.PageState, in
 }
 
 // Load reads one byte-addressed uint64 (little endian) from the global
-// address space, faulting the page in if needed.
+// address space, faulting the page in if needed. Like every blocking
+// call it waits for its access to complete, so it runs the same path
+// under every Config.Consistency: only Thread.Start's access loop
+// lets write faults run asynchronously under PSO.
 func (t *Thread) Load(va mem.VA) (uint64, error) {
 	p, off, err := t.page(va, 8, false)
 	if err != nil {

@@ -228,44 +228,6 @@ func TestWriteWriteMigration(t *testing.T) {
 	}
 }
 
-// TestCoherenceVsReference runs a deterministic interleaving of stores
-// and loads from threads on different blades and checks every load
-// against a sequential reference model — end-to-end validation that the
-// protocol delivers the latest value.
-func TestCoherenceVsReference(t *testing.T) {
-	c := newTestCluster(t, 4, 2)
-	p := c.Exec("app")
-	const words = 512
-	vma, _ := p.Mmap(words*8, mem.PermReadWrite)
-	var threads []*Thread
-	for i := 0; i < 4; i++ {
-		th, _ := p.SpawnThread(i)
-		threads = append(threads, th)
-	}
-	ref := make(map[mem.VA]uint64)
-	rng := sim.NewRNG(7, "coh-ref")
-	for op := 0; op < 2000; op++ {
-		th := threads[rng.Intn(len(threads))]
-		addr := vma.Base + mem.VA(rng.Intn(words)*8)
-		if rng.Bool(0.5) {
-			val := rng.Uint64()
-			if err := th.Store(addr, val); err != nil {
-				t.Fatal(err)
-			}
-			ref[addr] = val
-		} else {
-			got, err := th.Load(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != ref[addr] {
-				t.Fatalf("op %d: blade %d load %#x = %d, want %d",
-					op, th.BladeID(), uint64(addr), got, ref[addr])
-			}
-		}
-	}
-}
-
 func TestEvictionWritebackSurvives(t *testing.T) {
 	// Cache of 64 pages; write 256 pages; everything must read back.
 	cfg := DefaultConfig(1, 1)

@@ -57,7 +57,10 @@ type Config struct {
 	// CachePagesPerBlade sizes each compute blade's local DRAM cache; the
 	// paper uses 512 MB ≈ 25% of workload footprint (§7).
 	CachePagesPerBlade int
-	// Consistency selects TSO (default), PSO, or PSO+.
+	// Consistency selects TSO (default), PSO, or PSO+. Only the access
+	// loop of a generator-driven thread (Thread.Start) reads it, apart
+	// from PSO+ lifting the directory cap at construction: blocking
+	// Load, Store and Touch run the same path under every model.
 	Consistency Consistency
 	// Placement selects the allocation placement policy (§4.1).
 	Placement ctrlplane.PlacementPolicy

@@ -177,6 +177,108 @@ func TestDrainBorrowedBladeMovesDataAndReleasesLease(t *testing.T) {
 	checkPages(t, th, work.Base, pages, 1)
 }
 
+// TestCrossRackDrainDirections drains in the two directions no other
+// run takes — every other cross-rack copy goes from a borrowed blade to
+// a local one — on two workers, so the copy's legs run on both racks'
+// shards: a local blade onto a borrowed one (the source leg starts on
+// the coordinator, the ack returns from the lender), and a borrowed
+// blade onto another lent by the same rack (both legs on the lender).
+// Every value must read back, and the lease that receives the data is
+// kept.
+func TestCrossRackDrainDirections(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// setup maps the borrower's vmas and returns the drain victim and
+		// the vma whose values move with it.
+		setup func(t *testing.T, r0 *Rack, p *Process) (victim ctrlplane.BladeID, data mem.VA)
+		pages int
+	}{
+		{
+			name: "local onto borrowed",
+			setup: func(t *testing.T, r0 *Rack, p *Process) (ctrlplane.BladeID, mem.VA) {
+				// work and filler fill the 1024-page local blade, so spill
+				// borrows; with filler gone, work fits beside spill.
+				work := mustMmap(t, p, 512)
+				filler := mustMmap(t, p, 512)
+				mustMmap(t, p, 256) // spill
+				if err := p.Munmap(filler.Base); err != nil {
+					t.Fatal(err)
+				}
+				return 0, work.Base
+			},
+			pages: 300,
+		},
+		{
+			name: "borrowed onto borrowed",
+			setup: func(t *testing.T, r0 *Rack, p *Process) (ctrlplane.BladeID, mem.VA) {
+				mustMmap(t, p, 1024) // fills the local blade
+				work := mustMmap(t, p, 512)
+				victim := borrowedBladeID(t, r0)
+				// A vma too big for the first lease's free half borrows a
+				// second blade from the same lender; unmapped, it leaves
+				// that blade empty and leased.
+				big := mustMmap(t, p, 1024)
+				if err := p.Munmap(big.Base); err != nil {
+					t.Fatal(err)
+				}
+				return victim, work.Base
+			},
+			pages: 200,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pod, err := NewPod(PodConfig{
+				Racks:     []Config{podRackConfig(2, 1, 1024), podRackConfig(2, 3, 1024)},
+				Promotion: PromotionConfig{Disable: true},
+				Workers:   2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r0 := pod.Rack(0)
+			p := r0.Exec("borrower")
+			victim, data := tc.setup(t, r0, p)
+			th, err := p.SpawnThread(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillPages(t, th, data, tc.pages)
+			drep, err := drainNow(r0, victim)
+			if err != nil {
+				t.Fatalf("drain of blade %d: %v", victim, err)
+			}
+			if drep.PagesMoved < tc.pages {
+				t.Fatalf("drain moved %d pages, want at least %d", drep.PagesMoved, tc.pages)
+			}
+			alloc := r0.Controller().Allocator()
+			if !alloc.BladeRetired(victim) {
+				t.Fatalf("drained blade %d not retired", victim)
+			}
+			home, err := alloc.Translate(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r0.remoteBlade(home) || home == victim {
+				t.Fatalf("data homed on blade %d after the drain, want a borrowed blade other than %d", home, victim)
+			}
+			if pod.Leases() != 1 || r0.BorrowedBlades() != 1 {
+				t.Fatalf("leases=%d borrowed=%d, want 1/1", pod.Leases(), r0.BorrowedBlades())
+			}
+			checkPages(t, th, data, tc.pages, 1)
+		})
+	}
+}
+
+// mustMmap maps a read-write vma of the given number of pages.
+func mustMmap(t *testing.T, p *Process, pages uint64) mem.VMA {
+	t.Helper()
+	vma, err := p.Mmap(pages*mem.PageSize, mem.PermReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vma
+}
+
 // TestPodKillBorrowedBladeRecovers is the cross-rack failure the pod
 // injector exists for: the physical device lives in the lender, the
 // pages belong to the borrower. The kill blackens the lender's fabric
