@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"mind/internal/mem"
 	"mind/internal/sim"
@@ -107,43 +106,6 @@ func TestNewCacheValidation(t *testing.T) {
 		}
 	}()
 	NewCache(0)
-}
-
-// Property: the cache never exceeds capacity and Len matches the set of
-// live pages under arbitrary insert/remove/evict interleavings.
-func TestCachePropertyConsistency(t *testing.T) {
-	f := func(ops []uint16) bool {
-		c := NewCache(8)
-		live := map[mem.VA]bool{}
-		for _, op := range ops {
-			va := mem.VA(op%32) << 12
-			switch {
-			case op%5 == 4 && len(live) > 0:
-				if c.Remove(va) != live[va] {
-					return false
-				}
-				delete(live, va)
-			default:
-				if live[va] {
-					c.Insert(va, true)
-					continue
-				}
-				if c.NeedsEviction() {
-					v := c.EvictLRU()
-					delete(live, v.VA)
-				}
-				c.Insert(va, false)
-				live[va] = true
-			}
-			if c.Len() != len(live) || c.Len() > 8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 // cacheScript runs one deterministic insert/lookup/remove/PagesIn script
@@ -249,4 +211,263 @@ func TestConstructionFootprint(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// cacheEntry is the reference model's view of one cached page.
+type cacheEntry struct {
+	va              mem.VA
+	dirty, writable bool
+}
+
+// cacheModel is FuzzCache's reference: the cached pages, most recently
+// used first.
+type cacheModel struct{ mru []cacheEntry }
+
+func (m *cacheModel) find(va mem.VA) int {
+	for i, e := range m.mru {
+		if e.va == mem.PageBase(va) {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves entry i to the front and returns its new index, 0.
+func (m *cacheModel) touch(i int) int {
+	e := m.mru[i]
+	copy(m.mru[1:i+1], m.mru[:i])
+	m.mru[0] = e
+	return 0
+}
+
+// pagesIn is Cache.PagesIn's documented order: ascending VA when the
+// range holds no more pages than the cache (one probe per page), most
+// recent first otherwise (the LRU walk).
+func (m *cacheModel) pagesIn(base mem.VA, size uint64) []cacheEntry {
+	end := base + mem.VA(size)
+	var out []cacheEntry
+	if size/mem.PageSize <= uint64(len(m.mru)) {
+		for va := base; va < end; va += mem.PageSize {
+			if i := m.find(va); i >= 0 {
+				out = append(out, m.mru[i])
+			}
+		}
+		return out
+	}
+	for _, e := range m.mru {
+		if e.va >= base && e.va < end {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Cache op kinds, one byte each (kind = byte % cacheOpKinds, and the
+// rest of the byte is the op's argument).
+const (
+	opInsert      = iota // twice as likely: kinds 0 and 1; arg&1 = writable
+	opLookup      = 2
+	opPeek        = 3
+	opHit         = 4 // Lookup, then Dirty, as a write hit does
+	opRemove      = 5
+	opEvict       = 6
+	opPagesFew    = 7 // 1 + arg%8 pages from the op's page
+	opPagesAll    = 8 // more pages than the cache can hold
+	opDowngrade   = 9 // Peek, then clear Writable and Dirty, as an M->S flush does
+	cacheOpKinds  = 10
+	cacheOpLength = 3 // kind, page number high byte, low byte
+)
+
+// runCacheOps replays ops against a Cache and the reference model. The
+// first byte sets the capacity (1 + byte); each op is cacheOpLength
+// bytes, its page drawn from a universe of 2*capacity+2 pages. After
+// every op Len, NeedsEviction, every returned page's VA and flags, every
+// eviction victim and the PagesIn order must agree; at the end the cache
+// drains in the model's LRU order.
+func runCacheOps(t *testing.T, ops []byte) {
+	if len(ops) == 0 {
+		return
+	}
+	capacity := 1 + int(ops[0])
+	universe := uint64(2*capacity + 2)
+	c, m := NewCache(capacity), &cacheModel{}
+	same := func(op int, what string, p *PageState, e cacheEntry) {
+		t.Helper()
+		if p.VA != e.va || p.Dirty != e.dirty || p.Writable != e.writable {
+			t.Fatalf("op %d: %s returned {%#x dirty=%v writable=%v}, model {%#x dirty=%v writable=%v}",
+				op, what, uint64(p.VA), p.Dirty, p.Writable, uint64(e.va), e.dirty, e.writable)
+		}
+	}
+	evict := func(op int) {
+		t.Helper()
+		v := c.EvictLRU()
+		if len(m.mru) == 0 {
+			if v != nil {
+				t.Fatalf("op %d: EvictLRU on an empty cache returned %#x", op, uint64(v.VA))
+			}
+			return
+		}
+		if v == nil {
+			t.Fatalf("op %d: EvictLRU returned nil, model holds %d pages", op, len(m.mru))
+		}
+		same(op, "EvictLRU", v, m.mru[len(m.mru)-1])
+		m.mru = m.mru[:len(m.mru)-1]
+	}
+	for op, ops := 0, ops[1:]; len(ops) >= cacheOpLength; op, ops = op+1, ops[cacheOpLength:] {
+		kind, arg := ops[0]%cacheOpKinds, ops[0]/cacheOpKinds
+		page := (uint64(ops[1])<<8 | uint64(ops[2])) % universe
+		// Any address inside the page names it.
+		va := mem.VA(page<<mem.PageShift | uint64(arg)*157%mem.PageSize)
+		i := m.find(va)
+		switch kind {
+		case opInsert, opInsert + 1:
+			writable := arg&1 == 1
+			if i < 0 {
+				if c.NeedsEviction() {
+					evict(op)
+				}
+				m.mru = append(m.mru, cacheEntry{})
+				copy(m.mru[1:], m.mru)
+				m.mru[0] = cacheEntry{va: mem.PageBase(va)}
+				i = 0
+			}
+			i = m.touch(i)
+			m.mru[i].writable = writable
+			same(op, "Insert", c.Insert(va, writable), m.mru[i])
+		case opLookup, opPeek, opHit, opDowngrade:
+			var p *PageState
+			var ok bool
+			if kind == opLookup || kind == opHit {
+				p, ok = c.Lookup(va)
+			} else {
+				p, ok = c.Peek(va)
+			}
+			if ok != (i >= 0) {
+				t.Fatalf("op %d: kind %d of %#x hit=%v, model %v", op, kind, uint64(va), ok, i >= 0)
+			}
+			if !ok {
+				break
+			}
+			if kind != opPeek && kind != opDowngrade {
+				i = m.touch(i)
+			}
+			same(op, "lookup", p, m.mru[i])
+			switch kind {
+			case opHit:
+				p.Dirty, m.mru[i].dirty = true, true
+			case opDowngrade:
+				p.Dirty, p.Writable = false, false
+				m.mru[i].dirty, m.mru[i].writable = false, false
+			}
+		case opRemove:
+			if got := c.Remove(va); got != (i >= 0) {
+				t.Fatalf("op %d: Remove(%#x) = %v, model %v", op, uint64(va), got, i >= 0)
+			}
+			if i >= 0 {
+				m.mru = append(m.mru[:i], m.mru[i+1:]...)
+			}
+		case opEvict:
+			evict(op)
+		case opPagesFew, opPagesAll:
+			base := mem.PageBase(va)
+			size := (1 + uint64(arg)%8) * mem.PageSize
+			if kind == opPagesAll {
+				size = universe * mem.PageSize
+			}
+			got, want := c.PagesIn(base, size), m.pagesIn(base, size)
+			if len(got) != len(want) {
+				t.Fatalf("op %d: PagesIn(%#x, %d pages) returned %d pages, model %d",
+					op, uint64(base), size/mem.PageSize, len(got), len(want))
+			}
+			for k := range got {
+				same(op, "PagesIn", got[k], want[k])
+			}
+		}
+		if c.Len() != len(m.mru) || c.NeedsEviction() != (len(m.mru) >= capacity) {
+			t.Fatalf("op %d: Len %d NeedsEviction %v, model holds %d of %d",
+				op, c.Len(), c.NeedsEviction(), len(m.mru), capacity)
+		}
+	}
+	for n := len(m.mru); n >= 0; n-- {
+		evict(-1)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("drained cache holds %d pages", c.Len())
+	}
+}
+
+// cacheOp encodes one op on page.
+func cacheOp(kind, arg byte, page int) []byte {
+	return []byte{kind + cacheOpKinds*arg, byte(page >> 8), byte(page)}
+}
+
+// growAndRefillOps fills a 200-page cache (the page index doubles from
+// 16 slots to 512), probes and walks it, empties it by Remove and by
+// EvictLRU, and refills it in another order with hits and downgrades
+// between.
+func growAndRefillOps() []byte {
+	const capacity = 200
+	ops := []byte{capacity - 1}
+	for p := 0; p < capacity; p++ {
+		ops = append(ops, cacheOp(opInsert, byte(p), p)...)
+		if p%37 == 0 {
+			ops = append(ops, cacheOp(opPagesFew, byte(p), p/2)...)
+			ops = append(ops, cacheOp(opPagesAll, 0, 0)...)
+		}
+	}
+	ops = append(ops, cacheOp(opHit, 0, 7)...)
+	ops = append(ops, cacheOp(opPagesFew, 7, 3)...)
+	for p := 0; p < capacity; p += 2 {
+		ops = append(ops, cacheOp(opRemove, 0, p)...)
+	}
+	ops = append(ops, cacheOp(opPagesAll, 0, 0)...)
+	for p := 0; p < capacity/2; p++ {
+		ops = append(ops, cacheOp(opEvict, 0, 0)...)
+	}
+	for p := capacity - 1; p >= 0; p-- {
+		page := (p * 7) % (2*capacity + 2)
+		ops = append(ops, cacheOp(opInsert, byte(p), page)...)
+		switch p % 5 {
+		case 0:
+			ops = append(ops, cacheOp(opHit, 0, page)...)
+		case 1:
+			ops = append(ops, cacheOp(opDowngrade, 0, (p*11)%(2*capacity+2))...)
+		case 2:
+			ops = append(ops, cacheOp(opPagesFew, byte(p), page)...)
+		}
+	}
+	// Full: every further new page evicts.
+	for p := 0; p < 40; p++ {
+		ops = append(ops, cacheOp(opInsert, 1, 3*p+1)...)
+		ops = append(ops, cacheOp(opLookup, 0, 2*p)...)
+	}
+	return append(ops, cacheOp(opPagesAll, 0, 0)...)
+}
+
+// randomCacheOps draws n ops for a cache of the given capacity.
+func randomCacheOps(seed uint64, capacity, n int) []byte {
+	rng := sim.NewRNG(seed, "cache-fuzz")
+	ops := []byte{byte(capacity - 1)}
+	for i := 0; i < n; i++ {
+		ops = append(ops, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return ops
+}
+
+// FuzzCache checks the blade cache against an MRU-ordered slice on any
+// op sequence: inserts (evicting first when full, as the blade does),
+// lookups, peeks, write hits, removes, evictions and both PagesIn scans.
+func FuzzCache(f *testing.F) {
+	// A range exactly as large as the occupancy is still probed per page:
+	// four pages cached out of order come back in ascending VA.
+	var edge []byte
+	for _, p := range []int{3, 1, 2, 0} {
+		edge = append(edge, cacheOp(opInsert, 0, p)...)
+	}
+	f.Add(append(append([]byte{7}, edge...), cacheOp(opPagesFew, 3, 0)...))
+	f.Add(growAndRefillOps())
+	f.Add(randomCacheOps(1, 1, 300))
+	f.Add(randomCacheOps(2, 8, 600))
+	f.Add(randomCacheOps(3, 64, 2000))
+	f.Fuzz(func(t *testing.T, ops []byte) { runCacheOps(t, ops) })
 }
