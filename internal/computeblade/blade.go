@@ -116,6 +116,7 @@ type fault struct {
 	// by this fault object for its whole pooled lifetime.
 	timeout *sim.Event
 	settled bool
+	id      uint32 // 1 + index in Blade.faultRecs, kept across recycling
 
 	// comp holds the successful completion between the PTE-install
 	// charge being scheduled and the settle that consumes it.
@@ -153,8 +154,11 @@ type Blade struct {
 
 	invHandler *sim.Resource
 	// faults dedups concurrent faults per (page, want): an open-addressed
-	// table keyed by the packed fault key (see wordtable.go).
-	faults wordTable[fault]
+	// table from the fault key to the fault's id (see wordtable.go).
+	// faultRecs holds every fault object the blade made, fault id i at
+	// i-1.
+	faults    wordTable
+	faultRecs []*fault
 
 	// Free lists for the per-access hot path.
 	faultFree sim.Pool[fault]
@@ -262,8 +266,9 @@ func (b *Blade) newFault(pdid mem.PDID, page mem.VA, want mem.Perm) *fault {
 		f.settled, f.installing, f.resetPending = false, false, false
 		f.comp = coherence.Completion{}
 	} else {
-		f = &fault{b: b}
+		f = &fault{b: b, id: uint32(len(b.faultRecs) + 1)}
 		f.onComplete = func(c coherence.Completion) { f.b.onCompletion(f, c) }
+		b.faultRecs = append(b.faultRecs, f)
 	}
 	f.page, f.want, f.pdid, f.start = page, want, pdid, b.eng.Now()
 	return f
@@ -271,15 +276,16 @@ func (b *Blade) newFault(pdid mem.PDID, page mem.VA, want mem.Perm) *fault {
 
 // startFault begins or joins a page fault for (page, want).
 func (b *Blade) startFault(pdid mem.PDID, page mem.VA, want mem.Perm, done func(AccessResult)) {
-	key := packFaultKey(page, want)
-	if f := b.faults.get(key); f != nil {
+	key := faultKey(page, want)
+	if id := b.faults.get(key); id != 0 {
 		// Another thread on this blade already faulted: share the fault.
+		f := b.faultRecs[id-1]
 		f.waiters = append(f.waiters, waiter{start: b.eng.Now(), done: done})
 		return
 	}
 	f := b.newFault(pdid, page, want)
 	f.waiters = append(f.waiters, waiter{start: f.start, done: done})
-	b.faults.put(key, f)
+	b.faults.put(key, f.id)
 	// Kernel fault entry, then the request goes out.
 	f.pendingIssues++
 	b.eng.ScheduleArg(b.cfg.PageFaultCost, faultIssue, f)
@@ -392,9 +398,9 @@ func (b *Blade) onCompletion(f *fault, c coherence.Completion) {
 		// The record may carry a recycled buffer from its previous
 		// identity; the fetch overwrites it in place (or returns nil for
 		// a never-materialized page, which must read as zero).
-		p.Data = b.deps.FetchData(f.page, p.Data)
+		b.cache.SetData(p, b.deps.FetchData(f.page, b.cache.Data(p)))
 	} else {
-		p.Data = nil
+		b.cache.SetData(p, nil)
 	}
 	if f.want == mem.PermReadWrite {
 		p.Dirty = true
@@ -431,7 +437,7 @@ func (b *Blade) settle(f *fault, r AccessResult) {
 	// Defensive: a recycled fault must never have a live timer pointing
 	// at it (Cancel is a no-op unless the timer is pending).
 	b.eng.Cancel(f.timeout)
-	b.faults.del(packFaultKey(f.page, f.want))
+	b.faults.del(faultKey(f.page, f.want))
 	now := b.eng.Now()
 	r.Page = f.page
 	for _, w := range f.waiters {
@@ -456,7 +462,7 @@ func (b *Blade) evictOne() {
 	if victim.Dirty {
 		b.col.IncH(b.hWritebacks, 1)
 		b.pendingWritebacks++
-		b.deps.Writeback(victim.VA, victim.Data, b.wbDone)
+		b.deps.Writeback(victim.VA, b.cache.Data(victim), b.wbDone)
 	}
 }
 
@@ -522,7 +528,7 @@ func (b *Blade) processInvalidation(j *invJob) {
 				j.info.FalseInvals++
 			}
 			flushes++
-			b.deps.Writeback(p.VA, p.Data, nopDone)
+			b.deps.Writeback(p.VA, b.cache.Data(p), nopDone)
 			p.Dirty = false
 		}
 		if inv.Downgrade && !inv.Reset {

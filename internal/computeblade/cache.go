@@ -13,19 +13,22 @@ import (
 	"mind/internal/sim"
 )
 
-// PageState describes one locally cached page. Page records are pooled:
-// evicted/invalidated pages return to the cache's free list and are
-// reinitialized on the next insert, so steady-state cache churn does not
-// allocate. Callers must treat a PageState as invalid once the page has
-// been evicted or removed.
+// PageState describes one locally cached page: a 24-byte, pointer-free
+// record in the cache's record store. A *PageState points into that
+// store, so it stays valid only until the next Insert of a page the
+// cache does not hold (which may grow the store and move every record);
+// and once the page is evicted or removed, the record belongs to the
+// cache's free chain and is reused by such an Insert. Finish with a
+// record before inserting. The page's bytes, if any, are kept beside
+// the record (Cache.Data).
 type PageState struct {
-	VA       mem.VA
-	Dirty    bool
-	Writable bool
-	Data     []byte // nil until real bytes are stored (lazy materialization)
-
-	// Intrusive LRU ring links (sentinel-based; see Cache.head).
-	prev, next *PageState
+	VA mem.VA
+	// prev and next link the record into the LRU ring (record 0 is the
+	// ring's sentinel); a free record chains the free list through next.
+	prev, next uint32
+	self       uint32 // the record's own index in the store
+	Dirty      bool
+	Writable   bool
 }
 
 // Cache is the compute blade's local DRAM page cache: virtually addressed
@@ -33,53 +36,55 @@ type PageState struct {
 // NewCache.
 type Cache struct {
 	capacity int // pages
-	// pages indexes the cached records by page base: an open-addressed
+	// pages indexes the cached records by page number: an open-addressed
 	// table that grows with occupancy, so the per-access lookup never
 	// pays runtime map hashing (see wordtable.go).
-	pages wordTable[PageState]
-	// head is the LRU ring sentinel: head.next is most recent, head.prev
-	// least recent.
-	head PageState
+	pages wordTable
+	// recs is the record store, addressed by index. recs[0] is the LRU
+	// ring's sentinel: recs[0].next is most recent, recs[0].prev least
+	// recent. The store doubles as pages arrive, up to capacity records
+	// beside the sentinel, so a cache that never fills never pays for its
+	// capacity; evicted records go to the free chain headed by free and
+	// are reused before the store grows again.
+	recs []PageState
+	free uint32
+	// data holds each record's materialized bytes, by record index. It is
+	// created when the cache first stores bytes, so timing-only runs
+	// never pay for it, and a buffer stays with its record across reuse.
+	data [][]byte
 
-	free    sim.Pool[PageState]
 	scratch []*PageState // PagesIn result buffer, reused per call
-
-	// arena is the uncarved rest of the current chunk of page records.
-	// Records are carved arenaChunk at a time as the cache fills, so a
-	// cold fill costs one allocation per chunk rather than per page, and
-	// a cache that never fills never pays for its capacity (the free
-	// list then recycles records forever).
-	arena []PageState
 }
 
-// arenaChunk is how many page records the cache carves per allocation.
-const arenaChunk = 256
+// recordMinCap is the record store's first size, sentinel included.
+const recordMinCap = 16
 
 // NewCache creates a cache holding at most capacity pages. Construction
-// is O(1): the record arena and the page index grow as pages arrive.
+// allocates only the first few records: the store and the page index
+// grow as pages arrive.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		panic("computeblade: cache needs at least one page")
+	if capacity < 1 || capacity > idxMask {
+		panic(fmt.Sprintf("computeblade: cache capacity %d outside [1, %d]", capacity, idxMask))
 	}
-	c := &Cache{capacity: capacity}
-	c.head.prev = &c.head
-	c.head.next = &c.head
-	return c
+	return &Cache{
+		capacity: capacity,
+		recs:     make([]PageState, 1, min(recordMinCap, capacity+1)),
+	}
 }
 
-// unlink removes p from the LRU ring.
-func (c *Cache) unlink(p *PageState) {
-	p.prev.next = p.next
-	p.next.prev = p.prev
-	p.prev, p.next = nil, nil
+// unlink removes record i from the LRU ring.
+func (c *Cache) unlink(i uint32) {
+	p := &c.recs[i]
+	c.recs[p.prev].next = p.next
+	c.recs[p.next].prev = p.prev
 }
 
-// pushFront makes p the most-recently-used entry.
-func (c *Cache) pushFront(p *PageState) {
-	p.prev = &c.head
-	p.next = c.head.next
-	p.prev.next = p
-	p.next.prev = p
+// pushFront makes record i the most recently used.
+func (c *Cache) pushFront(i uint32) {
+	p, head := &c.recs[i], &c.recs[0]
+	p.prev, p.next = 0, head.next
+	c.recs[head.next].prev = i
+	head.next = i
 }
 
 // Capacity returns the page capacity.
@@ -90,9 +95,9 @@ func (c *Cache) Len() int { return c.pages.n }
 
 // touch makes the cached page p the most recently used.
 func (c *Cache) touch(p *PageState) {
-	if c.head.next != p {
-		c.unlink(p)
-		c.pushFront(p)
+	if i := p.self; c.recs[0].next != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
@@ -107,15 +112,16 @@ func (c *Cache) Lookup(va mem.VA) (*PageState, bool) {
 
 // Peek returns the page without recency effects.
 func (c *Cache) Peek(va mem.VA) (*PageState, bool) {
-	p := c.pages.get(packPageKey(mem.PageBase(va)))
-	return p, p != nil
+	if i := c.pages.get(pageKey(va)); i != 0 {
+		return &c.recs[i], true
+	}
+	return nil, false
 }
 
 // Insert adds a page (evicting if needed is the caller's job — use
 // NeedsEviction/EvictLRU first). Inserting an existing page updates it.
 func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
-	base := mem.PageBase(va)
-	if p := c.pages.get(packPageKey(base)); p != nil {
+	if p, ok := c.Peek(va); ok {
 		p.Writable = writable
 		c.touch(p)
 		return p
@@ -123,27 +129,36 @@ func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
 	if c.pages.n >= c.capacity {
 		panic(fmt.Sprintf("computeblade: insert over capacity (%d)", c.capacity))
 	}
-	p := c.free.Get()
-	if p != nil {
-		// Reinitialize, but keep the Data buffer: the blade's fill
-		// either overwrites it in place or replaces it with nil, so
-		// steady-state cache churn over materialized pages recycles page
-		// buffers instead of allocating. Stale bytes never leak — the
-		// buffer is unreachable until the fill assigns Data.
-		p.Dirty = false
-	} else {
-		// The free list is empty, so every record carved so far is in
-		// the table: the next chunk never exceeds what capacity allows.
-		if len(c.arena) == 0 {
-			c.arena = make([]PageState, min(arenaChunk, c.capacity-c.pages.n))
-		}
-		p = &c.arena[0]
-		c.arena = c.arena[1:]
-	}
-	p.VA, p.Writable = base, writable
-	c.pushFront(p)
-	c.pages.put(packPageKey(base), p)
+	i := c.newRecord()
+	// Reinitialize, but keep a reused record's bytes: the blade's fill
+	// either overwrites them in place or replaces them with nil, so
+	// steady-state cache churn over materialized pages recycles page
+	// buffers instead of allocating. Stale bytes never leak — the buffer
+	// is unreachable until the fill stores the page's own.
+	p := &c.recs[i]
+	p.VA, p.Dirty, p.Writable = mem.PageBase(va), false, writable
+	c.pushFront(i)
+	c.pages.put(pageKey(va), i)
 	return p
+}
+
+// newRecord takes a record off the free chain or, when none is free,
+// appends one to the store, doubling it if full.
+func (c *Cache) newRecord() uint32 {
+	if i := c.free; i != 0 {
+		c.free = c.recs[i].next
+		return i
+	}
+	// The free chain is empty, so every record is in the table: the
+	// store never outgrows capacity plus the sentinel.
+	if len(c.recs) == cap(c.recs) {
+		grown := make([]PageState, len(c.recs), min(2*cap(c.recs), c.capacity+1))
+		copy(grown, c.recs)
+		c.recs = grown
+	}
+	i := uint32(len(c.recs))
+	c.recs = append(c.recs, PageState{self: i})
+	return i
 }
 
 // NeedsEviction reports whether an insert requires evicting first.
@@ -151,53 +166,76 @@ func (c *Cache) NeedsEviction() bool { return c.pages.n >= c.capacity }
 
 // EvictLRU removes and returns the least-recently-used page. Returns nil
 // if the cache is empty. The returned record is recycled on the next
-// insert: the caller must finish with it before inserting.
+// insert: the caller must finish with it, and with its Data, before
+// inserting.
 func (c *Cache) EvictLRU() *PageState {
-	if c.head.prev == &c.head {
+	i := c.recs[0].prev
+	if i == 0 {
 		return nil
 	}
-	p := c.head.prev
-	c.remove(p)
-	return p
+	c.remove(i)
+	return &c.recs[i]
 }
 
 // Remove drops a specific page (invalidation path). Returns false if not
 // cached.
 func (c *Cache) Remove(va mem.VA) bool {
-	p := c.pages.get(packPageKey(mem.PageBase(va)))
-	if p == nil {
+	i := c.pages.get(pageKey(va))
+	if i == 0 {
 		return false
 	}
-	c.remove(p)
+	c.remove(i)
 	return true
 }
 
-func (c *Cache) remove(p *PageState) {
-	c.unlink(p)
-	c.pages.del(packPageKey(p.VA))
-	c.free.Put(p)
+func (c *Cache) remove(i uint32) {
+	c.unlink(i)
+	c.pages.del(pageKey(c.recs[i].VA))
+	c.recs[i].next = c.free
+	c.free = i
+}
+
+// Data returns the bytes stored for p's page, or nil when it holds no
+// materialized bytes. Right after an Insert that reused a record, it is
+// the previous page's buffer, for the fill to overwrite (see Insert).
+func (c *Cache) Data(p *PageState) []byte {
+	if int(p.self) < len(c.data) {
+		return c.data[p.self]
+	}
+	return nil
+}
+
+// SetData stores data as p's page bytes; nil marks the page as never
+// written (it reads as zero). The cache keeps the slice, not a copy.
+func (c *Cache) SetData(p *PageState, data []byte) {
+	if int(p.self) >= len(c.data) {
+		if data == nil {
+			return
+		}
+		c.data = append(c.data, make([][]byte, cap(c.recs)-len(c.data))...)
+	}
+	c.data[p.self] = data
 }
 
 // PagesIn returns the cached pages whose addresses fall in [base,
-// base+size), in unspecified order — the invalidation handler's scan.
+// base+size) — the invalidation handler's scan, whose order decides the
+// order of its writebacks. When the range spans no more pages than the
+// cache holds, it probes each page and returns them in ascending VA;
+// otherwise it walks the LRU ring and returns them most recent first.
 // The returned slice is a scratch buffer owned by the cache, valid until
-// the next PagesIn call.
+// the next PagesIn or Insert call.
 func (c *Cache) PagesIn(base mem.VA, size uint64) []*PageState {
 	out := c.scratch[:0]
 	end := base + mem.VA(size)
-	// Probe per page when the range is small relative to occupancy,
-	// otherwise walk the LRU ring (every cached page, recency order —
-	// deterministic, unlike the map scan this replaced).
-	pagesInRange := size / mem.PageSize
-	if pagesInRange <= uint64(c.pages.n) {
+	if size/mem.PageSize <= uint64(c.pages.n) {
 		for va := base; va < end; va += mem.PageSize {
-			if p := c.pages.get(packPageKey(va)); p != nil {
+			if p, ok := c.Peek(va); ok {
 				out = append(out, p)
 			}
 		}
 	} else {
-		for p := c.head.next; p != &c.head; p = p.next {
-			if p.VA >= base && p.VA < end {
+		for i := c.recs[0].next; i != 0; i = c.recs[i].next {
+			if p := &c.recs[i]; p.VA >= base && p.VA < end {
 				out = append(out, p)
 			}
 		}

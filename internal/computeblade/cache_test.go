@@ -148,13 +148,13 @@ func cacheScript(c *Cache, steps int) []uint64 {
 }
 
 // TestCacheGeometryInvariant: nothing a caller sees depends on how far
-// the page index and the record arena have grown. The same script runs
+// the page index and the record store have grown. The same script runs
 // against a cache grown on demand and one that was filled to capacity
 // and emptied first, and must return the same pages in the same order;
 // and a cache that fills ends at the smallest power of two holding it at
 // load 1/2, the geometry a table sized up front for capacity would have.
 func TestCacheGeometryInvariant(t *testing.T) {
-	const capacity = 600 // two full arena chunks and a partial one
+	const capacity = 600 // the record store doubles to 512, then stops at capacity
 	grown, fresh := NewCache(capacity), NewCache(capacity)
 	for i := 0; i < capacity; i++ {
 		grown.Insert(mem.VA(i)<<12, false)
@@ -162,14 +162,14 @@ func TestCacheGeometryInvariant(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		grown.Remove(mem.VA(i) << 12)
 	}
-	if len(grown.pages.keys) <= len(fresh.pages.keys) || grown.Len() != 0 {
+	if len(grown.pages.slots) <= len(fresh.pages.slots) || grown.Len() != 0 {
 		t.Fatalf("set-up: grown cache has %d slots and %d pages, fresh %d slots",
-			len(grown.pages.keys), grown.Len(), len(fresh.pages.keys))
+			len(grown.pages.slots), grown.Len(), len(fresh.pages.slots))
 	}
 	// Too few steps to fill the fresh cache's index to its final size.
 	got, want := cacheScript(fresh, 400), cacheScript(grown, 400)
-	if len(fresh.pages.keys) >= len(grown.pages.keys) {
-		t.Fatalf("fresh cache already at %d slots: the script compares nothing", len(fresh.pages.keys))
+	if len(fresh.pages.slots) >= len(grown.pages.slots) {
+		t.Fatalf("fresh cache already at %d slots: the script compares nothing", len(fresh.pages.slots))
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("a cache grown on demand and a pre-grown one diverge:\n got %v\nwant %v", got, want)
@@ -182,16 +182,40 @@ func TestCacheGeometryInvariant(t *testing.T) {
 	for size < 2*capacity {
 		size *= 2
 	}
-	if !fresh.NeedsEviction() || len(fresh.pages.keys) != size {
-		t.Fatalf("filled cache: %d pages in %d slots, want %d in %d",
-			fresh.Len(), len(fresh.pages.keys), capacity, size)
+	if !fresh.NeedsEviction() || len(fresh.pages.slots) != size || cap(fresh.recs) != capacity+1 {
+		t.Fatalf("filled cache: %d pages in %d slots and %d records, want %d in %d and %d",
+			fresh.Len(), len(fresh.pages.slots), cap(fresh.recs), capacity, size, capacity+1)
+	}
+}
+
+// TestCacheBytesPerPage holds a full cache of pages with no
+// materialized bytes to 48 live heap bytes per page: a 24-byte record
+// plus two 8-byte index slots at load 1/2. Both are pointer-free, so the
+// garbage collector does not scan them either. (A 56-byte record with
+// three pointers and a two-word index slot held ~94.)
+func TestCacheBytesPerPage(t *testing.T) {
+	const pages = 16384
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCache(pages)
+	for i := 0; i < pages; i++ {
+		c.Insert(mem.VA(i)<<mem.PageShift, i%2 == 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	perPage := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / pages
+	t.Logf("%d cached pages: %.1f live bytes per page", c.Len(), perPage)
+	if c.Len() != pages || perPage > 48 {
+		t.Fatalf("%d cached pages hold %.1f live bytes per page, limit 48", c.Len(), perPage)
 	}
 }
 
 // TestConstructionFootprint keeps worst-case preallocation out: an
 // engine and a blade cache cost what they hold, not what they might (a
 // 2.1 ms ring is ~193 KiB of bucket headers per rack engine; records and
-// index sized up front for a 2^20-page cache are 56 + 32 MiB).
+// index sized up front for a 2^20-page cache are 24 + 16 MiB).
 func TestConstructionFootprint(t *testing.T) {
 	var sink any
 	for _, c := range []struct {

@@ -81,8 +81,9 @@ func (r hitRig) page(pg mem.VA) string {
 // lru lists the cached pages, most recent first.
 func (r hitRig) lru() []mem.VA {
 	var out []mem.VA
-	for p := r.b.cache.head.next; p != &r.b.cache.head; p = p.next {
-		out = append(out, p.VA)
+	recs := r.b.cache.recs
+	for i := recs[0].next; i != 0; i = recs[i].next {
+		out = append(out, recs[i].VA)
 	}
 	return out
 }

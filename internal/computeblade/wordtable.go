@@ -1,86 +1,102 @@
 package computeblade
 
 import (
+	"fmt"
+
 	"mind/internal/mem"
 )
 
-// Keys are an identity packed into one nonzero word, so zero can mark an
-// empty table slot. Pages are 4 KB aligned, which leaves a page base's
-// low 12 bits free: a cached page sets the low bit (VA 0 is a legal page
-// base), a fault carries the wanted permission class there (Perm is 1 or
-// 2).
+// A wordTable slot packs an entry into one word: its key in the high
+// keyBits bits and the index of its record in the low idxBits. Record
+// indices start at 1, so a nonzero slot is an entry and zero marks an
+// empty slot, whatever the key (page 0 is a legal page).
+const (
+	idxBits = 24
+	idxMask = 1<<idxBits - 1
+	keyBits = 64 - idxBits
+)
 
-func packPageKey(base mem.VA) uint64 { return uint64(base) | 1 }
+// pageKey is a cached page's key: the page number of any address in it.
+func pageKey(va mem.VA) uint64 { return mem.PageIndex(va) }
 
-func packFaultKey(page mem.VA, want mem.Perm) uint64 { return uint64(page) | uint64(want) }
+// faultKey is an in-flight fault's key: the page number and the wanted
+// permission class (Perm is 1 or 2) in the low two bits.
+func faultKey(page mem.VA, want mem.Perm) uint64 { return mem.PageIndex(page)<<2 | uint64(want) }
 
-// wordTable is an open-addressed hash table from packed nonzero keys to
-// records: the cache's page index, on the hit path of every simulated
-// memory access, and the blade's in-flight-fault dedup table ("is this
-// page already faulting?"). Linear probing with backward-shift deletion
-// keeps a lookup to a few cache-line touches with no runtime map
-// hashing, no tombstone decay and no per-entry allocation. The table
-// starts at wordTableMinSize slots on the first insert and doubles when
-// an insert would pass load 1/2, so its footprint follows what was
-// inserted, not what might be: a cache that fills ends at the smallest
-// power of two >= twice its capacity, one that sees a few hundred faults
-// never pays for more. Nothing observable depends on the table's size —
-// it is never iterated.
-type wordTable[V any] struct {
-	keys []uint64
-	vals []*V
-	n    int
+// wordTable is an open-addressed hash table from keys below 2^keyBits to
+// record indices: the cache's page index, on the hit path of every
+// simulated memory access, and the blade's in-flight-fault dedup table
+// ("is this page already faulting?"). One uint64 per slot makes a probe
+// one cache-line touch and the table pointer-free, so the garbage
+// collector never scans it. Linear probing with backward-shift deletion
+// keeps a lookup to a few slots with no runtime map hashing, no
+// tombstone decay and no per-entry allocation. The table starts at
+// wordTableMinSize slots on the first insert and doubles when an insert
+// would pass load 1/2, so its footprint follows what was inserted, not
+// what might be: a cache that fills ends at the smallest power of two >=
+// twice its capacity, one that sees a few hundred faults never pays for
+// more. Nothing observable depends on the table's size — it is never
+// iterated.
+type wordTable struct {
+	slots []uint64
+	n     int
 }
 
 const wordTableMinSize = 16 // power of two
 
-func (t *wordTable[V]) mask() uint64 { return uint64(len(t.keys) - 1) }
+func (t *wordTable) mask() uint64 { return uint64(len(t.slots) - 1) }
 
-// hashWord mixes a packed key (fibonacci hashing; page bases are aligned
-// so the low bits alone would collide structurally).
+// hashWord mixes a key (fibonacci hashing; page numbers are dense, so
+// the low bits alone would cluster).
 func hashWord(k uint64) uint64 { return (k * 0x9e3779b97f4a7c15) >> 32 }
 
-// get returns the record for k, or nil.
-func (t *wordTable[V]) get(k uint64) *V {
+// get returns the record index for k, or 0.
+func (t *wordTable) get(k uint64) uint32 {
 	if t.n == 0 {
-		return nil
+		return 0
 	}
 	m := t.mask()
 	for i := hashWord(k) & m; ; i = (i + 1) & m {
-		switch t.keys[i] {
-		case k:
-			return t.vals[i]
-		case 0:
-			return nil
+		s := t.slots[i]
+		if s == 0 {
+			return 0
+		}
+		if s>>idxBits == k {
+			return uint32(s & idxMask)
 		}
 	}
 }
 
-// put inserts k -> v (k must not be present).
-func (t *wordTable[V]) put(k uint64, v *V) {
-	if 2*(t.n+1) > len(t.keys) {
+// put inserts k -> idx (k must not be present, idx must be nonzero).
+func (t *wordTable) put(k uint64, idx uint32) {
+	if k>>keyBits != 0 || idx == 0 || idx > idxMask {
+		panic(fmt.Sprintf("computeblade: table entry (%#x, %d) outside %d-bit keys and %d-bit indices",
+			k, idx, keyBits, idxBits))
+	}
+	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	m := t.mask()
-	i := hashWord(k) & m
-	for t.keys[i] != 0 {
-		i = (i + 1) & m
-	}
-	t.keys[i] = k
-	t.vals[i] = v
+	t.place(k<<idxBits | uint64(idx))
 	t.n++
 }
 
+// place stores slot s in the first free slot of its probe chain.
+func (t *wordTable) place(s uint64) {
+	m := t.mask()
+	i := hashWord(s>>idxBits) & m
+	for t.slots[i] != 0 {
+		i = (i + 1) & m
+	}
+	t.slots[i] = s
+}
+
 // grow rehashes into a table twice the size (or the first one).
-func (t *wordTable[V]) grow() {
-	oldK, oldV := t.keys, t.vals
-	size := max(wordTableMinSize, 2*len(oldK))
-	t.keys = make([]uint64, size)
-	t.vals = make([]*V, size)
-	t.n = 0
-	for i, k := range oldK {
-		if k != 0 {
-			t.put(k, oldV[i])
+func (t *wordTable) grow() {
+	old := t.slots
+	t.slots = make([]uint64, max(wordTableMinSize, 2*len(old)))
+	for _, s := range old {
+		if s != 0 {
+			t.place(s)
 		}
 	}
 }
@@ -88,35 +104,36 @@ func (t *wordTable[V]) grow() {
 // del removes k; absent keys are a no-op. Backward-shift deletion: the
 // vacated slot pulls back any displaced entries in its probe chain, so
 // the table never accumulates tombstones.
-func (t *wordTable[V]) del(k uint64) {
+func (t *wordTable) del(k uint64) {
 	if t.n == 0 {
 		return
 	}
 	m := t.mask()
 	i := hashWord(k) & m
-	for t.keys[i] != k {
-		if t.keys[i] == 0 {
+	for ; ; i = (i + 1) & m {
+		s := t.slots[i]
+		if s == 0 {
 			return
 		}
-		i = (i + 1) & m
+		if s>>idxBits == k {
+			break
+		}
 	}
 	t.n--
 	for {
-		t.keys[i] = 0
-		t.vals[i] = nil
+		t.slots[i] = 0
 		// Shift back any entry whose home position precedes the hole.
 		j := i
 		for {
 			j = (j + 1) & m
-			if t.keys[j] == 0 {
+			if t.slots[j] == 0 {
 				return
 			}
-			home := hashWord(t.keys[j]) & m
+			home := hashWord(t.slots[j]>>idxBits) & m
 			// Entry j may move into the hole i iff its home position is
 			// outside the (cyclic) range (i, j].
 			if (j-home)&m >= (j-i)&m {
-				t.keys[i] = t.keys[j]
-				t.vals[i] = t.vals[j]
+				t.slots[i] = t.slots[j]
 				i = j
 				break
 			}

@@ -9,38 +9,39 @@ import (
 
 // tableOps replays an op sequence against a wordTable and a map oracle,
 // three bytes per op: the kind (put-if-absent twice as likely as delete
-// or lookup) and a 16-bit page number. After every op the touched key
-// and the count must agree; check compares everything.
+// or lookup) and a 16-bit page number. A put stores a fresh index, so a
+// slot that kept a stale entry's index shows. After every op the touched
+// key and the count must agree; check compares everything.
 type tableOps struct {
 	t      *testing.T
-	tab    wordTable[uint64]
-	oracle map[uint64]*uint64
+	tab    wordTable
+	oracle map[uint64]uint32
+	puts   uint32
 }
 
 func runTableOps(t *testing.T, ops []byte) *tableOps {
-	r := &tableOps{t: t, oracle: map[uint64]*uint64{}}
+	r := &tableOps{t: t, oracle: map[uint64]uint32{}}
 	for ; len(ops) >= 3; ops = ops[3:] {
-		k := packPageKey(mem.VA(uint64(ops[1])<<8|uint64(ops[2])) << 12)
-		size := len(r.tab.keys)
+		k := pageKey(mem.VA(uint64(ops[1])<<8|uint64(ops[2])) << 12)
+		size := len(r.tab.slots)
 		switch ops[0] % 4 {
 		case 0, 1:
-			if r.oracle[k] == nil {
-				v := new(uint64)
-				*v = k
-				r.oracle[k] = v
-				r.tab.put(k, v)
+			if r.oracle[k] == 0 {
+				r.puts++
+				r.oracle[k] = r.puts
+				r.tab.put(k, r.puts)
 			}
 		case 2:
 			delete(r.oracle, k)
 			r.tab.del(k)
 		}
 		if got := r.tab.get(k); got != r.oracle[k] {
-			t.Fatalf("get(%#x) = %p, oracle %p", k, got, r.oracle[k])
+			t.Fatalf("get(%#x) = %d, oracle %d", k, got, r.oracle[k])
 		}
 		if r.tab.n != len(r.oracle) {
 			t.Fatalf("n = %d, oracle holds %d", r.tab.n, len(r.oracle))
 		}
-		if len(r.tab.keys) != size {
+		if len(r.tab.slots) != size {
 			r.check() // just rehashed
 		}
 	}
@@ -49,23 +50,31 @@ func runTableOps(t *testing.T, ops []byte) *tableOps {
 }
 
 // check verifies the whole table: geometry (power of two, load <= 1/2),
-// every oracle key found with its value, and no slot holding anything
+// every oracle key found with its index, and no slot holding anything
 // the oracle does not.
 func (r *tableOps) check() {
 	r.t.Helper()
-	size := len(r.tab.keys)
-	if size&(size-1) != 0 || len(r.tab.vals) != size || 2*r.tab.n > size {
-		r.t.Fatalf("geometry: %d keys, %d vals, %d entries", size, len(r.tab.vals), r.tab.n)
+	size := len(r.tab.slots)
+	if size&(size-1) != 0 || 2*r.tab.n > size {
+		r.t.Fatalf("geometry: %d slots, %d entries", size, r.tab.n)
 	}
 	for k, v := range r.oracle {
 		if got := r.tab.get(k); got != v {
-			r.t.Fatalf("get(%#x) = %p, oracle %p", k, got, v)
+			r.t.Fatalf("get(%#x) = %d, oracle %d", k, got, v)
 		}
 	}
-	for i, k := range r.tab.keys {
-		if (k == 0) != (r.tab.vals[i] == nil) || (k != 0 && r.oracle[k] != r.tab.vals[i]) {
-			r.t.Fatalf("slot %d holds (%#x, %p), oracle %p", i, k, r.tab.vals[i], r.oracle[k])
+	full := 0
+	for i, s := range r.tab.slots {
+		if s == 0 {
+			continue
 		}
+		full++
+		if k, v := s>>idxBits, uint32(s&idxMask); r.oracle[k] != v {
+			r.t.Fatalf("slot %d holds (%#x, %d), oracle %d", i, k, v, r.oracle[k])
+		}
+	}
+	if full != len(r.oracle) {
+		r.t.Fatalf("%d slots in use, oracle holds %d", full, len(r.oracle))
 	}
 }
 
@@ -88,7 +97,7 @@ func randomTableOps(seed uint64, n, pages int) []byte {
 func wrappedChainOps() []byte {
 	var pages []int
 	for p := 0; len(pages) < 9; p++ {
-		if home := hashWord(packPageKey(mem.VA(p)<<12)) & 31; home >= 30 {
+		if home := hashWord(pageKey(mem.VA(p)<<12)) & 31; home >= 30 {
 			pages = append(pages, p)
 		}
 	}
@@ -108,8 +117,8 @@ func wrappedChainOps() []byte {
 func TestWordTableAgainstMap(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		r := runTableOps(t, randomTableOps(seed, 6000, 400))
-		if len(r.tab.keys) < 16<<4 {
-			t.Fatalf("seed %d: table ended at %d slots, want at least four doublings", seed, len(r.tab.keys))
+		if len(r.tab.slots) < 16<<4 {
+			t.Fatalf("seed %d: table ended at %d slots, want at least four doublings", seed, len(r.tab.slots))
 		}
 	}
 	// A small universe keeps the table churning at one size.
@@ -117,9 +126,9 @@ func TestWordTableAgainstMap(t *testing.T) {
 
 	ops := wrappedChainOps()
 	r := runTableOps(t, ops[:3*9])
-	if len(r.tab.keys) != 32 || r.tab.keys[31] == 0 || r.tab.keys[0] == 0 {
+	if len(r.tab.slots) != 32 || r.tab.slots[31] == 0 || r.tab.slots[0] == 0 {
 		t.Fatalf("after nine inserts: %d slots, slot 31 = %#x, slot 0 = %#x; want a chain wrapped around a 32-slot table",
-			len(r.tab.keys), r.tab.keys[31], r.tab.keys[0])
+			len(r.tab.slots), r.tab.slots[31], r.tab.slots[0])
 	}
 	runTableOps(t, ops)
 }

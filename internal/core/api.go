@@ -144,20 +144,22 @@ func (t *Thread) access(va mem.VA, write bool) error {
 }
 
 // page performs one blocking access to the n bytes at va, which must stay
-// within one page, and returns the cached page and va's offset in it.
-func (t *Thread) page(va mem.VA, n int, write bool) (*computeblade.PageState, int, error) {
+// within one page, and returns the blade's cache, the cached page and
+// va's offset in it.
+func (t *Thread) page(va mem.VA, n int, write bool) (*computeblade.Cache, *computeblade.PageState, int, error) {
 	if err := t.access(va, write); err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	off := int(va - mem.PageBase(va))
 	if off+n > mem.PageSize {
-		return nil, 0, fmt.Errorf("core: %d-byte access at %#x crosses a page boundary", n, uint64(va))
+		return nil, nil, 0, fmt.Errorf("core: %d-byte access at %#x crosses a page boundary", n, uint64(va))
 	}
-	p, ok := t.c.cblades[t.blade].Cache().Peek(va)
+	cache := t.c.cblades[t.blade].Cache()
+	p, ok := cache.Peek(va)
 	if !ok {
-		return nil, 0, fmt.Errorf("core: page vanished after the fault at %#x", uint64(va))
+		return nil, nil, 0, fmt.Errorf("core: page vanished after the fault at %#x", uint64(va))
 	}
-	return p, off, nil
+	return cache, p, off, nil
 }
 
 // Load reads one byte-addressed uint64 (little endian) from the global
@@ -166,14 +168,15 @@ func (t *Thread) page(va mem.VA, n int, write bool) (*computeblade.PageState, in
 // under every Config.Consistency: only Thread.Start's access loop
 // lets write faults run asynchronously under PSO.
 func (t *Thread) Load(va mem.VA) (uint64, error) {
-	p, off, err := t.page(va, 8, false)
+	cache, p, off, err := t.page(va, 8, false)
 	if err != nil {
 		return 0, err
 	}
-	if p.Data == nil {
+	data := cache.Data(p)
+	if data == nil {
 		return 0, nil // never-written memory reads as zero
 	}
-	return binary.LittleEndian.Uint64(p.Data[off : off+8]), nil
+	return binary.LittleEndian.Uint64(data[off : off+8]), nil
 }
 
 // Store writes one uint64 (little endian), acquiring write ownership.
@@ -186,27 +189,29 @@ func (t *Thread) Store(va mem.VA, val uint64) error {
 // LoadBytes copies length bytes starting at va (must stay within one
 // page).
 func (t *Thread) LoadBytes(va mem.VA, length int) ([]byte, error) {
-	p, off, err := t.page(va, length, false)
+	cache, p, off, err := t.page(va, length, false)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, length)
-	if p.Data != nil {
-		copy(out, p.Data[off:off+length])
+	if data := cache.Data(p); data != nil {
+		copy(out, data[off:off+length])
 	}
 	return out, nil
 }
 
 // StoreBytes writes bytes starting at va (within one page).
 func (t *Thread) StoreBytes(va mem.VA, data []byte) error {
-	p, off, err := t.page(va, len(data), true)
+	cache, p, off, err := t.page(va, len(data), true)
 	if err != nil {
 		return err
 	}
-	if p.Data == nil {
-		p.Data = make([]byte, mem.PageSize)
+	buf := cache.Data(p)
+	if buf == nil {
+		buf = make([]byte, mem.PageSize)
+		cache.SetData(p, buf)
 	}
-	copy(p.Data[off:off+len(data)], data)
+	copy(buf[off:off+len(data)], data)
 	p.Dirty = true
 	return nil
 }
