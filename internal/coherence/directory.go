@@ -114,8 +114,10 @@ type pending struct {
 	pdid mem.PDID
 	done func(Completion)
 
-	// Transition bookkeeping.
+	// Transition bookkeeping. region is the region the transition
+	// claimed (use claimed()), regionGen its identity at the claim.
 	region       *Region
+	regionGen    uint32
 	inv          Invalidation
 	transition   string
 	needAcks     int
@@ -180,8 +182,12 @@ type Directory struct {
 	// regSlab hands out Region objects in 256-entry slabs: directory
 	// entries are created in working-set-sized bursts (one per touched
 	// initial region), so slab allocation keeps entry creation off the
-	// per-object allocator.
+	// per-object allocator. regFree holds removed regions nothing can
+	// reach any more; they are reused before the slab is cut again, so a
+	// slab does not stay reachable for one live member while the rest
+	// of it is dead.
 	regSlab []Region
+	regFree sim.Pool[Region]
 
 	// Pre-resolved stats handles.
 	hRemote     stats.Handle
@@ -299,16 +305,39 @@ func (d *Directory) lookupOrCreate(va mem.VA) (*Region, error) {
 	return nil, fmt.Errorf("coherence: cannot place region for %#x", uint64(va))
 }
 
-// allocRegion takes a zeroed Region from the slab. Slab entries are
-// never returned individually; removed regions (munmap/reset) simply
-// drop out of the table.
+// allocRegion takes a zeroed Region from the free list, else from the
+// slab.
 func (d *Directory) allocRegion() *Region {
+	if r := d.regFree.Get(); r != nil {
+		return r
+	}
 	if len(d.regSlab) == 0 {
 		d.regSlab = make([]Region, 256)
 	}
 	r := &d.regSlab[0]
 	d.regSlab = d.regSlab[1:]
 	return r
+}
+
+// dropRegion takes r out of the table. It is recycled once nothing
+// holds it (see Region.holds).
+func (d *Directory) dropRegion(r *Region) {
+	d.rt.remove(r.Base)
+	r.dropped = true
+	d.maybeRecycleRegion(r)
+}
+
+// unholdRegion releases one hold on r.
+func (d *Directory) unholdRegion(r *Region) {
+	r.holds--
+	d.maybeRecycleRegion(r)
+}
+
+func (d *Directory) maybeRecycleRegion(r *Region) {
+	if r.dropped && r.holds == 0 {
+		*r = Region{gen: r.gen + 1}
+		d.regFree.Put(r)
+	}
 }
 
 // errDirectoryFull is createRegion's failure, built once: a capped
@@ -354,6 +383,9 @@ func (d *Directory) newPending(key reqKey, pdid mem.PDID, done func(Completion))
 func (d *Directory) recycle(p *pending) {
 	if p.needAcks != 0 {
 		return
+	}
+	if p.region != nil {
+		d.unholdRegion(p.region)
 	}
 	p.done = nil
 	p.region = nil
@@ -420,7 +452,8 @@ func (d *Directory) RequestPage(blade int, pdid mem.PDID, va mem.VA, want mem.Pe
 // the two-MAU + recirculation pattern (§6.3, Figure 4).
 func (d *Directory) startTransition(r *Region, p *pending) {
 	r.busy = true
-	p.region = r
+	r.holds++
+	p.region, p.regionGen = r, r.gen
 	d.asic.Recirculated()
 	d.col.IncH(d.hRecirc, 1)
 	d.fab.RecirculateArg(pendExec, p)
@@ -433,8 +466,19 @@ func pendExec(x any) {
 	p.d.executeTransition(p)
 }
 
-func (d *Directory) executeTransition(p *pending) {
+// claimed returns the region p's transition claimed. A region is recycled
+// only when nothing holds it, so finding it under a newer identity means
+// the hold accounting broke.
+func (p *pending) claimed() *Region {
 	r := p.region
+	if r.gen != p.regionGen {
+		panic(fmt.Sprintf("coherence: request for %#x reached a recycled region", uint64(p.key.page)))
+	}
+	return r
+}
+
+func (d *Directory) executeTransition(p *pending) {
+	r := p.claimed()
 	blade := p.key.blade
 	write := p.key.want == mem.PermReadWrite
 
@@ -567,7 +611,7 @@ func (d *Directory) sendInvalidations(p *pending, downgrade bool) {
 	d.scratchPorts = ports
 	d.col.IncH(d.hMulticasts, 1)
 	p.inv = Invalidation{
-		Region:    p.region.Range(),
+		Region:    p.claimed().Range(),
 		Requested: p.key.page,
 		Downgrade: downgrade,
 	}
@@ -617,7 +661,7 @@ func (d *Directory) sendInvalidations(p *pending, downgrade bool) {
 }
 
 func (d *Directory) handleAck(p *pending, info AckInfo) {
-	r := p.region
+	r := p.claimed()
 	r.falseInvals += uint64(info.FalseInvals)
 	r.invalsEpoch++
 	d.col.IncH(d.hFlushed, uint64(info.FlushedDirty))
@@ -660,7 +704,7 @@ func (d *Directory) fetchAndDeliver(p *pending) {
 	home, err := d.translate(p.key.page)
 	if err != nil {
 		if d.bounce(p, Completion{Err: err}) {
-			d.finish(p.region)
+			d.finish(p.claimed())
 			d.recycle(p)
 		}
 		return
@@ -700,7 +744,7 @@ func (d *Directory) notifyComplete(p *pending) {
 		InvQueue:      p.invQueue,
 		InvTLB:        p.invTLB,
 	})
-	d.finish(p.region)
+	d.finish(p.claimed())
 	d.recycle(p)
 }
 

@@ -298,6 +298,16 @@ func (f *dirFuzz) check() {
 	if d.RegionCount() != d.SlotsInUse() || d.SlotsInUse() > f.slots {
 		t.Fatalf("op %d: %d regions in %d slots, cap %d", f.op, d.RegionCount(), d.SlotsInUse(), f.slots)
 	}
+	// Regions are recycled once nothing holds them: a request still in
+	// flight must find its region under the identity it claimed (the
+	// directory checks the same at every use, abandoned requests
+	// included) and holding it.
+	for key, p := range d.inFlight {
+		if r := p.region; r != nil && (r.gen != p.regionGen || r.holds == 0 || r.dropped) {
+			t.Fatalf("op %d: in-flight request %+v reaches region %v (gen %d, claimed %d, holds %d, dropped %v)",
+				f.op, key, r, r.gen, p.regionGen, r.holds, r.dropped)
+		}
+	}
 	bases := d.AllRegionBases()
 	if len(bases) != d.RegionCount() {
 		t.Fatalf("op %d: %d region bases, RegionCount %d", f.op, len(bases), d.RegionCount())

@@ -214,8 +214,9 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	r.falseInvals += buddy.falseInvals
 	r.invalsEpoch += buddy.invalsEpoch
 	r.Size *= 2
-	d.rt.remove(buddyBase)
-	if err := d.asic.Directory.Release(switchasic.SlotID(buddy.slot)); err != nil {
+	slot := buddy.slot
+	d.dropRegion(buddy)
+	if err := d.asic.Directory.Release(switchasic.SlotID(slot)); err != nil {
 		panic(fmt.Sprintf("coherence: releasing buddy slot: %v", err))
 	}
 	d.col.IncH(d.hMerges, 1)
@@ -311,8 +312,9 @@ func (d *Directory) RemoveRegion(base mem.VA) error {
 	if r.busy || r.queuedWaiters() > 0 {
 		return ErrRegionBusy
 	}
-	d.rt.remove(base)
-	if err := d.asic.Directory.Release(switchasic.SlotID(r.slot)); err != nil {
+	slot := r.slot
+	d.dropRegion(r)
+	if err := d.asic.Directory.Release(switchasic.SlotID(slot)); err != nil {
 		panic(fmt.Sprintf("coherence: releasing slot: %v", err))
 	}
 	return nil
@@ -332,6 +334,7 @@ func (d *Directory) ResetRegion(va mem.VA, done func()) {
 	}
 	d.col.IncH(d.hResets, 1)
 	r.resetting = true
+	r.holds++ // until removeAfterReset
 
 	// Answer every request on the region with Retry, in key order: the
 	// queued waiters and the in-flight transition (if any), which is
@@ -404,4 +407,5 @@ func (d *Directory) removeAfterReset(r *Region) {
 	if d.rt.exact(r.Base) == r {
 		_ = d.RemoveRegion(r.Base)
 	}
+	d.unholdRegion(r)
 }

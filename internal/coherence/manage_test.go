@@ -258,6 +258,65 @@ func TestRemoveRegion(t *testing.T) {
 	}
 }
 
+// TestRegionChurnReusesEntries splits 64 regions down to pages and
+// merges them back, and removes and recreates a quarter of them, for 50
+// rounds: every Region object the directory ever used must be live at
+// the peak, so the churn costs no more than the live entries' slabs.
+func TestRegionChurnReusesEntries(t *testing.T) {
+	const regions, size = 64, 16 << 10
+	d, asic := newTestDirectory(t, 1000, size, 2<<20)
+	used := map[*Region]bool{}
+	peak := 0
+	observe := func() {
+		d.rt.forEach(func(r *Region) { used[r] = true })
+		peak = max(peak, d.RegionCount())
+	}
+	for i := 0; i < regions; i++ {
+		if _, err := d.lookupOrCreate(mem.VA(i * size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 50; round++ {
+		for _, base := range d.AllRegionBases() {
+			if err := d.SplitRegion(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, base := range d.AllRegionBases() {
+			if err := d.SplitRegion(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		observe()
+		for _, half := range []uint64{mem.PageSize, 2 * mem.PageSize} {
+			for _, base := range d.AllRegionBases() {
+				if uint64(base)%(2*half) == 0 {
+					if err := d.MergeRegion(base); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for i := round % 4; i < regions; i += 4 {
+			if err := d.RemoveRegion(mem.VA(i * size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := round % 4; i < regions; i += 4 {
+			if _, err := d.lookupOrCreate(mem.VA(i * size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		observe()
+	}
+	if d.RegionCount() != regions || asic.Directory.InUse() != regions || peak != 4*regions {
+		t.Fatalf("%d regions in %d slots, peak %d", d.RegionCount(), asic.Directory.InUse(), peak)
+	}
+	if len(used) > peak {
+		t.Fatalf("%d Region objects used for at most %d live entries", len(used), peak)
+	}
+}
+
 func TestEpochStatsAndReset(t *testing.T) {
 	d, _ := newTestDirectory(t, 100, 16<<10, 2<<20)
 	r, _ := d.lookupOrCreate(0x4000)

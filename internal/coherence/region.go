@@ -91,6 +91,15 @@ type Region struct {
 	invalsEpoch uint64
 
 	slot int // SRAM slot id (diagnostic)
+
+	// holds counts what can reach the region outside the table: the
+	// request whose transition claimed it, until that request is
+	// recycled, and each §4.4 reset in progress on it. dropped marks a
+	// region taken out of the table. A dropped region nothing holds is
+	// recycled for the next directory entry; gen counts its identities.
+	holds   int
+	dropped bool
+	gen     uint32
 }
 
 // queuedWaiters returns how many requests are parked on the region.
