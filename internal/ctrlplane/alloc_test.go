@@ -2,8 +2,10 @@ package ctrlplane
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mind/internal/mem"
 	"mind/internal/stats"
@@ -350,7 +352,9 @@ func TestAllocatorProperty(t *testing.T) {
 		}
 		return sum == a.TotalAllocated() && a.LiveAllocations() == len(live)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,9 +3,11 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mind/internal/mem"
 	"mind/internal/sim"
@@ -213,7 +215,9 @@ func TestTheorem51Bound(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

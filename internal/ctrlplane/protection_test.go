@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mind/internal/mem"
 	"mind/internal/switchasic"
@@ -233,7 +234,9 @@ func TestProtectionCoverageProperty(t *testing.T) {
 		}
 		return asic.Protection.Len() <= 2*mem.Log2(mem.NextPow2(length))+2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

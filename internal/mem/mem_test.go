@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPageHelpers(t *testing.T) {
@@ -129,7 +131,9 @@ func TestSplitPow2Property(t *testing.T) {
 		}
 		return len(rs) <= 2*Log2(NextPow2(length))+2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

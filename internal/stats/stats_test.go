@@ -2,8 +2,10 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mind/internal/sim"
 )
@@ -133,7 +135,9 @@ func TestJainFairnessBoundsProperty(t *testing.T) {
 		n := float64(len(loads))
 		return got >= 1/n-1e-9 && got <= 1+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTCAMInsertLookup(t *testing.T) {
@@ -177,7 +178,9 @@ func TestTCAMLPMProperty(t *testing.T) {
 		v, err := tc.Lookup(0, addr)
 		return err == nil && v == 0 // smallest range (i=0) must win
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -212,7 +215,9 @@ func TestTCAMInsertDeleteInverseProperty(t *testing.T) {
 		v, err := tc.Lookup(0, 12345)
 		return err == nil && v == 99
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	seed := time.Now().UnixNano() // to replay a failure, pin the logged seed here
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }
