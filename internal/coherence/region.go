@@ -62,13 +62,6 @@ type Region struct {
 	Size uint64
 
 	state State
-	owner int // valid when state == Modified
-	// sharers is the set of compute blades possibly holding pages, as a
-	// bitmap over blade IDs — one uint64 word covers a 64-blade rack, so
-	// sharer-set updates and the egress-pruning intersection are
-	// word-parallel instead of per-member map operations.
-	sharers bitset.Set
-
 	// busy serializes transitions: while a transition is collecting ACKs
 	// or data, conflicting requests queue in waiters — a head-indexed
 	// queue (entries before wHead are popped) so a drained queue's
@@ -76,12 +69,29 @@ type Region struct {
 	// queueing (slow cross-rack faults piling conflicting requests onto
 	// a hot region) a slide-forward slice would reallocate on nearly
 	// every append.
-	busy    bool
-	waiters []*pending
-	wHead   int
+	busy bool
 	// resetting marks a §4.4 reset in progress: new requests bounce with
 	// Retry until the entry is removed.
 	resetting bool
+	// holds counts what can reach the region outside the table: the
+	// request whose transition claimed it, until that request is
+	// recycled, and each §4.4 reset in progress on it. dropped marks a
+	// region taken out of the table. A dropped region nothing holds is
+	// recycled for the next directory entry; gen counts its identities.
+	// (The small fields share one word: a Region is 120 bytes.)
+	dropped bool
+	gen     uint32
+	holds   int
+
+	owner int // valid when state == Modified
+	// sharers is the set of compute blades possibly holding pages, as a
+	// bitmap over blade IDs — one uint64 word covers a 64-blade rack, so
+	// sharer-set updates and the egress-pruning intersection are
+	// word-parallel instead of per-member map operations.
+	sharers bitset.Set
+
+	waiters []*pending
+	wHead   int
 
 	// falseInvals counts dirty pages flushed beyond the requested page
 	// during this epoch — the signal Bounded Splitting consumes (§5.1).
@@ -91,15 +101,6 @@ type Region struct {
 	invalsEpoch uint64
 
 	slot int // SRAM slot id (diagnostic)
-
-	// holds counts what can reach the region outside the table: the
-	// request whose transition claimed it, until that request is
-	// recycled, and each §4.4 reset in progress on it. dropped marks a
-	// region taken out of the table. A dropped region nothing holds is
-	// recycled for the next directory entry; gen counts its identities.
-	holds   int
-	dropped bool
-	gen     uint32
 }
 
 // queuedWaiters returns how many requests are parked on the region.
