@@ -42,10 +42,11 @@ type Cache struct {
 	pages wordTable
 	// recs is the record store, addressed by index. recs[0] is the LRU
 	// ring's sentinel: recs[0].next is most recent, recs[0].prev least
-	// recent. The store doubles as pages arrive, up to capacity records
-	// beside the sentinel, so a cache that never fills never pays for its
-	// capacity; evicted records go to the free chain headed by free and
-	// are reused before the store grows again.
+	// recent. The store is made by the first insert and doubles as pages
+	// arrive, up to capacity records beside the sentinel, so a cache that
+	// never fills never pays for its capacity; evicted records go to the
+	// free chain headed by free and are reused before the store grows
+	// again.
 	recs []PageState
 	free uint32
 	// data holds each record's materialized bytes, by record index. It is
@@ -60,16 +61,12 @@ type Cache struct {
 const recordMinCap = 16
 
 // NewCache creates a cache holding at most capacity pages. Construction
-// allocates only the first few records: the store and the page index
-// grow as pages arrive.
+// is O(1): the record store and the page index grow as pages arrive.
 func NewCache(capacity int) *Cache {
 	if capacity < 1 || capacity > idxMask {
 		panic(fmt.Sprintf("computeblade: cache capacity %d outside [1, %d]", capacity, idxMask))
 	}
-	return &Cache{
-		capacity: capacity,
-		recs:     make([]PageState, 1, min(recordMinCap, capacity+1)),
-	}
+	return &Cache{capacity: capacity}
 }
 
 // unlink removes record i from the LRU ring.
@@ -152,7 +149,7 @@ func (c *Cache) newRecord() uint32 {
 	// The free chain is empty, so every record is in the table: the
 	// store never outgrows capacity plus the sentinel.
 	if len(c.recs) == cap(c.recs) {
-		grown := make([]PageState, len(c.recs), min(2*cap(c.recs), c.capacity+1))
+		grown := make([]PageState, max(len(c.recs), 1), min(max(2*cap(c.recs), recordMinCap), c.capacity+1))
 		copy(grown, c.recs)
 		c.recs = grown
 	}
@@ -169,10 +166,10 @@ func (c *Cache) NeedsEviction() bool { return c.pages.n >= c.capacity }
 // insert: the caller must finish with it, and with its Data, before
 // inserting.
 func (c *Cache) EvictLRU() *PageState {
-	i := c.recs[0].prev
-	if i == 0 {
+	if c.pages.n == 0 {
 		return nil
 	}
+	i := c.recs[0].prev
 	c.remove(i)
 	return &c.recs[i]
 }
@@ -227,6 +224,9 @@ func (c *Cache) SetData(p *PageState, data []byte) {
 func (c *Cache) PagesIn(base mem.VA, size uint64) []*PageState {
 	out := c.scratch[:0]
 	end := base + mem.VA(size)
+	if c.pages.n == 0 {
+		return out
+	}
 	if size/mem.PageSize <= uint64(c.pages.n) {
 		for va := base; va < end; va += mem.PageSize {
 			if p, ok := c.Peek(va); ok {

@@ -82,6 +82,9 @@ func (r hitRig) page(pg mem.VA) string {
 func (r hitRig) lru() []mem.VA {
 	var out []mem.VA
 	recs := r.b.cache.recs
+	if len(recs) == 0 {
+		return nil // nothing was ever cached
+	}
 	for i := recs[0].next; i != 0; i = recs[i].next {
 		out = append(out, recs[i].VA)
 	}
