@@ -78,7 +78,7 @@ func TestCachePagesIn(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("pages in range = %d, want 3", len(got))
 	}
-	// Large sparse range exercises the map-scan path.
+	// A range larger than the occupancy takes the LRU walk.
 	got = c.PagesIn(0, 1<<30)
 	if len(got) != 8 {
 		t.Errorf("pages in whole range = %d", len(got))
