@@ -116,7 +116,7 @@ type fault struct {
 	// by this fault object for its whole pooled lifetime.
 	timeout *sim.Event
 	settled bool
-	id      uint32 // 1 + index in Blade.faultRecs, kept across recycling
+	id      uint32 // 1 + the fault's slot in Blade.faultRecs, kept across recycling
 
 	// comp holds the successful completion between the PTE-install
 	// charge being scheduled and the settle that consumes it.
@@ -155,8 +155,9 @@ type Blade struct {
 	invHandler *sim.Resource
 	// faults dedups concurrent faults per (page, want): an open-addressed
 	// table from the fault key to the fault's id (see wordtable.go).
-	// faultRecs holds every fault object the blade made, fault id i at
-	// i-1.
+	// faultRecs[id-1] is the fault with that id while it is in the table
+	// and nil otherwise, so a settled fault left to the GC (its request
+	// was lost) is not kept reachable.
 	faults    wordTable
 	faultRecs []*fault
 
@@ -268,7 +269,7 @@ func (b *Blade) newFault(pdid mem.PDID, page mem.VA, want mem.Perm) *fault {
 	} else {
 		f = &fault{b: b, id: uint32(len(b.faultRecs) + 1)}
 		f.onComplete = func(c coherence.Completion) { f.b.onCompletion(f, c) }
-		b.faultRecs = append(b.faultRecs, f)
+		b.faultRecs = append(b.faultRecs, nil)
 	}
 	f.page, f.want, f.pdid, f.start = page, want, pdid, b.eng.Now()
 	return f
@@ -286,6 +287,7 @@ func (b *Blade) startFault(pdid mem.PDID, page mem.VA, want mem.Perm, done func(
 	f := b.newFault(pdid, page, want)
 	f.waiters = append(f.waiters, waiter{start: f.start, done: done})
 	b.faults.put(key, f.id)
+	b.faultRecs[f.id-1] = f
 	// Kernel fault entry, then the request goes out.
 	f.pendingIssues++
 	b.eng.ScheduleArg(b.cfg.PageFaultCost, faultIssue, f)
@@ -438,6 +440,7 @@ func (b *Blade) settle(f *fault, r AccessResult) {
 	// at it (Cancel is a no-op unless the timer is pending).
 	b.eng.Cancel(f.timeout)
 	b.faults.del(faultKey(f.page, f.want))
+	b.faultRecs[f.id-1] = nil
 	now := b.eng.Now()
 	r.Page = f.page
 	for _, w := range f.waiters {
