@@ -147,8 +147,8 @@ func (c *Cache) newRecord() uint32 {
 		return i
 	}
 	// The free chain is empty, so every record is in the table: the
-	// store never outgrows capacity plus the sentinel.
-	// The first insert makes the store, with the sentinel as record 0.
+	// store never outgrows capacity plus the sentinel. The first insert
+	// makes the store, with the sentinel as record 0.
 	if len(c.recs) == cap(c.recs) {
 		grown := make([]PageState, max(len(c.recs), 1), min(max(2*cap(c.recs), recordMinCap), c.capacity+1))
 		copy(grown, c.recs)
