@@ -442,7 +442,7 @@ func (d *Directory) RequestPage(blade int, pdid mem.PDID, va mem.VA, want mem.Pe
 		return
 	}
 	if region.busy {
-		region.pushWaiter(p)
+		region.waiters.Push(p)
 		return
 	}
 	d.startTransition(region, p)
@@ -770,7 +770,7 @@ func (d *Directory) bounce(p *pending, c Completion) bool {
 // finish releases the region and starts the next queued transition.
 func (d *Directory) finish(r *Region) {
 	r.busy = false
-	next := r.popWaiter()
+	next := r.waiters.Pop()
 	if next == nil {
 		return
 	}

@@ -125,7 +125,7 @@ func (d *Directory) SplitRegion(base mem.VA) error {
 	if r == nil {
 		return ErrNoRegion
 	}
-	if r.busy || r.queuedWaiters() > 0 || r.resetting {
+	if r.busy || r.waiters.Len() > 0 || r.resetting {
 		return ErrRegionBusy
 	}
 	if d.frozenOverlaps(r.Base, r.Size) {
@@ -169,7 +169,7 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	if r == nil {
 		return ErrNoRegion
 	}
-	if r.busy || r.queuedWaiters() > 0 || r.resetting {
+	if r.busy || r.waiters.Len() > 0 || r.resetting {
 		return ErrRegionBusy
 	}
 	if r.Size*2 > d.cfg.TopLevelSize {
@@ -202,7 +202,7 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	if buddy.Size != r.Size {
 		return fmt.Errorf("coherence: buddy sizes differ (%d vs %d)", r.Size, buddy.Size)
 	}
-	if buddy.busy || buddy.queuedWaiters() > 0 || buddy.resetting {
+	if buddy.busy || buddy.waiters.Len() > 0 || buddy.resetting {
 		return ErrRegionBusy
 	}
 	st, owner, err := mergeStates(r, buddy)
@@ -266,7 +266,7 @@ func (d *Directory) emergencyMerge() bool {
 		found    bool
 	)
 	d.rt.forEach(func(r *Region) {
-		if r.busy || r.queuedWaiters() > 0 || r.Size*2 > d.cfg.TopLevelSize {
+		if r.busy || r.waiters.Len() > 0 || r.Size*2 > d.cfg.TopLevelSize {
 			return
 		}
 		buddyBase := r.Base ^ mem.VA(r.Size)
@@ -274,7 +274,7 @@ func (d *Directory) emergencyMerge() bool {
 			return
 		}
 		buddy := d.rt.exact(buddyBase)
-		if buddy == nil || buddy.Size != r.Size || buddy.busy || buddy.queuedWaiters() > 0 {
+		if buddy == nil || buddy.Size != r.Size || buddy.busy || buddy.waiters.Len() > 0 {
 			return
 		}
 		if !mergeable(r, buddy) {
@@ -309,7 +309,7 @@ func (d *Directory) RemoveRegion(base mem.VA) error {
 	if r == nil {
 		return ErrNoRegion
 	}
-	if r.busy || r.queuedWaiters() > 0 {
+	if r.busy || r.waiters.Len() > 0 {
 		return ErrRegionBusy
 	}
 	slot := r.slot
@@ -340,7 +340,7 @@ func (d *Directory) ResetRegion(va mem.VA, done func()) {
 	// queued waiters and the in-flight transition (if any), which is
 	// abandoned — its completion is superseded. All of them are in the
 	// in-flight table.
-	r.takeWaiters()
+	r.waiters.TakeAll()
 	var retry []*pending
 	for _, p := range d.inFlight {
 		if r.Contains(p.key.page) {
@@ -398,7 +398,7 @@ func (d *Directory) removeAfterReset(r *Region) {
 	// Requests that slipped into the waiter queue during the reset are
 	// bounced with Retry (their retransmissions were deduped against the
 	// in-flight table, so they must be answered, not dropped).
-	for _, p := range r.takeWaiters() {
+	for _, p := range r.waiters.TakeAll() {
 		d.bounce(p, Completion{Retry: true})
 	}
 	r.resetting = false

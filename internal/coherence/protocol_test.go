@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
@@ -254,6 +255,75 @@ func TestProtocolWaiterSerialization(t *testing.T) {
 	r, _ := h.dir.Lookup(va)
 	if r.State() != Modified || r.Owner() != 3 {
 		t.Errorf("final region: %v", r)
+	}
+}
+
+// TestProtocolWaiterQueueNeverDrains keeps one region's waiter queue
+// non-empty for 20 000 conflicting writes: 8 blades each keep a write to
+// every page of the region outstanding, reissuing it as it completes, so
+// a transition finishing always finds another request parked. The queue's
+// buffer must stay bounded by the queue's deepest point, not grow with the
+// number of requests that have passed through it.
+func TestProtocolWaiterQueueNeverDrains(t *testing.T) {
+	const (
+		blades = 8
+		pages  = 4 // the 16 KiB initial region
+		total  = 20000
+	)
+	h := newProtoHarness(t, blades, 100)
+	va := mem.VA(0x400000)
+	issued, completed := 0, 0
+	var issue func(b int, page mem.VA)
+	issue = func(b int, page mem.VA) {
+		issued++
+		h.dir.RequestPage(b, 1, page, mem.PermReadWrite, func(c Completion) {
+			if c.Err != nil || c.Retry {
+				t.Fatalf("blade %d page %#x: %+v", b, uint64(page), c)
+			}
+			completed++
+			if issued < total {
+				issue(b, page)
+			}
+		})
+	}
+	for b := 0; b < blades; b++ {
+		for i := 0; i < pages; i++ {
+			issue(b, va+mem.VA(i*mem.PageSize))
+		}
+	}
+	r, err := h.dir.Lookup(va)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak, filled := 0, false
+	for h.eng.Step() {
+		n := r.waiters.Len()
+		peak = max(peak, n)
+		filled = filled || n > 0
+		if filled && n == 0 && completed < total-blades*pages {
+			t.Fatalf("queue drained after %d of %d completions", completed, total)
+		}
+	}
+	if completed != total {
+		t.Fatalf("completed %d of %d requests", completed, total)
+	}
+	if rr, _ := h.dir.Lookup(va); rr != r {
+		t.Fatal("the region was replaced mid-run")
+	}
+	if c := r.waiters.Cap(); c > max(8, 2*peak) {
+		t.Errorf("waiter queue capacity %d after %d requests, peak depth %d: want <= %d",
+			c, total, peak, max(8, 2*peak))
+	}
+}
+
+// TestRegionSize pins the directory entry at 120 bytes, its size since
+// the commit that packed Region's flags and hold count into one word
+// ("Pack Region's flags and hold count into one word"). A directory
+// allocates one per region, so a new field — the waiter queue is 32
+// bytes — must fit without growing every entry.
+func TestRegionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Region{}); got > 120 {
+		t.Errorf("unsafe.Sizeof(Region{}) = %d, want <= 120", got)
 	}
 }
 

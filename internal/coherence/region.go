@@ -16,6 +16,7 @@ import (
 
 	"mind/internal/bitset"
 	"mind/internal/mem"
+	"mind/internal/sim"
 )
 
 // State is a stable MSI directory state (§2.1).
@@ -63,12 +64,10 @@ type Region struct {
 
 	state State
 	// busy serializes transitions: while a transition is collecting ACKs
-	// or data, conflicting requests queue in waiters — a head-indexed
-	// queue (entries before wHead are popped) so a drained queue's
-	// backing array is reused instead of reallocated: under deep
-	// queueing (slow cross-rack faults piling conflicting requests onto
-	// a hot region) a slide-forward slice would reallocate on nearly
-	// every append.
+	// or data, conflicting requests queue in waiters, a ring whose
+	// buffer is bounded by the queue's deepest point, not by how many
+	// requests have passed through it — a hot region under slow
+	// cross-rack faults can keep its queue non-empty for a whole run.
 	busy bool
 	// resetting marks a §4.4 reset in progress: new requests bounce with
 	// Retry until the entry is removed.
@@ -90,8 +89,7 @@ type Region struct {
 	// word-parallel instead of per-member map operations.
 	sharers bitset.Set
 
-	waiters []*pending
-	wHead   int
+	waiters sim.Queue[pending]
 
 	// falseInvals counts dirty pages flushed beyond the requested page
 	// during this epoch — the signal Bounded Splitting consumes (§5.1).
@@ -101,40 +99,6 @@ type Region struct {
 	invalsEpoch uint64
 
 	slot int // SRAM slot id (diagnostic)
-}
-
-// queuedWaiters returns how many requests are parked on the region.
-func (r *Region) queuedWaiters() int { return len(r.waiters) - r.wHead }
-
-// pushWaiter parks a request. popWaiter/takeWaiters reset a drained
-// queue to (waiters[:0], wHead 0), so the append here reuses the
-// backing array across drain cycles.
-func (r *Region) pushWaiter(p *pending) {
-	r.waiters = append(r.waiters, p)
-}
-
-// popWaiter removes and returns the oldest parked request (nil if none).
-func (r *Region) popWaiter() *pending {
-	if r.wHead >= len(r.waiters) {
-		return nil
-	}
-	p := r.waiters[r.wHead]
-	r.waiters[r.wHead] = nil
-	r.wHead++
-	if r.wHead == len(r.waiters) {
-		r.waiters = r.waiters[:0]
-		r.wHead = 0
-	}
-	return p
-}
-
-// takeWaiters empties the queue and returns the parked requests in
-// arrival order (reset paths).
-func (r *Region) takeWaiters() []*pending {
-	w := r.waiters[r.wHead:]
-	r.waiters = nil
-	r.wHead = 0
-	return w
 }
 
 // State returns the region's MSI state.

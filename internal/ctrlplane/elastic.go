@@ -114,15 +114,20 @@ func (a *Allocator) AllocationsOn(id BladeID) []mem.VA {
 // view of earlier steps completing. This is the single target-selection
 // rule; PlanDrain and PickMigrationTarget must not diverge.
 func (a *Allocator) pickLeastLoaded(victim BladeID, reserved uint64, extra map[BladeID]uint64) (BladeID, error) {
-	return a.pickTarget(func(id BladeID) bool { return id == victim }, reserved, extra)
+	to, ok := a.pickTarget(func(id BladeID) bool { return id == victim }, reserved, extra)
+	if !ok {
+		return 0, fmt.Errorf("ctrlplane: no surviving blade fits %d bytes: %w", reserved, ErrNoMemory)
+	}
+	return to, nil
 }
 
 // pickTarget is the generalized selection rule behind pickLeastLoaded:
 // the least-loaded available blade not excluded by the predicate (ties
-// to the lowest id) that can fit reserved more bytes. The promotion
-// planner excludes every remote-homed blade; drains exclude only the
-// victim.
-func (a *Allocator) pickTarget(exclude func(BladeID) bool, reserved uint64, extra map[BladeID]uint64) (BladeID, error) {
+// to the lowest id) that can fit reserved more bytes, and false if none
+// can. The promotion planner excludes every remote-homed blade and skips
+// a vma nothing fits; drains exclude only the victim and report
+// ErrNoMemory.
+func (a *Allocator) pickTarget(exclude func(BladeID) bool, reserved uint64, extra map[BladeID]uint64) (BladeID, bool) {
 	var best *bladeState
 	var bestLoad uint64
 	for _, b := range a.blades {
@@ -138,9 +143,9 @@ func (a *Allocator) pickTarget(exclude func(BladeID) bool, reserved uint64, extr
 		}
 	}
 	if best == nil {
-		return 0, fmt.Errorf("ctrlplane: no surviving blade fits %d bytes: %w", reserved, ErrNoMemory)
+		return 0, false
 	}
-	return best.id, nil
+	return best.id, true
 }
 
 // PlanDrain computes a deterministic relocation plan for every vma on

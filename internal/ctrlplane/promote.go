@@ -105,10 +105,10 @@ func (a *Allocator) PlanPromotions(isRemote func(BladeID) bool, heat func(BladeI
 				return out
 			}
 			al := a.allocs[base]
-			to, err := a.pickTarget(func(id BladeID) bool {
+			to, ok := a.pickTarget(func(id BladeID) bool {
 				return id == hb.id || isRemote(id)
 			}, al.reserved, extra)
-			if err != nil {
+			if !ok {
 				continue
 			}
 			out = append(out, Promotion{Base: base, Reserved: al.reserved, From: hb.id, To: to})

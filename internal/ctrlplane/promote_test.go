@@ -139,6 +139,33 @@ func TestPlanPromotions(t *testing.T) {
 	}
 }
 
+// TestPlanPromotionsNoFitAllocs pins that a vma with no local fit costs
+// the planner nothing: it is skipped without an error being built, so
+// doubling the skipped vmas adds at most the work list's one more
+// doubling (AllocationsOn appends), not an error per vma.
+func TestPlanPromotionsNoFitAllocs(t *testing.T) {
+	allocs := func(vmas int) float64 {
+		// Blade 0 is local and smaller than any vma on remote blade 1.
+		a := promoAllocator(t, []uint64{1 << 14, 1 << 22})
+		_ = a.SetBladeAvailable(0, false)
+		for range vmas {
+			if _, err := a.Alloc(1, 1<<15, mem.PermReadWrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = a.SetBladeAvailable(0, true)
+		isRemote := func(id BladeID) bool { return id == 1 }
+		return testing.AllocsPerRun(50, func() {
+			if plan := a.PlanPromotions(isRemote, func(BladeID) uint64 { return 1 }, PromotionPolicy{}); len(plan) != 0 {
+				t.Fatalf("planned %+v, but nothing fits", plan)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(32); many > few+1 {
+		t.Errorf("PlanPromotions allocates %v with 16 unfit vmas, %v with 32: want at most one more", few, many)
+	}
+}
+
 // TestAddressStripeBoundsAddBlade pins the pod aliasing guard: an
 // allocator confined to a stripe refuses blade partitions that would
 // spill past its end into a neighbouring rack's stripe.

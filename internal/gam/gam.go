@@ -69,12 +69,10 @@ type entry struct {
 	sharers bitset.Set
 
 	// busy serializes transitions on the page; requests that reach the
-	// home meanwhile park in waiters, a head-indexed queue (the
-	// coherence.Region idiom) so a drained queue's backing array is
-	// reused.
+	// home meanwhile park in waiters, in arrival order (the ring FIFO
+	// coherence.Region queues on too).
 	busy    bool
-	waiters []*req
-	wHead   int
+	waiters sim.Queue[req]
 }
 
 const (
@@ -88,20 +86,6 @@ func (e *entry) own(blade int) {
 	e.state, e.owner = stModified, blade
 	e.sharers.Clear()
 	e.sharers.Add(blade)
-}
-
-// popWaiter removes and returns the oldest parked request (nil if none).
-func (e *entry) popWaiter() *req {
-	if e.wHead == len(e.waiters) {
-		return nil
-	}
-	r := e.waiters[e.wHead]
-	e.waiters[e.wHead] = nil
-	e.wHead++
-	if e.wHead == len(e.waiters) {
-		e.waiters, e.wHead = e.waiters[:0], 0
-	}
-	return r
 }
 
 // Cluster is a GAM deployment over the shared fabric model.
@@ -438,7 +422,7 @@ func reqAtHome(x any) {
 	blade := r.t.blade
 	e := c.entry(r.page)
 	if e.busy {
-		e.waiters = append(e.waiters, r)
+		e.waiters.Push(r)
 		return
 	}
 	e.busy = true
@@ -562,7 +546,7 @@ func fetchDone(x any) {
 
 	e := r.e
 	e.busy = false
-	if next := e.popWaiter(); next != nil {
+	if next := e.waiters.Pop(); next != nil {
 		c.eng.ScheduleArg(0, reqAtHome, next)
 	}
 	c.reqFree.Put(r)

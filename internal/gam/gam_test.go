@@ -202,3 +202,53 @@ func TestGAMReplayOrder(t *testing.T) {
 		t.Errorf("mallocs grew with the stall count: %d at %d stalls, %d at %d", m1, 2*rounds, m2, 4*rounds)
 	}
 }
+
+// TestGAMWaiterQueueNeverDrains is the GAM twin of coherence's
+// TestProtocolWaiterQueueNeverDrains: 8 blades write one page, each
+// keeping its PSO store buffer full, so the page's home entry always has
+// requests parked behind the transition in flight. The queue's buffer must
+// stay bounded by its deepest point, not by the requests that have passed
+// through it.
+func TestGAMWaiterQueueNeverDrains(t *testing.T) {
+	const (
+		blades = 8
+		ops    = 20000 // most hit the page while the blade owns it
+	)
+	c := New(DefaultConfig(blades, 1, 64))
+	base, _ := c.Alloc(1 << 16)
+	for b := 0; b < blades; b++ {
+		n := 0
+		if err := c.Spawn(b, func() (mem.VA, bool, bool) {
+			n++
+			return base, true, n <= ops
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var e *entry
+	peak, filled, drains := 0, false, 0
+	for c.eng.Step() {
+		if e == nil {
+			e = c.dir[base]
+			if e == nil {
+				continue
+			}
+		}
+		n := e.waiters.Len()
+		peak = max(peak, n)
+		if filled && n == 0 {
+			drains++
+		}
+		filled = n > 0
+	}
+	// The one drain allowed is the last, once the threads are done.
+	if drains != 1 {
+		t.Errorf("queue drained %d times, want once at the end", drains)
+	}
+	if remote := c.Collector().Counter(stats.CtrRemoteAccesses); remote < 20000 {
+		t.Errorf("%d remote writes, want >= 20000 through the queue", remote)
+	}
+	if cp := e.waiters.Cap(); cp > max(8, 2*peak) {
+		t.Errorf("waiter queue capacity %d, peak depth %d: want <= %d", cp, peak, max(8, 2*peak))
+	}
+}
