@@ -215,7 +215,8 @@ func TestCacheBytesPerPage(t *testing.T) {
 // TestConstructionFootprint keeps worst-case preallocation out: an
 // engine and a blade cache cost what they hold, not what they might (a
 // 2.1 ms ring is ~193 KiB of bucket headers per rack engine; records and
-// index sized up front for a 2^20-page cache are 24 + 16 MiB).
+// index sized up front for a 2^20-page cache are 24 + 16 MiB). An
+// engine's ring of 16-byte bucket headers is 4 KiB of the 6 KiB allowed.
 func TestConstructionFootprint(t *testing.T) {
 	var sink any
 	for _, c := range []struct {
@@ -223,7 +224,7 @@ func TestConstructionFootprint(t *testing.T) {
 		build func() any
 		limit uint64
 	}{
-		{"sim.NewEngine", func() any { return sim.NewEngine() }, 16 << 10},
+		{"sim.NewEngine", func() any { return sim.NewEngine() }, 6 << 10},
 		{"computeblade.NewCache(1<<20)", func() any { return NewCache(1 << 20) }, 4 << 10},
 	} {
 		var before, after runtime.MemStats

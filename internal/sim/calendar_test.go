@@ -3,6 +3,7 @@ package sim
 import (
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // This file pins the calendar-queue event queue against the reference
@@ -226,7 +227,7 @@ func TestEventHeapAgainstSort(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for i, ev := range h {
-			if ev.idx != i {
+			if int(ev.idx) != i {
 				t.Fatalf("slot %d holds an event with idx %d", i, ev.idx)
 			}
 			if i > 0 && evLess(ev, h[(i-1)/2]) {
@@ -245,7 +246,7 @@ func TestEventHeapAgainstSort(t *testing.T) {
 			ev := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			if got := h.remove(ev.idx); got != ev || ev.idx != -1 {
+			if got := h.remove(int(ev.idx)); got != ev || ev.idx != -1 {
 				t.Fatalf("remove returned %p (idx %d), want %p (idx -1)", got, ev.idx, ev)
 			}
 		}
@@ -379,5 +380,17 @@ func TestRunUntilAcrossWindows(t *testing.T) {
 	}
 	if e.Now() != 2*Time(horizon) {
 		t.Fatalf("clock %d, want %d", e.Now(), 2*Time(horizon))
+	}
+}
+
+// TestEngineLayout pins the queue's footprint: a bucket is the two ends
+// of its event list, so the ring's 256 headers are 4 KiB per engine, and
+// an Event, which carries those links, still fits one 64-byte cache line.
+func TestEngineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(bucket{}); got > 16 {
+		t.Errorf("unsafe.Sizeof(bucket) = %d, limit 16", got)
+	}
+	if got := unsafe.Sizeof(Event{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(Event) = %d, limit 64", got)
 	}
 }

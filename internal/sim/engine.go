@@ -14,8 +14,9 @@
 // recycled through a free list after firing. The queue is two
 // containers. Events in the near future, the current instant included,
 // land in a bucketed calendar ring small enough to stay in the host's
-// cache; each bucket is kept in (time, sequence) order on insert, which
-// is nearly always an append, and dispatch takes the head of the first
+// cache; each bucket is a list of events linked through the events
+// themselves, kept in (time, sequence) order on insert, which is nearly
+// always a link at the tail, and dispatch takes the head of the first
 // non-empty bucket. Far timers (past the ~65 µs ring horizon — fault
 // timeouts, serve deadlines, epoch ticks — most of them canceled long
 // before they are due) wait in a typed binary heap and migrate into the
@@ -64,7 +65,7 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fus", d.Micros()) }
 // Calendar-ring geometry. Buckets are 256 ns wide (a handful of fabric
 // hops), and the ring covers a ~65 µs horizon: every delay a fault is
 // made of (pipeline service, NIC, wire, DMA, control RTT, the first retry
-// backoffs) schedules in O(1), while the ring's bucket headers (8 KiB)
+// backoffs) schedules in O(1), while the ring's bucket headers (4 KiB)
 // stay resident in the host's cache however many rack engines a pod
 // runs. Timers — the 2 ms fault timeout, serve deadlines, epoch and
 // promotion ticks — go to the overflow heap; nearly all of them are
@@ -91,16 +92,21 @@ const (
 // Event is a scheduled callback. The zero Event is invalid. Events
 // returned by Schedule/At/ScheduleTimer stay owned by the caller and are
 // never recycled; events created by ScheduleArg/AtArg never escape the
-// engine and return to its free list after firing.
+// engine and return to its free list after firing. It is 64 bytes, one
+// cache line.
 type Event struct {
 	at  Time
 	seq uint64
 	fn  func(any)
 	arg any
+	// prev and next link a pending ring event into its bucket's list,
+	// and next chains a recycled event into the engine's free list;
+	// otherwise both are nil.
+	prev, next *Event
 	// idx is the event's slot in the overflow heap while it waits
 	// there, and -1 otherwise: a pending event with idx -1 sits in a
-	// calendar bucket, where Cancel finds it by binary search.
-	idx    int
+	// calendar bucket, from whose list Cancel unlinks it.
+	idx    int32
 	state  uint8
 	pooled bool
 }
@@ -172,11 +178,11 @@ func (h eventHeap) up(i int, ev *Event) {
 			break
 		}
 		h[i] = h[p]
-		h[i].idx = i
+		h[i].idx = int32(i)
 		i = p
 	}
 	h[i] = ev
-	ev.idx = i
+	ev.idx = int32(i)
 }
 
 // down settles ev into the hole at slot i by moving smaller children up.
@@ -193,11 +199,11 @@ func (h eventHeap) down(i int, ev *Event) {
 			break
 		}
 		h[i] = h[c]
-		h[i].idx = i
+		h[i].idx = int32(i)
 		i = c
 	}
 	h[i] = ev
-	ev.idx = i
+	ev.idx = int32(i)
 }
 
 // Engine is the discrete-event simulation core. Create one with NewEngine;
@@ -212,7 +218,7 @@ type Engine struct {
 	// plain mode it is the only queue.
 	queue eventHeap
 
-	// The calendar ring: ring[b] holds the events with
+	// The calendar ring: ring[b] lists the events with
 	// wheelStart <= at < wheelStart+horizon whose (at>>bucketShift) lands
 	// on b, ascending (time, seq). ringBits is the non-empty-bucket
 	// bitmap; wheelLive counts ring events.
@@ -230,24 +236,15 @@ type Engine struct {
 	// bucket drains.
 	headBucket int
 
-	// slabs recycles bucket backing arrays: a bucket that empties returns
-	// its slice here and the next insert into an empty bucket takes it,
-	// so steady-state bucket churn allocates nothing even though the set
-	// of active buckets slides forward in time. slabMem is the carve
-	// block behind a dry pool: fresh slabs are sliced off one shared
-	// allocation instead of allocated one by one, so warming the ring (a
-	// pod runs one engine per rack, each with its own ring) costs
-	// O(buckets/64) allocations rather than O(buckets).
-	slabs   [][]*Event
-	slabMem []*Event
-
-	// free is the event free list: fired ScheduleArg/AtArg events are
-	// recycled here. Events whose pointer escaped to a caller
-	// (Schedule/At/ScheduleTimer) are never recycled — a retained
-	// handle must stay inert forever, not come back to life as someone
-	// else's event. evMem is the carve block behind a dry free list:
-	// like slabMem, it batches the warm-up of per-engine pools.
-	free  Pool[Event]
+	// free is the event free list, chained through Event.next: fired
+	// ScheduleArg/AtArg events are recycled here, most recent first.
+	// Events whose pointer escaped to a caller (Schedule/At/ScheduleTimer)
+	// are never recycled — a retained handle must stay inert forever, not
+	// come back to life as someone else's event. evMem is the carve block
+	// behind a dry free list: fresh events are sliced off one shared
+	// allocation, so warming a pod's per-rack engines costs one
+	// allocation per 64 events rather than one per event.
+	free  *Event
 	evMem []Event
 
 	// plain disables the free list, the calendar ring and the head cache,
@@ -275,12 +272,12 @@ type Engine struct {
 	dispatchHash uint64
 }
 
-// bucket is one calendar slot: evs[head:] are its events, ascending
-// (time, seq); dispatch takes evs[head]. An empty bucket has no backing
-// array (it went back to the slab list).
+// bucket is one calendar slot: the list of its events, ascending
+// (time, seq), from head to tail; dispatch takes head. An empty bucket
+// has both nil. A bucket owns no memory, so one that empties leaves
+// nothing to recycle.
 type bucket struct {
-	evs  []*Event
-	head int
+	head, tail *Event
 }
 
 // headUnknown marks Engine.head stale. Event times are never negative, so
@@ -396,7 +393,8 @@ func (e *Engine) Rearm(ev *Event, delay Duration, fn func(any), arg any) *Event 
 // alloc takes an event from the free list, or carves one from the
 // engine's block allocation (refilled 64 events at a time).
 func (e *Engine) alloc() *Event {
-	if ev := e.free.Get(); ev != nil {
+	if ev := e.free; ev != nil {
+		e.free, ev.next = ev.next, nil
 		return ev
 	}
 	if len(e.evMem) == 0 {
@@ -457,56 +455,69 @@ func (e *Engine) moveEdge(t Time) {
 	}
 }
 
-// pushRing inserts a pending event into its calendar bucket (the event's
-// time must lie in [wheelStart, wheelStart+horizon)), keeping the bucket
-// ascending: append, then bubble back past later events. New events
-// carry the largest seq, so the bubble stops at once unless the event is
+// pushRing links a pending event into its calendar bucket (the event's
+// time must lie in [wheelStart, wheelStart+horizon)), keeping the list
+// ascending: it walks back from the tail past later events. New events
+// carry the largest seq, so the walk stops at once unless the event is
 // earlier than one already in its bucket.
 func (e *Engine) pushRing(ev *Event) {
 	b := int(ev.at>>bucketShift) & ringMask
 	bk := &e.ring[b]
-	s := bk.evs
-	if s == nil {
-		if s = e.popSlab(); s == nil {
-			// Slab pool dry (more buckets concurrently populated than
-			// ever emptied so far — e.g. a rack-wide burst of fabric
-			// hops spread across the horizon): carve a 32-cap slab
-			// from the block allocation, so the bucket skips the
-			// 1→2→4→… growth ladder and warming the whole ring costs a
-			// handful of allocations instead of one per bucket.
-			const slabCap = 32
-			if len(e.slabMem) < slabCap {
-				e.slabMem = make([]*Event, 64*slabCap)
-			}
-			s = e.slabMem[:0:slabCap]
-			e.slabMem = e.slabMem[slabCap:]
-		}
+	t := bk.tail
+	if t == nil {
+		ev.prev, ev.next = nil, nil
+		bk.head, bk.tail = ev, ev
 		e.ringBits[b>>6] |= 1 << uint(b&63)
 		start := int(e.wheelStart>>bucketShift) & ringMask
 		if e.wheelLive == 0 || e.headBucket >= 0 && (b-start)&ringMask < (e.headBucket-start)&ringMask {
 			e.headBucket = b
 		}
+		e.wheelLive++
+		return
 	}
-	i := len(s)
-	s = append(s, ev)
-	for i > bk.head && evLess(ev, s[i-1]) {
-		s[i] = s[i-1]
-		i--
+	for t != nil && evLess(ev, t) {
+		t = t.prev
 	}
-	s[i] = ev
-	bk.evs = s
+	// ev goes after t, or first when the walk ran past the head.
+	n := bk.head
+	if t != nil {
+		n = t.next
+		t.next = ev
+	} else {
+		bk.head = ev
+	}
+	if n != nil {
+		n.prev = ev
+	} else {
+		bk.tail = ev
+	}
+	ev.prev, ev.next = t, n
 	e.wheelLive++
 }
 
-// emptyBucket returns bucket b's backing array to the slab list once its
-// last event has left.
-func (e *Engine) emptyBucket(b int) {
+// unlinkRing removes ring event ev from bucket b's list, for dispatch
+// and Cancel alike; a bucket left empty leaves the bitmap and, if it was
+// the cached head bucket, the cache.
+func (e *Engine) unlinkRing(b int, ev *Event) {
 	bk := &e.ring[b]
-	e.slabs = append(e.slabs, bk.evs[:0])
-	bk.evs, bk.head = nil, 0
-	e.ringBits[b>>6] &^= 1 << uint(b&63)
-	if e.headBucket == b {
-		e.headBucket = -1
+	p, n := ev.prev, ev.next
+	if p != nil {
+		p.next = n
+	} else {
+		bk.head = n
+	}
+	if n != nil {
+		n.prev = p
+	} else {
+		bk.tail = p
+	}
+	ev.prev, ev.next = nil, nil
+	e.wheelLive--
+	if bk.head == nil {
+		e.ringBits[b>>6] &^= 1 << uint(b&63)
+		if e.headBucket == b {
+			e.headBucket = -1
+		}
 	}
 }
 
@@ -522,26 +533,9 @@ func (e *Engine) Cancel(ev *Event) {
 		e.head = headUnknown
 	}
 	if ev.idx >= 0 {
-		e.queue.remove(ev.idx)
+		e.queue.remove(int(ev.idx))
 	} else {
-		b := int(ev.at>>bucketShift) & ringMask
-		bk := &e.ring[b]
-		s := bk.evs
-		i, j := bk.head, len(s)
-		for i < j {
-			if m := int(uint(i+j) >> 1); evLess(s[m], ev) {
-				i = m + 1
-			} else {
-				j = m
-			}
-		}
-		copy(s[i:], s[i+1:])
-		s[len(s)-1] = nil
-		bk.evs = s[:len(s)-1]
-		e.wheelLive--
-		if bk.head == len(bk.evs) {
-			e.emptyBucket(b)
-		}
+		e.unlinkRing(int(ev.at>>bucketShift)&ringMask, ev)
 	}
 	ev.state = stateCanceled
 	ev.fn, ev.arg = nil, nil
@@ -566,23 +560,11 @@ func (e *Engine) fire(ev *Event) {
 		// Safe to recycle before the callback runs: fn/arg are saved,
 		// and an immediate reuse inside the callback just reinitializes
 		// the object.
-		e.free.Put(ev)
+		ev.next = e.free
+		e.free = ev
 	}
 	e.Executed++
 	fn(arg)
-}
-
-// popSlab takes a recycled bucket backing array (zero length, retained
-// capacity), or nil when none is available.
-func (e *Engine) popSlab() []*Event {
-	n := len(e.slabs)
-	if n == 0 {
-		return nil
-	}
-	s := e.slabs[n-1]
-	e.slabs[n-1] = nil
-	e.slabs = e.slabs[:n-1]
-	return s
 }
 
 // nextBucket returns the first non-empty bucket index scanning forward
@@ -620,8 +602,7 @@ func (e *Engine) first() *Event {
 		b = e.nextBucket(int(e.wheelStart>>bucketShift) & ringMask)
 		e.headBucket = b
 	}
-	bk := &e.ring[b]
-	return bk.evs[bk.head]
+	return e.ring[b].head
 }
 
 // pop removes the event first returned and moves the ring's edge up to
@@ -630,14 +611,7 @@ func (e *Engine) pop(ev *Event) {
 	if ev.idx >= 0 {
 		e.queue.remove(0)
 	} else {
-		b := e.headBucket
-		bk := &e.ring[b]
-		bk.evs[bk.head] = nil
-		bk.head++
-		e.wheelLive--
-		if bk.head == len(bk.evs) {
-			e.emptyBucket(b)
-		}
+		e.unlinkRing(e.headBucket, ev)
 	}
 	if !e.plain {
 		e.moveEdge(ev.at)
@@ -759,8 +733,14 @@ func (e *Engine) Park(t Time) {
 }
 
 // FreeListLen reports the current size of the event free list
-// (diagnostics and pool tests).
-func (e *Engine) FreeListLen() int { return e.free.Len() }
+// (diagnostics and pool tests); it walks the chain.
+func (e *Engine) FreeListLen() int {
+	n := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		n++
+	}
+	return n
+}
 
 // EnableDispatchHash turns on the dispatch-trace hash (see DispatchHash).
 // Enable before the first event fires; the accumulator starts at the

@@ -122,8 +122,9 @@ func (d *fuzzDriver) apply(op, a, b byte) bool {
 	return false
 }
 
-// fuzzEngineMaxOps bounds one input's work.
-const fuzzEngineMaxOps = 300
+// fuzzEngineMaxOps bounds one input's work. It leaves room for a seed
+// that fills one bucket with 512 events and then dispatches it.
+const fuzzEngineMaxOps = 1024
 
 // runEngineOps drives the calendar engine and the plain reference heap
 // with the same op stream. After every op both must agree on the fired
@@ -161,9 +162,9 @@ func runEngineOps(t *testing.T, ops []byte) {
 	}
 }
 
-// FuzzEngine holds the calendar engine (ordered ring buckets with their
-// head indices, the cached head bucket, the overflow heap and migration
-// out of it, eager cancellation, Rearm in place) to the plain
+// FuzzEngine holds the calendar engine (ring buckets as ordered event
+// lists, the cached head bucket, the overflow heap and migration out of
+// it, eager cancellation, Rearm in place) to the plain
 // (time, seq) heap under any mix of schedules, cancels, re-arms and the
 // four ways to advance the clock.
 func FuzzEngine(f *testing.F) {
@@ -253,8 +254,8 @@ func FuzzEngine(f *testing.F) {
 		f.Add(ops)
 	}
 	// Schedule into a partially dispatched bucket, below its remaining
-	// events and at the current instant: the insert bubbles back to the
-	// bucket's head index and no further.
+	// events and at the current instant: the insert walks back past
+	// every remaining event and becomes the bucket's head.
 	f.Add([]byte{
 		band(schedArg, 1), 10, 0,
 		band(timer, 1), 200, 0,
@@ -339,10 +340,9 @@ func FuzzEngine(f *testing.F) {
 		step, 0, 0,
 		step, 0, 0,
 	})
-	// A bucket outgrows its 32-slot slab while half of it has been
-	// dispatched: append moves it to a larger array, dispatched prefix
-	// and head index included, and the inserts that follow land after
-	// and among its remaining events.
+	// A bucket of 32 events, half of it dispatched: the inserts that
+	// follow land after and among its remaining events, and a cancel
+	// unlinks one of them from the middle of the list.
 	var fill []byte
 	for i := byte(0); i < 32; i++ {
 		fill = append(fill, band(schedArg, 1), 8+7*i, 0)
@@ -360,5 +360,79 @@ func FuzzEngine(f *testing.F) {
 		band(runUntil, 2), 255, 0,
 	)
 	f.Add(fill)
+	// Inserts into an occupied bucket: before its head, between two of
+	// its events and at its tail, each walking back from the tail.
+	f.Add([]byte{
+		band(timer, 1), 100, 0,
+		band(timer, 1), 200, 0,
+		band(schedArg, 1), 50, 0,
+		band(schedArg, 1), 150, 0,
+		band(schedArg, 1), 250, 0,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// Cancels of a bucket's head, a middle event, its tail and a
+	// bucket's only event, each followed by an insert into that bucket:
+	// the list must relink around each hole, and the emptied bucket must
+	// leave the bitmap and take its next event afresh.
+	f.Add([]byte{
+		band(timer, 1), 100, 0,
+		band(timer, 1), 150, 0,
+		band(timer, 1), 200, 0,
+		band(timer, 2), 5, 0,
+		band(cancel, 0), 0, 0,
+		band(schedArg, 1), 60, 0,
+		peek, 0, 0,
+		band(cancel, 0), 0, 1,
+		band(schedArg, 1), 170, 0,
+		band(cancel, 0), 0, 2,
+		band(schedArg, 1), 240, 0,
+		band(cancel, 0), 0, 3,
+		peek, 0, 0,
+		band(sched, 2), 5, 0,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// Rearm a canceled handle back into its own bucket, ahead of its old
+	// neighbours, then once more after it fired, ahead of the rest.
+	f.Add([]byte{
+		band(timer, 1), 100, 0,
+		band(timer, 1), 150, 0,
+		band(timer, 1), 200, 0,
+		band(cancel, 0), 0, 1,
+		peek, 0, 0,
+		band(rearm, 1), 20, 1,
+		peek, 0, 0,
+		step, 0, 0,
+		band(rearm, 1), 30, 1,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+	})
+	// One bucket holds 512 events (a rack's start-up burst), two at each
+	// time in scrambled order, so inserts walk back far; it is then
+	// dispatched two events at a time with inserts and a timer's cancel
+	// in between, into it and into the bucket after it.
+	var burst []byte
+	for i := 0; i < 512; i++ {
+		burst = append(burst, band(schedArg, 1), byte(i*37), 0)
+	}
+	for k := 0; k < 64; k++ {
+		burst = append(burst, step, 0, 0, step, 0, 0, band(schedArg, 1), byte(k*53), 0)
+		if k%8 == 0 {
+			burst = append(burst, band(timer, 1), byte(k*29), 0, band(cancel, 0), 0, byte(k/8))
+		}
+	}
+	burst = append(burst, peek, 0, 0, band(runUntil, 2), 4, 0)
+	f.Add(burst)
 	f.Fuzz(func(t *testing.T, ops []byte) { runEngineOps(t, ops) })
 }

@@ -52,8 +52,8 @@ func TestPeekTimeCalendarRing(t *testing.T) {
 
 // TestPeekTimeInWindowHeap checks an insert into the bucket being
 // dispatched from: an event scheduled from within a callback into its
-// own bucket lands behind the bucket's head index, and a peek between
-// steps must see it.
+// own bucket joins that bucket's list, and a peek between steps must
+// see it.
 func TestPeekTimeInWindowHeap(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() { e.Schedule(5, func() {}) }) // 15 shares 10's bucket

@@ -1,7 +1,9 @@
 package sim
 
 // Pool is a LIFO free list for the simulator's hot-path object pools
-// (events, faults, invalidation jobs, fabric deliveries, cache pages).
+// (faults, invalidation jobs, fabric deliveries, directory requests and
+// regions, rack and serving jobs). The engine's events do not use it:
+// they chain their free list through their own queue link.
 // Like the engine it is single-threaded. Get returns nil when empty so
 // callers fall back to allocating; Put clears the vacated slot on every
 // pop so the backing array never retains dead references. LIFO reuse is

@@ -129,7 +129,7 @@ func TestEventPoolRecycling(t *testing.T) {
 func TestAllocsScheduleFireRecycle(t *testing.T) {
 	e := NewEngine()
 	nop := func(any) {}
-	// Warm the pool and the slab list of bucket backing arrays.
+	// Warm the free list and the engine's block of events.
 	for i := 0; i < 8; i++ {
 		e.ScheduleArg(0, nop, nil)
 		e.ScheduleArg(1, nop, nil)
