@@ -1,10 +1,11 @@
 // Package bitset provides a small growable bitmap over non-negative
 // integers, used for the per-access hot-path sets of the simulator:
-// coherence sharer sets, multicast group membership, and fabric
-// dead-node state. Compared to map[int]bool it is allocation-free in
-// steady state, O(words) to walk, and its iteration order is always
-// ascending — which is exactly the determinism contract the simulator
-// needs (no map-order dependence may reach the event queue).
+// GAM sharer sets, multicast group membership and the coherence
+// directory's invalidation targets, and fabric dead-node state.
+// Compared to map[int]bool it is allocation-free in steady state,
+// O(words) to walk, and its iteration order is always ascending — which
+// is exactly the determinism contract the simulator needs (no map-order
+// dependence may reach the event queue).
 package bitset
 
 import "math/bits"
@@ -55,27 +56,13 @@ func (s *Set) Count() int {
 	return n
 }
 
-// CopyFrom makes s an exact copy of o, reusing s's backing array.
-func (s *Set) CopyFrom(o *Set) {
-	if cap(s.words) < len(o.words) {
-		s.words = make([]uint64, len(o.words))
-	} else {
-		s.words = s.words[:len(o.words)]
+// SetWord makes s exactly the members 0..63 whose bits are set in w.
+func (s *Set) SetWord(w uint64) {
+	if cap(s.words) == 0 {
+		s.words = make([]uint64, 1)
 	}
-	copy(s.words, o.words)
-}
-
-// UnionWith adds every member of o to s.
-func (s *Set) UnionWith(o *Set) {
-	for i, w := range o.words {
-		if w == 0 {
-			continue
-		}
-		for i >= len(s.words) {
-			s.words = append(s.words, 0)
-		}
-		s.words[i] |= w
-	}
+	s.words = s.words[:1]
+	s.words[0] = w
 }
 
 // AppendTo appends the members in ascending order to dst and returns
@@ -88,22 +75,6 @@ func (s *Set) AppendTo(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// OnlyMember reports whether the set is empty or contains exactly
-// {only} — the "no foreign members" test coherence merges use.
-func (s *Set) OnlyMember(only int) bool {
-	ow := only >> 6
-	obit := uint64(1) << uint(only&63)
-	for wi, w := range s.words {
-		if w == 0 {
-			continue
-		}
-		if wi != ow || w&^obit != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Words exposes the backing words (read-only; for word-parallel

@@ -40,52 +40,24 @@ func TestSetAgainstMap(t *testing.T) {
 	}
 }
 
-func TestCopyUnionOnly(t *testing.T) {
-	var a, b Set
-	a.Add(1)
-	a.Add(130)
-	b.Add(64)
-	var c Set
-	c.CopyFrom(&a)
-	c.UnionWith(&b)
-	want := []int{1, 64, 130}
-	got := c.AppendTo(nil)
-	if len(got) != len(want) {
-		t.Fatalf("union = %v, want %v", got, want)
+func TestSetWord(t *testing.T) {
+	var s Set
+	s.Add(130)
+	s.SetWord(1<<0 | 1<<63)
+	if got := s.AppendTo(nil); len(got) != 2 || got[0] != 0 || got[1] != 63 {
+		t.Errorf("after SetWord: %v, want [0 63]", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("union = %v, want %v", got, want)
-		}
-	}
-	// CopyFrom must not alias.
-	c.Remove(1)
-	if !a.Has(1) {
-		t.Error("CopyFrom aliased the source")
-	}
-
 	var e Set
-	if !e.OnlyMember(5) {
-		t.Error("empty set should satisfy OnlyMember")
-	}
-	var one Set
-	one.Add(5)
-	if !one.OnlyMember(5) || one.OnlyMember(6) {
-		t.Error("OnlyMember on singleton")
-	}
-	one.Add(70)
-	if one.OnlyMember(5) {
-		t.Error("OnlyMember with foreign high-word member")
+	e.SetWord(1 << 5)
+	if !e.Has(5) || e.Count() != 1 {
+		t.Errorf("SetWord on an empty set: %v", e.AppendTo(nil))
 	}
 	var zeroWord Set
 	zeroWord.Add(70)
 	zeroWord.Remove(70) // leaves an all-zero high word
 	zeroWord.Add(5)
-	if !zeroWord.OnlyMember(5) {
-		t.Error("OnlyMember tripped by zeroed trailing word")
-	}
-	if zeroWord.Count() != 1 {
-		t.Errorf("Count = %d with one member", zeroWord.Count())
+	if got := zeroWord.AppendTo(nil); zeroWord.Count() != 1 || len(got) != 1 || got[0] != 5 {
+		t.Errorf("one member beside a zeroed high word: count %d, members %v", zeroWord.Count(), got)
 	}
 	zeroWord.Clear()
 	if zeroWord.Count() != 0 {

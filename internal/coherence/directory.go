@@ -173,9 +173,9 @@ type Directory struct {
 	// Hot-path scratch and pools (single-threaded engine context).
 	ackFree  sim.Pool[ackCtx]
 	pendFree sim.Pool[pending]
-	// invTargets is the scratch sharer bitmap of the transition being
-	// executed; it feeds the ASIC's egress-pruning intersection
-	// directly.
+	// invTargets is the scratch bitmap of the transition being
+	// executed, its targets loaded as one word; it feeds the ASIC's
+	// egress-pruning intersection directly.
 	invTargets   bitset.Set
 	scratchPorts []int
 	scratchNodes []fabric.NodeID
@@ -262,8 +262,13 @@ func NewDirectory(cfg Config, d Deps) *Directory {
 	}
 }
 
-// RegisterBlade attaches a compute blade's invalidation port.
+// RegisterBlade attaches a compute blade's invalidation port. id must
+// be below MaxBlades, the width of a sharer set; core's config check
+// keeps a rack's compute blades within it.
 func (d *Directory) RegisterBlade(id int, port BladePort) {
+	if id < 0 || id >= MaxBlades {
+		panic(fmt.Sprintf("coherence: blade id %d outside the %d-blade sharer set", id, MaxBlades))
+	}
 	for id >= len(d.blades) {
 		d.blades = append(d.blades, nil)
 	}
@@ -335,7 +340,11 @@ func (d *Directory) unholdRegion(r *Region) {
 
 func (d *Directory) maybeRecycleRegion(r *Region) {
 	if r.dropped && r.holds == 0 {
-		*r = Region{gen: r.gen + 1}
+		// The waiter queue is empty here: a region with waiters is busy,
+		// so a merge or removal refuses it, and a reset leaves it held
+		// by the transition it abandoned. Keeping the queue saves the
+		// next entry its allocation.
+		*r = Region{gen: r.gen + 1, waiters: r.waiters}
 		d.regFree.Put(r)
 	}
 }
@@ -359,7 +368,7 @@ func (d *Directory) createRegion(base mem.VA, size uint64) (*Region, error) {
 		}
 	}
 	r := d.allocRegion()
-	r.Base, r.Size, r.state, r.slot = base, size, Invalid, int(slot)
+	r.Base, r.Size, r.state, r.slot = base, size, Invalid, int32(slot)
 	d.rt.insert(r)
 	return r, nil
 }
@@ -442,7 +451,7 @@ func (d *Directory) RequestPage(blade int, pdid mem.PDID, va mem.VA, want mem.Pe
 		return
 	}
 	if region.busy {
-		region.waiters.Push(p)
+		region.pushWaiter(p)
 		return
 	}
 	d.startTransition(region, p)
@@ -482,19 +491,16 @@ func (d *Directory) executeTransition(p *pending) {
 	blade := p.key.blade
 	write := p.key.want == mem.PermReadWrite
 
-	// The transition's invalidation targets, as a bitmap the egress
-	// pruning consumes directly.
-	tg := &d.invTargets
-	tg.Clear()
+	// The transition's invalidation targets.
+	var targets bladeSet
 	downgrade := false
 
 	switch {
 	case !write && r.state == Invalid && d.cfg.ExclusiveOnColdRead:
 		p.transition = "I->E"
 		r.state = Modified // E is tracked as owned; see Config docs
-		r.owner = blade
-		r.sharers.Clear()
-		r.sharers.Add(blade)
+		r.owner = int32(blade)
+		r.sharers = bladeOf(blade)
 		p.writable = true
 	case !write && r.state == Invalid:
 		p.transition = "I->S"
@@ -503,47 +509,41 @@ func (d *Directory) executeTransition(p *pending) {
 	case !write && r.state == Shared:
 		p.transition = "S->S"
 		r.sharers.Add(blade)
-	case !write && r.state == Modified && r.owner == blade:
+	case !write && r.state == Modified && int(r.owner) == blade:
 		p.transition = "M->M(own)"
 		p.writable = true
 	case !write && r.state == Modified:
 		p.transition = "M->S"
-		owner := r.owner
-		tg.Add(owner)
+		owner := int(r.owner)
+		targets = bladeOf(owner)
 		downgrade = true
 		r.state = Shared
-		r.sharers.Clear()
-		r.sharers.Add(owner)
-		r.sharers.Add(blade)
+		r.sharers = bladeOf(owner) | bladeOf(blade)
 	case write && r.state == Invalid:
 		p.transition = "I->M"
 		r.state = Modified
-		r.owner = blade
-		r.sharers.Clear()
-		r.sharers.Add(blade)
+		r.owner = int32(blade)
+		r.sharers = bladeOf(blade)
 		p.writable = true
 	case write && r.state == Shared:
 		p.transition = "S->M"
-		tg.CopyFrom(&r.sharers)
-		tg.Remove(blade)
+		targets = r.sharers &^ bladeOf(blade)
 		r.state = Modified
-		r.owner = blade
-		r.sharers.Clear()
-		r.sharers.Add(blade)
+		r.owner = int32(blade)
+		r.sharers = bladeOf(blade)
 		p.writable = true
-	case write && r.state == Modified && r.owner == blade:
+	case write && r.state == Modified && int(r.owner) == blade:
 		p.transition = "M->M(own)"
 		p.writable = true
 	case write && r.state == Modified:
 		p.transition = "M->M"
-		tg.Add(r.owner)
+		targets = bladeOf(int(r.owner))
 		r.state = Modified
-		r.owner = blade
-		r.sharers.Clear()
-		r.sharers.Add(blade)
+		r.owner = int32(blade)
+		r.sharers = bladeOf(blade)
 		p.writable = true
 	}
-	n := tg.Count()
+	n := targets.Count()
 	p.invCount = n
 	p.needAcks = n
 	// M→X transitions must flush the old owner before the memory fetch;
@@ -551,6 +551,7 @@ func (d *Directory) executeTransition(p *pending) {
 	p.acksForFetch = n > 0 && (p.transition == "M->S" || p.transition == "M->M")
 
 	if n > 0 {
+		d.invTargets.SetWord(uint64(targets))
 		d.sendInvalidations(p, downgrade)
 	}
 	if !p.acksForFetch {
@@ -662,8 +663,8 @@ func (d *Directory) sendInvalidations(p *pending, downgrade bool) {
 
 func (d *Directory) handleAck(p *pending, info AckInfo) {
 	r := p.claimed()
-	r.falseInvals += uint64(info.FalseInvals)
-	r.invalsEpoch++
+	r.falseInvals = satAdd(r.falseInvals, uint32(info.FalseInvals))
+	r.invalsEpoch = satAdd(r.invalsEpoch, 1)
 	d.col.IncH(d.hFlushed, uint64(info.FlushedDirty))
 	d.col.IncH(d.hFalseInv, uint64(info.FalseInvals))
 	if p.notified {
@@ -770,7 +771,7 @@ func (d *Directory) bounce(p *pending, c Completion) bool {
 // finish releases the region and starts the next queued transition.
 func (d *Directory) finish(r *Region) {
 	r.busy = false
-	next := r.waiters.Pop()
+	next := r.popWaiter()
 	if next == nil {
 		return
 	}

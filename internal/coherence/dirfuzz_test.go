@@ -324,6 +324,15 @@ func (f *dirFuzz) check() {
 		if i > 0 && base < end {
 			t.Fatalf("op %d: region %v overlaps its predecessor", f.op, r)
 		}
+		// The inline waiter count is the queue's length, and only a
+		// region with a transition in flight has waiters.
+		if q := r.waiters; (q == nil && r.nwait != 0) || (q != nil && q.Len() != int(r.nwait)) || (r.nwait != 0 && !r.busy) {
+			t.Fatalf("op %d: region %v counts %d waiters (busy %v), queue %v", f.op, r, r.nwait, r.busy, q)
+		}
+		// An Invalid region lists no sharer, a Modified one its owner alone.
+		if (r.state == Invalid && r.sharers != 0) || (r.state == Modified && r.sharers != bladeOf(r.Owner())) {
+			t.Fatalf("op %d: region %v lists sharers %v", f.op, r, r.Sharers())
+		}
 		end = r.Range().End()
 	}
 	for pg := 0; pg < dirFuzzPages; pg++ {
@@ -343,7 +352,7 @@ func (f *dirFuzz) check() {
 			}
 			if h == heldWrite {
 				writers++
-				if r.state != Modified || r.owner != b.id {
+				if r.state != Modified || r.Owner() != b.id {
 					t.Fatalf("op %d: blade %d holds page %d writable under %v", f.op, b.id, pg, r)
 				}
 			}

@@ -29,8 +29,8 @@ func (d *Directory) EpochStats(buf []ctrlplane.RegionStat) []ctrlplane.RegionSta
 		out = append(out, ctrlplane.RegionStat{
 			Base:          r.Base,
 			Size:          r.Size,
-			FalseInvals:   r.falseInvals,
-			Invalidations: r.invalsEpoch,
+			FalseInvals:   uint64(r.falseInvals),
+			Invalidations: uint64(r.invalsEpoch),
 		})
 	})
 	return out
@@ -125,7 +125,7 @@ func (d *Directory) SplitRegion(base mem.VA) error {
 	if r == nil {
 		return ErrNoRegion
 	}
-	if r.busy || r.waiters.Len() > 0 || r.resetting {
+	if r.busy || r.nwait > 0 || r.resetting {
 		return ErrRegionBusy
 	}
 	if d.frozenOverlaps(r.Base, r.Size) {
@@ -143,8 +143,8 @@ func (d *Directory) SplitRegion(base mem.VA) error {
 	half := r.Size / 2
 	sibling := d.allocRegion()
 	sibling.Base, sibling.Size = r.Base+mem.VA(half), half
-	sibling.state, sibling.owner, sibling.slot = r.state, r.owner, int(slot)
-	sibling.sharers.CopyFrom(&r.sharers)
+	sibling.state, sibling.owner, sibling.slot = r.state, r.owner, int32(slot)
+	sibling.sharers = r.sharers
 	r.Size = half
 	// Split the epoch's signal between the halves; it re-accumulates with
 	// real traffic next epoch.
@@ -169,7 +169,7 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	if r == nil {
 		return ErrNoRegion
 	}
-	if r.busy || r.waiters.Len() > 0 || r.resetting {
+	if r.busy || r.nwait > 0 || r.resetting {
 		return ErrRegionBusy
 	}
 	if r.Size*2 > d.cfg.TopLevelSize {
@@ -202,17 +202,17 @@ func (d *Directory) MergeRegion(lo mem.VA) error {
 	if buddy.Size != r.Size {
 		return fmt.Errorf("coherence: buddy sizes differ (%d vs %d)", r.Size, buddy.Size)
 	}
-	if buddy.busy || buddy.waiters.Len() > 0 || buddy.resetting {
+	if buddy.busy || buddy.nwait > 0 || buddy.resetting {
 		return ErrRegionBusy
 	}
 	st, owner, err := mergeStates(r, buddy)
 	if err != nil {
 		return err
 	}
-	r.state, r.owner = st, owner
-	r.sharers.UnionWith(&buddy.sharers)
-	r.falseInvals += buddy.falseInvals
-	r.invalsEpoch += buddy.invalsEpoch
+	r.state, r.owner = st, int32(owner)
+	r.sharers |= buddy.sharers
+	r.falseInvals = satAdd(r.falseInvals, buddy.falseInvals)
+	r.invalsEpoch = satAdd(r.invalsEpoch, buddy.invalsEpoch)
 	r.Size *= 2
 	slot := buddy.slot
 	d.dropRegion(buddy)
@@ -236,15 +236,15 @@ func mergeStates(a, b *Region) (State, int, error) {
 		if a.owner != b.owner {
 			return 0, 0, ErrCannotMerge
 		}
-		return Modified, a.owner, nil
+		return Modified, int(a.owner), nil
 	case a.state == Modified:
-		if b.sharers.OnlyMember(a.owner) {
-			return Modified, a.owner, nil
+		if b.sharers.OnlyMember(int(a.owner)) {
+			return Modified, int(a.owner), nil
 		}
 		return 0, 0, ErrCannotMerge
 	default: // b Modified
-		if a.sharers.OnlyMember(b.owner) {
-			return Modified, b.owner, nil
+		if a.sharers.OnlyMember(int(b.owner)) {
+			return Modified, int(b.owner), nil
 		}
 		return 0, 0, ErrCannotMerge
 	}
@@ -266,7 +266,7 @@ func (d *Directory) emergencyMerge() bool {
 		found    bool
 	)
 	d.rt.forEach(func(r *Region) {
-		if r.busy || r.waiters.Len() > 0 || r.Size*2 > d.cfg.TopLevelSize {
+		if r.busy || r.nwait > 0 || r.Size*2 > d.cfg.TopLevelSize {
 			return
 		}
 		buddyBase := r.Base ^ mem.VA(r.Size)
@@ -274,13 +274,13 @@ func (d *Directory) emergencyMerge() bool {
 			return
 		}
 		buddy := d.rt.exact(buddyBase)
-		if buddy == nil || buddy.Size != r.Size || buddy.busy || buddy.waiters.Len() > 0 {
+		if buddy == nil || buddy.Size != r.Size || buddy.busy || buddy.nwait > 0 {
 			return
 		}
 		if !mergeable(r, buddy) {
 			return
 		}
-		heat := r.falseInvals + buddy.falseInvals
+		heat := uint64(r.falseInvals) + uint64(buddy.falseInvals)
 		if !found || heat < bestHeat || (heat == bestHeat && r.Base < bestLo) {
 			found, bestLo, bestHeat = true, r.Base, heat
 		}
@@ -309,7 +309,7 @@ func (d *Directory) RemoveRegion(base mem.VA) error {
 	if r == nil {
 		return ErrNoRegion
 	}
-	if r.busy || r.waiters.Len() > 0 {
+	if r.busy || r.nwait > 0 {
 		return ErrRegionBusy
 	}
 	slot := r.slot
@@ -340,7 +340,7 @@ func (d *Directory) ResetRegion(va mem.VA, done func()) {
 	// queued waiters and the in-flight transition (if any), which is
 	// abandoned — its completion is superseded. All of them are in the
 	// in-flight table.
-	r.waiters.TakeAll()
+	r.takeWaiters()
 	var retry []*pending
 	for _, p := range d.inFlight {
 		if r.Contains(p.key.page) {
@@ -398,7 +398,7 @@ func (d *Directory) removeAfterReset(r *Region) {
 	// Requests that slipped into the waiter queue during the reset are
 	// bounced with Retry (their retransmissions were deduped against the
 	// in-flight table, so they must be answered, not dropped).
-	for _, p := range r.waiters.TakeAll() {
+	for _, p := range r.takeWaiters() {
 		d.bounce(p, Completion{Retry: true})
 	}
 	r.resetting = false

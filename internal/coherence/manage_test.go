@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"mind/internal/bitset"
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
 	"mind/internal/mem"
@@ -14,8 +13,8 @@ import (
 )
 
 // sharerSet builds a sharer bitmap from blade IDs.
-func sharerSet(ids ...int) bitset.Set {
-	var s bitset.Set
+func sharerSet(ids ...int) bladeSet {
+	var s bladeSet
 	for _, id := range ids {
 		s.Add(id)
 	}
@@ -87,7 +86,7 @@ func TestSplitRegionInheritsState(t *testing.T) {
 		t.Error("sibling did not inherit state/sharers")
 	}
 	// Sharer sets must be independent after the split.
-	hi.sharers.Remove(1)
+	hi.sharers &^= sharerSet(1)
 	if !lo.sharers.Has(1) {
 		t.Error("sharer sets aliased across split")
 	}
@@ -220,6 +219,26 @@ func TestMergeModifiedWithShared(t *testing.T) {
 	}
 }
 
+// TestMergeOwnerTopBit: an owner at blade 63 merges with a buddy whose
+// only sharer is 63, and not once blade 0 shares the buddy too.
+func TestMergeOwnerTopBit(t *testing.T) {
+	lo := &Region{state: Modified, owner: 63, sharers: sharerSet(63)}
+	hi := &Region{state: Shared, sharers: sharerSet(63)}
+	if st, owner, err := mergeStates(lo, hi); err != nil || st != Modified || owner != 63 {
+		t.Errorf("owner 63 beside sharer {63}: %v, %d, %v; want M, 63", st, owner, err)
+	}
+	if st, owner, err := mergeStates(hi, lo); err != nil || st != Modified || owner != 63 {
+		t.Errorf("sharer {63} beside owner 63: %v, %d, %v; want M, 63", st, owner, err)
+	}
+	hi.sharers.Add(0)
+	if _, _, err := mergeStates(lo, hi); !errors.Is(err, ErrCannotMerge) {
+		t.Errorf("owner 63 beside sharers {0, 63}: %v, want ErrCannotMerge", err)
+	}
+	if _, _, err := mergeStates(hi, lo); !errors.Is(err, ErrCannotMerge) {
+		t.Errorf("sharers {0, 63} beside owner 63: %v, want ErrCannotMerge", err)
+	}
+}
+
 func TestEmergencyMergeOnSlotExhaustion(t *testing.T) {
 	// Two slots only: creating a third region must coarsen a cold pair.
 	d, asic := newTestDirectory(t, 2, 16<<10, 2<<20)
@@ -314,6 +333,103 @@ func TestRegionChurnReusesEntries(t *testing.T) {
 	}
 	if len(used) > peak {
 		t.Fatalf("%d Region objects used for at most %d live entries", len(used), peak)
+	}
+}
+
+// TestRegionChurnAllocatesNothing: entries whose sharers are blades 0
+// and 63 and whose waiter queues have held requests split and merge back
+// round after round. Once the first round has filled the free list, a
+// round allocates nothing: the sharer set is a word in the entry, and a
+// recycled entry keeps its waiter queue, empty. An entry recreated after
+// a reset starts with no sharers and no waiters.
+func TestRegionChurnAllocatesNothing(t *testing.T) {
+	const regions, size = 8, 16 << 10
+	h := newProtoHarness(t, MaxBlades, 0)
+	d := h.dir
+	bases := make([]mem.VA, regions)
+	var halves []mem.VA
+	for i := range bases {
+		bases[i] = mem.VA(0x1000000 + i*size)
+		h.request(t, 0, bases[i], mem.PermRead)
+		if err := d.SplitRegion(bases[i]); err != nil {
+			t.Fatal(err)
+		}
+		halves = append(halves, bases[i], bases[i]+size/2)
+	}
+	// On every half, blade 1's write invalidates blades 0 and 63, blade 0
+	// holds its ACK, and blade 2's read queues behind the write.
+	for _, va := range halves {
+		h.request(t, 63, va, mem.PermRead)
+	}
+	h.blades[0].holdAcks = true
+	for _, va := range halves {
+		h.dir.RequestPage(1, 1, va, mem.PermReadWrite, func(Completion) {})
+		h.dir.RequestPage(2, 1, va, mem.PermRead, func(Completion) {})
+	}
+	h.eng.Run()
+	for _, va := range halves {
+		if r, _ := d.Lookup(va); r.nwait != 1 {
+			t.Fatalf("region %v has %d waiters, want 1", r, r.nwait)
+		}
+	}
+	h.blades[0].holdAcks = false
+	h.blades[0].releaseAcks()
+	h.eng.Run()
+
+	share := func() {
+		d.rt.forEach(func(r *Region) { r.state, r.sharers = Shared, sharerSet(0, 63) })
+	}
+	round := func() {
+		for _, base := range bases {
+			if err := d.MergeRegion(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, base := range bases {
+			if err := d.SplitRegion(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	share()
+	round()
+	queues := 0
+	d.rt.forEach(func(r *Region) {
+		if r.nwait != 0 || (r.waiters != nil && r.waiters.Len() != 0) {
+			t.Fatalf("region %v kept waiters (count %d, queue %v)", r, r.nwait, r.waiters)
+		}
+		if r.waiters != nil {
+			queues++
+		}
+		if got := r.Sharers(); len(got) != 2 || got[0] != 0 || got[1] != 63 {
+			t.Fatalf("region %v sharers %v, want [0 63]", r, got)
+		}
+	})
+	if queues != len(halves) {
+		t.Fatalf("%d of %d entries kept a waiter queue", queues, len(halves))
+	}
+	// A reset entry is recycled; the entry it becomes next is fresh.
+	for _, va := range halves[:2] {
+		done := false
+		d.ResetRegion(va, func() { done = true })
+		h.eng.Run()
+		if !done {
+			t.Fatalf("reset of %#x never completed", uint64(va))
+		}
+	}
+	r, err := d.lookupOrCreate(bases[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.sharers != 0 || r.nwait != 0 || r.state != Invalid || r.waiters == nil || r.waiters.Len() != 0 {
+		t.Fatalf("recreated region %v: sharers %v, %d waiters, queue %v", r, r.Sharers(), r.nwait, r.waiters)
+	}
+	if err := d.SplitRegion(bases[0]); err != nil {
+		t.Fatal(err)
+	}
+	share()
+	if avg := testing.AllocsPerRun(20, round); avg != 0 {
+		t.Errorf("a split/merge round over %d entries allocates %v times, want 0", len(halves), avg)
 	}
 }
 

@@ -297,7 +297,10 @@ func TestProtocolWaiterQueueNeverDrains(t *testing.T) {
 	}
 	peak, filled := 0, false
 	for h.eng.Step() {
-		n := r.waiters.Len()
+		n := int(r.nwait)
+		if r.waiters != nil && r.waiters.Len() != n {
+			t.Fatalf("waiter count %d, queue length %d", n, r.waiters.Len())
+		}
 		peak = max(peak, n)
 		filled = filled || n > 0
 		if filled && n == 0 && completed < total-blades*pages {
@@ -316,14 +319,67 @@ func TestProtocolWaiterQueueNeverDrains(t *testing.T) {
 	}
 }
 
-// TestRegionSize pins the directory entry at 120 bytes, its size since
-// the commit that packed Region's flags and hold count into one word
-// ("Pack Region's flags and hold count into one word"). A directory
-// allocates one per region, so a new field — the waiter queue is 32
-// bytes — must fit without growing every entry.
+// TestRegionSize pins the directory entry at one 64-byte cache line,
+// like a fixed-width entry in the switch's SRAM: the sharer set is one
+// word in the entry, and the waiter queue sits behind a pointer with
+// its length inline. A directory holds one per region, so a new field
+// must fit without growing every entry.
 func TestRegionSize(t *testing.T) {
-	if got := unsafe.Sizeof(Region{}); got > 120 {
-		t.Errorf("unsafe.Sizeof(Region{}) = %d, want <= 120", got)
+	if got := unsafe.Sizeof(Region{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(Region{}) = %d, want <= 64", got)
+	}
+}
+
+// TestSharerSetTopBit: on a 64-blade directory, blades 0 and 63 — the
+// lowest and highest bits of the sharer word — share a region, and a
+// write from blade 1 invalidates exactly those two.
+func TestSharerSetTopBit(t *testing.T) {
+	h := newProtoHarness(t, MaxBlades, 100)
+	va := mem.VA(0xD00000)
+	h.request(t, 63, va, mem.PermRead)
+	h.request(t, 0, va, mem.PermRead)
+	r, _ := h.dir.Lookup(va)
+	if got := r.Sharers(); len(got) != 2 || got[0] != 0 || got[1] != 63 {
+		t.Fatalf("sharers %v, want [0 63]", got)
+	}
+	c := h.request(t, 1, va, mem.PermReadWrite)
+	if c.Transition != "S->M" || c.Invalidations != 2 {
+		t.Fatalf("write from blade 1: %+v", c)
+	}
+	for _, b := range h.blades {
+		want := 0
+		if b.id == 0 || b.id == 63 {
+			want = 1
+		}
+		if len(b.invs) != want {
+			t.Errorf("blade %d received %d invalidations, want %d", b.id, len(b.invs), want)
+		}
+	}
+	if r.State() != Modified || r.Owner() != 1 || r.sharers != sharerSet(1) {
+		t.Errorf("after the write: %v, sharers %v", r, r.Sharers())
+	}
+}
+
+// TestSharerSetBound: a sharer set holds blade ids 0..63, lists them
+// ascending, and the directory refuses a blade id it cannot track.
+func TestSharerSetBound(t *testing.T) {
+	s := sharerSet(63, 5, 0, 31, 32)
+	if got := s.AppendTo(nil); len(got) != 5 || got[0] != 0 || got[1] != 5 || got[2] != 31 || got[3] != 32 || got[4] != 63 {
+		t.Errorf("members %v, want [0 5 31 32 63]", got)
+	}
+	if s.Count() != 5 || !s.Has(63) || s.Has(62) {
+		t.Errorf("count %d, has 63 %v, has 62 %v", s.Count(), s.Has(63), s.Has(62))
+	}
+	h := newProtoHarness(t, 1, 100)
+	for _, id := range []int{-1, MaxBlades} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterBlade(%d) accepted", id)
+				}
+			}()
+			h.dir.RegisterBlade(id, h.blades[0])
+		}()
 	}
 }
 
@@ -377,13 +433,21 @@ func TestProtocolResetFailsWaitersWithRetry(t *testing.T) {
 	h.dir.RequestPage(1, 1, va, mem.PermReadWrite, func(c Completion) { results = append(results, c) })
 	h.dir.RequestPage(2, 1, va, mem.PermReadWrite, func(c Completion) { results = append(results, c) })
 	h.eng.Run()
+	reg, _ := h.dir.Lookup(va)
+	if reg.nwait != 1 {
+		t.Fatalf("%d waiters before the reset, want 1", reg.nwait)
+	}
 
 	resetDone := false
 	h.dir.ResetRegion(va, func() { resetDone = true })
 	h.eng.Run()
-	// The waiters bounce with Retry immediately, before the flush ACKs.
+	// The waiters bounce with Retry immediately, before the flush ACKs,
+	// and leave the region's queue: none is answered twice or kept.
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
+	}
+	if reg.nwait != 0 || reg.waiters.Len() != 0 {
+		t.Errorf("after the reset the region counts %d waiters and queues %d", reg.nwait, reg.waiters.Len())
 	}
 	for _, r := range results {
 		if !r.Retry {

@@ -36,6 +36,8 @@ func TestClusterValidation(t *testing.T) {
 		bad   func(*Config)
 	}{
 		{"zero compute blades", "", func(c *Config) { c.ComputeBlades = 0 }},
+		// A sharer set is one word: a rack tracks at most 64 compute blades.
+		{"65 compute blades", "ComputeBlades", func(c *Config) { c.ComputeBlades = 65 }},
 		{"zero cache", "", func(c *Config) { c.CachePagesPerBlade = 0 }},
 		// A fabric calibration that makes time run backwards or a transfer
 		// free: cold store+load on 2x2 read 9.164 µs by default, but

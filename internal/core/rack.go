@@ -237,6 +237,12 @@ func checkConfig(cfg Config) (Config, error) {
 	if cfg.ComputeBlades < 1 || cfg.MemoryBlades < 1 {
 		return cfg, fmt.Errorf("core: need at least one compute and one memory blade")
 	}
+	if cfg.ComputeBlades > coherence.MaxBlades {
+		// A rack is one switch, whose directory keeps a sharer set as one
+		// 64-bit word over the rack's compute blades.
+		return cfg, fmt.Errorf("core: ComputeBlades %d exceeds the %d compute blades one rack's directory tracks",
+			cfg.ComputeBlades, coherence.MaxBlades)
+	}
 	if cfg.CachePagesPerBlade < 1 {
 		return cfg, fmt.Errorf("core: cache must hold at least one page")
 	}
