@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"mind/internal/ctrlplane"
@@ -21,19 +20,17 @@ import (
 
 var _ ctrlplane.RegionDirectory = (*Directory)(nil)
 
-// EpochStats appends one entry per live region (ascending base) with the
-// current epoch's false invalidation count to buf.
-func (d *Directory) EpochStats(buf []ctrlplane.RegionStat) []ctrlplane.RegionStat {
-	out := slices.Grow(buf, d.rt.count)
+// EachRegion calls fn with each live region's current-epoch counters,
+// in ascending base order.
+func (d *Directory) EachRegion(fn func(ctrlplane.RegionStat)) {
 	d.rt.forEach(func(r *Region) {
-		out = append(out, ctrlplane.RegionStat{
+		fn(ctrlplane.RegionStat{
 			Base:          r.Base,
 			Size:          r.Size,
 			FalseInvals:   uint64(r.falseInvals),
 			Invalidations: uint64(r.invalsEpoch),
 		})
 	})
-	return out
 }
 
 // ResetEpochCounters zeroes per-epoch false invalidation counters.

@@ -20,7 +20,7 @@ func newMESIHarness(t *testing.T, blades int) *protoHarness {
 	for i := 0; i < blades; i++ {
 		h.fab.AddNode(fabric.NodeID(i))
 	}
-	h.fab.AddNode(1000)
+	h.fab.AddNode(fabric.MemNodeBase)
 	h.asic = switchasic.New(switchasic.Config{SlotCapacity: 100})
 	ports := make([]int, blades)
 	for i := range ports {
@@ -38,7 +38,7 @@ func newMESIHarness(t *testing.T, blades int) *protoHarness {
 		Collector: h.col,
 		Translate: func(mem.VA) (ctrlplane.BladeID, error) { return 0, nil },
 		Protect:   func(mem.PDID, mem.VA, mem.Perm) error { return nil },
-		MemFetch:  memFetchVia(h.eng, h.fab, 1000),
+		MemFetch:  memFetchVia(h.eng, h.fab, fabric.MemNodeBase),
 	})
 	for i := 0; i < blades; i++ {
 		fb := &fakeBlade{h: h, id: i, dirtyFor: map[mem.VA]int{}}

@@ -70,7 +70,7 @@ func newProtoHarness(t *testing.T, blades int, slotCap int) *protoHarness {
 	for i := 0; i < blades; i++ {
 		h.fab.AddNode(fabric.NodeID(i))
 	}
-	h.fab.AddNode(1000)
+	h.fab.AddNode(fabric.MemNodeBase)
 	h.asic = switchasic.New(switchasic.Config{SlotCapacity: slotCap})
 	ports := make([]int, blades)
 	for i := range ports {
@@ -89,7 +89,7 @@ func newProtoHarness(t *testing.T, blades int, slotCap int) *protoHarness {
 			}
 			return nil
 		},
-		MemFetch: memFetchVia(h.eng, h.fab, 1000),
+		MemFetch: memFetchVia(h.eng, h.fab, fabric.MemNodeBase),
 	})
 	for i := 0; i < blades; i++ {
 		fb := &fakeBlade{h: h, id: i, dirtyFor: map[mem.VA]int{}}
@@ -203,7 +203,7 @@ func TestProtocolRegionGranularityInvalidation(t *testing.T) {
 		t.Errorf("false invals = %d, want 2", h.col.Counter(stats.CtrFalseInvals))
 	}
 	// The region's epoch counters carry the signal for bounded splitting.
-	st := h.dir.EpochStats(nil)
+	st := epochStats(h.dir)
 	var found bool
 	for _, r := range st {
 		if r.Base == region.Base {
@@ -582,9 +582,9 @@ func TestProtocolEpochStatsSorted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.request(t, 0, mem.VA(0xB00000+i*64<<10), mem.PermRead)
 	}
-	st := h.dir.EpochStats(nil)
+	st := epochStats(h.dir)
 	if !sort.SliceIsSorted(st, func(i, j int) bool { return st[i].Base < st[j].Base }) {
-		t.Error("EpochStats not sorted")
+		t.Error("EachRegion not in ascending base order")
 	}
 	if len(st) != 5 {
 		t.Errorf("regions = %d", len(st))

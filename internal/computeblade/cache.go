@@ -60,11 +60,15 @@ type Cache struct {
 // recordMinCap is the record store's first size, sentinel included.
 const recordMinCap = 16
 
+// MaxCachePages is the largest cache capacity: the page index names a
+// record in idxBits bits, and record 0 is the LRU sentinel.
+const MaxCachePages = idxMask
+
 // NewCache creates a cache holding at most capacity pages. Construction
 // is O(1): the record store and the page index grow as pages arrive.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 || capacity > idxMask {
-		panic(fmt.Sprintf("computeblade: cache capacity %d outside [1, %d]", capacity, idxMask))
+	if capacity < 1 || capacity > MaxCachePages {
+		panic(fmt.Sprintf("computeblade: cache capacity %d outside [1, %d]", capacity, MaxCachePages))
 	}
 	return &Cache{capacity: capacity}
 }

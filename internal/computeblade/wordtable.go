@@ -20,8 +20,14 @@ const (
 func pageKey(va mem.VA) uint64 { return mem.PageIndex(va) }
 
 // faultKey is an in-flight fault's key: the page number and the wanted
-// permission class (Perm is 1 or 2) in the low two bits.
+// permission class (Perm is 1 or 2) in the low two bits. It fits keyBits
+// because every VA lies below mem.VALimit: ctrlplane.Allocator.AddBlade
+// refuses a blade partition that would reach it, in a one-rack pod and
+// in each rack's stripe of a larger one, so no config reaches a wider
+// key (the constant below fails to compile if the two widths part).
 func faultKey(page mem.VA, want mem.Perm) uint64 { return mem.PageIndex(page)<<2 | uint64(want) }
+
+const _ uint64 = 1<<keyBits - uint64(mem.VALimit>>mem.PageShift)<<2
 
 // wordTable is an open-addressed hash table from keys below 2^keyBits to
 // record indices: the cache's page index, on the hit path of every

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mind/internal/computeblade"
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
 	"mind/internal/mem"
@@ -38,7 +39,13 @@ func TestClusterValidation(t *testing.T) {
 		{"zero compute blades", "", func(c *Config) { c.ComputeBlades = 0 }},
 		// A sharer set is one word: a rack tracks at most 64 compute blades.
 		{"65 compute blades", "ComputeBlades", func(c *Config) { c.ComputeBlades = 65 }},
-		{"zero cache", "", func(c *Config) { c.CachePagesPerBlade = 0 }},
+		{"zero cache", "CachePagesPerBlade", func(c *Config) { c.CachePagesPerBlade = 0 }},
+		// A blade cache names its records in 24 bits: 2^24 pages panicked
+		// in computeblade.NewCache.
+		{"cache past the record index", "CachePagesPerBlade", func(c *Config) { c.CachePagesPerBlade = computeblade.MaxCachePages + 1 }},
+		// Fault keys hold page numbers below 2^38: a blade partition may
+		// not reach mem.VALimit (2^50).
+		{"blade past the address space", "MemoryBladeCapacity", func(c *Config) { c.MemoryBladeCapacity = uint64(mem.VALimit) }},
 		// A fabric calibration that makes time run backwards or a transfer
 		// free: cold store+load on 2x2 read 9.164 µs by default, but
 		// 3.460 µs with NICBytesPerNs 0, 4.364 µs with WireDelay -1 µs and

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mind/internal/ctrlplane"
 	"mind/internal/mem"
 	"mind/internal/sim"
 	"mind/internal/stats"
@@ -128,11 +129,11 @@ func TestDisableSplitting(t *testing.T) {
 		t.Errorf("splits = %d with splitting disabled", got)
 	}
 	// Every region is exactly the configured size.
-	for _, st := range c.Directory().EpochStats(nil) {
+	c.Directory().EachRegion(func(st ctrlplane.RegionStat) {
 		if st.Size != 64<<10 {
 			t.Errorf("region size = %d, want fixed 64K", st.Size)
 		}
-	}
+	})
 }
 
 // TestCacheHitFastPath: a hot single-page loop should be served almost

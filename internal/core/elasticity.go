@@ -93,7 +93,7 @@ func (c *Rack) AddMemBlade(capacity uint64) (ctrlplane.BladeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	node := memNodeBase + fabric.NodeID(id)
+	node := fabric.MemNodeBase + fabric.NodeID(id)
 	c.fab.AddNode(node)
 	c.attach(id, memblade.New(int(id)), c.idx, node)
 	c.col.IncH(c.hBladeEvents, 1)

@@ -420,7 +420,7 @@ func (p *Pod) returnBlade(borrower *Rack, id ctrlplane.BladeID) bool {
 		panic(fmt.Sprintf("core: return of borrowed blade %d: %v", id, err))
 	}
 	blade.DropAll()
-	node := memNodeBase + fabric.NodeID(newID)
+	node := fabric.MemNodeBase + fabric.NodeID(newID)
 	owner.fab.AddNode(node)
 	owner.attach(newID, blade, owner.idx, node)
 	borrower.borrowed--

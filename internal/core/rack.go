@@ -14,10 +14,6 @@ import (
 	"mind/internal/stats"
 )
 
-// memNodeBase offsets memory-blade fabric node IDs away from compute
-// blades'.
-const memNodeBase fabric.NodeID = 1000
-
 // Rack is one simulated MIND rack (Figure 2): a programmable ToR switch
 // holding the TCAM translations and the coherence directory for its
 // blades, the rack-local fabric, and the compute/memory blades behind
@@ -243,8 +239,10 @@ func checkConfig(cfg Config) (Config, error) {
 		return cfg, fmt.Errorf("core: ComputeBlades %d exceeds the %d compute blades one rack's directory tracks",
 			cfg.ComputeBlades, coherence.MaxBlades)
 	}
-	if cfg.CachePagesPerBlade < 1 {
-		return cfg, fmt.Errorf("core: cache must hold at least one page")
+	if cfg.CachePagesPerBlade < 1 || cfg.CachePagesPerBlade > computeblade.MaxCachePages {
+		// A blade cache names its records in 24 bits.
+		return cfg, fmt.Errorf("core: CachePagesPerBlade %d outside [1, %d]",
+			cfg.CachePagesPerBlade, computeblade.MaxCachePages)
 	}
 	if cfg.StoreBufferDepth < 0 {
 		return cfg, fmt.Errorf("core: negative store buffer depth (%d)", cfg.StoreBufferDepth)
@@ -357,12 +355,12 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 		c.fab.AddNode(fabric.NodeID(i))
 	}
 	for m := 0; m < cfg.MemoryBlades; m++ {
-		c.fab.AddNode(memNodeBase + fabric.NodeID(m))
+		c.fab.AddNode(fabric.MemNodeBase + fabric.NodeID(m))
 		id, err := c.ctl.Allocator().AddBlade(cfg.MemoryBladeCapacity)
 		if err != nil {
-			return nil, fmt.Errorf("core: register memory blade %d: %w", m, err)
+			return nil, fmt.Errorf("core: register memory blade %d (MemoryBladeCapacity %#x): %w", m, cfg.MemoryBladeCapacity, err)
 		}
-		c.attach(id, memblade.New(m), idx, memNodeBase+fabric.NodeID(m))
+		c.attach(id, memblade.New(m), idx, fabric.MemNodeBase+fabric.NodeID(m))
 	}
 
 	c.dir = coherence.NewDirectory(coherence.Config{

@@ -160,8 +160,8 @@ type Allocator struct {
 
 	blades []*bladeState
 	nextVA mem.VA
-	// limitVA, when nonzero, is the exclusive end of this allocator's
-	// address stripe (see SetAddressStripe).
+	// limitVA is the exclusive end of this allocator's addresses: its
+	// stripe's end (see SetAddressStripe), and never past mem.VALimit.
 	limitVA mem.VA
 	rrNext  int
 	allocs  map[mem.VA]*allocation // by vma base
@@ -170,13 +170,14 @@ type Allocator struct {
 
 // NewAllocator creates an allocator that installs translation rules into
 // asic. The address space begins at 4 GB to keep low addresses (null
-// page, legacy mappings) unused.
+// page, legacy mappings) unused, and ends at mem.VALimit.
 func NewAllocator(asic *switchasic.ASIC, policy PlacementPolicy) *Allocator {
 	return &Allocator{
-		asic:   asic,
-		policy: policy,
-		nextVA: mem.VA(1) << 32,
-		allocs: make(map[mem.VA]*allocation),
+		asic:    asic,
+		policy:  policy,
+		nextVA:  mem.VA(1) << 32,
+		limitVA: mem.VALimit,
+		allocs:  make(map[mem.VA]*allocation),
 	}
 }
 
@@ -191,8 +192,8 @@ func (a *Allocator) AddBlade(capacity uint64) (BladeID, error) {
 	id := BladeID(len(a.blades))
 	base := mem.AlignUp(a.nextVA, capacity)
 	part := mem.Range{Base: base, Size: capacity}
-	if a.limitVA != 0 && part.End() > a.limitVA {
-		return 0, fmt.Errorf("ctrlplane: blade partition [%#x,+%#x) exceeds the allocator's address stripe (ends %#x): %w",
+	if base >= a.limitVA || uint64(a.limitVA-base) < capacity {
+		return 0, fmt.Errorf("ctrlplane: blade partition [%#x,+%#x) exceeds the allocator's address range (ends %#x): %w",
 			uint64(base), capacity, uint64(a.limitVA), ErrNoMemory)
 	}
 	if err := a.asic.Translation.Insert(switchasic.Entry{
@@ -213,8 +214,8 @@ func (a *Allocator) AddBlade(capacity uint64) (BladeID, error) {
 // disjoint stripe so addresses are pod-unique, and AddBlade refuses to
 // grow past the stripe's end (otherwise a fully-loaded or long-churned
 // rack could silently spill into its neighbour's stripe and a lent page
-// store would see aliased addresses). Must be called before any blade
-// is registered.
+// store would see aliased addresses). A stripe past mem.VALimit is cut
+// there. Must be called before any blade is registered.
 func (a *Allocator) SetAddressStripe(base mem.VA, size uint64) {
 	if len(a.blades) != 0 {
 		panic("ctrlplane: SetAddressStripe after blades registered")
@@ -223,7 +224,7 @@ func (a *Allocator) SetAddressStripe(base mem.VA, size uint64) {
 		base = mem.VA(1) << 32
 	}
 	a.nextVA = base
-	a.limitVA = base + mem.VA(size)
+	a.limitVA = min(base+mem.VA(size), mem.VALimit)
 }
 
 // Blades returns the number of registered memory blades.

@@ -24,10 +24,10 @@ type RegionStat struct {
 // RegionDirectory is the view of the cache directory the Bounded
 // Splitting algorithm manipulates. The coherence package implements it.
 type RegionDirectory interface {
-	// EpochStats appends one entry per live directory region (regions
-	// are disjoint), in ascending base order, with this epoch's false
-	// invalidation count, and returns the extended slice.
-	EpochStats(buf []RegionStat) []RegionStat
+	// EachRegion calls fn once per live directory region (regions are
+	// disjoint), in ascending base order, with this epoch's counters. fn
+	// must not change the directory.
+	EachRegion(fn func(RegionStat))
 	// SplitRegion splits the region based at base into two halves,
 	// allocating one extra directory slot. It fails if the region is at
 	// the 4 KB minimum or no slot is free.
@@ -86,10 +86,47 @@ type Splitter struct {
 	splits uint64
 	merges uint64
 
-	// stats and pairs are RunEpoch's scratch, kept across epochs so a
-	// tick that changes nothing allocates nothing.
+	// stats holds an epoch's split candidates and pairs its cold buddy
+	// pairs: RunEpoch's scratch, sized by what an epoch acts on rather
+	// than by the region count, and kept across epochs so a tick that
+	// changes nothing allocates nothing.
 	stats []RegionStat
 	pairs []buddyPair
+
+	// The epoch's visitor state: Eq. 1's running terms, the threshold
+	// and the merge pass's predecessor region.
+	terms eq1
+	t     float64
+	prev  RegionStat
+	// The visitors, bound once here: a method value made per epoch
+	// would allocate.
+	addEq1, addCandidate, addPair func(RegionStat)
+}
+
+// eq1 accumulates the terms of Eq. 1 over regions visited in ascending
+// base order: Σf and N, the number of top-level blocks they span.
+type eq1 struct {
+	top    uint64
+	sum, n float64
+	last   mem.VA
+}
+
+func (e *eq1) add(r RegionStat) {
+	e.sum += float64(r.FalseInvals)
+	// Ascending bases make each block's regions consecutive.
+	if block := mem.AlignDown(r.Base, e.top); e.n == 0 || block != e.last {
+		e.n++
+		e.last = block
+	}
+}
+
+// threshold returns t = Σf / (c·N), floored at 1 so zero-traffic epochs
+// do not split everything.
+func (e *eq1) threshold(c float64) float64 {
+	if e.n == 0 {
+		return 1
+	}
+	return max(e.sum/(c*e.n), 1)
 }
 
 // buddyPair is a merge candidate: two same-size buddies, named by the
@@ -104,7 +141,9 @@ func NewSplitter(cfg SplitterConfig, dir RegionDirectory) *Splitter {
 	if cfg.C <= 0 {
 		cfg.C = 1
 	}
-	return &Splitter{cfg: cfg, dir: dir, c: cfg.C}
+	s := &Splitter{cfg: cfg, dir: dir, c: cfg.C}
+	s.addEq1, s.addCandidate, s.addPair = s.terms.add, s.candidate, s.pair
+	return s
 }
 
 // C returns the current adaptive fairness constant.
@@ -120,36 +159,24 @@ func (s *Splitter) Splits() uint64 { return s.splits }
 func (s *Splitter) Merges() uint64 { return s.merges }
 
 // Threshold computes t = Σf / (c·N) over the current epoch's stats
-// (Eq. 1, statsList in ascending base order as EpochStats returns it),
+// (Eq. 1, statsList in ascending base order as EachRegion visits it),
 // with N the number of top-level-size blocks spanned by live regions. A
 // floor of 1 keeps zero-traffic epochs from splitting everything.
 func (s *Splitter) Threshold(statsList []RegionStat) float64 {
-	if len(statsList) == 0 {
-		return 1
+	e := eq1{top: s.cfg.TopLevelSize}
+	for _, r := range statsList {
+		e.add(r)
 	}
-	var sum, n float64
-	var last mem.VA
-	for i, r := range statsList {
-		sum += float64(r.FalseInvals)
-		// Ascending bases make each block's regions consecutive.
-		if block := mem.AlignDown(r.Base, s.cfg.TopLevelSize); i == 0 || block != last {
-			n++
-			last = block
-		}
-	}
-	t := sum / (s.c * n)
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return e.threshold(s.c)
 }
 
 // RunEpoch executes one epoch of the algorithm and returns the number of
 // splits and merges performed.
 func (s *Splitter) RunEpoch() (splits, merges int) {
 	s.epochs++
-	s.stats = s.dir.EpochStats(s.stats[:0])
-	t := s.Threshold(s.stats)
+	s.terms = eq1{top: s.cfg.TopLevelSize}
+	s.dir.EachRegion(s.addEq1)
+	s.t = s.terms.threshold(s.c)
 
 	cap := s.dir.SlotCapacity()
 	util := func() float64 {
@@ -162,6 +189,8 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 	// Split phase: any region with count > t splits once this epoch
 	// (repeated splitting across epochs converges in <= log2 M epochs,
 	// §5.1). Hottest first so capacity pressure cuts off the cold tail.
+	s.stats = s.stats[:0]
+	s.dir.EachRegion(s.addCandidate)
 	slices.SortFunc(s.stats, func(a, b RegionStat) int {
 		if a.FalseInvals != b.FalseInvals {
 			return cmp.Compare(b.FalseInvals, a.FalseInvals)
@@ -169,9 +198,6 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 		return cmp.Compare(a.Base, b.Base)
 	})
 	for _, r := range s.stats {
-		if float64(r.FalseInvals) <= t || r.Size <= mem.PageSize {
-			continue
-		}
 		if util() >= utilizationCap {
 			break
 		}
@@ -187,7 +213,7 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 	// and proactive consolidation is what keeps low-contention workloads
 	// (TF/GC) far below the capacity limit in Figure 8 (left). The t/2
 	// hysteresis (split above t, merge below t/2) damps oscillation.
-	merges += s.mergeCold(t)
+	merges = s.mergeCold()
 
 	// Adapt c (§5.2): too full -> coarser regions (smaller c -> larger
 	// t); any headroom -> allow finer tracking (larger c), increasing
@@ -205,27 +231,40 @@ func (s *Splitter) RunEpoch() (splits, merges int) {
 	return splits, merges
 }
 
-// mergeCold merges buddy pairs whose combined false-invalidation count is
-// below t/2, coldest first.
-func (s *Splitter) mergeCold(t float64) int {
-	// A fresh snapshot: the split phase changed the region set and
-	// reordered the last one.
-	s.stats = s.dir.EpochStats(s.stats[:0])
-	s.pairs = s.pairs[:0]
-	for i := 0; i+1 < len(s.stats); i++ {
-		// Live regions are disjoint and the snapshot ascends, so the
-		// buddy of a lower half, if live at the same size, is the next
-		// entry; each pair is met once, at its lower half.
-		r, b := s.stats[i], s.stats[i+1]
-		if r.Size >= s.cfg.TopLevelSize || r.Base&mem.VA(r.Size) != 0 ||
-			b.Base != r.Base+mem.VA(r.Size) || b.Size != r.Size {
-			continue
-		}
-		heat := r.FalseInvals + b.FalseInvals + r.Invalidations + b.Invalidations
-		if float64(heat) < t/2 {
-			s.pairs = append(s.pairs, buddyPair{lo: r.Base, heat: heat})
-		}
+// candidate keeps a region the split phase may split: above the
+// threshold and above the 4 KB floor.
+func (s *Splitter) candidate(r RegionStat) {
+	if float64(r.FalseInvals) > s.t && r.Size > mem.PageSize {
+		s.stats = append(s.stats, r)
 	}
+}
+
+// pair keeps a cold buddy pair: r and its predecessor, when that is r's
+// lower buddy at the same size and their combined traffic is below t/2.
+// Live regions are disjoint and visited in ascending order, so the buddy
+// of a lower half, if live at the same size, is the next region; each
+// pair is met once, at its upper half.
+func (s *Splitter) pair(r RegionStat) {
+	lo := s.prev
+	s.prev = r
+	if lo.Size >= s.cfg.TopLevelSize || lo.Base&mem.VA(lo.Size) != 0 ||
+		r.Base != lo.Base+mem.VA(lo.Size) || r.Size != lo.Size {
+		return
+	}
+	heat := lo.FalseInvals + r.FalseInvals + lo.Invalidations + r.Invalidations
+	if float64(heat) < s.t/2 {
+		s.pairs = append(s.pairs, buddyPair{lo: lo.Base, heat: heat})
+	}
+}
+
+// mergeCold merges buddy pairs whose combined false-invalidation count is
+// below t/2, coldest first, over the region set the split phase left.
+func (s *Splitter) mergeCold() int {
+	s.pairs = s.pairs[:0]
+	// A zero-size predecessor pairs with nothing: every live region has
+	// a nonzero size.
+	s.prev = RegionStat{}
+	s.dir.EachRegion(s.addPair)
 	slices.SortFunc(s.pairs, func(a, b buddyPair) int {
 		if a.heat != b.heat {
 			return cmp.Compare(a.heat, b.heat)

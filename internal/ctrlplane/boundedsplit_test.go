@@ -62,11 +62,19 @@ func (d *fakeDir) recount() {
 	d.counted = true
 }
 
-func (d *fakeDir) EpochStats(out []RegionStat) []RegionStat {
+func (d *fakeDir) EachRegion(fn func(RegionStat)) {
+	for _, r := range d.epochStats() {
+		fn(r)
+	}
+}
+
+// epochStats lists every region with its counters, in ascending base
+// order.
+func (d *fakeDir) epochStats() []RegionStat {
 	if !d.counted {
 		d.recount()
 	}
-	first := len(out)
+	var out []RegionStat
 	for base, size := range d.regions {
 		// Invalidation traffic follows the hot pages regardless of
 		// region size (false invalidations vanish at 4 KB; traffic
@@ -79,8 +87,7 @@ func (d *fakeDir) EpochStats(out []RegionStat) []RegionStat {
 		}
 		out = append(out, RegionStat{Base: base, Size: size, FalseInvals: d.counts[base], Invalidations: invals})
 	}
-	tail := out[first:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Base < tail[j].Base })
+	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
 	return out
 }
 
@@ -193,7 +200,7 @@ func TestTheorem51Bound(t *testing.T) {
 		// Split every region above threshold until stable (§5.1).
 		for epoch := 0; epoch < 64; epoch++ {
 			split := false
-			for _, r := range d.EpochStats(nil) {
+			for _, r := range d.epochStats() {
 				if float64(r.FalseInvals) > threshold && r.Size > mem.PageSize {
 					if d.SplitRegion(r.Base) == nil {
 						split = true
@@ -401,4 +408,62 @@ func ExampleWorstCaseRegions() {
 	// 10 can generate at most (⌈45/10⌉-1)·(1+log2(512)) = 4·10 sub-regions.
 	fmt.Println(WorstCaseRegions(45, 10, 2<<20))
 	// Output: 40
+}
+
+// TestSplitterScratchFollowsCandidates: an epoch's retained scratch is
+// its split candidates and cold pairs, not a copy of the directory. On
+// 10 000 top-level regions with 3 hot ones, the three are the only
+// candidates; append rounds the candidate slice up to 4.
+func TestSplitterScratchFollowsCandidates(t *testing.T) {
+	const top = 2 << 20
+	d := newFakeDir(top, 0, 10_000)
+	for _, b := range []int{17, 4_000, 9_999} {
+		d.addHot(mem.VA(b*top)+0x3000, 100)
+	}
+	cfg := DefaultSplitterConfig()
+	cfg.TopLevelSize = top
+	s := NewSplitter(cfg, d)
+	if splits, merges := s.RunEpoch(); splits != 3 || merges != 0 {
+		t.Fatalf("epoch did %d splits and %d merges, want 3 and 0", splits, merges)
+	}
+	if len(s.stats) != 3 || cap(s.stats) > 4 {
+		t.Errorf("candidate scratch holds %d of capacity %d, want 3 of at most 4", len(s.stats), cap(s.stats))
+	}
+	if cap(s.pairs) != 0 {
+		t.Errorf("pair scratch has capacity %d with no cold buddies", cap(s.pairs))
+	}
+}
+
+// mergeLog records every MergeRegion call a splitter makes.
+type mergeLog struct {
+	*fakeDir
+	merges []mem.VA
+}
+
+func (d *mergeLog) MergeRegion(lo mem.VA) error {
+	d.merges = append(d.merges, lo)
+	return d.fakeDir.MergeRegion(lo)
+}
+
+// TestSplitterPairsStartFresh: the merge pass pairs regions met in one
+// walk only. A directory gains and loses regions between epochs, so the
+// last region of one epoch's walk may sit just below the first of the
+// next; with no traffic, pairing them would queue a merge of a region
+// that is gone.
+func TestSplitterPairsStartFresh(t *testing.T) {
+	const top = 2 << 20
+	d := &mergeLog{fakeDir: newFakeDir(top, 0, 0)}
+	d.regions[0] = top / 2 // a lower half whose buddy is not live
+	cfg := DefaultSplitterConfig()
+	cfg.TopLevelSize = top
+	s := NewSplitter(cfg, d)
+	s.RunEpoch()
+	// The lower half goes and its buddy arrives.
+	delete(d.regions, 0)
+	d.regions[top/2] = top / 2
+	d.recount()
+	s.RunEpoch()
+	if len(d.merges) != 0 {
+		t.Errorf("merge calls %#x with no live buddy pair", d.merges)
+	}
 }

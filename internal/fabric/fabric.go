@@ -25,6 +25,11 @@ type NodeID int
 // (reached via PCIe from the ASIC; system-call path).
 const SwitchNode NodeID = -1
 
+// MemNodeBase is the first memory-blade NodeID. Compute blades take ids
+// from 0 up and memory blades from MemNodeBase up, so the two never
+// collide; the fabric keeps one dense NIC table for each range.
+const MemNodeBase NodeID = 1000
+
 // Standard message sizes in bytes.
 const (
 	CtrlMsgBytes = 64   // RDMA request headers, invalidations, ACKs
@@ -85,12 +90,15 @@ func DefaultConfig() Config {
 type Fabric struct {
 	eng *sim.Engine
 	cfg Config
-	// NIC resources are dense slices indexed by NodeID+1 (the +1 makes
-	// room for SwitchNode = -1): compute blades occupy the low indexes
-	// and memory blades a fixed offset above them, so the per-hop
-	// resource lookup is one bounds check instead of a map probe.
-	nicTx   []*sim.Resource
-	nicRx   []*sim.Resource
+	// NIC resources live in two dense tables: compute holds the ids
+	// below MemNodeBase at index NodeID+1 (the +1 makes room for
+	// SwitchNode = -1), memory the ids from MemNodeBase up at index
+	// NodeID-MemNodeBase. Each grows to the highest id registered in its
+	// range, so the per-hop lookup is one bounds check instead of a map
+	// probe and a rack pays for the blades it has, not for the gap
+	// between the two id ranges.
+	compute []nic
+	memory  []nic
 	ingress *sim.Resource
 	egress  *sim.Resource
 
@@ -99,8 +107,7 @@ type Fabric struct {
 	// §4.4 communication-failure handling).
 	DropFn func(from, to NodeID) bool
 
-	// dead marks failed endpoints (a bitset indexed by NodeID+1, like
-	// the NIC slices): every message addressed to (or sent from) a dead
+	// dead marks failed endpoints (a bitset indexed by NodeID+1): every message addressed to (or sent from) a dead
 	// node is silently lost, the way a link to a crashed blade goes
 	// black. Unlike DropFn this is permanent rack state, set by
 	// failure-injection events (Pod.KillMemBladeAt).
@@ -119,6 +126,9 @@ type Fabric struct {
 	mcFree  sim.Pool[mcDelivery]
 	hopFree sim.Pool[unicastHop]
 }
+
+// nic is one node's NIC pair.
+type nic struct{ tx, rx *sim.Resource }
 
 // mcDelivery carries one multicast copy's pre-bound completion through
 // the engine (the per-copy extra it needs beyond (fn, arg) is the target
@@ -151,7 +161,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	}
 }
 
-// slot maps a NodeID onto the dense table index.
+// slot maps a NodeID onto its bit in the dead set.
 func slot(id NodeID) int {
 	i := int(id) + 1
 	if i < 0 {
@@ -196,35 +206,42 @@ func (f *Fabric) Engine() *sim.Engine { return f.eng }
 // AddNode registers a node's NIC with the fabric. Each blade has
 // dedicated access to a separate 100 Gbps NIC (§7 cluster setup).
 func (f *Fabric) AddNode(id NodeID) {
-	i := slot(id)
-	if n := i + 1 - len(f.nicTx); n > 0 {
-		// Memory nodes sit a thousand ids up: grow to the slot at once.
-		f.nicTx = append(f.nicTx, make([]*sim.Resource, n)...)
-		f.nicRx = append(f.nicRx, make([]*sim.Resource, n)...)
+	t, i := f.table(id)
+	if n := i + 1 - len(*t); n > 0 {
+		*t = append(*t, make([]nic, n)...)
 	}
-	if f.nicTx[i] != nil {
+	if (*t)[i].tx != nil {
 		panic(fmt.Sprintf("fabric: duplicate node %d", id))
 	}
-	f.nicTx[i] = sim.NewResource(1)
-	f.nicRx[i] = sim.NewResource(1)
+	(*t)[i] = nic{tx: sim.NewResource(1), rx: sim.NewResource(1)}
+}
+
+// table returns the NIC table holding id and id's index in it.
+func (f *Fabric) table(id NodeID) (*[]nic, int) {
+	if id >= MemNodeBase {
+		return &f.memory, int(id - MemNodeBase)
+	}
+	return &f.compute, slot(id)
 }
 
 // HasNode reports whether id is registered.
 func (f *Fabric) HasNode(id NodeID) bool {
-	i := slot(id)
-	return i < len(f.nicTx) && f.nicTx[i] != nil
+	t, i := f.table(id)
+	return i < len(*t) && (*t)[i].tx != nil
 }
 
 func (f *Fabric) serialize(bytes int) sim.Duration {
 	return sim.Duration(float64(bytes) / f.cfg.NICBytesPerNs)
 }
 
-func (f *Fabric) nic(m []*sim.Resource, id NodeID, kind string) *sim.Resource {
-	i := slot(id)
-	if i >= len(m) || m[i] == nil {
+// nic returns id's NIC pair; kind names the side wanted for the panic
+// on an unregistered node.
+func (f *Fabric) nic(id NodeID, kind string) *nic {
+	t, i := f.table(id)
+	if i >= len(*t) || (*t)[i].tx == nil {
 		panic(fmt.Sprintf("fabric: %s for unregistered node %d", kind, id))
 	}
-	return m[i]
+	return &(*t)[i]
 }
 
 // SendToSwitchArg models node → switch: TX NIC serialization, the wire,
@@ -232,7 +249,7 @@ func (f *Fabric) nic(m []*sim.Resource, id NodeID, kind string) *sim.Resource {
 // the packet has completed ingress match-action processing and is ready
 // for data-plane logic.
 func (f *Fabric) SendToSwitchArg(from NodeID, bytes int, fn func(any), arg any) {
-	tx := f.nic(f.nicTx, from, "TX")
+	tx := f.nic(from, "TX").tx
 	_, txEnd := tx.Reserve(f.eng.Now(), f.cfg.NICOverhead+f.serialize(bytes))
 	if f.dead.Has(slot(from)) {
 		f.Dropped++
@@ -277,7 +294,7 @@ func (f *Fabric) TraverseEgressArg(fn func(any), arg any) {
 func (f *Fabric) SendFromSwitchArg(to NodeID, bytes int, fn func(any), arg any) {
 	_, egrEnd := f.egress.Reserve(f.eng.Now(), f.cfg.PipelineService)
 	arrive := egrEnd.Add(f.cfg.PipelineDelay + f.cfg.WireDelay)
-	rx := f.nic(f.nicRx, to, "RX")
+	rx := f.nic(to, "RX").rx
 	_, rxEnd := rx.Reserve(arrive, f.cfg.NICOverhead+f.serialize(bytes))
 	if f.lost(SwitchNode, to) {
 		return
@@ -299,7 +316,7 @@ func (f *Fabric) MulticastFromSwitchArg(tos []NodeID, bytes int, fn func(arg any
 	_, egrEnd := f.egress.Reserve(f.eng.Now(), f.cfg.PipelineService)
 	for _, to := range tos {
 		arrive := egrEnd.Add(f.cfg.PipelineDelay + f.cfg.WireDelay)
-		rx := f.nic(f.nicRx, to, "RX")
+		rx := f.nic(to, "RX").rx
 		_, rxEnd := rx.Reserve(arrive, f.cfg.NICOverhead+f.serialize(bytes))
 		if f.lost(SwitchNode, to) {
 			continue

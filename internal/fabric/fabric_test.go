@@ -326,3 +326,43 @@ func TestUnicastArgWarmAllocs(t *testing.T) {
 		t.Errorf("Delivered = %d, Dropped = %d, want %d and 0", f.Delivered, f.Dropped, 2*102)
 	}
 }
+
+// TestNICTablesFollowRegisteredNodes: the NIC tables grow with the nodes
+// registered, not with the gap between the compute and memory id ranges.
+// A rack of 64 compute and 8 memory blades holds 65 compute entries (one
+// is SwitchNode's) and 8 memory entries, and every id resolves to its
+// own NIC.
+func TestNICTablesFollowRegisteredNodes(t *testing.T) {
+	f := New(sim.NewEngine(), DefaultConfig())
+	for i := NodeID(0); i < 64; i++ {
+		f.AddNode(i)
+	}
+	for m := NodeID(0); m < 8; m++ {
+		f.AddNode(MemNodeBase + m)
+	}
+	if len(f.compute) > 65 || len(f.memory) > 8 {
+		t.Errorf("NIC tables hold %d compute and %d memory entries, want at most 65 and 8", len(f.compute), len(f.memory))
+	}
+	// append's amortized growth may at most double a table's backing.
+	if cap(f.compute) > 2*65 || cap(f.memory) > 2*8 {
+		t.Errorf("NIC tables have capacity %d and %d, want at most 130 and 16", cap(f.compute), cap(f.memory))
+	}
+	seen := make(map[*sim.Resource]NodeID)
+	for _, id := range []NodeID{0, 63, MemNodeBase, MemNodeBase + 7} {
+		if !f.HasNode(id) {
+			t.Fatalf("node %d not registered", id)
+		}
+		n := f.nic(id, "TX")
+		for _, r := range []*sim.Resource{n.tx, n.rx} {
+			if other, dup := seen[r]; dup {
+				t.Fatalf("nodes %d and %d share a NIC resource", other, id)
+			}
+			seen[r] = id
+		}
+	}
+	for _, id := range []NodeID{SwitchNode, 64, MemNodeBase - 1, MemNodeBase + 8} {
+		if f.HasNode(id) {
+			t.Errorf("unregistered node %d reported registered", id)
+		}
+	}
+}

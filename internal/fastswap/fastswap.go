@@ -83,7 +83,7 @@ func New(cfg Config) *Cluster {
 	c.fab = fabric.New(c.eng, cfg.Fabric)
 	c.fab.AddNode(0) // the single compute blade
 	for m := 0; m < cfg.MemoryBlades; m++ {
-		c.fab.AddNode(1000 + fabric.NodeID(m))
+		c.fab.AddNode(fabric.MemNodeBase + fabric.NodeID(m))
 	}
 	return c
 }
@@ -102,7 +102,7 @@ func (c *Cluster) Alloc(length uint64) (mem.VA, error) {
 }
 
 func (c *Cluster) memBladeOf(page mem.VA) fabric.NodeID {
-	return 1000 + fabric.NodeID(int(mem.PageIndex(page))%c.cfg.MemoryBlades)
+	return fabric.MemNodeBase + fabric.NodeID(int(mem.PageIndex(page))%c.cfg.MemoryBlades)
 }
 
 type thread struct {

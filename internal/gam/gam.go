@@ -160,7 +160,7 @@ func New(cfg Config) *Cluster {
 		c.homes = append(c.homes, sim.NewResource(4))
 	}
 	for m := 0; m < cfg.MemoryBlades; m++ {
-		c.fab.AddNode(1000 + fabric.NodeID(m))
+		c.fab.AddNode(fabric.MemNodeBase + fabric.NodeID(m))
 	}
 	return c
 }
@@ -186,7 +186,7 @@ func (c *Cluster) home(page mem.VA) int {
 
 // memBladeOf returns the memory blade storing a page.
 func (c *Cluster) memBladeOf(page mem.VA) fabric.NodeID {
-	return 1000 + fabric.NodeID(int(mem.PageIndex(page))%c.cfg.MemoryBlades)
+	return fabric.MemNodeBase + fabric.NodeID(int(mem.PageIndex(page))%c.cfg.MemoryBlades)
 }
 
 func (c *Cluster) entry(page mem.VA) *entry {

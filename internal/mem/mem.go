@@ -19,6 +19,12 @@ const (
 	PageSize  = 1 << PageShift // 4 KB
 )
 
+// VALimit bounds the global virtual address space: every address the
+// allocator hands out lies below it (ctrlplane.Allocator refuses a blade
+// partition that would reach it), so a page number fits in 38 bits —
+// the width a compute blade's fault table keys pages by.
+const VALimit VA = 1 << 50
+
 // PageBase returns the address of the page containing va.
 func PageBase(va VA) VA { return va &^ (PageSize - 1) }
 

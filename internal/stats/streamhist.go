@@ -10,16 +10,22 @@ import "math/bits"
 // Values below streamSubCount land in exact unit buckets; above that,
 // each power of two is split into streamSubCount linear sub-buckets, so
 // the relative quantization error is bounded by 1/streamSubCount
-// (~3.1%). Memory is fixed (streamBuckets counters), Observe is
-// allocation-free, and two histograms merge bucket-for-bucket — the
-// property that lets per-rack collector shards be folded into one view
-// without losing percentile fidelity beyond the bucket bound.
+// (~3.1%). The counters of one octave form a 256-byte block, allocated
+// by the octave's first sample, so a histogram holds the octaves its
+// samples span (18 for 100 ns to 10 ms) rather than all 59, and Observe
+// allocates once per octave over the histogram's life. Two histograms
+// merge bucket-for-bucket — the property that lets per-rack collector
+// shards be folded into one view without losing percentile fidelity
+// beyond the bucket bound.
+//
+// The blocks sit behind pointers, so a copy of a StreamHist shares them
+// with the original: hold and pass a *StreamHist, never a copy.
 type StreamHist struct {
-	counts [streamBuckets]uint64
-	count  uint64
-	sum    int64
-	min    int64
-	max    int64
+	octaves [streamOctaves]*[streamSubCount]uint64
+	count   uint64
+	sum     int64
+	min     int64
+	max     int64
 }
 
 const (
@@ -27,10 +33,13 @@ const (
 	// linear sub-buckets per power of two.
 	streamSubBits  = 5
 	streamSubCount = 1 << streamSubBits
-	// streamBuckets covers the full non-negative int64 range: octaves
-	// streamSubBits..62 at streamSubCount sub-buckets each, plus the
-	// exact unit range below streamSubCount (folded into "octave" 0).
-	streamBuckets = (64 - streamSubBits) * streamSubCount
+	// streamOctaves blocks cover the full non-negative int64 range:
+	// octaves streamSubBits..62 at streamSubCount sub-buckets each, plus
+	// the exact unit range below streamSubCount (folded into "octave"
+	// 0). Bucket i is sub-bucket i%streamSubCount of block
+	// i/streamSubCount.
+	streamOctaves = 64 - streamSubBits
+	streamBuckets = streamOctaves * streamSubCount
 )
 
 // NewStreamHist returns an empty streaming histogram.
@@ -63,12 +72,24 @@ func streamBucketHigh(idx int) int64 {
 	return int64(((sub + 1) << exp) - 1)
 }
 
-// Observe records one sample. It allocates nothing.
+// octave returns the counters of octave k, allocating them on first use.
+func (h *StreamHist) octave(k int) *[streamSubCount]uint64 {
+	o := h.octaves[k]
+	if o == nil {
+		o = new([streamSubCount]uint64)
+		h.octaves[k] = o
+	}
+	return o
+}
+
+// Observe records one sample. It allocates only for the first sample in
+// an octave.
 func (h *StreamHist) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[streamBucketOf(v)]++
+	i := streamBucketOf(v)
+	h.octave(i >> streamSubBits)[i&(streamSubCount-1)]++
 	h.sum += v
 	if h.count == 0 {
 		h.min, h.max = v, v
@@ -137,34 +158,46 @@ func (h *StreamHist) Percentile(p float64) int64 {
 		}
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			hi := streamBucketHigh(i)
-			// Never report past the observed maximum: the top bucket's
-			// edge can overshoot max by the bucket width.
-			if hi > h.max {
-				hi = h.max
+	for oi, o := range h.octaves {
+		if o == nil {
+			continue
+		}
+		for j, c := range o {
+			cum += c
+			if cum >= rank {
+				hi := streamBucketHigh(oi<<streamSubBits | j)
+				// Never report past the observed maximum: the top
+				// bucket's edge can overshoot max by the bucket width.
+				if hi > h.max {
+					hi = h.max
+				}
+				if hi < h.min {
+					hi = h.min
+				}
+				return hi
 			}
-			if hi < h.min {
-				hi = h.min
-			}
-			return hi
 		}
 	}
 	return h.max // unreachable: cum == count >= rank by the end
 }
 
 // MergeFrom folds another histogram's samples into this one,
-// bucket-for-bucket. The source is not modified. Merging is
-// commutative and associative up to bucket counts, so per-rack shards
-// can be folded in any order with identical results.
+// bucket-for-bucket. The source is not modified, and the receiver
+// allocates its own block for each octave it lacks: no block is ever
+// shared. Merging is commutative and associative up to bucket counts, so
+// per-rack shards can be folded in any order with identical results.
 func (h *StreamHist) MergeFrom(o *StreamHist) {
 	if o.count == 0 {
 		return
 	}
-	for i, c := range o.counts {
-		h.counts[i] += c
+	for oi, src := range o.octaves {
+		if src == nil {
+			continue
+		}
+		dst := h.octave(oi)
+		for j, c := range src {
+			dst[j] += c
+		}
 	}
 	h.sum += o.sum
 	if h.count == 0 {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mind/internal/sim"
 )
@@ -26,6 +27,61 @@ func exactPercentile(sorted []int64, p float64) int64 {
 		rank = 1
 	}
 	return sorted[rank-1]
+}
+
+// bucketCount returns bucket i's counter, 0 in an absent octave.
+func bucketCount(h *StreamHist, i int) uint64 {
+	if o := h.octaves[i>>streamSubBits]; o != nil {
+		return o[i&(streamSubCount-1)]
+	}
+	return 0
+}
+
+// sameHist reports whether two histograms agree on every summary field
+// and every bucket counter, whichever octaves each has allocated.
+func sameHist(a, b *StreamHist) bool {
+	if a.count != b.count || a.sum != b.sum || a.min != b.min || a.max != b.max {
+		return false
+	}
+	for i := 0; i < streamBuckets; i++ {
+		if bucketCount(a, i) != bucketCount(b, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneHist deep-copies h, blocks included.
+func cloneHist(h *StreamHist) *StreamHist {
+	c := *h
+	for i, o := range h.octaves {
+		if o != nil {
+			b := *o
+			c.octaves[i] = &b
+		}
+	}
+	return &c
+}
+
+// sharesBlock reports whether two histograms hold the same octave block.
+func sharesBlock(a, b *StreamHist) bool {
+	for i, o := range a.octaves {
+		if o != nil && o == b.octaves[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// octaves counts h's allocated blocks.
+func octaves(h *StreamHist) int {
+	n := 0
+	for _, o := range h.octaves {
+		if o != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestStreamHistBucketRoundTrip pins the bucket math: every bucket's
@@ -111,7 +167,7 @@ func TestStreamHistMergeCommutes(t *testing.T) {
 	ba := NewStreamHist()
 	ba.MergeFrom(b)
 	ba.MergeFrom(a)
-	if *ab != *ba {
+	if !sameHist(ab, ba) {
 		t.Fatal("merge(a,b) != merge(b,a)")
 	}
 
@@ -124,15 +180,22 @@ func TestStreamHistMergeCommutes(t *testing.T) {
 	bc.MergeFrom(c)
 	bca.MergeFrom(bc)
 	bca.MergeFrom(a)
-	if *abc != *bca {
+	if !sameHist(abc, bca) {
 		t.Fatal("merge((a,b),c) != merge((b,c),a)")
 	}
 
-	// Source untouched by merge.
-	aCopy := *a
+	// Source untouched by merge, and by later samples in the receiver:
+	// the receiver holds blocks of its own.
+	aCopy := cloneHist(a)
 	tmp := NewStreamHist()
 	tmp.MergeFrom(a)
-	if *a != aCopy {
+	if sharesBlock(tmp, a) {
+		t.Fatal("MergeFrom shared a block with its source")
+	}
+	for i := 0; i < 200; i++ {
+		tmp.Observe(int64(rng.Uint64n(1 << 30)))
+	}
+	if !sameHist(a, aCopy) {
 		t.Fatal("MergeFrom mutated its source")
 	}
 }
@@ -179,7 +242,7 @@ func TestStreamHistMergeTreeEquivalence(t *testing.T) {
 			parts[j] = parts[len(parts)-1]
 			parts = parts[:len(parts)-1]
 		}
-		if *parts[0] != *single {
+		if !sameHist(parts[0], single) {
 			t.Fatalf("trial %d shards=%d n=%d: merge tree != single-stream histogram", trial, shards, n)
 		}
 	}
@@ -197,9 +260,9 @@ func TestStreamHistEmpty(t *testing.T) {
 	// Merging an empty histogram is a no-op either way.
 	o := NewStreamHist()
 	o.Observe(5)
-	before := *o
+	before := cloneHist(o)
 	o.MergeFrom(h)
-	if *o != before {
+	if !sameHist(o, before) {
 		t.Error("merging empty source changed destination")
 	}
 	h.MergeFrom(o)
@@ -218,9 +281,14 @@ func TestStreamHistNegativeClamp(t *testing.T) {
 }
 
 // TestStreamHistObserveZeroAlloc is the hot-path budget gate: Observe
-// must not allocate.
+// allocates only for the first sample of an octave, so once the octaves
+// a run spans exist it must not allocate.
 func TestStreamHistObserveZeroAlloc(t *testing.T) {
 	h := NewStreamHist()
+	// One sample in each octave the measured samples reach.
+	for w := int64(12345); w < 2<<20; w *= 2 {
+		h.Observe(w)
+	}
 	v := int64(12345)
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(v)
@@ -233,25 +301,37 @@ func TestStreamHistObserveZeroAlloc(t *testing.T) {
 
 // FuzzStreamHist reads a byte string as samples split between two
 // histograms: each sample is a control byte (bit 0 picks the histogram,
-// the rest how many of the next bytes, at most 5, form the value) and a
-// little-endian value below 2^40, so Sum cannot wrap. Merging must equal
-// observing every sample in one histogram and must commute, and every
-// percentile must obey s <= est <= s + s/32 + 1 against the sorted
-// samples' nearest-rank value.
+// the rest how many of the next bytes, at most 8, form the value) and a
+// little-endian value with its sign bit cleared, so samples span 0 to
+// math.MaxInt64. Sum may wrap; int64 addition wraps alike in any order,
+// so merges still agree. Merging, in either order into an empty
+// histogram or into one of the two, must equal observing every sample
+// in one histogram, must leave the source as it was and must share no
+// block with it; every percentile must obey s <= est <= s + s/32 + 1
+// against the sorted samples' nearest-rank value.
 func FuzzStreamHist(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 7, 0x03, 31, 0x0a, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x04, 0x20, 0x00, 0x05, 0xe8, 0x03, 0x00, 0x09, 1, 2, 3, 4})
+	// 0 in each histogram.
+	f.Add([]byte{0x00, 0x01})
+	// math.MaxInt64 in each histogram, beside 0.
+	f.Add([]byte{0x10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00,
+		0x11, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	// a holds small samples, b octaves a lacks: 2^39 and 2^62.
+	f.Add([]byte{0x02, 5, 0x02, 40, 0x0b, 0, 0, 0, 0, 0x80,
+		0x11, 0, 0, 0, 0, 0, 0, 0, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a, b, all StreamHist
 		var samples []int64
 		for len(data) > 0 {
 			ctl := data[0]
-			n := min(int(ctl>>1)%6, len(data)-1)
+			n := min(int(ctl>>1)%9, len(data)-1)
 			var v int64
 			for i := n; i >= 1; i-- {
 				v = v<<8 | int64(data[i])
 			}
+			v &= math.MaxInt64
 			data = data[1+n:]
 			if ctl&1 == 0 {
 				a.Observe(v)
@@ -261,15 +341,28 @@ func FuzzStreamHist(f *testing.F) {
 			all.Observe(v)
 			samples = append(samples, v)
 		}
-		ab, ba := a, b
+		b0 := cloneHist(&b)
+		ab, ba := NewStreamHist(), NewStreamHist()
+		ab.MergeFrom(&a)
 		ab.MergeFrom(&b)
+		ba.MergeFrom(&b)
 		ba.MergeFrom(&a)
-		if ab != all {
+		if !sameHist(ab, &all) {
 			t.Fatalf("merge: count %d sum %d min %d max %d, one histogram: %d %d %d %d",
 				ab.Count(), ab.Sum(), ab.Min(), ab.Max(), all.Count(), all.Sum(), all.Min(), all.Max())
 		}
-		if ba != ab {
+		if !sameHist(ba, ab) {
 			t.Fatal("merge(a,b) != merge(b,a)")
+		}
+		if sharesBlock(ab, &a) || sharesBlock(ab, &b) || sharesBlock(ba, &a) || sharesBlock(ba, &b) {
+			t.Fatal("a merged histogram shares a block with a source")
+		}
+		a.MergeFrom(&b)
+		if !sameHist(&a, &all) {
+			t.Fatal("merging b into a != one histogram")
+		}
+		if !sameHist(&b, b0) || !sameHist(ab, &all) || sharesBlock(&a, &b) {
+			t.Fatal("merging b into a changed b or shared its blocks")
 		}
 		slices.Sort(samples)
 		for _, p := range []float64{0, 50, 99, 99.9, 100} {
@@ -277,9 +370,32 @@ func FuzzStreamHist(f *testing.F) {
 			if got := ab.Percentile(p); got != est {
 				t.Fatalf("p%v: merged %d, one histogram %d", p, got, est)
 			}
-			if s := exactPercentile(samples, p); est < s || est > s+s/32+1 {
+			// est-s, unlike s+s/32+1, cannot overflow at math.MaxInt64.
+			if s := exactPercentile(samples, p); est < s || est-s > s/32+1 {
 				t.Fatalf("n=%d p%v: exact %d, estimate %d outside [s, s+s/32+1]", len(samples), p, s, est)
 			}
 		}
 	})
+}
+
+// TestStreamHistFootprint: a histogram is a fixed header of at most 512
+// bytes plus one block per octave its samples reach. A new one holds
+// none; samples from 100 ns to 10 ms reach 18.
+func TestStreamHistFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(StreamHist{}); size > 512 {
+		t.Errorf("StreamHist header is %d bytes, want at most 512", size)
+	}
+	h := NewStreamHist()
+	if n := octaves(h); n != 0 {
+		t.Errorf("a new histogram holds %d blocks, want 0", n)
+	}
+	rng := sim.NewRNG(3, "streamhist-footprint")
+	h.Observe(100)
+	h.Observe(10_000_000)
+	for i := 0; i < 10_000; i++ {
+		h.Observe(100 + int64(rng.Uint64n(10_000_000-100)))
+	}
+	if n := octaves(h); n > 18 {
+		t.Errorf("samples from 100 ns to 10 ms hold %d blocks, want at most 18", n)
+	}
 }

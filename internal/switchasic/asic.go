@@ -118,37 +118,13 @@ func (a *ASIC) AddGroupMember(id, port int) {
 	g.Add(port)
 }
 
-// PruneMulticastInto resolves one multicast send: the packet is
+// PruneMulticastBitmap resolves one multicast send: the packet is
 // replicated to every group member, and copies whose output port does
-// not lead to a blade in the sharer list are dropped in the egress
-// pipeline (§4.3.2). It returns the ports that actually receive a copy,
-// appended into the caller-owned dst (reset to length zero; nil
-// allocates). The directory uses PruneMulticastBitmap; this map form is
-// the reference that path is tested against.
-func (a *ASIC) PruneMulticastInto(dst []int, group int, sharers map[int]bool) ([]int, error) {
-	if _, ok := a.groups[group]; !ok {
-		return nil, fmt.Errorf("switchasic: unknown multicast group %d", group)
-	}
-	a.multicasts++
-	out := dst[:0]
-	for _, p := range a.Group(group) {
-		if sharers[p] {
-			out = append(out, p)
-			a.deliveredCopies++
-		} else {
-			a.prunedCopies++
-		}
-	}
-	return out, nil
-}
-
-// PruneMulticastBitmap is the egress-pruning fast path consumed by the
-// coherence directory: identical semantics to PruneMulticastInto, but
-// the sharer list arrives as a bitmap, so the replicate-and-prune
-// resolves as a word-parallel intersection with the group's membership
-// bitmap instead of a per-member map probe. Ports are appended to dst
-// (reset to length zero) in ascending order — the same order the member
-// walk produces.
+// not lead to a blade in the sharer bitmap are dropped in the egress
+// pipeline (§4.3.2). The replicate-and-prune is a word-parallel
+// intersection of the sharer bitmap with the group's membership bitmap.
+// The ports that receive a copy are appended to dst (reset to length
+// zero; nil allocates) in ascending order.
 func (a *ASIC) PruneMulticastBitmap(dst []int, group int, sharers *bitset.Set) ([]int, error) {
 	g, ok := a.groups[group]
 	if !ok {

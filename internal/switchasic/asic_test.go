@@ -3,6 +3,8 @@ package switchasic
 import (
 	"errors"
 	"testing"
+
+	"mind/internal/bitset"
 )
 
 func TestSlotStoreAllocRelease(t *testing.T) {
@@ -82,7 +84,7 @@ func TestASICMulticastPruning(t *testing.T) {
 	a := New(DefaultConfig())
 	a.SetGroup(1, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	sharers := map[int]bool{1: true, 4: true, 6: true}
-	got, err := a.PruneMulticastInto(nil, 1, sharers)
+	got, err := pruneMulticastMap(a, 1, sharers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +104,11 @@ func TestASICMulticastPruning(t *testing.T) {
 
 func TestASICMulticastUnknownGroup(t *testing.T) {
 	a := New(DefaultConfig())
-	if _, err := a.PruneMulticastInto(nil, 9, nil); err == nil {
+	if _, err := a.PruneMulticastBitmap(nil, 9, &bitset.Set{}); err == nil {
 		t.Error("unknown group should error")
+	}
+	if _, err := pruneMulticastMap(a, 9, nil); err == nil {
+		t.Error("unknown group should error on the reference path")
 	}
 }
 
@@ -183,7 +188,7 @@ func TestASICGroupMembershipIncremental(t *testing.T) {
 	}
 
 	// Pruned multicast replicates to current members only.
-	ports, err := a.PruneMulticastInto(nil, 1, map[int]bool{0: true, 3: true, 9: true})
+	ports, err := pruneMulticastMap(a, 1, map[int]bool{0: true, 3: true, 9: true})
 	if err != nil {
 		t.Fatal(err)
 	}
