@@ -20,7 +20,7 @@ type fuzzFired struct {
 // Rearm are held for later Cancel and Rearm ops.
 type fuzzDriver struct {
 	t       *testing.T
-	e       *Engine
+	e       engineAPI
 	fired   []fuzzFired
 	handles []*Event
 	nextID  uint64
@@ -126,9 +126,10 @@ func (d *fuzzDriver) apply(op, a, b byte) bool {
 // that fills one bucket with 512 events and then dispatches it.
 const fuzzEngineMaxOps = 1024
 
-// runEngineOps drives the calendar engine and the plain reference heap
-// with the same op stream. After every op both must agree on the fired
-// (id, time) sequence, Now, Pending, Executed and PeekTime.
+// runEngineOps drives the calendar engine, the plain engine and the
+// reference engine with the same op stream. After every op the calendar
+// engine and the reference must each agree with the plain engine on the
+// fired (id, time) sequence, Now, Pending, Executed and PeekTime.
 func runEngineOps(t *testing.T, ops []byte) {
 	t.Helper()
 	if len(ops) > 3*fuzzEngineMaxOps {
@@ -136,29 +137,37 @@ func runEngineOps(t *testing.T, ops []byte) {
 	}
 	w := &fuzzDriver{t: t, e: NewEngine()}
 	p := &fuzzDriver{t: t, e: newPlainEngine()}
+	r := &fuzzDriver{t: t, e: &refEngine{}}
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, b := ops[i], ops[i+1], ops[i+2]
-		stepW, stepP := w.apply(op, a, b), p.apply(op, a, b)
-		if stepW != stepP {
-			t.Fatalf("op %d (%d %d %d): Step = %v, reference %v", i/3, op, a, b, stepW, stepP)
+		stepW, stepP, stepR := w.apply(op, a, b), p.apply(op, a, b), r.apply(op, a, b)
+		agreeOps(t, i/3, ops[i:i+3], "calendar", w, stepW, p, stepP)
+		agreeOps(t, i/3, ops[i:i+3], "reference", r, stepR, p, stepP)
+	}
+}
+
+// agreeOps fails the test unless drivers x and p agree after op n.
+func agreeOps(t *testing.T, n int, op []byte, name string, x *fuzzDriver, stepX bool, p *fuzzDriver, stepP bool) {
+	t.Helper()
+	if stepX != stepP {
+		t.Fatalf("op %d %v: %s Step = %v, plain %v", n, op, name, stepX, stepP)
+	}
+	if len(x.fired) != len(p.fired) {
+		t.Fatalf("op %d %v: %s fired %d events, plain %d", n, op, name, len(x.fired), len(p.fired))
+	}
+	for j := range x.fired {
+		if x.fired[j] != p.fired[j] {
+			t.Fatalf("op %d %v: %s dispatch %d = %+v, plain %+v", n, op, name, j, x.fired[j], p.fired[j])
 		}
-		if len(w.fired) != len(p.fired) {
-			t.Fatalf("op %d (%d %d %d): %d events fired, reference %d", i/3, op, a, b, len(w.fired), len(p.fired))
-		}
-		for j := range w.fired {
-			if w.fired[j] != p.fired[j] {
-				t.Fatalf("op %d (%d %d %d): dispatch %d = %+v, reference %+v", i/3, op, a, b, j, w.fired[j], p.fired[j])
-			}
-		}
-		if w.e.Now() != p.e.Now() || w.e.Pending() != p.e.Pending() || w.e.Executed != p.e.Executed {
-			t.Fatalf("op %d (%d %d %d): now/pending/executed = %d/%d/%d, reference %d/%d/%d", i/3, op, a, b,
-				w.e.Now(), w.e.Pending(), w.e.Executed, p.e.Now(), p.e.Pending(), p.e.Executed)
-		}
-		atW, okW := w.e.PeekTime()
-		atP, okP := p.e.PeekTime()
-		if atW != atP || okW != okP {
-			t.Fatalf("op %d (%d %d %d): PeekTime = (%d, %v), reference (%d, %v)", i/3, op, a, b, atW, okW, atP, okP)
-		}
+	}
+	if x.e.Now() != p.e.Now() || x.e.Pending() != p.e.Pending() || x.e.executed() != p.e.executed() {
+		t.Fatalf("op %d %v: %s now/pending/executed = %d/%d/%d, plain %d/%d/%d", n, op, name,
+			x.e.Now(), x.e.Pending(), x.e.executed(), p.e.Now(), p.e.Pending(), p.e.executed())
+	}
+	atX, okX := x.e.PeekTime()
+	atP, okP := p.e.PeekTime()
+	if atX != atP || okX != okP {
+		t.Fatalf("op %d %v: %s PeekTime = (%d, %v), plain (%d, %v)", n, op, name, atX, okX, atP, okP)
 	}
 }
 
