@@ -7,10 +7,10 @@ import (
 )
 
 // This file pins the calendar-queue event queue against the reference
-// (time, seq) heap: randomized dispatch-order equivalence across both
-// containers (the calendar ring's ordered buckets, including the one
-// being dispatched from, and the far-future overflow heap), including
-// Cancel and Rearm of events that cross the ring horizon — the
+// engine (refengine_test.go): randomized dispatch-order equivalence
+// across both containers (the calendar ring's ordered buckets, including
+// the one being dispatched from, and the far-future overflow heap),
+// including Cancel and Rearm of events that cross the ring horizon — the
 // operations whose bookkeeping differs most between the two
 // implementations.
 
@@ -20,7 +20,7 @@ import (
 // (the bucket being dispatched from), multi-bucket (ring), and beyond
 // the ~65 µs horizon (overflow heap, later migrated into the ring).
 type calDriver struct {
-	e      *Engine
+	e      engineAPI
 	order  []uint64
 	nextID uint64
 	budget int
@@ -103,7 +103,7 @@ func (d *calDriver) fired(id uint64) {
 // ring -> heap. Every decision is a hash of (seed, slot, generation), so
 // two engines run the same program without sharing state.
 type timerDriver struct {
-	e      *Engine
+	e      engineAPI
 	seed   uint64
 	order  []uint64
 	timers []*Event
@@ -154,15 +154,69 @@ func (d *timerDriver) timedOut(x any) {
 	d.e.ScheduleArg(5*Microsecond, d.issue, slot)
 }
 
+// eqMix hashes an event id into deterministic scheduling decisions, so
+// the engine and the reference execute the same program without sharing
+// state.
+func eqMix(id uint64) uint64 {
+	id ^= id >> 33
+	id *= 0xff51afd7ed558ccd
+	id ^= id >> 33
+	return id
+}
+
+// eqDriver runs the randomized schedule program on one engine, recording
+// dispatch order.
+type eqDriver struct {
+	e      engineAPI
+	order  []uint64
+	nextID uint64
+	budget int
+	live   []*Event // cancelable handles, in creation order
+}
+
+func (d *eqDriver) schedule(id uint64) {
+	h := eqMix(id)
+	delay := Duration(h % 37) // includes 0: the current instant
+	if h&1 == 0 {
+		d.e.ScheduleArg(delay, d.fire, id)
+		return
+	}
+	ev := d.e.Schedule(delay, func() { d.fired(id) })
+	d.live = append(d.live, ev)
+}
+
+func (d *eqDriver) fire(x any) { d.fired(x.(uint64)) }
+
+func (d *eqDriver) fired(id uint64) {
+	d.order = append(d.order, id)
+	h := eqMix(id + 0x9e37)
+	if h%3 == 0 && d.budget > 0 {
+		d.budget--
+		d.nextID++
+		d.schedule(d.nextID)
+	}
+	if h%5 == 0 && d.budget > 0 {
+		d.budget--
+		d.nextID++
+		d.schedule(d.nextID)
+	}
+	if h%7 == 0 && len(d.live) > 0 {
+		victim := d.live[int(h%uint64(len(d.live)))]
+		d.e.Cancel(victim)
+	}
+}
+
 // TestCalendarHeapEquivalenceRandomized drives identical randomized
-// schedules through the calendar-queue engine and the plain reference
-// heap, asserting identical dispatch order, Executed counts, and final
-// clocks. The bands arm mixes all delay bands, nested scheduling,
-// cancellations and cross-horizon re-arms; the fault-timers arm keeps
-// thousands of +2 ms timers outstanding in the overflow heap, nearly all
-// canceled within microseconds.
+// programs through the calendar-queue engine and the reference engine,
+// asserting identical dispatch order, Executed counts and final clocks,
+// and an empty queue after the drain. The bands arm mixes all delay
+// bands, nested scheduling, cancellations and cross-horizon re-arms; the
+// fault-timers arm keeps thousands of +2 ms timers outstanding in the
+// overflow heap, nearly all canceled within microseconds; the pool arm
+// mixes closure and pre-bound forms at delays under 37 ns, so recycled
+// events are reused while same-instant events are still queued.
 func TestCalendarHeapEquivalenceRandomized(t *testing.T) {
-	bands := func(e *Engine, seed uint64) []uint64 {
+	bands := func(e engineAPI, seed uint64) []uint64 {
 		d := &calDriver{e: e, budget: 3000, nextID: seed * 1_000_000}
 		for i := 0; i < 40; i++ {
 			d.nextID++
@@ -171,7 +225,7 @@ func TestCalendarHeapEquivalenceRandomized(t *testing.T) {
 		e.Run()
 		return d.order
 	}
-	faultTimers := func(e *Engine, seed uint64) []uint64 {
+	faultTimers := func(e engineAPI, seed uint64) []uint64 {
 		const slots = 3000
 		d := &timerDriver{e: e, seed: eqMix(seed + 1), budget: 40000,
 			timers: make([]*Event, slots), gen: make([]uint64, slots)}
@@ -181,32 +235,42 @@ func TestCalendarHeapEquivalenceRandomized(t *testing.T) {
 		e.Run()
 		return d.order
 	}
+	pool := func(e engineAPI, seed uint64) []uint64 {
+		d := &eqDriver{e: e, budget: 2000, nextID: seed * 1_000_000}
+		for i := 0; i < 50; i++ {
+			d.nextID++
+			d.schedule(d.nextID)
+		}
+		e.Run()
+		return d.order
+	}
 	for _, arm := range []struct {
 		name  string
 		seeds uint64
-		run   func(*Engine, uint64) []uint64
+		run   func(engineAPI, uint64) []uint64
 	}{
 		{"bands", 25, bands},
 		{"fault-timers", 4, faultTimers},
+		{"pool", 20, pool},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			for seed := uint64(0); seed < arm.seeds; seed++ {
-				wheel, plain := NewEngine(), newPlainEngine()
-				got, want := arm.run(wheel, seed), arm.run(plain, seed)
+				wheel, ref := NewEngine(), &refEngine{}
+				got, want := arm.run(wheel, seed), arm.run(ref, seed)
 				if len(got) != len(want) {
-					t.Fatalf("seed %d: wheel dispatched %d events, plain %d", seed, len(got), len(want))
+					t.Fatalf("seed %d: wheel dispatched %d events, reference %d", seed, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("seed %d: dispatch order diverges at %d: wheel=%d plain=%d",
+						t.Fatalf("seed %d: dispatch order diverges at %d: wheel=%d reference=%d",
 							seed, i, got[i], want[i])
 					}
 				}
-				if wheel.Executed != plain.Executed {
-					t.Errorf("seed %d: Executed %d vs %d", seed, wheel.Executed, plain.Executed)
+				if wheel.Executed != ref.executed() {
+					t.Errorf("seed %d: Executed %d vs %d", seed, wheel.Executed, ref.executed())
 				}
-				if wheel.Now() != plain.Now() {
-					t.Errorf("seed %d: final clock %d vs %d", seed, wheel.Now(), plain.Now())
+				if wheel.Now() != ref.Now() {
+					t.Errorf("seed %d: final clock %d vs %d", seed, wheel.Now(), ref.Now())
 				}
 				if wheel.Pending() != 0 {
 					t.Errorf("seed %d: wheel Pending = %d after drain", seed, wheel.Pending())

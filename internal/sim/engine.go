@@ -21,8 +21,7 @@
 // timeouts, serve deadlines, epoch ticks — most of them canceled long
 // before they are due) wait in a typed binary heap and migrate into the
 // ring as its edge advances. Cancel removes an event from either at
-// once. Dispatch order is identical to a pure (time, sequence) heap in
-// every mode.
+// once. Dispatch order is identical to a pure (time, sequence) heap.
 package sim
 
 import (
@@ -214,8 +213,7 @@ type Engine struct {
 
 	// queue is the overflow heap, the far-timer path: every event at or
 	// past wheelStart+horizon. Its minimum is therefore later than every
-	// ring event, so it only needs consulting when the ring runs dry. In
-	// plain mode it is the only queue.
+	// ring event, so it only needs consulting when the ring runs dry.
 	queue eventHeap
 
 	// The calendar ring: ring[b] lists the events with
@@ -247,15 +245,10 @@ type Engine struct {
 	free  *Event
 	evMem []Event
 
-	// plain disables the free list, the calendar ring and the head cache,
-	// forcing every event through the reference (time, seq) heap — the
-	// oracle mode the equivalence tests compare against.
-	plain bool
-
 	// head caches the earliest pending event's time for PeekTime
 	// (MaxTime: none; headUnknown: recompute). place lowers it, a
 	// dispatch or a cancel at that time invalidates it, and RunWindow
-	// leaves it exact. A plain engine leaves it unknown.
+	// leaves it exact.
 	head Time
 
 	// Executed counts events dispatched since creation, for debugging and
@@ -292,13 +285,6 @@ func NewEngine() *Engine {
 		headBucket: -1,
 		head:       MaxTime,
 	}
-}
-
-// newPlainEngine returns an engine with pooling and the calendar ring
-// disabled: the reference implementation the equivalence property tests
-// drive in lockstep with a production engine.
-func newPlainEngine() *Engine {
-	return &Engine{plain: true, head: headUnknown}
 }
 
 // Now returns the current virtual time.
@@ -339,7 +325,7 @@ func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.enqueue(e.now.Add(delay), fn, arg, !e.plain)
+	e.enqueue(e.now.Add(delay), fn, arg, true)
 }
 
 // AtArg enqueues the pre-bound callback fn(arg) at the absolute virtual
@@ -348,7 +334,7 @@ func (e *Engine) AtArg(at Time, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: AtArg with nil callback")
 	}
-	e.enqueue(at, fn, arg, !e.plain)
+	e.enqueue(at, fn, arg, true)
 }
 
 // ScheduleTimer enqueues the pre-bound callback fn(arg) after delay and
@@ -420,14 +406,10 @@ func (e *Engine) enqueue(at Time, fn func(any), arg any, pooled bool) *Event {
 
 // place routes a pending event to its container: the calendar bucket of
 // its time when that lies inside the horizon, the overflow heap
-// otherwise, and the heap alone in plain mode.
+// otherwise.
 func (e *Engine) place(ev *Event) {
 	if ev.at < e.head {
 		e.head = ev.at
-	}
-	if e.plain {
-		e.queue.push(ev)
-		return
 	}
 	if ev.at >= e.wheelStart+horizon {
 		// The edge may lag behind a clock that Park or RunUntil moved
@@ -587,7 +569,7 @@ func (e *Engine) nextBucket(start int) int {
 
 // first returns the earliest pending event without removing it, or nil:
 // the head of the first non-empty bucket, or the overflow minimum when
-// the ring is empty (always so in plain mode).
+// the ring is empty.
 func (e *Engine) first() *Event {
 	if e.wheelLive == 0 {
 		if len(e.queue) == 0 {
@@ -613,9 +595,7 @@ func (e *Engine) pop(ev *Event) {
 	} else {
 		e.unlinkRing(e.headBucket, ev)
 	}
-	if !e.plain {
-		e.moveEdge(ev.at)
-	}
+	e.moveEdge(ev.at)
 }
 
 // Step dispatches the single earliest event, advancing the clock to its
@@ -655,16 +635,14 @@ func (e *Engine) PeekTime() (Time, bool) {
 	return t, t != MaxTime
 }
 
-// findHead is PeekTime's recompute (MaxTime: nothing pending); a plain
-// engine does not cache the answer.
+// findHead is PeekTime's recompute (MaxTime: nothing pending), which
+// it caches.
 func (e *Engine) findHead() Time {
 	t := MaxTime
 	if head := e.first(); head != nil {
 		t = head.at
 	}
-	if !e.plain {
-		e.head = t
-	}
+	e.head = t
 	return t
 }
 
@@ -703,11 +681,9 @@ func (e *Engine) RunWindow(end Time) {
 		head := e.first()
 		if head == nil || head.at >= end {
 			e.Park(end)
-			if !e.plain {
-				e.head = MaxTime
-				if head != nil {
-					e.head = head.at
-				}
+			e.head = MaxTime
+			if head != nil {
+				e.head = head.at
 			}
 			return
 		}

@@ -184,99 +184,3 @@ func TestRearmAfterSameInstantCancel(t *testing.T) {
 		t.Fatalf("heap-path rearm fired %d times total, want 2", len(fired))
 	}
 }
-
-// eqOp hashes an event id into deterministic scheduling decisions, so the
-// pooled and plain engines execute the same program without sharing
-// state.
-func eqMix(id uint64) uint64 {
-	id ^= id >> 33
-	id *= 0xff51afd7ed558ccd
-	id ^= id >> 33
-	return id
-}
-
-// eqDriver runs the randomized schedule program on one engine, recording
-// dispatch order.
-type eqDriver struct {
-	e      *Engine
-	order  []uint64
-	nextID uint64
-	budget int
-	live   []*Event // cancelable handles, in creation order
-}
-
-func (d *eqDriver) schedule(id uint64) {
-	h := eqMix(id)
-	delay := Duration(h % 37) // includes 0: the current instant
-	if h&1 == 0 {
-		d.e.ScheduleArg(delay, d.fire, id)
-		return
-	}
-	ev := d.e.Schedule(delay, func() { d.fired(id) })
-	d.live = append(d.live, ev)
-}
-
-func (d *eqDriver) fire(x any) { d.fired(x.(uint64)) }
-
-func (d *eqDriver) fired(id uint64) {
-	d.order = append(d.order, id)
-	h := eqMix(id + 0x9e37)
-	if h%3 == 0 && d.budget > 0 {
-		d.budget--
-		d.nextID++
-		d.schedule(d.nextID)
-	}
-	if h%5 == 0 && d.budget > 0 {
-		d.budget--
-		d.nextID++
-		d.schedule(d.nextID)
-	}
-	if h%7 == 0 && len(d.live) > 0 {
-		victim := d.live[int(h%uint64(len(d.live)))]
-		d.e.Cancel(victim)
-	}
-}
-
-// TestPoolEquivalenceRandomized drives an identical randomized schedule —
-// mixed closure/pre-bound forms, zero and nonzero delays, nested
-// scheduling, cancellations — through a pooled engine and the plain
-// reference engine (no pool, no calendar) and asserts identical dispatch
-// order, Executed counts, and final clocks.
-func TestPoolEquivalenceRandomized(t *testing.T) {
-	const seeds = 20
-	for seed := uint64(0); seed < seeds; seed++ {
-		run := func(e *Engine) *eqDriver {
-			d := &eqDriver{e: e, budget: 2000, nextID: seed * 1_000_000}
-			rng := NewRNG(seed, "pool-eq")
-			for i := 0; i < 50; i++ {
-				d.nextID++
-				_ = rng.Uint64()
-				d.schedule(d.nextID)
-			}
-			e.Run()
-			return d
-		}
-		pooled := run(NewEngine())
-		plain := run(newPlainEngine())
-
-		if len(pooled.order) != len(plain.order) {
-			t.Fatalf("seed %d: pooled dispatched %d events, plain %d",
-				seed, len(pooled.order), len(plain.order))
-		}
-		for i := range pooled.order {
-			if pooled.order[i] != plain.order[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: pooled=%d plain=%d",
-					seed, i, pooled.order[i], plain.order[i])
-			}
-		}
-		if pooled.e.Executed != plain.e.Executed {
-			t.Errorf("seed %d: Executed %d vs %d", seed, pooled.e.Executed, plain.e.Executed)
-		}
-		if pooled.e.Now() != plain.e.Now() {
-			t.Errorf("seed %d: final clock %d vs %d", seed, pooled.e.Now(), plain.e.Now())
-		}
-		if plain.e.FreeListLen() != 0 {
-			t.Errorf("seed %d: plain engine pooled %d events", seed, plain.e.FreeListLen())
-		}
-	}
-}
