@@ -396,6 +396,12 @@ func (s *Serving) Run() (sim.Time, error) {
 		return s.p.Now(), fmt.Errorf("core: serving run with no tenants")
 	}
 	start := s.p.Now()
+	// Subtracted from sim.MaxTime, so the check itself cannot wrap: the
+	// last arrival's deadline, start+Horizon+Deadline, must be a time.
+	if room := sim.MaxTime.Sub(start); s.cfg.Horizon > room || s.cfg.Deadline > room-s.cfg.Horizon {
+		return start, fmt.Errorf("core: serving horizon %v plus deadline %v from %v passes the last virtual time",
+			s.cfg.Horizon, s.cfg.Deadline, start)
+	}
 	for _, sh := range s.shards {
 		for _, st := range sh.tenants {
 			st.deadline = start.Add(s.cfg.Horizon)

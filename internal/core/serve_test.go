@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"mind/internal/ctrlplane"
@@ -277,6 +278,28 @@ func TestServingInvalidConfigs(t *testing.T) {
 	bad.Arrival = nil
 	if err := s.AddTenant(bad); err == nil {
 		t.Error("missing arrival process must error")
+	}
+
+	// A horizon or deadline whose sum with the start passes sim.MaxTime
+	// would wrap the arrivals' cutoff or the requests' deadlines negative.
+	for _, cfg := range []ServeConfig{
+		{Horizon: 200 * sim.Microsecond, Deadline: sim.Duration(math.MaxInt64)},
+		{Horizon: math.MaxInt64},
+	} {
+		c := serveCluster(t, 1)
+		s := newTestServing(t, c, cfg)
+		p := c.Exec("t")
+		vma, err := p.Mmap(4*mem.PageSize, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddTenant(TenantWorkload{Name: "t", Proc: p,
+			Arrival: fixedGap(2 * sim.Microsecond), NextOp: roundRobinOps(vma.Base, 4)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil {
+			t.Errorf("Run with horizon %v and deadline %v must error", cfg.Horizon, cfg.Deadline)
+		}
 	}
 }
 

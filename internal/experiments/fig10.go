@@ -254,23 +254,31 @@ func (p fig10Params) gamSpec(T sim.Duration) prun.Spec {
 	}
 }
 
+// fig10Runs runs the panel's simulations: the static baseline whose
+// runtime places the membership events, then MIND through them and
+// static GAM beside it.
+func fig10Runs(s Scale) (mind, gam fig10Result, err error) {
+	p := fig10Config(s)
+	baseRes, err := s.do([]prun.Spec{p.baselineSpec()})
+	if err != nil {
+		return mind, gam, err
+	}
+	T := baseRes[0].(runResult).End.Sub(0)
+	res, err := s.do([]prun.Spec{p.mindSpec(T), p.gamSpec(T)})
+	if err != nil {
+		return mind, gam, err
+	}
+	return res[0].(fig10Result), res[1].(fig10Result), nil
+}
+
 // Fig10 regenerates the elasticity panel: MOPS over time for MIND (with
 // blade add, live drain, and blade kill at 20/45/70% of the baseline
 // runtime) against static GAM.
 func Fig10(s Scale) (*Figure, error) {
-	p := fig10Config(s)
-	baseRes, err := s.do([]prun.Spec{p.baselineSpec()})
+	mind, gam, err := fig10Runs(s)
 	if err != nil {
 		return nil, err
 	}
-	T := baseRes[0].(runResult).End.Sub(0)
-
-	res, err := s.do([]prun.Spec{p.mindSpec(T), p.gamSpec(T)})
-	if err != nil {
-		return nil, err
-	}
-	mind := res[0].(fig10Result)
-	gam := res[1].(fig10Result)
 
 	fig := &Figure{
 		ID: "10",
@@ -292,21 +300,4 @@ func Fig10(s Scale) (*Figure, error) {
 		fig.add("GAM", gam.X[i], gam.Y[i])
 	}
 	return fig, nil
-}
-
-// Fig10Details returns the raw MIND timeline result (cached if Fig10
-// already ran) — shape tests and cmd reporting consume the event
-// outcomes directly.
-func Fig10Details(s Scale) (fig10Result, error) {
-	p := fig10Config(s)
-	baseRes, err := s.do([]prun.Spec{p.baselineSpec()})
-	if err != nil {
-		return fig10Result{}, err
-	}
-	T := baseRes[0].(runResult).End.Sub(0)
-	res, err := s.do([]prun.Spec{p.mindSpec(T)})
-	if err != nil {
-		return fig10Result{}, err
-	}
-	return res[0].(fig10Result), nil
 }

@@ -10,7 +10,7 @@ import (
 // throughput recovers after the last membership event.
 func TestFig10Shape(t *testing.T) {
 	t.Parallel()
-	res, err := Fig10Details(Tiny)
+	res, _, err := fig10Runs(Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

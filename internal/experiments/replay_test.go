@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
 	"mind/internal/core"
@@ -19,11 +20,30 @@ func TestTraceReplayAcrossSystems(t *testing.T) {
 	const ops = 3000
 	params := workloads.Params{Threads: 2, Blades: 1, OpsPerThread: ops, Seed: 77}
 
-	// Capture against a provisional base; rebase per system below.
+	// Capture against a provisional base, through the trace format
+	// (Writer, then Read); rebase per system below.
 	const capturedBase = 1 << 32
 	var captured [][]trace.Record
 	for th := 0; th < 2; th++ {
-		captured = append(captured, trace.Capture(w.Gen(capturedBase, th, params), 0))
+		var buf bytes.Buffer
+		tw, err := trace.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := w.Gen(capturedBase, th, params)
+		for va, wr, ok := gen(); ok; va, wr, ok = gen() {
+			if err := tw.Append(va, wr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		captured = append(captured, recs)
 	}
 
 	runOn := func(r system) uint64 {

@@ -262,25 +262,6 @@ func (t *TCAM) Lookup(pdid uint32, addr uint64) (int64, error) {
 	return 0, ErrNoEntry
 }
 
-// LookupEntry is Lookup but returns the full winning rule, for tests and
-// failover reconstruction checks.
-func (t *TCAM) LookupEntry(pdid uint32, addr uint64) (Entry, error) {
-	t.lookups++
-	for _, lvl := range t.inUse {
-		tb := t.levels[lvl]
-		base := addr &^ (uint64(1)<<lvl - 1)
-		if pdid != WildcardPDID {
-			if i := tb.find(pdid, base); i >= 0 {
-				return Entry{PDID: pdid, Base: base, Size: 1 << lvl, Value: tb.slots[i].value}, nil
-			}
-		}
-		if i := tb.find(WildcardPDID, base); i >= 0 {
-			return Entry{PDID: WildcardPDID, Base: base, Size: 1 << lvl, Value: tb.slots[i].value}, nil
-		}
-	}
-	return Entry{}, ErrNoEntry
-}
-
 // Entries returns all installed rules in deterministic order (by size,
 // then base, then PDID) — used to replicate data-plane state to a backup
 // switch (§4.4).

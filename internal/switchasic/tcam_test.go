@@ -150,15 +150,21 @@ func TestTCAMClear(t *testing.T) {
 	}
 }
 
+// TestTCAMLookupEntry pins which rule wins through the value Lookup
+// returns: the pdid-qualified 8 KiB rule inside a wildcard 64 KiB one
+// answers its own pdid and no other, and the wildcard answers the rest.
 func TestTCAMLookupEntry(t *testing.T) {
 	tc := NewTCAM("t", 0)
 	must(t, tc.Insert(Entry{PDID: 3, Base: 0x8000, Size: 0x2000, Value: 7}))
-	e, err := tc.LookupEntry(3, 0x9fff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Base != 0x8000 || e.Size != 0x2000 || e.Value != 7 || e.PDID != 3 {
-		t.Errorf("entry = %v", e)
+	must(t, tc.Insert(Entry{Base: 0, Size: 0x10000, Value: 8}))
+	for _, q := range []struct {
+		pdid uint32
+		addr uint64
+		want int64
+	}{{3, 0x9fff, 7}, {3, 0x8000, 7}, {3, 0xa000, 8}, {4, 0x9fff, 8}, {WildcardPDID, 0x9fff, 8}} {
+		if v, err := tc.Lookup(q.pdid, q.addr); err != nil || v != q.want {
+			t.Errorf("Lookup(%d, %#x) = (%d, %v), want %d", q.pdid, q.addr, v, err, q.want)
+		}
 	}
 }
 
@@ -322,19 +328,14 @@ func runTCAMOps(t *testing.T, ops []byte) *TCAM {
 			} else if !errors.Is(err, ErrNoEntry) {
 				t.Fatalf("op %d: Delete(%d, %#x, %#x) of an absent rule = %v, want ErrNoEntry", i, pdid, base, size, err)
 			}
-		case kind < 13:
+		case kind < 15:
+			// Every inserted rule's value is its op's offset, so the value
+			// names the winning rule.
 			v, err := tc.Lookup(pdid, addr)
 			lookups++
 			want, ok := o.lookup(pdid, addr)
 			if ok && (err != nil || v != want.Value) || !ok && !errors.Is(err, ErrNoEntry) {
 				t.Fatalf("op %d: Lookup(%d, %#x) = (%d, %v), oracle (%v, %v)", i, pdid, addr, v, err, want, ok)
-			}
-		case kind < 15:
-			got, err := tc.LookupEntry(pdid, addr)
-			lookups++
-			want, ok := o.lookup(pdid, addr)
-			if ok && (err != nil || got != want) || !ok && !errors.Is(err, ErrNoEntry) {
-				t.Fatalf("op %d: LookupEntry(%d, %#x) = (%v, %v), oracle (%v, %v)", i, pdid, addr, got, err, want, ok)
 			}
 		default:
 			checkTCAMEntries(t, i, tc, o)
@@ -430,8 +431,8 @@ func TestTCAMRejectedInsertLeavesNoLevel(t *testing.T) {
 	}
 }
 
-// FuzzTCAM holds Insert/Delete/Lookup/LookupEntry/Clear on a small-
-// capacity TCAM to the brute-force LPM oracle.
+// FuzzTCAM holds Insert/Delete/Lookup/Clear on a small-capacity TCAM
+// to the brute-force LPM oracle.
 func FuzzTCAM(f *testing.F) {
 	f.Add(wrappedTCAMOps())
 	f.Add(randomTCAMOps(1, 150, 256))
@@ -456,7 +457,6 @@ func TestTCAMLookupZeroAlloc(t *testing.T) {
 		}{{0, 0x100800}, {7, 0x150000}, {7, 0x5000}, {9, 1 << 31}, {0, 1 << 40}} {
 			if avg := testing.AllocsPerRun(1000, func() {
 				_, _ = tc.Lookup(q.pdid, q.addr)
-				_, _ = tc.LookupEntry(q.pdid, q.addr)
 			}); avg != 0 {
 				t.Errorf("%d levels: lookup (%d, %#x) allocates %v/op, want 0", i+1, q.pdid, q.addr, avg)
 			}

@@ -151,19 +151,6 @@ func Read(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Capture drains gen (up to limit accesses; 0 = unlimited) into records.
-func Capture(gen core.AccessGen, limit int) []Record {
-	var out []Record
-	for limit <= 0 || len(out) < limit {
-		va, wr, ok := gen()
-		if !ok {
-			break
-		}
-		out = append(out, Record{VA: va, Write: wr})
-	}
-	return out
-}
-
 // Replay turns records into an AccessGen (the form every system in this
 // repo consumes).
 func Replay(records []Record) core.AccessGen {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"mind/internal/core"
 	"mind/internal/mem"
 	"mind/internal/workloads"
 )
@@ -119,11 +120,35 @@ func TestAppendRejectsHugeAddress(t *testing.T) {
 	}
 }
 
+// capture records gen through the path cmd/tracecap ships: Append for
+// every access, Finish, then Read of the bytes written.
+func capture(t *testing.T, gen core.AccessGen) []Record {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for va, wr, ok := gen(); ok; va, wr, ok = gen() {
+		if err := w.Append(va, wr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestCaptureReplayIdentical(t *testing.T) {
 	// The paper's methodology: capture once, replay identically.
 	w := workloads.GC(1)
 	p := workloads.Params{Threads: 2, Blades: 2, OpsPerThread: 500, Seed: 9}
-	recs := Capture(w.Gen(0x100000000, 0, p), 0)
+	recs := capture(t, w.Gen(0x100000000, 0, p))
 	if len(recs) != 500 {
 		t.Fatalf("captured %d", len(recs))
 	}
@@ -138,15 +163,6 @@ func TestCaptureReplayIdentical(t *testing.T) {
 		if !ok1 {
 			break
 		}
-	}
-}
-
-func TestCaptureLimit(t *testing.T) {
-	w := workloads.TF(1)
-	p := workloads.Params{Threads: 1, Blades: 1, OpsPerThread: 1000, Seed: 1}
-	recs := Capture(w.Gen(0x100000000, 0, p), 100)
-	if len(recs) != 100 {
-		t.Errorf("limit ignored: %d", len(recs))
 	}
 }
 
