@@ -66,9 +66,14 @@ func (d *fuzzDriver) fire(ev *fuzzEv) {
 	}
 	child := d.newEv(ev.kids >> 4)
 	delay := fuzzDelay(ev.kids>>1&7, byte(ev.id*37))
-	if ev.id%2 == 0 {
+	// By id, a child takes one of the two pooled forms or the closure
+	// form; all three queue it at the same time.
+	switch ev.id % 4 {
+	case 0:
 		d.e.ScheduleArg(delay, fuzzFireArg, child)
-	} else {
+	case 2:
+		d.e.AtArg(d.e.Now().Add(delay), fuzzFireArg, child)
+	default:
 		d.e.Schedule(delay, func() { d.fire(child) })
 	}
 }

@@ -23,7 +23,6 @@ type engineAPI interface {
 	Run()
 	RunUntil(deadline Time)
 	RunWindow(end Time)
-	Park(t Time)
 	PeekTime() (Time, bool)
 	Pending() int
 	executed() uint64
@@ -67,6 +66,8 @@ func (r *refEngine) add(ev *Event, at Time, fn func(any), arg any) *Event {
 	return ev
 }
 
+// after returns the time delay from now; a negative delay counts as
+// zero.
 func (r *refEngine) after(delay Duration) Time {
 	if delay < 0 {
 		delay = 0
