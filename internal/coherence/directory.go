@@ -72,18 +72,6 @@ type Config struct {
 	InitialRegionSize uint64
 	// TopLevelSize is the maximum region size M·4KB (default 2 MB).
 	TopLevelSize uint64
-	// SequentialInvalidation disables the switch's native multicast and
-	// sends invalidations one by one, each waiting for the previous ACK —
-	// the ablation for §4.3.2's multicast design choice.
-	SequentialInvalidation bool
-	// ExclusiveOnColdRead enables a MESI-style Exclusive grant (§8
-	// "Other coherence protocols"): a cold read with no other sharers is
-	// granted write permission immediately, eliminating the later S→M
-	// upgrade fault for private read-then-write patterns. The directory
-	// tracks the region as owned (E behaves like M thereafter: a second
-	// reader pays the serial flush-downgrade instead of the cheap S→S).
-	// The materialized state-transition table grows accordingly.
-	ExclusiveOnColdRead bool
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -224,14 +212,9 @@ type Deps struct {
 	MemFetch func(id ctrlplane.BladeID, fn func(any), arg any)
 }
 
-// NewDirectory builds the directory.
+// NewDirectory builds the directory. Both region sizes must be powers
+// of two with page <= InitialRegionSize <= TopLevelSize.
 func NewDirectory(cfg Config, d Deps) *Directory {
-	if cfg.InitialRegionSize == 0 {
-		cfg.InitialRegionSize = 16 << 10
-	}
-	if cfg.TopLevelSize == 0 {
-		cfg.TopLevelSize = 2 << 20
-	}
 	if !mem.IsPow2(cfg.InitialRegionSize) || !mem.IsPow2(cfg.TopLevelSize) ||
 		cfg.InitialRegionSize < mem.PageSize || cfg.TopLevelSize < cfg.InitialRegionSize {
 		panic(fmt.Sprintf("coherence: bad region config %+v", cfg))
@@ -273,14 +256,6 @@ func (d *Directory) RegisterBlade(id int, port BladePort) {
 		d.blades = append(d.blades, nil)
 	}
 	d.blades[id] = port
-}
-
-// bladePort returns the registered port for a blade, or nil.
-func (d *Directory) bladePort(id int) BladePort {
-	if id < 0 || id >= len(d.blades) {
-		return nil
-	}
-	return d.blades[id]
 }
 
 // Lookup returns the region containing va, if any.
@@ -495,13 +470,15 @@ func (d *Directory) executeTransition(p *pending) {
 	var targets bladeSet
 	downgrade := false
 
+	// The owner keeps its region whatever it asks for; every other write
+	// leaves the writer the region's sole owner. M→X transitions must
+	// flush the old owner before the memory fetch; S→M invalidations
+	// proceed in parallel with the fetch (§7.2).
+	own := r.state == Modified && int(r.owner) == blade
+	p.writable = write || own
 	switch {
-	case !write && r.state == Invalid && d.cfg.ExclusiveOnColdRead:
-		p.transition = "I->E"
-		r.state = Modified // E is tracked as owned; see Config docs
-		r.owner = int32(blade)
-		r.sharers = bladeOf(blade)
-		p.writable = true
+	case own:
+		p.transition = "M->M(own)"
 	case !write && r.state == Invalid:
 		p.transition = "I->S"
 		r.state = Shared
@@ -509,47 +486,30 @@ func (d *Directory) executeTransition(p *pending) {
 	case !write && r.state == Shared:
 		p.transition = "S->S"
 		r.sharers.Add(blade)
-	case !write && r.state == Modified && int(r.owner) == blade:
-		p.transition = "M->M(own)"
-		p.writable = true
 	case !write && r.state == Modified:
 		p.transition = "M->S"
 		owner := int(r.owner)
 		targets = bladeOf(owner)
 		downgrade = true
+		p.acksForFetch = true
 		r.state = Shared
 		r.sharers = bladeOf(owner) | bladeOf(blade)
 	case write && r.state == Invalid:
 		p.transition = "I->M"
-		r.state = Modified
-		r.owner = int32(blade)
-		r.sharers = bladeOf(blade)
-		p.writable = true
 	case write && r.state == Shared:
 		p.transition = "S->M"
 		targets = r.sharers &^ bladeOf(blade)
-		r.state = Modified
-		r.owner = int32(blade)
-		r.sharers = bladeOf(blade)
-		p.writable = true
-	case write && r.state == Modified && int(r.owner) == blade:
-		p.transition = "M->M(own)"
-		p.writable = true
 	case write && r.state == Modified:
 		p.transition = "M->M"
 		targets = bladeOf(int(r.owner))
-		r.state = Modified
-		r.owner = int32(blade)
-		r.sharers = bladeOf(blade)
-		p.writable = true
+		p.acksForFetch = true
+	}
+	if write && !own {
+		r.state, r.owner, r.sharers = Modified, int32(blade), bladeOf(blade)
 	}
 	n := targets.Count()
 	p.invCount = n
 	p.needAcks = n
-	// M→X transitions must flush the old owner before the memory fetch;
-	// S→M invalidations proceed in parallel with the fetch (§7.2).
-	p.acksForFetch = n > 0 && (p.transition == "M->S" || p.transition == "M->M")
-
 	if n > 0 {
 		d.invTargets.SetWord(uint64(targets))
 		d.sendInvalidations(p, downgrade)
@@ -592,10 +552,12 @@ func ackAtSwitch(x any) {
 func pendDeliverInv(x any, to fabric.NodeID) {
 	p := x.(*pending)
 	d := p.d
-	bladeID := int(to)
-	port := d.bladePort(bladeID)
+	var port BladePort
+	if int(to) < len(d.blades) {
+		port = d.blades[to]
+	}
 	if port == nil {
-		panic(fmt.Sprintf("coherence: invalidation to unregistered blade %d", bladeID))
+		panic(fmt.Sprintf("coherence: invalidation to unregistered blade %d", to))
 	}
 	d.col.IncH(d.hInvals, 1)
 	port.HandleInvalidation(p.inv, d.newAckCtx(p, to).onAck)
@@ -621,44 +583,9 @@ func (d *Directory) sendInvalidations(p *pending, downgrade bool) {
 		nodes = append(nodes, fabric.NodeID(pt))
 	}
 	d.scratchNodes = nodes[:0]
-	if !d.cfg.SequentialInvalidation {
-		// MulticastFromSwitchArg reads nodes synchronously, so the
-		// scratch buffer is safe to hand over.
-		d.fab.MulticastFromSwitchArg(nodes, fabric.CtrlMsgBytes, pendDeliverInv, p)
-		return
-	}
-	// Ablation: one unicast at a time, each waiting for the previous ACK.
-	// This path keeps per-hop closures: it exists to measure the cost of
-	// serial invalidation, not to be fast.
-	seq := make([]fabric.NodeID, len(nodes))
-	copy(seq, nodes)
-	deliver := func(to fabric.NodeID, acked func()) {
-		bladeID := int(to)
-		port := d.bladePort(bladeID)
-		if port == nil {
-			panic(fmt.Sprintf("coherence: invalidation to unregistered blade %d", bladeID))
-		}
-		d.col.IncH(d.hInvals, 1)
-		port.HandleInvalidation(p.inv, func(info AckInfo) {
-			d.fab.SendToSwitch(to, fabric.CtrlMsgBytes, func() {
-				d.handleAck(p, info)
-				if acked != nil {
-					acked()
-				}
-			})
-		})
-	}
-	var next func(i int)
-	next = func(i int) {
-		if i >= len(seq) {
-			return
-		}
-		to := seq[i]
-		d.fab.SendFromSwitch(to, fabric.CtrlMsgBytes, func() {
-			deliver(to, func() { next(i + 1) })
-		})
-	}
-	next(0)
+	// MulticastFromSwitchArg reads nodes synchronously, so the scratch
+	// buffer is safe to hand over.
+	d.fab.MulticastFromSwitchArg(nodes, fabric.CtrlMsgBytes, pendDeliverInv, p)
 }
 
 func (d *Directory) handleAck(p *pending, info AckInfo) {

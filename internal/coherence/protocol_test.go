@@ -169,7 +169,9 @@ func TestProtocolTransitionSequence(t *testing.T) {
 func TestProtocolOwnerReaccess(t *testing.T) {
 	h := newProtoHarness(t, 2, 100)
 	va := mem.VA(0x200000)
-	h.request(t, 0, va, mem.PermReadWrite)
+	if c := h.request(t, 0, va, mem.PermReadWrite); c.Transition != "I->M" || !c.Writable {
+		t.Errorf("cold write: %+v", c)
+	}
 	// The owner faulting another page of its own region needs no
 	// invalidations and stays writable.
 	c := h.request(t, 0, va+mem.PageSize, mem.PermReadWrite)
@@ -179,6 +181,31 @@ func TestProtocolOwnerReaccess(t *testing.T) {
 	c = h.request(t, 0, va+2*mem.PageSize, mem.PermRead)
 	if c.Transition != "M->M(own)" || !c.Writable {
 		t.Errorf("owner read keeps write grant: %+v", c)
+	}
+}
+
+// TestProtocolReadThenWriteFaultCount: a private read-then-write sweep
+// over 16 pages pays one upgrade per 16 KB region. The first page of a
+// region costs I->S + S->M; the upgrade makes the whole region owned,
+// so the region's other 3 reads arrive writable. 16 pages = 4 regions:
+// 16 reads + 4 upgrades = 20 remote accesses.
+func TestProtocolReadThenWriteFaultCount(t *testing.T) {
+	h := newProtoHarness(t, 2, 100)
+	const pages = 16
+	for i := 0; i < pages; i++ {
+		va := mem.VA(0x300000 + i*mem.PageSize)
+		c := h.request(t, 0, va, mem.PermRead)
+		if c.Err != nil {
+			t.Fatal(c.Err)
+		}
+		if !c.Writable {
+			if c := h.request(t, 0, va, mem.PermReadWrite); c.Err != nil {
+				t.Fatal(c.Err)
+			}
+		}
+	}
+	if n := h.col.Counter(stats.CtrRemoteAccesses); n != 20 {
+		t.Errorf("remote accesses = %d, want 20", n)
 	}
 }
 

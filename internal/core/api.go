@@ -55,7 +55,9 @@ func (p *Process) Mmap(length uint64, perm mem.Perm) (mem.VMA, error) {
 	p.c.await(func(done func()) {
 		p.c.fab.CtrlCall(0, func() {
 			vma, err = p.c.ctl.Mmap(p.pid, length, perm)
-			if err == nil || !errors.Is(err, ctrlplane.ErrNoMemory) || !p.c.pod.multiRack {
+			// No blade holds more than 2^63 bytes, so such an area is
+			// not worth a borrow (nor has a power-of-two size).
+			if err == nil || !errors.Is(err, ctrlplane.ErrNoMemory) || !p.c.pod.multiRack || length > 1<<63 {
 				done()
 				return
 			}
@@ -81,7 +83,7 @@ func (p *Process) Munmap(base mem.VA) error {
 	return err
 }
 
-// MProtect changes permissions on a range.
+// MProtect changes permissions on a range of the process's own vmas.
 func (p *Process) MProtect(base mem.VA, length uint64, perm mem.Perm) error {
 	var err error
 	p.c.syscall(func() { err = p.c.ctl.MProtect(p.pid, base, length, perm) })
@@ -95,10 +97,11 @@ func (p *Process) CreateDomain() mem.PDID {
 	return d
 }
 
-// GrantDomain grants a session domain rights over a range.
+// GrantDomain grants a session domain rights over a range of the
+// process's own vmas.
 func (p *Process) GrantDomain(d mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
 	var err error
-	p.c.syscall(func() { err = p.c.ctl.GrantDomain(d, base, length, perm) })
+	p.c.syscall(func() { err = p.c.ctl.GrantDomain(p.pid, d, base, length, perm) })
 	return err
 }
 

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"mind/internal/coherence"
 	"mind/internal/ctrlplane"
 	"mind/internal/fabric"
 	"mind/internal/sim"
@@ -65,11 +66,12 @@ type Config struct {
 	// Placement selects the allocation placement policy (§4.1).
 	Placement ctrlplane.PlacementPolicy
 	// InitialRegionSize and TopLevelRegionSize parameterize directory
-	// granularity (§5; defaults 16 KB and 2 MB).
+	// granularity (§5; 0 takes coherence.DefaultConfig's 16 KB and 2 MB).
 	InitialRegionSize  uint64
 	TopLevelRegionSize uint64
-	// SplitterEpoch is the Bounded Splitting epoch (default 100 ms). Set
-	// DisableSplitting for fixed-granularity ablations (Figure 9 left).
+	// SplitterEpoch is the Bounded Splitting epoch (0 takes
+	// ctrlplane.DefaultSplitterConfig's 100 ms). Set DisableSplitting for
+	// fixed-granularity ablations (Figure 9 left).
 	SplitterEpoch    sim.Duration
 	DisableSplitting bool
 	// ASIC and Fabric carry the switch and network calibration constants;
@@ -81,13 +83,6 @@ type Config struct {
 	// Migration throttles live page migration during blade drains and
 	// paces failure detection (online memory elasticity).
 	Migration MigrationConfig
-	// SequentialInvalidation disables the multicast engine and sends
-	// invalidations one by one (ablation for §4.3.2).
-	SequentialInvalidation bool
-	// ExclusiveReads enables the MESI-style Exclusive grant on cold reads
-	// (§8 extension): private read-then-write patterns save the upgrade
-	// fault, at the cost of serial downgrades for read-shared data.
-	ExclusiveReads bool
 	// Seed is read by nothing in this package: the simulation's random
 	// streams are seeded by workloads.Params.Seed, ServeConfig.Seed and
 	// the arrival processes' seeds.
@@ -118,6 +113,7 @@ func DefaultMigrationConfig() MigrationConfig {
 // switch budget enforced; match-action rules are counted, not capped),
 // 16 KB initial regions, 100 ms epochs.
 func DefaultConfig(computeBlades, memoryBlades int) Config {
+	dir := coherence.DefaultConfig()
 	return Config{
 		ComputeBlades:       computeBlades,
 		MemoryBlades:        memoryBlades,
@@ -125,9 +121,9 @@ func DefaultConfig(computeBlades, memoryBlades int) Config {
 		CachePagesPerBlade:  128 << 10 / 4,
 		Consistency:         TSO,
 		Placement:           ctrlplane.PlaceLeastLoaded,
-		InitialRegionSize:   16 << 10,
-		TopLevelRegionSize:  2 << 20,
-		SplitterEpoch:       100 * sim.Millisecond,
+		InitialRegionSize:   dir.InitialRegionSize,
+		TopLevelRegionSize:  dir.TopLevelSize,
+		SplitterEpoch:       sim.Duration(ctrlplane.DefaultSplitterConfig().Epoch),
 		ASIC:                switchasic.DefaultConfig(),
 		Fabric:              fabric.DefaultConfig(),
 		StoreBufferDepth:    16,

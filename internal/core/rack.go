@@ -250,18 +250,21 @@ func checkConfig(cfg Config) (Config, error) {
 	if cfg.StoreBufferDepth == 0 {
 		cfg.StoreBufferDepth = 16
 	}
+	if cfg.InitialRegionSize == 0 {
+		cfg.InitialRegionSize = coherence.DefaultConfig().InitialRegionSize
+	}
+	if cfg.TopLevelRegionSize == 0 {
+		cfg.TopLevelRegionSize = coherence.DefaultConfig().TopLevelSize
+	}
 	initial, top := cfg.InitialRegionSize, cfg.TopLevelRegionSize
-	if initial == 0 {
-		initial = coherence.DefaultConfig().InitialRegionSize
-	}
-	if top == 0 {
-		top = coherence.DefaultConfig().TopLevelSize
-	}
 	if !mem.IsPow2(initial) || !mem.IsPow2(top) || initial < mem.PageSize || top < initial {
 		return cfg, fmt.Errorf("core: region sizes must be powers of two with page <= initial (%d) <= top level (%d)", initial, top)
 	}
 	if cfg.SplitterEpoch < 0 {
 		return cfg, fmt.Errorf("core: negative splitter epoch (%v)", cfg.SplitterEpoch)
+	}
+	if cfg.SplitterEpoch == 0 {
+		cfg.SplitterEpoch = sim.Duration(ctrlplane.DefaultSplitterConfig().Epoch)
 	}
 	if cfg.Migration.BatchPages < 0 || cfg.Migration.DetectionDelay < 0 {
 		return cfg, fmt.Errorf("core: negative migration batch (%d) or detection delay (%v)",
@@ -364,10 +367,8 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 	}
 
 	c.dir = coherence.NewDirectory(coherence.Config{
-		InitialRegionSize:      cfg.InitialRegionSize,
-		TopLevelSize:           cfg.TopLevelRegionSize,
-		SequentialInvalidation: cfg.SequentialInvalidation,
-		ExclusiveOnColdRead:    cfg.ExclusiveReads,
+		InitialRegionSize: cfg.InitialRegionSize,
+		TopLevelSize:      cfg.TopLevelRegionSize,
 	}, coherence.Deps{
 		Engine:    c.eng,
 		Fabric:    c.fab,
@@ -409,12 +410,8 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 	// Bounded Splitting runs as a control-plane epoch loop (§5).
 	if !cfg.DisableSplitting {
 		scfg := ctrlplane.DefaultSplitterConfig()
-		if cfg.SplitterEpoch > 0 {
-			scfg.Epoch = int64(cfg.SplitterEpoch)
-		}
-		if cfg.TopLevelRegionSize > 0 {
-			scfg.TopLevelSize = cfg.TopLevelRegionSize
-		}
+		scfg.Epoch = int64(cfg.SplitterEpoch)
+		scfg.TopLevelSize = cfg.TopLevelRegionSize
 		c.splitter = ctrlplane.NewSplitter(scfg, c.dir)
 		c.scheduleEpoch(sim.Duration(scfg.Epoch))
 	}

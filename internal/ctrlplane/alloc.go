@@ -292,6 +292,10 @@ func (a *Allocator) Alloc(pdid mem.PDID, length uint64, perm mem.Perm) (mem.VMA,
 	if length == 0 {
 		return mem.VMA{}, fmt.Errorf("ctrlplane: zero-length allocation: %w", ErrBadAddress)
 	}
+	if length > 1<<63 {
+		// No power of two holds it, and no address space could.
+		return mem.VMA{}, ErrNoMemory
+	}
 	size := mem.NextPow2(length)
 	if size < mem.PageSize {
 		size = mem.PageSize

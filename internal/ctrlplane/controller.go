@@ -38,13 +38,13 @@ const msiRequestTypes = 2
 func NewController(asicCfg switchasic.Config, policy PlacementPolicy, computeBlades int) *Controller {
 	a := switchasic.New(asicCfg)
 	a.InstallSTT(MSIStates * msiRequestTypes)
-	// One multicast group containing every compute blade port (§4.3.2),
-	// built through the same incremental membership path a blade join
-	// would use.
-	for i := 0; i < computeBlades; i++ {
-		a.AddGroupMember(InvalidationGroup, i)
+	// One multicast group containing every compute blade port (§4.3.2).
+	ports := make([]int, computeBlades)
+	for i := range ports {
+		ports[i] = i
 	}
-	c := &Controller{
+	a.SetGroup(InvalidationGroup, ports)
+	return &Controller{
 		asic:           a,
 		alloc:          NewAllocator(a, policy),
 		prot:           NewProtectionTable(a),
@@ -52,7 +52,6 @@ func NewController(asicCfg switchasic.Config, policy PlacementPolicy, computeBla
 		sessionDomains: make(map[mem.PDID]bool),
 		nextSession:    1 << 20, // far above PID range
 	}
-	return c
 }
 
 // InvalidationGroup is the multicast group id used for coherence
@@ -87,17 +86,36 @@ func (c *Controller) Mmap(pid mem.PDID, length uint64, perm mem.Perm) (mem.VMA, 
 	return vma, nil
 }
 
-// Munmap services a munmap intercept: permissions are revoked for every
-// domain holding grants on the area, then the area is freed.
-func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
-	vma, _, err := c.alloc.Lookup(base)
-	if err != nil {
-		return err
+// owned checks the range argument of an intercept that changes rights:
+// [base, base+length) must be non-empty, must not wrap past 2^64, and
+// must lie inside the reserved footprints of vmas pid owns.
+func (c *Controller) owned(pid mem.PDID, base mem.VA, length uint64) error {
+	end := uint64(base) + length
+	if length == 0 || end < uint64(base) {
+		return fmt.Errorf("ctrlplane: range %#x+%#x is empty or wraps: %w", uint64(base), length, ErrBadAddress)
 	}
-	if vma.Base != base {
+	for va := base; uint64(va) < end; {
+		vma, _, err := c.alloc.Lookup(va)
+		if err != nil || vma.PDID != pid {
+			return fmt.Errorf("ctrlplane: %#x is not in a vma of domain %d: %w", uint64(va), pid, ErrBadAddress)
+		}
+		reserved, _ := c.alloc.Reserved(vma.Base)
+		va = vma.Base + mem.VA(reserved)
+	}
+	return nil
+}
+
+// Munmap services a munmap intercept: permissions are revoked for every
+// domain holding grants on the area, then the area is freed. base must
+// be the base of a vma pid owns.
+func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
+	reserved, err := c.alloc.Reserved(base)
+	if err != nil {
 		return fmt.Errorf("ctrlplane: munmap at %#x is not a vma base: %w", uint64(base), ErrBadAddress)
 	}
-	reserved, _ := c.alloc.Reserved(base)
+	if err := c.owned(pid, base, reserved); err != nil {
+		return err
+	}
 	if err := c.prot.Revoke(pid, base, reserved); err != nil {
 		return err
 	}
@@ -110,8 +128,11 @@ func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
 }
 
 // MProtect changes the permission class pid holds over [base,
-// base+length) (mprotect intercept).
+// base+length), a range inside vmas pid owns (mprotect intercept).
 func (c *Controller) MProtect(pid mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
+	if err := c.owned(pid, base, length); err != nil {
+		return err
+	}
 	if perm == mem.PermNone {
 		return c.prot.Revoke(pid, base, length)
 	}
@@ -127,11 +148,14 @@ func (c *Controller) CreateDomain() mem.PDID {
 	return d
 }
 
-// GrantDomain gives domain d permission class perm over [base,
-// base+length).
-func (c *Controller) GrantDomain(d mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
+// GrantDomain has pid give domain d permission class perm over [base,
+// base+length), a range inside vmas pid owns.
+func (c *Controller) GrantDomain(pid, d mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
 	if !c.sessionDomains[d] {
 		return fmt.Errorf("ctrlplane: unknown session domain %d: %w", d, ErrBadAddress)
+	}
+	if err := c.owned(pid, base, length); err != nil {
+		return err
 	}
 	return c.prot.Assign(d, base, length, perm)
 }

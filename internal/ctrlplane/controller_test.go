@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"mind/internal/bitset"
 	"mind/internal/mem"
 	"mind/internal/switchasic"
 )
@@ -106,7 +107,7 @@ func TestControllerSessionDomains(t *testing.T) {
 	// One domain per client session (§4.2): session A may read, session B
 	// gets nothing.
 	sessA := c.CreateDomain()
-	if err := c.GrantDomain(sessA, vma.Base, 1<<16, mem.PermRead); err != nil {
+	if err := c.GrantDomain(p.PID, sessA, vma.Base, 1<<16, mem.PermRead); err != nil {
 		t.Fatal(err)
 	}
 	sessB := c.CreateDomain()
@@ -116,7 +117,7 @@ func TestControllerSessionDomains(t *testing.T) {
 	if err := c.Protection().Check(sessB, vma.Base+100, mem.PermRead); err == nil {
 		t.Error("ungranted session can read")
 	}
-	if err := c.GrantDomain(12345, vma.Base, 4096, mem.PermRead); err == nil {
+	if err := c.GrantDomain(p.PID, 12345, vma.Base, 4096, mem.PermRead); err == nil {
 		t.Error("grant to unknown domain accepted")
 	}
 	// Munmap revokes session grants too.
@@ -125,6 +126,91 @@ func TestControllerSessionDomains(t *testing.T) {
 	}
 	if err := c.Protection().Check(sessA, vma.Base+100, mem.PermRead); err == nil {
 		t.Error("session grant survives munmap")
+	}
+}
+
+// TestControllerRangeOwnership: an intercept that changes rights over a
+// range must name a non-empty, non-wrapping range inside vmas the
+// caller owns; otherwise it fails with ErrBadAddress and changes
+// nothing. The victim and the attacker each hold a 1 MB vma.
+func TestControllerRangeOwnership(t *testing.T) {
+	const mb = 1 << 20
+	type setup struct {
+		c                *Controller
+		victim, attacker mem.PDID
+		vv, av           mem.VMA
+	}
+	rows := []struct {
+		name string
+		op   func(s setup) error
+	}{
+		{"mprotect another's vma", func(s setup) error {
+			return s.c.MProtect(s.attacker, s.vv.Base, mb, mem.PermReadWrite)
+		}},
+		{"mprotect past the end of an own vma", func(s setup) error {
+			return s.c.MProtect(s.attacker, s.av.Base, 4*mb, mem.PermReadWrite)
+		}},
+		{"mprotect a wrapping range", func(s setup) error {
+			return s.c.MProtect(s.attacker, 1<<63, 1<<63+1<<34, mem.PermReadWrite)
+		}},
+		{"munmap another's vma", func(s setup) error {
+			return s.c.Munmap(s.attacker, s.vv.Base)
+		}},
+		{"grant another's vma", func(s setup) error {
+			d := s.c.CreateDomain()
+			err := s.c.GrantDomain(s.attacker, d, s.vv.Base, mb, mem.PermReadWrite)
+			if s.c.Protection().Check(d, s.vv.Base, mem.PermRead) == nil {
+				t.Error("grant another's vma: the session domain was admitted")
+			}
+			return err
+		}},
+	}
+	for _, row := range rows {
+		c := newCtl(t, 1)
+		victim, attacker := c.Exec("victim").PID, c.Exec("attacker").PID
+		vv, err := c.Mmap(victim, mb, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		av, err := c.Mmap(attacker, mb, mem.PermReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := row.op(setup{c, victim, attacker, vv, av}); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("%s: err = %v, want ErrBadAddress", row.name, err)
+		}
+		if c.Protection().Check(attacker, vv.Base, mem.PermRead) == nil {
+			t.Errorf("%s: the attacker was admitted to the victim's vma", row.name)
+		}
+		if err := c.Protection().Check(victim, vv.Base+mb-1, mem.PermReadWrite); err != nil {
+			t.Errorf("%s: the victim lost its rights: %v", row.name, err)
+		}
+		if c.Allocator().LiveAllocations() != 2 {
+			t.Errorf("%s: %d live vmas, want 2", row.name, c.Allocator().LiveAllocations())
+		}
+	}
+}
+
+// TestControllerRangeOverOwnVMAs: a range across two adjacent vmas of
+// the caller is its own, and an mprotect over it applies to both.
+func TestControllerRangeOverOwnVMAs(t *testing.T) {
+	c := NewController(switchasic.DefaultConfig(), PlaceLeastLoaded, 1)
+	if _, err := c.Allocator().AddBlade(1 << 28); err != nil {
+		t.Fatal(err)
+	}
+	p := c.Exec("app")
+	lo, _ := c.Mmap(p.PID, 1<<16, mem.PermReadWrite)
+	hi, _ := c.Mmap(p.PID, 1<<16, mem.PermReadWrite)
+	if hi.Base != lo.Base+1<<16 {
+		t.Fatalf("vmas at %#x and %#x are not adjacent", uint64(lo.Base), uint64(hi.Base))
+	}
+	if err := c.MProtect(p.PID, lo.Base, 2<<16, mem.PermRead); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []mem.VA{lo.Base, hi.Base + 1<<16 - 1} {
+		if c.Protection().Check(p.PID, va, mem.PermReadWrite) == nil {
+			t.Errorf("write still allowed at %#x", uint64(va))
+		}
 	}
 }
 
@@ -192,8 +278,10 @@ func TestControllerFailoverReconstructsDataPlane(t *testing.T) {
 	if backup.STTEntries() != MSIStates*2 {
 		t.Errorf("STT entries = %d", backup.STTEntries())
 	}
-	if len(backup.Group(InvalidationGroup)) != 2 {
-		t.Error("multicast group lost")
+	var all bitset.Set
+	all.SetWord(^uint64(0))
+	if ports, err := backup.PruneMulticastBitmap(nil, InvalidationGroup, &all); err != nil || len(ports) != 2 {
+		t.Errorf("multicast group after failover: %v, %v; want 2 ports", ports, err)
 	}
 	if backup.Directory.InUse() != 0 {
 		t.Error("directory state should not be reconstructed (reset path)")

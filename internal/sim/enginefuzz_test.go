@@ -79,11 +79,17 @@ func (d *fuzzDriver) fire(ev *fuzzEv) {
 }
 
 // apply runs one 3-byte op: op%10 is the kind, op/10%5 the delay band, a
-// the delay value, b the child program or handle index. It returns
-// Step's answer (false for every other kind).
+// the delay value, b the child program or handle index. Ops 50-59 are
+// the past band instead: the delay is -a-1 and the time now-a, which the
+// engine clamps to now. It returns Step's answer (false for every other
+// kind).
 func (d *fuzzDriver) apply(op, a, b byte) bool {
 	e := d.e
 	delay := fuzzDelay(op/10, a)
+	at := e.Now().Add(delay)
+	if op/10 == 5 {
+		delay, at = -Duration(a)-1, e.Now().Add(-Duration(a))
+	}
 	switch op % 10 {
 	case 0:
 		ev := d.newEv(b)
@@ -92,7 +98,7 @@ func (d *fuzzDriver) apply(op, a, b byte) bool {
 		e.ScheduleArg(delay, fuzzFireArg, d.newEv(b))
 	case 2:
 		ev := d.newEv(b)
-		d.handles = append(d.handles, e.At(e.Now().Add(delay), func() { d.fire(ev) }))
+		d.handles = append(d.handles, e.At(at, func() { d.fire(ev) }))
 	case 3:
 		d.handles = append(d.handles, e.ScheduleTimer(delay, fuzzFireArg, d.newEv(b)))
 	case 4:
@@ -118,9 +124,9 @@ func (d *fuzzDriver) apply(op, a, b byte) bool {
 	case 6:
 		return e.Step()
 	case 7:
-		e.RunUntil(e.Now().Add(delay))
+		e.RunUntil(at)
 	case 8:
-		e.RunWindow(e.Now().Add(delay))
+		e.RunWindow(at)
 	case 9:
 		// PeekTime: the comparison after every op peeks both engines.
 	}
@@ -177,6 +183,7 @@ func FuzzEngine(f *testing.F) {
 		sched, schedArg, at, timer, cancel, rearm, step, runUntil, runWindow, peek = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9
 	)
 	band := func(kind, b byte) byte { return kind + 10*b }
+	past := func(kind byte) byte { return kind + 50 }
 	// Zero-delay children inside callbacks: each event asks for a child
 	// at delay 0 whose own program asks for one more.
 	f.Add([]byte{
@@ -450,6 +457,36 @@ func FuzzEngine(f *testing.F) {
 		band(at, 3), 32, 0,
 		band(sched, 4), 48, 0,
 		band(runWindow, 4), 48, 0,
+	})
+	// Every kind in the past band, among pending ring and overflow
+	// events: At before now and negative delays queue at now, behind the
+	// events already there; a rearm into the past does too; RunUntil and
+	// RunWindow before now dispatch nothing and leave the clock.
+	f.Add([]byte{
+		band(timer, 2), 40, 0,
+		band(schedArg, 3), 1, 0,
+		band(schedArg, 1), 200, 0,
+		step, 0, 0,
+		past(at), 150, 0x11,
+		past(sched), 7, 0,
+		past(schedArg), 255, 0,
+		past(timer), 0, 0,
+		peek, 0, 0,
+		past(at), 0, 0,
+		past(runUntil), 100, 0,
+		past(runWindow), 100, 0,
+		band(cancel, 0), 0, 1,
+		past(rearm), 30, 1,
+		peek, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		step, 0, 0,
+		past(runUntil), 0, 0,
+		past(runWindow), 0, 0,
+		band(runUntil, 4), 0, 0,
+		past(at), 255, 0,
+		past(rearm), 9, 0,
+		band(runUntil, 3), 255, 0,
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) { runEngineOps(t, ops) })
 }

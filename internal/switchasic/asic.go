@@ -46,10 +46,12 @@ type ASIC struct {
 	// (§8), so we account for it.
 	sttEntries int
 
-	// Multicast group membership: group id -> ports (compute blades). A
-	// bitmap walks in ascending order, and egress pruning intersects it
-	// word-parallel with sharer bitmaps.
-	groups map[int]*bitset.Set
+	// The one multicast group (§4.3.2): its id (-1 before SetGroup) and
+	// its member ports (compute blades) as one word, bit p for port p. A
+	// rack has at most 64 compute blades, so one word holds any group,
+	// and egress pruning is one AND with the sharer word.
+	groupID int
+	members uint64
 
 	// Accounting.
 	recirculations  uint64
@@ -66,7 +68,7 @@ func New(cfg Config) *ASIC {
 		Translation: NewTCAM("translation", 0),
 		Protection:  NewTCAM("protection", 0),
 		Directory:   NewSlotStore(cfg.SlotCapacity),
-		groups:      make(map[int]*bitset.Set),
+		groupID:     -1,
 	}
 	return a
 }
@@ -81,72 +83,45 @@ func (a *ASIC) InstallSTT(entries int) { a.sttEntries = entries }
 // STTEntries returns the installed transition-table size.
 func (a *ASIC) STTEntries() int { return a.sttEntries }
 
-// SetGroup installs multicast group membership (all compute blades in the
-// rack, §4.3.2). Replication is in ascending port order, so every event
-// ordering downstream of a multicast is a function of the member set, not
-// of update history.
+// SetGroup installs the multicast group (all compute blades in the
+// rack, §4.3.2), replacing any group installed before. Group ids are
+// non-negative, and ports lie in [0, 64): a rack's directory tracks at
+// most 64 compute blades. Replication is in ascending port order, so
+// every event ordering downstream of a multicast is a function of the
+// member set, not of update history.
 func (a *ASIC) SetGroup(id int, ports []int) {
-	g := &bitset.Set{}
+	var m uint64
 	for _, p := range ports {
-		g.Add(p)
+		if p < 0 || p >= 64 {
+			panic(fmt.Sprintf("switchasic: multicast port %d outside [0, 64)", p))
+		}
+		m |= 1 << p
 	}
-	a.groups[id] = g
-}
-
-// Group returns a copy of a group's membership in ascending order (nil
-// for an unknown group). Callers may hold it across membership updates
-// without aliasing the live table.
-func (a *ASIC) Group(id int) []int {
-	g := a.groups[id]
-	if g == nil {
-		return nil
-	}
-	return g.AppendTo(make([]int, 0, g.Count()))
-}
-
-// AddGroupMember installs one port into a multicast group — the control
-// plane builds the invalidation group through this path, one rule install
-// per compute blade. Adding an existing member is a no-op. (The inverse
-// operation arrives with compute-blade retirement; memory blades are never
-// group members, so nothing removes entries today.)
-func (a *ASIC) AddGroupMember(id, port int) {
-	g := a.groups[id]
-	if g == nil {
-		g = &bitset.Set{}
-		a.groups[id] = g
-	}
-	g.Add(port)
+	a.groupID, a.members = id, m
 }
 
 // PruneMulticastBitmap resolves one multicast send: the packet is
 // replicated to every group member, and copies whose output port does
 // not lead to a blade in the sharer bitmap are dropped in the egress
-// pipeline (§4.3.2). The replicate-and-prune is a word-parallel
-// intersection of the sharer bitmap with the group's membership bitmap.
-// The ports that receive a copy are appended to dst (reset to length
-// zero; nil allocates) in ascending order.
+// pipeline (§4.3.2). The replicate-and-prune is one AND of the sharer
+// bitmap's first word with the group's membership; sharers past port 63
+// are never members. The ports that receive a copy are appended to dst
+// (reset to length zero; nil allocates) in ascending order.
 func (a *ASIC) PruneMulticastBitmap(dst []int, group int, sharers *bitset.Set) ([]int, error) {
-	g, ok := a.groups[group]
-	if !ok {
+	if group < 0 || group != a.groupID {
 		return nil, fmt.Errorf("switchasic: unknown multicast group %d", group)
 	}
 	a.multicasts++
-	out := dst[:0]
-	gw := g.Words()
-	sw := sharers.Words()
-	n := len(gw)
-	if len(sw) < n {
-		n = len(sw)
+	var s uint64
+	if sw := sharers.Words(); len(sw) > 0 {
+		s = sw[0]
 	}
-	for wi := 0; wi < n; wi++ {
-		w := gw[wi] & sw[wi]
-		for w != 0 {
-			out = append(out, wi<<6+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
+	out := dst[:0]
+	for w := a.members & s; w != 0; w &= w - 1 {
+		out = append(out, bits.TrailingZeros64(w))
 	}
 	a.deliveredCopies += uint64(len(out))
-	a.prunedCopies += uint64(g.Count() - len(out))
+	a.prunedCopies += uint64(bits.OnesCount64(a.members) - len(out))
 	return out, nil
 }
 
@@ -175,8 +150,6 @@ func (a *ASIC) CloneState() *ASIC {
 		}
 	}
 	b.sttEntries = a.sttEntries
-	for id := range a.groups {
-		b.SetGroup(id, a.Group(id))
-	}
+	b.groupID, b.members = a.groupID, a.members
 	return b
 }

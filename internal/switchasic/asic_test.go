@@ -2,6 +2,8 @@ package switchasic
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mind/internal/bitset"
@@ -110,6 +112,28 @@ func TestASICMulticastUnknownGroup(t *testing.T) {
 	if _, err := pruneMulticastMap(a, 9, nil); err == nil {
 		t.Error("unknown group should error on the reference path")
 	}
+	// Only the installed group's id resolves; installing another
+	// replaces it.
+	a.SetGroup(1, []int{0, 1})
+	if _, err := a.PruneMulticastBitmap(nil, 2, &bitset.Set{}); err == nil {
+		t.Error("a group id other than the installed one should error")
+	}
+	a.SetGroup(2, []int{0, 1})
+	if _, err := a.PruneMulticastBitmap(nil, 1, &bitset.Set{}); err == nil {
+		t.Error("a replaced group should error")
+	}
+	if ports, err := a.PruneMulticastBitmap(nil, 2, &bitset.Set{}); err != nil || len(ports) != 0 {
+		t.Errorf("the installed group: %v, %v", ports, err)
+	}
+}
+
+func TestASICGroupPortPastWord(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "port 64") {
+			t.Errorf("SetGroup with port 64: recovered %v, want a panic naming the port", r)
+		}
+	}()
+	New(Config{}).SetGroup(1, []int{0, 64})
 }
 
 func TestASICGroupCopied(t *testing.T) {
@@ -117,8 +141,26 @@ func TestASICGroupCopied(t *testing.T) {
 	ports := []int{1, 2}
 	a.SetGroup(1, ports)
 	ports[0] = 99
-	if a.Group(1)[0] != 1 {
-		t.Error("SetGroup must copy membership")
+	if got := groupPorts(a); fmt.Sprint(got) != "[1 2]" {
+		t.Errorf("SetGroup must copy membership: %v", got)
+	}
+
+	// Out-of-order installation must yield sorted, deterministic
+	// membership; a repeated port is one member.
+	a.SetGroup(1, []int{3, 0, 2, 1, 1})
+	if got := groupPorts(a); fmt.Sprint(got) != "[0 1 2 3]" {
+		t.Fatalf("membership %v, want [0 1 2 3]", got)
+	}
+
+	// A later SetGroup replaces the membership, and a pruned multicast
+	// replicates to current members only.
+	a.SetGroup(1, []int{0, 3, 7})
+	ports, err := pruneMulticastMap(a, 1, map[int]bool{0: true, 1: true, 3: true, 9: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ports) != "[0 3]" {
+		t.Fatalf("pruned delivery %v, want [0 3]", ports)
 	}
 }
 
@@ -141,12 +183,13 @@ func TestASICCloneState(t *testing.T) {
 	if v, err := b.Protection.Lookup(7, 0x1800); err != nil || v != 3 {
 		t.Errorf("clone protection lookup = %d, %v", v, err)
 	}
-	if len(b.Group(1)) != 3 {
-		t.Error("clone group missing")
+	if b.groupID != 1 || fmt.Sprint(groupPorts(b)) != "[0 1 2]" {
+		t.Errorf("clone group %d %v, want 1 [0 1 2]", b.groupID, groupPorts(b))
 	}
 	// Clone must be independent.
 	must(t, b.Translation.Delete(WildcardPDID, 0, 1<<30))
-	if a.Translation.Len() != 2 {
+	b.SetGroup(1, []int{5})
+	if a.Translation.Len() != 2 || fmt.Sprint(groupPorts(a)) != "[0 1 2]" {
 		t.Error("clone mutation leaked into original")
 	}
 }
@@ -158,51 +201,5 @@ func TestASICRecirculationAccounting(t *testing.T) {
 	r, _, _, _ := a.Accounting()
 	if r != 2 {
 		t.Errorf("recircs = %d", r)
-	}
-}
-
-func TestASICGroupMembershipIncremental(t *testing.T) {
-	a := New(Config{})
-	// Out-of-order installation must yield sorted, deterministic
-	// membership regardless of the update sequence.
-	a.SetGroup(1, []int{3, 0, 2})
-	a.AddGroupMember(1, 1)
-	a.AddGroupMember(1, 1) // duplicate add is a no-op
-	got := a.Group(1)
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("membership %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("membership %v, want %v", got, want)
-		}
-	}
-
-	// Group() hands out a copy: holding it across a membership update
-	// must not alias the live table.
-	held := a.Group(1)
-	a.AddGroupMember(1, 7)
-	if len(held) != 4 {
-		t.Fatalf("held membership mutated by later update: %v", held)
-	}
-
-	// Pruned multicast replicates to current members only.
-	ports, err := pruneMulticastMap(a, 1, map[int]bool{0: true, 3: true, 9: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ports) != 2 || ports[0] != 0 || ports[1] != 3 {
-		t.Fatalf("pruned delivery %v, want [0 3]", ports)
-	}
-}
-
-func TestASICAddGroupMemberCreatesGroup(t *testing.T) {
-	a := New(Config{})
-	a.AddGroupMember(7, 5)
-	a.AddGroupMember(7, 2)
-	got := a.Group(7)
-	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Fatalf("membership %v, want [2 5]", got)
 	}
 }
