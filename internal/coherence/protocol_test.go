@@ -169,9 +169,7 @@ func TestProtocolTransitionSequence(t *testing.T) {
 func TestProtocolOwnerReaccess(t *testing.T) {
 	h := newProtoHarness(t, 2, 100)
 	va := mem.VA(0x200000)
-	if c := h.request(t, 0, va, mem.PermReadWrite); c.Transition != "I->M" || !c.Writable {
-		t.Errorf("cold write: %+v", c)
-	}
+	h.request(t, 0, va, mem.PermReadWrite)
 	// The owner faulting another page of its own region needs no
 	// invalidations and stays writable.
 	c := h.request(t, 0, va+mem.PageSize, mem.PermReadWrite)
@@ -181,6 +179,16 @@ func TestProtocolOwnerReaccess(t *testing.T) {
 	c = h.request(t, 0, va+2*mem.PageSize, mem.PermRead)
 	if c.Transition != "M->M(own)" || !c.Writable {
 		t.Errorf("owner read keeps write grant: %+v", c)
+	}
+}
+
+// TestExclusiveWriteColdStillIM: a write to an untracked region is
+// granted I->M and arrives writable.
+func TestExclusiveWriteColdStillIM(t *testing.T) {
+	h := newProtoHarness(t, 2, 100)
+	c := h.request(t, 0, 0x400000, mem.PermReadWrite)
+	if c.Transition != "I->M" || !c.Writable {
+		t.Errorf("cold write: %+v", c)
 	}
 }
 

@@ -144,7 +144,10 @@ func TestASICGroupCopied(t *testing.T) {
 	if got := groupPorts(a); fmt.Sprint(got) != "[1 2]" {
 		t.Errorf("SetGroup must copy membership: %v", got)
 	}
+}
 
+func TestASICGroupMembershipIncremental(t *testing.T) {
+	a := New(Config{})
 	// Out-of-order installation must yield sorted, deterministic
 	// membership; a repeated port is one member.
 	a.SetGroup(1, []int{3, 0, 2, 1, 1})
