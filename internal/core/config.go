@@ -63,8 +63,6 @@ type Config struct {
 	// from PSO+ lifting the directory cap at construction: blocking
 	// Load, Store and Touch run the same path under every model.
 	Consistency Consistency
-	// Placement selects the allocation placement policy (§4.1).
-	Placement ctrlplane.PlacementPolicy
 	// InitialRegionSize and TopLevelRegionSize parameterize directory
 	// granularity (§5; 0 takes coherence.DefaultConfig's 16 KB and 2 MB).
 	InitialRegionSize  uint64
@@ -120,7 +118,6 @@ func DefaultConfig(computeBlades, memoryBlades int) Config {
 		MemoryBladeCapacity: 1 << 32, // 4 GB per blade
 		CachePagesPerBlade:  128 << 10 / 4,
 		Consistency:         TSO,
-		Placement:           ctrlplane.PlaceLeastLoaded,
 		InitialRegionSize:   dir.InitialRegionSize,
 		TopLevelRegionSize:  dir.TopLevelSize,
 		SplitterEpoch:       sim.Duration(ctrlplane.DefaultSplitterConfig().Epoch),

@@ -18,6 +18,30 @@ func fillPages(t *testing.T, th *Thread, base mem.VA, pages int) {
 	}
 }
 
+// twoVMAsOnBlade0 maps two areas of pages pages for p, both on memory
+// blade 0: every other blade is unavailable around the two mmaps.
+func twoVMAsOnBlade0(t *testing.T, c *Rack, p *Process, pages int) (a, b mem.VMA) {
+	t.Helper()
+	alloc := c.Controller().Allocator()
+	setOthers := func(available bool) {
+		for id := 1; id < alloc.Blades(); id++ {
+			if err := alloc.SetBladeAvailable(ctrlplane.BladeID(id), available); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	setOthers(false)
+	defer setOthers(true)
+	var err error
+	if a, err = p.Mmap(uint64(pages)*mem.PageSize, mem.PermReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = p.Mmap(uint64(pages)*mem.PageSize, mem.PermReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
 func checkPages(t *testing.T, th *Thread, base mem.VA, pages int, wantOffset uint64) {
 	t.Helper()
 	for i := 0; i < pages; i++ {
@@ -549,21 +573,13 @@ func TestMunmapDuringDrainSkipsVMA(t *testing.T) {
 	cfg := DefaultConfig(1, 2)
 	cfg.MemoryBladeCapacity = 1 << 28
 	cfg.CachePagesPerBlade = 256
-	cfg.Placement = ctrlplane.PlaceFirstFit // both vmas land on blade 0
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := c.Exec("app")
 	const pages = 64
-	a, err := p.Mmap(pages*mem.PageSize, mem.PermReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Mmap(pages*mem.PageSize, mem.PermReadWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := twoVMAsOnBlade0(t, c.Rack, p, pages)
 	th, err := p.SpawnThread(0)
 	if err != nil {
 		t.Fatal(err)

@@ -339,7 +339,7 @@ func newRack(pod *Pod, idx int, cfg Config) (*Rack, error) {
 		c.hPromotedPages = c.col.Handle(stats.CtrPromotedPages)
 	}
 	c.fab = fabric.New(c.eng, cfg.Fabric)
-	c.ctl = ctrlplane.NewController(asicCfg, cfg.Placement, cfg.ComputeBlades)
+	c.ctl = ctrlplane.NewController(asicCfg, cfg.ComputeBlades)
 	if pod.multiRack {
 		// Each rack gets a disjoint 1 TB stripe of the pod-global
 		// virtual address space (enforced end-to-end by the allocator),

@@ -131,7 +131,6 @@ func TestRehomePinned(t *testing.T) {
 		cfg := DefaultConfig(2, 2)
 		cfg.MemoryBladeCapacity = 1 << 28
 		cfg.CachePagesPerBlade = 256
-		cfg.Placement = ctrlplane.PlaceFirstFit // both vmas land on blade 0
 		c, err := NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -139,14 +138,7 @@ func TestRehomePinned(t *testing.T) {
 		c.Engine().EnableDispatchHash()
 		p := c.Exec("app")
 		const pages = 64
-		a, err := p.Mmap(pages*mem.PageSize, mem.PermReadWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := p.Mmap(pages*mem.PageSize, mem.PermReadWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b := twoVMAsOnBlade0(t, c.Rack, p, pages)
 		th, err := p.SpawnThread(0)
 		if err != nil {
 			t.Fatal(err)

@@ -30,35 +30,6 @@ var ErrBadAddress = errors.New("ctrlplane: no vma at address (EINVAL)")
 // BladeID identifies a memory blade.
 type BladeID int
 
-// PlacementPolicy selects how new allocations are placed across memory
-// blades.
-type PlacementPolicy int
-
-const (
-	// PlaceLeastLoaded places each allocation on the blade with the least
-	// total allocation — MIND's default near-optimal load balancing
-	// (§4.1).
-	PlaceLeastLoaded PlacementPolicy = iota
-	// PlaceRoundRobin rotates across blades regardless of load (ablation).
-	PlaceRoundRobin
-	// PlaceFirstFit fills the lowest-numbered blade first (ablation;
-	// models naive contiguous placement).
-	PlaceFirstFit
-)
-
-func (p PlacementPolicy) String() string {
-	switch p {
-	case PlaceLeastLoaded:
-		return "least-loaded"
-	case PlaceRoundRobin:
-		return "round-robin"
-	case PlaceFirstFit:
-		return "first-fit"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // freeRange is one hole in a blade's partition.
 type freeRange struct {
 	base mem.VA
@@ -155,15 +126,13 @@ type bladeState struct {
 // places allocations for load balance, and manages each partition with a
 // first-fit allocator.
 type Allocator struct {
-	asic   *switchasic.ASIC
-	policy PlacementPolicy
+	asic *switchasic.ASIC
 
 	blades []*bladeState
 	nextVA mem.VA
 	// limitVA is the exclusive end of this allocator's addresses: its
 	// stripe's end (see SetAddressStripe), and never past mem.VALimit.
 	limitVA mem.VA
-	rrNext  int
 	allocs  map[mem.VA]*allocation // by vma base
 	nAllocs uint64
 }
@@ -171,10 +140,9 @@ type Allocator struct {
 // NewAllocator creates an allocator that installs translation rules into
 // asic. The address space begins at 4 GB to keep low addresses (null
 // page, legacy mappings) unused, and ends at mem.VALimit.
-func NewAllocator(asic *switchasic.ASIC, policy PlacementPolicy) *Allocator {
+func NewAllocator(asic *switchasic.ASIC) *Allocator {
 	return &Allocator{
 		asic:    asic,
-		policy:  policy,
 		nextVA:  mem.VA(1) << 32,
 		limitVA: mem.VALimit,
 		allocs:  make(map[mem.VA]*allocation),
@@ -249,41 +217,6 @@ func (a *Allocator) BladeLoad() []float64 {
 	return out
 }
 
-// pickBlade chooses the placement target per policy among available
-// blades that can fit an aligned chunk of size. Fit means both address
-// space in the blade's own partition (free list) and physical capacity
-// (allocated accounting, which includes vmas migrated in from drained
-// or failed blades).
-func (a *Allocator) pickBlade(size uint64) *bladeState {
-	var candidates []*bladeState
-	for _, b := range a.blades {
-		if !b.unavailable && b.allocated+size <= b.partition.Size && b.free.canAlloc(size) {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	switch a.policy {
-	case PlaceLeastLoaded:
-		best := candidates[0]
-		for _, b := range candidates[1:] {
-			if b.allocated < best.allocated {
-				best = b
-			}
-		}
-		return best
-	case PlaceRoundRobin:
-		b := candidates[a.rrNext%len(candidates)]
-		a.rrNext++
-		return b
-	case PlaceFirstFit:
-		return candidates[0]
-	default:
-		return candidates[0]
-	}
-}
-
 // Alloc reserves an area of at least length bytes for the given
 // protection domain. The reservation is rounded up to a power of two and
 // aligned to its size so that the vma is representable as a single TCAM
@@ -300,10 +233,13 @@ func (a *Allocator) Alloc(pdid mem.PDID, length uint64, perm mem.Perm) (mem.VMA,
 	if size < mem.PageSize {
 		size = mem.PageSize
 	}
-	b := a.pickBlade(size)
-	if b == nil {
+	// Balanced placement (§4.1): the least-loaded available blade with
+	// physical room and an aligned hole of size in its own partition.
+	id, ok := a.pickTarget(func(id BladeID) bool { return !a.blades[id].free.canAlloc(size) }, size, nil)
+	if !ok {
 		return mem.VMA{}, ErrNoMemory
 	}
+	b := a.blades[id]
 	base, ok := b.free.allocAligned(size)
 	if !ok {
 		return mem.VMA{}, ErrNoMemory

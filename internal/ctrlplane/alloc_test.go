@@ -12,10 +12,10 @@ import (
 	"mind/internal/switchasic"
 )
 
-func newAlloc(t *testing.T, policy PlacementPolicy, blades int, capEach uint64) (*Allocator, *switchasic.ASIC) {
+func newAlloc(t *testing.T, blades int, capEach uint64) (*Allocator, *switchasic.ASIC) {
 	t.Helper()
 	asic := switchasic.New(switchasic.DefaultConfig())
-	a := NewAllocator(asic, policy)
+	a := NewAllocator(asic)
 	for i := 0; i < blades; i++ {
 		if _, err := a.AddBlade(capEach); err != nil {
 			t.Fatal(err)
@@ -24,8 +24,30 @@ func newAlloc(t *testing.T, policy PlacementPolicy, blades int, capEach uint64) 
 	return a, asic
 }
 
+// allocOn places one allocation on blade id, whatever the loads, by
+// marking every other blade unavailable around the Alloc.
+func allocOn(t *testing.T, a *Allocator, id BladeID, length uint64) mem.VMA {
+	t.Helper()
+	setOthers := func(available bool) {
+		for b := 0; b < a.Blades(); b++ {
+			if BladeID(b) != id {
+				if err := a.SetBladeAvailable(BladeID(b), available); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	setOthers(false)
+	v, err := a.Alloc(1, length, mem.PermReadWrite)
+	setOthers(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestAddBladeInstallsOneTranslationEntry(t *testing.T) {
-	a, asic := newAlloc(t, PlaceLeastLoaded, 4, 1<<30)
+	a, asic := newAlloc(t, 4, 1<<30)
 	if asic.Translation.Len() != 4 {
 		t.Errorf("translation entries = %d, want 4 (one per blade, §4.1)", asic.Translation.Len())
 	}
@@ -35,7 +57,7 @@ func TestAddBladeInstallsOneTranslationEntry(t *testing.T) {
 }
 
 func TestAddBladeRejectsNonPow2(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 0, 0)
+	a, _ := newAlloc(t, 0, 0)
 	if _, err := a.AddBlade(3 << 20); err == nil {
 		t.Error("non-po2 capacity accepted")
 	}
@@ -45,7 +67,7 @@ func TestAddBladeRejectsNonPow2(t *testing.T) {
 }
 
 func TestAllocAlignedPow2(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 2, 1<<30)
+	a, _ := newAlloc(t, 2, 1<<30)
 	vma, err := a.Alloc(1, 5000, mem.PermReadWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +85,7 @@ func TestAllocAlignedPow2(t *testing.T) {
 }
 
 func TestAllocLeastLoadedBalances(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 4, 1<<30)
+	a, _ := newAlloc(t, 4, 1<<30)
 	for i := 0; i < 64; i++ {
 		if _, err := a.Alloc(1, 1<<20, mem.PermReadWrite); err != nil {
 			t.Fatal(err)
@@ -78,8 +100,10 @@ func TestAllocLeastLoadedBalances(t *testing.T) {
 
 // TestAllocLeastLoadedMixedSizes: on mixed allocation sizes least-loaded
 // placement keeps the blades balanced (§7.2) and beats round-robin,
-// while first-fit piles everything on blade 0 (§4.1). The second input
-// is the placement ablation's trace on 8 blades.
+// while first-fit piles everything on blade 0 (§4.1). Round-robin and
+// first-fit are reference placements the allocator does not implement:
+// allocOn puts the i-th allocation on the blade each names. The second
+// input is the placement ablation's trace on 8 blades.
 func TestAllocLeastLoadedMixedSizes(t *testing.T) {
 	for _, tc := range []struct {
 		blades, allocs int
@@ -88,57 +112,30 @@ func TestAllocLeastLoadedMixedSizes(t *testing.T) {
 		{4, 60, []uint64{1 << 20, 8 << 20, 64 << 10, 2 << 20, 16 << 20, 4 << 10}},
 		{8, 128, []uint64{1 << 20, 4 << 20, 64 << 10, 2 << 20, 8 << 20, 256 << 10, 1 << 20, 16 << 20}},
 	} {
-		fair := map[PlacementPolicy]float64{}
-		for _, policy := range []PlacementPolicy{PlaceLeastLoaded, PlaceRoundRobin, PlaceFirstFit} {
-			a, _ := newAlloc(t, policy, tc.blades, 1<<30)
+		fairness := func(place func(a *Allocator, i int, size uint64)) float64 {
+			a, _ := newAlloc(t, tc.blades, 1<<30)
 			for i := 0; i < tc.allocs; i++ {
-				if _, err := a.Alloc(1, tc.sizes[i%len(tc.sizes)], mem.PermReadWrite); err != nil {
-					t.Fatal(err)
-				}
+				place(a, i, tc.sizes[i%len(tc.sizes)])
 			}
-			fair[policy] = stats.JainFairness(a.BladeLoad())
+			return stats.JainFairness(a.BladeLoad())
 		}
+		leastLoaded := fairness(func(a *Allocator, _ int, size uint64) {
+			if _, err := a.Alloc(1, size, mem.PermReadWrite); err != nil {
+				t.Fatal(err)
+			}
+		})
+		roundRobin := fairness(func(a *Allocator, i int, size uint64) { allocOn(t, a, BladeID(i%tc.blades), size) })
+		firstFit := fairness(func(a *Allocator, _ int, size uint64) { allocOn(t, a, 0, size) })
 		t.Logf("%d blades: Jain fairness least-loaded %.4f, round-robin %.4f, first-fit %.4f",
-			tc.blades, fair[PlaceLeastLoaded], fair[PlaceRoundRobin], fair[PlaceFirstFit])
-		if fair[PlaceLeastLoaded] < 0.95 || fair[PlaceLeastLoaded] <= fair[PlaceRoundRobin] ||
-			fair[PlaceFirstFit] != 1/float64(tc.blades) {
+			tc.blades, leastLoaded, roundRobin, firstFit)
+		if leastLoaded < 0.95 || leastLoaded <= roundRobin || firstFit != 1/float64(tc.blades) {
 			t.Errorf("%d blades: want least-loaded > 0.95 and above round-robin, first-fit exactly 1/%d", tc.blades, tc.blades)
 		}
 	}
 }
 
-func TestAllocFirstFitSkews(t *testing.T) {
-	a, _ := newAlloc(t, PlaceFirstFit, 4, 1<<30)
-	for i := 0; i < 16; i++ {
-		if _, err := a.Alloc(1, 1<<20, mem.PermReadWrite); err != nil {
-			t.Fatal(err)
-		}
-	}
-	loads := a.BladeLoad()
-	if loads[0] == 0 || loads[1] != 0 {
-		t.Errorf("first-fit should fill blade 0 first: %v", loads)
-	}
-	if fair := stats.JainFairness(loads); fair > 0.3 {
-		t.Errorf("first-fit fairness = %v, expected skew", fair)
-	}
-}
-
-func TestAllocRoundRobin(t *testing.T) {
-	a, _ := newAlloc(t, PlaceRoundRobin, 4, 1<<30)
-	for i := 0; i < 8; i++ {
-		if _, err := a.Alloc(1, 4096, mem.PermRead); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, l := range a.BladeLoad() {
-		if l != 2*4096 {
-			t.Errorf("blade %d load = %v, want 8192", i, l)
-		}
-	}
-}
-
 func TestAllocENOMEM(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 1, 1<<20)
+	a, _ := newAlloc(t, 1, 1<<20)
 	if _, err := a.Alloc(1, 1<<21, mem.PermRead); !errors.Is(err, ErrNoMemory) {
 		t.Errorf("oversized alloc: %v, want ErrNoMemory", err)
 	}
@@ -152,7 +149,7 @@ func TestAllocENOMEM(t *testing.T) {
 }
 
 func TestFreeAndReuse(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 1, 1<<20)
+	a, _ := newAlloc(t, 1, 1<<20)
 	v1, err := a.Alloc(1, 1<<20, mem.PermRead)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +173,7 @@ func TestFreeAndReuse(t *testing.T) {
 }
 
 func TestFreeCoalescing(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 1, 1<<20)
+	a, _ := newAlloc(t, 1, 1<<20)
 	var bases []mem.VA
 	for i := 0; i < 4; i++ {
 		v, err := a.Alloc(1, 256<<10, mem.PermRead)
@@ -198,7 +195,7 @@ func TestFreeCoalescing(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 2, 1<<30)
+	a, _ := newAlloc(t, 2, 1<<30)
 	v, _ := a.Alloc(7, 10000, mem.PermReadWrite)
 	got, blade, err := a.Lookup(v.Base + 9000)
 	if err != nil {
@@ -216,7 +213,7 @@ func TestLookup(t *testing.T) {
 }
 
 func TestTranslateRoutesToHomeBlade(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 4, 1<<28)
+	a, _ := newAlloc(t, 4, 1<<28)
 	v, _ := a.Alloc(1, 1<<20, mem.PermRead)
 	_, home, _ := a.Lookup(v.Base)
 	got, err := a.Translate(v.Base + 123)
@@ -232,7 +229,7 @@ func TestTranslateRoutesToHomeBlade(t *testing.T) {
 }
 
 func TestMigrateOutlierEntries(t *testing.T) {
-	a, asic := newAlloc(t, PlaceFirstFit, 2, 1<<28)
+	a, asic := newAlloc(t, 2, 1<<28)
 	v, _ := a.Alloc(1, 1<<20, mem.PermRead)
 	before := asic.Translation.Len()
 	_, home, _ := a.Lookup(v.Base)
@@ -273,7 +270,7 @@ func TestMigrateOutlierEntries(t *testing.T) {
 }
 
 func TestMigrateErrors(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 2, 1<<28)
+	a, _ := newAlloc(t, 2, 1<<28)
 	if err := a.Migrate(0x123, 1); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("migrate unknown: %v", err)
 	}
@@ -284,7 +281,7 @@ func TestMigrateErrors(t *testing.T) {
 }
 
 func TestFreeMigratedArea(t *testing.T) {
-	a, asic := newAlloc(t, PlaceFirstFit, 2, 1<<28)
+	a, asic := newAlloc(t, 2, 1<<28)
 	v, _ := a.Alloc(1, 64<<10, mem.PermRead)
 	if err := a.Migrate(v.Base, 1); err != nil {
 		t.Fatal(err)
@@ -301,7 +298,7 @@ func TestFreeMigratedArea(t *testing.T) {
 }
 
 func TestCheckNonOverlapInvariant(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 4, 1<<26)
+	a, _ := newAlloc(t, 4, 1<<26)
 	for i := 0; i < 100; i++ {
 		if _, err := a.Alloc(mem.PDID(i%3+1), uint64(4096*(i%7+1)), mem.PermReadWrite); err != nil {
 			t.Fatal(err)
@@ -317,7 +314,7 @@ func TestCheckNonOverlapInvariant(t *testing.T) {
 func TestAllocatorProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		asic := switchasic.New(switchasic.DefaultConfig())
-		a := NewAllocator(asic, PlaceLeastLoaded)
+		a := NewAllocator(asic)
 		for i := 0; i < 2; i++ {
 			if _, err := a.AddBlade(1 << 24); err != nil {
 				return false

@@ -33,9 +33,8 @@ const MSIStates = 3
 const msiRequestTypes = 2
 
 // NewController builds a control plane over a fresh ASIC with the given
-// limits and placement policy, for a rack with computeBlades compute
-// blades.
-func NewController(asicCfg switchasic.Config, policy PlacementPolicy, computeBlades int) *Controller {
+// limits, for a rack with computeBlades compute blades.
+func NewController(asicCfg switchasic.Config, computeBlades int) *Controller {
 	a := switchasic.New(asicCfg)
 	a.InstallSTT(MSIStates * msiRequestTypes)
 	// One multicast group containing every compute blade port (§4.3.2).
@@ -46,7 +45,7 @@ func NewController(asicCfg switchasic.Config, policy PlacementPolicy, computeBla
 	a.SetGroup(InvalidationGroup, ports)
 	return &Controller{
 		asic:           a,
-		alloc:          NewAllocator(a, policy),
+		alloc:          NewAllocator(a),
 		prot:           NewProtectionTable(a),
 		procs:          NewProcessManager(computeBlades),
 		sessionDomains: make(map[mem.PDID]bool),

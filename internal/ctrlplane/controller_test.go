@@ -11,7 +11,7 @@ import (
 
 func newCtl(t *testing.T, computeBlades int) *Controller {
 	t.Helper()
-	c := NewController(switchasic.DefaultConfig(), PlaceLeastLoaded, computeBlades)
+	c := NewController(switchasic.DefaultConfig(), computeBlades)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Allocator().AddBlade(1 << 28); err != nil {
 			t.Fatal(err)
@@ -39,7 +39,7 @@ func TestControllerMmapRollbackOnProtFailure(t *testing.T) {
 	// With rule capacity nearly exhausted, Mmap must roll back the
 	// allocation when protection install fails.
 	cfg := switchasic.DefaultConfig()
-	c := NewController(cfg, PlaceLeastLoaded, 1)
+	c := NewController(cfg, 1)
 	if _, err := c.Allocator().AddBlade(1 << 28); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestControllerRangeOwnership(t *testing.T) {
 // TestControllerRangeOverOwnVMAs: a range across two adjacent vmas of
 // the caller is its own, and an mprotect over it applies to both.
 func TestControllerRangeOverOwnVMAs(t *testing.T) {
-	c := NewController(switchasic.DefaultConfig(), PlaceLeastLoaded, 1)
+	c := NewController(switchasic.DefaultConfig(), 1)
 	if _, err := c.Allocator().AddBlade(1 << 28); err != nil {
 		t.Fatal(err)
 	}

@@ -124,8 +124,9 @@ func (a *Allocator) pickLeastLoaded(victim BladeID, reserved uint64, extra map[B
 // pickTarget is the generalized selection rule behind pickLeastLoaded:
 // the least-loaded available blade not excluded by the predicate (ties
 // to the lowest id) that can fit reserved more bytes, and false if none
-// can. The promotion planner excludes every remote-homed blade and skips
-// a vma nothing fits; drains exclude only the victim and report
+// can. Alloc excludes every blade without an aligned hole in its own
+// partition; the promotion planner excludes every remote-homed blade and
+// skips a vma nothing fits; drains exclude only the victim and report
 // ErrNoMemory.
 func (a *Allocator) pickTarget(exclude func(BladeID) bool, reserved uint64, extra map[BladeID]uint64) (BladeID, bool) {
 	var best *bladeState

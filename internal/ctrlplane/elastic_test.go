@@ -9,7 +9,7 @@ import (
 )
 
 func TestSetBladeAvailableExcludesFromPlacement(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 2, 1<<30)
+	a, _ := newAlloc(t, 2, 1<<30)
 	if err := a.SetBladeAvailable(1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -31,15 +31,11 @@ func TestSetBladeAvailableExcludesFromPlacement(t *testing.T) {
 }
 
 func TestPlanDrainDeterministicAndBalanced(t *testing.T) {
-	a, _ := newAlloc(t, PlaceFirstFit, 3, 1<<30)
-	// Six vmas on blade 0 (first-fit fills the lowest blade).
+	a, _ := newAlloc(t, 3, 1<<30)
+	// Six vmas on blade 0.
 	var bases []mem.VA
 	for i := 0; i < 6; i++ {
-		v, err := a.Alloc(1, 4<<20, mem.PermReadWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases = append(bases, v.Base)
+		bases = append(bases, allocOn(t, a, 0, 4<<20).Base)
 	}
 	if err := a.SetBladeAvailable(0, false); err != nil {
 		t.Fatal(err)
@@ -81,14 +77,14 @@ func TestPlanDrainDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestPlanDrainRequiresUnavailableVictim(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 2, 1<<30)
+	a, _ := newAlloc(t, 2, 1<<30)
 	if _, err := a.PlanDrain(0); err == nil {
 		t.Fatal("plan for still-available victim accepted")
 	}
 }
 
 func TestPlanDrainFailsWithoutSurvivorCapacity(t *testing.T) {
-	a, _ := newAlloc(t, PlaceFirstFit, 2, 1<<22)
+	a, _ := newAlloc(t, 2, 1<<22)
 	// Fill both blades completely.
 	for i := 0; i < 2; i++ {
 		if _, err := a.Alloc(1, 1<<22, mem.PermReadWrite); err != nil {
@@ -104,7 +100,7 @@ func TestPlanDrainFailsWithoutSurvivorCapacity(t *testing.T) {
 }
 
 func TestRetireBladeWithdrawsPartitionRule(t *testing.T) {
-	a, asic := newAlloc(t, PlaceFirstFit, 2, 1<<26)
+	a, asic := newAlloc(t, 2, 1<<26)
 	v, err := a.Alloc(1, 1<<20, mem.PermReadWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +150,7 @@ func TestRetireBladeWithdrawsPartitionRule(t *testing.T) {
 }
 
 func TestRetiredBladeExcludedFromFailoverClone(t *testing.T) {
-	a, asic := newAlloc(t, PlaceFirstFit, 2, 1<<26)
+	a, asic := newAlloc(t, 2, 1<<26)
 	if err := a.SetBladeAvailable(0, false); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +167,7 @@ func TestRetiredBladeExcludedFromFailoverClone(t *testing.T) {
 }
 
 func TestMigrateRollsBackOnInstallFailure(t *testing.T) {
-	a, asic := newAlloc(t, PlaceFirstFit, 2, 1<<26)
+	a, asic := newAlloc(t, 2, 1<<26)
 	v, err := a.Alloc(1, 3*mem.PageSize, mem.PermReadWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +222,7 @@ func TestMigrateRollsBackOnInstallFailure(t *testing.T) {
 }
 
 func TestAllocRespectsMigratedInLoad(t *testing.T) {
-	a, _ := newAlloc(t, PlaceLeastLoaded, 2, 1<<22) // 4 MB per blade
+	a, _ := newAlloc(t, 2, 1<<22) // 4 MB per blade
 	v, err := a.Alloc(1, 1<<22, mem.PermReadWrite)  // fills blade 0
 	if err != nil {
 		t.Fatal(err)

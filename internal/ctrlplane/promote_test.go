@@ -9,7 +9,7 @@ import (
 
 func promoAllocator(t *testing.T, bladeCaps []uint64) *Allocator {
 	t.Helper()
-	a := NewAllocator(switchasic.New(switchasic.DefaultConfig()), PlaceFirstFit)
+	a := NewAllocator(switchasic.New(switchasic.DefaultConfig()))
 	for _, cap := range bladeCaps {
 		if _, err := a.AddBlade(cap); err != nil {
 			t.Fatal(err)
@@ -28,7 +28,7 @@ func TestLendableBlade(t *testing.T) {
 	// A blade with allocations is not lendable; with blade 2 loaded the
 	// next candidate down is picked.
 	if _, err := a.Alloc(1, 1<<12, mem.PermReadWrite); err != nil {
-		t.Fatal(err) // PlaceFirstFit lands on blade 0
+		t.Fatal(err) // lands on blade 0: every blade is empty, ties go to the lowest id
 	}
 	if err := a.SetBladeAvailable(2, false); err != nil {
 		t.Fatal(err)
@@ -61,29 +61,7 @@ func TestPlanPromotions(t *testing.T) {
 	// Blades 0-1 local, 2-3 "remote". Two vmas on blade 2, one on 3.
 	a := promoAllocator(t, []uint64{1 << 20, 1 << 20, 1 << 20, 1 << 20})
 	isRemote := func(id BladeID) bool { return id >= 2 }
-	remoteVMA := func(blade BladeID, size uint64) mem.VA {
-		t.Helper()
-		// Place directly by loading up the preferred blades: first-fit
-		// placement fills available blades in id order, so make locals
-		// unavailable while allocating the "remote" vmas.
-		_ = a.SetBladeAvailable(0, false)
-		_ = a.SetBladeAvailable(1, false)
-		if blade == 3 {
-			_ = a.SetBladeAvailable(2, false)
-		}
-		vma, err := a.Alloc(1, size, mem.PermReadWrite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = a.SetBladeAvailable(0, true)
-		_ = a.SetBladeAvailable(1, true)
-		_ = a.SetBladeAvailable(2, true)
-		_, got, err := a.Lookup(vma.Base)
-		if err != nil || got != blade {
-			t.Fatalf("setup: vma landed on %d, want %d (%v)", got, blade, err)
-		}
-		return vma.Base
-	}
+	remoteVMA := func(blade BladeID, size uint64) mem.VA { return allocOn(t, a, blade, size).Base }
 	v2a := remoteVMA(2, 1<<14)
 	v2b := remoteVMA(2, 1<<14)
 	v3 := remoteVMA(3, 1<<14)
@@ -170,7 +148,7 @@ func TestPlanPromotionsNoFitAllocs(t *testing.T) {
 // allocator confined to a stripe refuses blade partitions that would
 // spill past its end into a neighbouring rack's stripe.
 func TestAddressStripeBoundsAddBlade(t *testing.T) {
-	a := NewAllocator(switchasic.New(switchasic.DefaultConfig()), PlaceLeastLoaded)
+	a := NewAllocator(switchasic.New(switchasic.DefaultConfig()))
 	a.SetAddressStripe(1<<40, 1<<22)
 	if _, err := a.AddBlade(1 << 21); err != nil {
 		t.Fatalf("first blade inside the stripe: %v", err)

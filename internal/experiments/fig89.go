@@ -109,7 +109,7 @@ const fig8FootprintFactor = 64
 // fig8Controller builds a control plane with large (4 GB) blade
 // partitions for the paper-scale footprints.
 func fig8Controller(blades int) (*ctrlplane.Controller, error) {
-	ctl := ctrlplane.NewController(switchasic.DefaultConfig(), ctrlplane.PlaceLeastLoaded, 8)
+	ctl := ctrlplane.NewController(switchasic.DefaultConfig(), 8)
 	for b := 0; b < blades; b++ {
 		if _, err := ctl.Allocator().AddBlade(1 << 32); err != nil {
 			return nil, err
