@@ -445,10 +445,15 @@ func (c *Rack) killMemBladeAsync(victim ctrlplane.BladeID, done func(KillReport,
 			default:
 				// No survivor can host this vma. It must not stay
 				// translated to the dead blade (every fault would hang on
-				// a black fabric port), so it is forcibly unmapped — the
-				// rack's OOM-kill analogue: later accesses fail with a
-				// translation error instead of wedging.
-				_ = alloc.Free(base)
+				// a black fabric port), so it is forcibly unmapped for
+				// its owner — the rack's OOM-kill analogue: every grant
+				// over it goes, and later accesses are refused at the
+				// switch's protection check instead of wedging.
+				vma, _, _ := alloc.Lookup(base)
+				if err := c.ctl.Munmap(vma.PDID, base); err != nil {
+					finish(err)
+					return
+				}
 				rep.VMAsLost++
 			}
 			step()

@@ -18,11 +18,14 @@ type Controller struct {
 	prot  *ProtectionTable
 	procs *ProcessManager
 
-	// sessionDomains tracks application-created protection domains beyond
-	// PID-based ones (§4.2: e.g. one domain per client session).
-	sessionDomains map[mem.PDID]bool
-	nextSession    mem.PDID
+	// nextSession is the next application-created protection domain
+	// (§4.2: e.g. one domain per client session); the minted ones are
+	// [firstSession, nextSession).
+	nextSession mem.PDID
 }
+
+// firstSession is the first session domain, far above the PID range.
+const firstSession mem.PDID = 1 << 20
 
 // MSIStates is the number of stable MSI states; the materialized
 // state-transition table stores one rule per (state, request-type) pair
@@ -44,12 +47,11 @@ func NewController(asicCfg switchasic.Config, computeBlades int) *Controller {
 	}
 	a.SetGroup(InvalidationGroup, ports)
 	return &Controller{
-		asic:           a,
-		alloc:          NewAllocator(a),
-		prot:           NewProtectionTable(a),
-		procs:          NewProcessManager(computeBlades),
-		sessionDomains: make(map[mem.PDID]bool),
-		nextSession:    1 << 20, // far above PID range
+		asic:        a,
+		alloc:       NewAllocator(a),
+		prot:        NewProtectionTable(a),
+		procs:       NewProcessManager(computeBlades),
+		nextSession: firstSession,
 	}
 }
 
@@ -104,9 +106,11 @@ func (c *Controller) owned(pid mem.PDID, base mem.VA, length uint64) error {
 	return nil
 }
 
-// Munmap services a munmap intercept: permissions are revoked for every
-// domain holding grants on the area, then the area is freed. base must
-// be the base of a vma pid owns.
+// Munmap services a munmap intercept, and is the one release of a vma:
+// every domain's permissions over its reserved footprint are revoked, in
+// ascending domain order, then the area is freed. base must be the base
+// of a vma pid owns. Exit and the forced unmap of a vma no survivor can
+// host after a blade kill release through it too.
 func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
 	reserved, err := c.alloc.Reserved(base)
 	if err != nil {
@@ -115,13 +119,8 @@ func (c *Controller) Munmap(pid mem.PDID, base mem.VA) error {
 	if err := c.owned(pid, base, reserved); err != nil {
 		return err
 	}
-	if err := c.prot.Revoke(pid, base, reserved); err != nil {
+	if err := c.prot.revokeAll(base, reserved); err != nil {
 		return err
-	}
-	for d := range c.sessionDomains {
-		if err := c.prot.Revoke(d, base, reserved); err != nil {
-			return err
-		}
 	}
 	return c.alloc.Free(base)
 }
@@ -143,14 +142,13 @@ func (c *Controller) MProtect(pid mem.PDID, base mem.VA, length uint64, perm mem
 func (c *Controller) CreateDomain() mem.PDID {
 	d := c.nextSession
 	c.nextSession++
-	c.sessionDomains[d] = true
 	return d
 }
 
 // GrantDomain has pid give domain d permission class perm over [base,
 // base+length), a range inside vmas pid owns.
 func (c *Controller) GrantDomain(pid, d mem.PDID, base mem.VA, length uint64, perm mem.Perm) error {
-	if !c.sessionDomains[d] {
+	if d < firstSession || d >= c.nextSession {
 		return fmt.Errorf("ctrlplane: unknown session domain %d: %w", d, ErrBadAddress)
 	}
 	if err := c.owned(pid, base, length); err != nil {
@@ -168,17 +166,17 @@ func (c *Controller) Exec(name string) *Process {
 	return c.procs.Exec(name)
 }
 
-// Exit tears down a process: its threads, vmas and permissions.
+// Exit tears down a process: it unmaps every vma the process owns, with
+// every grant over them, and returns the first error.
 func (c *Controller) Exit(pid mem.PDID) error {
 	if _, err := c.procs.Lookup(pid); err != nil {
 		return err
 	}
-	// Release every vma owned by the process.
 	for _, vma := range c.alloc.VMAs() {
 		if vma.PDID == pid {
-			reserved, _ := c.alloc.Reserved(vma.Base)
-			_ = c.prot.Revoke(pid, vma.Base, reserved)
-			_ = c.alloc.Free(vma.Base)
+			if err := c.Munmap(pid, vma.Base); err != nil {
+				return err
+			}
 		}
 	}
 	return c.procs.Exit(pid)

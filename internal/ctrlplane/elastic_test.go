@@ -222,8 +222,8 @@ func TestMigrateRollsBackOnInstallFailure(t *testing.T) {
 }
 
 func TestAllocRespectsMigratedInLoad(t *testing.T) {
-	a, _ := newAlloc(t, 2, 1<<22) // 4 MB per blade
-	v, err := a.Alloc(1, 1<<22, mem.PermReadWrite)  // fills blade 0
+	a, _ := newAlloc(t, 2, 1<<22)                  // 4 MB per blade
+	v, err := a.Alloc(1, 1<<22, mem.PermReadWrite) // fills blade 0
 	if err != nil {
 		t.Fatal(err)
 	}
