@@ -57,7 +57,18 @@ func TestClusterValidation(t *testing.T) {
 		// Positive and finite, but a migration batch's serialization
 		// overflows sim.Duration: the same probe read 3.460 µs, as at 0.
 		{"overflowing NIC bandwidth", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = 1e-300 }},
+		// Too slow to deliver a page within the blades' 2 ms fault
+		// timeout: one cold Store on 1 rack and 1 compute blade took
+		// 16.39 ms of virtual time, after retransmits, at 1e-3 B/ns, and
+		// had not returned after 15 s of wall time at 1e-6 B/ns.
+		{"NIC bandwidth past the fault timeout", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = 1e-3 }},
+		{"NIC bandwidth far past the fault timeout", "NICBytesPerNs", func(c *Config) { c.Fabric.NICBytesPerNs = 1e-6 }},
 		{"zero fabric config", "NICBytesPerNs", func(c *Config) { c.Fabric = fabric.Config{} }},
+		// fabric.New ran any count below 1 as one slot, not the default
+		// 32: 4 threads of 2000 strided accesses each ended at 26.93 ms
+		// with 1, 0 or -3 slots, and at 25.81 ms with 32.
+		{"zero pipeline slots", "PipelineSlots", func(c *Config) { c.Fabric.PipelineSlots = 0 }},
+		{"negative pipeline slots", "PipelineSlots", func(c *Config) { c.Fabric.PipelineSlots = -3 }},
 		{"negative wire delay", "WireDelay", func(c *Config) { c.Fabric.WireDelay = -sim.Microsecond }},
 		{"negative NIC overhead", "NICOverhead", func(c *Config) { c.Fabric.NICOverhead = -1 }},
 		{"negative pipeline delay", "PipelineDelay", func(c *Config) { c.Fabric.PipelineDelay = -1 }},

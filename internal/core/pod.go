@@ -153,12 +153,13 @@ func NewPod(cfg PodConfig) (*Pod, error) {
 	}
 	// A zero or negative interconnect bandwidth defaults; NaN, +Inf and
 	// one too small for a migration batch would make every crossing cost
-	// serialize's 1 ns floor.
+	// serialize's 1 ns floor, and one too slow to deliver a page within
+	// the fault timeout hangs a cold access to a borrowed blade.
 	if bw := cfg.Interconnect.BytesPerNs; !(bw <= 0) {
 		for _, r := range p.racks {
-			if math.IsInf(bw, 1) || !batchSerializes(bw, r.cfg.Migration.BatchPages) {
-				return nil, fmt.Errorf("core: Interconnect.BytesPerNs must be finite and serialize a %d-page migration batch in a representable time (%v)",
-					r.cfg.Migration.BatchPages, bw)
+			if math.IsInf(bw, 1) || !linkFits(bw, r.cfg.Migration.BatchPages) {
+				return nil, fmt.Errorf("core: Interconnect.BytesPerNs must be finite, deliver a page within the %v fault timeout and serialize a %d-page migration batch in a representable time (%v)",
+					bladeFaultTimeout, r.cfg.Migration.BatchPages, bw)
 			}
 		}
 	}

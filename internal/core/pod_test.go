@@ -64,9 +64,10 @@ func TestPodRejectsNegativePromotionEpoch(t *testing.T) {
 	}
 }
 
-// TestPodInterconnectValidation: NaN, +Inf and a bandwidth at which a
-// migration batch's serialization overflows sim.Duration are errors
-// naming the field. All three used to pass, and serialize's 1 ns floor
+// TestPodInterconnectValidation: NaN, +Inf, a bandwidth at which a
+// migration batch's serialization overflows sim.Duration and one too
+// slow to deliver a page within the fault timeout are errors naming the
+// field. All three used to pass, and serialize's 1 ns floor
 // made OneWay(4096) read 1.302 µs against 2.940 µs at the default
 // 5 B/ns. Zero and negative bandwidths keep defaulting.
 func TestPodInterconnectValidation(t *testing.T) {
@@ -79,6 +80,10 @@ func TestPodInterconnectValidation(t *testing.T) {
 		{"NaN", math.NaN(), 0, 0, []string{"Interconnect.BytesPerNs"}},
 		{"infinite", math.Inf(1), 0, 0, []string{"Interconnect.BytesPerNs"}},
 		{"overflowing", 1e-300, 0, 0, []string{"Interconnect.BytesPerNs"}},
+		// A page takes 4.1 ms across at 1e-3 B/ns, past the blades' 2 ms
+		// fault timeout: a cold Store to a borrowed blade had not
+		// returned after 20 s of wall time.
+		{"past the fault timeout", 1e-3, 0, 0, []string{"Interconnect.BytesPerNs"}},
 		{"zero defaults", 0, 0, 0, nil},
 		{"negative defaults", -5, 0, 0, nil},
 		{"default", 5, 0, 0, nil},

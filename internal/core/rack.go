@@ -282,9 +282,12 @@ func checkConfig(cfg Config) (Config, error) {
 	if !(f.NICBytesPerNs > 0) || math.IsInf(f.NICBytesPerNs, 1) {
 		return cfg, fmt.Errorf("core: fabric NICBytesPerNs must be positive and finite (%v)", f.NICBytesPerNs)
 	}
-	if !batchSerializes(f.NICBytesPerNs, cfg.Migration.BatchPages) {
-		return cfg, fmt.Errorf("core: fabric NICBytesPerNs %v cannot serialize a %d-page migration batch in a representable time",
-			f.NICBytesPerNs, cfg.Migration.BatchPages)
+	if !linkFits(f.NICBytesPerNs, cfg.Migration.BatchPages) {
+		return cfg, fmt.Errorf("core: fabric NICBytesPerNs %v must deliver a page within the %v fault timeout and serialize a %d-page migration batch in a representable time",
+			f.NICBytesPerNs, bladeFaultTimeout, cfg.Migration.BatchPages)
+	}
+	if f.PipelineSlots < 1 {
+		return cfg, fmt.Errorf("core: fabric PipelineSlots must be at least 1 (%d)", f.PipelineSlots)
 	}
 	names := [...]string{"WireDelay", "NICOverhead", "PipelineDelay", "PipelineService", "RecircDelay", "MemDMA", "CtrlRTT"}
 	for i, d := range [...]sim.Duration{f.WireDelay, f.NICOverhead, f.PipelineDelay, f.PipelineService, f.RecircDelay, f.MemDMA, f.CtrlRTT} {
@@ -295,13 +298,21 @@ func checkConfig(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// batchSerializes reports whether one migration batch of batchPages
-// pages, the largest payload a rack fabric or the interconnect carries,
-// serializes at bytesPerNs (positive) within math.MaxInt64 ns. A
-// bandwidth below that overflows sim.Duration, and the transfer comes
-// out free.
-func batchSerializes(bytesPerNs float64, batchPages int) bool {
-	return float64(batchPages)*fabric.PageBytes/bytesPerNs < math.MaxInt64
+// bladeFaultTimeout is every compute blade's fault timeout: each is built
+// from computeblade.DefaultConfig.
+var bladeFaultTimeout = computeblade.DefaultConfig(0, 0).FaultTimeout
+
+// linkFits reports whether a link of bytesPerNs (positive) serializes
+// one page within a compute blade's fault timeout, and one migration
+// batch of batchPages pages, the largest payload a rack fabric or the
+// interconnect carries, within math.MaxInt64 ns. On a slower link every
+// fault is retransmitted before its page can arrive, and a cold access
+// can wait forever behind its own retransmits; a batch past
+// math.MaxInt64 ns overflows sim.Duration, and the transfer comes out
+// free.
+func linkFits(bytesPerNs float64, batchPages int) bool {
+	return fabric.PageBytes/bytesPerNs < float64(bladeFaultTimeout) &&
+		float64(batchPages)*fabric.PageBytes/bytesPerNs < math.MaxInt64
 }
 
 // newRack builds and wires one rack on an engine and collector of its

@@ -150,9 +150,6 @@ func fireMCDelivery(x any) {
 
 // New constructs a fabric on the given engine.
 func New(eng *sim.Engine, cfg Config) *Fabric {
-	if cfg.PipelineSlots < 1 {
-		cfg.PipelineSlots = 1
-	}
 	return &Fabric{
 		eng:     eng,
 		cfg:     cfg,
