@@ -331,6 +331,50 @@ func TestSessionDomainIsolationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExitRevokesSessionGrants: a session domain's grant over a vma goes
+// with the vma when its owner exits, so the next process's vma at the
+// same base is not open to that session. Before Exit released through
+// Munmap, it revoked only the owner's rules, and the session kept
+// read-write access to the new owner's memory.
+func TestExitRevokesSessionGrants(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	server := c.Exec("server")
+	vma, err := server.Mmap(64<<10, mem.PermReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := server.CreateDomain()
+	if err := server.GrantDomain(sess, vma.Base, 64<<10, mem.PermReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Exit(); err != nil {
+		t.Fatal(err)
+	}
+	next := c.Exec("next")
+	reused, err := next.Mmap(64<<10, mem.PermReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused.Base != vma.Base {
+		t.Fatalf("the next vma is at %#x, not at the freed base %#x", uint64(reused.Base), uint64(vma.Base))
+	}
+	prot := c.Controller().Protection()
+	for _, va := range []mem.VA{vma.Base, vma.Base + 64<<10 - 1} {
+		if err := prot.Check(sess, va, mem.PermRead); !errors.Is(err, ctrlplane.ErrPermission) {
+			t.Errorf("session read at %#x after its grantor exited = %v, want ErrPermission", uint64(va), err)
+		}
+		if err := prot.Check(server.PID(), va, mem.PermRead); !errors.Is(err, ctrlplane.ErrPermission) {
+			t.Errorf("exited server's read at %#x = %v, want ErrPermission", uint64(va), err)
+		}
+	}
+	// The new owner's own access goes through, from a blade that never
+	// cached the page.
+	th, _ := next.SpawnThread(0)
+	if err := th.Store(reused.Base, 5); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestForeignRangeRefusedEndToEnd: a process cannot give itself rights
 // over another process's vma, so its load of the victim's page is still
 // refused by the data plane.

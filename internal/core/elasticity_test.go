@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"mind/internal/ctrlplane"
@@ -496,7 +497,8 @@ func TestKillOfMigrationTargetMidDrain(t *testing.T) {
 // TestKillWithoutSurvivorCapacityForciblyUnmaps: when no survivor can
 // host a dead blade's vma, recovery must not strand it translated to
 // the dead blade (every fault would hang) — it is forcibly unmapped,
-// and later accesses fail cleanly.
+// with its owner's rule, and later accesses are refused at the switch's
+// protection check.
 func TestKillWithoutSurvivorCapacityForciblyUnmaps(t *testing.T) {
 	cfg := DefaultConfig(1, 2)
 	cfg.MemoryBladeCapacity = 1 << 22 // 4 MB per blade
@@ -535,9 +537,13 @@ func TestKillWithoutSurvivorCapacityForciblyUnmaps(t *testing.T) {
 	if !alloc.BladeRetired(home0) {
 		t.Fatal("dead blade not retired")
 	}
-	// The lost vma fails cleanly (translation error), no wedge.
-	if err := th.Touch(v0.Base, false); err == nil {
-		t.Fatal("access to forcibly-unmapped vma succeeded")
+	// The owner's rule went with the vma, so an access from a blade that
+	// never cached the page is refused at the protection check, no wedge.
+	if err := c.Controller().Protection().Check(p.PID(), v0.Base, mem.PermReadWrite); !errors.Is(err, ctrlplane.ErrPermission) {
+		t.Fatalf("owner's rule over the forcibly-unmapped vma: Check = %v, want ErrPermission", err)
+	}
+	if err := th.Touch(v0.Base, false); !errors.Is(err, ctrlplane.ErrPermission) {
+		t.Fatalf("access to forcibly-unmapped vma = %v, want ErrPermission", err)
 	}
 	// The survivor's vma is intact.
 	if got, err := th.Load(v1.Base + 8); err != nil || got != 11 {
