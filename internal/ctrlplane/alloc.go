@@ -240,10 +240,7 @@ func (a *Allocator) Alloc(pdid mem.PDID, length uint64, perm mem.Perm) (mem.VMA,
 		return mem.VMA{}, ErrNoMemory
 	}
 	b := a.blades[id]
-	base, ok := b.free.allocAligned(size)
-	if !ok {
-		return mem.VMA{}, ErrNoMemory
-	}
+	base, _ := b.free.allocAligned(size) // canAlloc saw the hole
 	v := mem.VMA{Base: base, Len: length, PDID: pdid, Perm: perm}
 	a.allocs[base] = &allocation{vma: v, reserved: size, blade: b.id}
 	b.allocated += size
