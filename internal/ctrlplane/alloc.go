@@ -299,8 +299,12 @@ func (a *Allocator) homeBlade(va mem.VA) *bladeState {
 
 func (a *Allocator) bladeByID(id BladeID) *bladeState { return a.blades[int(id)] }
 
-// Lookup returns the allocation covering va.
+// Lookup returns the allocation covering va. A vma base is one map
+// probe; any other address scans the allocations.
 func (a *Allocator) Lookup(va mem.VA) (mem.VMA, BladeID, error) {
+	if al, ok := a.allocs[va]; ok {
+		return al.vma, al.blade, nil
+	}
 	for base, al := range a.allocs {
 		if va >= base && va < base+mem.VA(al.reserved) {
 			return al.vma, al.blade, nil

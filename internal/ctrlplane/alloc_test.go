@@ -25,7 +25,8 @@ func newAlloc(t *testing.T, blades int, capEach uint64) (*Allocator, *switchasic
 }
 
 // allocOn places one allocation on blade id, whatever the loads, by
-// marking every other blade unavailable around the Alloc.
+// marking every other blade unavailable for the Alloc, and available
+// again after it.
 func allocOn(t *testing.T, a *Allocator, id BladeID, length uint64) mem.VMA {
 	t.Helper()
 	setOthers := func(available bool) {
@@ -87,8 +88,13 @@ func TestAllocAlignedPow2(t *testing.T) {
 func TestAllocLeastLoadedBalances(t *testing.T) {
 	a, _ := newAlloc(t, 4, 1<<30)
 	for i := 0; i < 64; i++ {
-		if _, err := a.Alloc(1, 1<<20, mem.PermReadWrite); err != nil {
+		v, err := a.Alloc(1, 1<<20, mem.PermReadWrite)
+		if err != nil {
 			t.Fatal(err)
+		}
+		// Equal loads tie, and a tie goes to the lowest id.
+		if _, blade, _ := a.Lookup(v.Base); blade != BladeID(i%4) {
+			t.Fatalf("allocation %d on blade %d, want %d", i, blade, i%4)
 		}
 	}
 	loads := a.BladeLoad()
