@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -180,12 +181,7 @@ func (p *ProtectionTable) Revoke(pdid mem.PDID, base mem.VA, length uint64) erro
 // revokeAll removes every domain's permissions over [base, base+length),
 // domain by domain in ascending order.
 func (p *ProtectionTable) revokeAll(base mem.VA, length uint64) error {
-	domains := make([]mem.PDID, 0, len(p.installed))
-	for d := range p.installed {
-		domains = append(domains, d)
-	}
-	slices.Sort(domains)
-	for _, d := range domains {
+	for _, d := range slices.Sorted(maps.Keys(p.installed)) {
 		if err := p.Revoke(d, base, length); err != nil {
 			return err
 		}
