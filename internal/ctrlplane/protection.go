@@ -24,7 +24,8 @@ type ProtectionTable struct {
 	asic *switchasic.ASIC
 	// installed tracks live TCAM ranges per domain: base -> rule. It is
 	// the control plane's mirror of data-plane state, used for revocation
-	// and failover reconstruction.
+	// and failover reconstruction. A revoke that leaves a domain without
+	// rules drops it, so revokeAll visits only domains that hold some.
 	installed map[mem.PDID]map[mem.VA]rule
 	rejects   uint64
 }
@@ -174,6 +175,9 @@ func (p *ProtectionTable) Revoke(pdid mem.PDID, base mem.VA, length uint64) erro
 				}
 			}
 		}
+	}
+	if len(m) == 0 {
+		delete(p.installed, pdid)
 	}
 	return nil
 }

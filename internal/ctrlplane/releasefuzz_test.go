@@ -92,7 +92,8 @@ func (o *releaseOracle) release(base mem.VA) {
 // must be the oracle's, and after every op Check of every page of the
 // window, for every domain the run has named and both wanted perms,
 // must agree with the oracle; every installed rule must lie in a live
-// vma; and Entries(0) must equal the TCAM's rule count.
+// vma, and every domain the table keeps must hold a rule; and
+// Entries(0) must equal the TCAM's rule count.
 func runReleaseOps(t *testing.T, ops []byte) {
 	t.Helper()
 	if len(ops) > 3*relFuzzMaxOps {
@@ -224,6 +225,9 @@ func checkReleaseOracle(t *testing.T, op int, c *Controller, o *releaseOracle, d
 		}
 	}
 	for d, rules := range c.prot.installed {
+		if len(rules) == 0 {
+			t.Fatalf("op %d: domain %d is kept with no rule", op, d)
+		}
 		for base, r := range rules {
 			for va := base; va < base+mem.VA(r.size); va += mem.PageSize {
 				if va < relFuzzBase || va >= relFuzzBase+relFuzzPages*mem.PageSize {
