@@ -221,13 +221,14 @@ func (b *Blade) Cache() *Cache { return b.cache }
 // returns false. Threads use it to batch hits while issuing faults at
 // accurate timestamps.
 func (b *Blade) TryHit(va mem.VA, write bool) bool {
-	p, ok := b.cache.Peek(va)
-	if !ok || (write && !p.Writable) {
+	c := b.cache
+	i := c.pages.get(c.recs, va)
+	if i == 0 || (write && !c.recs[i].Writable()) {
 		return false
 	}
-	b.cache.touch(p)
+	c.touch(i)
 	if write {
-		p.Dirty = true
+		c.recs[i].SetDirty(true)
 	}
 	b.col.IncH(b.hAccesses, 1)
 	b.col.IncH(b.hLocalHits, 1)
@@ -405,7 +406,7 @@ func (b *Blade) onCompletion(f *fault, c coherence.Completion) {
 		b.cache.SetData(p, nil)
 	}
 	if f.want == mem.PermReadWrite {
-		p.Dirty = true
+		p.SetDirty(true)
 	}
 	f.comp = c
 	f.installing = true
@@ -462,7 +463,7 @@ func (b *Blade) evictOne() {
 		return
 	}
 	b.col.IncH(b.hEvictions, 1)
-	if victim.Dirty {
+	if victim.Dirty() {
 		b.col.IncH(b.hWritebacks, 1)
 		b.pendingWritebacks++
 		b.deps.Writeback(victim.VA, b.cache.Data(victim), b.wbDone)
@@ -525,19 +526,19 @@ func (b *Blade) processInvalidation(j *invJob) {
 
 	var flushes int
 	for _, p := range pages {
-		if p.Dirty {
+		if p.Dirty() {
 			j.info.FlushedDirty++
 			if p.VA != inv.Requested {
 				j.info.FalseInvals++
 			}
 			flushes++
 			b.deps.Writeback(p.VA, b.cache.Data(p), nopDone)
-			p.Dirty = false
+			p.SetDirty(false)
 		}
 		if inv.Downgrade && !inv.Reset {
 			// M→S: keep the copy read-only.
-			if p.Writable {
-				p.Writable = false
+			if p.Writable() {
+				p.SetWritable(false)
 				j.pteChanged = true
 			}
 		} else {

@@ -13,7 +13,7 @@ import (
 	"mind/internal/sim"
 )
 
-// PageState describes one locally cached page: a 24-byte, pointer-free
+// PageState describes one locally cached page: a 16-byte, pointer-free
 // record in the cache's record store. A *PageState points into that
 // store, so it stays valid only until the next Insert of a page the
 // cache does not hold (which may grow the store and move every record);
@@ -23,23 +23,56 @@ import (
 // the record (Cache.Data).
 type PageState struct {
 	VA mem.VA
-	// prev and next link the record into the LRU ring (record 0 is the
-	// ring's sentinel); a free record chains the free list through next.
+	// prev and next hold record indices in their low idxBits bits: they
+	// link the record into the LRU ring (record 0 is the ring's
+	// sentinel), and a free record chains the free list through next.
+	// The top bits of next are the page's flags (dirtyBit, writableBit),
+	// which every link update keeps. The record's own index is not
+	// stored: the cache reads it from the predecessor's next while the
+	// record is in the ring, and a record that has left the ring keeps
+	// it in prev (Cache.index).
 	prev, next uint32
-	self       uint32 // the record's own index in the store
-	Dirty      bool
-	Writable   bool
 }
+
+// The flag bits of PageState.next, above its idxBits-bit link.
+const (
+	dirtyBit    = 1 << 31
+	writableBit = 1 << 30
+)
+
+// Dirty reports whether the cached copy holds writes its memory blade
+// has not seen.
+func (p *PageState) Dirty() bool { return p.next&dirtyBit != 0 }
+
+// Writable reports whether the page is cached with write permission.
+func (p *PageState) Writable() bool { return p.next&writableBit != 0 }
+
+// SetDirty sets or clears Dirty.
+func (p *PageState) SetDirty(dirty bool) { p.setFlag(dirtyBit, dirty) }
+
+// SetWritable sets or clears Writable.
+func (p *PageState) SetWritable(writable bool) { p.setFlag(writableBit, writable) }
+
+func (p *PageState) setFlag(bit uint32, on bool) {
+	if on {
+		p.next |= bit
+	} else {
+		p.next &^= bit
+	}
+}
+
+// setNext points p's link at record i, keeping p's flags.
+func (p *PageState) setNext(i uint32) { p.next = p.next&^idxMask | i }
 
 // Cache is the compute blade's local DRAM page cache: virtually addressed
 // and permission-carrying (§3.2). The zero value is not usable; use
 // NewCache.
 type Cache struct {
 	capacity int // pages
-	// pages indexes the cached records by page number: an open-addressed
-	// table that grows with occupancy, so the per-access lookup never
-	// pays runtime map hashing (see wordtable.go).
-	pages wordTable
+	// pages indexes the cached records by page: an open-addressed table
+	// of 4-byte slots that grows with occupancy, so the per-access lookup
+	// never pays runtime map hashing (see pageindex.go).
+	pages pageIndex
 	// recs is the record store, addressed by index. recs[0] is the LRU
 	// ring's sentinel: recs[0].next is most recent, recs[0].prev least
 	// recent. The store is made by the first insert and doubles as pages
@@ -73,17 +106,30 @@ func NewCache(capacity int) *Cache {
 	return &Cache{capacity: capacity}
 }
 
+// index returns the index of record p. A record in the LRU ring is its
+// predecessor's successor; one that has left the ring keeps its own
+// index in prev, and its predecessor's link (its own free-chain link)
+// never names it.
+func (c *Cache) index(p *PageState) uint32 {
+	if i := c.recs[p.prev].next & idxMask; &c.recs[i] == p {
+		return i
+	}
+	return p.prev
+}
+
 // unlink removes record i from the LRU ring.
 func (c *Cache) unlink(i uint32) {
 	p := &c.recs[i]
-	c.recs[p.prev].next = p.next
-	c.recs[p.next].prev = p.prev
+	next := p.next & idxMask
+	c.recs[p.prev].setNext(next)
+	c.recs[next].prev = p.prev
 }
 
 // pushFront makes record i the most recently used.
 func (c *Cache) pushFront(i uint32) {
-	p, head := &c.recs[i], &c.recs[0]
-	p.prev, p.next = 0, head.next
+	p, head := &c.recs[i], &c.recs[0] // the sentinel carries no flags
+	p.prev = 0
+	p.setNext(head.next)
 	c.recs[head.next].prev = i
 	head.next = i
 }
@@ -94,9 +140,9 @@ func (c *Cache) Capacity() int { return c.capacity }
 // Len returns the number of cached pages.
 func (c *Cache) Len() int { return c.pages.n }
 
-// touch makes the cached page p the most recently used.
-func (c *Cache) touch(p *PageState) {
-	if i := p.self; c.recs[0].next != i {
+// touch makes record i the most recently used.
+func (c *Cache) touch(i uint32) {
+	if c.recs[0].next != i {
 		c.unlink(i)
 		c.pushFront(i)
 	}
@@ -104,16 +150,17 @@ func (c *Cache) touch(p *PageState) {
 
 // Lookup returns the page if cached, bumping recency.
 func (c *Cache) Lookup(va mem.VA) (*PageState, bool) {
-	p, ok := c.Peek(va)
-	if ok {
-		c.touch(p)
+	i := c.pages.get(c.recs, va)
+	if i == 0 {
+		return nil, false
 	}
-	return p, ok
+	c.touch(i)
+	return &c.recs[i], true
 }
 
 // Peek returns the page without recency effects.
 func (c *Cache) Peek(va mem.VA) (*PageState, bool) {
-	if i := c.pages.get(pageKey(va)); i != 0 {
+	if i := c.pages.get(c.recs, va); i != 0 {
 		return &c.recs[i], true
 	}
 	return nil, false
@@ -122,9 +169,10 @@ func (c *Cache) Peek(va mem.VA) (*PageState, bool) {
 // Insert adds a page (evicting if needed is the caller's job — use
 // NeedsEviction/EvictLRU first). Inserting an existing page updates it.
 func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
-	if p, ok := c.Peek(va); ok {
-		p.Writable = writable
-		c.touch(p)
+	if i := c.pages.get(c.recs, va); i != 0 {
+		p := &c.recs[i]
+		p.SetWritable(writable)
+		c.touch(i)
 		return p
 	}
 	if c.pages.n >= c.capacity {
@@ -137,9 +185,10 @@ func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
 	// buffers instead of allocating. Stale bytes never leak — the buffer
 	// is unreachable until the fill stores the page's own.
 	p := &c.recs[i]
-	p.VA, p.Dirty, p.Writable = mem.PageBase(va), false, writable
+	p.VA, p.next = mem.PageBase(va), 0
+	p.SetWritable(writable)
 	c.pushFront(i)
-	c.pages.put(pageKey(va), i)
+	c.pages.put(c.recs, p.VA, i)
 	return p
 }
 
@@ -147,7 +196,7 @@ func (c *Cache) Insert(va mem.VA, writable bool) *PageState {
 // appends one to the store, doubling it if full.
 func (c *Cache) newRecord() uint32 {
 	if i := c.free; i != 0 {
-		c.free = c.recs[i].next
+		c.free = c.recs[i].next & idxMask
 		return i
 	}
 	// The free chain is empty, so every record is in the table: the
@@ -158,9 +207,8 @@ func (c *Cache) newRecord() uint32 {
 		copy(grown, c.recs)
 		c.recs = grown
 	}
-	i := uint32(len(c.recs))
-	c.recs = append(c.recs, PageState{self: i})
-	return i
+	c.recs = append(c.recs, PageState{})
+	return uint32(len(c.recs) - 1)
 }
 
 // NeedsEviction reports whether an insert requires evicting first.
@@ -182,7 +230,7 @@ func (c *Cache) EvictLRU() *PageState {
 // Remove drops a specific page (invalidation path). Returns false if not
 // cached.
 func (c *Cache) Remove(va mem.VA) bool {
-	i := c.pages.get(pageKey(va))
+	i := c.pages.get(c.recs, va)
 	if i == 0 {
 		return false
 	}
@@ -190,10 +238,14 @@ func (c *Cache) Remove(va mem.VA) bool {
 	return true
 }
 
+// remove takes record i out of the ring and the index and frees it; it
+// keeps its page, its flags and, in prev, its own index.
 func (c *Cache) remove(i uint32) {
 	c.unlink(i)
-	c.pages.del(pageKey(c.recs[i].VA))
-	c.recs[i].next = c.free
+	c.pages.del(c.recs, i)
+	p := &c.recs[i]
+	p.prev = i
+	p.setNext(c.free)
 	c.free = i
 }
 
@@ -201,8 +253,8 @@ func (c *Cache) remove(i uint32) {
 // materialized bytes. Right after an Insert that reused a record, it is
 // the previous page's buffer, for the fill to overwrite (see Insert).
 func (c *Cache) Data(p *PageState) []byte {
-	if int(p.self) < len(c.data) {
-		return c.data[p.self]
+	if i := c.index(p); int(i) < len(c.data) {
+		return c.data[i]
 	}
 	return nil
 }
@@ -210,13 +262,14 @@ func (c *Cache) Data(p *PageState) []byte {
 // SetData stores data as p's page bytes; nil marks the page as never
 // written (it reads as zero). The cache keeps the slice, not a copy.
 func (c *Cache) SetData(p *PageState, data []byte) {
-	if int(p.self) >= len(c.data) {
+	i := c.index(p)
+	if int(i) >= len(c.data) {
 		if data == nil {
 			return
 		}
 		c.data = append(c.data, make([][]byte, cap(c.recs)-len(c.data))...)
 	}
-	c.data[p.self] = data
+	c.data[i] = data
 }
 
 // PagesIn returns the cached pages whose addresses fall in [base,
@@ -239,7 +292,7 @@ func (c *Cache) PagesIn(base mem.VA, size uint64) []*PageState {
 			}
 		}
 	} else {
-		for i := c.recs[0].next; i != 0; i = c.recs[i].next {
+		for i := c.recs[0].next; i != 0; i = c.recs[i].next & idxMask {
 			if p := &c.recs[i]; p.VA >= base && p.VA < end {
 				out = append(out, p)
 			}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"mind/internal/mem"
 	"mind/internal/sim"
@@ -47,7 +48,7 @@ func TestCacheInsertExistingUpdates(t *testing.T) {
 	c := NewCache(2)
 	c.Insert(0x1000, false)
 	p := c.Insert(0x1000, true)
-	if !p.Writable {
+	if !p.Writable() {
 		t.Error("reinsert should upgrade writability")
 	}
 	if c.Len() != 1 {
@@ -106,6 +107,43 @@ func TestNewCacheValidation(t *testing.T) {
 		}
 	}()
 	NewCache(0)
+}
+
+// TestCacheDataFollowsRecord: a page's bytes are found from its record
+// wherever the record is — at either end of the LRU ring or inside it,
+// and after it has left the ring by eviction or removal — until an
+// insert reuses the record and hands the buffer on to the fill.
+func TestCacheDataFollowsRecord(t *testing.T) {
+	c := NewCache(4)
+	for i := 0; i < 4; i++ {
+		c.SetData(c.Insert(mem.VA(i)<<mem.PageShift, false), []byte{byte(i)})
+	}
+	c.Lookup(0x1000) // most recent first: pages 1, 3, 2, 0
+	holds := func(what string, p *PageState, b byte) {
+		t.Helper()
+		if d := c.Data(p); len(d) != 1 || d[0] != b {
+			t.Fatalf("%s: page %#x holds %v, want [%d]", what, uint64(p.VA), d, b)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		p, _ := c.Peek(mem.VA(i) << mem.PageShift)
+		holds("cached", p, byte(i))
+	}
+	holds("evicted", c.EvictLRU(), 0)
+	two, _ := c.Peek(0x2000)
+	c.Remove(0x2000)
+	holds("removed", two, 2)
+	// The free chain hands out page 2's record first, then page 0's.
+	if p := c.Insert(0x5000, true); p != two {
+		t.Fatal("insert did not reuse the last freed record")
+	} else {
+		holds("reused", p, 2)
+		c.SetData(p, nil)
+		if c.Data(p) != nil {
+			t.Fatal("SetData(nil) left bytes")
+		}
+	}
+	holds("reused", c.Insert(0x6000, true), 0)
 }
 
 // cacheScript runs one deterministic insert/lookup/remove/PagesIn script
@@ -188,34 +226,57 @@ func TestCacheGeometryInvariant(t *testing.T) {
 	}
 }
 
-// TestCacheBytesPerPage holds a full cache of pages with no
-// materialized bytes to 48 live heap bytes per page: a 24-byte record
-// plus two 8-byte index slots at load 1/2. Both are pointer-free, so the
-// garbage collector does not scan them either. (A 56-byte record with
-// three pointers and a two-word index slot held ~94.)
-func TestCacheBytesPerPage(t *testing.T) {
-	const pages = 16384
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c := NewCache(pages)
-	for i := 0; i < pages; i++ {
-		c.Insert(mem.VA(i)<<mem.PageShift, i%2 == 0)
+// TestPageStateSize: a cache record is 16 bytes, a page and two 4-byte
+// links that carry the page's flags in their spare bits.
+func TestPageStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(PageState{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(PageState{}) = %d, want 16", got)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c)
-	perPage := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / pages
-	t.Logf("%d cached pages: %.1f live bytes per page", c.Len(), perPage)
-	if c.Len() != pages || perPage > 48 {
-		t.Fatalf("%d cached pages hold %.1f live bytes per page, limit 48", c.Len(), perPage)
+}
+
+// TestCacheBytesPerPage holds caches of pages with no materialized bytes
+// to their live heap bytes per cached page. A full cache pays a 16-byte
+// record and two 4-byte index slots at load 1/2: 24. A cache holding 290
+// of its 4 096 pages — a pod_mix blade's share, 73 864 pages over 256
+// blades — also pays the slack of the store's and the index's last
+// doubling (512 records and 1 024 slots): 42. Neither holds a pointer,
+// so the garbage collector does not scan them either. (24-byte records
+// and 8-byte slots held 38 and 69; a 56-byte record with three pointers
+// and a two-word index slot held ~94 full.)
+func TestCacheBytesPerPage(t *testing.T) {
+	for _, c := range []struct {
+		name                    string
+		caches, capacity, pages int
+		limit                   float64
+	}{
+		{"full", 1, 16384, 16384, 26},
+		{"pod_mix blade", 64, 4096, 290, 44},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		caches := make([]*Cache, c.caches)
+		for k := range caches {
+			caches[k] = NewCache(c.capacity)
+			for i := 0; i < c.pages; i++ {
+				caches[k].Insert(mem.VA(i)<<mem.PageShift, i%2 == 0)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(caches)
+		perPage := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(c.caches*c.pages)
+		t.Logf("%s: %d caches of %d pages at capacity %d: %.1f live bytes per page", c.name, c.caches, c.pages, c.capacity, perPage)
+		if caches[0].Len() != c.pages || perPage > c.limit {
+			t.Errorf("%s: %d cached pages hold %.1f live bytes per page, limit %.0f", c.name, caches[0].Len(), perPage, c.limit)
+		}
 	}
 }
 
 // TestConstructionFootprint keeps worst-case preallocation out: an
 // engine and a blade cache cost what they hold, not what they might (a
 // 2.1 ms ring is ~193 KiB of bucket headers per rack engine; records and
-// index sized up front for a 2^20-page cache are 24 + 16 MiB). An
+// index sized up front for a 2^20-page cache are 16 + 8 MiB). An
 // engine's ring of 16-byte bucket headers is 4 KiB of the 6 KiB allowed.
 func TestConstructionFootprint(t *testing.T) {
 	var sink any
@@ -318,9 +379,9 @@ func runCacheOps(t *testing.T, ops []byte) {
 	c, m := NewCache(capacity), &cacheModel{}
 	same := func(op int, what string, p *PageState, e cacheEntry) {
 		t.Helper()
-		if p.VA != e.va || p.Dirty != e.dirty || p.Writable != e.writable {
+		if p.VA != e.va || p.Dirty() != e.dirty || p.Writable() != e.writable {
 			t.Fatalf("op %d: %s returned {%#x dirty=%v writable=%v}, model {%#x dirty=%v writable=%v}",
-				op, what, uint64(p.VA), p.Dirty, p.Writable, uint64(e.va), e.dirty, e.writable)
+				op, what, uint64(p.VA), p.Dirty(), p.Writable(), uint64(e.va), e.dirty, e.writable)
 		}
 	}
 	evict := func(op int) {
@@ -379,9 +440,11 @@ func runCacheOps(t *testing.T, ops []byte) {
 			same(op, "lookup", p, m.mru[i])
 			switch kind {
 			case opHit:
-				p.Dirty, m.mru[i].dirty = true, true
+				p.SetDirty(true)
+				m.mru[i].dirty = true
 			case opDowngrade:
-				p.Dirty, p.Writable = false, false
+				p.SetDirty(false)
+				p.SetWritable(false)
 				m.mru[i].dirty, m.mru[i].writable = false, false
 			}
 		case opRemove:

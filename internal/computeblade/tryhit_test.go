@@ -15,7 +15,7 @@ import (
 // needs, with no effect on the blade.
 func wouldHit(b *Blade, va mem.VA, write bool) bool {
 	p, ok := b.cache.Peek(va)
-	return ok && (!write || p.Writable)
+	return ok && (!write || p.Writable())
 }
 
 // probeThenHit is the two-probe hit TryHit replaced, kept as its oracle:
@@ -28,7 +28,7 @@ func probeThenHit(b *Blade, va mem.VA, write bool) bool {
 	b.col.IncH(b.hAccesses, 1)
 	p, _ := b.cache.Lookup(va)
 	if write {
-		p.Dirty = true
+		p.SetDirty(true)
 	}
 	b.col.IncH(b.hLocalHits, 1)
 	return true
@@ -75,7 +75,7 @@ func (r hitRig) page(pg mem.VA) string {
 	if !ok {
 		return "uncached"
 	}
-	return fmt.Sprintf("dirty=%v writable=%v", p.Dirty, p.Writable)
+	return fmt.Sprintf("dirty=%v writable=%v", p.Dirty(), p.Writable())
 }
 
 // lru lists the cached pages, most recent first.
@@ -85,7 +85,7 @@ func (r hitRig) lru() []mem.VA {
 	if len(recs) == 0 {
 		return nil // nothing was ever cached
 	}
-	for i := recs[0].next; i != 0; i = recs[i].next {
+	for i := recs[0].next; i != 0; i = recs[i].next & idxMask {
 		out = append(out, recs[i].VA)
 	}
 	return out

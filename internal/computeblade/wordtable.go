@@ -30,19 +30,18 @@ func faultKey(page mem.VA, want mem.Perm) uint64 { return mem.PageIndex(page)<<2
 const _ uint64 = 1<<keyBits - uint64(mem.VALimit>>mem.PageShift)<<2
 
 // wordTable is an open-addressed hash table from keys below 2^keyBits to
-// record indices: the cache's page index, on the hit path of every
-// simulated memory access, and the blade's in-flight-fault dedup table
-// ("is this page already faulting?"). One uint64 per slot makes a probe
-// one cache-line touch and the table pointer-free, so the garbage
-// collector never scans it. Linear probing with backward-shift deletion
-// keeps a lookup to a few slots with no runtime map hashing, no
-// tombstone decay and no per-entry allocation. The table starts at
-// wordTableMinSize slots on the first insert and doubles when an insert
-// would pass load 1/2, so its footprint follows what was inserted, not
-// what might be: a cache that fills ends at the smallest power of two >=
-// twice its capacity, one that sees a few hundred faults never pays for
-// more. Nothing observable depends on the table's size — it is never
-// iterated.
+// record indices: the blade's in-flight-fault dedup table ("is this page
+// already faulting?"). The cache's page index is its own table of 4-byte
+// slots (pageindex.go), which keeps the page in the record instead of
+// the slot. One uint64 per slot makes a probe one cache-line touch and
+// the table pointer-free, so the garbage collector never scans it.
+// Linear probing with backward-shift deletion keeps a lookup to a few
+// slots with no runtime map hashing, no tombstone decay and no per-entry
+// allocation. The table starts at wordTableMinSize slots on the first
+// insert and doubles when an insert would pass load 1/2, so its
+// footprint follows what was inserted, not what might be: a blade that
+// sees a few hundred faults never pays for more. Nothing observable
+// depends on the table's size — it is never iterated.
 type wordTable struct {
 	slots []uint64
 	n     int
@@ -52,9 +51,12 @@ const wordTableMinSize = 16 // power of two
 
 func (t *wordTable) mask() uint64 { return uint64(len(t.slots) - 1) }
 
-// hashWord mixes a key (fibonacci hashing; page numbers are dense, so
-// the low bits alone would cluster).
-func hashWord(k uint64) uint64 { return (k * 0x9e3779b97f4a7c15) >> 32 }
+// hashMul is the fibonacci hashing multiplier: page numbers are dense, so
+// the low bits alone would cluster.
+const hashMul = 0x9e3779b97f4a7c15
+
+// hashWord mixes a key into its home slot hash.
+func hashWord(k uint64) uint64 { return (k * hashMul) >> 32 }
 
 // get returns the record index for k, or 0.
 func (t *wordTable) get(k uint64) uint32 {

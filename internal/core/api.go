@@ -215,7 +215,7 @@ func (t *Thread) StoreBytes(va mem.VA, data []byte) error {
 		cache.SetData(p, buf)
 	}
 	copy(buf[off:off+len(data)], data)
-	p.Dirty = true
+	p.SetDirty(true)
 	return nil
 }
 

@@ -150,7 +150,7 @@ func (t *thread) step() {
 			// Swap systems map resident pages read-write; writes just
 			// dirty them.
 			if write {
-				p.Dirty = true
+				p.SetDirty(true)
 			}
 			t.ops++
 			c.col.IncH(c.hLocalHits, 1)
@@ -186,7 +186,7 @@ func (c *Cluster) fault(page mem.VA, done func()) {
 					for c.cache.NeedsEviction() {
 						v := c.cache.EvictLRU()
 						c.col.IncH(c.hEvictions, 1)
-						if v.Dirty {
+						if v.Dirty() {
 							c.col.IncH(c.hWritebacks, 1)
 							c.fab.Unicast(0, c.memBladeOf(v.VA), fabric.PageBytes, func() {})
 						}

@@ -289,9 +289,9 @@ func (t *thread) step() {
 		local = softEnd.Sub(c.eng.Now())
 
 		p, cached := c.caches[t.blade].Lookup(va)
-		if cached && (!write || p.Writable) {
+		if cached && (!write || p.Writable()) {
 			if write {
-				p.Dirty = true
+				p.SetDirty(true)
 			}
 			t.ops++
 			c.col.IncH(c.hAccesses, 1)
@@ -483,13 +483,13 @@ func invAtTarget(x any) {
 	c.col.IncH(c.hInvals, 1)
 	cache := c.caches[tgt]
 	if p, ok := cache.Peek(r.page); ok {
-		if p.Dirty {
+		if p.Dirty() {
 			c.col.IncH(c.hFlushed, 1)
 			c.fab.UnicastArg(fabric.NodeID(tgt), c.memBladeOf(r.page), fabric.PageBytes, delivered, nil)
-			p.Dirty = false
+			p.SetDirty(false)
 		}
 		if r.downgrade {
-			p.Writable = false
+			p.SetWritable(false)
 		} else {
 			cache.Remove(r.page)
 		}
@@ -534,14 +534,14 @@ func fetchDone(x any) {
 	for cache.NeedsEviction() {
 		v := cache.EvictLRU()
 		c.col.IncH(c.hEvictions, 1)
-		if v.Dirty {
+		if v.Dirty() {
 			c.col.IncH(c.hWritebacks, 1)
 			c.fab.UnicastArg(fabric.NodeID(t.blade), c.memBladeOf(v.VA), fabric.PageBytes, delivered, nil)
 		}
 	}
 	p := cache.Insert(page, r.writable)
 	if r.writable {
-		p.Dirty = true
+		p.SetDirty(true)
 	}
 
 	e := r.e
