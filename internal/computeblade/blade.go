@@ -116,7 +116,6 @@ type fault struct {
 	// by this fault object for its whole pooled lifetime.
 	timeout *sim.Event
 	settled bool
-	id      uint32 // 1 + the fault's slot in Blade.faultRecs, kept across recycling
 
 	// comp holds the successful completion between the PTE-install
 	// charge being scheduled and the settle that consumes it.
@@ -153,13 +152,13 @@ type Blade struct {
 	deps  Deps
 
 	invHandler *sim.Resource
-	// faults dedups concurrent faults per (page, want): an open-addressed
-	// table from the fault key to the fault's id (see wordtable.go).
-	// faultRecs[id-1] is the fault with that id while it is in the table
-	// and nil otherwise, so a settled fault left to the GC (its request
-	// was lost) is not kept reachable.
-	faults    wordTable
-	faultRecs []*fault
+	// live holds the unsettled faults, at most one per (page, want), in
+	// no observable order: startFault scans it to fold concurrent faults
+	// into one request. A blade holds a few dozen at most (see
+	// pageIndex), so a scan beats hashing. settle drops the fault, so a
+	// settled fault left to the GC (its request was lost) is not kept
+	// reachable.
+	live []*fault
 
 	// Free lists for the per-access hot path.
 	faultFree sim.Pool[fault]
@@ -268,9 +267,8 @@ func (b *Blade) newFault(pdid mem.PDID, page mem.VA, want mem.Perm) *fault {
 		f.settled, f.installing, f.resetPending = false, false, false
 		f.comp = coherence.Completion{}
 	} else {
-		f = &fault{b: b, id: uint32(len(b.faultRecs) + 1)}
+		f = &fault{b: b}
 		f.onComplete = func(c coherence.Completion) { f.b.onCompletion(f, c) }
-		b.faultRecs = append(b.faultRecs, nil)
 	}
 	f.page, f.want, f.pdid, f.start = page, want, pdid, b.eng.Now()
 	return f
@@ -278,17 +276,16 @@ func (b *Blade) newFault(pdid mem.PDID, page mem.VA, want mem.Perm) *fault {
 
 // startFault begins or joins a page fault for (page, want).
 func (b *Blade) startFault(pdid mem.PDID, page mem.VA, want mem.Perm, done func(AccessResult)) {
-	key := faultKey(page, want)
-	if id := b.faults.get(key); id != 0 {
-		// Another thread on this blade already faulted: share the fault.
-		f := b.faultRecs[id-1]
-		f.waiters = append(f.waiters, waiter{start: b.eng.Now(), done: done})
-		return
+	for _, f := range b.live {
+		if f.page == page && f.want == want {
+			// Another thread on this blade already faulted: share the fault.
+			f.waiters = append(f.waiters, waiter{start: b.eng.Now(), done: done})
+			return
+		}
 	}
 	f := b.newFault(pdid, page, want)
 	f.waiters = append(f.waiters, waiter{start: f.start, done: done})
-	b.faults.put(key, f.id)
-	b.faultRecs[f.id-1] = f
+	b.live = append(b.live, f)
 	// Kernel fault entry, then the request goes out.
 	f.pendingIssues++
 	b.eng.ScheduleArg(b.cfg.PageFaultCost, faultIssue, f)
@@ -440,8 +437,14 @@ func (b *Blade) settle(f *fault, r AccessResult) {
 	// Defensive: a recycled fault must never have a live timer pointing
 	// at it (Cancel is a no-op unless the timer is pending).
 	b.eng.Cancel(f.timeout)
-	b.faults.del(faultKey(f.page, f.want))
-	b.faultRecs[f.id-1] = nil
+	for i, g := range b.live {
+		if g == f {
+			last := len(b.live) - 1
+			b.live[i], b.live[last] = b.live[last], nil
+			b.live = b.live[:last]
+			break
+		}
+	}
 	now := b.eng.Now()
 	r.Page = f.page
 	for _, w := range f.waiters {

@@ -278,6 +278,9 @@ func TestCacheBytesPerPage(t *testing.T) {
 // 2.1 ms ring is ~193 KiB of bucket headers per rack engine; records and
 // index sized up front for a 2^20-page cache are 16 + 8 MiB). An
 // engine's ring of 16-byte bucket headers is 4 KiB of the 6 KiB allowed.
+// TotalAlloc is process-wide, so an allocation elsewhere in the process
+// during a build adds to its reading; a constructor allocates the same
+// bytes on every build, so the least of several readings is its own.
 func TestConstructionFootprint(t *testing.T) {
 	var sink any
 	for _, c := range []struct {
@@ -288,11 +291,15 @@ func TestConstructionFootprint(t *testing.T) {
 		{"sim.NewEngine", func() any { return sim.NewEngine() }, 6 << 10},
 		{"computeblade.NewCache(1<<20)", func() any { return NewCache(1 << 20) }, 4 << 10},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		sink = c.build()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > c.limit {
+		got := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sink = c.build()
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > c.limit {
 			t.Errorf("%s allocates %d bytes, limit %d", c.name, got, c.limit)
 		}
 	}

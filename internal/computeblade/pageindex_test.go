@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"mind/internal/mem"
+	"mind/internal/sim"
 )
 
 // indexOps replays an op sequence against a pageIndex and a map oracle,
-// in the op format of tableOps: three bytes per op, the kind (put-if-
-// absent twice as likely as delete or lookup) and a 16-bit page number.
-// A put stores the page in a fresh record, so a slot that kept a stale
-// entry's index shows. After every op the touched page and the count
+// three bytes per op: the kind (put-if-absent twice as likely as delete
+// or lookup) and a 16-bit page number. A put stores the page in a fresh
+// record, so a slot that kept a stale entry's index shows. After every op the touched page and the count
 // must agree; check compares everything.
 type indexOps struct {
 	t      *testing.T
@@ -86,6 +86,39 @@ func (r *indexOps) check() {
 	}
 }
 
+// randomTableOps draws n ops over a universe of `pages` page numbers.
+func randomTableOps(seed uint64, n, pages int) []byte {
+	rng := sim.NewRNG(seed, "wordtable")
+	ops := make([]byte, 0, 3*n)
+	for i := 0; i < n; i++ {
+		p := rng.Intn(pages)
+		ops = append(ops, byte(rng.Intn(4)), byte(p>>8), byte(p))
+	}
+	return ops
+}
+
+// wrappedChainOps builds the case an index that grows adds: nine pages
+// whose home slot in the 32-slot index is one of its last two. The
+// ninth insert is the first rehash (16 -> 32), after which the chain
+// runs 30, 31, 0, 1, ... 6 — and the deletes that follow, oldest first,
+// each backward-shift entries across the wrap.
+func wrappedChainOps() []byte {
+	var pages []int
+	for p := 0; len(pages) < 9; p++ {
+		if home, _ := pageHash(mem.VA(p) << mem.PageShift); home&31 >= 30 {
+			pages = append(pages, p)
+		}
+	}
+	var ops []byte
+	for _, p := range pages {
+		ops = append(ops, 0, byte(p>>8), byte(p))
+	}
+	for _, p := range pages {
+		ops = append(ops, 2, byte(p>>8), byte(p))
+	}
+	return ops
+}
+
 // collidingChainOps builds the case the fingerprint adds: a probe chain
 // in which several pages share both their home slot and their
 // fingerprint, so only the record tells them apart. It finds the four
@@ -131,10 +164,10 @@ func collidingChainOps() (ops []byte, colliders []mem.VA) {
 }
 
 // TestPageIndexAgainstMap drives the page index through growth against a
-// map, as TestWordTableAgainstMap does the fault table: random
-// put/get/del from 16 slots past four doublings, a small universe that
-// churns at one size, the wrapped probe chain right after a rehash, and
-// that chain with pages that share home slot and fingerprint.
+// map: random put/get/del from 16 slots past four doublings, a small
+// universe that churns at one size, the wrapped probe chain right after
+// a rehash, and that chain with pages that share home slot and
+// fingerprint.
 func TestPageIndexAgainstMap(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		r := runIndexOps(t, randomTableOps(seed, 6000, 400))
@@ -170,21 +203,16 @@ func FuzzPageIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) { runIndexOps(t, ops) })
 }
 
-// TestTablePutRangeChecks reaches each refusal of both tables' put: an
-// index of 0 (it would read as an empty slot), an index wider than
-// idxBits, and a key outside the address space (a page number wider
-// than keyBits in the fault table, a page at or above mem.VALimit in the
-// page index). Each panic names the entry. A del of a record the page
-// index does not hold panics too.
+// TestTablePutRangeChecks reaches each refusal of the page index's put:
+// an index of 0 (it would read as an empty slot), an index wider than
+// idxBits, and a page at or above mem.VALimit. Each panic names the
+// entry. A del of a record the index does not hold panics too.
 func TestTablePutRangeChecks(t *testing.T) {
 	recs := []PageState{{}, {VA: 0x1000}, {VA: 0x2000}}
 	for _, c := range []struct {
 		name, want string
 		put        func()
 	}{
-		{"wordTable index 0", "(0x1, 0)", func() { new(wordTable).put(1, 0) }},
-		{"wordTable index above idxMask", "(0x1, 16777216)", func() { new(wordTable).put(1, idxMask+1) }},
-		{"wordTable key above keyBits", "(0x10000000000, 1)", func() { new(wordTable).put(1<<keyBits, 1) }},
 		{"pageIndex index 0", "(0x1000, 0)", func() { new(pageIndex).put(recs, 0x1000, 0) }},
 		{"pageIndex index above idxMask", "(0x1000, 16777216)", func() { new(pageIndex).put(recs, 0x1000, idxMask+1) }},
 		{"pageIndex page at VALimit", "(0x4000000000000, 1)", func() { new(pageIndex).put(recs, mem.VALimit, 1) }},

@@ -26,8 +26,7 @@ type Thread struct {
 	finished func()
 
 	// PSO state (§6.1): pages with writes still propagating.
-	pendingWrites map[mem.VA]int
-	pendingTotal  int
+	pending mem.StoreBuffer
 
 	// The parked access: step leaves a faulting access here and
 	// schedules threadIssue after the accrued local time, instead of
@@ -79,9 +78,6 @@ const inlineBatch = 4096
 func (t *Thread) Start(gen AccessGen, onFinish func()) {
 	t.gen = gen
 	t.finished = onFinish
-	if t.c.cfg.Consistency != TSO {
-		t.pendingWrites = make(map[mem.VA]int)
-	}
 	t.blockDone = func(computeblade.AccessResult) {
 		t.ops++
 		t.c.eng.ScheduleArg(0, threadStep, t)
@@ -110,6 +106,7 @@ func (t *Thread) finish() {
 // time elapses, and the thread resumes via completion callbacks.
 func (t *Thread) step() {
 	blade := t.c.cblades[t.blade]
+	pso := t.c.cfg.Consistency != TSO
 	var local sim.Duration
 	for i := 0; i < inlineBatch && local < yieldQuantum; i++ {
 		va, write, ok := t.gen()
@@ -118,11 +115,10 @@ func (t *Thread) step() {
 			return
 		}
 		local += thinkTime
-		pso := t.pendingWrites != nil
 
 		// PSO read-after-write hazard: block until the page's pending
 		// writes drain (§6.1).
-		if pso && !write && t.pendingWrites[mem.PageBase(va)] > 0 {
+		if pso && !write && t.pending.Holds(mem.PageBase(va)) {
 			t.issueVA, t.issueWrite, t.stalled = va, write, true
 			return
 		}
@@ -136,7 +132,7 @@ func (t *Thread) step() {
 		// Miss. Under PSO, writes go asynchronous unless the store
 		// buffer is full.
 		if pso && write {
-			if t.pendingTotal >= t.c.cfg.StoreBufferDepth {
+			if len(t.pending) >= t.c.cfg.StoreBufferDepth {
 				t.issueVA, t.issueWrite, t.stalled = va, write, true
 				return
 			}
@@ -167,25 +163,16 @@ func (t *Thread) issueBlocking() {
 func (t *Thread) issueAsyncWrite(va mem.VA) {
 	t.ops++
 	t.faults++
-	t.pendingWrites[mem.PageBase(va)]++
-	t.pendingTotal++
+	t.pending.Add(mem.PageBase(va))
 	t.c.cblades[t.blade].Access(t.pdid, va, true, t.asyncDone)
 }
 
 // writeDrained runs when an async PSO write completes.
 func (t *Thread) writeDrained(page mem.VA) {
-	if t.pendingWrites[page] > 0 {
-		t.pendingWrites[page]--
-		if t.pendingWrites[page] == 0 {
-			delete(t.pendingWrites, page)
-		}
-	}
-	if t.pendingTotal > 0 {
-		t.pendingTotal--
-	}
+	t.pending.Drain(page)
 	// A stalled read resumes once its page drained, a stalled write once
 	// any store-buffer slot freed.
-	if !t.stalled || (!t.issueWrite && t.pendingWrites[mem.PageBase(t.issueVA)] > 0) {
+	if !t.stalled || (!t.issueWrite && t.pending.Holds(mem.PageBase(t.issueVA))) {
 		return
 	}
 	t.stalled = false

@@ -209,8 +209,7 @@ type thread struct {
 	gen   core.AccessGen
 	done  bool
 
-	pendingWrites map[mem.VA]int
-	pendingTotal  int
+	pending mem.StoreBuffer // pages of the async writes in flight
 	// A stalled access waits in (stVA, stWrite) until the blocking
 	// writes drain; drained then sets replay, and the next step executes
 	// the stalled access before drawing from gen again. One slot is
@@ -230,7 +229,7 @@ func (c *Cluster) Spawn(blade int, gen core.AccessGen) error {
 	if blade < 0 || blade >= c.cfg.ComputeBlades {
 		return fmt.Errorf("gam: no blade %d", blade)
 	}
-	t := &thread{c: c, blade: blade, gen: gen, pendingWrites: make(map[mem.VA]int)}
+	t := &thread{c: c, blade: blade, gen: gen}
 	c.active++
 	c.eng.ScheduleArg(0, threadStep, t)
 	return nil
@@ -272,7 +271,7 @@ func (t *thread) step() {
 
 		// PSO read-after-write hazard. (The access is not counted yet:
 		// stalled accesses count when they actually execute on replay.)
-		if !write && t.pendingWrites[page] > 0 {
+		if !write && t.pending.Holds(page) {
 			t.stall(va, write, page)
 			return
 		}
@@ -302,14 +301,13 @@ func (t *thread) step() {
 		// Remote path: writes go asynchronous unless the store buffer is
 		// full; reads block the thread until fetchDone resumes it.
 		if write {
-			if t.pendingTotal >= c.cfg.StoreBufferDepth {
+			if len(t.pending) >= c.cfg.StoreBufferDepth {
 				t.stall(va, true, 0)
 				return
 			}
 			t.ops++
 			c.col.IncH(c.hAccesses, 1)
-			t.pendingWrites[page]++
-			t.pendingTotal++
+			t.pending.Add(page)
 			c.eng.ScheduleArg(local, reqStart, c.newReq(t, page, true))
 			continue
 		}
@@ -328,19 +326,11 @@ func (t *thread) stall(va mem.VA, write bool, on mem.VA) {
 }
 
 func (t *thread) drained(page mem.VA) {
-	if t.pendingWrites[page] > 0 {
-		t.pendingWrites[page]--
-		if t.pendingWrites[page] == 0 {
-			delete(t.pendingWrites, page)
-		}
-	}
-	if t.pendingTotal > 0 {
-		t.pendingTotal--
-	}
+	t.pending.Drain(page)
 	if !t.waitingDrain {
 		return
 	}
-	if t.blockedOn != 0 && t.pendingWrites[t.blockedOn] > 0 {
+	if t.blockedOn != 0 && t.pending.Holds(t.blockedOn) {
 		return
 	}
 	t.waitingDrain = false

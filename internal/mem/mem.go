@@ -21,8 +21,8 @@ const (
 
 // VALimit bounds the global virtual address space: every address the
 // allocator hands out lies below it (ctrlplane.Allocator refuses a blade
-// partition that would reach it), so a page number fits in 38 bits —
-// the width a compute blade's fault table keys pages by.
+// partition that would reach it), so a page number fits in 38 bits; a
+// compute blade's page index refuses a page at or above it.
 const VALimit VA = 1 << 50
 
 // PageBase returns the address of the page containing va.
@@ -30,6 +30,39 @@ func PageBase(va VA) VA { return va &^ (PageSize - 1) }
 
 // PageIndex returns the page number containing va.
 func PageIndex(va VA) uint64 { return uint64(va) >> PageShift }
+
+// StoreBuffer is a PSO thread's store buffer (§6.1): the page of each
+// asynchronous write still propagating, one entry per write, so its
+// length is the number of writes outstanding. A thread stalls before it
+// holds more than its store-buffer depth (16 by default), so scanning
+// it beats hashing.
+type StoreBuffer []VA
+
+// Add records one outstanding write to page.
+func (b *StoreBuffer) Add(page VA) { *b = append(*b, page) }
+
+// Holds reports whether a write to page is still outstanding.
+func (b StoreBuffer) Holds(page VA) bool {
+	for _, p := range b {
+		if p == page {
+			return true
+		}
+	}
+	return false
+}
+
+// Drain retires one outstanding write to page, the page it was added
+// with. Entries keep no order.
+func (b *StoreBuffer) Drain(page VA) {
+	s := *b
+	for i, p := range s {
+		if p == page {
+			s[i] = s[len(s)-1]
+			*b = s[:len(s)-1]
+			return
+		}
+	}
+}
 
 // PDID identifies a protection domain (§4.2). For existing applications
 // MIND uses the process identifier as the PDID.

@@ -169,3 +169,46 @@ func TestRangeContains(t *testing.T) {
 		t.Error("Range.End wrong")
 	}
 }
+
+// TestStoreBuffer: a page written twice is held until both writes
+// drain, draining one page leaves the others, and the length counts
+// writes, not pages.
+func TestStoreBuffer(t *testing.T) {
+	const a, b, c VA = 0x1000, 0x2000, 0x3000
+	var buf StoreBuffer
+	for i, step := range []struct {
+		add   bool
+		page  VA
+		held  []VA // pages Holds must report, of a, b and c
+		total int
+	}{
+		{true, a, []VA{a}, 1},
+		{true, b, []VA{a, b}, 2},
+		{true, a, []VA{a, b}, 3},
+		{true, c, []VA{a, b, c}, 4},
+		{false, a, []VA{a, b, c}, 3},
+		{false, b, []VA{a, c}, 2},
+		{false, a, []VA{c}, 1},
+		{true, b, []VA{b, c}, 2},
+		{false, c, []VA{b}, 1},
+		{false, b, nil, 0},
+	} {
+		if step.add {
+			buf.Add(step.page)
+		} else {
+			buf.Drain(step.page)
+		}
+		for _, p := range []VA{a, b, c} {
+			want := false
+			for _, h := range step.held {
+				want = want || h == p
+			}
+			if buf.Holds(p) != want {
+				t.Fatalf("step %d: Holds(%#x) = %v, want %v (buffer %v)", i, uint64(p), !want, want, buf)
+			}
+		}
+		if len(buf) != step.total {
+			t.Fatalf("step %d: %d writes outstanding, want %d", i, len(buf), step.total)
+		}
+	}
+}

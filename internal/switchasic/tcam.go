@@ -75,9 +75,10 @@ type tcamSlot struct {
 // is allocated on its level's first insert at tableMinSize slots,
 // doubles when an insert would pass load 1/2, and keeps its slots when
 // its last rule is deleted (the level only leaves inUse). Unlike the
-// blade cache's wordTable, whose key packs into one nonzero word, a
-// rule's key is a 32-bit pdid plus a full 64-bit base, and base 0 is a
-// valid key.
+// blade cache's page index, whose 4-byte slot keeps only a fingerprint
+// and a record index and reads the page from the record, a rule's key
+// is a 32-bit pdid plus a full 64-bit base, kept in the slot, and base 0
+// is a valid key.
 type table struct {
 	slots []tcamSlot
 	shift uint // 64 - log2(len(slots))
